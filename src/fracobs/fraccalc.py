@@ -147,24 +147,55 @@ def _powv(x: np.ndarray, p: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler evaluation
+#
+# Each value of E_alpha(-x), x >= 0, comes from exactly one regime:
+#   asymptotic  x >= _ASYM_SWITCH and the large-argument expansion meets
+#               _ASYM_ACCEPT before its terms start to grow (the loop drops
+#               a point as soon as they do);
+#   series      the float power series, where it loses at most
+#               _SERIES_DIGITS decimal digits to cancellation;
+#   spectral    the cancellation gap between them: a trapezoid rule on the
+#               positive spectral integral, where nothing cancels.
 
-_ASYM_SWITCH = 2.0     # |z| at and above which the asymptotic route is tried
+_ASYM_SWITCH = 2.0     # x at and above which the asymptotic route is tried
 _ASYM_ACCEPT = 5e-13   # relative truncation estimate the route must beat
 _ASYM_TERMS = 180
 _SERIES_DIGITS = 3.6   # worst-case cancellation the float series tolerates
-_SERIES_TERMS = 400
-_MP_DPS_CAP = 3000
-_BATCH_BLOCK = 40000
+_SERIES_SPAN = 56.0    # alpha*k past which the series' terms are negligible
+_SERIES_TERMS = 400    # terms of the positive-argument series
+_GAMMA_MIN = 0.8856    # Gamma on [1, inf) stays above this
+_GAP_STEPS = 10.0      # trapezoid steps per half-width of the analytic strip
+_GAP_TAIL = 1e-17      # relative mass the truncated u-range may leave out
+_GAP_CUT = 60.0        # nodes end where x^(1/alpha) e^u exceeds this
+_GAP_NODES = 1 << 22   # node cap; reached only for alpha below about 6e-5
+_LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
+_VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
+_BATCH_BLOCK = 40000   # points per mlf_values chunk
+_BLOCK_DOUBLES = 1 << 22  # 32 MB of float64 per work matrix
+_REGIMES = ("series", "asymptotic", "spectral")
 
 
 @dataclass(frozen=True)
 class MlfEvalReport:
     """Outcome of one E_alpha evaluation.
 
-    regime is "series" (power series, in float or escalated precision)
-    or "asymptotic" (large-argument expansion, only used when |z| is at
-    least the switch radius). est_error is a relative truncation/rounding
-    estimate, not a guaranteed bound.
+    regime is one of three routes:
+      "series"      the power series in float arithmetic, used where it
+                    loses at most _SERIES_DIGITS decimal digits to
+                    cancellation (and for z > 0, where nothing cancels);
+                    terms_used counts its terms;
+      "asymptotic"  the large-argument expansion, tried from |z| = 2 on and
+                    summed term by term until the envelope of the first
+                    omitted term is within 5e-13 of the sum; terms_used
+                    counts its terms;
+      "spectral"    the cancellation gap between the two: a trapezoid rule
+                    in u = log r on the positive spectral integral
+                    E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr;
+                    terms_used counts its nodes.
+    est_error is a relative truncation/rounding estimate, not a guaranteed
+    bound. For "spectral" it is the relative gap between the rules of step
+    h and 2h (every other node), which is the 2h rule's error and so
+    overstates that of the h rule returned.
     """
 
     value: float
@@ -174,53 +205,97 @@ class MlfEvalReport:
 
 
 def _asym_neg(alpha: float, x: np.ndarray):
-    """Asymptotic series of E_alpha(-x) for x > 0, optimally truncated.
+    """Asymptotic series of E_alpha(-x) for x >= 2, summed term by term.
 
     E_alpha(-x) ~ sum_{k>=1} (-1)^{k+1} x^{-k} / Gamma(1 - k*alpha); the
     reciprocal Gamma is evaluated through the reflection formula
-    sin(pi k alpha) Gamma(k alpha) / pi, which has no poles. The series
-    diverges, so each point is truncated at its smallest term and the
-    neighbor-max of the first omitted terms is reported as the estimate.
-    Returns (values, relative estimates, terms used).
+    sin(pi k alpha) Gamma(k alpha) / pi, which has no poles. The estimate
+    after k terms is the envelope Gamma((k+1) alpha) x^-(k+1) / pi of the
+    first omitted term: near alpha = 1 the factor sin(pi k alpha) makes a
+    run of terms small without shrinking the exponentially small
+    remainder, so the terms themselves would understate it. A point is
+    accepted, and leaves the loop, once the estimate is within
+    _ASYM_ACCEPT of its partial sum. The series diverges and the envelope
+    is log-convex in k, so a point whose envelope grows before that is
+    rejected. Returns (values, relative estimates, terms used, accepted).
     """
-    k = np.arange(1.0, _ASYM_TERMS + 1.0)
+    k = np.arange(1.0, _ASYM_TERMS + 2.0)
     ka = k * alpha
     sinv = np.sin(np.pi * ka)
+    lenv = gammaln(ka) - math.log(math.pi)
     with np.errstate(divide="ignore"):
-        lcoef = gammaln(ka) - math.log(math.pi) + np.log(np.abs(sinv))
-    lmag = lcoef[:, None] - np.outer(k, np.log(x))
-    mag = np.exp(lmag)
-    sgn = (np.where(sinv >= 0.0, 1.0, -1.0) * (-1.0) ** (k + 1.0))[:, None]
-    terms = np.where(np.isfinite(mag), sgn * mag, 0.0)
-    mag = np.where(np.isfinite(mag), mag, np.inf)
-    est = np.maximum(mag[:-1], mag[1:])
-    kstar = np.argmin(est, axis=0)
-    keep = (k[:, None] - 1.0) <= kstar[None, :]
-    vals = np.where(keep, terms, 0.0).sum(axis=0)
-    est_pt = est[kstar, np.arange(x.size)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(vals != 0.0, est_pt / np.abs(vals), np.inf)
-    return vals, rel, kstar + 1
+        lcoef = lenv + np.log(np.abs(sinv))
+    sgn = np.where(sinv >= 0.0, 1.0, -1.0) * (-1.0) ** (k + 1.0)
+    vals = np.zeros_like(x)
+    rel = np.full_like(x, np.inf)
+    used = np.zeros(x.shape, dtype=int)
+    accepted = np.zeros(x.shape, dtype=bool)
+    act = np.arange(x.size)
+    lx = np.log(x)
+    total = np.zeros_like(x)
+    for j in range(_ASYM_TERMS):
+        total = total + sgn[j] * np.exp(lcoef[j] - (j + 1) * lx)
+        est = np.exp(lenv[j + 1] - (j + 2) * lx)
+        ok = est <= _ASYM_ACCEPT * np.abs(total)
+        done = act[ok]
+        vals[done] = total[ok]
+        rel[done] = est[ok] / np.abs(total[ok])
+        used[done] = j + 1
+        accepted[done] = True
+        keep = ~ok & (lenv[j + 1] - lenv[j] <= lx)
+        if not keep.any():
+            break
+        act, lx, total = act[keep], lx[keep], total[keep]
+    return vals, rel, used, accepted
 
 
 def _series_digits(alpha: float, x: np.ndarray) -> np.ndarray:
-    # decimal digits lost to cancellation: max term is ~exp(x^(1/alpha))
-    return np.asarray(x, dtype=float) ** (1.0 / alpha) / math.log(10.0)
+    """Decimal digits the power series of E_alpha(-x) loses to cancellation.
+
+    Its terms add up in magnitude to E_alpha(x), which is at most
+    exp(x^(1/alpha)) / alpha and, for x < 1, at most 1 / (_GAMMA_MIN (1 - x));
+    E_alpha(-x) >= 1 / (1 + Gamma(1 - alpha) x) (Simon's lower bound). So
+    rounding costs at most the log10 of their ratio.
+    """
+    x = np.asarray(x, dtype=float)
+    # at very small alpha x^(1/alpha) overflows to inf: no series then
+    with np.errstate(over="ignore"):
+        s = x ** (1.0 / alpha)
+    labs = np.minimum(
+        s - math.log(alpha),
+        -np.log(_GAMMA_MIN * np.maximum(1.0 - x, 1e-300)),
+    )
+    return (labs + np.log1p(gamma(1.0 - alpha) * x)) / math.log(10.0)
 
 
 def _series_neg(alpha: float, x: np.ndarray):
-    """Float power series sum_k (-x)^k / Gamma(1 + k alpha), log-space terms."""
-    k = np.arange(0.0, _SERIES_TERMS + 1.0)
+    """Float power series sum_k (-x)^k / Gamma(1 + k alpha), log-space terms.
+
+    Used only where _series_digits stays small, so x^(1/alpha) <= 8.3 and
+    the terms past alpha*k = _SERIES_SPAN are below 1e-22; when every x is
+    below 1, the bound x^k / _GAMMA_MIN gets there sooner. The estimate is
+    the rounding of the sum, eps * sum|terms| / |value|.
+    Returns (values, relative estimates, terms used).
+    """
+    terms = _SERIES_SPAN / alpha
+    xmax = float(x.max())
+    if xmax < 1.0:
+        terms = min(terms, 51.0 / -math.log(max(xmax, 1e-300)))
+    k = np.arange(0.0, math.ceil(terms) + 1.0)
+    lg = gammaln(1.0 + alpha * k)
+    sign = (-1.0) ** k
     lx = np.log(np.maximum(x, 1e-300))
-    lmag = np.outer(k, lx) - gammaln(1.0 + alpha * k)[:, None]
-    mag = np.exp(lmag)
-    vals = ((-1.0) ** k[:, None] * mag).sum(axis=0)
-    peak = mag.max(axis=0)
-    used = (mag > 1e-18 * peak[None, :]).sum(axis=0)
-    eps = np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(vals != 0.0, (peak * eps + mag[-1]) / np.abs(vals), np.inf)
-    return vals, rel, used
+    vals = np.empty_like(x)
+    absum = np.empty_like(x)
+    step = max(1, _BLOCK_DOUBLES // k.size)
+    for lo in range(0, x.size, step):
+        mag = np.outer(k, lx[lo : lo + step])
+        mag -= lg[:, None]
+        np.exp(mag, out=mag)
+        vals[lo : lo + step] = sign @ mag
+        absum[lo : lo + step] = mag.sum(axis=0)
+    rel = np.finfo(float).eps * absum / np.abs(vals)
+    return vals, rel, np.full(x.shape, k.size)
 
 
 def _series_pos(alpha: float, z: np.ndarray):
@@ -238,68 +313,101 @@ def _series_pos(alpha: float, z: np.ndarray):
     return vals, rel, used
 
 
-def _mp_scalar(alpha: float, x: float, digits: float):
-    """Escalated-precision power series for one point in the cancellation gap."""
-    import mpmath as mp
+def _spectral_neg(alpha: float, x: np.ndarray):
+    """E_alpha(-x) by the trapezoid rule on its positive spectral integral.
 
-    dps = int(digits) + 20
-    if dps > _MP_DPS_CAP:
+    With s = x^(1/alpha), theta = (1 - alpha) pi and u = log r,
+        E_alpha(-x) = (sin theta / pi) int exp(-s e^u) du
+                      / (4 (sinh^2(alpha u / 2) + sin^2(theta / 2))),
+    the kernel written so that its denominator cancels nothing near
+    alpha = 1. The integrand is positive and analytic in the strip
+    |Im u| < min(theta / alpha, pi / 2) (the kernel's poles, and the growth
+    of the exponential), so the rule with step h = width / _GAP_STEPS
+    converges like exp(-2 pi width / h). Nodes lie on the lattice h*Z,
+    from where the kernel's tail, at most 2 (sin theta / pi) e^(alpha u),
+    integrates to _GAP_TAIL of Simon's lower bound on the value, to where
+    s e^u reaches _GAP_CUT. Points run in blocks of falling s, and each
+    block stops at the last node its smallest s needs, so that one block's
+    node matrix, like the series', stays within _BLOCK_DOUBLES. Raises
+    AccuracyError when the rule would need more than _GAP_NODES nodes or
+    s overflows, which happens only for alpha below about 5e-4.
+    Returns (values, relative estimates, nodes used).
+    """
+    theta = (1.0 - alpha) * math.pi
+    h = min(theta / alpha, 0.5 * math.pi) / _GAP_STEPS
+    c = math.sin(theta) / math.pi
+    low = 1.0 / (1.0 + gamma(1.0 - alpha) * float(x.max()))
+    order = np.argsort(-x, kind="stable")
+    log_s = np.log(x[order]) / alpha
+    j_lo = math.floor(math.log(_GAP_TAIL * low * alpha / (2.0 * c)) / (alpha * h))
+    j_hi = math.ceil((math.log(_GAP_CUT) - log_s[-1]) / h)
+    if log_s[0] > _LOG_S_MAX or j_hi - j_lo >= _GAP_NODES:
         raise AccuracyError(
-            f"E_alpha evaluation needs {dps} digits at alpha={alpha}, x={-x}; "
-            f"cap is {_MP_DPS_CAP}"
+            f"E_alpha({alpha}, {-float(x.max())}): the spectral rule needs "
+            f"{j_hi - j_lo + 1} nodes and x^(1/alpha) = exp({log_s[0]:.4g}); "
+            f"the limits are {_GAP_NODES} and exp({_LOG_S_MAX})",
+            MlfEvalReport(math.nan, "spectral", j_hi - j_lo + 1, math.inf),
         )
-    with mp.workdps(dps):
-        s = mp.mpf(1)
-        term = mp.mpf(1)
-        mx = mp.mpf(1)
-        xm = mp.mpf(x)
-        am = mp.mpf(alpha)  # float-precision alpha*k would jitter the huge terms
-        k = 0
-        while True:
-            k += 1
-            term = (-xm) ** k / mp.gamma(1 + am * k)
-            s += term
-            mx = max(mx, abs(term))
-            if abs(term) < mx * mp.mpf(10) ** (-dps) and k * alpha > 2.0:
-                break
-            if k > 200000:
-                raise AccuracyError(
-                    f"E_alpha series did not settle at alpha={alpha}, x={-x}"
-                )
-        val = float(s)
-    est = 10.0 ** (digits - dps + 2.0)
-    return val, est, k
+    s = x[order] ** (1.0 / alpha)
+    j = np.arange(j_lo, j_hi + 1)
+    u = h * j
+    ker = c / (4.0 * (np.sinh(0.5 * alpha * u) ** 2 + math.sin(0.5 * theta) ** 2))
+    weights = np.stack([h * ker, np.where(j % 2 == 0, 2.0 * h * ker, 0.0)], axis=1)
+    eu = np.exp(u)
+    rules = np.empty((s.size, 2))
+    nodes = np.empty(s.shape, dtype=int)
+    step = max(1, _BLOCK_DOUBLES // j.size)
+    for lo in range(0, s.size, step):
+        blk = s[lo : lo + step]
+        n = int(np.searchsorted(u, math.log(_GAP_CUT / blk[-1]), side="right"))
+        decay = np.multiply.outer(-blk, eu[:n])
+        np.exp(decay, out=decay)
+        rules[lo : lo + step] = decay @ weights[:n]
+        nodes[lo : lo + step] = n
+    vals = np.empty_like(x)
+    rel = np.empty_like(x)
+    used = np.empty(x.shape, dtype=int)
+    vals[order] = rules[:, 0]
+    rel[order] = np.abs(rules[:, 0] - rules[:, 1]) / rules[:, 0] + np.finfo(float).eps
+    used[order] = nodes
+    return vals, rel, used
 
 
-def _neg_batch(alpha: float, x: np.ndarray) -> np.ndarray:
-    """E_alpha(-x) for a block of x >= 0, routing each point."""
-    out = np.empty_like(x)
-    pending = np.ones(x.shape, dtype=bool)
-    big = x >= _ASYM_SWITCH
-    if big.any():
-        vals, rel, _ = _asym_neg(alpha, x[big])
-        ok = rel <= _ASYM_ACCEPT
-        idx = np.flatnonzero(big)
-        out[idx[ok]] = vals[ok]
-        pending[idx[ok]] = False
-    if pending.any():
-        idx = np.flatnonzero(pending)
-        xs = x[idx]
-        digits = _series_digits(alpha, xs)
-        ser = digits <= _SERIES_DIGITS
-        if ser.any():
-            vals, _, _ = _series_neg(alpha, xs[ser])
-            out[idx[ser]] = vals
-        for j in np.flatnonzero(~ser):
-            out[idx[j]] = _mp_scalar(alpha, float(xs[j]), float(digits[j]))[0]
-    return out
+def _route_neg(alpha: float, x: np.ndarray):
+    """E_alpha(-x) for x >= 0, each point evaluated by one regime.
+
+    Returns (values, relative estimates, terms used, regime indices into
+    _REGIMES).
+    """
+    vals = np.empty_like(x)
+    rel = np.empty_like(x)
+    used = np.empty(x.shape, dtype=int)
+    regime = np.zeros(x.shape, dtype=int)
+    rest = np.arange(x.size)
+    big = np.flatnonzero(x >= _ASYM_SWITCH)
+    if big.size:
+        v, e, t, ok = _asym_neg(alpha, x[big])
+        vals[big[ok]], rel[big[ok]], used[big[ok]] = v[ok], e[ok], t[ok]
+        regime[big[ok]] = 1
+        rest = np.setdiff1d(rest, big[ok], assume_unique=True)
+    ser = _series_digits(alpha, x[rest]) <= _SERIES_DIGITS
+    for idx, route, code in (
+        (rest[ser], _series_neg, 0),
+        (rest[~ser], _spectral_neg, 2),
+    ):
+        if idx.size:
+            vals[idx], rel[idx], used[idx] = route(alpha, x[idx])
+            regime[idx] = code
+    return vals, rel, used, regime
 
 
 def mlf_values(alpha: float, z) -> np.ndarray:
     """E_alpha(z) over an array of real arguments (no per-point reports).
 
     Fast path for the forward maps: exact exp at alpha = 1, otherwise the
-    same routing as mlf(). Work is chunked to bound peak memory.
+    same router as mlf(). Work is chunked to bound peak memory. Raises
+    AccuracyError, with the first failing point's report, if an estimate
+    exceeds 1e-9.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -315,7 +423,19 @@ def mlf_values(alpha: float, z) -> np.ndarray:
         res = np.empty_like(blk)
         neg = blk <= 0.0
         if neg.any():
-            res[neg] = _neg_batch(alpha, -blk[neg])
+            vals, rel, used, regime = _route_neg(alpha, -blk[neg])
+            bad = np.flatnonzero(~(rel <= _VALUES_TOL))
+            if bad.size:
+                i = bad[0]
+                report = MlfEvalReport(
+                    float(vals[i]), _REGIMES[regime[i]], int(used[i]), float(rel[i])
+                )
+                raise AccuracyError(
+                    f"E_alpha({alpha}, {blk[neg][i]}) estimate {rel[i]:.2e} exceeds "
+                    f"{_VALUES_TOL:.0e}",
+                    report,
+                )
+            res[neg] = vals
         if (~neg).any():
             res[~neg] = _series_pos(alpha, blk[~neg])[0]
         out[lo : lo + _BATCH_BLOCK] = res
@@ -325,9 +445,9 @@ def mlf_values(alpha: float, z) -> np.ndarray:
 def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     """Evaluate E_alpha(z) and report how the value was obtained.
 
-    Raises DomainError for alpha outside (0, 1] and AccuracyError (with
-    the report attached) if the relative error estimate exceeds
-    `tolerance`.
+    A one-point call of the router behind mlf_values(). Raises DomainError
+    for alpha outside (0, 1] and AccuracyError (with the report attached)
+    if the relative error estimate exceeds `tolerance`.
     """
     alpha = _check_alpha(alpha)
     z = float(z)
@@ -336,28 +456,13 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     if alpha == 1.0:
         report = MlfEvalReport(math.exp(z), "series", 1, np.finfo(float).eps)
     elif z > 0.0:
-        arr = np.array([z])
-        vals, rel, used = _series_pos(alpha, arr)
+        vals, rel, used = _series_pos(alpha, np.array([z]))
         report = MlfEvalReport(float(vals[0]), "series", int(used[0]), float(rel[0]))
     else:
-        x = -z
-        report = None
-        if x >= _ASYM_SWITCH:
-            vals, rel, used = _asym_neg(alpha, np.array([x]))
-            if rel[0] <= _ASYM_ACCEPT:
-                report = MlfEvalReport(
-                    float(vals[0]), "asymptotic", int(used[0]), float(rel[0])
-                )
-        if report is None:
-            digits = float(_series_digits(alpha, np.array([x]))[0])
-            if digits <= _SERIES_DIGITS:
-                vals, rel, used = _series_neg(alpha, np.array([x]))
-                report = MlfEvalReport(
-                    float(vals[0]), "series", int(used[0]), float(rel[0])
-                )
-            else:
-                val, est, used = _mp_scalar(alpha, x, digits)
-                report = MlfEvalReport(val, "series", used, est)
+        vals, rel, used, regime = _route_neg(alpha, np.array([-z]))
+        report = MlfEvalReport(
+            float(vals[0]), _REGIMES[regime[0]], int(used[0]), float(rel[0])
+        )
     if not report.est_error <= tolerance:
         raise AccuracyError(
             f"E_alpha({alpha}, {z}) estimate {report.est_error:.2e} exceeds "

@@ -149,6 +149,8 @@ class MeasurementRecord:
             raise InputError(
                 f"samples shape {s.shape} does not match grid of {len(self.grid)} nodes"
             )
+        if not np.all(np.isfinite(s)):
+            raise InputError("samples must be finite (found nan or inf)")
         if self.noise_sigma < 0.0:
             raise InputError("noise_sigma must be >= 0")
 
@@ -170,10 +172,26 @@ class MeasurementRecord:
     ) -> "MeasurementRecord":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if not header or header[0] != "t":
                 raise InputError(f"{path}: expected a 't,z1,...' header")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise InputError(
+                        f"{path}:{reader.line_num}: a field is not a number: {row!r}"
+                    ) from None
+        if not rows:
+            raise InputError(f"{path}: no sample rows")
         data = np.asarray(rows)
         grid = TimeGrid.from_nodes(data[:, 0])
         tag = provenance if provenance is not None else f"loaded:{path}"

@@ -337,6 +337,42 @@ def test_reconstruct_missing_measurements_is_usage_error(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+def _corrupt_record_and_reconstruct(tmp_path, capsys, edit):
+    """Simulate POINT_CONFIG, apply `edit` to the fifth data row, reconstruct."""
+    config = write_config(tmp_path, POINT_CONFIG)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    path = tmp_path / "measurements.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = edit(lines[5])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = cli.main([
+        "reconstruct", "--config", config, "--out", str(out),
+        "--measurements", str(path),
+    ])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_reconstruct_non_finite_sample_is_usage_error(tmp_path, capsys, bad):
+    code, err, out = _corrupt_record_and_reconstruct(
+        tmp_path, capsys, lambda line: line.split(",")[0] + "," + bad
+    )
+    assert code == 2
+    assert "finite" in err
+    assert not (out / "field.csv").exists()
+
+
+def test_reconstruct_ragged_row_is_usage_error(tmp_path, capsys):
+    code, err, out = _corrupt_record_and_reconstruct(
+        tmp_path, capsys, lambda line: line + ",0.5"
+    )
+    assert code == 2
+    assert "measurements.csv:6: expected 2 fields, got 3" in err
+    assert not (out / "field.csv").exists()
+
+
 def test_check_strategic_center_point_fails_odd_groups(tmp_path, capsys):
     config = write_config(tmp_path, """
         alpha = 0.5

@@ -10,6 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import erfcx, gamma
 
 from fracobs import fraccalc as fc
@@ -131,6 +135,114 @@ def test_mlf_accuracy_error_carries_report():
         fc.mlf(0.5, -1.0, tolerance=1e-30)
     assert exc.value.report is not None
     assert exc.value.report.value == pytest.approx(erfcx(1.0), rel=1e-12)
+
+
+def _spectral_quad(alpha, x):
+    """E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr by scipy quad.
+
+    K_alpha peaks at r = 1 with width ~ (1 - alpha) pi, hence the split there.
+    """
+    s = x ** (1.0 / alpha)
+    c = math.cos(alpha * math.pi)
+
+    def f(r):
+        ra = r**alpha
+        return math.exp(-r * s) * r ** (alpha - 1.0) / (ra * ra + 2.0 * ra * c + 1.0)
+
+    head = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    tail = quad(f, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return math.sin(alpha * math.pi) / math.pi * (head + tail)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999])
+def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
+    # the kernel's poles close in on the real axis as alpha -> 1; the
+    # trapezoid step must shrink with them
+    xs = [6.0, 9.0, 15.0, 30.0, 100.0]
+    want = np.array([_spectral_quad(alpha, x) for x in xs])
+    batch = fc.mlf_values(alpha, -np.array(xs))
+    assert np.max(np.abs(batch - want) / want) < 1e-9
+    for x, w in zip(xs, want):
+        assert fc.mlf(alpha, -x).value == pytest.approx(w, rel=1e-9)
+        with pytest.raises(AccuracyError) as exc:
+            fc.mlf(alpha, -x, tolerance=1e-30)
+        assert exc.value.report is not None
+        assert exc.value.report.value == pytest.approx(w, rel=1e-9)
+
+
+def test_mlf_tiny_alpha_within_simon_bounds_or_refused():
+    # 1/(1 + Gamma(1-a) x) <= E_a(-x) <= 1/(1 + x/Gamma(1+a)), a tight bracket
+    # at a = 1e-4; where the spectral rule would need too many nodes, or
+    # x^(1/a) overflows, the evaluation is refused rather than guessed
+    a = 1e-4
+    for x in (0.0, 0.5, 0.999, 0.99999, 2.5, 40.0):
+        v = fc.mlf(a, -x).value
+        assert 1.0 / (1.0 + gamma(1.0 - a) * x) <= v * (1.0 + 1e-12)
+        assert v <= 1.0 / (1.0 + x / gamma(1.0 + a)) * (1.0 + 1e-12)
+    for bad in (5e-5, 1e-5):
+        with pytest.raises(AccuracyError) as exc:
+            fc.mlf_values(bad, np.array([-0.5, -0.99999]))
+        assert exc.value.report.regime == "spectral"
+    with pytest.raises(AccuracyError):
+        fc.mlf(4e-4, -1.5)
+
+
+# property tests over random orders alpha in [0.05, 0.999], drawn away from
+# the exp path at alpha = 1
+ALPHAS = st.floats(0.05, 0.999)
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(ALPHAS, st.lists(st.floats(0.0, 1e3), min_size=2, max_size=30))
+def test_mlf_negative_axis_in_unit_interval_and_nonincreasing(alpha, xs):
+    x = np.sort(np.array(xs))
+    v = fc.mlf_values(alpha, -x)
+    assert np.all(v > 0.0) and np.all(v <= 1.0)
+    assert np.all(v[1:] <= v[:-1] * (1.0 + 1e-11))
+
+
+def _jump(alpha, x):
+    v = fc.mlf_values(alpha, -np.array([x * (1.0 - 1e-13), x * (1.0 + 1e-13)]))
+    return abs(v[1] - v[0]) / v[0]
+
+
+def _asym_accepts(alpha, x):
+    return bool(fc._asym_neg(alpha, np.array([x]))[3][0])
+
+
+@PROPERTY
+@given(ALPHAS)
+def test_mlf_continuous_across_regime_seams(alpha):
+    # the asymptotic switch
+    assert _jump(alpha, fc._ASYM_SWITCH) <= 1e-11
+    # the series/spectral boundary
+    xb = brentq(
+        lambda x: fc._series_digits(alpha, x) - fc._SERIES_DIGITS,
+        0.0, 1e3, xtol=1e-15, rtol=1e-15,
+    )
+    assert _jump(alpha, xb) <= 1e-11
+    # the asymptotic acceptance boundary, by bisection on the route's verdict
+    if not _asym_accepts(alpha, fc._ASYM_SWITCH):
+        lo, hi = fc._ASYM_SWITCH, 2.0 * fc._ASYM_SWITCH
+        while not _asym_accepts(alpha, hi):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(50):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if _asym_accepts(alpha, mid) else (mid, hi)
+        assert fc.mlf(alpha, -lo).regime != "asymptotic"
+        assert fc.mlf(alpha, -hi).regime == "asymptotic"
+        v_lo, v_hi = fc.mlf_values(alpha, -np.array([lo, hi]))
+        assert abs(v_hi - v_lo) / v_lo <= 1e-11
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 700.0), min_size=1, max_size=40))
+def test_mlf_closed_forms_at_one_and_one_half(xs):
+    x = np.array(xs)
+    assert np.array_equal(fc.mlf_values(1.0, -x), np.exp(-x))
+    v = fc.mlf_values(0.5, -x)
+    assert np.max(np.abs(v - erfcx(x)) / erfcx(x)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------

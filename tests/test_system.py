@@ -194,6 +194,21 @@ def test_record_csv_roundtrip(tmp_path):
     assert np.array_equal(back.samples, rec.samples)
 
 
+def test_record_rejects_non_finite_and_malformed_rows(tmp_path):
+    grid = fc.TimeGrid.uniform(1.0, 5)
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.zeros((5, 1))
+        samples[2, 0] = bad
+        with pytest.raises(InputError):
+            fs.MeasurementRecord(grid, samples)
+    # unparsable field, short row, empty file, header only
+    for text in ("t,z1\n0,1\n0.5,x\n", "t,z1\n0,1\n0.5\n", "", "t,z1\n"):
+        path = tmp_path / "record.csv"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            fs.MeasurementRecord.from_csv(str(path))
+
+
 def test_kalpha_zero_record():
     m = interval_model()
     grid = fc.TimeGrid.uniform(1.0, 33)
