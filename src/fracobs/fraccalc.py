@@ -168,6 +168,7 @@ _GAP_STEPS = 10.0      # trapezoid steps per half-width of the analytic strip
 _GAP_TAIL = 1e-17      # relative mass the truncated u-range may leave out
 _GAP_CUT = 60.0        # nodes end where x^(1/alpha) e^u exceeds this
 _GAP_NODES = 1 << 22   # node cap; reached only for alpha below about 6e-5
+_GAP_CHUNK = 1 << 16   # nodes built at a time
 _LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
 _VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000   # points per mlf_values chunk
@@ -189,9 +190,10 @@ class MlfEvalReport:
                     omitted term is within 5e-13 of the sum; terms_used
                     counts its terms;
       "spectral"    the cancellation gap between the two: a trapezoid rule
-                    in u = log r on the positive spectral integral
-                    E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr;
-                    terms_used counts its nodes.
+                    on the positive spectral integral
+                    E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr,
+                    in a variable that flattens the kernel's peak at r = 1
+                    (see _spectral_neg); terms_used counts its nodes.
     est_error is a relative truncation/rounding estimate, not a guaranteed
     bound. For "spectral" it is the relative gap between the rules of step
     h and 2h (every other node), which is the 2h rule's error and so
@@ -249,13 +251,25 @@ def _asym_neg(alpha: float, x: np.ndarray):
     return vals, rel, used, accepted
 
 
+def _log_lower(alpha: float, x: np.ndarray) -> np.ndarray:
+    """Lower bound on log E_alpha(-x), x >= 0.
+
+    The larger of Simon's bound 1 / (1 + Gamma(1 - alpha) x) and the tangent
+    bound exp(-x / Gamma(1 + alpha)): E_alpha(-x) is completely monotone,
+    hence log-convex, so its logarithm lies above its tangent at x = 0.
+    Near alpha = 1, where Gamma(1 - alpha) grows like 1 / (1 - alpha), the
+    tangent bound is the tight one.
+    """
+    return -np.minimum(np.log1p(gamma(1.0 - alpha) * x), x / gamma(1.0 + alpha))
+
+
 def _series_digits(alpha: float, x: np.ndarray) -> np.ndarray:
     """Decimal digits the power series of E_alpha(-x) loses to cancellation.
 
     Its terms add up in magnitude to E_alpha(x), which is at most
     exp(x^(1/alpha)) / alpha and, for x < 1, at most 1 / (_GAMMA_MIN (1 - x));
-    E_alpha(-x) >= 1 / (1 + Gamma(1 - alpha) x) (Simon's lower bound). So
-    rounding costs at most the log10 of their ratio.
+    _log_lower bounds E_alpha(-x) from below. So rounding costs at most the
+    log10 of their ratio.
     """
     x = np.asarray(x, dtype=float)
     # at very small alpha x^(1/alpha) overflows to inf: no series then
@@ -265,7 +279,7 @@ def _series_digits(alpha: float, x: np.ndarray) -> np.ndarray:
         s - math.log(alpha),
         -np.log(_GAMMA_MIN * np.maximum(1.0 - x, 1e-300)),
     )
-    return (labs + np.log1p(gamma(1.0 - alpha) * x)) / math.log(10.0)
+    return (labs - _log_lower(alpha, x)) / math.log(10.0)
 
 
 def _series_neg(alpha: float, x: np.ndarray):
@@ -318,29 +332,45 @@ def _spectral_neg(alpha: float, x: np.ndarray):
 
     With s = x^(1/alpha), theta = (1 - alpha) pi and u = log r,
         E_alpha(-x) = (sin theta / pi) int exp(-s e^u) du
-                      / (4 (sinh^2(alpha u / 2) + sin^2(theta / 2))),
-    the kernel written so that its denominator cancels nothing near
-    alpha = 1. The integrand is positive and analytic in the strip
-    |Im u| < min(theta / alpha, pi / 2) (the kernel's poles, and the growth
-    of the exponential), so the rule with step h = width / _GAP_STEPS
-    converges like exp(-2 pi width / h). Nodes lie on the lattice h*Z,
-    from where the kernel's tail, at most 2 (sin theta / pi) e^(alpha u),
-    integrates to _GAP_TAIL of Simon's lower bound on the value, to where
-    s e^u reaches _GAP_CUT. Points run in blocks of falling s, and each
-    block stops at the last node its smallest s needs, so that one block's
-    node matrix, like the series', stays within _BLOCK_DOUBLES. Raises
-    AccuracyError when the rule would need more than _GAP_NODES nodes or
-    s overflows, which happens only for alpha below about 5e-4.
+                      / (4 (sinh^2(alpha u / 2) + sin^2(theta / 2))).
+    The kernel is a peak of width ~ theta at u = 0, so a uniform step in u
+    would have to shrink with 1 - alpha. The substitution
+    sinh(alpha u / 2) = sin(theta / 2) sinh(v) flattens the peak:
+        E_alpha(-x) = (cos(theta / 2) / (alpha pi)) int exp(-s e^u) dv
+                      / (cosh v sqrt(1 + sin^2(theta / 2) sinh^2 v)),
+    which cancels nothing for any alpha. In v the integrand is positive and
+    analytic in the strip |Im v| < alpha pi / 4 (where |Im u| < pi / 2 keeps
+    the exponential bounded; the kernel's poles sit at Im v = pi / 2), so the
+    rule with step h = (alpha pi / 4) / _GAP_STEPS converges like
+    exp(-2 pi _GAP_STEPS). Nodes lie on the lattice h*Z, from where the
+    kernel's tail, at most 2 (sin theta / pi) e^(alpha u) in u, integrates
+    to _GAP_TAIL of the lower bound on the value, to where s e^u reaches
+    _GAP_CUT. The node count is about (20 / pi) times the u-range plus
+    (80 / (alpha pi)) log(1 / sin(theta / 2)): it grows only logarithmically
+    as alpha tends to 1, and like 1 / alpha as alpha tends to 0.
+
+    Points run in blocks of falling s, and each block stops at the last node
+    its smallest s needs. Nodes are built in chunks of _GAP_CHUNK, so one
+    work matrix stays within _BLOCK_DOUBLES and every node vector within
+    _GAP_CHUNK. Raises AccuracyError when the rule would need more than
+    _GAP_NODES nodes or s overflows, which happens only for alpha below
+    about 5e-4.
     Returns (values, relative estimates, nodes used).
     """
     theta = (1.0 - alpha) * math.pi
-    h = min(theta / alpha, 0.5 * math.pi) / _GAP_STEPS
+    sig = math.sin(0.5 * theta)
+    amp = math.cos(0.5 * theta) / (alpha * math.pi)
+    h = 0.25 * alpha * math.pi / _GAP_STEPS
     c = math.sin(theta) / math.pi
-    low = 1.0 / (1.0 + gamma(1.0 - alpha) * float(x.max()))
     order = np.argsort(-x, kind="stable")
     log_s = np.log(x[order]) / alpha
-    j_lo = math.floor(math.log(_GAP_TAIL * low * alpha / (2.0 * c)) / (alpha * h))
-    j_hi = math.ceil((math.log(_GAP_CUT) - log_s[-1]) / h)
+    log_low = float(_log_lower(alpha, x[order[0]]))
+
+    def lattice(u):  # position of u = log r on the lattice in v, in steps
+        return math.asinh(math.sinh(0.5 * alpha * u) / sig) / h
+
+    j_lo = math.floor(lattice((math.log(_GAP_TAIL * alpha / (2.0 * c)) + log_low) / alpha))
+    j_hi = math.ceil(lattice(math.log(_GAP_CUT) - log_s[-1]))
     if log_s[0] > _LOG_S_MAX or j_hi - j_lo >= _GAP_NODES:
         raise AccuracyError(
             f"E_alpha({alpha}, {-float(x.max())}): the spectral rule needs "
@@ -349,21 +379,22 @@ def _spectral_neg(alpha: float, x: np.ndarray):
             MlfEvalReport(math.nan, "spectral", j_hi - j_lo + 1, math.inf),
         )
     s = x[order] ** (1.0 / alpha)
-    j = np.arange(j_lo, j_hi + 1)
-    u = h * j
-    ker = c / (4.0 * (np.sinh(0.5 * alpha * u) ** 2 + math.sin(0.5 * theta) ** 2))
-    weights = np.stack([h * ker, np.where(j % 2 == 0, 2.0 * h * ker, 0.0)], axis=1)
-    eu = np.exp(u)
-    rules = np.empty((s.size, 2))
+    rules = np.zeros((s.size, 2))
     nodes = np.empty(s.shape, dtype=int)
-    step = max(1, _BLOCK_DOUBLES // j.size)
+    step = max(1, _BLOCK_DOUBLES // min(j_hi - j_lo + 1, _GAP_CHUNK))
     for lo in range(0, s.size, step):
         blk = s[lo : lo + step]
-        n = int(np.searchsorted(u, math.log(_GAP_CUT / blk[-1]), side="right"))
-        decay = np.multiply.outer(-blk, eu[:n])
-        np.exp(decay, out=decay)
-        rules[lo : lo + step] = decay @ weights[:n]
-        nodes[lo : lo + step] = n
+        end = min(j_hi, math.ceil(lattice(math.log(_GAP_CUT / blk[-1])))) + 1
+        for first in range(j_lo, end, _GAP_CHUNK):
+            j = np.arange(first, min(first + _GAP_CHUNK, end))
+            v = h * j
+            sv = sig * np.sinh(v)
+            w = h * amp / np.cosh(v) / np.hypot(1.0, sv)
+            weights = np.stack([w, np.where(j % 2 == 0, 2.0 * w, 0.0)], axis=1)
+            decay = np.multiply.outer(-blk, np.exp((2.0 / alpha) * np.arcsinh(sv)))
+            np.exp(decay, out=decay)
+            rules[lo : lo + step] += decay @ weights
+        nodes[lo : lo + step] = end - j_lo
     vals = np.empty_like(x)
     rel = np.empty_like(x)
     used = np.empty(x.shape, dtype=int)

@@ -140,34 +140,52 @@ def test_mlf_accuracy_error_carries_report():
 def _spectral_quad(alpha, x):
     """E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr by scipy quad.
 
-    K_alpha peaks at r = 1 with width ~ (1 - alpha) pi, hence the split there.
+    Integrated over u = log r. K_alpha peaks at r = 1 with width
+    w ~ (1 - alpha) pi, hence breakpoints at u = 0, +-w, +-2w, +-4w, ...;
+    its denominator r^(2 alpha) + 2 r^alpha cos(alpha pi) + 1 is written as
+    (r^alpha - 1)^2 + 4 r^alpha sin^2(w / 2), which cancels nothing near
+    alpha = 1.
     """
     s = x ** (1.0 / alpha)
-    c = math.cos(alpha * math.pi)
+    theta = (1.0 - alpha) * math.pi
+    q = 4.0 * math.sin(0.5 * theta) ** 2
 
-    def f(r):
-        ra = r**alpha
-        return math.exp(-r * s) * r ** (alpha - 1.0) / (ra * ra + 2.0 * ra * c + 1.0)
+    def f(u):
+        ra = math.exp(alpha * u)
+        em = math.expm1(alpha * u)
+        return math.exp(-math.exp(u) * s) * ra / (em * em + q * ra)
 
-    head = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-    tail = quad(f, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-    return math.sin(alpha * math.pi) / math.pi * (head + tail)
+    hi = math.log(60.0 / s) + 5.0
+    w = theta / alpha
+    cuts = [0.0] + [sign * w * 2.0**k for k in range(40) for sign in (-1.0, 1.0)]
+    edges = sorted({-800.0 / alpha, hi, *(c for c in cuts if -800.0 / alpha < c < hi)})
+    total = sum(
+        quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+    return math.sin(theta) / math.pi * total
 
 
-@pytest.mark.parametrize("alpha", [0.99, 0.999])
+@pytest.mark.parametrize("alpha", [0.99, 0.999, 0.9999, 0.99999])
 def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
-    # the kernel's poles close in on the real axis as alpha -> 1; the
-    # trapezoid step must shrink with them
-    xs = [6.0, 9.0, 15.0, 30.0, 100.0]
+    # the kernel's peak narrows like 1 - alpha; the spectral rule must stay
+    # accurate and its node count must not grow with 1 / (1 - alpha)
+    xs = [0.5, 2.0, 6.0, 9.0, 15.0, 30.0, 100.0]
     want = np.array([_spectral_quad(alpha, x) for x in xs])
     batch = fc.mlf_values(alpha, -np.array(xs))
     assert np.max(np.abs(batch - want) / want) < 1e-9
     for x, w in zip(xs, want):
-        assert fc.mlf(alpha, -x).value == pytest.approx(w, rel=1e-9)
+        rep = fc.mlf(alpha, -x)
+        assert rep.value == pytest.approx(w, rel=1e-9)
+        if rep.regime == "spectral":
+            assert rep.terms_used <= 1000
         with pytest.raises(AccuracyError) as exc:
             fc.mlf(alpha, -x, tolerance=1e-30)
         assert exc.value.report is not None
         assert exc.value.report.value == pytest.approx(w, rel=1e-9)
+    # the tangent bound exp(-x / Gamma(1 + alpha)) keeps x = 2 on the series
+    assert fc.mlf(alpha, -2.0).regime == "series"
+    assert [fc.mlf(alpha, -x).regime for x in (9.0, 15.0, 30.0)] == ["spectral"] * 3
 
 
 def test_mlf_tiny_alpha_within_simon_bounds_or_refused():
