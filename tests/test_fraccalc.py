@@ -7,6 +7,7 @@ identity.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -303,13 +304,93 @@ def test_caputo_domain_errors():
         fc.caputo_derivative(u, 0.5, 1.5)
 
 
-def test_caputo_values_agrees_with_scalar():
-    g = fc.TimeGrid.uniform(2.0, 513)
-    u = fc.SampledFunction.from_callable(lambda t: np.sin(t), g)
-    taus = np.array([0.25, 0.8, 1.5, 2.0])
-    batch = fc.caputo_values(u, 0.7, taus)
-    for t, b in zip(taus, batch):
-        assert b == pytest.approx(fc.caputo_derivative(u, 0.7, float(t)), rel=1e-12)
+def _l1_decimal(nodes, values, alpha, t, digits=40):
+    """The L1 rule at time t in `digits`-digit decimal arithmetic.
+
+    Nodes and samples enter as the exact values of their doubles; only
+    the final division by Gamma(2 - alpha) is done in floating point.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        p = Decimal(1) - Decimal(alpha)
+        t = Decimal(t)
+        nodes = [Decimal(x) for x in nodes]
+        values = [Decimal(x) for x in values]
+        # (t - node)^p for the nodes before t, 0 from t on
+        powers = [((t - x).ln() * p).exp() for x in nodes if x < t]
+        powers += [Decimal(0)] * (len(nodes) - len(powers))
+        total = sum(
+            (values[j + 1] - values[j]) / (nodes[j + 1] - nodes[j])
+            * (powers[j] - powers[j + 1])
+            for j in range(len(nodes) - 1)
+        )
+        return float(total) / math.gamma(2.0 - alpha)
+
+
+def test_caputo_values_against_decimal_reference():
+    # a grid graded over twelve decades: cells of 1e-12 next to t ~ 1 are
+    # where differencing (t-a)^p and (t-b)^p cancels
+    nodes = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 160)))
+    g = fc.TimeGrid.from_nodes(nodes)
+    u = fc.SampledFunction.from_callable(lambda t: np.sqrt(t) + np.sin(3.0 * t), g)
+    taus = np.concatenate((nodes[1::8], [1.0], np.sqrt(nodes[1:-1:10] * nodes[2::10])))
+    for a in (0.3, 0.5, 0.84, 0.99):
+        got = fc.caputo_values(u, a, taus)
+        want = np.array([_l1_decimal(nodes, u.values, a, t) for t in taus])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def _l1_loop(nodes, values, alpha, t, first_cell_power=False):
+    """The L1 rule at time t, one cell at a time."""
+    first = 1 if first_cell_power and alpha < 1.0 else 0
+    p = 1.0 - alpha
+    total = 0.0
+    for j in range(first, len(nodes) - 1):
+        a, b = nodes[j], nodes[j + 1]
+        left = (t - a) ** p if t > a else 0.0
+        right = (t - b) ** p if t > b else 0.0
+        total += (values[j + 1] - values[j]) / (b - a) * (left - right)
+    total /= math.gamma(2.0 - alpha)
+    if first:
+        # start cell u(0) + c s^alpha: int_0^min(t,t1) c alpha s^(alpha-1) (t-s)^(-alpha) ds
+        t1 = nodes[1]
+        c = (values[1] - values[0]) / t1**alpha
+        if t <= t1:
+            return total + c * math.gamma(1.0 + alpha)
+        kernel = lambda s: c * alpha * (t - s) ** (-alpha) / math.gamma(1.0 - alpha)
+        start, _ = quad(
+            kernel, 0.0, t1, weight="alg", wvar=(alpha - 1.0, 0.0), epsabs=0.0, epsrel=1e-13
+        )
+        total += start
+    return total
+
+
+def test_caputo_values_block_split_edge_cases():
+    g = fc.TimeGrid.uniform(2.0, 33)
+    nodes = g.nodes
+    u = fc.SampledFunction.from_callable(lambda t: np.cos(2.0 * t) + t * t, g)
+    rng = np.random.default_rng(5)
+    # on every node (t = T included), repeated, and off the nodes, shuffled
+    # across more than two row blocks
+    taus = rng.permutation(np.concatenate((
+        nodes[1:], nodes[1::3], nodes[-1:], rng.uniform(1e-3, 2.0, 700),
+    )))
+    for a in (0.3, 0.7, 1.0):
+        got = fc.caputo_values(u, a, taus)
+        want = [_l1_loop(nodes, u.values, a, t) for t in taus]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # alpha = 1 at a node is the slope of the cell that node ends
+    slopes = np.diff(u.values) / np.diff(nodes)
+    assert fc.caputo_values(u, 1.0, nodes[1:]) == pytest.approx(slopes, rel=1e-12)
+    # t^alpha start cell, at and below t1 as well as after it
+    t1 = nodes[1]
+    taus = rng.permutation(np.concatenate((
+        [t1, t1 / 3.0, t1, 2.0], nodes[2:], rng.uniform(2.0 * t1, 2.0, 40),
+    )))
+    for a in (0.3, 0.7):
+        got = fc.caputo_values(u, a, taus, first_cell_power=True)
+        want = [_l1_loop(nodes, u.values, a, t, first_cell_power=True) for t in taus]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_caputo_first_cell_power_model():

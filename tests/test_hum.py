@@ -29,6 +29,7 @@ from fracobs.system import (
     Sensor,
     generate_measurements,
     output_matrix,
+    project_initial_state,
 )
 
 PI2 = math.pi**2
@@ -269,6 +270,27 @@ def test_rhs_exactness_fractional():
         sysn, state, problem.sensors, TimeGrid.uniform(1.0, nodes.size)
     )
     assert np.max(np.abs(assemble_rhs(problem, uniform) - want)) > 1e-2 * scale
+
+
+def test_rhs_data_route_gap_graded_record():
+    # the sweep's operating point (alpha = 0.84, M = 8, 200-mode trig_sq
+    # record, point sensor) at b = 0.55 on the CLI's graded grid of 2048
+    # samples; measured 2.59e-5
+    half = 1024
+    nodes = np.union1d(graded_panel_edges(1.0, half, 1e-12), np.linspace(0.0, 1.0, half + 1))
+    keep = np.concatenate(([True], np.diff(nodes) > 1e-15))
+    grid = TimeGrid.from_nodes(nodes[keep])
+    assert len(grid) == 2048
+    sysn = FractionalDiffusion.create(0.84, SpatialDomain.interval(), 1.0, 200)
+    state = project_initial_state(
+        sysn, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
+    )
+    sensors = (Sensor.pointwise((0.55,)),)
+    problem = HumProblem(8, Region((0.0,), (0.25,)), sensors, 0.84, 1.0)
+    record = generate_measurements(sysn, state, sensors, grid)
+    exact = assemble_rhs_from_state(problem, state)
+    gap = np.linalg.norm(assemble_rhs(problem, record) - exact) / np.linalg.norm(exact)
+    assert gap <= 3e-5
 
 
 def test_rhs_single_mode_dense_oracle():
