@@ -1,7 +1,8 @@
 """Fractional calculus on sampled time grids.
 
-Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1], Caputo
-derivatives of sampled data, right-sided Riemann-Liouville operators,
+Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and the one
+memo of decay tables E_alpha(-lam t^alpha), Caputo derivatives of
+sampled data, right-sided Riemann-Liouville operators,
 and a residual check for the fractional integration-by-parts identity.
 
 Every grid operator is a product-integration rule: the kernel factor is
@@ -28,6 +29,7 @@ __all__ = [
     "MlfEvalReport",
     "mlf",
     "mlf_values",
+    "decay_table",
     "caputo_derivative",
     "caputo_values",
     "rl_integral_right",
@@ -172,7 +174,7 @@ _GAP_CHUNK = 1 << 16   # nodes built at a time
 _LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
 _VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000   # points per mlf_values chunk
-_BLOCK_DOUBLES = 1 << 22  # 32 MB of float64 per work matrix
+_BLOCK_DOUBLES = 1 << 21  # 16 MB of float64 per work matrix
 _REGIMES = ("series", "asymptotic", "spectral")
 
 
@@ -282,22 +284,31 @@ def _series_digits(alpha: float, x: np.ndarray) -> np.ndarray:
     return (labs - _log_lower(alpha, x)) / math.log(10.0)
 
 
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Column sums of a 2-d array, added row after row.
+
+    np.add.reduce adds the rows of a wide array in order, but sums a single
+    column pairwise; that column is accumulated instead (overwriting it),
+    so that every column's sum depends on that column alone.
+    """
+    if a.shape[1] > 1 or not len(a):
+        return np.add.reduce(a, axis=0)
+    np.add.accumulate(a, axis=0, out=a)
+    return a[-1]
+
+
 def _series_neg(alpha: float, x: np.ndarray):
     """Float power series sum_k (-x)^k / Gamma(1 + k alpha), log-space terms.
 
     Used only where _series_digits stays small, so x^(1/alpha) <= 8.3 and
-    the terms past alpha*k = _SERIES_SPAN are below 1e-22; when every x is
-    below 1, the bound x^k / _GAMMA_MIN gets there sooner. The estimate is
-    the rounding of the sum, eps * sum|terms| / |value|.
+    the terms past alpha*k = _SERIES_SPAN are below 1e-22. Every point
+    takes the same terms, and the even and the odd ones are summed apart
+    by _ordered_sum, so a value does not depend on the other points. The
+    estimate is the rounding of the sum, eps * sum|terms| / |value|.
     Returns (values, relative estimates, terms used).
     """
-    terms = _SERIES_SPAN / alpha
-    xmax = float(x.max())
-    if xmax < 1.0:
-        terms = min(terms, 51.0 / -math.log(max(xmax, 1e-300)))
-    k = np.arange(0.0, math.ceil(terms) + 1.0)
+    k = np.arange(0.0, math.ceil(_SERIES_SPAN / alpha) + 1.0)
     lg = gammaln(1.0 + alpha * k)
-    sign = (-1.0) ** k
     lx = np.log(np.maximum(x, 1e-300))
     vals = np.empty_like(x)
     absum = np.empty_like(x)
@@ -306,8 +317,9 @@ def _series_neg(alpha: float, x: np.ndarray):
         mag = np.outer(k, lx[lo : lo + step])
         mag -= lg[:, None]
         np.exp(mag, out=mag)
-        vals[lo : lo + step] = sign @ mag
-        absum[lo : lo + step] = mag.sum(axis=0)
+        even, odd = _ordered_sum(mag[0::2]), _ordered_sum(mag[1::2])
+        vals[lo : lo + step] = even - odd
+        absum[lo : lo + step] = even + odd
     rel = np.finfo(float).eps * absum / np.abs(vals)
     return vals, rel, np.full(x.shape, k.size)
 
@@ -319,9 +331,9 @@ def _series_pos(alpha: float, z: np.ndarray):
     lmag = np.outer(k, lz) - gammaln(1.0 + alpha * k)[:, None]
     with np.errstate(over="ignore"):
         mag = np.exp(lmag)
-        vals = mag.sum(axis=0)
-    used = (mag > 1e-18 * np.maximum(mag.max(axis=0), 1e-300)[None, :]).sum(axis=0)
-    tail = mag[-1]
+        used = (mag > 1e-18 * np.maximum(mag.max(axis=0), 1e-300)[None, :]).sum(axis=0)
+        tail = mag[-1].copy()
+        vals = _ordered_sum(mag)
     with np.errstate(invalid="ignore"):
         rel = np.where(vals > 0.0, tail / vals + np.finfo(float).eps, 0.0)
     return vals, rel, used
@@ -349,12 +361,15 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     (80 / (alpha pi)) log(1 / sin(theta / 2)): it grows only logarithmically
     as alpha tends to 1, and like 1 / alpha as alpha tends to 0.
 
-    Points run in blocks of falling s, and each block stops at the last node
-    its smallest s needs. Nodes are built in chunks of _GAP_CHUNK, so one
-    work matrix stays within _BLOCK_DOUBLES and every node vector within
-    _GAP_CHUNK. Raises AccuracyError when the rule would need more than
-    _GAP_NODES nodes or s overflows, which happens only for alpha below
-    about 5e-4.
+    Each point takes the nodes its own s needs. Points run in blocks of
+    falling s, whose nodes are built in chunks aligned on multiples of
+    _GAP_CHUNK, so one work matrix stays within _BLOCK_DOUBLES (its boolean
+    mask within an eighth of that). A point's terms, zero outside its
+    nodes, are summed by _ordered_sum, the even and the odd nodes apart
+    (the even ones alone give the 2h rule), so its value does not depend on
+    the other points. Raises AccuracyError when a point would need more
+    than _GAP_NODES nodes or s overflows, which happens only for alpha
+    below about 5e-4.
     Returns (values, relative estimates, nodes used).
     """
     theta = (1.0 - alpha) * math.pi
@@ -362,46 +377,45 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     amp = math.cos(0.5 * theta) / (alpha * math.pi)
     h = 0.25 * alpha * math.pi / _GAP_STEPS
     c = math.sin(theta) / math.pi
-    order = np.argsort(-x, kind="stable")
-    log_s = np.log(x[order]) / alpha
-    log_low = float(_log_lower(alpha, x[order[0]]))
+    log_s = np.log(x) / alpha
 
     def lattice(u):  # position of u = log r on the lattice in v, in steps
-        return math.asinh(math.sinh(0.5 * alpha * u) / sig) / h
+        return np.arcsinh(np.sinh(0.5 * alpha * u) / sig) / h
 
-    j_lo = math.floor(lattice((math.log(_GAP_TAIL * alpha / (2.0 * c)) + log_low) / alpha))
-    j_hi = math.ceil(lattice(math.log(_GAP_CUT) - log_s[-1]))
-    if log_s[0] > _LOG_S_MAX or j_hi - j_lo >= _GAP_NODES:
+    tail = math.log(_GAP_TAIL * alpha / (2.0 * c)) + _log_lower(alpha, x)
+    first = np.floor(lattice(tail / alpha))
+    stop = np.ceil(lattice(math.log(_GAP_CUT) - log_s)) + 1.0
+    used = stop - first
+    if log_s.max() > _LOG_S_MAX or used.max() > _GAP_NODES:
         raise AccuracyError(
             f"E_alpha({alpha}, {-float(x.max())}): the spectral rule needs "
-            f"{j_hi - j_lo + 1} nodes and x^(1/alpha) = exp({log_s[0]:.4g}); "
+            f"{used.max():.0f} nodes and x^(1/alpha) = exp({log_s.max():.4g}); "
             f"the limits are {_GAP_NODES} and exp({_LOG_S_MAX})",
-            MlfEvalReport(math.nan, "spectral", j_hi - j_lo + 1, math.inf),
+            MlfEvalReport(math.nan, "spectral", int(used.max()), math.inf),
         )
-    s = x[order] ** (1.0 / alpha)
-    rules = np.zeros((s.size, 2))
-    nodes = np.empty(s.shape, dtype=int)
-    step = max(1, _BLOCK_DOUBLES // min(j_hi - j_lo + 1, _GAP_CHUNK))
-    for lo in range(0, s.size, step):
-        blk = s[lo : lo + step]
-        end = min(j_hi, math.ceil(lattice(math.log(_GAP_CUT / blk[-1])))) + 1
-        for first in range(j_lo, end, _GAP_CHUNK):
-            j = np.arange(first, min(first + _GAP_CHUNK, end))
+    first, stop = first.astype(int), stop.astype(int)
+    s = x ** (1.0 / alpha)
+    rules = np.zeros((2, x.size))
+    order = np.argsort(-x, kind="stable")
+    step = max(1, _BLOCK_DOUBLES // min(stop.max() - first.min(), _GAP_CHUNK))
+    for lo in range(0, x.size, step):
+        pts = order[lo : lo + step]
+        j_lo, j_hi = int(first[pts].min()), int(stop[pts].max())
+        for base in range(j_lo - j_lo % _GAP_CHUNK, j_hi, _GAP_CHUNK):
+            j = np.arange(max(base, j_lo), min(base + _GAP_CHUNK, j_hi))
             v = h * j
             sv = sig * np.sinh(v)
             w = h * amp / np.cosh(v) / np.hypot(1.0, sv)
-            weights = np.stack([w, np.where(j % 2 == 0, 2.0 * w, 0.0)], axis=1)
-            decay = np.multiply.outer(-blk, np.exp((2.0 / alpha) * np.arcsinh(sv)))
+            decay = np.multiply.outer(np.exp((2.0 / alpha) * np.arcsinh(sv)), -s[pts])
             np.exp(decay, out=decay)
-            rules[lo : lo + step] += decay @ weights
-        nodes[lo : lo + step] = end - j_lo
-    vals = np.empty_like(x)
-    rel = np.empty_like(x)
-    used = np.empty(x.shape, dtype=int)
-    vals[order] = rules[:, 0]
-    rel[order] = np.abs(rules[:, 0] - rules[:, 1]) / rules[:, 0] + np.finfo(float).eps
-    used[order] = nodes
-    return vals, rel, used
+            np.copyto(decay, 0.0, where=np.less.outer(j, first[pts]))
+            np.copyto(decay, 0.0, where=np.greater_equal.outer(j, stop[pts]))
+            decay *= w[:, None]
+            even, odd = (_ordered_sum(decay[p::2]) for p in (j[0] % 2, 1 - j[0] % 2))
+            rules[0, pts] += even + odd
+            rules[1, pts] += 2.0 * even
+    rel = np.abs(rules[0] - rules[1]) / rules[0] + np.finfo(float).eps
+    return rules[0], rel, used.astype(int)
 
 
 def _route_neg(alpha: float, x: np.ndarray):
@@ -436,9 +450,10 @@ def mlf_values(alpha: float, z) -> np.ndarray:
     """E_alpha(z) over an array of real arguments (no per-point reports).
 
     Fast path for the forward maps: exact exp at alpha = 1, otherwise the
-    same router as mlf(). Work is chunked to bound peak memory. Raises
-    AccuracyError, with the first failing point's report, if an estimate
-    exceeds 1e-9.
+    same router as mlf(). Each value depends on its own argument alone, not
+    on the other points of the call, which decay_table() relies on. Work is
+    chunked to bound peak memory. Raises AccuracyError, with the first
+    failing point's report, if an estimate exceeds 1e-9.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -501,6 +516,43 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
             report,
         )
     return report
+
+
+_DECAY_GRIDS = 4  # time grids the decay-table memo holds at once
+# (alpha, time grid bytes) -> (eigenvalues, read-only table), oldest first
+_DECAY_MEMO: dict[tuple[float, bytes], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def decay_table(alpha: float, lams, times) -> np.ndarray:
+    """E_alpha(-lam t^alpha) over times x lams, as a read-only array.
+
+    Every decay table of the package is built here. Tables are memoised
+    per (alpha, times), least recently used first out, for at most
+    _DECAY_GRIDS time grids. A request whose eigenvalues are a prefix of
+    the stored ones gets a column view of the stored table; one that
+    extends them evaluates only the new columns and appends them; any
+    other request builds a fresh table in place of the stored one.
+    eigenpairs() is prefix-stable, so an escalating reconstruction or a
+    sensor sweep evaluates each (lam, t) pair once.
+    """
+    alpha = _check_alpha(alpha)
+    lams = np.asarray(lams, dtype=float).ravel()
+    times = np.asarray(times, dtype=float).ravel()
+    key = (alpha, times.tobytes())
+    empty = (lams[:0], np.empty((times.size, 0)))
+    have, table = _DECAY_MEMO.pop(key, empty)
+    shared = min(have.size, lams.size)
+    if not np.array_equal(have[:shared], lams[:shared]):
+        have, table = empty
+    if lams.size > have.size:
+        fresh = mlf_values(alpha, -np.outer(times**alpha, lams[have.size :]))
+        table = np.hstack([table, fresh]) if have.size else fresh
+        have = lams.copy()
+    table.flags.writeable = False
+    _DECAY_MEMO[key] = (have, table)
+    while len(_DECAY_MEMO) > _DECAY_GRIDS:
+        del _DECAY_MEMO[next(iter(_DECAY_MEMO))]
+    return table[:, : lams.size]
 
 
 # ---------------------------------------------------------------------------
@@ -791,15 +843,16 @@ def ml_product_matrix(
 
     Rows run over `lams`, columns over `lams_col` (default: same set).
     Evaluated on graded Gauss panels; the integrand pair decays fast and
-    is rough only near t = 0.
+    is rough only near t = 0, and the decay tables on the Gauss nodes come
+    from decay_table(). Raises InputError when an eigenvalue is not
+    positive.
     """
     alpha = _check_alpha(alpha)
     lams = np.asarray(lams, dtype=float)
+    cols = lams if lams_col is None else np.asarray(lams_col, dtype=float)
+    if not (np.all(lams > 0.0) and np.all(cols > 0.0)):
+        raise InputError("eigenvalues must be positive")
     t, w = gauss_panels(graded_panel_edges(horizon, panels, floor), order)
-    ta = t**alpha
-    ei = mlf_values(alpha, -np.outer(lams, ta))
-    if lams_col is None:
-        ej = ei
-    else:
-        ej = mlf_values(alpha, -np.outer(np.asarray(lams_col, dtype=float), ta))
+    ei =np.ascontiguousarray(decay_table(alpha, lams, t).T)
+    ej = ei if lams_col is None else np.ascontiguousarray(decay_table(alpha, cols, t).T)
     return (ei * w) @ ej.T

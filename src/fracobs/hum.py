@@ -16,6 +16,16 @@ coefficients exactly.
 Solves are eigendecomposition-based with selectable regularization, and
 the top-level driver escalates the truncation (and, late in the loop, the
 regularization) until the output residual passes the requested threshold.
+
+Every decay table E_alpha(-lam_k t^alpha) here (on the Gram's Gauss
+nodes, the moment nodes of the right-hand side and the record nodes of
+the residual) comes from fraccalc.decay_table. It memoises one table per
+(alpha, time grid), for at most four grids, least recently used first
+out. A request for a prefix of the stored eigenvalues reads a column
+view; a longer one evaluates and appends only the new columns. Since
+eigenpairs() is prefix-stable, an escalating reconstruction evaluates
+each (lam, t) pair once, and a sensor sweep reuses its record table at
+every position.
 """
 
 from __future__ import annotations
@@ -33,11 +43,12 @@ from .fraccalc import (
     SampledFunction,
     TimeGrid,
     caputo_values,
+    decay_table,
     gauss_panels,
     graded_panel_edges,
     ml_product_matrix,
-    mlf_values,
 )
+from .observability import DEFINITE_CUT
 from .spectral import (
     EigenMode,
     Region,
@@ -63,7 +74,6 @@ __all__ = [
     "GradientField",
     "ReconstructionResult",
     "vector_basis_field",
-    "ml_product_integral",
     "assemble_gram",
     "assemble_rhs",
     "assemble_rhs_from_state",
@@ -264,67 +274,6 @@ def vector_basis_field(i: int, M: int, n: int) -> GradientField:
     return GradientField(coeffs, tuple(modes))
 
 
-def ml_product_integral(
-    lam_k: float,
-    lam_l: float,
-    alpha: float,
-    horizon: float,
-    panels: int = 96,
-    order: int = 16,
-) -> float:
-    """int_0^T E_alpha(-lam_k t^alpha) E_alpha(-lam_l t^alpha) dt."""
-    if lam_k <= 0.0 or lam_l <= 0.0:
-        raise InputError("eigenvalues must be positive")
-    m = ml_product_matrix([lam_k], alpha, horizon, panels, order, lams_col=[lam_l])
-    return float(m[0, 0])
-
-
-_TM_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _tm(
-    lams: np.ndarray,
-    alpha: float,
-    horizon: float,
-    panels: int,
-    order: int,
-    lams_col: np.ndarray | None = None,
-) -> np.ndarray:
-    key = (
-        alpha,
-        horizon,
-        panels,
-        order,
-        tuple(float(v) for v in lams),
-        None if lams_col is None else tuple(float(v) for v in lams_col),
-    )
-    out = _TM_CACHE.get(key)
-    if out is None:
-        out = ml_product_matrix(lams, alpha, horizon, panels, order, lams_col=lams_col)
-        _TM_CACHE[key] = out
-    return out
-
-
-_DECAY_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _decay_table(alpha: float, lams: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """E_alpha(-lam t^alpha) over times x lams, cached.
-
-    A sensor sweep re-assembles against the same time grid for every
-    location; caching amortizes the Mittag-Leffler evaluations, which
-    dominate its cost at fractional alpha.
-    """
-    key = (alpha, tuple(float(v) for v in lams), times.tobytes())
-    out = _DECAY_CACHE.get(key)
-    if out is None:
-        out = mlf_values(alpha, -np.outer(times**alpha, lams).ravel()).reshape(
-            times.size, lams.size
-        )
-        _DECAY_CACHE[key] = out
-    return out
-
-
 def _divergence_coupling(modes: Sequence[EigenMode]) -> np.ndarray:
     """B[i, k] = <div* basis_i, phi_k> = -grad_coupling(q_i, d_i, k)."""
     n = modes[0].dimension
@@ -357,7 +306,9 @@ def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
     )
     P = _output_or_empty(problem.sensors, modes)
     lams = np.array([m.lam for m in modes])
-    Tm = _tm(lams, problem.alpha, problem.horizon, problem.time_panels, problem.time_order)
+    Tm = ml_product_matrix(
+        lams, problem.alpha, problem.horizon, problem.time_panels, problem.time_order
+    )
     return B @ (Tm * (P.T @ P)) @ B.T
 
 
@@ -397,7 +348,7 @@ def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
     B = _divergence_coupling(modes)
     P = _output_or_empty(problem.sensors, modes)
     tq, wq = _moment_nodes(problem, record.grid)
-    decay = _decay_table(problem.alpha, lams, tq)
+    decay = decay_table(problem.alpha, lams, tq)
     moments = np.empty((M, record.channel_count))
     for ch in range(record.channel_count):
         z = record.samples[:, ch]
@@ -433,7 +384,7 @@ def assemble_rhs_from_state(
     B = _divergence_coupling(modes)
     P = _output_or_empty(problem.sensors, modes)
     Pd = _output_or_empty(problem.sensors, deep_modes)
-    Tm = _tm(
+    Tm = ml_product_matrix(
         deep_lams,
         problem.alpha,
         problem.horizon,
@@ -473,7 +424,7 @@ def solve_reconstruction(
     evals, vecs = eigh(gram)
     ev_min, ev_max = float(evals[0]), float(evals[-1])
     if reg.kind == "none":
-        if ev_min <= 1e-10 * ev_max or ev_max <= 0.0:
+        if ev_min <= DEFINITE_CUT * ev_max or ev_max <= 0.0:
             raise SolvabilityError(
                 f"gram not positive definite (smallest eigenvalue {ev_min:.3e})",
                 smallest_eigenvalue=ev_min,
@@ -507,7 +458,7 @@ def _forward_residual(
     B = _divergence_coupling(modes)
     state = (B.T @ coeffs) / lams
     P = _output_or_empty(problem.sensors, modes)
-    decay = _decay_table(problem.alpha, lams, record.grid.nodes)
+    decay = decay_table(problem.alpha, lams, record.grid.nodes)
     predicted = (decay * state) @ P.T
     diff = record.samples - predicted
     return math.sqrt(float(np.sum(record.grid.weights[:, None] * diff * diff)))

@@ -24,10 +24,9 @@ import numpy as np
 from scipy.linalg import eigh, svdvals
 
 from .errors import DomainError, InputError
-from .fraccalc import TimeGrid, ml_product_matrix, mlf_values
+from .fraccalc import decay_table
 from .spectral import (
     EigenMode,
-    Region,
     SpatialDomain,
     SpatialQuadrature,
     eigenfunction_partial,
@@ -35,20 +34,21 @@ from .spectral import (
     eigenvalue_groups,
     eval_eigfun_grad,
     region_inner_product,
-    restricted_coupling,
 )
-from .system import Sensor, output_matrix
+from .system import Sensor
 
 __all__ = [
     "StrategicReport",
     "GramDiagnostic",
     "strategic_blocks",
     "test_gradient_strategic",
-    "gram_Halpha",
     "counterexample_check",
 ]
 
 GRAY_ZONE_FACTOR = 10.0
+# a Gram is positive definite when its smallest eigenvalue exceeds this
+# share of its largest
+DEFINITE_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,18 @@ class GramDiagnostic:
     smallest_eigenvalue: float
     largest_eigenvalue: float
     positive_definite: bool
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "GramDiagnostic":
+        """Spectrum summary of a symmetric Gram.
+
+        assemble_gram(problem, restricted=True) is the Gram of the
+        restricted gradient-observation map on the nM basis fields.
+        """
+        evals = eigh(matrix, eigvals_only=True)
+        ev_min, ev_max = float(evals[0]), float(evals[-1])
+        pd = ev_min > DEFINITE_CUT * ev_max and ev_max > 0.0
+        return cls(matrix, evals, ev_min, ev_max, pd)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -204,41 +216,6 @@ def test_gradient_strategic(
     )
 
 
-def gram_Halpha(
-    omega: Region,
-    sensors: Sequence[Sensor],
-    M: int,
-    alpha: float,
-    grid: TimeGrid,
-    spatial_order: int = 48,
-    time_panels: int = 96,
-    time_order: int = 16,
-) -> GramDiagnostic:
-    """Gram of the restricted gradient-observation map on nM basis fields.
-
-    Entry (i, j) is the time integral over [0, horizon] of the product of
-    sensed outputs generated by the i-th and j-th restricted basis fields;
-    assembled spectrally as A (T .* P'P) A' where A couples restricted
-    fields to modes, T holds decay-product integrals, and P holds the
-    sensor functionals.
-    """
-    if M < 1:
-        raise InputError(f"M must be >= 1, got {M}")
-    modes = eigenpairs(SpatialDomain(omega.dimension), M)
-    A = restricted_coupling(omega, modes, spatial_order)
-    if sensors:
-        P = output_matrix(sensors, modes)
-    else:
-        P = np.zeros((0, M))
-    lams = np.array([m.lam for m in modes])
-    Tm = ml_product_matrix(lams, alpha, grid.horizon, time_panels, time_order)
-    G = A @ (Tm * (P.T @ P)) @ A.T
-    evals = eigh(G, eigvals_only=True)
-    ev_min, ev_max = float(evals[0]), float(evals[-1])
-    pd = ev_min > 1e-10 * ev_max and ev_max > 0.0
-    return GramDiagnostic(G, evals, ev_min, ev_max, pd)
-
-
 def counterexample_check(
     samples: Sequence[float], depth: int = 40
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +262,5 @@ def counterexample_check(
 
     ii, jj = np.meshgrid(np.arange(1, depth + 1), np.arange(1, depth + 1), indexing="ij")
     lams = ((ii * ii + jj * jj) * math.pi**2).ravel()
-    out_global = np.empty(t.size)
-    out_window = np.empty(t.size)
-    for a, tv in enumerate(t):
-        decay = mlf_values(0.5, -lams * math.sqrt(tv))
-        out_global[a] = float(coef_global.ravel() @ decay)
-        out_window[a] = float(coef_window.ravel() @ decay)
-    return out_global, out_window
+    decay = decay_table(0.5, lams, t)
+    return decay @ coef_global.ravel(), decay @ coef_window.ravel()

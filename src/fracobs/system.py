@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fraccalc import TimeGrid, mlf_values
+from .fraccalc import TimeGrid, decay_table, mlf_values
 from .spectral import (
     EigenMode,
     Region,
@@ -271,12 +271,6 @@ def apply_output(sensor: Sensor, state: ModalState, basis: Sequence[EigenMode]) 
     return float(_sensor_functional(sensor, basis) @ state.coefficients)
 
 
-def _decay_table(sys: FractionalDiffusion, times: np.ndarray) -> np.ndarray:
-    """E_alpha(-lam_k t^alpha) on the node grid, shape (n_times, M)."""
-    targ = -np.outer(times**sys.alpha, sys.eigenvalues)
-    return mlf_values(sys.alpha, targ.ravel()).reshape(targ.shape)
-
-
 def generate_measurements(
     sys: FractionalDiffusion,
     true_u0: Callable[..., np.ndarray] | ModalState,
@@ -297,7 +291,7 @@ def generate_measurements(
     if len(state) != sys.mode_count:
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, sys.basis)
-    decay = _decay_table(sys, grid.nodes)
+    decay = decay_table(sys.alpha, sys.eigenvalues, grid.nodes)
     samples = (decay * state.coefficients) @ P.T
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -322,7 +316,7 @@ def kalpha_adjoint_modal(
     if len(sensors) != record.channel_count:
         raise InputError("sensor count does not match the record channels")
     P = output_matrix(sensors, sys.basis)
-    decay = _decay_table(sys, record.grid.nodes)
+    decay = decay_table(sys.alpha, sys.eigenvalues, record.grid.nodes)
     wz = record.samples * record.grid.weights[:, None]
     # (M,) <- sum_ch P[ch,k] * sum_t decay[t,k] wz[t,ch]
     coeffs = np.einsum("ck,tk,tc->k", P, decay, wz)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fracobs import cli
+from fracobs import fraccalc as fc
 from fracobs.errors import InputError
 
 
@@ -542,3 +543,70 @@ def test_module_entry_point_runs(tmp_path):
     if shutil.which("fracobs"):
         help_proc = subprocess.run(["fracobs", "--help"], capture_output=True, text=True)
         assert help_proc.returncode == 0
+
+
+RERUN_CONFIG = """
+    alpha = 0.7
+    horizon = 1.0
+    modes = 4
+    epsilon = 1e-9
+    omega.lo = 0.0
+    omega.hi = 0.5
+    sensor.kind = pointwise
+    sensor.location = 0.3
+    state.kind = trig_sq
+    state.modes = 48
+    time.samples = 128
+    time.grading = graded
+    noise.sigma = 1e-5
+    solver.kind = tikhonov
+    solver.value = 1e-8
+    escalation.step = 2
+    escalation.max_iterations = 3
+    seed = {seed}
+"""
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_reruns_in_one_process_match_a_fresh_process(tmp_path, capsys, seed):
+    # the decay-table memo is warm on the second in-process run (and from
+    # earlier tests); no memo state may reach the printed outputs
+    config = write_config(tmp_path, RERUN_CONFIG.format(seed=seed))
+    out = str(tmp_path)
+    commands = [
+        ["simulate", "--config", config, "--out", out],
+        ["reconstruct", "--config", config, "--out", out,
+         "--measurements", str(tmp_path / "measurements.csv")],
+        ["sweep-sensor", "--config", config, "--out", out, "--sweep-grid", "0.25:0.45:0.1"],
+    ]
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracobs.cli", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert sum("sha256" in line for _, text in fresh for line in text.splitlines()) == 5
+    for _ in range(2):
+        rerun = []
+        for argv in commands:
+            code = cli.main(argv)
+            rerun.append((code, capsys.readouterr().out))
+        assert rerun == fresh
+
+
+def test_decay_memo_stays_bounded_over_a_sweep_and_a_reconstruct(tmp_path, capsys):
+    config = write_config(tmp_path, RERUN_CONFIG.format(seed=5))
+    out = str(tmp_path)
+    assert cli.main(["simulate", "--config", config, "--out", out]) == 0
+    assert cli.main([
+        "sweep-sensor", "--config", config, "--out", out, "--sweep-grid", "0.05:0.95:0.05",
+    ]) == 0
+    assert len(read_rows(tmp_path / "sweep.csv")) == 20
+    assert len(fc._DECAY_MEMO) <= 4
+    assert cli.main([
+        "reconstruct", "--config", config, "--out", out,
+        "--measurements", str(tmp_path / "measurements.csv"),
+    ]) == cli.EXIT_CONVERGENCE
+    history = capsys.readouterr().err.split("residual history:")[1]
+    assert len(history.split(",")) == 3
+    assert len(fc._DECAY_MEMO) <= 4

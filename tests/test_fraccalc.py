@@ -21,6 +21,7 @@ from fracobs import fraccalc as fc
 from fracobs.errors import AccuracyError, DomainError, InputError
 
 SQRT_PI = math.sqrt(math.pi)
+PI2 = math.pi**2
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,29 @@ def test_mlf_negative_axis_in_unit_interval_and_nonincreasing(alpha, xs):
     v = fc.mlf_values(alpha, -x)
     assert np.all(v > 0.0) and np.all(v <= 1.0)
     assert np.all(v[1:] <= v[:-1] * (1.0 + 1e-11))
+
+
+@PROPERTY
+@given(ALPHAS, st.lists(st.floats(0.0, 1e3), min_size=2, max_size=30))
+def test_mlf_values_do_not_depend_on_the_batch(alpha, xs):
+    # decay_table appends columns to memoised tables and serves column
+    # views of them, so a value must not depend on the points beside it
+    x = -np.array(xs)
+    batch = fc.mlf_values(alpha, x)
+    alone = [fc.mlf(alpha, float(z)).value for z in x]
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(batch[::-1], fc.mlf_values(alpha, x[::-1]))
+
+
+def test_spectral_values_do_not_depend_on_the_batch():
+    # the spectral rule gives every point its own nodes; nodes that only a
+    # neighbour needs would move the last bits of a few values
+    rng = np.random.default_rng(3)
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.84, 0.95, 0.99):
+        x = np.concatenate([rng.uniform(0.5, 60.0, 300), 10.0 ** rng.uniform(-1.0, 2.5, 300)])
+        x = x[fc._route_neg(alpha, x)[3] == 2]
+        alone = [fc.mlf_values(alpha, -x[i : i + 1])[0] for i in range(x.size)]
+        assert np.array_equal(fc.mlf_values(alpha, -x), alone)
 
 
 def _jump(alpha, x):
@@ -524,8 +548,79 @@ def test_graded_panels_cover_horizon():
     assert np.sum(w * t**3) == pytest.approx(2.0**4 / 4.0, rel=1e-12)
 
 
+def _counting_mlf(monkeypatch):
+    """Empty the decay-table memo and count the points mlf_values receives."""
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    points = []
+    real = fc.mlf_values
+
+    def counted(alpha, z):
+        points.append(np.size(z))
+        return real(alpha, z)
+
+    monkeypatch.setattr(fc, "mlf_values", counted)
+    return points, real
+
+
+def test_decay_table_prefix_views_and_appends(monkeypatch):
+    points, mlf_values = _counting_mlf(monkeypatch)
+    t = np.linspace(0.0, 1.0, 33)
+    lams = PI2 * np.arange(1.0, 9.0) ** 2
+    small = fc.decay_table(0.7, lams[:3], t)
+    assert not small.flags.writeable
+    with pytest.raises(ValueError):
+        small[0, 0] = 2.0
+    full = fc.decay_table(0.7, lams, t)
+    assert points == [33 * 3, 33 * 5]
+    assert np.array_equal(full, mlf_values(0.7, -np.outer(t**0.7, lams)))
+    assert np.array_equal(full[:, :3], small)
+    view = fc.decay_table(0.7, lams[:4], t)
+    assert np.array_equal(view, full[:, :4]) and not view.flags.writeable
+    assert points == [33 * 3, 33 * 5]
+    # eigenvalues that do not extend the stored ones replace the table
+    other = fc.decay_table(0.7, lams[1:], t)
+    assert points[-1] == 33 * 7
+    assert np.array_equal(other, full[:, 1:])
+    assert fc.decay_table(1.0, lams, t) == pytest.approx(np.exp(-np.outer(t, lams)), rel=1e-15)
+
+
+def test_decay_table_memo_holds_four_grids_least_recent_out(monkeypatch):
+    points, _ = _counting_mlf(monkeypatch)
+    grids = [np.linspace(0.0, 1.0, 9 + g) for g in range(6)]
+    for t in grids[:4]:
+        fc.decay_table(0.5, [PI2], t)
+    fc.decay_table(0.5, [PI2], grids[0])
+    assert len(points) == 4
+    for t in grids[4:]:
+        fc.decay_table(0.5, [PI2], t)
+    assert len(fc._DECAY_MEMO) == 4
+    kept = [(0.5, t.tobytes()) in fc._DECAY_MEMO for t in grids]
+    assert kept == [True, False, False, True, True, True]
+
+
 def test_ml_product_matrix_alpha_one_closed_form():
-    lam = math.pi**2
-    m = fc.ml_product_matrix([lam], 1.0, 1.0)
-    want = (1.0 - math.exp(-2.0 * lam)) / (2.0 * lam)
+    # int_0^1 exp(-2 pi^2 t) dt
+    want = (1.0 - math.exp(-2.0 * PI2)) / (2.0 * PI2)
+    assert want == pytest.approx(0.05066059168563722, rel=1e-15)
+    m = fc.ml_product_matrix([PI2], 1.0, 1.0)
     assert m[0, 0] == pytest.approx(want, rel=1e-12)
+    got = fc.ml_product_matrix([PI2], 1.0, 1.0, lams_col=[PI2])[0, 0]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_ml_product_matrix_half_alpha_vs_trapezoid_oracle():
+    # E_{1/2}(-x) = erfcx(x); substituting t = s^2 removes the sqrt(t)
+    # kink at the origin, without which a trapezoid rule stalls near
+    # 3.5e-7 regardless of the node count.
+    s = np.linspace(0.0, 1.0, 100001)
+    oracle = np.trapezoid(erfcx(PI2 * s) * erfcx(4.0 * PI2 * s) * 2.0 * s, s)
+    assert oracle == pytest.approx(0.004878557671845788, abs=5e-10)
+    got = fc.ml_product_matrix([PI2], 0.5, 1.0, lams_col=[4.0 * PI2])[0, 0]
+    assert got == pytest.approx(oracle, abs=1e-8)
+
+
+def test_ml_product_matrix_positivity_and_validation():
+    for alpha in (0.3, 0.5, 0.84, 1.0):
+        assert fc.ml_product_matrix([4.0 * PI2], alpha, 2.0)[0, 0] > 0.0
+    with pytest.raises(InputError):
+        fc.ml_product_matrix([0.0], 0.5, 1.0, lams_col=[PI2])

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import eigh
-from scipy.special import erfcx
 
+from fracobs import fraccalc as fc
+from fracobs import hum
 from fracobs.errors import ConvergenceError, InputError, SolvabilityError
 from fracobs.fraccalc import TimeGrid, graded_panel_edges
 from fracobs.hum import (
@@ -16,7 +19,6 @@ from fracobs.hum import (
     assemble_gram,
     assemble_rhs,
     assemble_rhs_from_state,
-    ml_product_integral,
     omega_error,
     reconstruct,
     solve_reconstruction,
@@ -32,7 +34,6 @@ from fracobs.system import (
     project_initial_state,
 )
 
-PI2 = math.pi**2
 FULL = Region((0.0,), (1.0,))
 
 
@@ -113,32 +114,6 @@ def test_gradient_field_validation():
         GradientField(np.zeros(2), ())
 
 
-def test_ml_product_integral_alpha_one_closed_form():
-    # int_0^1 exp(-2 pi^2 t) dt
-    want = (1.0 - math.exp(-2.0 * PI2)) / (2.0 * PI2)
-    assert want == pytest.approx(0.05066059168563722, rel=1e-15)
-    got = ml_product_integral(PI2, PI2, 1.0, 1.0)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_ml_product_integral_half_alpha_vs_trapezoid_oracle():
-    # E_{1/2}(-x) = erfcx(x); substituting t = s^2 removes the sqrt(t)
-    # kink at the origin, without which a trapezoid rule stalls near
-    # 3.5e-7 regardless of the node count.
-    s = np.linspace(0.0, 1.0, 100001)
-    oracle = np.trapezoid(erfcx(PI2 * s) * erfcx(4.0 * PI2 * s) * 2.0 * s, s)
-    assert oracle == pytest.approx(0.004878557671845788, abs=5e-10)
-    got = ml_product_integral(PI2, 4.0 * PI2, 0.5, 1.0)
-    assert got == pytest.approx(oracle, abs=1e-8)
-
-
-def test_ml_product_integral_positivity_and_validation():
-    for alpha in (0.3, 0.5, 0.84, 1.0):
-        assert ml_product_integral(4.0 * PI2, 4.0 * PI2, alpha, 2.0) > 0.0
-    with pytest.raises(InputError):
-        ml_product_integral(0.0, PI2, 0.5, 1.0)
-
-
 def test_assemble_gram_degenerate_cases():
     no_sensors = HumProblem(3, FULL, (), 0.5, 1.0)
     assert np.all(assemble_gram(no_sensors) == 0.0)
@@ -211,6 +186,46 @@ def test_restricted_assembly_mode():
     assert np.max(np.abs(G_sub - G_sub.T)) <= 1e-12 * np.max(np.abs(G_sub))
     ev = eigh(G_sub, eigvals_only=True)
     assert ev[0] >= -1e-10 * ev[-1]
+
+
+def _constant_weight(scale):
+    return lambda *coords: scale * np.ones_like(np.asarray(coords[0], dtype=float))
+
+
+@st.composite
+def gram_problems(draw):
+    """A point and zonal sensor layout on the interval or the square."""
+    n = draw(st.integers(1, 2))
+
+    def box(width):
+        lo = [draw(st.floats(0.0, 0.55)) for _ in range(n)]
+        return Region(tuple(lo), tuple(a + draw(width) for a in lo))
+
+    sensors = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            sensors.append(Sensor.pointwise([draw(st.floats(0.02, 0.98)) for _ in range(n)]))
+        else:
+            weight = _constant_weight(draw(st.floats(0.5, 2.0)))
+            sensors.append(Sensor.zonal(box(st.floats(0.05, 0.4)), weight))
+    return HumProblem(
+        draw(st.integers(1, 10)),
+        box(st.floats(0.1, 0.45)),
+        tuple(sensors),
+        draw(st.floats(0.05, 1.0)),
+        draw(st.floats(0.5, 2.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gram_problems())
+def test_gram_symmetric_psd_for_random_layouts(problem):
+    for restricted in (False, True):
+        G = assemble_gram(problem, restricted=restricted)
+        scale = np.max(np.abs(G))
+        assert np.max(np.abs(G - G.T)) <= 1e-12 * scale
+        ev = eigh(G, eigvals_only=True)
+        assert ev[0] >= -1e-12 * ev[-1]
 
 
 def test_assemble_rhs_zero_record():
@@ -465,6 +480,33 @@ def test_reconstruct_convergence_error_carries_best():
     assert err.value.best is not None
     assert len(err.value.residual_history) == 2
     assert err.value.best.residual == min(err.value.residual_history)
+
+
+def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
+    # the tables on the Gauss, moment and record nodes grow by appended
+    # columns, so three steps to 6 modes cost 6 columns per grid
+    sensors = (Sensor.pointwise((0.3,)),)
+    sysn = FractionalDiffusion.create(0.7, SpatialDomain.interval(), 1.0, 12)
+    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    problem = HumProblem(
+        2, FULL, sensors, 0.7, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
+    )
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    points = []
+    real = fc.mlf_values
+
+    def counted(alpha, z):
+        points.append(np.size(z))
+        return real(alpha, z)
+
+    monkeypatch.setattr(fc, "mlf_values", counted)
+    with pytest.raises(ConvergenceError) as err:
+        reconstruct(problem, record)
+    assert len(err.value.residual_history) == 3
+    gauss = problem.time_panels * problem.time_order
+    moments = hum._moment_nodes(problem, record.grid)[0].size
+    assert sum(points) == (gauss + moments + len(record.grid)) * 6
 
 
 def test_reconstruct_data_route_residual():

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from fracobs import fraccalc as fc
 from fracobs import observability as ob
 from fracobs import spectral as sp
 from fracobs import system as fs
 from fracobs.errors import DomainError, InputError
+from fracobs.hum import HumProblem, assemble_gram
 
 PI = math.pi
+
+
+def restricted_gram(omega, sensors, M, alpha):
+    problem = HumProblem(M, omega, tuple(sensors), alpha, 1.0)
+    return ob.GramDiagnostic.from_matrix(assemble_gram(problem, restricted=True))
 
 
 def unit_weight(x):
@@ -122,8 +127,7 @@ def test_report_csv(tmp_path):
 
 
 def test_gram_zero_sensors():
-    grid = fc.TimeGrid.uniform(1.0, 9)
-    diag = ob.gram_Halpha(sp.Region((0.0,), (0.25,)), [], 4, 0.84, grid)
+    diag = restricted_gram(sp.Region((0.0,), (0.25,)), [], 4, 0.84)
     assert np.all(diag.matrix == 0.0)
     assert not diag.positive_definite
 
@@ -133,25 +137,23 @@ def test_gram_symmetry_and_spectrum_on_strategic_config():
     # singular (measured eigenvalue ratio ~6e-17), so the honest flag is
     # false even though the configuration is strategic; PD survives the
     # float eigendecomposition only at very small truncations
-    grid = fc.TimeGrid.uniform(1.0, 9)
     omega = sp.Region((0.0,), (0.25,))
     sensors = [fs.Sensor.pointwise((0.2,))]
-    diag = ob.gram_Halpha(omega, sensors, 10, 0.84, grid)
+    diag = restricted_gram(omega, sensors, 10, 0.84)
     asym = np.max(np.abs(diag.matrix - diag.matrix.T))
     assert asym <= 1e-12 * np.max(np.abs(diag.matrix))
     assert diag.largest_eigenvalue > 0.0
     assert diag.smallest_eigenvalue >= -1e-12 * diag.largest_eigenvalue
     assert not diag.positive_definite
-    small = ob.gram_Halpha(omega, sensors, 2, 0.84, grid)
+    small = restricted_gram(omega, sensors, 2, 0.84)
     assert small.positive_definite
 
 
 def test_gram_center_sensor_has_null_directions():
     # phi_k(1/2) = 0 for even k, so odd-q basis fields couple only into
     # modes the sensor cannot see: explicit null vector e_1
-    grid = fc.TimeGrid.uniform(1.0, 9)
     omega = sp.Region((0.0,), (1.0,))
-    diag = ob.gram_Halpha(omega, [fs.Sensor.pointwise((0.5,))], 8, 0.5, grid)
+    diag = restricted_gram(omega, [fs.Sensor.pointwise((0.5,))], 8, 0.5)
     assert not diag.positive_definite
     e1 = np.zeros(8)
     e1[0] = 1.0
@@ -161,7 +163,6 @@ def test_gram_center_sensor_has_null_directions():
 def test_gram_strategic_implies_pd():
     # restricted to truncations small enough that the Gram's exact
     # positive-definiteness is visible to a float eigendecomposition
-    grid = fc.TimeGrid.uniform(1.0, 9)
     cases = [
         (sp.Region((0.0,), (0.25,)), 2, 0.84),
         (sp.Region((0.0,), (1.0,)), 4, 1.0),
@@ -169,13 +170,12 @@ def test_gram_strategic_implies_pd():
     for omega, M, alpha in cases:
         report = ob.test_gradient_strategic([fs.Sensor.pointwise((0.2,))], M)
         assert report.verdict == "strategic"
-        diag = ob.gram_Halpha(omega, [fs.Sensor.pointwise((0.2,))], M, alpha, grid)
+        diag = restricted_gram(omega, [fs.Sensor.pointwise((0.2,))], M, alpha)
         assert diag.positive_definite
 
 
 def test_gram_csv(tmp_path):
-    grid = fc.TimeGrid.uniform(1.0, 9)
-    diag = ob.gram_Halpha(sp.Region((0.0,), (0.25,)), [fs.Sensor.pointwise((0.2,))], 4, 0.84, grid)
+    diag = restricted_gram(sp.Region((0.0,), (0.25,)), [fs.Sensor.pointwise((0.2,))], 4, 0.84)
     path = str(tmp_path / "gram.csv")
     diag.to_csv(path)
     lines = open(path).read().strip().splitlines()
