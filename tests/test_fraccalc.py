@@ -599,11 +599,15 @@ def test_decay_table_memo_holds_four_grids_least_recent_out(monkeypatch):
 
 
 def test_ml_product_matrix_alpha_one_closed_form():
-    # int_0^1 exp(-2 pi^2 t) dt
+    m = fc.ml_product_matrix([PI2], 1.0, 1.0)
+    want = (1.0 - math.exp(-2.0 * PI2)) / (2.0 * PI2)
+    assert m[0, 0] == pytest.approx(want, rel=1e-12)
+
+
+def test_ml_product_matrix_alpha_one_closed_form_lams_col():
+    # int_0^1 exp(-2 pi^2 t) dt, with the column eigenvalues given apart
     want = (1.0 - math.exp(-2.0 * PI2)) / (2.0 * PI2)
     assert want == pytest.approx(0.05066059168563722, rel=1e-15)
-    m = fc.ml_product_matrix([PI2], 1.0, 1.0)
-    assert m[0, 0] == pytest.approx(want, rel=1e-12)
     got = fc.ml_product_matrix([PI2], 1.0, 1.0, lams_col=[PI2])[0, 0]
     assert got == pytest.approx(want, rel=1e-12)
 
