@@ -113,14 +113,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Real samples attached to a TimeGrid."""
+    """Real samples attached to a TimeGrid.
+
+    One value per node, or for `caputo_values` one row of channel values
+    per node (shape nodes x channels).
+    """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != self.grid.nodes.shape:
+        if values.ndim not in (1, 2) or values.shape[0] != self.grid.nodes.size:
             raise InputError("sample count does not match the grid")
         object.__setattr__(self, "values", values)
 
@@ -575,6 +579,9 @@ def caputo_values(
 ) -> np.ndarray:
     """Caputo derivative of the samples at many times.
 
+    Returns times.shape + the channel shape of u.values: samples of shape
+    (nodes, channels) give one column per channel from one L1 pass.
+
     L1-type product integration: the kernel (t-s)^(-alpha) is integrated
     exactly against the piecewise-linear interpolant, so the rule is
     exact for piecewise-linear u. At alpha = 1 it returns the interpolant
@@ -602,26 +609,27 @@ def caputo_values(
     if np.any(times <= 0.0) or np.any(times > tg[-1] * (1.0 + 1e-12)):
         raise DomainError("evaluation times must lie in (0, T]")
     p = 1.0 - alpha
+    vals = u.values.reshape(tg.size, -1)  # one column per channel
 
     if first_cell_power and alpha < 1.0:
         t1 = tg[1]
-        c = (u.values[1] - u.values[0]) / t1**alpha
+        c = (vals[1] - vals[0]) / t1**alpha
         start = c * gamma(1.0 + alpha) * betainc(
             alpha, 1.0 - alpha, np.minimum(t1 / times, 1.0)
-        )
-        edges, vals = tg[1:], u.values[1:]
+        )[..., None]
+        edges, vals = tg[1:], vals[1:]
     else:
-        start = np.zeros_like(times)
-        edges, vals = tg, u.values
+        start = 0.0
+        edges = tg
     a, b = edges[:-1], edges[1:]
     h = np.diff(edges)
-    du = np.diff(vals) / h
+    du = np.diff(vals, axis=0) / h[:, None]
 
     flat = times.ravel()
     order = np.argsort(flat, kind="stable")
     ts = flat[order]
     done = np.searchsorted(b, ts, side="left")  # cells with b < t
-    memory = np.empty_like(ts)
+    memory = np.empty((ts.size, du.shape[1]))
     for lo in range(0, ts.size, _CAPUTO_ROWS):
         tt = ts[lo : lo + _CAPUTO_ROWS]
         k = done[lo : lo + _CAPUTO_ROWS]
@@ -634,11 +642,12 @@ def caputo_values(
         row = w @ du[:cols]
         inside = k < a.size  # false only for times past the last node
         j = k[inside]
-        row[inside] += _powv(tt[inside] - a[j], p) * du[j]
+        row[inside] += _powv(tt[inside] - a[j], p)[:, None] * du[j]
         memory[lo : lo + _CAPUTO_ROWS] = row
-    out = np.empty_like(flat)
+    out = np.empty_like(memory)
     out[order] = memory / gamma(2.0 - alpha)
-    return out.reshape(times.shape) + start
+    out = out.reshape(times.shape + (-1,)) + start
+    return out.reshape(times.shape + u.values.shape[1:])
 
 
 # ---------------------------------------------------------------------------

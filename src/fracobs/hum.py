@@ -349,17 +349,16 @@ def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
     P = _output_or_empty(problem.sensors, modes)
     tq, wq = _moment_nodes(problem, record.grid)
     decay = decay_table(problem.alpha, lams, tq)
-    moments = np.empty((M, record.channel_count))
-    for ch in range(record.channel_count):
-        z = record.samples[:, ch]
-        if problem.alpha == 1.0:
+    if problem.alpha == 1.0:
+        moments = np.empty((M, record.channel_count))
+        for ch, z in enumerate(record.samples.T):
             zq = np.interp(tq, record.grid.nodes, z)
             tail = decay.T @ (wq * zq)
             moments[:, ch] = z[0] - z[-1] * np.exp(-lams * problem.horizon) - lams * tail
-        else:
-            sf = SampledFunction(record.grid, z)
-            zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
-            moments[:, ch] = decay.T @ (wq * zeta)
+    else:
+        sf = SampledFunction(record.grid, record.samples)
+        zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
+        moments = decay.T @ (wq[:, None] * zeta)
     return B @ np.einsum("ck,kc->k", P, moments)
 
 

@@ -11,7 +11,6 @@ always evaluated at the negated argument.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -159,43 +158,63 @@ class MeasurementRecord:
         return self.samples.shape[1]
 
     def to_csv(self, path: str) -> None:
+        """Write a `t,z1,...,zp` header and one row per node, CRLF-terminated.
+
+        Every value carries 17 significant digits, so `from_csv` reads back
+        the same doubles. The whole body is formatted by one `%` operation.
+        """
         p = self.channel_count
+        data = np.column_stack([self.grid.nodes, self.samples])
+        header = ",".join(["t"] + [f"z{ch + 1}" for ch in range(p)])
+        row = ",".join(["%.17g"] * (p + 1)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"z{ch + 1}" for ch in range(p)])
-            for t, row in zip(self.grid.nodes, self.samples):
-                writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+            fh.write(header + "\r\n")
+            fh.write(row * len(data) % tuple(data.ravel().tolist()))
 
     @classmethod
     def from_csv(
         cls, path: str, noise_sigma: float = 0.0, provenance: str | None = None
     ) -> "MeasurementRecord":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if not header or header[0] != "t":
-                raise InputError(f"{path}: expected a 't,z1,...' header")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{reader.line_num}: a field is not a number: {row!r}"
-                    ) from None
+        """Read a record written by `to_csv`.
+
+        CRLF, LF and CR line ends are accepted and blank lines are skipped.
+        Fields are plain numbers: a quoted field is not a number. All fields
+        are converted in one call; only a malformed file is walked line by
+        line, to name its first bad line.
+        """
+        with open(path) as fh:  # universal newlines: every line end reads as \n
+            lines = fh.read().split("\n")
+        header = lines[0].split(",")
+        if header[0] != "t":
+            raise InputError(f"{path}: expected a 't,z1,...' header")
+        width = len(header)
+        rows = [line for line in lines[1:] if line]
         if not rows:
             raise InputError(f"{path}: no sample rows")
-        data = np.asarray(rows)
+        if any(line.count(",") != width - 1 for line in rows):
+            _raise_first_bad_row(path, lines, width)
+        try:
+            data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, width)
+        except ValueError:
+            _raise_first_bad_row(path, lines, width)
+            raise
         grid = TimeGrid.from_nodes(data[:, 0])
         tag = provenance if provenance is not None else f"loaded:{path}"
         return cls(grid, data[:, 1:], noise_sigma, tag)
+
+
+def _raise_first_bad_row(path: str, lines: list[str], width: int) -> None:
+    """Raise InputError for the first malformed body line, by physical line number."""
+    for n, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != width:
+            raise InputError(f"{path}:{n}: expected {width} fields, got {len(row)}")
+        try:
+            [float(v) for v in row]
+        except ValueError:
+            raise InputError(f"{path}:{n}: a field is not a number: {row!r}") from None
 
 
 def _full_quadrature(domain: SpatialDomain, order: int) -> SpatialQuadrature:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 from scipy.special import erfcx, gamma
 
@@ -431,6 +431,23 @@ def test_caputo_first_cell_power_model():
     assert abs(plain[0] - want) > abs(vals[0] - want)
 
 
+def test_caputo_values_channels_match_one_channel_calls():
+    # one L1 pass over (nodes, channels) samples gives each channel's own
+    # single-channel result, for both first-cell models
+    g = fc.TimeGrid.from_nodes(np.r_[0.0, np.sort(np.random.default_rng(2).random(300))])
+    cols = np.stack([np.cos(3.0 * g.nodes), g.nodes**0.4, np.exp(-g.nodes)], axis=1)
+    taus = np.random.default_rng(4).uniform(1e-3, g.horizon, 600).reshape(20, 30)
+    for a in (0.3, 0.84, 1.0):
+        for fcp in (False, True):
+            got = fc.caputo_values(fc.SampledFunction(g, cols), a, taus, first_cell_power=fcp)
+            assert got.shape == taus.shape + (3,)
+            for ch in range(3):
+                one = fc.caputo_values(fc.SampledFunction(g, cols[:, ch]), a, taus, fcp)
+                assert np.max(np.abs(got[..., ch] - one)) <= 1e-13 * np.max(np.abs(one))
+    with pytest.raises(InputError):
+        fc.SampledFunction(g, np.zeros((g.nodes.size, 2, 2)))
+
+
 # ---------------------------------------------------------------------------
 # right-sided Riemann-Liouville operators
 
@@ -617,7 +634,7 @@ def test_ml_product_matrix_half_alpha_vs_trapezoid_oracle():
     # kink at the origin, without which a trapezoid rule stalls near
     # 3.5e-7 regardless of the node count.
     s = np.linspace(0.0, 1.0, 100001)
-    oracle = np.trapezoid(erfcx(PI2 * s) * erfcx(4.0 * PI2 * s) * 2.0 * s, s)
+    oracle = trapezoid(erfcx(PI2 * s) * erfcx(4.0 * PI2 * s) * 2.0 * s, s)
     assert oracle == pytest.approx(0.004878557671845788, abs=5e-10)
     got = fc.ml_product_matrix([PI2], 0.5, 1.0, lams_col=[4.0 * PI2])[0, 0]
     assert got == pytest.approx(oracle, abs=1e-8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import simpson, trapezoid
 from scipy.linalg import eigh
 
 from fracobs import fraccalc as fc
@@ -27,6 +27,7 @@ from fracobs.hum import (
 from fracobs.spectral import Region, SpatialDomain, grad_coupling
 from fracobs.system import (
     FractionalDiffusion,
+    MeasurementRecord,
     ModalState,
     Sensor,
     generate_measurements,
@@ -135,7 +136,7 @@ def test_assemble_gram_matches_time_sampled_gram():
     brute = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
-            brute[i, j] = np.trapezoid(signals[:, i] * signals[:, j], t)
+            brute[i, j] = trapezoid(signals[:, i] * signals[:, j], t)
     assert np.max(np.abs(G - brute)) <= 1e-8
     assert np.max(np.abs(G - G.T)) <= 1e-14 * np.max(np.abs(G))
 
@@ -308,6 +309,26 @@ def test_rhs_data_route_gap_graded_record():
     assert gap <= 3e-5
 
 
+def test_assemble_rhs_channels_match_stacked_single_channel():
+    # one caputo_values pass for all channels gives the sum of the
+    # single-sensor RHS vectors, each from its own channel
+    sensors = tuple(Sensor.pointwise((b,)) for b in (0.2, 0.45, 0.7))
+    sysn = FractionalDiffusion.create(0.5, SpatialDomain.interval(), 1.0, 40)
+    state = project_initial_state(sysn, lambda x: x * (1.0 - x) * np.exp(x))
+    nodes = np.union1d(graded_panel_edges(1.0, 256, 1e-12), np.linspace(0.0, 1.0, 257))
+    record = generate_measurements(sysn, state, sensors, TimeGrid.from_nodes(nodes))
+    problem = HumProblem(6, FULL, sensors, 0.5, 1.0)
+    got = assemble_rhs(problem, record)
+    stacked = sum(
+        assemble_rhs(
+            HumProblem(6, FULL, (sensor,), 0.5, 1.0),
+            MeasurementRecord(record.grid, record.samples[:, ch]),
+        )
+        for ch, sensor in enumerate(sensors)
+    )
+    assert np.max(np.abs(got - stacked)) <= 1e-13 * np.max(np.abs(stacked))
+
+
 def test_rhs_single_mode_dense_oracle():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.2,)),), 1.0, 1.0)
     rhs = assemble_rhs_from_state(problem, ModalState([0.0, 1.0, 0.0]))
@@ -319,7 +340,7 @@ def test_rhs_single_mode_dense_oracle():
     zeta = lams[1] * np.exp(-lams[1] * t) * P[0, 1]
     decay = np.exp(-np.outer(t, lams))
     brute = np.array(
-        [np.trapezoid(zeta * (decay @ (B[i] * P[0])), t) for i in range(3)]
+        [trapezoid(zeta * (decay @ (B[i] * P[0])), t) for i in range(3)]
     )
     assert np.max(np.abs(rhs - brute)) <= 1e-8
 

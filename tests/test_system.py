@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import erfcx
 
 from fracobs import fraccalc as fc
@@ -62,7 +63,7 @@ def test_project_poly_squared_first_coefficient():
     # oracle: dense trapezoid of int (y(1-y))^2 sqrt(2) sin(pi y) dy,
     # cross-checked against the closed form 4*sqrt(2)*(12 - pi^2)/pi^5
     y = np.linspace(0.0, 1.0, 400001)
-    oracle = np.trapezoid((y * (1 - y)) ** 2 * math.sqrt(2) * np.sin(PI * y), y)
+    oracle = trapezoid((y * (1 - y)) ** 2 * math.sqrt(2) * np.sin(PI * y), y)
     exact = 4.0 * math.sqrt(2.0) * (12.0 - PI**2) / PI**5
     assert oracle == pytest.approx(exact, rel=1e-10)
     m = interval_model(M=3)
@@ -207,6 +208,49 @@ def test_record_rejects_non_finite_and_malformed_rows(tmp_path):
         path.write_text(text)
         with pytest.raises(InputError):
             fs.MeasurementRecord.from_csv(str(path))
+
+
+def test_record_csv_golden_bytes(tmp_path):
+    nodes = np.array([0.0, 0.25, 1.0 / 3.0])
+    samples = np.array([[1.0, -2.5e-7], [1.0 / 7.0, 0.0], [-3.0e5, 2.0 / 3.0]])
+    path = tmp_path / "record.csv"
+    fs.MeasurementRecord(fc.TimeGrid.from_nodes(nodes), samples).to_csv(str(path))
+    want = "t,z1,z2\r\n" + "".join(
+        ",".join(format(v, ".17g") for v in (t, *row)) + "\r\n"
+        for t, row in zip(nodes, samples)
+    )
+    assert path.read_bytes() == want.encode()
+
+
+def test_record_csv_roundtrip_is_bitwise_on_hard_values(tmp_path):
+    hard = np.array([5e-324, -0.0, 1.0 / 3.0, 1e308, 0.1 + 0.2])
+    grid = fc.TimeGrid.uniform(1.0, hard.size)
+    rec = fs.MeasurementRecord(grid, np.stack([hard, hard[::-1]], axis=1))
+    path = str(tmp_path / "record.csv")
+    rec.to_csv(path)
+    back = fs.MeasurementRecord.from_csv(path)
+    assert back.samples.tobytes() == rec.samples.tobytes()
+    assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+
+
+def test_record_csv_reads_lf_and_blank_lines(tmp_path):
+    path = tmp_path / "record.csv"
+    for text in ("t,z1\n0,1\n0.5,2\n1,3\n", "t,z1\r\n\r\n0,1\r\n\r\n0.5,2\r\n1,3\r\n\r\n"):
+        path.write_bytes(text.encode())
+        rec = fs.MeasurementRecord.from_csv(str(path))
+        assert np.array_equal(rec.grid.nodes, [0.0, 0.5, 1.0])
+        assert np.array_equal(rec.samples[:, 0], [1.0, 2.0, 3.0])
+
+
+def test_record_csv_errors_name_the_physical_line(tmp_path):
+    path = tmp_path / "record.csv"
+    path.write_bytes(b"t,z1\r\n0,1\r\n\r\n0.5,2\r\n\r\n1,3,4\r\n")
+    with pytest.raises(InputError, match=r"record\.csv:6: expected 2 fields, got 3$"):
+        fs.MeasurementRecord.from_csv(str(path))
+    # a quoted field is not a number (csv.reader used to unquote it)
+    path.write_bytes(b't,z1\r\n0,1\r\n0.5,"0.5"\r\n')
+    with pytest.raises(InputError, match=r"record\.csv:3: a field is not a number"):
+        fs.MeasurementRecord.from_csv(str(path))
 
 
 def test_kalpha_zero_record():
