@@ -79,6 +79,8 @@ _VERDICT_EXITS = {
 }
 
 _SENSOR_PREFIX = re.compile(r"^sensor(\d*)\.")
+# a sweep grid lists at most this many sensor positions
+_MAX_SWEEP_POSITIONS = 10_001
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -249,6 +251,8 @@ class RunConfig:
             raise InputError("config field horizon is required")
         alpha = _parse_float(fields.pop("alpha"), "alpha")
         horizon = _parse_float(fields.pop("horizon"), "horizon")
+        if not (math.isfinite(horizon) and horizon > 0.0):
+            raise InputError(f"config field horizon: must be finite and positive, got {horizon}")
         modes = _parse_int(fields.pop("modes", "8"), "modes")
         epsilon = _parse_float(fields.pop("epsilon", "1e-6"), "epsilon")
 
@@ -497,10 +501,17 @@ def _parse_sweep_grid(spec: str) -> list[float]:
     lo = _parse_float(parts[0], "sweep grid lo")
     hi = _parse_float(parts[1], "sweep grid hi")
     step = _parse_float(parts[2], "sweep grid step")
-    if step <= 0.0 or hi < lo:
-        raise InputError(f"sweep grid {spec!r} needs step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise InputError(f"sweep grid {spec!r} needs finite lo, hi and step")
+    if step <= 0.0 or not 0.0 <= lo <= hi <= 1.0:
+        raise InputError(f"sweep grid {spec!r} needs step > 0 and 0 <= lo <= hi <= 1")
+    # compared as a float first: a tiny step makes the quotient huge or inf
+    steps = (hi - lo) / step + 1e-9
+    if steps >= _MAX_SWEEP_POSITIONS:
+        raise InputError(
+            f"sweep grid {spec!r} has more than {_MAX_SWEEP_POSITIONS} positions"
+        )
+    return [lo + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
 def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
@@ -533,15 +544,15 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
             )
             # one assembly and solve per grid point, no escalation
             problem = config.problem(sensors)
-            gram = assemble_gram(problem)
-            lam_min = float(np.linalg.eigvalsh(gram)[0])
+            gram, rhs = assemble_gram(problem), assemble_rhs(problem, record)
             try:
-                coeffs = solve_reconstruction(problem, gram, assemble_rhs(problem, record))
+                coeffs, spectrum = solve_reconstruction(problem, gram, rhs)
+                lam_min = spectrum.smallest_eigenvalue
                 field = GradientField(coeffs, problem.basis())
                 error = omega_error(field, truth, config.omega)
                 residual = residual_against(problem, record, field)
-            except SolvabilityError:
-                error = residual = float("nan")
+            except SolvabilityError as exc:  # a blind spot: the Gram is singular
+                lam_min, error, residual = exc.smallest_eigenvalue, math.nan, math.nan
             fh.write(f"{position:.17g},{error:.17g},{residual:.17g},{lam_min:.17g}\n")
             fh.flush()
             if verbose:

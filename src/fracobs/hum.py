@@ -13,8 +13,9 @@ the data after applying the time-fractional derivative to it, which is
 what makes noiseless in-span data reproduce Lambda times the true
 coefficients exactly.
 
-Solves are eigendecomposition-based with selectable regularization, and
-the top-level driver escalates the truncation (and, late in the loop, the
+Each solve decomposes the Gram once; the coefficients, the condition
+number and the smallest eigenvalue all come from that one eigh. The
+top-level driver escalates the truncation (and, late in the loop, the
 regularization) until the output residual passes the requested threshold.
 
 Every decay table E_alpha(-lam_k t^alpha) here (on the Gram's Gauss
@@ -48,7 +49,7 @@ from .fraccalc import (
     graded_panel_edges,
     ml_product_matrix,
 )
-from .observability import DEFINITE_CUT
+from .observability import GramDiagnostic
 from .spectral import (
     EigenMode,
     Region,
@@ -88,12 +89,16 @@ _REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
 
 @dataclass(frozen=True)
 class Regularization:
-    """Solve policy for the normal equations.
+    """Solve policy for the normal equations; value is finite and positive.
 
-    tikhonov shifts by an absolute mu (None picks 1e-10 * trace / size at
-    solve time); truncated_svd drops eigenvalues below rcond times the
-    largest; spectral_tikhonov shifts row (q, d) by mu * ev_max *
-    (lam_q / lam_M)^2, damping the weakly sensed high modes harder.
+    none, tikhonov and truncated_svd are filter factors on the solve's one
+    eigendecomposition: tikhonov shifts every eigenvalue by an absolute mu
+    (None picks 1e-10 * trace / size at solve time); truncated_svd drops
+    the directions whose eigenvalue is at most rcond times the largest.
+    spectral_tikhonov shifts row (q, d) by mu * ev_max * (lam_q / lam_M)^2,
+    damping the weakly sensed high modes harder; that shift is diagonal in
+    the mode basis, so it takes ev_max from the decomposition and solves
+    the shifted system directly.
     """
 
     kind: str = "tikhonov"
@@ -106,8 +111,10 @@ class Regularization:
             raise InputError("regularization 'none' takes no value")
         if self.kind in ("truncated_svd", "spectral_tikhonov") and self.value is None:
             raise InputError(f"regularization {self.kind!r} requires a value")
-        if self.value is not None and not self.value > 0.0:
-            raise InputError(f"regularization value must be positive, got {self.value}")
+        if self.value is not None and not (math.isfinite(self.value) and self.value > 0.0):
+            raise InputError(
+                f"regularization value must be finite and positive, got {self.value}"
+            )
 
     @classmethod
     def none(cls) -> "Regularization":
@@ -150,8 +157,8 @@ class HumProblem:
             raise InputError(f"mode_count must be >= 1, got {self.mode_count}")
         if not 0.0 < self.alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.horizon > 0.0:
-            raise InputError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise InputError(f"horizon must be finite and positive, got {self.horizon}")
         if not self.epsilon > 0.0:
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iterations < 1 or self.escalation_step < 0:
@@ -398,10 +405,15 @@ def assemble_rhs_from_state(
 
 def solve_reconstruction(
     problem: HumProblem, gram: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve Lambda c = rhs under the problem's regularization."""
-    gram = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+) -> tuple[np.ndarray, GramDiagnostic]:
+    """Solve Lambda c = rhs; return c and the spectrum of one eigh, V diag(ev) V'.
+
+    none, tikhonov and truncated_svd filter it: c = V (V' rhs / denom) with
+    denom = ev, ev + mu, or ev set to inf (a zero factor) where dropped.
+    The spectral_tikhonov shift is diagonal in the mode basis, not in V, so
+    that kind reads ev_max from the spectrum and solves the shifted system.
+    """
+    gram, rhs = np.asarray(gram, dtype=float), np.asarray(rhs, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] != rhs.size:
         raise InputError("gram/rhs shapes do not match")
     scale = np.max(np.abs(gram))
@@ -410,36 +422,30 @@ def solve_reconstruction(
 
     reg = problem.regularization
     size = gram.shape[0]
+    evals, vecs = eigh(gram)
+    spectrum = GramDiagnostic.from_eigenvalues(gram, evals)
+    ev_max = max(spectrum.largest_eigenvalue, 0.0)
     if reg.kind == "spectral_tikhonov":
         n = problem.dimension
         if size % n:
             raise InputError("gram size is not a multiple of the dimension")
-        modes = problem.basis(size // n)
-        lams = np.repeat([m.lam for m in modes], n)
-        ev_max = float(eigh(gram, eigvals_only=True)[-1])
-        shift = reg.value * max(ev_max, 0.0) * (lams / lams[-1]) ** 2
-        return np.linalg.solve(gram + np.diag(shift), rhs)
-
-    evals, vecs = eigh(gram)
-    ev_min, ev_max = float(evals[0]), float(evals[-1])
+        lams = np.repeat([m.lam for m in problem.basis(size // n)], n)
+        shift = reg.value * ev_max * (lams / lams[-1]) ** 2
+        return np.linalg.solve(gram + np.diag(shift), rhs), spectrum
     if reg.kind == "none":
-        if ev_min <= DEFINITE_CUT * ev_max or ev_max <= 0.0:
+        ev_min = spectrum.smallest_eigenvalue
+        if not spectrum.positive_definite:
             raise SolvabilityError(
                 f"gram not positive definite (smallest eigenvalue {ev_min:.3e})",
                 smallest_eigenvalue=ev_min,
             )
-        return vecs @ ((vecs.T @ rhs) / evals)
-    if reg.kind == "tikhonov":
-        mu = reg.value
-        if mu is None:
-            mu = max(1e-10 * np.trace(gram) / size, 1e-300)
-        return vecs @ ((vecs.T @ rhs) / (evals + mu))
-    # truncated_svd
-    keep = evals > reg.value * max(ev_max, 0.0)
-    if not np.any(keep):
-        return np.zeros(size)
-    proj = vecs[:, keep].T @ rhs
-    return vecs[:, keep] @ (proj / evals[keep])
+        denom = evals
+    elif reg.kind == "tikhonov":
+        mu = reg.value if reg.value is not None else max(1e-10 * np.trace(gram) / size, 1e-300)
+        denom = evals + mu
+    else:  # truncated_svd
+        denom = np.where(evals > reg.value * ev_max, evals, np.inf)
+    return vecs @ ((vecs.T @ rhs) / denom), spectrum
 
 
 def _forward_residual(
@@ -517,20 +523,17 @@ def reconstruct(
             else assemble_rhs(prob_i, record)
         )
         try:
-            coeffs = solve_reconstruction(prob_i, gram, rhs)
+            coeffs, spectrum = solve_reconstruction(prob_i, gram, rhs)
         except SolvabilityError:
             history.append(float("inf"))
             continue
         modes = prob_i.basis()
         residual = _forward_residual(prob_i, record, modes, coeffs)
         history.append(residual)
-        evals = eigh(gram, eigvals_only=True)
-        cond = float(evals[-1] / evals[0]) if evals[0] > 0.0 else float("inf")
         field = GradientField(coeffs, modes)
         err = omega_error(field, truth, problem.omega) if truth is not None else None
-        candidate = ReconstructionResult(
-            field, residual, cond, it, err, tuple(history)
-        )
+        cond = spectrum.condition_number
+        candidate = ReconstructionResult(field, residual, cond, it, err, tuple(history))
         if best is None or residual < best.residual:
             best = candidate
         if residual <= problem.epsilon:

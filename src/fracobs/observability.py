@@ -79,25 +79,28 @@ class StrategicReport:
 
 @dataclass(frozen=True)
 class GramDiagnostic:
-    """Spectrum summary of the truncated observability Gram."""
+    """Spectrum summary of a symmetric Gram: positive definite when ev_min >
+    DEFINITE_CUT * ev_max > 0, condition ev_max / ev_min (inf if ev_min <= 0)."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     smallest_eigenvalue: float
     largest_eigenvalue: float
     positive_definite: bool
+    condition_number: float
+
+    @classmethod
+    def from_eigenvalues(cls, matrix: np.ndarray, evals: np.ndarray) -> "GramDiagnostic":
+        """Summary of a Gram from its eigenvalues in ascending order."""
+        ev_min, ev_max = float(evals[0]), float(evals[-1])
+        pd = ev_min > DEFINITE_CUT * ev_max and ev_max > 0.0
+        cond = ev_max / ev_min if ev_min > 0.0 else math.inf
+        return cls(matrix, evals, ev_min, ev_max, pd, cond)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "GramDiagnostic":
-        """Spectrum summary of a symmetric Gram.
-
-        assemble_gram(problem, restricted=True) is the Gram of the
-        restricted gradient-observation map on the nM basis fields.
-        """
-        evals = eigh(matrix, eigvals_only=True)
-        ev_min, ev_max = float(evals[0]), float(evals[-1])
-        pd = ev_min > DEFINITE_CUT * ev_max and ev_max > 0.0
-        return cls(matrix, evals, ev_min, ev_max, pd)
+        """Summary of a Gram, e.g. assemble_gram(problem, restricted=True)."""
+        return cls.from_eigenvalues(matrix, eigh(matrix, eigvals_only=True))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

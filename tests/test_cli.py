@@ -11,7 +11,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from fracobs import cli
+from fracobs import cli, hum
 from fracobs import fraccalc as fc
 from fracobs.errors import InputError
 
@@ -451,9 +451,27 @@ def test_sweep_single_point_matches_reconstruct(tmp_path, capsys):
     assert lam_min > 0.0
 
 
-def test_sweep_failure_sentinel_at_blind_spot(tmp_path):
+def test_sweep_failure_sentinel_at_blind_spot(tmp_path, monkeypatch):
     # at b=0.5 the even modes vanish from the output map, the normal matrix
-    # is singular, and an unregularized solve must record the sentinel
+    # is singular, and an unregularized solve must record the sentinel;
+    # lambda_min comes from the solve's one eigh at every position
+    decompositions = []
+    real = hum.eigh
+
+    def counted(*args, **kwargs):
+        decompositions.append(args)
+        return real(*args, **kwargs)
+
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def eigvalsh_outside_cli(*args, **kwargs):
+        # Gauss-Legendre nodes come from eigvalsh too; only the CLI's own call fails
+        caller = sys._getframe(1).f_globals["__name__"]
+        assert caller != "fracobs.cli", "the sweep computes its own eigenvalues"
+        return real_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_outside_cli)
     config = write_config(tmp_path, """
         alpha = 1.0
         horizon = 1.0
@@ -476,6 +494,7 @@ def test_sweep_failure_sentinel_at_blind_spot(tmp_path):
     for good in (0.3, 0.7):
         assert math.isfinite(float(rows[good][1]))
         assert float(rows[good][3]) > 0.0
+    assert len(decompositions) == 3
 
 
 def test_sweep_zonal_moves_left_edge(tmp_path):
@@ -520,6 +539,50 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     config = write_config(tmp_path, POINT_CONFIG, name="ok.cfg")
     assert cli.main(["sweep-sensor", "--config", config, "--out", str(tmp_path),
                      "--sweep-grid", "0.5:0.1:0.05"]) == 2
+    capsys.readouterr()
+    # non-finite parts, bounds outside [0, 1] and too many positions are
+    # rejected before any work; 1e-300 would ask for about 1e299 positions
+    for grid in ("0.1:nan:0.1", "nan:0.5:0.1", "0.1:0.5:inf", "0.1:0.5:nan",
+                 "-inf:0.5:0.1", "-0.1:0.5:0.1", "0.1:1.5:0.1", "0.1:0.2:1e-300",
+                 "0.1:0.6:5e-324", "0:1:1e-5"):
+        assert cli.main(["sweep-sensor", "--config", config, "--out", str(tmp_path),
+                         f"--sweep-grid={grid}"]) == 2, grid
+        assert capsys.readouterr().err.startswith("usage error: sweep grid"), grid
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
+    base = """
+        alpha = 1.0
+        horizon = {horizon}
+        modes = 2
+        sensor.kind = pointwise
+        sensor.location = 0.3
+        state.kind = coefficients
+        state.coefficients = 0.1, 0.05
+        time.samples = 17
+        {solver}
+    """
+    good = write_config(tmp_path, base.format(horizon="1.0", solver=""), name="good.cfg")
+    assert cli.main(["simulate", "--config", good, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cases = {
+        "horizon": ("simulate", base.format(horizon="inf", solver="")),
+        "regularization value": (
+            "reconstruct", base.format(horizon="1.0", solver="solver.value = inf")
+        ),
+    }
+    for field, (command, text) in cases.items():
+        bad = write_config(tmp_path, text, name="bad.cfg")
+        argv = [command, "--config", bad, "--out", str(tmp_path)]
+        if command == "reconstruct":
+            argv += ["--measurements", str(tmp_path / "measurements.csv")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        # the usage error is the only thing on stderr: no numpy warnings
+        (line,) = captured.err.splitlines()
+        assert line.startswith("usage error:") and field in line
+        assert captured.out == ""
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -544,6 +544,21 @@ def test_ibp_refinement_decreases():
     assert r2 <= r1 / 2.0 + 1e-12
 
 
+def test_ibp_row_blocks_match_one_block(monkeypatch):
+    # one block spanning every node reads every cell: the full (node, cell)
+    # sums. Smaller blocks skip the cells that end before their first node,
+    # whose terms are exactly zero, so only the summation order changes.
+    t = np.linspace(0.0, 1.0, 601)
+    cases = [(np.sin(t), np.cos(t), 0.7), (t * t, 1.0 - t, 0.5), (t, t, 1.0),
+             (np.exp(t), t**3, 0.3)]
+    monkeypatch.setattr(fc, "_CAPUTO_ROWS", t.size)
+    ref = np.array([fc.check_fractional_ibp(u, v, a, 1.0) for u, v, a in cases])
+    for rows in (256, 7, 1):
+        monkeypatch.setattr(fc, "_CAPUTO_ROWS", rows)
+        got = np.array([fc.check_fractional_ibp(u, v, a, 1.0) for u, v, a in cases])
+        assert np.max(np.abs(got - ref)) <= 1e-13, rows
+
+
 def test_ibp_input_validation():
     with pytest.raises(InputError):
         fc.check_fractional_ibp(np.zeros(5), np.zeros(4), 0.5, 1.0)

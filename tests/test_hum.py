@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fracobs.hum import (
     solve_reconstruction,
     vector_basis_field,
 )
+from fracobs.observability import GramDiagnostic
 from fracobs.spectral import Region, SpatialDomain, grad_coupling
 from fracobs.system import (
     FractionalDiffusion,
@@ -66,6 +68,10 @@ def test_regularization_validation():
         Regularization("spectral_tikhonov")
     with pytest.raises(InputError):
         Regularization.tikhonov(-1e-6)
+    # an infinite shift would zero every coefficient
+    for bad in (Regularization.tikhonov, Regularization.spectral_tikhonov):
+        with pytest.raises(InputError, match="regularization value"):
+            bad(math.inf)
     assert Regularization.tikhonov().value is None
 
 
@@ -77,6 +83,8 @@ def test_problem_validation():
         HumProblem(3, FULL, sensors, 1.2, 1.0)
     with pytest.raises(InputError):
         HumProblem(3, FULL, sensors, 0.5, 0.0)
+    with pytest.raises(InputError, match="horizon"):
+        HumProblem(3, FULL, sensors, 0.5, math.inf)
     with pytest.raises(InputError):
         HumProblem(3, FULL, sensors, 0.5, 1.0, epsilon=0.0)
     with pytest.raises(InputError):
@@ -175,6 +183,14 @@ def test_gram_coercivity_surrogate():
     blind = HumProblem(4, FULL, (Sensor.pointwise((0.5,)),), 1.0, 1.0)
     ev = eigh(assemble_gram(blind), eigvals_only=True)
     assert abs(ev[0]) <= 1e-12 * ev[-1]
+    # the solve's spectrum is the diagnostic's, definite and singular alike
+    for problem in (strategic, blind):
+        gram = assemble_gram(problem)
+        _, spectrum = solve_reconstruction(problem, gram, np.zeros(gram.shape[0]))
+        ref = GramDiagnostic.from_matrix(gram)
+        gap = np.max(np.abs(spectrum.eigenvalues - ref.eigenvalues))
+        assert gap <= 1e-12 * ref.largest_eigenvalue
+        assert spectrum.positive_definite == ref.positive_definite
 
 
 def test_restricted_assembly_mode():
@@ -350,8 +366,9 @@ def test_solve_trivial_examples():
         2, FULL, (Sensor.pointwise((0.3,)),), 1.0, 1.0, Regularization.tikhonov(1e-3)
     )
     gram = np.eye(2)
-    assert np.all(solve_reconstruction(problem, gram, np.zeros(2)) == 0.0)
-    got = solve_reconstruction(problem, gram, np.array([1.0, 0.0]))
+    zero, _ = solve_reconstruction(problem, gram, np.zeros(2))
+    assert np.all(zero == 0.0)
+    got, _ = solve_reconstruction(problem, gram, np.array([1.0, 0.0]))
     assert got == pytest.approx(np.array([1.0 / (1.0 + 1e-3), 0.0]), rel=1e-14)
 
 
@@ -381,7 +398,7 @@ def test_solve_truncated_svd_reproduces_range():
     )
     gram = assemble_gram(problem)
     rhs = gram @ np.random.default_rng(3).standard_normal(4)
-    got = solve_reconstruction(problem, gram, rhs)
+    got, _ = solve_reconstruction(problem, gram, rhs)
     assert np.max(np.abs(gram @ got - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
 
@@ -390,13 +407,14 @@ def test_solve_spectral_tikhonov():
     pd = HumProblem(4, FULL, sensors, 1.0, 1.0, Regularization.none())
     gram = assemble_gram(pd)
     rhs = gram @ np.random.default_rng(5).standard_normal(4)
-    exact = solve_reconstruction(pd, gram, rhs)
+    exact, _ = solve_reconstruction(pd, gram, rhs)
     tiny = HumProblem(4, FULL, sensors, 1.0, 1.0, Regularization.spectral_tikhonov(1e-14))
-    assert np.max(np.abs(solve_reconstruction(tiny, gram, rhs) - exact)) <= 1e-8
+    near, _ = solve_reconstruction(tiny, gram, rhs)
+    assert np.max(np.abs(near - exact)) <= 1e-8
     # the shift it applies is mu * ev_max * (lam_q / lam_M)^2 per row
     mu = 1e-3
     shifted = HumProblem(4, FULL, sensors, 1.0, 1.0, Regularization.spectral_tikhonov(mu))
-    got = solve_reconstruction(shifted, gram, rhs)
+    got, _ = solve_reconstruction(shifted, gram, rhs)
     lams = np.array([m.lam for m in pd.basis()])
     shift = mu * eigh(gram, eigvals_only=True)[-1] * (lams / lams[-1]) ** 2
     assert np.max(np.abs(gram @ got + shift * got - rhs)) <= 1e-12
@@ -412,7 +430,8 @@ def test_tikhonov_consistency_monotone():
         reg = HumProblem(
             4, FULL, problem.sensors, 1.0, 1.0, Regularization.tikhonov(mu)
         )
-        errors.append(np.linalg.norm(solve_reconstruction(reg, gram, rhs) - coeffs))
+        solved, _ = solve_reconstruction(reg, gram, rhs)
+        errors.append(np.linalg.norm(solved - coeffs))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] <= 1e-7
 
@@ -528,6 +547,38 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
     gauss = problem.time_panels * problem.time_order
     moments = hum._moment_nodes(problem, record.grid)[0].size
     assert sum(points) == (gauss + moments + len(record.grid)) * 6
+
+
+def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
+    # the coefficients and gram_condition of a step share one eigh
+    decompositions = []
+    real = hum.eigh
+
+    def counted(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        decompositions.append(out[0])
+        return out
+
+    monkeypatch.setattr(hum, "eigh", counted)
+    sensors = (Sensor.pointwise((0.3,)),)
+    wide = HumProblem(6, FULL, sensors, 1.0, 1.0)
+    state = in_span_state(wide, np.random.default_rng(7).standard_normal(6))
+    problem = HumProblem(
+        2, FULL, sensors, 1.0, 1.0, Regularization.none(), escalation_step=2
+    )
+    result = reconstruct(problem, state)
+    assert result.iterations == 3
+    assert len(decompositions) == 3
+    ev = decompositions[-1]
+    assert result.gram_condition == ev[-1] / ev[0]
+    # at the blind spot b = 0.5 the first two unregularized steps are singular
+    decompositions.clear()
+    blind = replace(problem, sensors=(Sensor.pointwise((0.5,)),), epsilon=1e-14,
+                    max_iterations=4)
+    with pytest.raises(ConvergenceError) as err:
+        reconstruct(blind, state)
+    assert err.value.residual_history[:2] == (math.inf, math.inf)
+    assert len(decompositions) == 4
 
 
 def test_reconstruct_data_route_residual():
