@@ -52,7 +52,7 @@ from .hum import (
     solve_reconstruction,
 )
 from .observability import test_gradient_strategic as strategic_verdict
-from .spectral import Region, SpatialDomain, eigenfunction_partial, eigenpairs
+from .spectral import Region, SpatialDomain, eigenpairs, mode_table
 from .system import (
     FractionalDiffusion,
     MeasurementRecord,
@@ -99,6 +99,11 @@ def _parse_int(raw: str, key: str) -> int:
 
 def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(part.strip(), key) for part in raw.split(","))
+
+
+def _require(ok: bool, key: str, rule: str, value: object) -> None:
+    if not ok:
+        raise InputError(f"config field {key}: must be {rule}, got {value}")
 
 
 def _parse_choice(raw: str, key: str, allowed: Sequence[str]) -> str:
@@ -203,13 +208,15 @@ def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> SensorSpec:
     )
     if weight_kind == "trig_product" and dim != 2:
         raise InputError(f"config field {prefix}.weight.kind: trig_product needs domain.dim = 2")
-    scale_raw = fields.pop(f"{prefix}.weight.scale", "1.0")
+    scale_key = f"{prefix}.weight.scale"
+    scale = _parse_float(fields.pop(scale_key, "1.0"), scale_key)
+    _require(math.isfinite(scale), scale_key, "finite", scale)
     return SensorSpec(
         "zonal",
         support_lower=_point(lo, f"{prefix}.support.lo", dim),
         support_upper=_point(hi, f"{prefix}.support.hi", dim),
         weight_kind=weight_kind,
-        weight_scale=_parse_float(scale_raw, f"{prefix}.weight.scale"),
+        weight_scale=scale,
     )
 
 
@@ -251,10 +258,11 @@ class RunConfig:
             raise InputError("config field horizon is required")
         alpha = _parse_float(fields.pop("alpha"), "alpha")
         horizon = _parse_float(fields.pop("horizon"), "horizon")
-        if not (math.isfinite(horizon) and horizon > 0.0):
-            raise InputError(f"config field horizon: must be finite and positive, got {horizon}")
+        positive = "finite and positive"
+        _require(math.isfinite(horizon) and horizon > 0.0, "horizon", positive, horizon)
         modes = _parse_int(fields.pop("modes", "8"), "modes")
         epsilon = _parse_float(fields.pop("epsilon", "1e-6"), "epsilon")
+        _require(math.isfinite(epsilon) and epsilon > 0.0, "epsilon", positive, epsilon)
 
         lo = fields.pop("omega.lo", ",".join(["0.0"] * dim))
         hi = fields.pop("omega.hi", ",".join(["1.0"] * dim))
@@ -281,6 +289,10 @@ class RunConfig:
             if coeff_raw is None:
                 raise InputError("config field state.coefficients is required for that state.kind")
             coefficients = _parse_floats(coeff_raw, "state.coefficients")
+            _require(
+                all(math.isfinite(c) for c in coefficients),
+                "state.coefficients", "finite", coeff_raw,
+            )
         else:
             if coeff_raw is not None:
                 raise InputError("config field state.coefficients only applies to kind=coefficients")
@@ -294,7 +306,12 @@ class RunConfig:
             fields.pop("time.grading", "uniform"), "time.grading", ("uniform", "graded")
         )
         noise_sigma = _parse_float(fields.pop("noise.sigma", "0.0"), "noise.sigma")
+        _require(
+            math.isfinite(noise_sigma) and noise_sigma >= 0.0,
+            "noise.sigma", "finite and >= 0", noise_sigma,
+        )
         seed = _parse_int(fields.pop("seed", "0"), "seed")
+        _require(seed >= 0, "seed", ">= 0", seed)
 
         solver_kind = _parse_choice(
             fields.pop("solver.kind", "tikhonov"),
@@ -398,18 +415,10 @@ class RunConfig:
         if self.state_kind == "coefficients":
             modes = eigenpairs(SpatialDomain(self.dimension), len(self.state_coefficients))
             coeffs = np.asarray(self.state_coefficients)
-            components = []
-            for axis in range(self.dimension):
-                parts = [eigenfunction_partial(m, axis) for m in modes]
-
-                def component(*xs, _parts=parts, _c=coeffs):
-                    acc = _c[0] * _parts[0](*xs)
-                    for ck, pk in zip(_c[1:], _parts[1:]):
-                        acc = acc + ck * pk(*xs)
-                    return acc
-
-                components.append(component)
-            return tuple(components)
+            return tuple(
+                (lambda *xs, _d=axis: mode_table(modes, xs, _d) @ coeffs)
+                for axis in range(self.dimension)
+            )
         zero = lambda *xs: np.zeros_like(np.asarray(xs[0], dtype=float))
         return (zero,) * self.dimension
 

@@ -15,6 +15,7 @@ singular terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ __all__ = [
     "rl_derivative_right",
     "check_fractional_ibp",
     "graded_panel_edges",
+    "gauss_legendre",
     "gauss_panels",
     "ml_product_matrix",
 ]
@@ -835,10 +837,23 @@ def graded_panel_edges(horizon: float, panels: int = 64, floor: float = 1e-16):
     return np.concatenate(([0.0], horizon * floor**expo))
 
 
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per order.
+
+    leggauss solves an eigenproblem on every call; the time panels, the
+    moment nodes and the spatial rules reuse a handful of orders.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, order: int = 16):
     """Composite Gauss-Legendre nodes and weights over the given edges."""
     edges = np.asarray(edges, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(int(order))
+    x, w = gauss_legendre(int(order))
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

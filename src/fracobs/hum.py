@@ -55,9 +55,9 @@ from .spectral import (
     Region,
     SpatialDomain,
     SpatialQuadrature,
-    eigenfunction,
     eigenpairs,
     grad_coupling,
+    mode_table,
     restricted_coupling,
 )
 from .system import (
@@ -85,6 +85,13 @@ __all__ = [
 ]
 
 _REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
+
+# Gauss rules in time: graded panels x order for the decay-product
+# integrals of the Gram, and for the moment nodes of the right-hand side
+TIME_PANELS = 96
+TIME_ORDER = 16
+MOMENT_PANELS = 64
+MOMENT_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,6 @@ class HumProblem:
     horizon: float
     regularization: Regularization = Regularization.tikhonov()
     epsilon: float = 1e-6
-    time_panels: int = 96
-    time_order: int = 16
-    moment_panels: int = 64
-    moment_order: int = 8
     escalation_step: int = 4
     max_iterations: int = 5
 
@@ -159,8 +162,8 @@ class HumProblem:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise InputError(f"horizon must be finite and positive, got {self.horizon}")
-        if not self.epsilon > 0.0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_iterations < 1 or self.escalation_step < 0:
             raise InputError("bad escalation policy")
 
@@ -210,15 +213,7 @@ class GradientField:
         if not 0 <= axis < n:
             raise InputError(f"axis {axis} out of range for dimension {n}")
         weights = self.coefficients[axis::n]
-        funcs = [eigenfunction(m) for m in self.modes]
-
-        def field(*coords: np.ndarray) -> np.ndarray:
-            out = weights[0] * funcs[0](*coords)
-            for w, f in zip(weights[1:], funcs[1:]):
-                out = out + w * f(*coords)
-            return out
-
-        return field
+        return lambda *coords: mode_table(self.modes, coords) @ weights
 
 
 @dataclass(frozen=True)
@@ -239,18 +234,10 @@ class ReconstructionResult:
         """Reporting table over the full domain plus a summary footer."""
         n = self.field.dimension
         truth_fns = _truth_components(truth, n) if truth is not None else None
-        cols: list[np.ndarray] = []
-        if n == 1:
-            x = np.linspace(0.0, 1.0, samples)
-            cols.append(x)
-            pts = (x,)
-            header = ["x"]
-        else:
-            ax = np.linspace(0.0, 1.0, samples)
-            xg, yg = np.meshgrid(ax, ax, indexing="ij")
-            cols.extend([xg.ravel(), yg.ravel()])
-            pts = (xg.ravel(), yg.ravel())
-            header = ["x", "y"]
+        ax = np.linspace(0.0, 1.0, samples)
+        pts = tuple(g.ravel() for g in np.meshgrid(*[ax] * n, indexing="ij"))
+        cols = list(pts)
+        header = ["x", "y"][:n]
         for d in range(n):
             if truth_fns is None:
                 cols.append(np.full(cols[0].size, np.nan))
@@ -313,9 +300,7 @@ def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
     )
     P = _output_or_empty(problem.sensors, modes)
     lams = np.array([m.lam for m in modes])
-    Tm = ml_product_matrix(
-        lams, problem.alpha, problem.horizon, problem.time_panels, problem.time_order
-    )
+    Tm = ml_product_matrix(lams, problem.alpha, problem.horizon, TIME_PANELS, TIME_ORDER)
     return B @ (Tm * (P.T @ P)) @ B.T
 
 
@@ -327,10 +312,10 @@ def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.n
     inside a single data cell; the graded edges resolve the layer at 0.
     """
     edges = np.union1d(
-        graded_panel_edges(problem.horizon, problem.moment_panels, 1e-16), grid.nodes
+        graded_panel_edges(problem.horizon, MOMENT_PANELS, 1e-16), grid.nodes
     )
     keep = np.concatenate([[True], np.diff(edges) > 1e-15 * problem.horizon])
-    return gauss_panels(edges[keep], problem.moment_order)
+    return gauss_panels(edges[keep], MOMENT_ORDER)
 
 
 def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
@@ -394,8 +379,8 @@ def assemble_rhs_from_state(
         deep_lams,
         problem.alpha,
         problem.horizon,
-        problem.time_panels,
-        problem.time_order,
+        TIME_PANELS,
+        TIME_ORDER,
         lams_col=lams,
     )
     weighted = deep_lams * state.coefficients[:depth]
@@ -573,16 +558,9 @@ def omega_error(
     if omega.dimension != n:
         raise InputError("omega dimension does not match the field")
     fns = _truth_components(truth, n)
-    quad = SpatialQuadrature.for_region(omega, order)
+    pts, w = SpatialQuadrature.for_region(omega, order).flat()
     total = 0.0
-    if n == 1:
-        x = quad.nodes[0]
-        w = quad.weights[0]
-        diff = field.component(0)(x) - np.asarray(fns[0](x), dtype=float)
-        return float(np.sum(w * diff * diff))
-    xg, yg = np.meshgrid(quad.nodes[0], quad.nodes[1], indexing="ij")
-    w2 = np.outer(quad.weights[0], quad.weights[1])
     for d in range(n):
-        diff = field.component(d)(xg, yg) - np.asarray(fns[d](xg, yg), dtype=float)
-        total += float(np.sum(w2 * diff * diff))
+        diff = field.component(d)(*pts) - np.asarray(fns[d](*pts), dtype=float)
+        total += float(np.sum(w * diff * diff))
     return total

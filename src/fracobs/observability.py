@@ -24,18 +24,14 @@ import numpy as np
 from scipy.linalg import eigh, svdvals
 
 from .errors import DomainError, InputError
-from .fraccalc import decay_table
+from .fraccalc import decay_table, gauss_legendre
 from .spectral import (
     EigenMode,
     SpatialDomain,
-    SpatialQuadrature,
-    eigenfunction_partial,
     eigenpairs,
     eigenvalue_groups,
-    eval_eigfun_grad,
-    region_inner_product,
 )
-from .system import Sensor
+from .system import Sensor, _sensor_functional
 
 __all__ = [
     "StrategicReport",
@@ -133,22 +129,7 @@ def strategic_blocks(
     """
     if not sensors:
         raise InputError("at least one sensor is required")
-    p = len(sensors)
-    full = np.empty((p, len(modes)))
-    quads = {}
-    for i, s in enumerate(sensors):
-        if s.kind == "pointwise":
-            for k, m in enumerate(modes):
-                full[i, k] = eval_eigfun_grad(m, s.location)[axis]
-        else:
-            quad = quads.get(id(s))
-            if quad is None:
-                quad = SpatialQuadrature.for_region(s.support, order)
-                quads[id(s)] = quad
-            for k, m in enumerate(modes):
-                full[i, k] = region_inner_product(
-                    eigenfunction_partial(m, axis), s.weight, s.support, quad
-                )
+    full = np.array([_sensor_functional(s, modes, order, axis) for s in sensors])
     return [full[:, g] for g in eigenvalue_groups(modes)]
 
 
@@ -240,7 +221,7 @@ def counterexample_check(
     if depth < 4:
         raise InputError("depth must cover at least the surviving mode")
 
-    ref_x, ref_w = np.polynomial.legendre.leggauss(96)
+    ref_x, ref_w = gauss_legendre(96)
 
     def pairings(weight_freq: int, a: float, b: float) -> np.ndarray:
         half = 0.5 * (b - a)

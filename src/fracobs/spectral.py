@@ -1,10 +1,10 @@
 """Dirichlet eigenbases of the Laplacian on the unit interval and unit square.
 
 Provides the spatial side of the solver: domains, axis-aligned regions,
-eigenmodes with their frequencies, pointwise evaluation of eigenfunctions
-and their gradients, Gauss-Legendre quadrature over regions, and the
-closed-form coupling integrals between eigenfunction partial derivatives
-and eigenfunctions.
+eigenmodes with their frequencies, one evaluator of the basis and its
+partials on any point set (mode_table), tensor Gauss-Legendre rules over
+regions with their flattened points, and the closed-form coupling
+integrals between eigenfunction partial derivatives and eigenfunctions.
 
 All basis functions use the orthonormal scaling: sqrt(2)*sin(i*pi*x) per
 axis, so the 2D functions are 2*sin(i*pi*x)*sin(j*pi*y).
@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
+from .fraccalc import gauss_legendre
 
 __all__ = [
     "SpatialDomain",
@@ -27,6 +28,7 @@ __all__ = [
     "SpatialQuadrature",
     "eigenpairs",
     "eigenvalue_groups",
+    "mode_table",
     "eval_eigfun",
     "eval_eigfun_grad",
     "eigenfunction",
@@ -165,59 +167,53 @@ def _check_point(point: Sequence[float], n: int) -> np.ndarray:
     return p
 
 
+def mode_table(
+    modes: Sequence[EigenMode], coords: Sequence, axis: int | None = None
+) -> np.ndarray:
+    """phi_k, or its partial along `axis`, at broadcast points, one column per mode.
+
+    `coords` holds one coordinate array (or scalar) per axis; the result
+    has shape broadcast(*coords).shape + (len(modes),). Axis d contributes
+    the factor sin(i_d pi x_d), or i_d pi cos(i_d pi x_d) along `axis`, for
+    every mode at once, and the factors multiply the scale sqrt(2)^n in
+    axis order. This is the one place the basis is evaluated.
+    """
+    index = np.array([m.index for m in modes], dtype=float)
+    n = index.shape[1]
+    if len(coords) != n:
+        raise InputError(f"expected {n} coordinate arrays, got {len(coords)}")
+    if axis is not None and not 0 <= axis < n:
+        raise InputError(f"axis {axis} out of range for dimension {n}")
+    freqs = math.pi * index
+    out = np.full(len(modes), math.sqrt(2.0**n))
+    if axis is not None:
+        out = out * freqs[:, axis]
+    for d, x in enumerate(coords):
+        arg = np.asarray(x, dtype=float)[..., None] * freqs[:, d]
+        out = out * (np.cos(arg) if d == axis else np.sin(arg))
+    return out
+
+
 def eval_eigfun(mode: EigenMode, point: Sequence[float]) -> float:
     p = _check_point(point, mode.dimension)
-    out = 1.0
-    for i, x in zip(mode.index, p):
-        out *= math.sqrt(2.0) * math.sin(i * math.pi * x)
-    return out
+    return float(mode_table((mode,), p)[0])
 
 
 def eval_eigfun_grad(mode: EigenMode, point: Sequence[float]) -> np.ndarray:
     p = _check_point(point, mode.dimension)
-    sin_parts = [math.sqrt(2.0) * math.sin(i * math.pi * x) for i, x in zip(mode.index, p)]
-    cos_parts = [
-        math.sqrt(2.0) * i * math.pi * math.cos(i * math.pi * x)
-        for i, x in zip(mode.index, p)
-    ]
-    grad = np.empty(mode.dimension)
-    for d in range(mode.dimension):
-        g = cos_parts[d]
-        for other in range(mode.dimension):
-            if other != d:
-                g *= sin_parts[other]
-        grad[d] = g
-    return grad
+    return np.array([mode_table((mode,), p, d)[0] for d in range(mode.dimension)])
 
 
 def eigenfunction(mode: EigenMode) -> Callable[..., np.ndarray]:
     """Vectorized eigenfunction taking one coordinate array per axis."""
-    if mode.dimension == 1:
-        (i,) = mode.index
-        return lambda x: math.sqrt(2.0) * np.sin(i * math.pi * np.asarray(x))
-    i, j = mode.index
-    return lambda x, y: 2.0 * np.sin(i * math.pi * np.asarray(x)) * np.sin(
-        j * math.pi * np.asarray(y)
-    )
+    return lambda *coords: mode_table((mode,), coords)[..., 0]
 
 
 def eigenfunction_partial(mode: EigenMode, axis: int) -> Callable[..., np.ndarray]:
     """Vectorized partial derivative of the eigenfunction along `axis` (0-based)."""
     if not 0 <= axis < mode.dimension:
         raise InputError(f"axis {axis} out of range for dimension {mode.dimension}")
-    if mode.dimension == 1:
-        (i,) = mode.index
-        w = i * math.pi
-        return lambda x: math.sqrt(2.0) * w * np.cos(w * np.asarray(x))
-    i, j = mode.index
-    wi, wj = i * math.pi, j * math.pi
-    if axis == 0:
-        return lambda x, y: 2.0 * wi * np.cos(wi * np.asarray(x)) * np.sin(
-            wj * np.asarray(y)
-        )
-    return lambda x, y: 2.0 * wj * np.sin(wi * np.asarray(x)) * np.cos(
-        wj * np.asarray(y)
-    )
+    return lambda *coords: mode_table((mode,), coords, axis)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,7 @@ class SpatialQuadrature:
     def for_region(cls, region: Region, order: int = 32) -> "SpatialQuadrature":
         if order < 1:
             raise InputError(f"order must be >= 1, got {order}")
-        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        ref_x, ref_w = gauss_legendre(order)
         nodes = []
         weights = []
         for a, b in zip(region.lower, region.upper):
@@ -246,6 +242,17 @@ class SpatialQuadrature:
             nodes.append(a + half * (ref_x + 1.0))
             weights.append(half * ref_w)
         return cls(region, order, tuple(nodes), tuple(weights))
+
+    def flat(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Tensor points as one flat coordinate array per axis, with product weights.
+
+        Points run in meshgrid(indexing="ij") order, the first axis slowest.
+        """
+        grids = np.meshgrid(*self.nodes, indexing="ij")
+        weights = self.weights[0]
+        for w in self.weights[1:]:
+            weights = np.multiply.outer(weights, w)
+        return tuple(g.ravel() for g in grids), weights.ravel()
 
 
 def region_inner_product(
@@ -264,16 +271,10 @@ def region_inner_product(
         quad = SpatialQuadrature.for_region(region)
     elif quad.region != region:
         raise InputError("quadrature was built for a different region")
-    if region.dimension == 1:
-        x = quad.nodes[0]
-        fv = np.asarray(f(x), dtype=float)
-        gv = np.asarray(g(x), dtype=float)
-        return float(np.sum(quad.weights[0] * fv * gv))
-    xg, yg = np.meshgrid(quad.nodes[0], quad.nodes[1], indexing="ij")
-    fv = np.asarray(f(xg, yg), dtype=float)
-    gv = np.asarray(g(xg, yg), dtype=float)
-    w2 = np.outer(quad.weights[0], quad.weights[1])
-    return float(np.sum(w2 * fv * gv))
+    pts, w = quad.flat()
+    fv = np.asarray(f(*pts), dtype=float)
+    gv = np.asarray(g(*pts), dtype=float)
+    return float(np.sum(w * fv * gv))
 
 
 def restricted_coupling(
@@ -286,20 +287,11 @@ def restricted_coupling(
     this reproduces the closed-form grad_coupling up to sign.
     """
     n = region.dimension
-    quad = SpatialQuadrature.for_region(region, order)
-    if n == 1:
-        x = quad.nodes[0]
-        w = quad.weights[0]
-        vals = np.array([eigenfunction(m)(x) for m in modes])
-        dvals = np.array([eigenfunction_partial(m, 0)(x) for m in modes])
-        return (vals * w) @ dvals.T
-    xg, yg = np.meshgrid(quad.nodes[0], quad.nodes[1], indexing="ij")
-    w2 = (np.outer(quad.weights[0], quad.weights[1])).ravel()
-    vals = np.array([eigenfunction(m)(xg, yg).ravel() for m in modes])
+    pts, w = SpatialQuadrature.for_region(region, order).flat()
+    weighted = w[:, None] * mode_table(modes, pts)
     out = np.empty((n * len(modes), len(modes)))
     for d in range(n):
-        dvals = np.array([eigenfunction_partial(m, d)(xg, yg).ravel() for m in modes])
-        out[d::n, :] = (vals * w2) @ dvals.T
+        out[d::n, :] = weighted.T @ mode_table(modes, pts, d)
     return out
 
 

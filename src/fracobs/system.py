@@ -23,10 +23,8 @@ from .spectral import (
     Region,
     SpatialDomain,
     SpatialQuadrature,
-    eigenfunction,
     eigenpairs,
-    eval_eigfun,
-    region_inner_product,
+    mode_table,
 )
 
 __all__ = [
@@ -217,10 +215,6 @@ def _raise_first_bad_row(path: str, lines: list[str], width: int) -> None:
             raise InputError(f"{path}:{n}: a field is not a number: {row!r}") from None
 
 
-def _full_quadrature(domain: SpatialDomain, order: int) -> SpatialQuadrature:
-    return SpatialQuadrature.for_region(Region.full(domain), order)
-
-
 def project_initial_state(
     sys: FractionalDiffusion,
     u0: Callable[..., np.ndarray],
@@ -231,21 +225,9 @@ def project_initial_state(
         # resolve the fastest basis oscillation with margin
         top = max(max(m.index) for m in sys.basis)
         order = max(64, 2 * top + 16)
-    quad = _full_quadrature(sys.domain, order)
-    coeffs = np.empty(sys.mode_count)
-    if sys.domain.dimension == 1:
-        x = quad.nodes[0]
-        wu = quad.weights[0] * np.asarray(u0(x), dtype=float)
-        for k, m in enumerate(sys.basis):
-            coeffs[k] = float(np.sum(wu * eigenfunction(m)(x)))
-    else:
-        xg, yg = np.meshgrid(quad.nodes[0], quad.nodes[1], indexing="ij")
-        wu = np.outer(quad.weights[0], quad.weights[1]) * np.asarray(
-            u0(xg, yg), dtype=float
-        )
-        for k, m in enumerate(sys.basis):
-            coeffs[k] = float(np.sum(wu * eigenfunction(m)(xg, yg)))
-    return ModalState(coeffs)
+    pts, w = SpatialQuadrature.for_region(Region.full(sys.domain), order).flat()
+    wu = w * np.asarray(u0(*pts), dtype=float)
+    return ModalState(wu @ mode_table(sys.basis, pts))
 
 
 def mild_solution(sys: FractionalDiffusion, state: ModalState, t: float) -> ModalState:
@@ -258,20 +240,14 @@ def mild_solution(sys: FractionalDiffusion, state: ModalState, t: float) -> Moda
 
 
 def _sensor_functional(
-    sensor: Sensor, basis: Sequence[EigenMode], order: int = 32
+    sensor: Sensor, basis: Sequence[EigenMode], order: int = 32, axis: int | None = None
 ) -> np.ndarray:
-    """The vector (C phi_k)_k for one sensor."""
-    out = np.empty(len(basis))
+    """The vector (C phi_k)_k for one sensor, or (C d_axis phi_k)_k."""
     if sensor.kind == "pointwise":
-        for k, m in enumerate(basis):
-            out[k] = eval_eigfun(m, sensor.location)
-        return out
-    quad = SpatialQuadrature.for_region(sensor.support, order)
-    for k, m in enumerate(basis):
-        out[k] = region_inner_product(
-            eigenfunction(m), sensor.weight, sensor.support, quad
-        )
-    return out
+        return mode_table(basis, sensor.location, axis)
+    pts, w = SpatialQuadrature.for_region(sensor.support, order).flat()
+    weighted = w * np.asarray(sensor.weight(*pts), dtype=float)
+    return weighted @ mode_table(basis, pts, axis)
 
 
 def output_matrix(

@@ -559,25 +559,41 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
         sensor.kind = pointwise
         sensor.location = 0.3
         state.kind = coefficients
-        state.coefficients = 0.1, 0.05
+        state.coefficients = {coefficients}
         time.samples = 17
-        {solver}
+        {extra}
     """
-    good = write_config(tmp_path, base.format(horizon="1.0", solver=""), name="good.cfg")
+
+    def text(horizon="1.0", coefficients="0.1, 0.05", extra=""):
+        return base.format(horizon=horizon, coefficients=coefficients, extra=extra)
+
+    good = write_config(tmp_path, text(), name="good.cfg")
     assert cli.main(["simulate", "--config", good, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    cases = {
-        "horizon": ("simulate", base.format(horizon="inf", solver="")),
-        "regularization value": (
-            "reconstruct", base.format(horizon="1.0", solver="solver.value = inf")
-        ),
-    }
-    for field, (command, text) in cases.items():
-        bad = write_config(tmp_path, text, name="bad.cfg")
+    zonal_inf = """
+        sensor2.kind = zonal
+        sensor2.support.lo = 0.1
+        sensor2.support.hi = 0.4
+        sensor2.weight.scale = inf
+    """
+    cases = [
+        ("horizon", "simulate", text(horizon="inf")),
+        ("regularization value", "reconstruct", text(extra="solver.value = inf")),
+        ("noise.sigma", "simulate", text(extra="noise.sigma = nan")),
+        ("noise.sigma", "simulate", text(extra="noise.sigma = inf")),
+        ("noise.sigma", "simulate", text(extra="noise.sigma = -0.1")),
+        ("sensor2.weight.scale", "simulate", text(extra=zonal_inf)),
+        ("state.coefficients", "simulate", text(coefficients="0.1, nan")),
+        ("epsilon", "reconstruct", text(extra="epsilon = inf")),
+        ("epsilon", "reconstruct", text(extra="epsilon = nan")),
+        ("seed", "simulate", text(extra="noise.sigma = 0.01\n seed = -1")),
+    ]
+    for field, command, config in cases:
+        bad = write_config(tmp_path, config, name="bad.cfg")
         argv = [command, "--config", bad, "--out", str(tmp_path)]
         if command == "reconstruct":
             argv += ["--measurements", str(tmp_path / "measurements.csv")]
-        assert cli.main(argv) == 2
+        assert cli.main(argv) == 2, config
         captured = capsys.readouterr()
         # the usage error is the only thing on stderr: no numpy warnings
         (line,) = captured.err.splitlines()

@@ -580,6 +580,19 @@ def test_graded_panels_cover_horizon():
     assert np.sum(w * t**3) == pytest.approx(2.0**4 / 4.0, rel=1e-12)
 
 
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = fc.gauss_legendre(12)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = fc.gauss_legendre(12)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert fc.gauss_legendre.cache_info().maxsize == 16
+
+
 def _counting_mlf(monkeypatch):
     """Empty the decay-table memo and count the points mlf_values receives."""
     monkeypatch.setattr(fc, "_DECAY_MEMO", {})

@@ -87,6 +87,9 @@ def test_problem_validation():
         HumProblem(3, FULL, sensors, 0.5, math.inf)
     with pytest.raises(InputError):
         HumProblem(3, FULL, sensors, 0.5, 1.0, epsilon=0.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(InputError, match="epsilon"):
+            HumProblem(3, FULL, sensors, 0.5, 1.0, epsilon=eps)
     with pytest.raises(InputError):
         HumProblem(3, FULL, sensors, 0.5, 1.0, max_iterations=0)
 
@@ -544,7 +547,7 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         reconstruct(problem, record)
     assert len(err.value.residual_history) == 3
-    gauss = problem.time_panels * problem.time_order
+    gauss = hum.TIME_PANELS * hum.TIME_ORDER
     moments = hum._moment_nodes(problem, record.grid)[0].size
     assert sum(points) == (gauss + moments + len(record.grid)) * 6
 

@@ -112,6 +112,46 @@ def test_eval_eigfun_grad_matches_finite_difference():
         assert g[d] == pytest.approx(fd, rel=1e-8)
 
 
+def _closed_form(index, point, axis):
+    out = math.sqrt(2.0) ** len(index)
+    for d, (i, x) in enumerate(zip(index, point)):
+        w = i * PI
+        out *= w * math.cos(w * x) if d == axis else math.sin(w * x)
+    return out
+
+
+def test_mode_table_matches_closed_form_and_shape_contract():
+    rng = np.random.default_rng(7)
+    for n in (1, 2):
+        modes = [sp.EigenMode.from_index(rng.integers(1, 31, n)) for _ in range(12)]
+        modes.append(sp.EigenMode.from_index((30,) * n))
+        pts = rng.random((40, n))
+        for axis in (None, *range(n)):
+            table = sp.mode_table(modes, tuple(pts.T), axis)
+            assert table.shape == (40, len(modes))
+            for p, row in zip(pts, table):
+                for m, got in zip(modes, row):
+                    want = _closed_form(m.index, p, axis)
+                    scale = 2.0 ** (n / 2) * (1.0 if axis is None else PI * m.index[axis])
+                    assert abs(got - want) <= 1e-13 * scale
+    # shapes: points.shape + (M,), for scalars, vectors, meshgrids and broadcasts
+    line = sp.eigenpairs(sp.SpatialDomain.interval(), 5)
+    square = sp.eigenpairs(sp.SpatialDomain.square(), 6)
+    assert sp.mode_table(line, (0.3,)).shape == (5,)
+    assert sp.mode_table(square, (0.3, 0.6), 1).shape == (6,)
+    x, y = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 4)
+    assert sp.mode_table(line, (x,), 0).shape == (7, 5)
+    xg, yg = np.meshgrid(x, y, indexing="ij")
+    grid = sp.mode_table(square, (xg, yg))
+    assert grid.shape == (7, 4, 6)
+    assert np.array_equal(grid, sp.mode_table(square, (x[:, None], y[None, :])))
+    assert np.array_equal(grid[..., 2], sp.eigenfunction(square[2])(xg, yg))
+    with pytest.raises(InputError):
+        sp.mode_table(square, (x,))
+    with pytest.raises(InputError):
+        sp.mode_table(line, (x,), 1)
+
+
 def test_region_inner_product_orthonormality_pair():
     dom = sp.SpatialDomain.interval()
     full = sp.Region.full(dom)
