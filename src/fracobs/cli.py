@@ -377,10 +377,11 @@ class RunConfig:
         if self.time_grading == "uniform":
             return TimeGrid.uniform(self.horizon, self.time_samples)
         # geometric refinement toward t=0 resolves fast modal transients the
-        # uniform half cannot; the union keeps roughly time.samples nodes
+        # uniform half cannot; the merge keeps roughly time.samples nodes, and
+        # the mask drops the zero gaps of nodes the two sets share
         half = max(self.time_samples // 2, 8)
         edges = graded_panel_edges(self.horizon, half, 1e-12)
-        nodes = np.union1d(edges, np.linspace(0.0, self.horizon, half + 1))
+        nodes = np.sort(np.concatenate((edges, np.linspace(0.0, self.horizon, half + 1))))
         keep = np.concatenate(([True], np.diff(nodes) > 1e-15 * self.horizon))
         return TimeGrid.from_nodes(nodes[keep])
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gamma, gammaln
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, InputError
 
@@ -154,6 +154,84 @@ def _powv(x: np.ndarray, p: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# special functions
+#
+# Gamma values are scalars (math.gamma; every Gamma(1 - alpha) is taken
+# with alpha < 1, away from its pole). Beyond them the package needs log
+# Gamma over arrays and one regularized incomplete beta, both below.
+
+_BETA_TERMS = 100    # continued-fraction steps before a point counts as failed
+_BETA_TOL = 1e-15    # a point leaves once a step changes its value by less
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log|Gamma(x)| over a 1-d array, one math.lgamma call per entry."""
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
+def _beta_fraction(a: float, y: np.ndarray) -> np.ndarray:
+    """Continued fraction of I_y(a, 1 - a), for y <= (a + 1) / 3.
+
+    I_y(a, b) = y^a (1-y)^b / (a B(a, b)) * 1 / (1 + d_1 / (1 + d_2 / ...)),
+    evaluated by Lentz's method. With b = 1 - a every d_m is negative, and
+    below the swap point d_1 is at most 1/3 in size and the others at most
+    2/9, so Lentz's factors stay within [1/2, 2] and need no guard against
+    zero. A point leaves the loop once a step changes it by less than
+    _BETA_TOL; raises AccuracyError if one is left after _BETA_TERMS steps.
+    """
+    out = np.empty_like(y)
+    act = np.arange(y.size)
+    c = np.ones_like(y)
+    d = 1.0 / (1.0 - y / (a + 1.0))
+    h = d.copy()
+    m = 0
+    while y.size:
+        m += 1
+        if m > _BETA_TERMS:
+            raise AccuracyError(
+                f"incomplete beta I_y({a}, {1.0 - a}) did not converge in "
+                f"{_BETA_TERMS} steps at y = {float(y[0])}"
+            )
+        for coef in (
+            m * (1.0 - a - m) / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (1.0 + m) / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            dm = coef * y
+            d = 1.0 / (1.0 + dm * d)
+            c = 1.0 + dm / c
+            step = d * c
+            h *= step
+        done = np.abs(step - 1.0) <= _BETA_TOL
+        if done.any():
+            out[act[done]] = h[done]
+            keep = ~done
+            act, y, c, d, h = act[keep], y[keep], c[keep], d[keep], h[keep]
+    return out
+
+
+def _beta_reflected(alpha: float, x) -> np.ndarray:
+    """Regularized incomplete beta I_x(alpha, 1 - alpha) for x in [0, 1].
+
+    B(alpha, 1 - alpha) = pi / sin(pi alpha). Below x = (alpha + 1) / 3
+    the continued fraction converges fast; at and above it the symmetry
+    I_x(a, b) = 1 - I_(1-x)(b, a) brings the point below it.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    with np.errstate(divide="ignore"):
+        front = np.exp(alpha * np.log(flat) + (1.0 - alpha) * np.log1p(-flat))
+    front *= math.sin(math.pi * alpha) / math.pi
+    out = np.empty_like(flat)
+    swap = flat >= (alpha + 1.0) / 3.0
+    low = ~swap
+    out[low] = front[low] * _beta_fraction(alpha, flat[low]) / alpha
+    out[swap] = 1.0 - front[swap] * _beta_fraction(
+        1.0 - alpha, 1.0 - flat[swap]
+    ) / (1.0 - alpha)
+    return out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
 # Mittag-Leffler evaluation
 #
 # Each value of E_alpha(-x), x >= 0, comes from exactly one regime:
@@ -232,7 +310,7 @@ def _asym_neg(alpha: float, x: np.ndarray):
     k = np.arange(1.0, _ASYM_TERMS + 2.0)
     ka = k * alpha
     sinv = np.sin(np.pi * ka)
-    lenv = gammaln(ka) - math.log(math.pi)
+    lenv = _lgamma(ka) - math.log(math.pi)
     with np.errstate(divide="ignore"):
         lcoef = lenv + np.log(np.abs(sinv))
     sgn = np.where(sinv >= 0.0, 1.0, -1.0) * (-1.0) ** (k + 1.0)
@@ -268,7 +346,9 @@ def _log_lower(alpha: float, x: np.ndarray) -> np.ndarray:
     Near alpha = 1, where Gamma(1 - alpha) grows like 1 / (1 - alpha), the
     tangent bound is the tight one.
     """
-    return -np.minimum(np.log1p(gamma(1.0 - alpha) * x), x / gamma(1.0 + alpha))
+    return -np.minimum(
+        np.log1p(math.gamma(1.0 - alpha) * x), x / math.gamma(1.0 + alpha)
+    )
 
 
 def _series_digits(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -314,7 +394,7 @@ def _series_neg(alpha: float, x: np.ndarray):
     Returns (values, relative estimates, terms used).
     """
     k = np.arange(0.0, math.ceil(_SERIES_SPAN / alpha) + 1.0)
-    lg = gammaln(1.0 + alpha * k)
+    lg = _lgamma(1.0 + alpha * k)
     lx = np.log(np.maximum(x, 1e-300))
     vals = np.empty_like(x)
     absum = np.empty_like(x)
@@ -334,7 +414,7 @@ def _series_pos(alpha: float, z: np.ndarray):
     """Power series for z >= 0: all terms positive, no cancellation."""
     k = np.arange(0.0, _SERIES_TERMS + 1.0)
     lz = np.log(np.maximum(z, 1e-300))
-    lmag = np.outer(k, lz) - gammaln(1.0 + alpha * k)[:, None]
+    lmag = np.outer(k, lz) - _lgamma(1.0 + alpha * k)[:, None]
     with np.errstate(over="ignore"):
         mag = np.exp(lmag)
         used = (mag > 1e-18 * np.maximum(mag.max(axis=0), 1e-300)[None, :]).sum(axis=0)
@@ -616,8 +696,8 @@ def caputo_values(
     if first_cell_power and alpha < 1.0:
         t1 = tg[1]
         c = (vals[1] - vals[0]) / t1**alpha
-        start = c * gamma(1.0 + alpha) * betainc(
-            alpha, 1.0 - alpha, np.minimum(t1 / times, 1.0)
+        start = c * math.gamma(1.0 + alpha) * _beta_reflected(
+            alpha, np.minimum(t1 / times, 1.0)
         )[..., None]
         edges, vals = tg[1:], vals[1:]
     else:
@@ -647,7 +727,7 @@ def caputo_values(
         row[inside] += _powv(tt[inside] - a[j], p)[:, None] * du[j]
         memory[lo : lo + _CAPUTO_ROWS] = row
     out = np.empty_like(memory)
-    out[order] = memory / gamma(2.0 - alpha)
+    out[order] = memory / math.gamma(2.0 - alpha)
     out = out.reshape(times.shape + (-1,)) + start
     return out.reshape(times.shape + u.values.shape[1:])
 
@@ -678,7 +758,7 @@ def rl_integral_right(r: SampledFunction, alpha: float, t: float) -> float:
     j0 = (_powv(b - t, alpha) - _powv(lo - t, alpha)) / alpha
     j1 = (_powv(b - t, alpha + 1.0) - _powv(lo - t, alpha + 1.0)) / (alpha + 1.0)
     total = np.sum(r.values[:-1] * j0 + dr * (j1 + (t - a) * j0))
-    return float(total) / gamma(alpha)
+    return float(total) / math.gamma(alpha)
 
 
 def rl_derivative_right(r: SampledFunction, alpha: float, t: float) -> float:
@@ -771,7 +851,7 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
         j0, j1 = _cell_j01(s, a[lo:], b[lo:], p)
         d0, d1 = j0[:-1] - j0[1:], j1[:-1] - j1[1:]
         lhs += du[lo : lo + _CAPUTO_ROWS] @ np.sum(v[lo:-1] * d0 + dv[lo:] * d1, axis=1)
-    lhs /= gamma(2.0 - alpha)
+    lhs /= math.gamma(2.0 - alpha)
 
     # I_{T-}^{1-alpha}[v'] at the nodes, exact for the piecewise-constant v'
     rdi = np.empty(n)
@@ -780,7 +860,7 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
         aa = _powv(b[lo:] - s, p)
         bb = _powv(np.maximum(a[lo:], s) - s, p)
         rdi[lo : lo + _CAPUTO_ROWS] = np.sum(dv[lo:] * (aa - bb), axis=1)
-    rdi /= gamma(2.0 - alpha)
+    rdi /= math.gamma(2.0 - alpha)
     if alpha == 1.0:
         rdi[-1] = dv[-1]  # empty tail sum loses the left-limit slope
 
@@ -799,7 +879,7 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
         i1 = (horizon - a) * i0 - (
             _powv(horizon - a, 2.0 - alpha) - _powv(horizon - b, 2.0 - alpha)
         ) / (2.0 - alpha)
-        sing = v[-1] / gamma(1.0 - alpha) * np.sum(u[:-1] * i0 + du * i1)
+        sing = v[-1] / math.gamma(1.0 - alpha) * np.sum(u[:-1] * i0 + du * i1)
     else:
         sing = 0.0
 
@@ -812,7 +892,7 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
         q = -alpha
         i0 = (_powv(b, q + 1.0) - _powv(a, q + 1.0)) / (q + 1.0)
         i1 = (_powv(b, q + 2.0) - _powv(a, q + 2.0)) / (q + 2.0) - a * i0
-        iv0 = np.sum(v[:-1] * i0 + dv * i1) / gamma(1.0 - alpha)
+        iv0 = np.sum(v[:-1] * i0 + dv * i1) / math.gamma(1.0 - alpha)
     boundary = u[-1] * lim_t - u[0] * iv0
 
     return float(abs(lhs - (main + sing + boundary)))
@@ -844,7 +924,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     leggauss solves an eigenproblem on every call; the time panels, the
     moment nodes and the spatial rules reuse a handful of orders.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

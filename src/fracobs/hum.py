@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .errors import ConvergenceError, InputError, SolvabilityError
 from .fraccalc import (
@@ -311,9 +311,9 @@ def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.n
     aligning panel edges with the sample nodes keeps each Gauss point
     inside a single data cell; the graded edges resolve the layer at 0.
     """
-    edges = np.union1d(
-        graded_panel_edges(problem.horizon, MOMENT_PANELS, 1e-16), grid.nodes
-    )
+    graded = graded_panel_edges(problem.horizon, MOMENT_PANELS, 1e-16)
+    edges = np.sort(np.concatenate((graded, grid.nodes)))
+    # a node in both sets leaves a zero gap, which the mask drops
     keep = np.concatenate([[True], np.diff(edges) > 1e-15 * problem.horizon])
     return gauss_panels(edges[keep], MOMENT_ORDER)
 

@@ -21,15 +21,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, svdvals
 
 from .errors import DomainError, InputError
-from .fraccalc import decay_table, gauss_legendre
+from .fraccalc import decay_table
 from .spectral import (
     EigenMode,
+    Region,
     SpatialDomain,
+    SpatialQuadrature,
     eigenpairs,
     eigenvalue_groups,
+    mode_table,
 )
 from .system import Sensor, _sensor_functional
 
@@ -96,7 +98,7 @@ class GramDiagnostic:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "GramDiagnostic":
         """Summary of a Gram, e.g. assemble_gram(problem, restricted=True)."""
-        return cls.from_eigenvalues(matrix, eigh(matrix, eigvals_only=True))
+        return cls.from_eigenvalues(matrix, np.linalg.eigvalsh(matrix))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -165,7 +167,7 @@ def test_gradient_strategic(
     stacks = [
         np.hstack([per_axis[d][gi] for d in range(n)]) for gi in range(len(groups))
     ]
-    spectra = [svdvals(s) for s in stacks]
+    spectra = [np.linalg.svd(s, compute_uv=False) for s in stacks]
     scale = max((float(s[0]) for s in spectra if s.size), default=0.0)
     cut = tolerance * scale
 
@@ -221,22 +223,21 @@ def counterexample_check(
     if depth < 4:
         raise InputError("depth must cover at least the surviving mode")
 
-    ref_x, ref_w = gauss_legendre(96)
+    modes = eigenpairs(SpatialDomain(1), depth)
+
+    def sines(y) -> np.ndarray:  # sin(j pi y), j = 1..depth
+        return mode_table(modes, (y,)) / math.sqrt(2.0)
 
     def pairings(weight_freq: int, a: float, b: float) -> np.ndarray:
-        half = 0.5 * (b - a)
-        y = a + half * (ref_x + 1.0)
-        w = half * ref_w
-        j = np.arange(1, depth + 1)
-        return (w * np.sin(weight_freq * math.pi * y)) @ np.sin(
-            math.pi * np.outer(y, j)
-        )
+        (y,), w = SpatialQuadrature.for_region(Region((a,), (b,)), 96).flat()
+        table = sines(y)
+        return (w * table[:, weight_freq - 1]) @ table
 
     f1 = pairings(1, 0.0, 1.0)  # ~ delta_{i,1}/2
     f4 = pairings(2, 0.0, 1.0)  # ~ delta_{j,2}/2
     f2_global = pairings(4, 0.0, 1.0)  # ~ delta_{j,4}/2
     f2_window = pairings(4, 0.125, 0.625)
-    s3 = np.sin(np.arange(1, depth + 1) * math.pi / 2.0)
+    s3 = sines(0.5)
 
     row = f1 * s3
     col_global = f2_global * f4

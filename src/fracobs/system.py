@@ -128,6 +128,13 @@ class ModalState:
         return self.coefficients.size
 
 
+def _check_noise_sigma(noise_sigma: float) -> None:
+    # written so that nan fails too: a nan sigma would pass `sigma < 0`
+    # and `sigma > 0` alike and leave the record silently noiseless
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Sampled sensor outputs: one row per time node, one column per sensor."""
@@ -148,8 +155,7 @@ class MeasurementRecord:
             )
         if not np.all(np.isfinite(s)):
             raise InputError("samples must be finite (found nan or inf)")
-        if self.noise_sigma < 0.0:
-            raise InputError("noise_sigma must be >= 0")
+        _check_noise_sigma(self.noise_sigma)
 
     @property
     def channel_count(self) -> int:
@@ -276,8 +282,7 @@ def generate_measurements(
     provenance: str | None = None,
 ) -> MeasurementRecord:
     """Sample every sensor on the grid, optionally perturbed by Gaussian noise."""
-    if noise_sigma < 0.0:
-        raise InputError("noise_sigma must be >= 0")
+    _check_noise_sigma(noise_sigma)
     state = (
         true_u0
         if isinstance(true_u0, ModalState)

@@ -624,6 +624,56 @@ def test_module_entry_point_runs(tmp_path):
         assert help_proc.returncode == 0
 
 
+IMPORT_GUARD = """
+import json, sys
+import fracobs.cli as cli
+before = set(sys.modules)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "loaded_in_main": sorted(set(sys.modules) - before),
+}))
+"""
+
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    # every command runs in a fresh process, so what it imports is paid on
+    # every run: scipy must not be among it, and numpy.ma (pulled in by
+    # np.unique and its set helpers) must not load during the command itself
+    config = write_config(tmp_path, """
+        alpha = 0.7
+        horizon = 1.0
+        modes = 3
+        epsilon = 1e-2
+        sensor.kind = pointwise
+        sensor.location = 0.3
+        state.kind = coefficients
+        state.coefficients = 0.1, -0.05, 0.02
+        time.samples = 64
+        time.grading = graded
+        solver.kind = tikhonov
+        solver.value = 1e-10
+    """)
+    out = str(tmp_path)
+    commands = [
+        ["simulate", "--config", config, "--out", out],
+        ["reconstruct", "--config", config, "--out", out,
+         "--measurements", str(tmp_path / "measurements.csv")],
+        ["check-strategic", "--config", config, "--out", out],
+        ["sweep-sensor", "--config", config, "--out", out, "--sweep-grid", "0.2:0.4:0.1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(commands)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["scipy"] == []
+    assert "numpy.ma" not in report["loaded_in_main"]
+
+
 RERUN_CONFIG = """
     alpha = 0.7
     horizon = 1.0

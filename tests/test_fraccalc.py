@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
-from scipy.special import erfcx, gamma
+from scipy.special import betainc, erfcx, gamma, gammaln
 
 from fracobs import fraccalc as fc
 from fracobs.errors import AccuracyError, DomainError, InputError
@@ -54,6 +54,59 @@ def test_sampled_function_shape_mismatch():
     g = fc.TimeGrid.uniform(1.0, 5)
     with pytest.raises(InputError):
         fc.SampledFunction(g, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# special functions
+
+BETA_ALPHAS = (1e-3, 0.01, 0.3, 0.5, 0.84, 0.999)
+
+
+@pytest.mark.parametrize("alpha", BETA_ALPHAS)
+def test_incomplete_beta_matches_scipy(alpha):
+    swap = (alpha + 1.0) / 3.0  # the continued fraction switches sides here
+    x = np.concatenate((
+        np.geomspace(1e-12, 0.5, 300),
+        1.0 - np.geomspace(1e-6, 0.5, 300),
+        np.linspace(1e-12, 1.0 - 1e-6, 401),
+        [swap, np.nextafter(swap, 0.0), np.nextafter(swap, 1.0)],
+    ))
+    got = fc._beta_reflected(alpha, x)
+    assert np.max(np.abs(got - betainc(alpha, 1.0 - alpha, x))) <= 1e-13
+    ends = fc._beta_reflected(alpha, np.array([[0.0, 1.0]]))
+    assert ends.shape == (1, 2) and ends.tolist() == [[0.0, 1.0]]
+
+
+def test_incomplete_beta_half_matches_arcsine_law():
+    # I_x(1/2, 1/2) = (2/pi) arcsin(sqrt(x)) = 1 - (2/pi) arcsin(sqrt(1 - x)),
+    # each form taken where its argument is small. Near x = 1 scipy is no
+    # oracle: its complement 1 - I_x is off by percents there.
+    low = np.geomspace(1e-300, 0.4, 400)
+    high = 1.0 - np.geomspace(1e-15, 0.5, 400)
+    want_low = 2.0 / math.pi * np.arcsin(np.sqrt(low))
+    want_high = 1.0 - 2.0 / math.pi * np.arcsin(np.sqrt(1.0 - high))
+    # each side of the swap point x = 1/2 alone, then both in one call
+    assert np.max(np.abs(fc._beta_reflected(0.5, low) - want_low)) <= 1e-13
+    assert np.max(np.abs(fc._beta_reflected(0.5, high) - want_high)) <= 1e-13
+    both = fc._beta_reflected(0.5, np.concatenate((low, high)))
+    assert np.max(np.abs(both - np.concatenate((want_low, want_high)))) <= 1e-13
+    assert fc._beta_reflected(0.5, np.array([])).shape == (0,)
+
+
+def test_incomplete_beta_unconverged_point_raises(monkeypatch):
+    monkeypatch.setattr(fc, "_BETA_TERMS", 2)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        fc._beta_reflected(0.5, np.array([0.0, 0.3]))
+
+
+def test_lgamma_matches_scipy():
+    # the arguments of the E_alpha coefficient tables: k alpha and 1 + k alpha
+    k = np.arange(0.0, 2001.0)
+    x = np.concatenate([k[1:] * a for a in BETA_ALPHAS] + [1.0 + k * a for a in BETA_ALPHAS])
+    ref = gammaln(x)
+    # relative to max(|lgamma|, 1): lgamma crosses zero at 1 and 2, and the
+    # tables exponentiate it, so its absolute error is what they feel there
+    assert np.max(np.abs(fc._lgamma(x) - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

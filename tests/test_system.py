@@ -181,6 +181,17 @@ def test_measurement_noise_is_seeded():
     assert a.noise_sigma == 0.01
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
+    m = interval_model(M=3)
+    grid = fc.TimeGrid.uniform(1.0, 9)
+    state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
+    with pytest.raises(InputError, match="noise_sigma"):
+        fs.generate_measurements(m, state, [fs.Sensor.pointwise((0.3,))], grid, sigma)
+    with pytest.raises(InputError, match="noise_sigma"):
+        fs.MeasurementRecord(grid, np.zeros(9), sigma)
+
+
 def test_record_csv_roundtrip(tmp_path):
     m = interval_model(M=3)
     grid = fc.TimeGrid.uniform(2.0, 21)
