@@ -132,40 +132,6 @@ def _trig_product_weight(scale: float) -> Callable[..., np.ndarray]:
     )
 
 
-@dataclass(frozen=True)
-class SensorSpec:
-    """One sensor channel as written in the config, rebuildable at a new spot."""
-
-    kind: str
-    location: tuple[float, ...] | None = None
-    support_lower: tuple[float, ...] | None = None
-    support_upper: tuple[float, ...] | None = None
-    weight_kind: str = "constant"
-    weight_scale: float = 1.0
-
-    def build(self) -> Sensor:
-        if self.kind == "pointwise":
-            return Sensor.pointwise(self.location)
-        if self.weight_kind == "constant":
-            weight = _constant_weight(self.weight_scale)
-        else:
-            weight = _trig_product_weight(self.weight_scale)
-        return Sensor.zonal(Region(self.support_lower, self.support_upper), weight)
-
-    def at(self, position: float) -> "SensorSpec":
-        """Move a 1D sensor: the point itself, or the left edge keeping width."""
-        if self.kind == "pointwise":
-            return SensorSpec("pointwise", location=(position,))
-        width = self.support_upper[0] - self.support_lower[0]
-        return SensorSpec(
-            "zonal",
-            support_lower=(position,),
-            support_upper=(position + width,),
-            weight_kind=self.weight_kind,
-            weight_scale=self.weight_scale,
-        )
-
-
 def _read_items(path: str) -> list[tuple[str, str]]:
     if not os.path.isfile(path):
         raise InputError(f"config file {path!r} does not exist")
@@ -188,7 +154,7 @@ def _read_items(path: str) -> list[tuple[str, str]]:
     return items
 
 
-def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> SensorSpec:
+def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> Sensor:
     kind = _parse_choice(
         fields.pop(f"{prefix}.kind"), f"{prefix}.kind", ("pointwise", "zonal")
     )
@@ -196,7 +162,7 @@ def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> SensorSpec:
         raw = fields.pop(f"{prefix}.location", None)
         if raw is None:
             raise InputError(f"config field {prefix}.location is required for a pointwise sensor")
-        return SensorSpec("pointwise", location=_point(raw, f"{prefix}.location", dim))
+        return Sensor.pointwise(_point(raw, f"{prefix}.location", dim))
     lo = fields.pop(f"{prefix}.support.lo", None)
     hi = fields.pop(f"{prefix}.support.hi", None)
     if lo is None or hi is None:
@@ -211,13 +177,19 @@ def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> SensorSpec:
     scale_key = f"{prefix}.weight.scale"
     scale = _parse_float(fields.pop(scale_key, "1.0"), scale_key)
     _require(math.isfinite(scale), scale_key, "finite", scale)
-    return SensorSpec(
-        "zonal",
-        support_lower=_point(lo, f"{prefix}.support.lo", dim),
-        support_upper=_point(hi, f"{prefix}.support.hi", dim),
-        weight_kind=weight_kind,
-        weight_scale=scale,
+    support = Region(
+        _point(lo, f"{prefix}.support.lo", dim), _point(hi, f"{prefix}.support.hi", dim)
     )
+    weight = (_constant_weight if weight_kind == "constant" else _trig_product_weight)(scale)
+    return Sensor.zonal(support, weight)
+
+
+def _moved(sensor: Sensor, position: float) -> Sensor:
+    """A 1D sensor moved: the point itself, or the left edge keeping width and weight."""
+    if sensor.kind == "pointwise":
+        return Sensor.pointwise((position,))
+    width = sensor.support.upper[0] - sensor.support.lower[0]
+    return Sensor.zonal(Region((position,), (position + width,)), sensor.weight)
 
 
 @dataclass(frozen=True)
@@ -230,7 +202,7 @@ class RunConfig:
     modes: int
     epsilon: float
     omega: Region
-    sensor_specs: tuple[SensorSpec, ...]
+    sensors: tuple[Sensor, ...]
     state_kind: str
     state_coefficients: tuple[float, ...]
     state_depth: int
@@ -277,7 +249,7 @@ class RunConfig:
                     prefixes.append(prefix)
         if not prefixes:
             raise InputError("config field sensor.kind is required (no sensor defined)")
-        specs = tuple(_pop_sensor(fields, prefix, dim) for prefix in prefixes)
+        sensors = tuple(_pop_sensor(fields, prefix, dim) for prefix in prefixes)
 
         state_kind = _parse_choice(
             fields.pop("state.kind", "zero"),
@@ -302,6 +274,7 @@ class RunConfig:
         state_depth = _parse_int(fields.pop("state.modes", "200"), "state.modes")
 
         samples = _parse_int(fields.pop("time.samples", "512"), "time.samples")
+        _require(samples >= 2, "time.samples", ">= 2", samples)
         grading = _parse_choice(
             fields.pop("time.grading", "uniform"), "time.grading", ("uniform", "graded")
         )
@@ -337,7 +310,7 @@ class RunConfig:
             modes=modes,
             epsilon=epsilon,
             omega=omega,
-            sensor_specs=specs,
+            sensors=sensors,
             state_kind=state_kind,
             state_coefficients=coefficients,
             state_depth=state_depth,
@@ -351,10 +324,6 @@ class RunConfig:
             out_dir=out_dir,
             raw=tuple(items),
         )
-
-    @property
-    def sensors(self) -> tuple[Sensor, ...]:
-        return tuple(spec.build() for spec in self.sensor_specs)
 
     def problem(self, sensors: Sequence[Sensor] | None = None) -> HumProblem:
         return HumProblem(
@@ -529,12 +498,12 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
     _echo_config(config, verbose)
     if config.dimension != 1:
         raise InputError("sensor sweeps need domain.dim = 1")
-    if len(config.sensor_specs) != 1:
+    if len(config.sensors) != 1:
         raise InputError("sensor sweeps need exactly one configured sensor")
-    spec = config.sensor_specs[0]
+    (sensor,) = config.sensors
     positions = _parse_sweep_grid(grid_spec)
-    if spec.kind == "zonal":
-        width = spec.support_upper[0] - spec.support_lower[0]
+    if sensor.kind == "zonal":
+        width = sensor.support.upper[0] - sensor.support.lower[0]
         if positions[-1] + width > 1.0 + 1e-12:
             raise InputError("sweep grid pushes the zonal support past the domain edge")
 
@@ -547,7 +516,7 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
         fh.write("location,error,residual,lambda_min\n")
         fh.flush()
         for position in positions:
-            sensors = (spec.at(position).build(),)
+            sensors = (_moved(sensor, position),)
             record = generate_measurements(
                 sysn, state, sensors, grid,
                 noise_sigma=config.noise_sigma, seed=config.seed,
@@ -558,7 +527,7 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
             try:
                 coeffs, spectrum = solve_reconstruction(problem, gram, rhs)
                 lam_min = spectrum.smallest_eigenvalue
-                field = GradientField(coeffs, problem.basis())
+                field = GradientField(coeffs, problem.modes)
                 error = omega_error(field, truth, config.omega)
                 residual = residual_against(problem, record, field)
             except SolvabilityError as exc:  # a blind spot: the Gram is singular

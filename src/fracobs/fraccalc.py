@@ -941,15 +941,14 @@ def gauss_panels(edges, order: int = 16):
     return nodes, weights
 
 
-def ml_product_matrix(
-    lams,
-    alpha: float,
-    horizon: float,
-    panels: int = 96,
-    order: int = 16,
-    floor: float = 1e-18,
-    lams_col=None,
-):
+# the Gram's time rule: PRODUCT_PANELS panels graded down to
+# horizon * PRODUCT_FLOOR, each with a Gauss rule of order PRODUCT_ORDER
+PRODUCT_PANELS = 96
+PRODUCT_ORDER = 16
+PRODUCT_FLOOR = 1e-18
+
+
+def ml_product_matrix(lams, alpha: float, horizon: float, lams_col=None):
     """Matrix of int_0^T E_alpha(-l_i t^a) E_alpha(-m_j t^a) dt.
 
     Rows run over `lams`, columns over `lams_col` (default: same set).
@@ -963,7 +962,8 @@ def ml_product_matrix(
     cols = lams if lams_col is None else np.asarray(lams_col, dtype=float)
     if not (np.all(lams > 0.0) and np.all(cols > 0.0)):
         raise InputError("eigenvalues must be positive")
-    t, w = gauss_panels(graded_panel_edges(horizon, panels, floor), order)
-    ei =np.ascontiguousarray(decay_table(alpha, lams, t).T)
+    edges = graded_panel_edges(horizon, PRODUCT_PANELS, PRODUCT_FLOOR)
+    t, w = gauss_panels(edges, PRODUCT_ORDER)
+    ei = np.ascontiguousarray(decay_table(alpha, lams, t).T)
     ej = ei if lams_col is None else np.ascontiguousarray(decay_table(alpha, cols, t).T)
     return (ei * w) @ ej.T

@@ -13,6 +13,11 @@ the data after applying the time-fractional derivative to it, which is
 what makes noiseless in-span data reproduce Lambda times the true
 coefficients exactly.
 
+A HumProblem owns the operators of its truncation: the modes, their
+eigenvalues, B and P are cached properties, each built once on first use
+and read-only. The Gram, both right-hand sides and the residual read them
+from the problem; replace() gives a new truncation an empty cache.
+
 Each solve decomposes the Gram once; the coefficients, the condition
 number and the smallest eigenvalue all come from that one eigh. The
 top-level driver escalates the truncation (and, late in the loop, the
@@ -34,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,12 +92,11 @@ __all__ = [
 
 _REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
 
-# Gauss rules in time: graded panels x order for the decay-product
-# integrals of the Gram, and for the moment nodes of the right-hand side
-TIME_PANELS = 96
-TIME_ORDER = 16
+# Gauss rule in time for the moment nodes of the right-hand side
 MOMENT_PANELS = 64
 MOMENT_ORDER = 8
+# Gauss-Legendre order per axis of the error metric over omega
+OMEGA_ORDER = 96
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,37 @@ class HumProblem:
     def basis(self, count: int | None = None) -> tuple[EigenMode, ...]:
         m = self.mode_count if count is None else count
         return tuple(eigenpairs(SpatialDomain(self.dimension), m))
+
+    @cached_property
+    def modes(self) -> tuple[EigenMode, ...]:
+        return self.basis()
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return _read_only(np.array([m.lam for m in self.modes]))
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """B[i, k] = <div* basis_i, phi_k> = -grad_coupling(q_i, d_i, k)."""
+        n, modes = self.dimension, self.modes
+        B = np.empty((n * len(modes), len(modes)))
+        for qi, q in enumerate(modes):
+            for d in range(n):
+                for ki, k in enumerate(modes):
+                    B[n * qi + d, ki] = -grad_coupling(q, d, k)
+        return _read_only(B)
+
+    @cached_property
+    def outputs(self) -> np.ndarray:
+        """P[ch, k] = C_ch phi_k, shape (p, M); (0, M) without sensors."""
+        if not self.sensors:
+            return _read_only(np.zeros((0, self.mode_count)))
+        return _read_only(output_matrix(self.sensors, self.modes))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -268,23 +304,6 @@ def vector_basis_field(i: int, M: int, n: int) -> GradientField:
     return GradientField(coeffs, tuple(modes))
 
 
-def _divergence_coupling(modes: Sequence[EigenMode]) -> np.ndarray:
-    """B[i, k] = <div* basis_i, phi_k> = -grad_coupling(q_i, d_i, k)."""
-    n = modes[0].dimension
-    B = np.empty((n * len(modes), len(modes)))
-    for qi, q in enumerate(modes):
-        for d in range(n):
-            for ki, k in enumerate(modes):
-                B[n * qi + d, ki] = -grad_coupling(q, d, k)
-    return B
-
-
-def _output_or_empty(sensors: Sequence[Sensor], modes: Sequence[EigenMode]) -> np.ndarray:
-    if not sensors:
-        return np.zeros((0, len(modes)))
-    return output_matrix(sensors, modes)
-
-
 def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
     """The Gram Lambda = B (T .* P'P) B', size nM x nM.
 
@@ -292,15 +311,9 @@ def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
     of the whole domain; the default follows the global assembly and
     leaves omega to the error metric.
     """
-    modes = problem.basis()
-    B = (
-        restricted_coupling(problem.omega, modes)
-        if restricted
-        else _divergence_coupling(modes)
-    )
-    P = _output_or_empty(problem.sensors, modes)
-    lams = np.array([m.lam for m in modes])
-    Tm = ml_product_matrix(lams, problem.alpha, problem.horizon, TIME_PANELS, TIME_ORDER)
+    B = restricted_coupling(problem.omega, problem.modes) if restricted else problem.coupling
+    P = problem.outputs
+    Tm = ml_product_matrix(problem.eigenvalues, problem.alpha, problem.horizon)
     return B @ (Tm * (P.T @ P)) @ B.T
 
 
@@ -334,15 +347,11 @@ def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
         raise InputError(
             f"record horizon {record.grid.horizon} != problem horizon {problem.horizon}"
         )
-    modes = problem.basis()
-    M = len(modes)
-    lams = np.array([m.lam for m in modes])
-    B = _divergence_coupling(modes)
-    P = _output_or_empty(problem.sensors, modes)
+    lams = problem.eigenvalues
     tq, wq = _moment_nodes(problem, record.grid)
     decay = decay_table(problem.alpha, lams, tq)
     if problem.alpha == 1.0:
-        moments = np.empty((M, record.channel_count))
+        moments = np.empty((lams.size, record.channel_count))
         for ch, z in enumerate(record.samples.T):
             zq = np.interp(tq, record.grid.nodes, z)
             tail = decay.T @ (wq * zq)
@@ -351,7 +360,7 @@ def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
         sf = SampledFunction(record.grid, record.samples)
         zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
         moments = decay.T @ (wq[:, None] * zeta)
-    return B @ np.einsum("ck,kc->k", P, moments)
+    return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
 
 def assemble_rhs_from_state(
@@ -364,28 +373,16 @@ def assemble_rhs_from_state(
     computed on the quadrature panels. `depth` truncates the state
     expansion (defaults to its full length).
     """
-    modes = problem.basis()
-    M = len(modes)
-    lams = np.array([m.lam for m in modes])
     depth = len(state) if depth is None else depth
     if depth < 1 or depth > len(state):
         raise InputError(f"depth {depth} outside 1..{len(state)}")
-    deep_modes = eigenpairs(SpatialDomain(problem.dimension), depth)
-    deep_lams = np.array([m.lam for m in deep_modes])
-    B = _divergence_coupling(modes)
-    P = _output_or_empty(problem.sensors, modes)
-    Pd = _output_or_empty(problem.sensors, deep_modes)
+    deep = replace(problem, mode_count=depth)
     Tm = ml_product_matrix(
-        deep_lams,
-        problem.alpha,
-        problem.horizon,
-        TIME_PANELS,
-        TIME_ORDER,
-        lams_col=lams,
+        deep.eigenvalues, problem.alpha, problem.horizon, lams_col=problem.eigenvalues
     )
-    weighted = deep_lams * state.coefficients[:depth]
-    moments = np.einsum("cl,l,lk->kc", Pd, weighted, Tm)
-    return B @ np.einsum("ck,kc->k", P, moments)
+    weighted = deep.eigenvalues * state.coefficients[:depth]
+    moments = np.einsum("cl,l,lk->kc", deep.outputs, weighted, Tm)
+    return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
 
 def solve_reconstruction(
@@ -433,33 +430,22 @@ def solve_reconstruction(
     return vecs @ ((vecs.T @ rhs) / denom), spectrum
 
 
-def _forward_residual(
-    problem: HumProblem,
-    record: MeasurementRecord,
-    modes: Sequence[EigenMode],
-    coeffs: np.ndarray,
-) -> float:
-    """L2(0,T) misfit of the candidate's forward output against the record.
-
-    The candidate initial state is the potential of the solved gradient:
-    u_k = (B' c)_k / lam_k.
-    """
-    lams = np.array([m.lam for m in modes])
-    B = _divergence_coupling(modes)
-    state = (B.T @ coeffs) / lams
-    P = _output_or_empty(problem.sensors, modes)
-    decay = decay_table(problem.alpha, lams, record.grid.nodes)
-    predicted = (decay * state) @ P.T
-    diff = record.samples - predicted
-    return math.sqrt(float(np.sum(record.grid.weights[:, None] * diff * diff)))
-
-
 def residual_against(
     problem: HumProblem, record: MeasurementRecord, field: GradientField
 ) -> float:
-    """Forward misfit of a solved field against a record, without iterating."""
-    modes = problem.basis(field.mode_count)
-    return _forward_residual(problem, record, modes, field.coefficients)
+    """L2(0,T) misfit of a solved field's forward output against the record.
+
+    The candidate initial state is the potential of the solved gradient:
+    u_k = (B' c)_k / lam_k, on the field's own truncation.
+    """
+    if field.mode_count != problem.mode_count:
+        problem = replace(problem, mode_count=field.mode_count)
+    lams = problem.eigenvalues
+    state = (problem.coupling.T @ field.coefficients) / lams
+    decay = decay_table(problem.alpha, lams, record.grid.nodes)
+    predicted = (decay * state) @ problem.outputs.T
+    diff = record.samples - predicted
+    return math.sqrt(float(np.sum(record.grid.weights[:, None] * diff * diff)))
 
 
 def _record_from_state(problem: HumProblem, state: ModalState) -> MeasurementRecord:
@@ -512,10 +498,9 @@ def reconstruct(
         except SolvabilityError:
             history.append(float("inf"))
             continue
-        modes = prob_i.basis()
-        residual = _forward_residual(prob_i, record, modes, coeffs)
+        field = GradientField(coeffs, prob_i.modes)
+        residual = residual_against(prob_i, record, field)
         history.append(residual)
-        field = GradientField(coeffs, modes)
         err = omega_error(field, truth, problem.omega) if truth is not None else None
         cond = spectrum.condition_number
         candidate = ReconstructionResult(field, residual, cond, it, err, tuple(history))
@@ -551,14 +536,13 @@ def omega_error(
     field: GradientField,
     truth: Sequence[Callable[..., np.ndarray]] | GradientField | Callable[..., np.ndarray],
     omega: Region,
-    order: int = 96,
 ) -> float:
     """Squared L2(omega)^n distance between the field and the truth."""
     n = field.dimension
     if omega.dimension != n:
         raise InputError("omega dimension does not match the field")
     fns = _truth_components(truth, n)
-    pts, w = SpatialQuadrature.for_region(omega, order).flat()
+    pts, w = SpatialQuadrature.for_region(omega, OMEGA_ORDER).flat()
     total = 0.0
     for d in range(n):
         diff = field.component(d)(*pts) - np.asarray(fns[d](*pts), dtype=float)

@@ -47,6 +47,8 @@ GRAY_ZONE_FACTOR = 10.0
 # a Gram is positive definite when its smallest eigenvalue exceeds this
 # share of its largest
 DEFINITE_CUT = 1e-10
+# modes per axis summed by the worked counterexample
+COUNTEREXAMPLE_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,6 @@ def strategic_blocks(
     sensors: Sequence[Sensor],
     modes: Sequence[EigenMode],
     axis: int,
-    order: int = 32,
 ) -> list[np.ndarray]:
     """Per-eigenvalue-group matrices of sensed gradient components.
 
@@ -131,7 +132,7 @@ def strategic_blocks(
     """
     if not sensors:
         raise InputError("at least one sensor is required")
-    full = np.array([_sensor_functional(s, modes, order, axis) for s in sensors])
+    full = np.array([_sensor_functional(s, modes, axis) for s in sensors])
     return [full[:, g] for g in eigenvalue_groups(modes)]
 
 
@@ -140,7 +141,6 @@ def test_gradient_strategic(
     M: int,
     tolerance: float = 1e-10,
     modes: Sequence[EigenMode] | None = None,
-    order: int = 32,
 ) -> StrategicReport:
     """Rank test of the stacked per-group blocks [B_j^1 ... B_j^n].
 
@@ -158,7 +158,7 @@ def test_gradient_strategic(
         if M < 1:
             raise InputError(f"M must be >= 1, got {M}")
         modes = eigenpairs(SpatialDomain(n), M)
-    per_axis = [strategic_blocks(sensors, modes, d, order) for d in range(n)]
+    per_axis = [strategic_blocks(sensors, modes, d) for d in range(n)]
     groups = eigenvalue_groups(modes)
     p = len(sensors)
 
@@ -202,9 +202,7 @@ def test_gradient_strategic(
     )
 
 
-def counterexample_check(
-    samples: Sequence[float], depth: int = 40
-) -> tuple[np.ndarray, np.ndarray]:
+def counterexample_check(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """The worked example of a gradient invisible globally, visible locally.
 
     On the unit square with order 1/2 dynamics, the line sensor
@@ -212,20 +210,18 @@ def counterexample_check(
     particular gradient field over the whole domain, yet observes
     -(sqrt(2)/(24 pi)) E_{1/2}(-5 pi^2 sqrt(t)) of its restriction to
     omega = (0,1) x (1/8, 5/8). Returns (global, restricted) output
-    values at the requested times, each a sum over depth x depth modes
-    with quadrature-evaluated coefficient factors.
+    values at the requested times, each a sum over the first
+    COUNTEREXAMPLE_DEPTH modes per axis with quadrature-evaluated
+    coefficient factors.
     """
     t = np.atleast_1d(np.asarray(samples, dtype=float))
     if t.size == 0:
         raise InputError("at least one time sample is required")
     if np.any(t < 0.0) or np.any(t > 2.0):
         raise DomainError("time samples must lie in [0, 2]")
-    if depth < 4:
-        raise InputError("depth must cover at least the surviving mode")
+    modes = eigenpairs(SpatialDomain(1), COUNTEREXAMPLE_DEPTH)
 
-    modes = eigenpairs(SpatialDomain(1), depth)
-
-    def sines(y) -> np.ndarray:  # sin(j pi y), j = 1..depth
+    def sines(y) -> np.ndarray:  # sin(j pi y), j = 1..COUNTEREXAMPLE_DEPTH
         return mode_table(modes, (y,)) / math.sqrt(2.0)
 
     def pairings(weight_freq: int, a: float, b: float) -> np.ndarray:
@@ -245,7 +241,8 @@ def counterexample_check(
     coef_global = np.outer(row, col_global)
     coef_window = np.outer(row, col_window)
 
-    ii, jj = np.meshgrid(np.arange(1, depth + 1), np.arange(1, depth + 1), indexing="ij")
+    j = np.arange(1, COUNTEREXAMPLE_DEPTH + 1)
+    ii, jj = np.meshgrid(j, j, indexing="ij")
     lams = ((ii * ii + jj * jj) * math.pi**2).ravel()
     decay = decay_table(0.5, lams, t)
     return decay @ coef_global.ravel(), decay @ coef_window.ravel()

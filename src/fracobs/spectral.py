@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 PI2 = math.pi * math.pi
+# Gauss-Legendre order per axis of restricted_coupling's integrals
+COUPLING_ORDER = 48
 
 
 @dataclass(frozen=True)
@@ -277,9 +279,7 @@ def region_inner_product(
     return float(np.sum(w * fv * gv))
 
 
-def restricted_coupling(
-    region: Region, modes: Sequence[EigenMode], order: int = 48
-) -> np.ndarray:
+def restricted_coupling(region: Region, modes: Sequence[EigenMode]) -> np.ndarray:
     """Couplings int_region phi_q * d_d phi_k for the flattened vector basis.
 
     Row i encodes the pair (q, d) as i = n*(q-1) + d with d running over
@@ -287,7 +287,7 @@ def restricted_coupling(
     this reproduces the closed-form grad_coupling up to sign.
     """
     n = region.dimension
-    pts, w = SpatialQuadrature.for_region(region, order).flat()
+    pts, w = SpatialQuadrature.for_region(region, COUPLING_ORDER).flat()
     weighted = w[:, None] * mode_table(modes, pts)
     out = np.empty((n * len(modes), len(modes)))
     for d in range(n):

@@ -40,6 +40,9 @@ __all__ = [
     "kalpha_adjoint_modal",
 ]
 
+# Gauss-Legendre order per axis of a zonal sensor's support integral
+SENSOR_ORDER = 32
+
 
 @dataclass(frozen=True)
 class FractionalDiffusion:
@@ -222,15 +225,12 @@ def _raise_first_bad_row(path: str, lines: list[str], width: int) -> None:
 
 
 def project_initial_state(
-    sys: FractionalDiffusion,
-    u0: Callable[..., np.ndarray],
-    order: int | None = None,
+    sys: FractionalDiffusion, u0: Callable[..., np.ndarray]
 ) -> ModalState:
     """Expand a spatial field over the model basis by full-domain quadrature."""
-    if order is None:
-        # resolve the fastest basis oscillation with margin
-        top = max(max(m.index) for m in sys.basis)
-        order = max(64, 2 * top + 16)
+    # resolve the fastest basis oscillation with margin
+    top = max(max(m.index) for m in sys.basis)
+    order = max(64, 2 * top + 16)
     pts, w = SpatialQuadrature.for_region(Region.full(sys.domain), order).flat()
     wu = w * np.asarray(u0(*pts), dtype=float)
     return ModalState(wu @ mode_table(sys.basis, pts))
@@ -246,23 +246,21 @@ def mild_solution(sys: FractionalDiffusion, state: ModalState, t: float) -> Moda
 
 
 def _sensor_functional(
-    sensor: Sensor, basis: Sequence[EigenMode], order: int = 32, axis: int | None = None
+    sensor: Sensor, basis: Sequence[EigenMode], axis: int | None = None
 ) -> np.ndarray:
     """The vector (C phi_k)_k for one sensor, or (C d_axis phi_k)_k."""
     if sensor.kind == "pointwise":
         return mode_table(basis, sensor.location, axis)
-    pts, w = SpatialQuadrature.for_region(sensor.support, order).flat()
+    pts, w = SpatialQuadrature.for_region(sensor.support, SENSOR_ORDER).flat()
     weighted = w * np.asarray(sensor.weight(*pts), dtype=float)
     return weighted @ mode_table(basis, pts, axis)
 
 
-def output_matrix(
-    sensors: Sequence[Sensor], basis: Sequence[EigenMode], order: int = 32
-) -> np.ndarray:
+def output_matrix(sensors: Sequence[Sensor], basis: Sequence[EigenMode]) -> np.ndarray:
     """Stacked output functionals, shape (p, M): row ch is (C_ch phi_k)_k."""
     if not sensors:
         raise InputError("at least one sensor is required")
-    return np.array([_sensor_functional(s, basis, order) for s in sensors])
+    return np.array([_sensor_functional(s, basis) for s in sensors])
 
 
 def apply_output(sensor: Sensor, state: ModalState, basis: Sequence[EigenMode]) -> float:

@@ -560,12 +560,14 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
         sensor.location = 0.3
         state.kind = coefficients
         state.coefficients = {coefficients}
-        time.samples = 17
+        time.samples = {samples}
         {extra}
     """
 
-    def text(horizon="1.0", coefficients="0.1, 0.05", extra=""):
-        return base.format(horizon=horizon, coefficients=coefficients, extra=extra)
+    def text(horizon="1.0", coefficients="0.1, 0.05", samples="17", extra=""):
+        return base.format(
+            horizon=horizon, coefficients=coefficients, samples=samples, extra=extra
+        )
 
     good = write_config(tmp_path, text(), name="good.cfg")
     assert cli.main(["simulate", "--config", good, "--out", str(tmp_path)]) == 0
@@ -587,6 +589,9 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
         ("epsilon", "reconstruct", text(extra="epsilon = inf")),
         ("epsilon", "reconstruct", text(extra="epsilon = nan")),
         ("seed", "simulate", text(extra="noise.sigma = 0.01\n seed = -1")),
+        ("time.samples", "simulate", text(samples="0", extra="time.grading = graded")),
+        ("time.samples", "simulate", text(samples="-5", extra="time.grading = graded")),
+        ("time.samples", "simulate", text(samples="1")),
     ]
     for field, command, config in cases:
         bad = write_config(tmp_path, config, name="bad.cfg")

@@ -547,13 +547,14 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         reconstruct(problem, record)
     assert len(err.value.residual_history) == 3
-    gauss = hum.TIME_PANELS * hum.TIME_ORDER
+    gauss = fc.PRODUCT_PANELS * fc.PRODUCT_ORDER
     moments = hum._moment_nodes(problem, record.grid)[0].size
     assert sum(points) == (gauss + moments + len(record.grid)) * 6
 
 
 def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
-    # the coefficients and gram_condition of a step share one eigh
+    # the coefficients and gram_condition of a step share one eigh, and
+    # each step builds its modes, B and P once, on its own problem
     decompositions = []
     real = hum.eigh
 
@@ -563,9 +564,22 @@ def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
         return out
 
     monkeypatch.setattr(hum, "eigh", counted)
+    builds = {"eigenpairs": 0, "output_matrix": 0, "grad_coupling": 0}
+
+    def counting(name):
+        real_fn = getattr(hum, name)
+
+        def wrapper(*args, **kwargs):
+            builds[name] += 1
+            return real_fn(*args, **kwargs)
+
+        monkeypatch.setattr(hum, name, wrapper)
+
     sensors = (Sensor.pointwise((0.3,)),)
     wide = HumProblem(6, FULL, sensors, 1.0, 1.0)
     state = in_span_state(wide, np.random.default_rng(7).standard_normal(6))
+    for name in builds:
+        counting(name)
     problem = HumProblem(
         2, FULL, sensors, 1.0, 1.0, Regularization.none(), escalation_step=2
     )
@@ -582,6 +596,30 @@ def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
         reconstruct(blind, state)
     assert err.value.residual_history[:2] == (math.inf, math.inf)
     assert len(decompositions) == 4
+    # the exact route also builds the modes and P of the state's depth
+    sizes = (2, 4, 6, 2, 4, 6, 8)
+    assert builds == {
+        "eigenpairs": 2 * len(sizes),
+        "output_matrix": 2 * len(sizes),
+        "grad_coupling": sum(m * m for m in sizes),
+    }
+    # the data route: one of each per step, singular steps included
+    sysn = FractionalDiffusion.create(1.0, SpatialDomain.interval(), 1.0, len(state))
+    record = generate_measurements(sysn, state, blind.sensors, TimeGrid.uniform(1.0, 65))
+    builds.update(dict.fromkeys(builds, 0))
+    with pytest.raises(ConvergenceError) as err:
+        reconstruct(blind, record)
+    assert err.value.residual_history[:2] == (math.inf, math.inf)
+    sizes = (2, 4, 6, 8)
+    assert builds == {
+        "eigenpairs": len(sizes),
+        "output_matrix": len(sizes),
+        "grad_coupling": sum(m * m for m in sizes),
+    }
+    step = replace(blind, mode_count=3)
+    for operator in (step.eigenvalues, step.coupling, step.outputs):
+        assert not operator.flags.writeable
+    assert step.modes is step.modes and step.modes == step.basis()
 
 
 def test_reconstruct_data_route_residual():
