@@ -278,6 +278,9 @@ class RunConfig:
         grading = _parse_choice(
             fields.pop("time.grading", "uniform"), "time.grading", ("uniform", "graded")
         )
+        # the graded half of the grid needs at least two panels
+        if grading == "graded":
+            _require(samples >= 4, "time.samples", ">= 4 with time.grading = graded", samples)
         noise_sigma = _parse_float(fields.pop("noise.sigma", "0.0"), "noise.sigma")
         _require(
             math.isfinite(noise_sigma) and noise_sigma >= 0.0,
@@ -346,9 +349,10 @@ class RunConfig:
         if self.time_grading == "uniform":
             return TimeGrid.uniform(self.horizon, self.time_samples)
         # geometric refinement toward t=0 resolves fast modal transients the
-        # uniform half cannot; the merge keeps roughly time.samples nodes, and
-        # the mask drops the zero gaps of nodes the two sets share
-        half = max(self.time_samples // 2, 8)
+        # uniform half cannot; the two sets share only 0 and the horizon, so
+        # the merge keeps time.samples rounded down to even, and the mask
+        # drops the zero gaps of the shared nodes
+        half = self.time_samples // 2
         edges = graded_panel_edges(self.horizon, half, 1e-12)
         nodes = np.sort(np.concatenate((edges, np.linspace(0.0, self.horizon, half + 1))))
         keep = np.concatenate(([True], np.diff(nodes) > 1e-15 * self.horizon))

@@ -620,6 +620,11 @@ def decay_table(alpha: float, lams, times) -> np.ndarray:
     other request builds a fresh table in place of the stored one.
     eigenpairs() is prefix-stable, so an escalating reconstruction or a
     sensor sweep evaluates each (lam, t) pair once.
+
+    New columns are filled into one preallocated table in row blocks of
+    about _BATCH_BLOCK points, so no table-sized argument or value array
+    is ever held beside it; each value depends on its own argument alone,
+    so the blocking leaves every entry bitwise unchanged.
     """
     alpha = _check_alpha(alpha)
     lams = np.asarray(lams, dtype=float).ravel()
@@ -631,9 +636,15 @@ def decay_table(alpha: float, lams, times) -> np.ndarray:
     if not np.array_equal(have[:shared], lams[:shared]):
         have, table = empty
     if lams.size > have.size:
-        fresh = mlf_values(alpha, -np.outer(times**alpha, lams[have.size :]))
-        table = np.hstack([table, fresh]) if have.size else fresh
-        have = lams.copy()
+        neg = -lams[have.size :]
+        grown = np.empty((times.size, lams.size))
+        grown[:, : have.size] = table
+        powers = times**alpha
+        rows = max(1, _BATCH_BLOCK // neg.size)
+        for lo in range(0, times.size, rows):
+            block = np.outer(powers[lo : lo + rows], neg)
+            grown[lo : lo + rows, have.size :] = mlf_values(alpha, block)
+        have, table = lams.copy(), grown
     table.flags.writeable = False
     _DECAY_MEMO[key] = (have, table)
     while len(_DECAY_MEMO) > _DECAY_GRIDS:

@@ -11,7 +11,10 @@ the full domain), T the decay-product integrals int E_k E_l dt, and P the
 sensor functionals. The right-hand side pairs the same evolutions against
 the data after applying the time-fractional derivative to it, which is
 what makes noiseless in-span data reproduce Lambda times the true
-coefficients exactly.
+coefficients exactly. For alpha < 1 the L1 Caputo rule is applied to the
+samples on Gauss moment nodes; at alpha = 1 the derivative of the
+piecewise linear record is its slope per cell, and its pairing with
+exp(-lam t) is done in closed form on each cell.
 
 A HumProblem owns the operators of its truncation: the modes, their
 eigenvalues, B and P are cached properties, each built once on first use
@@ -24,8 +27,9 @@ top-level driver escalates the truncation (and, late in the loop, the
 regularization) until the output residual passes the requested threshold.
 
 Every decay table E_alpha(-lam_k t^alpha) here (on the Gram's Gauss
-nodes, the moment nodes of the right-hand side and the record nodes of
-the residual) comes from fraccalc.decay_table. It memoises one table per
+nodes, the moment nodes of the right-hand side for alpha < 1 and the
+record nodes of the residual, which the alpha = 1 right-hand side reads
+too) comes from fraccalc.decay_table. It memoises one table per
 (alpha, time grid), for at most four grids, least recently used first
 out. A request for a prefix of the stored eigenvalues reads a column
 view; a longer one evaluates and appends only the new columns. Since
@@ -92,7 +96,7 @@ __all__ = [
 
 _REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
 
-# Gauss rule in time for the moment nodes of the right-hand side
+# Gauss rule in time for the moment nodes of the right-hand side, alpha < 1
 MOMENT_PANELS = 64
 MOMENT_ORDER = 8
 # Gauss-Legendre order per axis of the error metric over omega
@@ -318,7 +322,7 @@ def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
 
 
 def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss points on panels whose edges include every record node.
+    """Gauss points on panels whose edges include every record node (alpha < 1).
 
     The data enters through piecewise operations between its samples, so
     aligning panel edges with the sample nodes keeps each Gauss point
@@ -334,10 +338,15 @@ def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.n
 def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
     """Data-side vector pairing the record with each sensed basis evolution.
 
-    The record is first pushed through the time-fractional derivative
-    (sign flipped), then integrated against each mode's decay profile;
-    at alpha = 1 the derivative is shifted onto the profile by parts so
-    the sampled data is never differenced.
+    The record is pushed through the time-fractional derivative (sign
+    flipped), then integrated against each mode's decay profile. For
+    alpha < 1 the L1 Caputo rule is applied on Gauss moment nodes aligned
+    with the record cells. At alpha = 1 the derivative of the piecewise
+    linear interpolant is its slope, constant on each cell, so the pairing
+    is exact per cell: int_cell slope_j e^(-lam t) dt = dz_j E_j (1 -
+    e^(-lam h_j)) / (lam h_j), with E the record-node decay table that the
+    residual reads too, and expm1 keeping the cell weight accurate for any
+    lam h.
     """
     if record.channel_count != len(problem.sensors):
         raise InputError(
@@ -348,18 +357,16 @@ def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
             f"record horizon {record.grid.horizon} != problem horizon {problem.horizon}"
         )
     lams = problem.eigenvalues
-    tq, wq = _moment_nodes(problem, record.grid)
-    decay = decay_table(problem.alpha, lams, tq)
     if problem.alpha == 1.0:
-        moments = np.empty((lams.size, record.channel_count))
-        for ch, z in enumerate(record.samples.T):
-            zq = np.interp(tq, record.grid.nodes, z)
-            tail = decay.T @ (wq * zq)
-            moments[:, ch] = z[0] - z[-1] * np.exp(-lams * problem.horizon) - lams * tail
+        nodes = record.grid.nodes
+        decay = decay_table(1.0, lams, nodes)
+        x = np.outer(np.diff(nodes), lams)
+        moments = (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(record.samples, axis=0)
     else:
+        tq, wq = _moment_nodes(problem, record.grid)
         sf = SampledFunction(record.grid, record.samples)
         zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
-        moments = decay.T @ (wq[:, None] * zeta)
+        moments = decay_table(problem.alpha, lams, tq).T @ (wq[:, None] * zeta)
     return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
 
@@ -376,11 +383,15 @@ def assemble_rhs_from_state(
     depth = len(state) if depth is None else depth
     if depth < 1 or depth > len(state):
         raise InputError(f"depth {depth} outside 1..{len(state)}")
-    deep = replace(problem, mode_count=depth)
+    return _rhs_from_state(problem, replace(problem, mode_count=depth), state)
+
+
+def _rhs_from_state(problem: HumProblem, deep: HumProblem, state: ModalState) -> np.ndarray:
+    """assemble_rhs_from_state with the state side `deep` already built."""
     Tm = ml_product_matrix(
         deep.eigenvalues, problem.alpha, problem.horizon, lams_col=problem.eigenvalues
     )
-    weighted = deep.eigenvalues * state.coefficients[:depth]
+    weighted = deep.eigenvalues * state.coefficients[: deep.mode_count]
     moments = np.einsum("cl,l,lk->kc", deep.outputs, weighted, Tm)
     return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
@@ -479,6 +490,8 @@ def reconstruct(
     state = record if isinstance(record, ModalState) else None
     if state is not None:
         record = _record_from_state(problem, state)
+        # the state side of the exact route is fixed: build it once
+        deep = replace(problem, mode_count=len(state))
     history: list[float] = []
     best: ReconstructionResult | None = None
     for it in range(1, problem.max_iterations + 1):
@@ -489,7 +502,7 @@ def reconstruct(
         prob_i = replace(problem, mode_count=M_i, regularization=reg_i)
         gram = assemble_gram(prob_i)
         rhs = (
-            assemble_rhs_from_state(prob_i, state)
+            _rhs_from_state(prob_i, deep, state)
             if state is not None
             else assemble_rhs(prob_i, record)
         )

@@ -290,7 +290,8 @@ def generate_measurements(
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, sys.basis)
     decay = decay_table(sys.alpha, sys.eigenvalues, grid.nodes)
-    samples = (decay * state.coefficients) @ P.T
+    # weight P, not the table: no table-sized temporary
+    samples = decay @ (state.coefficients[:, None] * P.T)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)

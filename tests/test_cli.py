@@ -130,6 +130,41 @@ def test_graded_grid_refines_toward_zero(tmp_path):
     assert np.allclose(np.diff(uniform.nodes), 2.0 / 255)
 
 
+def test_graded_grid_rows_follow_time_samples(tmp_path):
+    # a graded record has time.samples rows rounded down to even, small
+    # counts included; 2 and 3 cannot give two panels per half
+    def graded(samples):
+        return cli.RunConfig.load(write_config(tmp_path, f"""
+            alpha = 0.5
+            horizon = 2.0
+            sensor.kind = pointwise
+            sensor.location = 0.2
+            time.samples = {samples}
+            time.grading = graded
+        """, name=f"graded{samples}.cfg")).time_grid()
+
+    for samples in list(range(4, 21)) + [2047, 2048]:
+        grid = graded(samples)
+        assert len(grid.nodes) == samples - samples % 2, samples
+        assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 2.0
+    for samples in (2, 3):
+        with pytest.raises(InputError, match="time.samples"):
+            graded(samples)
+    config = write_config(tmp_path, """
+        alpha = 1.0
+        horizon = 1.0
+        modes = 2
+        sensor.kind = pointwise
+        sensor.location = 0.3
+        state.kind = coefficients
+        state.coefficients = 0.1, 0.05
+        time.samples = 5
+        time.grading = graded
+    """)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    assert len(read_rows(tmp_path / "measurements.csv")) == 1 + 4
+
+
 def test_simulate_point_sensor_record_shape(tmp_path):
     config = write_config(tmp_path, """
         alpha = 0.84
@@ -592,6 +627,8 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
         ("time.samples", "simulate", text(samples="0", extra="time.grading = graded")),
         ("time.samples", "simulate", text(samples="-5", extra="time.grading = graded")),
         ("time.samples", "simulate", text(samples="1")),
+        ("time.samples", "simulate", text(samples="2", extra="time.grading = graded")),
+        ("time.samples", "simulate", text(samples="3", extra="time.grading = graded")),
     ]
     for field, command, config in cases:
         bad = write_config(tmp_path, config, name="bad.cfg")

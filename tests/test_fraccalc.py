@@ -682,6 +682,26 @@ def test_decay_table_prefix_views_and_appends(monkeypatch):
     assert fc.decay_table(1.0, lams, t) == pytest.approx(np.exp(-np.outer(t, lams)), rel=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_decay_table_row_blocks_match_one_shot(monkeypatch, alpha):
+    # the table is filled in row blocks of about _BATCH_BLOCK points; each
+    # value depends on its own argument, so blocks change no bit
+    points, mlf_values = _counting_mlf(monkeypatch)
+    t = np.linspace(0.0, 2.0, 2001)
+    lams = PI2 * np.arange(1.0, 71.0) ** 2
+    first = fc.decay_table(alpha, lams[:30], t)
+    rows = fc._BATCH_BLOCK // 30
+    assert points == [rows * 30, (t.size - rows) * 30]
+    assert np.array_equal(first, mlf_values(alpha, -np.outer(t**alpha, lams[:30])))
+    # the appended columns come in blocks of their own width
+    points.clear()
+    full = fc.decay_table(alpha, lams, t)
+    rows = fc._BATCH_BLOCK // 40
+    assert points == [rows * 40] * (t.size // rows) + [t.size % rows * 40]
+    assert np.array_equal(full, mlf_values(alpha, -np.outer(t**alpha, lams)))
+    assert not full.flags.writeable
+
+
 def test_decay_table_memo_holds_four_grids_least_recent_out(monkeypatch):
     points, _ = _counting_mlf(monkeypatch)
     grids = [np.linspace(0.0, 1.0, 9 + g) for g in range(6)]

@@ -527,15 +527,11 @@ def test_reconstruct_convergence_error_carries_best():
 
 def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
     # the tables on the Gauss, moment and record nodes grow by appended
-    # columns, so three steps to 6 modes cost 6 columns per grid
+    # columns, so three steps to 6 modes cost 6 columns per grid; at
+    # alpha = 1 the right-hand side reads the residual's record-node
+    # table, so there are no moment nodes
     sensors = (Sensor.pointwise((0.3,)),)
-    sysn = FractionalDiffusion.create(0.7, SpatialDomain.interval(), 1.0, 12)
     state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
-    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
-    problem = HumProblem(
-        2, FULL, sensors, 0.7, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
-    )
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     points = []
     real = fc.mlf_values
 
@@ -544,12 +540,51 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
         return real(alpha, z)
 
     monkeypatch.setattr(fc, "mlf_values", counted)
-    with pytest.raises(ConvergenceError) as err:
-        reconstruct(problem, record)
-    assert len(err.value.residual_history) == 3
     gauss = fc.PRODUCT_PANELS * fc.PRODUCT_ORDER
-    moments = hum._moment_nodes(problem, record.grid)[0].size
-    assert sum(points) == (gauss + moments + len(record.grid)) * 6
+    for alpha in (0.7, 1.0):
+        sysn = FractionalDiffusion.create(alpha, SpatialDomain.interval(), 1.0, 12)
+        record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+        problem = HumProblem(
+            2, FULL, sensors, alpha, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
+        )
+        monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+        points.clear()
+        with pytest.raises(ConvergenceError) as err:
+            reconstruct(problem, record)
+        assert len(err.value.residual_history) == 3
+        moments = hum._moment_nodes(problem, record.grid)[0].size if alpha < 1.0 else 0
+        assert sum(points) == (gauss + moments + len(record.grid)) * 6, alpha
+
+
+def test_alpha_one_rhs_matches_per_cell_quadrature():
+    # the closed form per record cell against adaptive quadrature of the
+    # interpolant's slope times exp(-lam t), for lam h from 1e-12 to ~50
+    quad = pytest.importorskip("scipy.integrate").quad
+    sensors = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.71,)))
+    problem = HumProblem(8, FULL, sensors, 1.0, 1.0)
+    lams = problem.eigenvalues
+    nodes = np.concatenate(
+        ([0.0], np.geomspace(1e-13, 0.05, 30), np.linspace(0.05, 1.0, 13)[1:])
+    )
+    h = np.diff(nodes)
+    assert lams[0] * h.min() == pytest.approx(1e-12, rel=0.02)
+    assert 40.0 < lams[-1] * h.max() < 60.0
+    samples = np.random.default_rng(5).standard_normal((nodes.size, 2))
+    record = MeasurementRecord(TimeGrid.from_nodes(nodes), samples)
+    # moments[k, ch] = -int z_ch'(t) exp(-lam_k t) dt, cell by cell
+    cells = np.empty((lams.size, 2, h.size))
+    slopes = np.diff(samples, axis=0) / h[:, None]
+    for k, lam in enumerate(lams):
+        for j, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+            value = quad(lambda t: math.exp(-lam * t), a, b, epsabs=0.0, epsrel=1e-13)[0]
+            cells[k, :, j] = -slopes[j] * value
+    P, B = problem.outputs, problem.coupling
+    oracle = B @ np.einsum("ck,kc->k", P, cells.sum(axis=2))
+    # error scale: the same sums taken over magnitudes, free of cancellation
+    scale = np.abs(B) @ np.einsum("ck,kc->k", np.abs(P), np.abs(cells).sum(axis=2))
+    gap = np.abs(assemble_rhs(problem, record) - oracle)
+    assert np.all(gap <= 1e-12 * scale)
+    assert np.max(gap) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
@@ -596,11 +631,12 @@ def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
         reconstruct(blind, state)
     assert err.value.residual_history[:2] == (math.inf, math.inf)
     assert len(decompositions) == 4
-    # the exact route also builds the modes and P of the state's depth
+    # the exact route also builds the modes and P of the state's depth,
+    # once per reconstruct, not once per step
     sizes = (2, 4, 6, 2, 4, 6, 8)
     assert builds == {
-        "eigenpairs": 2 * len(sizes),
-        "output_matrix": 2 * len(sizes),
+        "eigenpairs": len(sizes) + 2,
+        "output_matrix": len(sizes) + 2,
         "grad_coupling": sum(m * m for m in sizes),
     }
     # the data route: one of each per step, singular steps included
