@@ -41,6 +41,7 @@ from .errors import (
 )
 from .fraccalc import TimeGrid, graded_panel_edges
 from .hum import (
+    MOMENT_ORDER,
     GradientField,
     HumProblem,
     Regularization,
@@ -48,6 +49,7 @@ from .hum import (
     assemble_rhs,
     omega_error,
     reconstruct,
+    record_moments,
     residual_against,
     solve_reconstruction,
 )
@@ -81,6 +83,9 @@ _VERDICT_EXITS = {
 _SENSOR_PREFIX = re.compile(r"^sensor(\d*)\.")
 # a sweep grid lists at most this many sensor positions
 _MAX_SWEEP_POSITIONS = 10_001
+# positions x moment nodes per sweep chunk: the chunk's Caputo values stay
+# within 8 MB, and its record within 1 MB
+_SWEEP_BLOCK = 1 << 20
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -515,31 +520,40 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
     state = config.initial_state(sysn)
     grid = config.time_grid()
     truth = config.truth_gradient()
+    # every position sees the draw a one-sensor record of this seed gets
+    noise = 0.0
+    if config.noise_sigma > 0.0:
+        rng = np.random.default_rng(config.seed)
+        noise = rng.normal(0.0, config.noise_sigma, (len(grid), 1))
+    chunk = max(1, _SWEEP_BLOCK // (len(grid) * MOMENT_ORDER))
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write("location,error,residual,lambda_min\n")
         fh.flush()
-        for position in positions:
-            sensors = (_moved(sensor, position),)
-            record = generate_measurements(
-                sysn, state, sensors, grid,
-                noise_sigma=config.noise_sigma, seed=config.seed,
-            )
-            # one assembly and solve per grid point, no escalation
-            problem = config.problem(sensors)
-            gram, rhs = assemble_gram(problem), assemble_rhs(problem, record)
-            try:
-                coeffs, spectrum = solve_reconstruction(problem, gram, rhs)
-                lam_min = spectrum.smallest_eigenvalue
-                field = GradientField(coeffs, problem.modes)
-                error = omega_error(field, truth, config.omega)
-                residual = residual_against(problem, record, field)
-            except SolvabilityError as exc:  # a blind spot: the Gram is singular
-                lam_min, error, residual = exc.smallest_eigenvalue, math.nan, math.nan
-            fh.write(f"{position:.17g},{error:.17g},{residual:.17g},{lam_min:.17g}\n")
-            fh.flush()
-            if verbose:
-                print(f"# b={position:g} error={error:.3g} lambda_min={lam_min:.3g}", file=sys.stderr)
+        for lo in range(0, len(positions), chunk):
+            # one record and one moment pass for the chunk, a channel per position
+            moved = [_moved(sensor, b) for b in positions[lo : lo + chunk]]
+            samples = generate_measurements(sysn, state, moved, grid).samples + noise
+            moments = record_moments(config.problem(), MeasurementRecord(grid, samples))
+            for ch, position in enumerate(positions[lo : lo + chunk]):
+                record = MeasurementRecord(grid, samples[:, ch], config.noise_sigma)
+                # one assembly and solve per grid point, no escalation
+                problem = config.problem(moved[ch : ch + 1])
+                gram = assemble_gram(problem)
+                rhs = assemble_rhs(problem, moments[:, ch : ch + 1])
+                try:
+                    coeffs, spectrum = solve_reconstruction(problem, gram, rhs)
+                    lam_min = spectrum.smallest_eigenvalue
+                    field = GradientField(coeffs, problem.modes)
+                    error = omega_error(field, truth, config.omega)
+                    residual = residual_against(problem, record, field)
+                except SolvabilityError as exc:  # a blind spot: the Gram is singular
+                    lam_min, error, residual = exc.smallest_eigenvalue, math.nan, math.nan
+                fh.write(f"{position:.17g},{error:.17g},{residual:.17g},{lam_min:.17g}\n")
+                fh.flush()
+                if verbose:
+                    print(f"# b={position:g} error={error:.3g} lambda_min={lam_min:.3g}",
+                          file=sys.stderr)
     print(f"config sha256 {config.fingerprint()}")
     print(f"wrote {path} rows={len(positions)} sha256 {_sha256_of(path)}")
     return EXIT_OK

@@ -1,9 +1,10 @@
 """Fractional calculus on sampled time grids.
 
-Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and the one
-memo of decay tables E_alpha(-lam t^alpha), Caputo derivatives of
-sampled data, right-sided Riemann-Liouville operators,
-and a residual check for the fractional integration-by-parts identity.
+Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1], the one
+evaluator of decay tables E_alpha(-lam t^alpha) with its memo and its
+table-free product with a weight matrix, Caputo derivatives of sampled
+data, right-sided Riemann-Liouville operators, and a residual check for
+the fractional integration-by-parts identity.
 
 Every grid operator is a product-integration rule: the kernel factor is
 integrated in closed form against the piecewise-linear interpolant of
@@ -31,6 +32,7 @@ __all__ = [
     "mlf",
     "mlf_values",
     "decay_table",
+    "decay_apply",
     "caputo_derivative",
     "caputo_values",
     "rl_integral_right",
@@ -609,22 +611,35 @@ _DECAY_GRIDS = 4  # time grids the decay-table memo holds at once
 _DECAY_MEMO: dict[tuple[float, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray):
+    """Yield (row slice, E_alpha(-lam t^alpha) on those rows) over times x lams.
+
+    The one evaluator of decay tables. A block holds about _BATCH_BLOCK
+    points, so no table-sized argument or value array is ever built; each
+    value depends on its own argument alone, so the blocking leaves every
+    entry bitwise unchanged.
+    """
+    neg = -lams
+    powers = times**alpha
+    rows = max(1, _BATCH_BLOCK // max(neg.size, 1))
+    for lo in range(0, times.size, rows):
+        yield slice(lo, lo + rows), mlf_values(alpha, np.outer(powers[lo : lo + rows], neg))
+
+
 def decay_table(alpha: float, lams, times) -> np.ndarray:
     """E_alpha(-lam t^alpha) over times x lams, as a read-only array.
 
-    Every decay table of the package is built here. Tables are memoised
+    Every decay table the package keeps is built here. Tables are memoised
     per (alpha, times), least recently used first out, for at most
     _DECAY_GRIDS time grids. A request whose eigenvalues are a prefix of
     the stored ones gets a column view of the stored table; one that
     extends them evaluates only the new columns and appends them; any
     other request builds a fresh table in place of the stored one.
-    eigenpairs() is prefix-stable, so an escalating reconstruction or a
-    sensor sweep evaluates each (lam, t) pair once.
+    eigenpairs() is prefix-stable, so an escalating reconstruction
+    evaluates each (lam, t) pair once.
 
-    New columns are filled into one preallocated table in row blocks of
-    about _BATCH_BLOCK points, so no table-sized argument or value array
-    is ever held beside it; each value depends on its own argument alone,
-    so the blocking leaves every entry bitwise unchanged.
+    New columns are filled into one preallocated table in the row blocks
+    of _decay_blocks, so nothing table-sized is held beside it.
     """
     alpha = _check_alpha(alpha)
     lams = np.asarray(lams, dtype=float).ravel()
@@ -636,20 +651,38 @@ def decay_table(alpha: float, lams, times) -> np.ndarray:
     if not np.array_equal(have[:shared], lams[:shared]):
         have, table = empty
     if lams.size > have.size:
-        neg = -lams[have.size :]
         grown = np.empty((times.size, lams.size))
         grown[:, : have.size] = table
-        powers = times**alpha
-        rows = max(1, _BATCH_BLOCK // neg.size)
-        for lo in range(0, times.size, rows):
-            block = np.outer(powers[lo : lo + rows], neg)
-            grown[lo : lo + rows, have.size :] = mlf_values(alpha, block)
+        for rows, block in _decay_blocks(alpha, lams[have.size :], times):
+            grown[rows, have.size :] = block
         have, table = lams.copy(), grown
     table.flags.writeable = False
     _DECAY_MEMO[key] = (have, table)
     while len(_DECAY_MEMO) > _DECAY_GRIDS:
         del _DECAY_MEMO[next(iter(_DECAY_MEMO))]
     return table[:, : lams.size]
+
+
+def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:
+    """decay_table(alpha, lams, times) @ weights, without holding the table.
+
+    Each row block of _decay_blocks is multiplied into the result and
+    dropped, so work memory is one block plus the result. The memo is
+    neither read nor written: a table applied once is not worth keeping.
+    weights has one row per eigenvalue; the result has one row per time.
+    """
+    alpha = _check_alpha(alpha)
+    lams = np.asarray(lams, dtype=float).ravel()
+    times = np.asarray(times, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim not in (1, 2) or weights.shape[0] != lams.size:
+        raise InputError(
+            f"weights of shape {weights.shape} do not match {lams.size} eigenvalues"
+        )
+    out = np.empty((times.size,) + weights.shape[1:])
+    for rows, block in _decay_blocks(alpha, lams, times):
+        out[rows] = block @ weights
+    return out
 
 
 # ---------------------------------------------------------------------------

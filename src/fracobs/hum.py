@@ -34,8 +34,10 @@ too) comes from fraccalc.decay_table. It memoises one table per
 out. A request for a prefix of the stored eigenvalues reads a column
 view; a longer one evaluates and appends only the new columns. Since
 eigenpairs() is prefix-stable, an escalating reconstruction evaluates
-each (lam, t) pair once, and a sensor sweep reuses its record table at
-every position.
+each (lam, t) pair once. The forward record's table is not memoised:
+generate_measurements applies it block by block (fraccalc.decay_apply),
+and a sensor sweep builds one record and one set of record_moments for
+a whole chunk of positions, one channel per position.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ from .system import (
     Sensor,
     generate_measurements,
     output_matrix,
+    write_rows,
 )
 
 __all__ = [
@@ -86,6 +89,7 @@ __all__ = [
     "ReconstructionResult",
     "vector_basis_field",
     "assemble_gram",
+    "record_moments",
     "assemble_rhs",
     "assemble_rhs_from_state",
     "solve_reconstruction",
@@ -293,8 +297,7 @@ class ReconstructionResult:
         }
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            write_rows(fh, cols, "\n")
             fh.write("# " + json.dumps(summary) + "\n")
 
 
@@ -335,23 +338,20 @@ def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.n
     return gauss_panels(edges[keep], MOMENT_ORDER)
 
 
-def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
-    """Data-side vector pairing the record with each sensed basis evolution.
+def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
+    """Moments of the record's derivative against each decay profile, (M, channels).
 
     The record is pushed through the time-fractional derivative (sign
-    flipped), then integrated against each mode's decay profile. For
-    alpha < 1 the L1 Caputo rule is applied on Gauss moment nodes aligned
-    with the record cells. At alpha = 1 the derivative of the piecewise
-    linear interpolant is its slope, constant on each cell, so the pairing
-    is exact per cell: int_cell slope_j e^(-lam t) dt = dz_j E_j (1 -
-    e^(-lam h_j)) / (lam h_j), with E the record-node decay table that the
-    residual reads too, and expm1 keeping the cell weight accurate for any
-    lam h.
+    flipped), then integrated against each mode's decay profile; every
+    channel comes from the same pass. For alpha < 1 the L1 Caputo rule is
+    applied on Gauss moment nodes aligned with the record cells. At
+    alpha = 1 the derivative of the piecewise linear interpolant is its
+    slope, constant on each cell, so the pairing is exact per cell:
+    int_cell slope_j e^(-lam t) dt = dz_j E_j (1 - e^(-lam h_j)) / (lam h_j),
+    with E the record-node decay table that the residual reads too, and
+    expm1 keeping the cell weight accurate for any lam h. The moments
+    depend on the truncation and the time rule only, not on the sensors.
     """
-    if record.channel_count != len(problem.sensors):
-        raise InputError(
-            f"record has {record.channel_count} channels for {len(problem.sensors)} sensors"
-        )
     if abs(record.grid.horizon - problem.horizon) > 1e-9 * problem.horizon:
         raise InputError(
             f"record horizon {record.grid.horizon} != problem horizon {problem.horizon}"
@@ -361,12 +361,34 @@ def assemble_rhs(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
         nodes = record.grid.nodes
         decay = decay_table(1.0, lams, nodes)
         x = np.outer(np.diff(nodes), lams)
-        moments = (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(record.samples, axis=0)
+        return (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(record.samples, axis=0)
+    tq, wq = _moment_nodes(problem, record.grid)
+    sf = SampledFunction(record.grid, record.samples)
+    zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
+    return decay_table(problem.alpha, lams, tq).T @ (wq[:, None] * zeta)
+
+
+def assemble_rhs(
+    problem: HumProblem, record: MeasurementRecord | np.ndarray
+) -> np.ndarray:
+    """Data-side vector pairing the record with each sensed basis evolution.
+
+    `record` is a sampled record or its `record_moments`, with one channel
+    per sensor of the problem; each sensor's functional weights the
+    moments of its own channel. A sensor sweep takes the moments of all
+    its positions in one pass and pairs each column with its position.
+    """
+    p = len(problem.sensors)
+    if isinstance(record, MeasurementRecord):
+        if record.channel_count != p:
+            raise InputError(f"record has {record.channel_count} channels for {p} sensors")
+        moments = record_moments(problem, record)
     else:
-        tq, wq = _moment_nodes(problem, record.grid)
-        sf = SampledFunction(record.grid, record.samples)
-        zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
-        moments = decay_table(problem.alpha, lams, tq).T @ (wq[:, None] * zeta)
+        moments = np.asarray(record, dtype=float)
+    if moments.shape != (problem.mode_count, p):
+        raise InputError(
+            f"moments of shape {moments.shape} for {problem.mode_count} modes, {p} sensors"
+        )
     return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
 

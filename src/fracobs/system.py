@@ -12,12 +12,13 @@ always evaluated at the negated argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import IO, Callable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fraccalc import TimeGrid, decay_table, mlf_values
+from .fraccalc import TimeGrid, decay_apply, decay_table, mlf_values
 from .spectral import (
     EigenMode,
     Region,
@@ -42,6 +43,8 @@ __all__ = [
 
 # Gauss-Legendre order per axis of a zonal sensor's support integral
 SENSOR_ORDER = 32
+# table rows formatted per `%` operation when a CSV body is written
+CSV_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -168,15 +171,13 @@ class MeasurementRecord:
         """Write a `t,z1,...,zp` header and one row per node, CRLF-terminated.
 
         Every value carries 17 significant digits, so `from_csv` reads back
-        the same doubles. The whole body is formatted by one `%` operation.
+        the same doubles. The body is written by `write_rows`.
         """
         p = self.channel_count
-        data = np.column_stack([self.grid.nodes, self.samples])
         header = ",".join(["t"] + [f"z{ch + 1}" for ch in range(p)])
-        row = ",".join(["%.17g"] * (p + 1)) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(header + "\r\n")
-            fh.write(row * len(data) % tuple(data.ravel().tolist()))
+            write_rows(fh, (self.grid.nodes, self.samples), "\r\n")
 
     @classmethod
     def from_csv(
@@ -185,33 +186,63 @@ class MeasurementRecord:
         """Read a record written by `to_csv`.
 
         CRLF, LF and CR line ends are accepted and blank lines are skipped.
-        Fields are plain numbers: a quoted field is not a number. All fields
-        are converted in one call; only a malformed file is walked line by
-        line, to name its first bad line.
+        Fields are plain numbers as numpy's text reader parses them: a
+        quoted field or Python literal syntax such as `1_0` is not a number.
+        The body is parsed by one np.loadtxt pass over the open file, which
+        creates no Python object per field; only a file it rejects is
+        walked line by line, to name its first bad line.
         """
         with open(path) as fh:  # universal newlines: every line end reads as \n
-            lines = fh.read().split("\n")
-        header = lines[0].split(",")
-        if header[0] != "t":
-            raise InputError(f"{path}: expected a 't,z1,...' header")
-        width = len(header)
-        rows = [line for line in lines[1:] if line]
-        if not rows:
-            raise InputError(f"{path}: no sample rows")
-        if any(line.count(",") != width - 1 for line in rows):
-            _raise_first_bad_row(path, lines, width)
-        try:
-            data = np.array(",".join(rows).split(","), dtype=float).reshape(-1, width)
-        except ValueError:
-            _raise_first_bad_row(path, lines, width)
-            raise
+            header = fh.readline().rstrip("\n").split(",")
+            if header[0] != "t":
+                raise InputError(f"{path}: expected a 't,z1,...' header")
+            width = len(header)
+            # loadtxt warns on a body with no rows: find the first row first
+            first = fh.readline()
+            while first == "\n":
+                first = fh.readline()
+            if not first:
+                raise InputError(f"{path}: no sample rows")
+            try:
+                data = _read_rows(chain((first,), fh))
+            except ValueError:
+                data = None
+        if data is None or data.shape[1] != width:
+            _raise_first_bad_row(path, width)
         grid = TimeGrid.from_nodes(data[:, 0])
         tag = provenance if provenance is not None else f"loaded:{path}"
         return cls(grid, data[:, 1:], noise_sigma, tag)
 
 
-def _raise_first_bad_row(path: str, lines: list[str], width: int) -> None:
-    """Raise InputError for the first malformed body line, by physical line number."""
+def write_rows(fh: IO[str], columns: Sequence[np.ndarray], end: str) -> None:
+    """Write the columns side by side as `%.17g` fields, one line per row.
+
+    One `%` operation formats each block of CSV_ROWS rows, so memory stays
+    at one block of values and text whatever the table's length.
+    """
+    for lo in range(0, len(columns[0]), CSV_ROWS):
+        block = np.column_stack([c[lo : lo + CSV_ROWS] for c in columns])
+        row = ",".join(["%.17g"] * block.shape[1]) + end
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _read_rows(lines) -> np.ndarray:
+    """Parse comma-separated lines of plain numbers into a 2-d float array.
+
+    A line iterator or an open text file is read as it streams; no module
+    is loaded, as numpy would for a path. Blank lines are skipped.
+    """
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _raise_first_bad_row(path: str, width: int) -> NoReturn:
+    """Raise InputError for the first malformed body line, by physical line number.
+
+    Each line is parsed by the reader `from_csv` uses, so the walk rejects
+    exactly the fields the bulk read rejects.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
     for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -219,9 +250,10 @@ def _raise_first_bad_row(path: str, lines: list[str], width: int) -> None:
         if len(row) != width:
             raise InputError(f"{path}:{n}: expected {width} fields, got {len(row)}")
         try:
-            [float(v) for v in row]
+            _read_rows([line])
         except ValueError:
             raise InputError(f"{path}:{n}: a field is not a number: {row!r}") from None
+    raise InputError(f"{path}: not a table of {width} numeric columns")
 
 
 def project_initial_state(
@@ -289,9 +321,10 @@ def generate_measurements(
     if len(state) != sys.mode_count:
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, sys.basis)
-    decay = decay_table(sys.alpha, sys.eigenvalues, grid.nodes)
-    # weight P, not the table: no table-sized temporary
-    samples = decay @ (state.coefficients[:, None] * P.T)
+    # the decay table is applied block by block, never held whole
+    samples = decay_apply(
+        sys.alpha, sys.eigenvalues, grid.nodes, state.coefficients[:, None] * P.T
+    )
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)

@@ -532,6 +532,77 @@ def test_sweep_failure_sentinel_at_blind_spot(tmp_path, monkeypatch):
     assert len(decompositions) == 3
 
 
+SWEEP_CHUNK_CONFIG = """
+    alpha = 0.7
+    horizon = 1.0
+    modes = 4
+    omega.lo = 0.0
+    omega.hi = 0.5
+    sensor.kind = pointwise
+    sensor.location = 0.3
+    state.kind = trig_sq
+    state.modes = 48
+    time.samples = 128
+    time.grading = graded
+    solver.kind = tikhonov
+    solver.value = 1e-2
+"""
+
+
+def test_sweep_builds_one_record_and_one_moment_pass(tmp_path, monkeypatch):
+    # the positions are the channels of one record: one forward run and
+    # one L1 pass serve them all
+    calls = {"generate_measurements": 0, "caputo_values": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(cli, "generate_measurements")
+    counting(hum, "caputo_values")
+    config = write_config(tmp_path, SWEEP_CHUNK_CONFIG)
+    assert cli.main([
+        "sweep-sensor", "--config", config, "--out", str(tmp_path),
+        "--sweep-grid", "0.2:0.4:0.1",
+    ]) == 0
+    assert len(read_rows(tmp_path / "sweep.csv")) == 4
+    assert calls == {"generate_measurements": 1, "caputo_values": 1}
+
+
+def test_noisy_sweep_matches_single_position_sweeps(tmp_path):
+    # every position sees the noise draw its one-sensor record gets, so a
+    # chunk of five gives the rows of five one-position sweeps. The rows
+    # differ by rounding only (five columns multiply in another order than
+    # one), and the strong shift keeps the solve from amplifying it: at
+    # solver.value = 1e-8 the error column moves by up to 2e-11 relative
+    noisy = SWEEP_CHUNK_CONFIG + "    noise.sigma = 1e-4\n    seed = 9\n"
+    config = write_config(tmp_path, noisy)
+    out = tmp_path / "chunk"
+    out.mkdir()
+    assert cli.main([
+        "sweep-sensor", "--config", config, "--out", str(out), "--sweep-grid", "0.1:0.9:0.2",
+    ]) == 0
+    rows = read_rows(out / "sweep.csv")[1:]
+    assert len(rows) == 5
+    for row in rows:
+        single = tmp_path / f"single-{row[0]}"
+        single.mkdir()
+        assert cli.main([
+            "sweep-sensor", "--config", config, "--out", str(single),
+            "--sweep-grid", f"{row[0]}:{row[0]}:0.1",
+        ]) == 0
+        (alone,) = read_rows(single / "sweep.csv")[1:]
+        assert alone[0] == row[0]
+        got, want = np.array(row[1:], dtype=float), np.array(alone[1:], dtype=float)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_sweep_zonal_moves_left_edge(tmp_path):
     config = write_config(tmp_path, """
         alpha = 1.0

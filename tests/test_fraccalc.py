@@ -702,6 +702,28 @@ def test_decay_table_row_blocks_match_one_shot(monkeypatch, alpha):
     assert not full.flags.writeable
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_decay_apply_matches_table_product(monkeypatch, alpha):
+    # the row blocks of decay_table, each multiplied into the result and
+    # dropped: the memo is neither read nor written
+    points, _ = _counting_mlf(monkeypatch)
+    t = np.linspace(0.0, 2.0, 2001)
+    lams = PI2 * np.arange(1.0, 71.0) ** 2
+    W = np.random.default_rng(2).standard_normal((70, 3))
+    got = fc.decay_apply(alpha, lams, t, W)
+    rows = fc._BATCH_BLOCK // 70
+    assert points == [rows * 70] * (t.size // rows) + [t.size % rows * 70]
+    assert fc._DECAY_MEMO == {}
+    E = fc.decay_table(alpha, lams, t)
+    assert got.shape == (t.size, 3)
+    assert np.all(np.abs(got - E @ W) <= 1e-14 * (np.abs(E) @ np.abs(W)))
+    vector = fc.decay_apply(alpha, lams, t, W[:, 1])
+    assert vector.shape == (t.size,)
+    assert np.all(np.abs(vector - E @ W[:, 1]) <= 1e-14 * (np.abs(E) @ np.abs(W[:, 1])))
+    with pytest.raises(InputError):
+        fc.decay_apply(alpha, lams, t, W[:-1])
+
+
 def test_decay_table_memo_holds_four_grids_least_recent_out(monkeypatch):
     points, _ = _counting_mlf(monkeypatch)
     grids = [np.linspace(0.0, 1.0, 9 + g) for g in range(6)]

@@ -272,6 +272,27 @@ def test_assemble_rhs_validation():
         assemble_rhs(problem, record)
 
 
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+def test_assemble_rhs_pairs_record_moments(alpha):
+    # the right-hand side is the sensors' pairing of record_moments, which
+    # a sweep computes once for all its positions, one column per channel
+    two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
+    sysn = FractionalDiffusion.create(alpha, SpatialDomain.interval(), 1.0, 12)
+    state = ModalState(np.random.default_rng(1).standard_normal(12))
+    record = generate_measurements(sysn, state, two, TimeGrid.uniform(1.0, 65))
+    problem = HumProblem(4, FULL, two, alpha, 1.0)
+    moments = hum.record_moments(problem, record)
+    assert moments.shape == (4, 2)
+    assert np.array_equal(assemble_rhs(problem, moments), assemble_rhs(problem, record))
+    one = HumProblem(4, FULL, two[1:], alpha, 1.0)
+    single = MeasurementRecord(record.grid, record.samples[:, 1])
+    alone = hum.record_moments(one, single)[:, 0]
+    assert np.max(np.abs(alone - moments[:, 1])) <= 1e-14 * np.max(np.abs(alone))
+    for bad in (moments, moments[:3, 1:], moments[:, 1]):
+        with pytest.raises(InputError):
+            assemble_rhs(one, bad)
+
+
 def test_rhs_exactness_alpha_one():
     problem = HumProblem(4, FULL, (Sensor.pointwise((0.3,)),), 1.0, 1.0)
     coeffs = np.random.default_rng(7).standard_normal(4)
@@ -720,3 +741,29 @@ def test_write_csv_report(tmp_path):
     result.write_csv(str(bare_path), samples=5)
     first = bare_path.read_text().splitlines()[1].split(",")
     assert math.isnan(float(first[1]))
+
+
+def test_write_csv_2d_golden_bytes(tmp_path):
+    # rows are formatted in blocks; the bytes match one "{:.17g}" field at a
+    # time, here over 10,201 rows (three blocks), with and without a truth
+    from fracobs.hum import ReconstructionResult
+
+    modes = HumProblem(5, Region((0.0, 0.0), (1.0, 1.0)), (), 1.0, 1.0).basis()
+    field = GradientField(np.random.default_rng(6).standard_normal(10), modes)
+    truth = GradientField(np.random.default_rng(7).standard_normal(10), modes)
+    result = ReconstructionResult(field, 2.5e-6, 1.25e9, 1, 4.4e-5, (2.5e-6,))
+    ax = np.linspace(0.0, 1.0, 101)
+    x, y = (g.ravel() for g in np.meshgrid(ax, ax, indexing="ij"))
+    for name, given in (("truth.csv", truth), ("bare.csv", None)):
+        path = tmp_path / name
+        result.write_csv(str(path), truth=given, samples=101)
+        cols = [x, y]
+        for d in range(2):
+            cols.append(truth.component(d)(x, y) if given is not None else np.full(x.size, np.nan))
+            cols.append(field.component(d)(x, y))
+        summary = {"residual": 2.5e-6, "error_vs_truth": 4.4e-5,
+                   "gram_condition": 1.25e9, "iterations": 1}
+        want = "x,y,d1_true,d1_rec,d2_true,d2_rec\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols)
+        ) + "# " + json.dumps(summary) + "\n"
+        assert path.read_bytes() == want.encode()

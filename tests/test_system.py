@@ -1,6 +1,10 @@
 """Tests for the forward model and the spectral adjoint."""
 
 import math
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +266,127 @@ def test_record_csv_errors_name_the_physical_line(tmp_path):
     path.write_bytes(b't,z1\r\n0,1\r\n0.5,"0.5"\r\n')
     with pytest.raises(InputError, match=r"record\.csv:3: a field is not a number"):
         fs.MeasurementRecord.from_csv(str(path))
+
+
+def test_record_csv_rejects_python_literal_syntax(tmp_path):
+    # float() reads "1_0" as 10.0 and Arabic-Indic digits as numbers; a
+    # field is a plain number, and the line walk names the line the bulk
+    # parse rejected
+    path = tmp_path / "record.csv"
+    for field in ("1_0", "\u0661"):
+        path.write_text(f"t,z1\n0,1\n\n1,{field}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"record\.csv:4: a field is not a number"):
+            fs.MeasurementRecord.from_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        (b"t,z1\n0,1\n   \n1,2\n", r":3: expected 2 fields, got 1$"),
+        (b"t,z1\n0,1\n\t\n1,2\n", r":3: expected 2 fields, got 1$"),
+        (b"t,z1\n# note\n0,1\n1,2\n", r":2: expected 2 fields, got 1$"),
+        (b"t,z1\n0,1,\n1,2\n", r":2: expected 2 fields, got 3$"),
+        (b"t,z1\n0,1\n1\n", r":3: expected 2 fields, got 1$"),
+        (b"t,z1,z2\n0,1\n1,2\n", r":2: expected 3 fields, got 2$"),
+        (b"t,z1\n0,1\n1,2\n,\n", r":4: a field is not a number"),
+        (b"t,z1\n", r": no sample rows$"),
+        (b"t,z1\r\n\r\n\r\n", r": no sample rows$"),
+        (b"t,z1\r0,1\r0.5,2\r1,3\r", None),
+        (b"t,z1\n0, 1\n 0.5 ,2 \n1,\t3", None),
+    ],
+)
+def test_record_csv_verdicts_on_edge_text(tmp_path, text, verdict):
+    # blank lines are skipped, whitespace-only ones are rows; a header-only
+    # body is a usage error, not a numpy warning
+    path = tmp_path / "record.csv"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if verdict is None:
+            rec = fs.MeasurementRecord.from_csv(str(path))
+            assert np.array_equal(rec.grid.nodes, [0.0, 0.5, 1.0])
+            assert np.array_equal(rec.samples[:, 0], [1.0, 2.0, 3.0])
+            return
+        with pytest.raises(InputError, match=r"record\.csv" + verdict):
+            fs.MeasurementRecord.from_csv(str(path))
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of traced allocations while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_record():
+    """A 65,536-node alpha = 1 record of 200 modes and three sensors."""
+    sysn = interval_model(alpha=1.0, M=200)
+    state = fs.ModalState(np.random.default_rng(8).standard_normal(200) / np.arange(1, 201))
+    sensors = [fs.Sensor.pointwise((b,)) for b in (0.2, 0.55, 0.81)]
+    grid = fc.TimeGrid.uniform(1.0, 65536)
+    return sysn, state, sensors, grid
+
+
+MB = 1 << 20
+
+
+def test_generate_measurements_holds_no_decay_table(long_record):
+    # the 65,536 x 200 table alone would take 105 MB
+    sysn, state, sensors, grid = long_record
+    rec, peak = _traced_peak(lambda: fs.generate_measurements(sysn, state, sensors, grid))
+    assert rec.samples.shape == (65536, 3)
+    assert peak < 16 * MB
+    # every 97th row against the table product
+    weights = state.coefficients[:, None] * fs.output_matrix(sensors, sysn.basis).T
+    decay = np.exp(-np.outer(grid.nodes[::97], sysn.eigenvalues))
+    gap = np.abs(rec.samples[::97] - decay @ weights)
+    assert np.all(gap <= 1e-14 * (np.abs(decay) @ np.abs(weights)))
+
+
+def test_record_csv_io_memory_is_bounded(long_record, tmp_path):
+    sysn, state, sensors, grid = long_record
+    rec = fs.generate_measurements(sysn, state, sensors, grid)
+    path = str(tmp_path / "record.csv")
+    _, peak = _traced_peak(lambda: rec.to_csv(path))
+    assert peak < 8 * MB
+    back, peak = _traced_peak(lambda: fs.MeasurementRecord.from_csv(path))
+    assert peak < 16 * MB
+    assert back.samples.tobytes() == rec.samples.tobytes()
+    assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+
+
+LOAD_GUARD = """
+import json, sys
+import fracobs.cli
+from fracobs.errors import InputError
+from fracobs.system import MeasurementRecord
+before = set(sys.modules)
+MeasurementRecord.from_csv(sys.argv[1])
+try:
+    MeasurementRecord.from_csv(sys.argv[2])
+except InputError as exc:
+    print(exc, file=sys.stderr)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_record_csv_read_loads_no_module(tmp_path):
+    # numpy's text reader opens a path through its datasource (and so
+    # gzip); an open handle costs no import in a fresh command process
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    fs.MeasurementRecord(fc.TimeGrid.uniform(1.0, 5), np.arange(5.0)).to_csv(str(good))
+    bad.write_text("t,z1\n0,1\n1,1_0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_GUARD, str(good), str(bad)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "bad.csv:3: a field is not a number" in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_kalpha_zero_record():
