@@ -239,11 +239,16 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
 # Each value of E_alpha(-x), x >= 0, comes from exactly one regime:
 #   asymptotic  x >= _ASYM_SWITCH and the large-argument expansion meets
 #               _ASYM_ACCEPT before its terms start to grow (the loop drops
-#               a point as soon as they do);
+#               a point as soon as they do); each term's envelope is the
+#               last one times a per-term ratio over x;
 #   series      the float power series, where it loses at most
-#               _SERIES_DIGITS decimal digits to cancellation;
+#               _SERIES_DIGITS decimal digits to cancellation; its even and
+#               odd terms are two polynomials in x^2 (more, in a higher power
+#               of x, below alpha = 0.014), summed by Horner's rule;
 #   spectral    the cancellation gap between them: a trapezoid rule on the
 #               positive spectral integral, where nothing cancels.
+# Transcendentals are taken once per coefficient or node and once per point,
+# never once per term of a point.
 
 _ASYM_SWITCH = 2.0     # x at and above which the asymptotic route is tried
 _ASYM_ACCEPT = 5e-13   # relative truncation estimate the route must beat
@@ -272,11 +277,13 @@ class MlfEvalReport:
       "series"      the power series in float arithmetic, used where it
                     loses at most _SERIES_DIGITS decimal digits to
                     cancellation (and for z > 0, where nothing cancels);
-                    terms_used counts its terms;
+                    for z <= 0 its even and odd terms are summed by
+                    Horner's rule in z^2; terms_used counts its terms;
       "asymptotic"  the large-argument expansion, tried from |z| = 2 on and
-                    summed term by term until the envelope of the first
-                    omitted term is within 5e-13 of the sum; terms_used
-                    counts its terms;
+                    summed term by term, each envelope carried from the last
+                    by recurrence, until the envelope of the first omitted
+                    term is within 5e-13 of the sum; terms_used counts its
+                    terms;
       "spectral"    the cancellation gap between the two: a trapezoid rule
                     on the positive spectral integral
                     E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr,
@@ -299,43 +306,50 @@ def _asym_neg(alpha: float, x: np.ndarray):
 
     E_alpha(-x) ~ sum_{k>=1} (-1)^{k+1} x^{-k} / Gamma(1 - k*alpha); the
     reciprocal Gamma is evaluated through the reflection formula
-    sin(pi k alpha) Gamma(k alpha) / pi, which has no poles. The estimate
-    after k terms is the envelope Gamma((k+1) alpha) x^-(k+1) / pi of the
+    sin(pi k alpha) Gamma(k alpha) / pi, which has no poles. So term k is
+    (-1)^(k+1) sin(pi k alpha) env_k, with the envelope
+    env_k = Gamma(k alpha) x^-k / pi carried by recurrence: env_(k+1) is
+    env_k times the per-term ratio Gamma((k+1) alpha) / Gamma(k alpha),
+    over x. The estimate after k terms is env_(k+1), the envelope of the
     first omitted term: near alpha = 1 the factor sin(pi k alpha) makes a
     run of terms small without shrinking the exponentially small
     remainder, so the terms themselves would understate it. A point is
     accepted, and leaves the loop, once the estimate is within
     _ASYM_ACCEPT of its partial sum. The series diverges and the envelope
     is log-convex in k, so a point whose envelope grows before that is
-    rejected. Returns (values, relative estimates, terms used, accepted).
+    rejected; the points that stay have non-increasing envelopes, so the
+    recurrence cannot overflow. Returns (values, relative estimates, terms
+    used, accepted).
     """
     k = np.arange(1.0, _ASYM_TERMS + 2.0)
     ka = k * alpha
-    sinv = np.sin(np.pi * ka)
+    coef = np.sin(np.pi * ka) * (-1.0) ** (k + 1.0)
     lenv = _lgamma(ka) - math.log(math.pi)
-    with np.errstate(divide="ignore"):
-        lcoef = lenv + np.log(np.abs(sinv))
-    sgn = np.where(sinv >= 0.0, 1.0, -1.0) * (-1.0) ** (k + 1.0)
+    dl = np.diff(lenv)  # log(env_(k+1) x / env_k)
+    ratio = np.exp(dl)
     vals = np.zeros_like(x)
     rel = np.full_like(x, np.inf)
     used = np.zeros(x.shape, dtype=int)
     accepted = np.zeros(x.shape, dtype=bool)
     act = np.arange(x.size)
     lx = np.log(x)
+    env = np.exp(lenv[0] - lx)
     total = np.zeros_like(x)
     for j in range(_ASYM_TERMS):
-        total = total + sgn[j] * np.exp(lcoef[j] - (j + 1) * lx)
-        est = np.exp(lenv[j + 1] - (j + 2) * lx)
-        ok = est <= _ASYM_ACCEPT * np.abs(total)
+        total += coef[j] * env
+        env *= ratio[j]
+        env /= x
+        ok = env <= _ASYM_ACCEPT * np.abs(total)
         done = act[ok]
         vals[done] = total[ok]
-        rel[done] = est[ok] / np.abs(total[ok])
+        rel[done] = env[ok] / np.abs(total[ok])
         used[done] = j + 1
         accepted[done] = True
-        keep = ~ok & (lenv[j + 1] - lenv[j] <= lx)
+        keep = ~ok & (dl[j] <= lx)
         if not keep.any():
             break
-        act, lx, total = act[keep], lx[keep], total[keep]
+        if not keep.all():
+            act, x, lx, env, total = act[keep], x[keep], lx[keep], env[keep], total[keep]
     return vals, rel, used, accepted
 
 
@@ -386,29 +400,51 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _series_neg(alpha: float, x: np.ndarray):
-    """Float power series sum_k (-x)^k / Gamma(1 + k alpha), log-space terms.
+    """Float power series sum_k (-x)^k / Gamma(1 + k alpha), by Horner's rule.
 
     Used only where _series_digits stays small, so x^(1/alpha) <= 8.3 and
-    the terms past alpha*k = _SERIES_SPAN are below 1e-22. Every point
-    takes the same terms, and the even and the odd ones are summed apart
-    by _ordered_sum, so a value does not depend on the other points. The
-    estimate is the rounding of the sum, eps * sum|terms| / |value|.
-    Returns (values, relative estimates, terms used).
+    the terms past alpha*k = _SERIES_SPAN are below 1e-22. With
+    c_k = 1 / Gamma(1 + k alpha), taken once per call, the even and the
+    odd terms are two polynomials in y = x^2 with positive coefficients,
+        even = sum_m c_2m y^m,    odd = x sum_m c_(2m+1) y^m,
+    evaluated side by side by Horner's rule; the value is even - odd.
+    Below alpha = 0.014 (from 4096 terms on) the terms are split into more
+    interleaved polynomials, `stride` of them in x^stride, so that the
+    Horner steps stay below about 16 sqrt(K) however many terms K there
+    are; term class r is scaled by x^r and added into the even or the odd
+    sum. Every point takes the same terms and the rule is pointwise, so a
+    value does not depend on the other points, and the work is 2 * stride
+    rows of the batch's size, within _BLOCK_DOUBLES. The estimate is the
+    rounding of the sum, eps * (even + odd) / |value|. Returns (values,
+    relative estimates, terms used).
     """
     k = np.arange(0.0, math.ceil(_SERIES_SPAN / alpha) + 1.0)
-    lg = _lgamma(1.0 + alpha * k)
-    lx = np.log(np.maximum(x, 1e-300))
+    stride = 2 * max(1, math.isqrt(k.size) // 32)
+    # c_(stride m + r), r along a row, from the highest m down; zeros pad
+    coef = np.zeros(-(-k.size // stride) * stride)
+    coef[: k.size] = np.exp(-_lgamma(1.0 + alpha * k))
+    rows = coef.reshape(-1, stride)[::-1, :, None]
     vals = np.empty_like(x)
-    absum = np.empty_like(x)
-    step = max(1, _BLOCK_DOUBLES // k.size)
+    rel = np.empty_like(x)
+    step = max(1, _BLOCK_DOUBLES // (2 * stride))
     for lo in range(0, x.size, step):
-        mag = np.outer(k, lx[lo : lo + step])
-        mag -= lg[:, None]
-        np.exp(mag, out=mag)
-        even, odd = _ordered_sum(mag[0::2]), _ordered_sum(mag[1::2])
-        vals[lo : lo + step] = even - odd
-        absum[lo : lo + step] = even + odd
-    rel = np.finfo(float).eps * absum / np.abs(vals)
+        xs = x[lo : lo + step]
+        power = np.empty((stride, xs.size))  # x^1 .. x^stride
+        power[...] = xs
+        np.multiply.accumulate(power, axis=0, out=power)
+        acc = np.empty((stride, xs.size))
+        acc[...] = rows[0]
+        for c in rows[1:]:
+            acc *= power[-1]
+            acc += c
+        acc[1:] *= power[:-1]
+        even, odd = acc[0], acc[1]
+        for r in range(2, stride):
+            acc[r % 2] += acc[r]
+        np.subtract(even, odd, out=vals[lo : lo + step])
+        even += odd
+        np.divide(even, np.abs(vals[lo : lo + step], out=odd), out=rel[lo : lo + step])
+    rel *= np.finfo(float).eps
     return vals, rel, np.full(x.shape, k.size)
 
 
@@ -449,13 +485,18 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     (80 / (alpha pi)) log(1 / sin(theta / 2)): it grows only logarithmically
     as alpha tends to 1, and like 1 / alpha as alpha tends to 0.
 
-    Each point takes the nodes its own s needs. Points run in blocks of
-    falling s, whose nodes are built in chunks aligned on multiples of
-    _GAP_CHUNK, so one work matrix stays within _BLOCK_DOUBLES (its boolean
-    mask within an eighth of that). A point's terms, zero outside its
-    nodes, are summed by _ordered_sum, the even and the odd nodes apart
-    (the even ones alone give the 2h rule), so its value does not depend on
-    the other points. Raises AccuracyError when a point would need more
+    Each point takes a node range that depends on its own s alone: the
+    range it needs, widened outward to multiples of `grain` nodes, so
+    nearby points share one range. The nodes a widening adds carry less
+    than _GAP_TAIL of the value below and next to nothing past the cut.
+    Points with equal ranges are one group and take exactly the same
+    nodes, so no term is ever masked out. The nodes are built once for all
+    groups, in chunks aligned on multiples of _GAP_CHUNK; each group reads
+    its slice of a chunk, and its points run in blocks, so one work matrix
+    stays within _BLOCK_DOUBLES. A point's
+    terms are summed by _ordered_sum, the even and the odd nodes apart
+    (the even ones alone give the 2h rule), so its value does not depend
+    on the other points. Raises AccuracyError when a point would need more
     than _GAP_NODES nodes or s overflows, which happens only for alpha
     below about 5e-4.
     Returns (values, relative estimates, nodes used).
@@ -466,13 +507,14 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     h = 0.25 * alpha * math.pi / _GAP_STEPS
     c = math.sin(theta) / math.pi
     log_s = np.log(x) / alpha
+    grain = 32  # a point's range needs 350-900 nodes at alpha in [0.3, 0.99]
 
     def lattice(u):  # position of u = log r on the lattice in v, in steps
         return np.arcsinh(np.sinh(0.5 * alpha * u) / sig) / h
 
     tail = math.log(_GAP_TAIL * alpha / (2.0 * c)) + _log_lower(alpha, x)
-    first = np.floor(lattice(tail / alpha))
-    stop = np.ceil(lattice(math.log(_GAP_CUT) - log_s)) + 1.0
+    first = np.floor(lattice(tail / alpha) / grain) * grain
+    stop = np.ceil((lattice(math.log(_GAP_CUT) - log_s) + 1.0) / grain) * grain
     used = stop - first
     if log_s.max() > _LOG_S_MAX or used.max() > _GAP_NODES:
         raise AccuracyError(
@@ -481,29 +523,35 @@ def _spectral_neg(alpha: float, x: np.ndarray):
             f"the limits are {_GAP_NODES} and exp({_LOG_S_MAX})",
             MlfEvalReport(math.nan, "spectral", int(used.max()), math.inf),
         )
-    first, stop = first.astype(int), stop.astype(int)
+    first, stop, used = first.astype(int), stop.astype(int), used.astype(int)
     s = x ** (1.0 / alpha)
     rules = np.zeros((2, x.size))
-    order = np.argsort(-x, kind="stable")
-    step = max(1, _BLOCK_DOUBLES // min(stop.max() - first.min(), _GAP_CHUNK))
-    for lo in range(0, x.size, step):
-        pts = order[lo : lo + step]
-        j_lo, j_hi = int(first[pts].min()), int(stop[pts].max())
-        for base in range(j_lo - j_lo % _GAP_CHUNK, j_hi, _GAP_CHUNK):
-            j = np.arange(max(base, j_lo), min(base + _GAP_CHUNK, j_hi))
-            v = h * j
-            sv = sig * np.sinh(v)
-            w = h * amp / np.cosh(v) / np.hypot(1.0, sv)
-            decay = np.multiply.outer(np.exp((2.0 / alpha) * np.arcsinh(sv)), -s[pts])
-            np.exp(decay, out=decay)
-            np.copyto(decay, 0.0, where=np.less.outer(j, first[pts]))
-            np.copyto(decay, 0.0, where=np.greater_equal.outer(j, stop[pts]))
-            decay *= w[:, None]
-            even, odd = (_ordered_sum(decay[p::2]) for p in (j[0] % 2, 1 - j[0] % 2))
-            rules[0, pts] += even + odd
-            rules[1, pts] += 2.0 * even
+    order = np.lexsort((stop, first))
+    change = (np.diff(first[order]) != 0) | (np.diff(stop[order]) != 0)
+    groups = np.split(order, np.flatnonzero(change) + 1)
+    j_lo, j_hi = int(first.min()), int(stop.max())
+    for base in range(j_lo - j_lo % _GAP_CHUNK, j_hi, _GAP_CHUNK):
+        c_lo, c_hi = max(base, j_lo), min(base + _GAP_CHUNK, j_hi)
+        v = h * np.arange(c_lo, c_hi)
+        sv = sig * np.sinh(v)
+        w = h * amp / np.cosh(v) / np.hypot(1.0, sv)
+        rate = np.exp((2.0 / alpha) * np.arcsinh(sv))
+        for group in groups:
+            g_lo, g_hi = max(int(first[group[0]]), c_lo), min(int(stop[group[0]]), c_hi)
+            if g_lo >= g_hi:
+                continue
+            nodes = slice(g_lo - c_lo, g_hi - c_lo)
+            step = max(1, _BLOCK_DOUBLES // (g_hi - g_lo))
+            for lo in range(0, group.size, step):
+                pts = group[lo : lo + step]
+                decay = np.multiply.outer(rate[nodes], -s[pts])
+                np.exp(decay, out=decay)
+                decay *= w[nodes, None]
+                even, odd = (_ordered_sum(decay[p::2]) for p in (g_lo % 2, 1 - g_lo % 2))
+                rules[0, pts] += even + odd
+                rules[1, pts] += 2.0 * even
     rel = np.abs(rules[0] - rules[1]) / rules[0] + np.finfo(float).eps
-    return rules[0], rel, used.astype(int)
+    return rules[0], rel, used
 
 
 def _route_neg(alpha: float, x: np.ndarray):
@@ -516,13 +564,15 @@ def _route_neg(alpha: float, x: np.ndarray):
     rel = np.empty_like(x)
     used = np.empty(x.shape, dtype=int)
     regime = np.zeros(x.shape, dtype=int)
-    rest = np.arange(x.size)
+    rest = np.ones(x.shape, dtype=bool)
     big = np.flatnonzero(x >= _ASYM_SWITCH)
     if big.size:
         v, e, t, ok = _asym_neg(alpha, x[big])
-        vals[big[ok]], rel[big[ok]], used[big[ok]] = v[ok], e[ok], t[ok]
-        regime[big[ok]] = 1
-        rest = np.setdiff1d(rest, big[ok], assume_unique=True)
+        won = big[ok]
+        vals[won], rel[won], used[won] = v[ok], e[ok], t[ok]
+        regime[won] = 1
+        rest[won] = False
+    rest = np.flatnonzero(rest)
     ser = _series_digits(alpha, x[rest]) <= _SERIES_DIGITS
     for idx, route, code in (
         (rest[ser], _series_neg, 0),
@@ -726,8 +776,10 @@ def caputo_values(
     (t-b)^p expm1(p log1p((b-a)/(t-b))), which does not cancel however
     small the cell is against t-b; the cell holding t contributes
     (t-a)^p. A time on a node belongs to the cell that node ends, so
-    alpha = 1 gives the left cell slope. Work memory is bounded by
-    _CAPUTO_ROWS times the cell count.
+    alpha = 1 gives the left cell slope. The cells before a block's first
+    time end before all of its times, so only the later cells are masked.
+    Work memory is two matrices of _CAPUTO_ROWS times the cell count, one
+    buffer reused by every block.
     """
     alpha = _check_alpha(alpha)
     times = np.asarray(times, dtype=float)
@@ -756,15 +808,27 @@ def caputo_values(
     ts = flat[order]
     done = np.searchsorted(b, ts, side="left")  # cells with b < t
     memory = np.empty((ts.size, du.shape[1]))
+    # every block's two work matrices are carved from one buffer: blocks
+    # allocated and freed in turn would fault their pages in again and again
+    rows = min(_CAPUTO_ROWS, ts.size)
+    work = np.empty(2 * rows * (int(done[-1]) if rows else 0))
     for lo in range(0, ts.size, _CAPUTO_ROWS):
         tt = ts[lo : lo + _CAPUTO_ROWS]
         k = done[lo : lo + _CAPUTO_ROWS]
-        cols = k[-1]
-        gap = tt[:, None] - b[None, :cols]
-        whole = gap > 0.0
-        gap[~whole] = 1.0
-        w = np.expm1(p * np.log1p(h[:cols] / gap)) * np.power(gap, p)
-        w[~whole] = 0.0
+        inner, cols = k[0], k[-1]  # cells before k[0] end before every time
+        size = tt.size * cols
+        gap = work[:size].reshape(tt.size, cols)
+        w = work[size : 2 * size].reshape(tt.size, cols)
+        np.subtract(tt[:, None], b[None, :cols], out=gap)
+        tail = gap[:, inner:]
+        whole = tail > 0.0
+        tail[~whole] = 1.0
+        np.divide(h[:cols], gap, out=w)
+        np.log1p(w, out=w)
+        w *= p
+        np.expm1(w, out=w)
+        w *= np.power(gap, p, out=gap)
+        w[:, inner:][~whole] = 0.0
         row = w @ du[:cols]
         inside = k < a.size  # false only for times past the last node
         j = k[inside]

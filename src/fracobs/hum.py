@@ -12,9 +12,11 @@ sensor functionals. The right-hand side pairs the same evolutions against
 the data after applying the time-fractional derivative to it, which is
 what makes noiseless in-span data reproduce Lambda times the true
 coefficients exactly. For alpha < 1 the L1 Caputo rule is applied to the
-samples on Gauss moment nodes; at alpha = 1 the derivative of the
-piecewise linear record is its slope per cell, and its pairing with
-exp(-lam t) is done in closed form on each cell.
+samples on Gauss moment nodes, once per reconstruction: the nodes do not
+depend on the truncation, so every escalation step pairs the same
+weighted derivative with its own decay table. At alpha = 1 the
+derivative of the piecewise linear record is its slope per cell, and its
+pairing with exp(-lam t) is done in closed form on each cell.
 
 A HumProblem owns the operators of its truncation: the modes, their
 eigenvalues, B and P are cached properties, each built once on first use
@@ -352,20 +354,42 @@ def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray
     expm1 keeping the cell weight accurate for any lam h. The moments
     depend on the truncation and the time rule only, not on the sensors.
     """
+    return _moments_by_truncation(problem, record)(problem)
+
+
+def _moments_by_truncation(
+    problem: HumProblem, record: MeasurementRecord
+) -> Callable[[HumProblem], np.ndarray]:
+    """record_moments of the record for every truncation of the problem.
+
+    The weighted derivative on the moment nodes depends on the record,
+    alpha and the horizon, not on the modes, so the L1 pass is made here
+    once; each truncation pairs it with its own memoised decay table.
+    """
     if abs(record.grid.horizon - problem.horizon) > 1e-9 * problem.horizon:
         raise InputError(
             f"record horizon {record.grid.horizon} != problem horizon {problem.horizon}"
         )
-    lams = problem.eigenvalues
-    if problem.alpha == 1.0:
-        nodes = record.grid.nodes
-        decay = decay_table(1.0, lams, nodes)
-        x = np.outer(np.diff(nodes), lams)
-        return (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(record.samples, axis=0)
+    alpha = problem.alpha
+    if alpha == 1.0:
+
+        def slope_moments(prob: HumProblem) -> np.ndarray:
+            nodes = record.grid.nodes
+            decay = decay_table(1.0, prob.eigenvalues, nodes)
+            x = np.outer(np.diff(nodes), prob.eigenvalues)
+            return (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(record.samples, axis=0)
+
+        return slope_moments
     tq, wq = _moment_nodes(problem, record.grid)
     sf = SampledFunction(record.grid, record.samples)
-    zeta = -caputo_values(sf, problem.alpha, tq, first_cell_power=True)
-    return decay_table(problem.alpha, lams, tq).T @ (wq[:, None] * zeta)
+    weighted = wq[:, None] * -caputo_values(sf, alpha, tq, first_cell_power=True)
+    return lambda prob: decay_table(alpha, prob.eigenvalues, tq).T @ weighted
+
+
+def _check_channels(problem: HumProblem, record: MeasurementRecord) -> None:
+    p = len(problem.sensors)
+    if record.channel_count != p:
+        raise InputError(f"record has {record.channel_count} channels for {p} sensors")
 
 
 def assemble_rhs(
@@ -380,8 +404,7 @@ def assemble_rhs(
     """
     p = len(problem.sensors)
     if isinstance(record, MeasurementRecord):
-        if record.channel_count != p:
-            raise InputError(f"record has {record.channel_count} channels for {p} sensors")
+        _check_channels(problem, record)
         moments = record_moments(problem, record)
     else:
         moments = np.asarray(record, dtype=float)
@@ -514,6 +537,10 @@ def reconstruct(
         record = _record_from_state(problem, state)
         # the state side of the exact route is fixed: build it once
         deep = replace(problem, mode_count=len(state))
+    else:
+        # the data side's L1 pass serves every truncation: make it once
+        _check_channels(problem, record)
+        moments = _moments_by_truncation(problem, record)
     history: list[float] = []
     best: ReconstructionResult | None = None
     for it in range(1, problem.max_iterations + 1):
@@ -526,7 +553,7 @@ def reconstruct(
         rhs = (
             _rhs_from_state(prob_i, deep, state)
             if state is not None
-            else assemble_rhs(prob_i, record)
+            else assemble_rhs(prob_i, moments(prob_i))
         )
         try:
             coeffs, spectrum = solve_reconstruction(prob_i, gram, rhs)

@@ -18,7 +18,7 @@ from typing import IO, Callable, NoReturn, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fraccalc import TimeGrid, decay_apply, decay_table, mlf_values
+from .fraccalc import TimeGrid, _decay_blocks, decay_apply, mlf_values
 from .spectral import (
     EigenMode,
     Region,
@@ -43,7 +43,8 @@ __all__ = [
 
 # Gauss-Legendre order per axis of a zonal sensor's support integral
 SENSOR_ORDER = 32
-# table rows formatted per `%` operation when a CSV body is written
+# table rows formatted per `%` operation when a CSV body is written, and
+# lines parsed per block when a rejected record is searched for its bad line
 CSV_ROWS = 4096
 
 
@@ -190,7 +191,8 @@ class MeasurementRecord:
         quoted field or Python literal syntax such as `1_0` is not a number.
         The body is parsed by one np.loadtxt pass over the open file, which
         creates no Python object per field; only a file it rejects is
-        walked line by line, to name its first bad line.
+        searched for its first bad line, in blocks and then line by line
+        within the first block that fails.
         """
         with open(path) as fh:  # universal newlines: every line end reads as \n
             header = fh.readline().rstrip("\n").split(",")
@@ -238,21 +240,32 @@ def _read_rows(lines) -> np.ndarray:
 def _raise_first_bad_row(path: str, width: int) -> NoReturn:
     """Raise InputError for the first malformed body line, by physical line number.
 
-    Each line is parsed by the reader `from_csv` uses, so the walk rejects
-    exactly the fields the bulk read rejects.
+    The body is checked in blocks of CSV_ROWS lines: a block passes when
+    the reader `from_csv` uses parses its nonblank lines into one row of
+    `width` fields each. Only a block that does not pass is walked line by
+    line, each line parsed on its own by the same reader, so the walk
+    rejects exactly the fields the bulk read rejects.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        row = line.split(",")
-        if len(row) != width:
-            raise InputError(f"{path}:{n}: expected {width} fields, got {len(row)}")
+    for lo in range(1, len(lines), CSV_ROWS):
+        block = lines[lo : lo + CSV_ROWS]
+        nonblank = [line for line in block if line]
         try:
-            _read_rows([line])
+            if not nonblank or _read_rows(nonblank).shape == (len(nonblank), width):
+                continue
         except ValueError:
-            raise InputError(f"{path}:{n}: a field is not a number: {row!r}") from None
+            pass
+        for n, line in enumerate(block, start=lo + 1):
+            if not line:
+                continue
+            row = line.split(",")
+            if len(row) != width:
+                raise InputError(f"{path}:{n}: expected {width} fields, got {len(row)}")
+            try:
+                _read_rows([line])
+            except ValueError:
+                raise InputError(f"{path}:{n}: a field is not a number: {row!r}") from None
     raise InputError(f"{path}: not a table of {width} numeric columns")
 
 
@@ -343,13 +356,15 @@ def kalpha_adjoint_modal(
 
     Coefficient k is sum over channels of (C_ch phi_k) times the time
     integral of E_alpha(-lam_k t^alpha) z_ch(t), using the record's own
-    quadrature weights.
+    quadrature weights. The decay table is contracted block by block, the
+    transpose of decay_apply: it is never held whole nor memoised.
     """
     if len(sensors) != record.channel_count:
         raise InputError("sensor count does not match the record channels")
     P = output_matrix(sensors, sys.basis)
-    decay = decay_table(sys.alpha, sys.eigenvalues, record.grid.nodes)
     wz = record.samples * record.grid.weights[:, None]
-    # (M,) <- sum_ch P[ch,k] * sum_t decay[t,k] wz[t,ch]
-    coeffs = np.einsum("ck,tk,tc->k", P, decay, wz)
-    return ModalState(coeffs)
+    # moments[k, ch] = sum_t E[t, k] wz[t, ch], one row block of E at a time
+    moments = np.zeros((sys.mode_count, record.channel_count))
+    for rows, block in _decay_blocks(sys.alpha, sys.eigenvalues, record.grid.nodes):
+        moments += block.T @ wz[rows]
+    return ModalState(np.einsum("ck,kc->k", P, moments))

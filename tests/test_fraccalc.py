@@ -7,6 +7,7 @@ identity.
 """
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -296,6 +297,72 @@ def test_spectral_values_do_not_depend_on_the_batch():
         x = x[fc._route_neg(alpha, x)[3] == 2]
         alone = [fc.mlf_values(alpha, -x[i : i + 1])[0] for i in range(x.size)]
         assert np.array_equal(fc.mlf_values(alpha, -x), alone)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.84, 0.95])
+def test_series_and_asymptotic_values_match_oracles(alpha):
+    # the Horner series and the recurrence-carried asymptotic expansion,
+    # each on the points its regime serves, against scipy quad of the
+    # spectral integral, and against erfcx at alpha = 1/2
+    x = np.geomspace(0.01, 1000.0, 41)
+    regime = fc._route_neg(alpha, x)[3]
+    for code, route in ((0, fc._series_neg), (1, fc._asym_neg)):
+        pts = x[regime == code]
+        assert pts.size >= 10
+        got = route(alpha, pts)[0]
+        want = np.array([_spectral_quad(alpha, v) for v in pts])
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        if alpha == 0.5:
+            assert np.max(np.abs(got - erfcx(pts)) / erfcx(pts)) <= 1e-12
+
+
+def test_series_at_alpha_one_matches_exp():
+    # mlf_values takes exp at alpha = 1; the series itself must agree
+    x = np.linspace(0.0, 2.0, 41)
+    vals, rel, used = fc._series_neg(1.0, x)
+    assert np.max(np.abs(vals - np.exp(-x)) / np.exp(-x)) <= 1e-12
+    assert np.all(rel <= 1e-13) and np.all(used == 57)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_series_work_is_a_few_batch_arrays(alpha):
+    # Horner's rule holds two rows of work; a terms x points matrix of
+    # 2^21 doubles was 100 batch arrays at these sizes
+    x = np.linspace(0.0, 1.5, 40000)
+    tracemalloc.start()
+    try:
+        fc._series_neg(alpha, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.nbytes
+
+
+def test_series_steps_stay_bounded_at_small_alpha():
+    # from 4096 terms on, the terms are split over more polynomials in a
+    # higher power of x; the values stay those of the exact series
+    x = np.array([0.3, 0.9])
+    k = np.arange(0.0, 3000.0)
+    for alpha in (0.01, 1e-3):
+        want = [math.fsum((-v) ** k / gamma(1.0 + alpha * k)) for v in x]
+        assert fc._series_neg(alpha, x)[0] == pytest.approx(want, rel=1e-13)
+
+
+def test_route_regimes_are_pinned():
+    # counts and index sums per regime on a seeded sample, recorded from
+    # the router whose series and asymptotic terms were each one exp
+    rng = np.random.default_rng(13)
+    pinned = {
+        0.3: ([2555, 7061, 384], [17781999, 30266823, 1946178]),
+        0.5: ([2819, 6348, 833], [19074852, 27191007, 3729141]),
+        0.84: ([3175, 3839, 2986], [20529697, 18651740, 10813563]),
+        0.95: ([3278, 2019, 4703], [21208041, 12938794, 15848165]),
+    }
+    for alpha, (counts, sums) in pinned.items():
+        x = np.concatenate([rng.uniform(0.0, 30.0, 5000), 10.0 ** rng.uniform(-2.0, 3.0, 5000)])
+        regime = fc._route_neg(alpha, x)[3]
+        assert np.bincount(regime, minlength=3).tolist() == counts
+        assert [int(np.flatnonzero(regime == r).sum()) for r in range(3)] == sums
 
 
 def _jump(alpha, x):

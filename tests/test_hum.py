@@ -577,6 +577,42 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
         assert sum(points) == (gauss + moments + len(record.grid)) * 6, alpha
 
 
+def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
+    # the moment nodes and the record's weighted derivative do not depend
+    # on the truncation: three steps share one caputo_values call, and each
+    # step's solve is bitwise the one its own record route gives
+    sensors = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.65,)))
+    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    sysn = FractionalDiffusion.create(0.7, SpatialDomain.interval(), 1.0, 12)
+    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    problem = HumProblem(
+        2, FULL, sensors, 0.7, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
+    )
+    steps = []
+    for it in range(3):
+        prob_i = replace(problem, mode_count=2 + 2 * it)
+        coeffs, _ = solve_reconstruction(
+            prob_i, assemble_gram(prob_i), assemble_rhs(prob_i, record)
+        )
+        field = GradientField(coeffs, prob_i.modes)
+        steps.append((coeffs, hum.residual_against(prob_i, record, field)))
+    calls = []
+    real = hum.caputo_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "caputo_values", counted)
+    with pytest.raises(ConvergenceError) as err:
+        reconstruct(problem, record)
+    assert len(calls) == 1
+    assert err.value.residual_history == tuple(r for _, r in steps)
+    best = min(range(3), key=lambda i: steps[i][1])
+    assert err.value.best.iterations == best + 1
+    assert np.array_equal(err.value.best.field.coefficients, steps[best][0])
+
+
 def test_alpha_one_rhs_matches_per_cell_quadrature():
     # the closed form per record cell against adaptive quadrature of the
     # interpolant's slope times exp(-lam t), for lam h from 1e-12 to ~50

@@ -389,6 +389,60 @@ def test_record_csv_read_loads_no_module(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize(
+    "line, bad, verdict",
+    [
+        (101, "0.5,1,2,1_0", r":101: a field is not a number: \['0.5', '1', '2', '1_0'\]$"),
+        (32001, "0.5,1,2", r":32001: expected 4 fields, got 3$"),
+        (65537, "1,2,3,x", r":65537: a field is not a number: \['1', '2', '3', 'x'\]$"),
+    ],
+)
+def test_record_csv_bad_line_search_parses_blocks(
+    long_record, tmp_path, monkeypatch, line, bad, verdict
+):
+    # a bad line in the first, a middle and the last block of a 65,537-line
+    # file: one parse per block before it, then one per line of its block
+    sysn, state, sensors, grid = long_record
+    path = tmp_path / "record.csv"
+    fs.MeasurementRecord(grid, np.zeros((grid.nodes.size, 3))).to_csv(str(path))
+    lines = path.read_text().splitlines()
+    assert len(lines) == 65537
+    lines[line - 1] = bad
+    path.write_text("\n".join(lines) + "\n")
+    calls = []
+    real = fs._read_rows
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(fs, "_read_rows", counted)
+    with pytest.raises(InputError, match=r"record\.csv" + verdict):
+        fs.MeasurementRecord.from_csv(str(path))
+    blocks = -(-(len(lines) - 1) // fs.CSV_ROWS)
+    assert len(calls) <= 1 + blocks + fs.CSV_ROWS
+
+
+def test_kalpha_adjoint_holds_no_decay_table(long_record, monkeypatch):
+    # the 65,536 x 200 table alone would take 105 MB; the memo stays empty
+    sysn, _, sensors, grid = long_record
+    samples = np.random.default_rng(4).standard_normal((grid.nodes.size, 3))
+    rec = fs.MeasurementRecord(grid, samples)
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    out, peak = _traced_peak(lambda: fs.kalpha_adjoint_modal(sysn, rec, sensors))
+    assert peak < 16 * MB
+    assert fc._DECAY_MEMO == {}
+    # the einsum over the exp table, taken in row blocks to bound the test
+    P = fs.output_matrix(sensors, sysn.basis)
+    wz = samples * grid.weights[:, None]
+    ref, scale = np.zeros(200), np.zeros(200)
+    for lo in range(0, grid.nodes.size, 4096):
+        decay = np.exp(-np.outer(grid.nodes[lo : lo + 4096], sysn.eigenvalues))
+        ref += np.einsum("ck,tk,tc->k", P, decay, wz[lo : lo + 4096])
+        scale += np.einsum("ck,tk,tc->k", np.abs(P), decay, np.abs(wz[lo : lo + 4096]))
+    assert np.all(np.abs(out.coefficients - ref) <= 1e-14 * scale)
+
+
 def test_kalpha_zero_record():
     m = interval_model()
     grid = fc.TimeGrid.uniform(1.0, 33)
