@@ -449,7 +449,7 @@ def _series_neg(alpha: float, x: np.ndarray):
 
 
 def _series_pos(alpha: float, z: np.ndarray):
-    """Power series for z >= 0: all terms positive, no cancellation."""
+    """Power series for z >= 0, no cancellation; returns as _route_neg does."""
     k = np.arange(0.0, _SERIES_TERMS + 1.0)
     lz = np.log(np.maximum(z, 1e-300))
     lmag = np.outer(k, lz) - _lgamma(1.0 + alpha * k)[:, None]
@@ -460,7 +460,7 @@ def _series_pos(alpha: float, z: np.ndarray):
         vals = _ordered_sum(mag)
     with np.errstate(invalid="ignore"):
         rel = np.where(vals > 0.0, tail / vals + np.finfo(float).eps, 0.0)
-    return vals, rel, used
+    return vals, rel, used, np.zeros(z.shape, dtype=int)
 
 
 def _spectral_neg(alpha: float, x: np.ndarray):
@@ -584,14 +584,49 @@ def _route_neg(alpha: float, x: np.ndarray):
     return vals, rel, used, regime
 
 
+def _accepted(alpha: float, z: np.ndarray, tolerance: float):
+    """E_alpha(z), each point by one regime, every estimate checked.
+
+    exp(z) at alpha = 1, else the router for z <= 0 and the positive series
+    for z > 0 (a one-sign block keeps its route's arrays); an overflow fails
+    its estimate. Raises AccuracyError with the first failing point's report
+    unless every estimate is within `tolerance`. Returns as _route_neg does.
+    """
+    neg = z <= 0.0
+    if alpha == 1.0:
+        one = np.ones(z.shape, dtype=int)
+        with np.errstate(over="ignore"):
+            got = np.exp(z), np.full_like(z, np.finfo(float).eps), one, np.zeros_like(one)
+    elif neg.all():
+        got = _route_neg(alpha, -z)
+    elif not neg.any():
+        got = _series_pos(alpha, z)
+    else:
+        got = tuple(np.empty(z.shape, dtype=t) for t in (float, float, int, int))
+        for side in (neg, ~neg):
+            for whole, part in zip(got, _accepted(alpha, z[side], tolerance)):
+                whole[side] = part
+    vals, rel, used, regime = got
+    rel[np.isinf(vals)] = np.inf
+    bad = np.flatnonzero(~(rel <= tolerance))
+    if bad.size:
+        i = bad[0]
+        raise AccuracyError(
+            f"E_alpha({alpha}, {z[i]}) estimate {rel[i]:.2e} exceeds "
+            f"tolerance {tolerance:.2e}",
+            MlfEvalReport(float(vals[i]), _REGIMES[regime[i]], int(used[i]), float(rel[i])),
+        )
+    return vals, rel, used, regime
+
+
 def mlf_values(alpha: float, z) -> np.ndarray:
     """E_alpha(z) over an array of real arguments (no per-point reports).
 
     Fast path for the forward maps: exact exp at alpha = 1, otherwise the
     same router as mlf(). Each value depends on its own argument alone, not
     on the other points of the call, which decay_table() relies on. Work is
-    chunked to bound peak memory. Raises AccuracyError, with the first
-    failing point's report, if an estimate exceeds 1e-9.
+    chunked to bound peak memory. Raises AccuracyError like mlf(), with the
+    first failing point's report, if an estimate exceeds 1e-9.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -603,26 +638,7 @@ def mlf_values(alpha: float, z) -> np.ndarray:
         np.exp(flat, out=out)
         return out.reshape(z.shape)
     for lo in range(0, flat.size, _BATCH_BLOCK):
-        blk = flat[lo : lo + _BATCH_BLOCK]
-        res = np.empty_like(blk)
-        neg = blk <= 0.0
-        if neg.any():
-            vals, rel, used, regime = _route_neg(alpha, -blk[neg])
-            bad = np.flatnonzero(~(rel <= _VALUES_TOL))
-            if bad.size:
-                i = bad[0]
-                report = MlfEvalReport(
-                    float(vals[i]), _REGIMES[regime[i]], int(used[i]), float(rel[i])
-                )
-                raise AccuracyError(
-                    f"E_alpha({alpha}, {blk[neg][i]}) estimate {rel[i]:.2e} exceeds "
-                    f"{_VALUES_TOL:.0e}",
-                    report,
-                )
-            res[neg] = vals
-        if (~neg).any():
-            res[~neg] = _series_pos(alpha, blk[~neg])[0]
-        out[lo : lo + _BATCH_BLOCK] = res
+        out[lo : lo + _BATCH_BLOCK] = _accepted(alpha, flat[lo : lo + _BATCH_BLOCK], _VALUES_TOL)[0]
     return out.reshape(z.shape)
 
 
@@ -637,23 +653,8 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     z = float(z)
     if not math.isfinite(z):
         raise DomainError("E_alpha argument must be finite")
-    if alpha == 1.0:
-        report = MlfEvalReport(math.exp(z), "series", 1, np.finfo(float).eps)
-    elif z > 0.0:
-        vals, rel, used = _series_pos(alpha, np.array([z]))
-        report = MlfEvalReport(float(vals[0]), "series", int(used[0]), float(rel[0]))
-    else:
-        vals, rel, used, regime = _route_neg(alpha, np.array([-z]))
-        report = MlfEvalReport(
-            float(vals[0]), _REGIMES[regime[0]], int(used[0]), float(rel[0])
-        )
-    if not report.est_error <= tolerance:
-        raise AccuracyError(
-            f"E_alpha({alpha}, {z}) estimate {report.est_error:.2e} exceeds "
-            f"tolerance {tolerance:.2e}",
-            report,
-        )
-    return report
+    vals, rel, used, regime = _accepted(alpha, np.array([z]), tolerance)
+    return MlfEvalReport(float(vals[0]), _REGIMES[regime[0]], int(used[0]), float(rel[0]))
 
 
 _DECAY_GRIDS = 4  # time grids the decay-table memo holds at once
@@ -836,7 +837,7 @@ def caputo_values(
         memory[lo : lo + _CAPUTO_ROWS] = row
     out = np.empty_like(memory)
     out[order] = memory / math.gamma(2.0 - alpha)
-    out = out.reshape(times.shape + (-1,)) + start
+    out = out.reshape(times.shape + du.shape[1:]) + start
     return out.reshape(times.shape + u.values.shape[1:])
 
 

@@ -48,7 +48,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import eigh
@@ -97,6 +97,7 @@ __all__ = [
     "solve_reconstruction",
     "residual_against",
     "reconstruct",
+    "sweep_channels",
     "omega_error",
 ]
 
@@ -271,6 +272,12 @@ class ReconstructionResult:
     error_vs_truth: float | None
     residual_history: tuple[float, ...]
 
+    @property
+    def summary(self) -> dict[str, float | int | None]:
+        """The scalars of the result, as field.csv's footer reports them."""
+        keys = ("residual", "error_vs_truth", "gram_condition", "iterations")
+        return {key: getattr(self, key) for key in keys}
+
     def write_csv(
         self,
         path: str,
@@ -291,16 +298,10 @@ class ReconstructionResult:
                 cols.append(np.asarray(truth_fns[d](*pts), dtype=float))
             cols.append(np.asarray(self.field.component(d)(*pts), dtype=float))
             header.extend([f"d{d + 1}_true", f"d{d + 1}_rec"])
-        summary = {
-            "residual": self.residual,
-            "error_vs_truth": self.error_vs_truth,
-            "gram_condition": self.gram_condition,
-            "iterations": self.iterations,
-        }
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             write_rows(fh, cols, "\n")
-            fh.write("# " + json.dumps(summary) + "\n")
+            fh.write("# " + json.dumps(self.summary) + "\n")
 
 
 def vector_basis_field(i: int, M: int, n: int) -> GradientField:
@@ -428,17 +429,26 @@ def assemble_rhs_from_state(
     depth = len(state) if depth is None else depth
     if depth < 1 or depth > len(state):
         raise InputError(f"depth {depth} outside 1..{len(state)}")
-    return _rhs_from_state(problem, replace(problem, mode_count=depth), state)
+    return assemble_rhs(problem, _state_moments(problem, state, depth)(problem))
 
 
-def _rhs_from_state(problem: HumProblem, deep: HumProblem, state: ModalState) -> np.ndarray:
-    """assemble_rhs_from_state with the state side `deep` already built."""
-    Tm = ml_product_matrix(
-        deep.eigenvalues, problem.alpha, problem.horizon, lams_col=problem.eigenvalues
-    )
-    weighted = deep.eigenvalues * state.coefficients[: deep.mode_count]
-    moments = np.einsum("cl,l,lk->kc", deep.outputs, weighted, Tm)
-    return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
+def _state_moments(
+    problem: HumProblem, state: ModalState, depth: int
+) -> Callable[[HumProblem], np.ndarray]:
+    """The moments of the state's noiseless record for every truncation.
+
+    The state side (its first `depth` modes and their P) is built once.
+    """
+    deep = replace(problem, mode_count=depth)
+    weighted = deep.eigenvalues * state.coefficients[:depth]
+
+    def moments(prob: HumProblem) -> np.ndarray:
+        Tm = ml_product_matrix(
+            deep.eigenvalues, prob.alpha, prob.horizon, lams_col=prob.eigenvalues
+        )
+        return np.einsum("cl,l,lk->kc", deep.outputs, weighted, Tm)
+
+    return moments
 
 
 def solve_reconstruction(
@@ -512,6 +522,25 @@ def _record_from_state(problem: HumProblem, state: ModalState) -> MeasurementRec
     return generate_measurements(sysn, state, problem.sensors, grid)
 
 
+def _solve_step(
+    problem: HumProblem, moments: np.ndarray, record: MeasurementRecord,
+    truth: Sequence[Callable[..., np.ndarray]] | GradientField | None,
+) -> tuple[GradientField, float, float | None, GramDiagnostic]:
+    """One HUM solve on the problem's truncation, from the record's moments.
+
+    Gram, right-hand side, solve, then the residual against the record and
+    the omega error (None without a truth). Raises SolvabilityError when an
+    unregularized Gram is singular.
+    """
+    gram = assemble_gram(problem)
+    rhs = assemble_rhs(problem, moments)
+    coeffs, spectrum = solve_reconstruction(problem, gram, rhs)
+    field = GradientField(coeffs, problem.modes)
+    residual = residual_against(problem, record, field)
+    err = omega_error(field, truth, problem.omega) if truth is not None else None
+    return field, residual, err, spectrum
+
+
 def reconstruct(
     problem: HumProblem,
     record: MeasurementRecord | ModalState,
@@ -530,13 +559,13 @@ def reconstruct(
     shift, and a singular unregularized solve counts as an infinite
     residual rather than a failure. Raises ConvergenceError (carrying the
     best iterate and the residual history) when the cap is reached with
-    the residual still above epsilon.
+    the residual still above epsilon, and the last step's SolvabilityError
+    when no step was solvable.
     """
-    state = record if isinstance(record, ModalState) else None
-    if state is not None:
-        record = _record_from_state(problem, state)
+    if isinstance(record, ModalState):
         # the state side of the exact route is fixed: build it once
-        deep = replace(problem, mode_count=len(state))
+        moments = _state_moments(problem, record, len(record))
+        record = _record_from_state(problem, record)
     else:
         # the data side's L1 pass serves every truncation: make it once
         _check_channels(problem, record)
@@ -549,33 +578,51 @@ def reconstruct(
         if it >= 3 and reg_i.kind == "none":
             reg_i = Regularization.tikhonov()
         prob_i = replace(problem, mode_count=M_i, regularization=reg_i)
-        gram = assemble_gram(prob_i)
-        rhs = (
-            _rhs_from_state(prob_i, deep, state)
-            if state is not None
-            else assemble_rhs(prob_i, moments(prob_i))
-        )
         try:
-            coeffs, spectrum = solve_reconstruction(prob_i, gram, rhs)
-        except SolvabilityError:
+            field, residual, err, spectrum = _solve_step(prob_i, moments(prob_i), record, truth)
+        except SolvabilityError as exc:
+            singular = exc
             history.append(float("inf"))
             continue
-        field = GradientField(coeffs, prob_i.modes)
-        residual = residual_against(prob_i, record, field)
         history.append(residual)
-        err = omega_error(field, truth, problem.omega) if truth is not None else None
         cond = spectrum.condition_number
         candidate = ReconstructionResult(field, residual, cond, it, err, tuple(history))
         if best is None or residual < best.residual:
             best = candidate
         if residual <= problem.epsilon:
             return candidate
+    if best is None:
+        raise singular
     raise ConvergenceError(
         f"residual {history[-1]:.3e} above epsilon {problem.epsilon:.3e} "
         f"after {problem.max_iterations} iterations",
         best=best,
         residual_history=tuple(history),
     )
+
+
+def sweep_channels(
+    problem: HumProblem,
+    record: MeasurementRecord,
+    truth: Sequence[Callable[..., np.ndarray]] | GradientField,
+) -> Iterator[tuple[float, float, float]]:
+    """Solve each channel of the record as its own one-sensor problem.
+
+    Channel ch was sensed by problem.sensors[ch]; one record_moments pass
+    serves every channel, and there is no escalation. Yields (omega error,
+    residual, smallest Gram eigenvalue), or nan, nan where it is singular.
+    """
+    _check_channels(problem, record)
+    moments = record_moments(problem, record)
+    for ch, sensor in enumerate(problem.sensors):
+        single = replace(problem, sensors=(sensor,))
+        channel = MeasurementRecord(record.grid, record.samples[:, ch], record.noise_sigma)
+        try:
+            _, residual, err, spectrum = _solve_step(single, moments[:, ch, None], channel, truth)
+        except SolvabilityError as exc:  # a blind spot: the Gram is singular
+            yield math.nan, math.nan, exc.smallest_eigenvalue
+            continue
+        yield err, residual, spectrum.smallest_eigenvalue
 
 
 def _truth_components(

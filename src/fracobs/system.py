@@ -149,7 +149,6 @@ class MeasurementRecord:
     grid: TimeGrid
     samples: np.ndarray
     noise_sigma: float = 0.0
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=float)
@@ -181,9 +180,7 @@ class MeasurementRecord:
             write_rows(fh, (self.grid.nodes, self.samples), "\r\n")
 
     @classmethod
-    def from_csv(
-        cls, path: str, noise_sigma: float = 0.0, provenance: str | None = None
-    ) -> "MeasurementRecord":
+    def from_csv(cls, path: str, noise_sigma: float = 0.0) -> "MeasurementRecord":
         """Read a record written by `to_csv`.
 
         CRLF, LF and CR line ends are accepted and blank lines are skipped.
@@ -211,9 +208,7 @@ class MeasurementRecord:
                 data = None
         if data is None or data.shape[1] != width:
             _raise_first_bad_row(path, width)
-        grid = TimeGrid.from_nodes(data[:, 0])
-        tag = provenance if provenance is not None else f"loaded:{path}"
-        return cls(grid, data[:, 1:], noise_sigma, tag)
+        return cls(TimeGrid.from_nodes(data[:, 0]), data[:, 1:], noise_sigma)
 
 
 def write_rows(fh: IO[str], columns: Sequence[np.ndarray], end: str) -> None:
@@ -322,7 +317,6 @@ def generate_measurements(
     grid: TimeGrid,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    provenance: str | None = None,
 ) -> MeasurementRecord:
     """Sample every sensor on the grid, optionally perturbed by Gaussian noise."""
     _check_noise_sigma(noise_sigma)
@@ -341,12 +335,7 @@ def generate_measurements(
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-    tag = (
-        provenance
-        if provenance is not None
-        else f"synthetic alpha={sys.alpha} M={sys.mode_count} seed={seed}"
-    )
-    return MeasurementRecord(grid, samples, noise_sigma, tag)
+    return MeasurementRecord(grid, samples, noise_sigma)
 
 
 def kalpha_adjoint_modal(

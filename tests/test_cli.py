@@ -363,6 +363,38 @@ def test_reconstruct_horizon_mismatch_is_usage_error(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_reconstruct_with_no_solvable_step_exits_4(tmp_path, capsys):
+    # at b = 0.5 the even modes vanish from the output map: both
+    # unregularized steps (4 and 8 modes) are singular, so there is no
+    # iterate to write, and the exit is 4 with one stderr line
+    config = write_config(tmp_path, """
+        alpha = 0.7
+        horizon = 1.0
+        modes = 4
+        sensor.kind = pointwise
+        sensor.location = 0.5
+        state.kind = coefficients
+        state.coefficients = 0.1, -0.05, 0.02, 0.01
+        time.samples = 64
+        solver.kind = none
+        escalation.max_iterations = 2
+    """)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = cli.main([
+        "reconstruct", "--config", config, "--out", str(out),
+        "--measurements", str(tmp_path / "measurements.csv"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("solvability error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (out / "field.csv").exists()
+
+
 def test_reconstruct_missing_measurements_is_usage_error(tmp_path, capsys):
     config = write_config(tmp_path, POINT_CONFIG)
     code = cli.main([
@@ -463,27 +495,34 @@ def test_check_strategic_zonal_square_reports_groups(tmp_path, capsys):
 
 
 def test_sweep_single_point_matches_reconstruct(tmp_path, capsys):
-    config = write_config(tmp_path, POINT_CONFIG)
-    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
-    assert cli.main([
-        "reconstruct", "--config", config, "--out", str(tmp_path),
-        "--measurements", str(tmp_path / "measurements.csv"),
-    ]) == 0
-    summary, _ = summary_of(capsys)
-    assert summary["iterations"] == 1
+    # the sweep and reconstruct share one solve step, so a converged first
+    # iteration gives the sweep's row bit for bit; the second config runs
+    # alpha < 1 on a graded record, where the moments come from the L1 pass
+    graded = POINT_CONFIG.replace("alpha = 1.0", "alpha = 0.7") + "    time.grading = graded\n"
+    for name, text in (("alpha1", POINT_CONFIG), ("graded", graded)):
+        out = tmp_path / name
+        out.mkdir()
+        config = write_config(out, text)
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert cli.main([
+            "reconstruct", "--config", config, "--out", str(out),
+            "--measurements", str(out / "measurements.csv"),
+        ]) == 0
+        summary, _ = summary_of(capsys)
+        assert summary["iterations"] == 1
 
-    assert cli.main([
-        "sweep-sensor", "--config", config, "--out", str(tmp_path),
-        "--sweep-grid", "0.3:0.3:0.05",
-    ]) == 0
-    rows = read_rows(tmp_path / "sweep.csv")
-    assert rows[0] == ["location", "error", "residual", "lambda_min"]
-    assert len(rows) == 2
-    location, error, residual, lam_min = (float(v) for v in rows[1])
-    assert location == 0.3
-    assert error == pytest.approx(summary["error_vs_truth"], rel=1e-12)
-    assert residual == pytest.approx(summary["residual"], rel=1e-12)
-    assert lam_min > 0.0
+        assert cli.main([
+            "sweep-sensor", "--config", config, "--out", str(out),
+            "--sweep-grid", "0.3:0.3:0.05",
+        ]) == 0
+        rows = read_rows(out / "sweep.csv")
+        assert rows[0] == ["location", "error", "residual", "lambda_min"]
+        assert len(rows) == 2
+        location, error, residual, lam_min = (float(v) for v in rows[1])
+        assert location == 0.3
+        assert error == summary["error_vs_truth"], name
+        assert residual == summary["residual"], name
+        assert lam_min > 0.0
 
 
 def test_sweep_failure_sentinel_at_blind_spot(tmp_path, monkeypatch):

@@ -159,6 +159,36 @@ def test_mlf_positive_arguments():
         assert fc.mlf(0.5, z).value == pytest.approx(want, rel=1e-10)
 
 
+def test_mlf_values_checks_positive_estimates():
+    # E_{1/2}(30) = e^900 erfc(-30) overflows, and the 400-term series
+    # misses it by half; at 100 the series itself overflows. mlf_values
+    # must refuse both exactly as mlf does
+    for z in (30.0, 100.0):
+        with pytest.raises(AccuracyError) as one:
+            fc.mlf(0.5, z)
+        with pytest.raises(AccuracyError) as many:
+            fc.mlf_values(0.5, [-1.0, z])
+        assert str(many.value) == str(one.value)
+        assert not one.value.report.est_error <= 1e-9
+    # at alpha = 1 an overflowed exp fails its estimate too
+    with pytest.raises(AccuracyError):
+        fc.mlf(1.0, 1000.0)
+    # E_{1/2}(1) = e erfc(-1) = erfcx(-1)
+    assert fc.mlf_values(0.5, [1.0])[0] == pytest.approx(erfcx(-1.0), rel=1e-13)
+
+
+def test_mlf_values_mixed_signs_keep_each_value():
+    # the negative points of a mixed call are bitwise those of a call
+    # without the positive ones, in every regime
+    z = np.concatenate([-np.logspace(-3, 3, 200), np.linspace(0.0, 1.5, 50)])
+    for a in (0.3, 0.5, 0.84):
+        mixed = fc.mlf_values(a, z)
+        neg = z <= 0.0
+        assert np.array_equal(mixed[neg], fc.mlf_values(a, z[neg]))
+        assert np.array_equal(mixed[~neg], fc.mlf_values(a, z[~neg]))
+        assert np.array_equal(mixed, [fc.mlf(a, float(x)).value for x in z])
+
+
 def test_mlf_est_error_inside_switch_radius():
     worst = 0.0
     for a in (0.3, 0.5, 0.77, 0.9, 1.0):
@@ -566,6 +596,18 @@ def test_caputo_values_channels_match_one_channel_calls():
                 assert np.max(np.abs(got[..., ch] - one)) <= 1e-13 * np.max(np.abs(one))
     with pytest.raises(InputError):
         fc.SampledFunction(g, np.zeros((g.nodes.size, 2, 2)))
+
+
+def test_caputo_values_of_no_times_is_empty():
+    # shape times.shape + channels, for both first-cell models
+    g = fc.TimeGrid.uniform(1.0, 33)
+    for samples in (np.sin(g.nodes), np.stack([g.nodes, g.nodes**2, np.cos(g.nodes)], 1)):
+        u = fc.SampledFunction(g, samples)
+        for a in (0.5, 1.0):
+            for fcp in (False, True):
+                for times in ([], np.empty((0, 4))):
+                    got = fc.caputo_values(u, a, times, first_cell_power=fcp)
+                    assert got.shape == np.shape(times) + samples.shape[1:]
 
 
 # ---------------------------------------------------------------------------

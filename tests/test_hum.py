@@ -546,6 +546,25 @@ def test_reconstruct_convergence_error_carries_best():
     assert err.value.best.residual == min(err.value.residual_history)
 
 
+def test_reconstruct_with_no_solvable_step_raises_solvability_error():
+    # at the blind spot b = 0.5 both unregularized steps are singular, so
+    # no iterate exists: the last step's SolvabilityError (8 modes) is
+    # raised on both routes, not a ConvergenceError without a best iterate
+    sensors = (Sensor.pointwise((0.5,)),)
+    problem = HumProblem(4, FULL, sensors, 0.7, 1.0, Regularization.none(), max_iterations=2)
+    state = ModalState([0.1, -0.05, 0.02, 0.01])
+    sysn = FractionalDiffusion.create(0.7, SpatialDomain.interval(), 1.0, len(state))
+    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    last = replace(problem, mode_count=8)
+    with pytest.raises(SolvabilityError) as want:
+        solve_reconstruction(last, assemble_gram(last), np.zeros(8))
+    for source in (record, state):
+        with pytest.raises(SolvabilityError) as err:
+            reconstruct(problem, source)
+        assert err.value.smallest_eigenvalue == want.value.smallest_eigenvalue
+        assert str(err.value) == str(want.value)
+
+
 def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
     # the tables on the Gauss, moment and record nodes grow by appended
     # columns, so three steps to 6 modes cost 6 columns per grid; at
