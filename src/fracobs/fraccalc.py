@@ -622,11 +622,13 @@ def _accepted(alpha: float, z: np.ndarray, tolerance: float):
 def mlf_values(alpha: float, z) -> np.ndarray:
     """E_alpha(z) over an array of real arguments (no per-point reports).
 
-    Fast path for the forward maps: exact exp at alpha = 1, otherwise the
-    same router as mlf(). Each value depends on its own argument alone, not
-    on the other points of the call, which decay_table() relies on. Work is
-    chunked to bound peak memory. Raises AccuracyError like mlf(), with the
-    first failing point's report, if an estimate exceeds 1e-9.
+    Fast path for the forward maps: one exp pass at alpha = 1, otherwise
+    the same router as mlf(). Each value depends on its own argument alone,
+    not on the other points of the call, which decay_table() relies on.
+    Work is chunked to bound peak memory. Raises AccuracyError like mlf(),
+    with the first failing point's report, if an estimate exceeds 1e-9; at
+    alpha = 1 that is an exp that overflows, which mlf()'s acceptance path
+    then reports.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -635,7 +637,12 @@ def mlf_values(alpha: float, z) -> np.ndarray:
     flat = z.ravel()
     out = np.empty_like(flat)
     if alpha == 1.0:
-        np.exp(flat, out=out)
+        try:
+            with np.errstate(over="raise"):
+                np.exp(flat, out=out)
+        except FloatingPointError:
+            # exp fails only by overflowing: report it as mlf() does
+            out = _accepted(alpha, flat, _VALUES_TOL)[0]
         return out.reshape(z.shape)
     for lo in range(0, flat.size, _BATCH_BLOCK):
         out[lo : lo + _BATCH_BLOCK] = _accepted(alpha, flat[lo : lo + _BATCH_BLOCK], _VALUES_TOL)[0]

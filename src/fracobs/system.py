@@ -43,8 +43,8 @@ __all__ = [
 
 # Gauss-Legendre order per axis of a zonal sensor's support integral
 SENSOR_ORDER = 32
-# table rows formatted per `%` operation when a CSV body is written, and
-# lines parsed per block when a rejected record is searched for its bad line
+# table rows formatted per block of numpy passes when a CSV body is written,
+# and lines parsed per block when a rejected record is searched for its bad line
 CSV_ROWS = 4096
 
 
@@ -214,13 +214,163 @@ class MeasurementRecord:
 def write_rows(fh: IO[str], columns: Sequence[np.ndarray], end: str) -> None:
     """Write the columns side by side as `%.17g` fields, one line per row.
 
-    One `%` operation formats each block of CSV_ROWS rows, so memory stays
-    at one block of values and text whatever the table's length.
+    The text is byte for byte what `format(v, ".17g")` gives, built by
+    `_fields_text` in numpy passes over blocks of CSV_ROWS rows, so memory
+    stays at one block of values and text whatever the table's length.
+    `end` is the line end, of at most two characters.
     """
     for lo in range(0, len(columns[0]), CSV_ROWS):
         block = np.column_stack([c[lo : lo + CSV_ROWS] for c in columns])
-        row = ",".join(["%.17g"] * block.shape[1]) + end
-        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        fh.write(_fields_text(block, end))
+
+
+# Decimal exponents E (|v| = d.ddd... x 10**E) that `_decimal17` handles;
+# Python formats a value outside them. In this range every Dekker split
+# and partial product below stays a finite normal double.
+_EXP_MIN, _EXP_MAX = -280, 280
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
+_POW10_K0 = 16 - (_EXP_MAX + 2)  # the smallest scale 10**k, k = 16 - E
+
+
+def _pow10_pairs() -> np.ndarray:
+    """10**k for k = 16 - E over the exponents, as exact double-doubles.
+
+    Column k - _POW10_K0 is (hi, hi's 26-bit head, hi's tail, lo), with
+    hi + lo = 10**k to 2**-106 relative; E runs two past each end, for
+    log10's miss and the carry. Python ints give every part: int/int
+    division and float(int) round correctly.
+    """
+    pairs = []
+    for k in range(_POW10_K0, 16 - (_EXP_MIN - 2) + 1):
+        n = 10 ** abs(k)
+        if k >= 0:
+            hi = float(n)
+            lo = float(n - int(hi))
+        else:
+            hi = 1 / n
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * n) / (den * n)
+        pairs.append((hi, lo))
+    hi, lo = np.array(pairs).T
+    head = _SPLIT * hi - (_SPLIT * hi - hi)
+    return np.array([hi, head, hi - head, lo])
+
+
+_POW10 = _pow10_pairs()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - e) as a double-double (p, t): Dekker's exact product."""
+    hi, head, tail, lo = _POW10[:, 16 - e - _POW10_K0]
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * hi
+    t = ((a1 * head - p) + a1 * tail + a2 * head) + a2 * tail
+    return p, t + a * lo
+
+
+def _decimal17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits of each |value|: (D, E, undecided).
+
+    a = D x 10**(E - 16), rounded to nearest, with 10**16 <= D < 10**17.
+    `undecided` marks a value outside the exponent range, nan or inf, or
+    one whose scaled fraction lies within 1e-9 of one half: an exact
+    decimal tie such as 1 + 2**-17 may round either way, so Python decides
+    it. Zero gives D = E = 0.
+    """
+    regular = (a >= 10.0**_EXP_MIN) & (a < 10.0 ** (_EXP_MAX + 1))
+    safe = np.where(regular, a, 1.0)
+    e = np.floor(np.log10(safe)).astype(np.int64)
+    p, t = _scaled(safe, e)
+    # log10 can miss by one next to a power of ten. Compare the whole
+    # double-double: 1e-12 scales to p = 1e16 with t = -0.2
+    low = (p < 1e16) | ((p == 1e16) & (t < 0))
+    high = (p > 1e17) | ((p == 1e17) & (t >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], t[fix] = _scaled(safe[fix], e[fix])
+    # p >= 1e16 is an integer; t holds the rest
+    whole = np.floor(t)
+    frac = t - whole
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    zero = a == 0.0
+    d[zero] = 0
+    e[zero] = 0
+    return d, e, ~(regular | zero) | (np.abs(frac - 0.5) < 1e-9)
+
+
+def _words(texts: Sequence[str]) -> np.ndarray:
+    """Each text of at most 8 ASCII bytes as one little-endian uint64."""
+    return np.array([s.encode() for s in texts], "S8").view("<u8")
+
+
+# A field is built in six uint64 words (48 bytes); its zero bytes are
+# dropped when the block is joined:
+#   word 0      sign, then "0." and up to three zeros (fixed notation, E < 0)
+#   words 1-4   digits 0..15 as 16-bit pairs: the digit, then "." or nothing
+#   word 5      digit 16, "e", the exponent's sign and 3 digits, separator
+_HEAD = _words([s + z for s in ("", "-") for z in ("", "0.", "0.0", "0.00", "0.000")])
+_TAIL_E0 = _EXP_MIN - 4
+_TAIL = _words(
+    ["\0e" + (f"{e:+04d}" if abs(e) >= 100 else f"{e:+03d}"[0] + "\0" + f"{abs(e):02d}")
+     for e in range(_TAIL_E0, _EXP_MAX + 5)]
+    + [""]  # fixed notation: no exponent
+)
+_DIGIT = np.arange(17)[:, None]
+
+
+def _fields_text(block: np.ndarray, end: str) -> str:
+    """A 2-d block as `%.17g` fields: "," between columns, `end` after rows.
+
+    Python's %g rules: 17 significant digits; fixed notation when the
+    rounded value's exponent E has -4 <= E < 17, else d.ddde+XX with at
+    least two exponent digits; trailing zeros and a bare "." cut off.
+    The values that `_decimal17` leaves undecided, nan and inf among
+    them, call `format`.
+    """
+    if len(end) > 2:
+        raise ValueError(f"line end {end!r} is longer than two characters")
+    x = block.ravel()
+    n = x.size
+    d, e, undecided = _decimal17(np.abs(x))
+    fixed = (e >= -4) & (e < 17)
+    # digits i <= E of fixed notation stay, and those up to the last nonzero
+    digits = np.empty((17, n), "<u2")
+    kept = _DIGIT <= np.where(fixed, e, 0)
+    seen = np.zeros(n, dtype=bool)
+    for i in range(16, -1, -1):
+        q = d // 10
+        digits[i] = d - q * 10
+        d = q
+        seen |= digits[i] != 0
+        kept[i] |= seen
+    digits += ord("0")
+    digits *= kept
+    # the "." after digit E of fixed notation, or digit 0 of exponent
+    # notation, when a digit after it stays
+    dot = np.where(fixed, e, 0)
+    at = np.flatnonzero((dot >= 0) & (dot < 16))
+    at = at[kept[dot[at] + 1, at]]
+    digits[dot[at], at] |= ord(".") << 8
+
+    out = np.zeros((n, 6), "<u8")
+    head = np.where(fixed & (e < 0), -e, 0) + 5 * np.signbit(x)
+    out[:, 0] = _HEAD[head]
+    out.view("<u2")[:, 4:20] = digits[:16].T
+    out[:, 5] = _TAIL[np.where(fixed, len(_TAIL) - 1, e - _TAIL_E0)] | digits[16]
+    seps = _words([","] * (block.shape[1] - 1) + [end]) << np.uint64(48)
+    out.reshape(-1, block.shape[1], 6)[:, :, 5] |= seps
+    text = out.view(np.uint8)
+    for i in np.flatnonzero(undecided):
+        field = format(float(x[i]), ".17g").encode()
+        text[i, :-2] = 0  # all but the separator
+        text[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _read_rows(lines) -> np.ndarray:

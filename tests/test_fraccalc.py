@@ -8,6 +8,7 @@ identity.
 
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -175,6 +176,21 @@ def test_mlf_values_checks_positive_estimates():
         fc.mlf(1.0, 1000.0)
     # E_{1/2}(1) = e erfc(-1) = erfcx(-1)
     assert fc.mlf_values(0.5, [1.0])[0] == pytest.approx(erfcx(-1.0), rel=1e-13)
+
+
+def test_mlf_values_alpha_one_overflow_raises_like_mlf():
+    # exp(1000) overflows: mlf_values refuses it with mlf's message, and
+    # with no numpy overflow warning on the way
+    for z in ([1000.0], [-2.0, 0.0, 710.0, 1000.0]):
+        with pytest.raises(AccuracyError) as one:
+            fc.mlf(1.0, [v for v in z if v > 709.0][0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError) as many:
+                fc.mlf_values(1.0, z)
+        assert str(many.value) == str(one.value)
+    # the largest finite exp still passes
+    assert fc.mlf_values(1.0, [709.0])[0] == math.exp(709.0)
 
 
 def test_mlf_values_mixed_signs_keep_each_value():
@@ -433,7 +449,11 @@ def test_mlf_continuous_across_regime_seams(alpha):
 @given(st.lists(st.floats(0.0, 700.0), min_size=1, max_size=40))
 def test_mlf_closed_forms_at_one_and_one_half(xs):
     x = np.array(xs)
-    assert np.array_equal(fc.mlf_values(1.0, -x), np.exp(-x))
+    # at alpha = 1 bitwise np.exp, underflow to 0 included, with no warning
+    under = np.concatenate([x, [745.0, 800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(fc.mlf_values(1.0, -under), np.exp(-under))
     v = fc.mlf_values(0.5, -x)
     assert np.max(np.abs(v - erfcx(x)) / erfcx(x)) <= 1e-11
 

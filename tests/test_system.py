@@ -1,5 +1,6 @@
 """Tests for the forward model and the spectral adjoint."""
 
+import io
 import math
 import subprocess
 import sys
@@ -248,6 +249,103 @@ def test_record_csv_roundtrip_is_bitwise_on_hard_values(tmp_path):
     assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
 
 
+def _format_rows(columns, end):
+    """The reference CSV body: one format(v, ".17g") per field."""
+    return "".join(
+        ",".join(format(float(v), ".17g") for v in row) + end for row in zip(*columns)
+    )
+
+
+def _written(columns, end):
+    buf = io.StringIO()
+    fs.write_rows(buf, columns, end)
+    return buf.getvalue()
+
+
+# the %g switches: fixed notation for -4 <= E < 17, three exponent digits
+# from 1e100, round-ups across a power of ten (1e-12 prints as
+# 9.9999999999999998e-13), exact decimal ties, and every end of the range
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, -math.nan, math.inf, -math.inf,
+    1e-5, 9.9999e-5, 1e-4, 1.2345e-4, 0.001, 0.1, 0.5, 1.0, 100.0, 120.5, 1e15,
+    1e16, 1e16 + 2, 9.999999999999999e16, 12345678901234567.0, 1e17, 1.2345678901234568e17,
+    1e-12, 1e23, 9.999999999999999e22, 1e99, 1e100, 1.5e-100, 1e-99, 2.5e-101,
+    1e-280, 9.99e-281, 1e280, 1.1e281, 1e300, 1e-300,
+    1.0 + 2.0**-17, 3.0 + 2.0**-17, 1.0 / 3.0, 2.0 / 3.0, 0.1 + 0.2,
+]
+
+
+def _hard_values():
+    """~110k values: edge cases, powers of ten and their neighbours, exact
+    ties k 2**-17, log-uniform normals over 1e+-30 and random bit patterns
+    (nan, inf and subnormals among them)."""
+    rng = np.random.default_rng(15)
+    tens = 10.0 ** np.arange(-323.0, 309.0)
+    bits = rng.integers(-(2**63), 2**63 - 1, 40000, dtype=np.int64, endpoint=True)
+    parts = [
+        EDGE_VALUES,
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.arange(-20000, 20000) * 2.0**-17,
+        rng.choice([-1.0, 1.0], 30000) * 10.0 ** rng.uniform(-30.0, 30.0, 30000),
+        bits.view(np.float64),
+    ]
+    return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+
+
+HARD_VALUES = _hard_values()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_write_rows_matches_format(end, width):
+    # byte for byte the text of format(v, ".17g"), with no numpy warning
+    rows = HARD_VALUES.size // width
+    columns = list(HARD_VALUES[: rows * width].reshape(width, rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _written(columns, end)
+    assert got == _format_rows(columns, end)
+
+
+@pytest.mark.parametrize("rows", [1, fs.CSV_ROWS - 1, fs.CSV_ROWS, fs.CSV_ROWS + 1, 2 * fs.CSV_ROWS + 3])
+def test_write_rows_block_edges(rows):
+    rng = np.random.default_rng(rows)
+    columns = [np.sort(rng.uniform(0.0, 1.0, rows)), rng.standard_normal(rows) * 1e-3]
+    assert _written(columns, "\r\n") == _format_rows(columns, "\r\n")
+    assert _written([np.zeros(0), np.zeros(0)], "\n") == ""
+    with pytest.raises(ValueError, match="longer than two"):
+        _written(columns, "\r\n\n")
+
+
+def test_write_rows_leaves_only_undecided_values_to_format(monkeypatch):
+    # ties within 1e-9 of one half, values outside the exponent range, nan
+    # and inf go to format(); zeros and every other value are built in numpy
+    undecided = [
+        1.0 + 2.0**-17, -(5.0 + 2.0**-17), 5e-324, 1e-290, 1.7976931348623157e308, -1e290,
+        math.nan, math.inf, -math.inf,
+    ]
+    decided = [0.0, -0.0, 1e-12, 0.1, 1e16, 123.0, 1e-280, 1e280]
+    assert fs._decimal17(np.abs(np.array(undecided)))[2].all()
+    assert not fs._decimal17(np.abs(np.array(decided)))[2].any()
+    calls = []
+
+    def counted(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(fs, "format", counted, raising=False)
+    columns = [np.array(decided + undecided), np.array(undecided + decided)]
+    got = _written(columns, "\n")
+    monkeypatch.undo()
+    assert got == _format_rows(columns, "\n")
+    # row-major order: row i's first field, then its second (compared as
+    # text, since nan equals nothing)
+    texts = {format(v, ".17g") for v in undecided}
+    expected = [format(float(v), ".17g") for row in zip(*columns) for v in row]
+    assert [format(v, ".17g") for v in calls] == [t for t in expected if t in texts]
+
+
 def test_record_csv_reads_lf_and_blank_lines(tmp_path):
     path = tmp_path / "record.csv"
     for text in ("t,z1\n0,1\n0.5,2\n1,3\n", "t,z1\r\n\r\n0,1\r\n\r\n0.5,2\r\n1,3\r\n\r\n"):
@@ -357,6 +455,16 @@ def test_record_csv_io_memory_is_bounded(long_record, tmp_path):
     assert peak < 16 * MB
     assert back.samples.tobytes() == rec.samples.tobytes()
     assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+
+
+def test_record_csv_long_body_matches_format(long_record, tmp_path):
+    # 65,536 rows in 16 blocks: the whole file, one format() per field
+    sysn, state, sensors, grid = long_record
+    rec = fs.generate_measurements(sysn, state, sensors, grid)
+    path = tmp_path / "record.csv"
+    rec.to_csv(str(path))
+    body = _format_rows((grid.nodes, *rec.samples.T), "\r\n")
+    assert path.read_bytes() == ("t,z1,z2,z3\r\n" + body).encode()
 
 
 LOAD_GUARD = """
