@@ -2,13 +2,12 @@
 
 Subpackage map:
 
-- fraccalc: Mittag-Leffler evaluation, Caputo and right-sided
-  Riemann-Liouville operators on sampled time grids, fractional
+- fraccalc: Mittag-Leffler evaluation on the negative axis, decay tables,
+  the Caputo derivative of sampled records, and the fractional
   integration-by-parts residual.
 - spectral: Dirichlet-Laplacian eigenpairs on the unit interval/square,
-  region inner products, gradient coupling coefficients.
-- system: the diffusion model, sensors, mild solutions, synthetic
-  measurement records, and the adjoint moment map.
+  the basis evaluator, region quadrature, gradient coupling coefficients.
+- system: the diffusion model, sensors and synthetic measurement records.
 - observability: gradient-strategic sensor tests, the observability Gram
   diagnostic on a subregion, and a vanishing-output counterexample check.
 - hum: Gram/right-hand-side assembly, regularized solves, and the
@@ -26,8 +25,6 @@ from .errors import (
     SolvabilityError,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AccuracyError",
     "ConvergenceError",
@@ -35,5 +32,4 @@ __all__ = [
     "FracobsError",
     "InputError",
     "SolvabilityError",
-    "__version__",
 ]

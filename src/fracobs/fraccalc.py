@@ -1,10 +1,10 @@
 """Fractional calculus on sampled time grids.
 
-Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1], the one
-evaluator of decay tables E_alpha(-lam t^alpha) with its memo and its
+Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, the
+one evaluator of decay tables E_alpha(-lam t^alpha) with its memo and its
 table-free product with a weight matrix, Caputo derivatives of sampled
-data, right-sided Riemann-Liouville operators, and a residual check for
-the fractional integration-by-parts identity.
+data, and a residual check for the fractional integration-by-parts
+identity.
 
 Every grid operator is a product-integration rule: the kernel factor is
 integrated in closed form against the piecewise-linear interpolant of
@@ -33,10 +33,7 @@ __all__ = [
     "mlf_values",
     "decay_table",
     "decay_apply",
-    "caputo_derivative",
     "caputo_values",
-    "rl_integral_right",
-    "rl_derivative_right",
     "check_fractional_ibp",
     "graded_panel_edges",
     "gauss_legendre",
@@ -131,16 +128,6 @@ class SampledFunction:
         if values.ndim not in (1, 2) or values.shape[0] != self.grid.nodes.size:
             raise InputError("sample count does not match the grid")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, fn, grid: TimeGrid) -> "SampledFunction":
-        vals = np.asarray(fn(grid.nodes), dtype=float)
-        if vals.shape != grid.nodes.shape:
-            vals = np.array([float(fn(t)) for t in grid.nodes])
-        return cls(grid, vals)
-
-    def integral(self) -> float:
-        return float(self.grid.weights @ self.values)
 
 
 def _powv(x: np.ndarray, p: float) -> np.ndarray:
@@ -255,7 +242,6 @@ _ASYM_ACCEPT = 5e-13   # relative truncation estimate the route must beat
 _ASYM_TERMS = 180
 _SERIES_DIGITS = 3.6   # worst-case cancellation the float series tolerates
 _SERIES_SPAN = 56.0    # alpha*k past which the series' terms are negligible
-_SERIES_TERMS = 400    # terms of the positive-argument series
 _GAMMA_MIN = 0.8856    # Gamma on [1, inf) stays above this
 _GAP_STEPS = 10.0      # trapezoid steps per half-width of the analytic strip
 _GAP_TAIL = 1e-17      # relative mass the truncated u-range may leave out
@@ -276,8 +262,7 @@ class MlfEvalReport:
     regime is one of three routes:
       "series"      the power series in float arithmetic, used where it
                     loses at most _SERIES_DIGITS decimal digits to
-                    cancellation (and for z > 0, where nothing cancels);
-                    for z <= 0 its even and odd terms are summed by
+                    cancellation; its even and odd terms are summed by
                     Horner's rule in z^2; terms_used counts its terms;
       "asymptotic"  the large-argument expansion, tried from |z| = 2 on and
                     summed term by term, each envelope carried from the last
@@ -448,21 +433,6 @@ def _series_neg(alpha: float, x: np.ndarray):
     return vals, rel, np.full(x.shape, k.size)
 
 
-def _series_pos(alpha: float, z: np.ndarray):
-    """Power series for z >= 0, no cancellation; returns as _route_neg does."""
-    k = np.arange(0.0, _SERIES_TERMS + 1.0)
-    lz = np.log(np.maximum(z, 1e-300))
-    lmag = np.outer(k, lz) - _lgamma(1.0 + alpha * k)[:, None]
-    with np.errstate(over="ignore"):
-        mag = np.exp(lmag)
-        used = (mag > 1e-18 * np.maximum(mag.max(axis=0), 1e-300)[None, :]).sum(axis=0)
-        tail = mag[-1].copy()
-        vals = _ordered_sum(mag)
-    with np.errstate(invalid="ignore"):
-        rel = np.where(vals > 0.0, tail / vals + np.finfo(float).eps, 0.0)
-    return vals, rel, used, np.zeros(z.shape, dtype=int)
-
-
 def _spectral_neg(alpha: float, x: np.ndarray):
     """E_alpha(-x) by the trapezoid rule on its positive spectral integral.
 
@@ -585,29 +555,17 @@ def _route_neg(alpha: float, x: np.ndarray):
 
 
 def _accepted(alpha: float, z: np.ndarray, tolerance: float):
-    """E_alpha(z), each point by one regime, every estimate checked.
+    """E_alpha(z) for z <= 0, each point by one regime, every estimate checked.
 
-    exp(z) at alpha = 1, else the router for z <= 0 and the positive series
-    for z > 0 (a one-sign block keeps its route's arrays); an overflow fails
-    its estimate. Raises AccuracyError with the first failing point's report
-    unless every estimate is within `tolerance`. Returns as _route_neg does.
+    exp(z) at alpha = 1, else the router. Raises AccuracyError with the
+    first failing point's report unless every estimate is within
+    `tolerance`. Returns as _route_neg does.
     """
-    neg = z <= 0.0
     if alpha == 1.0:
-        one = np.ones(z.shape, dtype=int)
-        with np.errstate(over="ignore"):
-            got = np.exp(z), np.full_like(z, np.finfo(float).eps), one, np.zeros_like(one)
-    elif neg.all():
-        got = _route_neg(alpha, -z)
-    elif not neg.any():
-        got = _series_pos(alpha, z)
+        used = np.ones(z.shape, dtype=int)
+        vals, rel, regime = np.exp(z), np.full_like(z, np.finfo(float).eps), np.zeros_like(used)
     else:
-        got = tuple(np.empty(z.shape, dtype=t) for t in (float, float, int, int))
-        for side in (neg, ~neg):
-            for whole, part in zip(got, _accepted(alpha, z[side], tolerance)):
-                whole[side] = part
-    vals, rel, used, regime = got
-    rel[np.isinf(vals)] = np.inf
+        vals, rel, used, regime = _route_neg(alpha, -z)
     bad = np.flatnonzero(~(rel <= tolerance))
     if bad.size:
         i = bad[0]
@@ -619,33 +577,38 @@ def _accepted(alpha: float, z: np.ndarray, tolerance: float):
     return vals, rel, used, regime
 
 
+def _check_arguments(z) -> np.ndarray:
+    """z as a float array; DomainError unless every entry is finite and <= 0.
+
+    The package evaluates E_alpha only at -lam t^alpha with lam > 0 and
+    t >= 0. A max and a min reduction decide it with no temporary array:
+    nan fails both comparisons.
+    """
+    z = np.asarray(z, dtype=float)
+    if not (z.max(initial=0.0) <= 0.0 and z.min(initial=0.0) > -math.inf):
+        raise DomainError("E_alpha arguments must be finite and <= 0")
+    return z
+
+
 def mlf_values(alpha: float, z) -> np.ndarray:
-    """E_alpha(z) over an array of real arguments (no per-point reports).
+    """E_alpha(z) over an array of arguments z <= 0 (no per-point reports).
 
     Fast path for the forward maps: one exp pass at alpha = 1, otherwise
     the same router as mlf(). Each value depends on its own argument alone,
     not on the other points of the call, which decay_table() relies on.
-    Work is chunked to bound peak memory. Raises AccuracyError like mlf(),
-    with the first failing point's report, if an estimate exceeds 1e-9; at
-    alpha = 1 that is an exp that overflows, which mlf()'s acceptance path
-    then reports.
+    Work is chunked to bound peak memory. Raises DomainError as mlf() does,
+    and AccuracyError like mlf(), with the first failing point's report, if
+    an estimate exceeds 1e-9.
     """
     alpha = _check_alpha(alpha)
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("E_alpha arguments must be finite")
+    z = _check_arguments(z)
     flat = z.ravel()
     out = np.empty_like(flat)
     if alpha == 1.0:
-        try:
-            with np.errstate(over="raise"):
-                np.exp(flat, out=out)
-        except FloatingPointError:
-            # exp fails only by overflowing: report it as mlf() does
-            out = _accepted(alpha, flat, _VALUES_TOL)[0]
-        return out.reshape(z.shape)
-    for lo in range(0, flat.size, _BATCH_BLOCK):
-        out[lo : lo + _BATCH_BLOCK] = _accepted(alpha, flat[lo : lo + _BATCH_BLOCK], _VALUES_TOL)[0]
+        np.exp(flat, out=out)
+    else:
+        for lo in range(0, flat.size, _BATCH_BLOCK):
+            out[lo : lo + _BATCH_BLOCK] = _accepted(alpha, flat[lo : lo + _BATCH_BLOCK], _VALUES_TOL)[0]
     return out.reshape(z.shape)
 
 
@@ -653,14 +616,12 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     """Evaluate E_alpha(z) and report how the value was obtained.
 
     A one-point call of the router behind mlf_values(). Raises DomainError
-    for alpha outside (0, 1] and AccuracyError (with the report attached)
-    if the relative error estimate exceeds `tolerance`.
+    for alpha outside (0, 1] or z not finite and <= 0, and AccuracyError
+    (with the report attached) if the relative error estimate exceeds
+    `tolerance`.
     """
     alpha = _check_alpha(alpha)
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("E_alpha argument must be finite")
-    vals, rel, used, regime = _accepted(alpha, np.array([z]), tolerance)
+    vals, rel, used, regime = _accepted(alpha, _check_arguments([float(z)]), tolerance)
     return MlfEvalReport(float(vals[0]), _REGIMES[regime[0]], int(used[0]), float(rel[0]))
 
 
@@ -748,14 +709,6 @@ def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:
 
 
 _CAPUTO_ROWS = 256  # evaluation times per causal block
-
-
-def caputo_derivative(u: SampledFunction, alpha: float, t: float) -> float:
-    """Caputo derivative of order alpha of the sampled function at time t.
-
-    A one-point call of `caputo_values` (chord model on every cell).
-    """
-    return float(caputo_values(u, alpha, [t])[0])
 
 
 def caputo_values(
@@ -846,75 +799,6 @@ def caputo_values(
     out[order] = memory / math.gamma(2.0 - alpha)
     out = out.reshape(times.shape + du.shape[1:]) + start
     return out.reshape(times.shape + u.values.shape[1:])
-
-
-# ---------------------------------------------------------------------------
-# right-sided Riemann-Liouville operators
-
-
-def rl_integral_right(r: SampledFunction, alpha: float, t: float) -> float:
-    """Right fractional integral (1/Gamma(a)) int_t^T (s-t)^(a-1) r(s) ds.
-
-    Product integration against the piecewise-linear interpolant; the
-    endpoint singularity at s = t is integrated in closed form. t = T
-    returns 0 (empty interval).
-    """
-    alpha = _check_alpha(alpha)
-    t = float(t)
-    tg = r.grid.nodes
-    horizon = tg[-1]
-    if t < 0.0 or t > horizon * (1.0 + 1e-12):
-        raise DomainError(f"t={t} outside [0, {horizon}]")
-    if t >= horizon * (1.0 - 1e-15):
-        return 0.0
-    a = tg[:-1]
-    b = tg[1:]
-    dr = np.diff(r.values) / np.diff(tg)
-    lo = np.maximum(a, t)
-    j0 = (_powv(b - t, alpha) - _powv(lo - t, alpha)) / alpha
-    j1 = (_powv(b - t, alpha + 1.0) - _powv(lo - t, alpha + 1.0)) / (alpha + 1.0)
-    total = np.sum(r.values[:-1] * j0 + dr * (j1 + (t - a) * j0))
-    return float(total) / math.gamma(alpha)
-
-
-def rl_derivative_right(r: SampledFunction, alpha: float, t: float) -> float:
-    """Right fractional derivative -(d/dt) of the (1-alpha)-integral at t.
-
-    The inner integral is evaluated exactly on the interpolant; the outer
-    derivative is a central difference with a step tied to the grid. Too
-    close to the horizon the stencil would leave the domain, which is an
-    accuracy failure rather than a domain one.
-    """
-    alpha = _check_alpha(alpha)
-    t = float(t)
-    tg = r.grid.nodes
-    horizon = tg[-1]
-    if t < 0.0 or t >= horizon:
-        raise DomainError(f"t={t} outside [0, {horizon})")
-    step = float(np.max(np.diff(tg)))
-    if horizon - t <= step * (1.0 + 1e-12):
-        raise AccuracyError(
-            f"t={t} is within one grid step of the horizon {horizon}; "
-            "the differencing stencil leaves the domain"
-        )
-    delta = min(step, (horizon - t) / 8.0)
-    if t < delta:
-        delta = max(t, delta / 8.0) if t > 0.0 else delta
-
-    if alpha == 1.0:
-        lofn = lambda s: float(np.interp(s, tg, r.values))
-        if t >= delta:
-            return -(lofn(t + delta) - lofn(t - delta)) / (2.0 * delta)
-        return -(-3.0 * lofn(t) + 4.0 * lofn(t + delta) - lofn(t + 2 * delta)) / (
-            2.0 * delta
-        )
-
-    inner = lambda s: rl_integral_right(r, 1.0 - alpha, s)
-    if t >= delta:
-        return -(inner(t + delta) - inner(t - delta)) / (2.0 * delta)
-    return -(-3.0 * inner(t) + 4.0 * inner(t + delta) - inner(t + 2 * delta)) / (
-        2.0 * delta
-    )
 
 
 # ---------------------------------------------------------------------------

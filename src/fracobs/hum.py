@@ -21,7 +21,8 @@ pairing with exp(-lam t) is done in closed form on each cell.
 A HumProblem owns the operators of its truncation: the modes, their
 eigenvalues, B and P are cached properties, each built once on first use
 and read-only. The Gram, both right-hand sides and the residual read them
-from the problem; replace() gives a new truncation an empty cache.
+from the problem; replace() gives a new truncation an empty cache, and a
+sensor sweep primes each position's cache with the parent's operators.
 
 Each solve decomposes the Gram once; the coefficients, the condition
 number and the smallest eigenvalue all come from that one eigh. The
@@ -89,7 +90,6 @@ __all__ = [
     "HumProblem",
     "GradientField",
     "ReconstructionResult",
-    "vector_basis_field",
     "assemble_gram",
     "record_moments",
     "assemble_rhs",
@@ -302,16 +302,6 @@ class ReconstructionResult:
             fh.write(",".join(header) + "\n")
             write_rows(fh, cols, "\n")
             fh.write("# " + json.dumps(self.summary) + "\n")
-
-
-def vector_basis_field(i: int, M: int, n: int) -> GradientField:
-    """The i-th (1-based) flattened basis field, i = n*(q-1) + d."""
-    if not 1 <= i <= n * M:
-        raise InputError(f"index {i} outside 1..{n * M}")
-    modes = eigenpairs(SpatialDomain(n), M)
-    coeffs = np.zeros(n * M)
-    coeffs[i - 1] = 1.0
-    return GradientField(coeffs, tuple(modes))
 
 
 def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
@@ -609,13 +599,23 @@ def sweep_channels(
     """Solve each channel of the record as its own one-sensor problem.
 
     Channel ch was sensed by problem.sensors[ch]; one record_moments pass
-    serves every channel, and there is no escalation. Yields (omega error,
-    residual, smallest Gram eigenvalue), or nan, nan where it is singular.
+    serves every channel, and there is no escalation. Every channel's
+    problem shares the parent's modes, eigenvalues and B, and takes row ch
+    of its P: only P depends on the sensor. Yields (omega error, residual,
+    smallest Gram eigenvalue), or nan, nan where it is singular.
     """
     _check_channels(problem, record)
     moments = record_moments(problem, record)
     for ch, sensor in enumerate(problem.sensors):
         single = replace(problem, sensors=(sensor,))
+        # prime the cached properties, which live in the instance dict; the
+        # row of P is copied, so it is laid out as a one-sensor output_matrix
+        vars(single).update(
+            modes=problem.modes,
+            eigenvalues=problem.eigenvalues,
+            coupling=problem.coupling,
+            outputs=_read_only(problem.outputs[ch : ch + 1].copy()),
+        )
         channel = MeasurementRecord(record.grid, record.samples[:, ch], record.noise_sigma)
         try:
             _, residual, err, spectrum = _solve_step(single, moments[:, ch, None], channel, truth)

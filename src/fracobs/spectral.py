@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .fraccalc import gauss_legendre
 
 __all__ = [
@@ -29,11 +29,6 @@ __all__ = [
     "eigenpairs",
     "eigenvalue_groups",
     "mode_table",
-    "eval_eigfun",
-    "eval_eigfun_grad",
-    "eigenfunction",
-    "eigenfunction_partial",
-    "region_inner_product",
     "grad_coupling",
     "restricted_coupling",
 ]
@@ -160,15 +155,6 @@ def eigenvalue_groups(modes: Sequence[EigenMode]) -> list[list[int]]:
     return [buckets[k] for k in sorted(buckets)]
 
 
-def _check_point(point: Sequence[float], n: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    if p.shape != (n,):
-        raise InputError(f"expected a point with {n} coordinates, got {p.shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise DomainError(f"point {tuple(p)} lies outside the closed unit domain")
-    return p
-
-
 def mode_table(
     modes: Sequence[EigenMode], coords: Sequence, axis: int | None = None
 ) -> np.ndarray:
@@ -194,28 +180,6 @@ def mode_table(
         arg = np.asarray(x, dtype=float)[..., None] * freqs[:, d]
         out = out * (np.cos(arg) if d == axis else np.sin(arg))
     return out
-
-
-def eval_eigfun(mode: EigenMode, point: Sequence[float]) -> float:
-    p = _check_point(point, mode.dimension)
-    return float(mode_table((mode,), p)[0])
-
-
-def eval_eigfun_grad(mode: EigenMode, point: Sequence[float]) -> np.ndarray:
-    p = _check_point(point, mode.dimension)
-    return np.array([mode_table((mode,), p, d)[0] for d in range(mode.dimension)])
-
-
-def eigenfunction(mode: EigenMode) -> Callable[..., np.ndarray]:
-    """Vectorized eigenfunction taking one coordinate array per axis."""
-    return lambda *coords: mode_table((mode,), coords)[..., 0]
-
-
-def eigenfunction_partial(mode: EigenMode, axis: int) -> Callable[..., np.ndarray]:
-    """Vectorized partial derivative of the eigenfunction along `axis` (0-based)."""
-    if not 0 <= axis < mode.dimension:
-        raise InputError(f"axis {axis} out of range for dimension {mode.dimension}")
-    return lambda *coords: mode_table((mode,), coords, axis)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -255,28 +219,6 @@ class SpatialQuadrature:
         for w in self.weights[1:]:
             weights = np.multiply.outer(weights, w)
         return tuple(g.ravel() for g in grids), weights.ravel()
-
-
-def region_inner_product(
-    f: Callable[..., np.ndarray],
-    g: Callable[..., np.ndarray],
-    region: Region,
-    quad: SpatialQuadrature | None = None,
-) -> float:
-    """Gauss-Legendre approximation of the L2 pairing of f and g over the region.
-
-    Fields are callables taking one coordinate array per axis and
-    broadcasting; eigenfunction() and eigenfunction_partial() produce
-    conforming callables.
-    """
-    if quad is None:
-        quad = SpatialQuadrature.for_region(region)
-    elif quad.region != region:
-        raise InputError("quadrature was built for a different region")
-    pts, w = quad.flat()
-    fv = np.asarray(f(*pts), dtype=float)
-    gv = np.asarray(g(*pts), dtype=float)
-    return float(np.sum(w * fv * gv))
 
 
 def restricted_coupling(region: Region, modes: Sequence[EigenMode]) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The state is kept modal throughout. With u0 expanded in the Dirichlet
 eigenbasis, the mild solution scales coefficient k by E_alpha(-lam_k t^alpha),
-so no time stepping is ever performed; sensor outputs and the adjoint of the
-observation map are evaluated spectrally on top of that.
+so no time stepping is ever performed; sensor outputs are evaluated
+spectrally on top of that.
 
 Eigenvalues are stored positive (eigenvalues of -A) and the decay factor is
 always evaluated at the negated argument.
@@ -17,8 +17,8 @@ from typing import IO, Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputError
-from .fraccalc import TimeGrid, _decay_blocks, decay_apply, mlf_values
+from .errors import InputError
+from .fraccalc import TimeGrid, decay_apply
 from .spectral import (
     EigenMode,
     Region,
@@ -34,11 +34,8 @@ __all__ = [
     "ModalState",
     "MeasurementRecord",
     "project_initial_state",
-    "mild_solution",
-    "apply_output",
     "output_matrix",
     "generate_measurements",
-    "kalpha_adjoint_modal",
 ]
 
 # Gauss-Legendre order per axis of a zonal sensor's support integral
@@ -426,15 +423,6 @@ def project_initial_state(
     return ModalState(wu @ mode_table(sys.basis, pts))
 
 
-def mild_solution(sys: FractionalDiffusion, state: ModalState, t: float) -> ModalState:
-    if not 0.0 <= t <= sys.horizon:
-        raise DomainError(f"time {t} outside [0, {sys.horizon}]")
-    if len(state) != sys.mode_count:
-        raise InputError("state length does not match the basis")
-    factors = mlf_values(sys.alpha, -sys.eigenvalues * t**sys.alpha)
-    return ModalState(state.coefficients * factors)
-
-
 def _sensor_functional(
     sensor: Sensor, basis: Sequence[EigenMode], axis: int | None = None
 ) -> np.ndarray:
@@ -451,13 +439,6 @@ def output_matrix(sensors: Sequence[Sensor], basis: Sequence[EigenMode]) -> np.n
     if not sensors:
         raise InputError("at least one sensor is required")
     return np.array([_sensor_functional(s, basis) for s in sensors])
-
-
-def apply_output(sensor: Sensor, state: ModalState, basis: Sequence[EigenMode]) -> float:
-    """One sensor reading of a modal state: zonal <u, f>_{L2(D)} or u(b)."""
-    if len(state) != len(basis):
-        raise InputError("state length does not match the basis")
-    return float(_sensor_functional(sensor, basis) @ state.coefficients)
 
 
 def generate_measurements(
@@ -487,23 +468,3 @@ def generate_measurements(
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
     return MeasurementRecord(grid, samples, noise_sigma)
 
-
-def kalpha_adjoint_modal(
-    sys: FractionalDiffusion, record: MeasurementRecord, sensors: Sequence[Sensor]
-) -> ModalState:
-    """Adjoint of the observation map, evaluated spectrally.
-
-    Coefficient k is sum over channels of (C_ch phi_k) times the time
-    integral of E_alpha(-lam_k t^alpha) z_ch(t), using the record's own
-    quadrature weights. The decay table is contracted block by block, the
-    transpose of decay_apply: it is never held whole nor memoised.
-    """
-    if len(sensors) != record.channel_count:
-        raise InputError("sensor count does not match the record channels")
-    P = output_matrix(sensors, sys.basis)
-    wz = record.samples * record.grid.weights[:, None]
-    # moments[k, ch] = sum_t E[t, k] wz[t, ch], one row block of E at a time
-    moments = np.zeros((sys.mode_count, record.channel_count))
-    for rows, block in _decay_blocks(sys.alpha, sys.eigenvalues, record.grid.nodes):
-        moments += block.T @ wz[rows]
-    return ModalState(np.einsum("ck,kc->k", P, moments))

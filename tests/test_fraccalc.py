@@ -139,7 +139,7 @@ def test_mlf_half_at_minus_one():
 
 
 def test_mlf_alpha_one_matches_exp():
-    z = np.linspace(-50.0, 5.0, 331)
+    z = np.linspace(-50.0, 0.0, 301)
     vals = fc.mlf_values(1.0, z)
     assert np.max(np.abs(vals - np.exp(z)) / np.exp(z)) < 1e-10
 
@@ -151,58 +151,69 @@ def test_mlf_half_matches_erfcx_identity():
     assert np.max(np.abs(vals - erfcx(x)) / erfcx(x)) < 1e-10
 
 
+MLF_REFUSED = "E_alpha arguments must be finite and <= 0"
+NOT_NONPOSITIVE = (1e-300, 0.5, 2.0, 5.0, 20.0, 1000.0, math.inf, -math.inf, math.nan)
+
+
 def test_mlf_positive_arguments():
-    # no cancellation for z > 0; check against exp at alpha=1 and
-    # against the quadratic-exponential identity at alpha=1/2:
-    # E_{1/2}(x) = e^{x^2} erfc(-x) = e^{x^2} (2 - erfc(x))
-    for z in (0.5, 2.0, 5.0):
-        want = math.exp(z * z) * 2.0 - erfcx(z)
-        assert fc.mlf(0.5, z).value == pytest.approx(want, rel=1e-10)
+    # every argument the package evaluates is -lam t^alpha <= 0; mlf
+    # refuses anything else (positive, infinite or nan) at every alpha
+    # including 1, with one message and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (0.3, 0.5, 1.0):
+            for z in NOT_NONPOSITIVE:
+                with pytest.raises(DomainError) as one:
+                    fc.mlf(a, z)
+                assert str(one.value) == MLF_REFUSED
+            # the edge of the domain is still evaluated
+            for zero in (0.0, -0.0):
+                assert fc.mlf(a, zero).value == 1.0
 
 
 def test_mlf_values_checks_positive_estimates():
-    # E_{1/2}(30) = e^900 erfc(-30) overflows, and the 400-term series
-    # misses it by half; at 100 the series itself overflows. mlf_values
-    # must refuse both exactly as mlf does
-    for z in (30.0, 100.0):
-        with pytest.raises(AccuracyError) as one:
-            fc.mlf(0.5, z)
-        with pytest.raises(AccuracyError) as many:
-            fc.mlf_values(0.5, [-1.0, z])
-        assert str(many.value) == str(one.value)
-        assert not one.value.report.est_error <= 1e-9
-    # at alpha = 1 an overflowed exp fails its estimate too
-    with pytest.raises(AccuracyError):
-        fc.mlf(1.0, 1000.0)
-    # E_{1/2}(1) = e erfc(-1) = erfcx(-1)
-    assert fc.mlf_values(0.5, [1.0])[0] == pytest.approx(erfcx(-1.0), rel=1e-13)
+    # mlf_values refuses a batch with any point outside z <= 0 exactly as
+    # mlf refuses that point, mixed-sign batches included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (0.3, 0.5, 1.0):
+            for z in NOT_NONPOSITIVE:
+                with pytest.raises(DomainError) as one:
+                    fc.mlf(a, z)
+                with pytest.raises(DomainError) as many:
+                    fc.mlf_values(a, [-1.0, z])
+                assert str(many.value) == str(one.value) == MLF_REFUSED
+            with pytest.raises(DomainError) as mixed:
+                fc.mlf_values(a, np.linspace(-2.0, 2.0, 9))
+            assert str(mixed.value) == MLF_REFUSED
+            for zero in (0.0, -0.0):
+                assert fc.mlf_values(a, [zero]).tolist() == [1.0]
 
 
 def test_mlf_values_alpha_one_overflow_raises_like_mlf():
-    # exp(1000) overflows: mlf_values refuses it with mlf's message, and
-    # with no numpy overflow warning on the way
-    for z in ([1000.0], [-2.0, 0.0, 710.0, 1000.0]):
-        with pytest.raises(AccuracyError) as one:
+    # at alpha = 1 an argument whose exp would overflow is refused before
+    # any exp runs: mlf_values raises mlf's message, with no numpy
+    # overflow warning on the way
+    for z in ([1000.0], [-2.0, 0.0, 710.0, 1000.0], [math.inf]):
+        with pytest.raises(DomainError) as one:
             fc.mlf(1.0, [v for v in z if v > 709.0][0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AccuracyError) as many:
+            with pytest.raises(DomainError) as many:
                 fc.mlf_values(1.0, z)
-        assert str(many.value) == str(one.value)
-    # the largest finite exp still passes
-    assert fc.mlf_values(1.0, [709.0])[0] == math.exp(709.0)
+        assert str(many.value) == str(one.value) == MLF_REFUSED
+    # on z <= 0 the alpha = 1 path is exp itself, down through underflow
+    z = [-800.0, -745.0, -709.0, -2.0, 0.0]
+    assert fc.mlf_values(1.0, z).tolist() == np.exp(z).tolist()
 
 
 def test_mlf_values_mixed_signs_keep_each_value():
-    # the negative points of a mixed call are bitwise those of a call
-    # without the positive ones, in every regime
-    z = np.concatenate([-np.logspace(-3, 3, 200), np.linspace(0.0, 1.5, 50)])
+    # a call with a positive point is refused (see
+    # test_mlf_values_checks_positive_estimates); on z <= 0 every point of
+    # a batch is bitwise its own mlf value, in every regime
+    z = np.concatenate([-np.logspace(-3, 3, 200), [0.0]])
     for a in (0.3, 0.5, 0.84):
-        mixed = fc.mlf_values(a, z)
-        neg = z <= 0.0
-        assert np.array_equal(mixed[neg], fc.mlf_values(a, z[neg]))
-        assert np.array_equal(mixed[~neg], fc.mlf_values(a, z[~neg]))
-        assert np.array_equal(mixed, [fc.mlf(a, float(x)).value for x in z])
+        assert np.array_equal(fc.mlf_values(a, z), [fc.mlf(a, float(x)).value for x in z])
 
 
 def test_mlf_est_error_inside_switch_radius():
@@ -466,8 +477,8 @@ def test_caputo_linear_exact():
     # C-D^0.5 of u(t)=t at t=1 is t^{0.5}/Gamma(1.5) = 2/sqrt(pi);
     # the L1 rule telescopes exactly for linear data
     g = fc.TimeGrid.uniform(1.0, 257)
-    u = fc.SampledFunction.from_callable(lambda t: t, g)
-    val = fc.caputo_derivative(u, 0.5, 1.0)
+    u = fc.SampledFunction(g, g.nodes)
+    val = fc.caputo_values(u, 0.5, [1.0])[0]
     assert val == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
 
 
@@ -476,8 +487,8 @@ def test_caputo_near_classical_limit():
     # from the nominal 1.0 of the classical derivative
     a = 0.999
     g = fc.TimeGrid.uniform(1.0, 4097)
-    u = fc.SampledFunction.from_callable(lambda t: t * t, g)
-    val = fc.caputo_derivative(u, a, 0.5)
+    u = fc.SampledFunction(g, g.nodes**2)
+    val = fc.caputo_values(u, a, [0.5])[0]
     exact = 2.0 * 0.5 ** (2.0 - a) / gamma(3.0 - a)
     assert val == pytest.approx(exact, abs=3e-4)
     assert abs(val - 1.0) <= 2e-3
@@ -485,17 +496,17 @@ def test_caputo_near_classical_limit():
 
 def test_caputo_alpha_one_is_slope():
     g = fc.TimeGrid.uniform(1.0, 101)
-    u = fc.SampledFunction.from_callable(lambda t: 3.0 * t + 1.0, g)
-    assert fc.caputo_derivative(u, 1.0, 0.5) == pytest.approx(3.0, rel=1e-12)
+    u = fc.SampledFunction(g, 3.0 * g.nodes + 1.0)
+    assert fc.caputo_values(u, 1.0, [0.5])[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_caputo_domain_errors():
     g = fc.TimeGrid.uniform(1.0, 33)
-    u = fc.SampledFunction.from_callable(lambda t: t, g)
+    u = fc.SampledFunction(g, g.nodes)
     with pytest.raises(DomainError):
-        fc.caputo_derivative(u, 0.5, 0.0)
+        fc.caputo_values(u, 0.5, [0.0])
     with pytest.raises(DomainError):
-        fc.caputo_derivative(u, 0.5, 1.5)
+        fc.caputo_values(u, 0.5, [1.5])
 
 
 def _l1_decimal(nodes, values, alpha, t, digits=40):
@@ -526,7 +537,7 @@ def test_caputo_values_against_decimal_reference():
     # where differencing (t-a)^p and (t-b)^p cancels
     nodes = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 160)))
     g = fc.TimeGrid.from_nodes(nodes)
-    u = fc.SampledFunction.from_callable(lambda t: np.sqrt(t) + np.sin(3.0 * t), g)
+    u = fc.SampledFunction(g, np.sqrt(g.nodes) + np.sin(3.0 * g.nodes))
     taus = np.concatenate((nodes[1::8], [1.0], np.sqrt(nodes[1:-1:10] * nodes[2::10])))
     for a in (0.3, 0.5, 0.84, 0.99):
         got = fc.caputo_values(u, a, taus)
@@ -562,7 +573,7 @@ def _l1_loop(nodes, values, alpha, t, first_cell_power=False):
 def test_caputo_values_block_split_edge_cases():
     g = fc.TimeGrid.uniform(2.0, 33)
     nodes = g.nodes
-    u = fc.SampledFunction.from_callable(lambda t: np.cos(2.0 * t) + t * t, g)
+    u = fc.SampledFunction(g, np.cos(2.0 * g.nodes) + g.nodes * g.nodes)
     rng = np.random.default_rng(5)
     # on every node (t = T included), repeated, and off the nodes, shuffled
     # across more than two row blocks
@@ -592,7 +603,7 @@ def test_caputo_first_cell_power_model():
     # the constant Caputo derivative where the chord model cannot
     a = 0.6
     g = fc.TimeGrid.uniform(1.0, 257)
-    u = fc.SampledFunction.from_callable(lambda t: t**a, g)
+    u = fc.SampledFunction(g, g.nodes**a)
     taus = np.array([g.nodes[1] * 0.5, g.nodes[1], 0.1, 0.5])
     vals = fc.caputo_values(u, a, taus, first_cell_power=True)
     want = gamma(1.0 + a)
@@ -628,74 +639,6 @@ def test_caputo_values_of_no_times_is_empty():
                 for times in ([], np.empty((0, 4))):
                     got = fc.caputo_values(u, a, times, first_cell_power=fcp)
                     assert got.shape == np.shape(times) + samples.shape[1:]
-
-
-# ---------------------------------------------------------------------------
-# right-sided Riemann-Liouville operators
-
-
-def test_rl_integral_zero_function():
-    g = fc.TimeGrid.uniform(1.0, 65)
-    r = fc.SampledFunction(g, np.zeros(65))
-    assert fc.rl_integral_right(r, 0.5, 0.25) == 0.0
-
-
-def test_rl_integral_constant():
-    # closed form (T-t)^a / Gamma(a+1); with t=0, T=1, a=1/2 -> 2/sqrt(pi)
-    g = fc.TimeGrid.uniform(1.0, 129)
-    r = fc.SampledFunction(g, np.ones(129))
-    assert fc.rl_integral_right(r, 0.5, 0.0) == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
-    assert fc.rl_integral_right(r, 0.5, 0.64) == pytest.approx(
-        0.36**0.5 / gamma(1.5), rel=1e-12
-    )
-
-
-def test_rl_integral_identity_function_alpha_one():
-    g = fc.TimeGrid.uniform(1.0, 101)
-    r = fc.SampledFunction.from_callable(lambda t: t, g)
-    assert fc.rl_integral_right(r, 1.0, 0.0) == pytest.approx(0.5, rel=1e-13)
-
-
-def test_rl_integral_at_horizon_is_zero():
-    g = fc.TimeGrid.uniform(1.0, 65)
-    r = fc.SampledFunction.from_callable(lambda t: np.cos(t), g)
-    assert fc.rl_integral_right(r, 0.5, 1.0) == 0.0
-
-
-def test_rl_integral_alpha_one_is_plain_quadrature():
-    g = fc.TimeGrid.uniform(1.0, 513)
-    r = fc.SampledFunction.from_callable(lambda t: np.exp(-t), g)
-    assert abs(fc.rl_integral_right(r, 1.0, 0.0) - r.integral()) < 1e-10
-
-
-def test_rl_derivative_constant():
-    # -(d/dt) I^{1-a} c = +c (T-t)^{-a} / Gamma(1-a)
-    g = fc.TimeGrid.uniform(1.0, 2049)
-    r = fc.SampledFunction(g, np.full(2049, 3.0))
-    want = 3.0 * 0.5**-0.5 / gamma(0.5)
-    assert want == pytest.approx(3.0 * 0.7978845608028654, rel=1e-12)
-    assert fc.rl_derivative_right(r, 0.5, 0.5) == pytest.approx(want, abs=1e-4)
-
-
-def test_rl_derivative_alpha_one_is_minus_slope():
-    g = fc.TimeGrid.uniform(1.0, 4097)
-    r = fc.SampledFunction.from_callable(lambda t: np.sin(t), g)
-    assert fc.rl_derivative_right(r, 1.0, 0.3) == pytest.approx(
-        -math.cos(0.3), abs=1e-6
-    )
-
-
-def test_rl_derivative_near_classical_limit():
-    g = fc.TimeGrid.uniform(1.0, 4097)
-    r = fc.SampledFunction.from_callable(lambda t: t * t, g)
-    assert abs(fc.rl_derivative_right(r, 0.999, 0.5) - (-1.0)) <= 2e-3
-
-
-def test_rl_derivative_near_horizon_accuracy_error():
-    g = fc.TimeGrid.uniform(1.0, 65)
-    r = fc.SampledFunction.from_callable(lambda t: t, g)
-    with pytest.raises(AccuracyError):
-        fc.rl_derivative_right(r, 0.5, 1.0 - 0.5 / 64)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ from fracobs.hum import (
     omega_error,
     reconstruct,
     solve_reconstruction,
-    vector_basis_field,
 )
 from fracobs.observability import GramDiagnostic
-from fracobs.spectral import Region, SpatialDomain, grad_coupling
+from fracobs.spectral import Region, SpatialDomain, eigenpairs, grad_coupling
 from fracobs.system import (
     FractionalDiffusion,
     MeasurementRecord,
@@ -94,22 +93,31 @@ def test_problem_validation():
         HumProblem(3, FULL, sensors, 0.5, 1.0, max_iterations=0)
 
 
+def unit_field(i, M, n):
+    """The field with coefficient 1 at flat slot i (1-based), i = n(q-1) + d."""
+    coeffs = np.zeros(n * M)
+    coeffs[i - 1] = 1.0
+    return GradientField(coeffs, tuple(eigenpairs(SpatialDomain(n), M)))
+
+
 def test_vector_basis_field_index_map():
-    # g(q, d) = n(q-1) + d, checked through the unit slots it produces
-    f = vector_basis_field(1, 2, 2)
-    assert f.coefficients[0] == 1.0 and np.sum(np.abs(f.coefficients)) == 1.0
-    f = vector_basis_field(4, 2, 2)
-    assert f.coefficients[3] == 1.0
+    # g(q, d) = n(q-1) + d, checked through the components of the unit
+    # slots: slot g(q, d) is phi_q along axis d and zero along the other
+    x, y = np.array([0.3, 0.55]), np.array([0.7, 0.2])
+    modes = eigenpairs(SpatialDomain(2), 2)  # (1,1), (1,2)
+    for i, (q, d) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)], start=1):
+        f = unit_field(i, 2, 2)
+        ix, iy = modes[q].index
+        phi_q = 2.0 * np.sin(ix * math.pi * x) * np.sin(iy * math.pi * y)
+        assert f.component(d)(x, y) == pytest.approx(phi_q, rel=1e-14)
+        assert np.all(f.component(1 - d)(x, y) == 0.0)
     for k in range(1, 4):
-        assert vector_basis_field(k, 3, 1).coefficients[k - 1] == 1.0
-    with pytest.raises(InputError):
-        vector_basis_field(0, 2, 2)
-    with pytest.raises(InputError):
-        vector_basis_field(5, 2, 2)
+        got = unit_field(k, 3, 1).component(0)(x)
+        assert got == pytest.approx(math.sqrt(2.0) * np.sin(k * math.pi * x), rel=1e-14)
 
 
 def test_vector_basis_field_components():
-    f = vector_basis_field(1, 2, 2)  # mode (1,1), first slot
+    f = unit_field(1, 2, 2)  # mode (1,1), first slot
     x = np.array([0.5])
     y = np.array([0.5])
     assert f.component(0)(x, y)[0] == pytest.approx(2.0, rel=1e-14)
@@ -630,6 +638,40 @@ def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
     best = min(range(3), key=lambda i: steps[i][1])
     assert err.value.best.iterations == best + 1
     assert np.array_equal(err.value.best.field.coefficients, steps[best][0])
+
+
+def test_sweep_channels_builds_the_truncation_once(monkeypatch):
+    # only P depends on the sensor: the channels share one set of modes and
+    # one B, and each row is bitwise the solve of a fresh one-sensor problem
+    sensors = tuple(Sensor.pointwise((b,)) for b in (0.3, 0.45, 0.65))
+    state = ModalState(1.0 / np.arange(1.0, 9.0) ** 2)
+    sysn = FractionalDiffusion.create(0.7, SpatialDomain.interval(), 1.0, 8)
+    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    problem = HumProblem(4, FULL, sensors, 0.7, 1.0, regularization=Regularization.none())
+    truth = GradientField(np.ones(4), problem.basis())  # any field on omega will do
+    moments = hum.record_moments(problem, record)
+    want = []
+    for ch, sensor in enumerate(sensors):
+        channel = MeasurementRecord(record.grid, record.samples[:, ch])
+        single = replace(problem, sensors=(sensor,))
+        _, residual, err, spectrum = hum._solve_step(single, moments[:, ch, None], channel, truth)
+        want.append((err, residual, spectrum.smallest_eigenvalue))
+    calls = {"eigenpairs": 0, "grad_coupling": 0}
+
+    def counting(name):
+        real = getattr(hum, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hum, name, counted)
+
+    counting("eigenpairs")
+    counting("grad_coupling")
+    got = list(hum.sweep_channels(replace(problem), record, truth))  # an empty cache
+    assert calls == {"eigenpairs": 1, "grad_coupling": 4 * 4}
+    assert got == want
 
 
 def test_alpha_one_rhs_matches_per_cell_quadrature():

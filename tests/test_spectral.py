@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from fracobs import spectral as sp
-from fracobs.errors import DomainError, InputError
+from fracobs.errors import InputError
 
 PI = math.pi
 
@@ -75,41 +75,39 @@ def test_eigenvalue_groups_are_exact():
     assert groups == [[0], [1, 2], [3], [4, 5]]
 
 
+def _value(mode, point, axis=None):
+    """phi, or its partial along `axis`, of one mode at one point, by mode_table."""
+    return float(sp.mode_table((mode,), tuple(point), axis)[0])
+
+
 def test_eval_eigfun_values():
     sq = sp.EigenMode.from_index((1, 1))
-    assert sp.eval_eigfun(sq, (0.5, 0.5)) == pytest.approx(2.0, rel=1e-15)
-    assert sp.eval_eigfun(sq, (0.0, 0.7)) == 0.0
-    assert sp.eval_eigfun(sq, (0.3, 1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert _value(sq, (0.5, 0.5)) == pytest.approx(2.0, rel=1e-15)
+    assert _value(sq, (0.0, 0.7)) == 0.0
+    assert _value(sq, (0.3, 1.0)) == pytest.approx(0.0, abs=1e-15)
     line = sp.EigenMode.from_index((2,))
-    assert sp.eval_eigfun(line, (0.25,)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        sp.eval_eigfun(line, (1.2,))
-    with pytest.raises(DomainError):
-        sp.eval_eigfun(sq, (0.5, -0.1))
+    assert _value(line, (0.25,)) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_eval_eigfun_grad_values():
     sq = sp.EigenMode.from_index((1, 1))
-    g = sp.eval_eigfun_grad(sq, (0.5, 0.5))
+    g = [_value(sq, (0.5, 0.5), d) for d in range(2)]
     assert np.allclose(g, [0.0, 0.0], atol=1e-12)
     line = sp.EigenMode.from_index((1,))
-    assert sp.eval_eigfun_grad(line, (0.0,))[0] == pytest.approx(
-        math.sqrt(2.0) * PI, rel=1e-15
-    )
+    assert _value(line, (0.0,), 0) == pytest.approx(math.sqrt(2.0) * PI, rel=1e-15)
     m12 = sp.EigenMode.from_index((1, 2))
-    assert sp.eval_eigfun_grad(m12, (0.5, 0.25))[1] == pytest.approx(0.0, abs=1e-12)
+    assert _value(m12, (0.5, 0.25), 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_eigfun_grad_matches_finite_difference():
     m = sp.EigenMode.from_index((2, 3))
     p = np.array([0.37, 0.61])
-    g = sp.eval_eigfun_grad(m, p)
     h = 1e-6
     for d in range(2):
         shift = np.zeros(2)
         shift[d] = h
-        fd = (sp.eval_eigfun(m, p + shift) - sp.eval_eigfun(m, p - shift)) / (2 * h)
-        assert g[d] == pytest.approx(fd, rel=1e-8)
+        fd = (_value(m, p + shift) - _value(m, p - shift)) / (2 * h)
+        assert _value(m, p, d) == pytest.approx(fd, rel=1e-8)
 
 
 def _closed_form(index, point, axis):
@@ -145,20 +143,32 @@ def test_mode_table_matches_closed_form_and_shape_contract():
     grid = sp.mode_table(square, (xg, yg))
     assert grid.shape == (7, 4, 6)
     assert np.array_equal(grid, sp.mode_table(square, (x[:, None], y[None, :])))
-    assert np.array_equal(grid[..., 2], sp.eigenfunction(square[2])(xg, yg))
+    assert np.array_equal(grid[..., 2], sp.mode_table(square[2:3], (xg, yg))[..., 0])
     with pytest.raises(InputError):
         sp.mode_table(square, (x,))
     with pytest.raises(InputError):
         sp.mode_table(line, (x,), 1)
 
 
+def _region_pairing(f, g, region):
+    """int_region f g by the region's default tensor rule, SpatialQuadrature.flat()."""
+    pts, w = sp.SpatialQuadrature.for_region(region).flat()
+    return float(np.sum(w * f(*pts) * g(*pts)))
+
+
+def _mode(index, axis=None):
+    """phi, or its partial along `axis`, of one mode as a field, by mode_table."""
+    mode = sp.EigenMode.from_index(index)
+    return lambda *coords: sp.mode_table((mode,), coords, axis)[..., 0]
+
+
 def test_region_inner_product_orthonormality_pair():
     dom = sp.SpatialDomain.interval()
     full = sp.Region.full(dom)
-    p1 = sp.eigenfunction(sp.EigenMode.from_index((1,)))
-    p2 = sp.eigenfunction(sp.EigenMode.from_index((2,)))
-    assert sp.region_inner_product(p1, p1, full) == pytest.approx(1.0, abs=1e-12)
-    assert sp.region_inner_product(p1, p2, full) == pytest.approx(0.0, abs=1e-12)
+    p1 = _mode((1,))
+    p2 = _mode((2,))
+    assert _region_pairing(p1, p1, full) == pytest.approx(1.0, abs=1e-12)
+    assert _region_pairing(p1, p2, full) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_region_inner_product_gradient_pairing():
@@ -168,9 +178,7 @@ def test_region_inner_product_gradient_pairing():
     assert oracle == pytest.approx(8.0 / 3.0, abs=1e-9)
     dom = sp.SpatialDomain.interval()
     full = sp.Region.full(dom)
-    dphi1 = sp.eigenfunction_partial(sp.EigenMode.from_index((1,)), 0)
-    phi2 = sp.eigenfunction(sp.EigenMode.from_index((2,)))
-    got = sp.region_inner_product(dphi1, phi2, full)
+    got = _region_pairing(_mode((1,), 0), _mode((2,)), full)
     assert got == pytest.approx(oracle, abs=1e-9)
     assert got == pytest.approx(8.0 / 3.0, rel=1e-12)
 
@@ -179,19 +187,10 @@ def test_region_inner_product_subregion_against_quad():
     from scipy.integrate import quad
 
     reg = sp.Region((0.35,), (0.65,))
-    f = sp.eigenfunction(sp.EigenMode.from_index((3,)))
-    g = sp.eigenfunction(sp.EigenMode.from_index((5,)))
+    f = _mode((3,))
+    g = _mode((5,))
     oracle, _ = quad(lambda x: f(x) * g(x), 0.35, 0.65, epsabs=1e-13)
-    assert sp.region_inner_product(f, g, reg) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_region_quadrature_mismatch_rejected():
-    reg = sp.Region((0.0,), (1.0,))
-    other = sp.Region((0.0,), (0.5,))
-    quad = sp.SpatialQuadrature.for_region(other)
-    f = sp.eigenfunction(sp.EigenMode.from_index((1,)))
-    with pytest.raises(InputError):
-        sp.region_inner_product(f, f, reg, quad)
+    assert _region_pairing(f, g, reg) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_grad_coupling_examples():
@@ -212,29 +211,28 @@ def test_grad_coupling_2d_factorization():
     assert sp.grad_coupling(a, 1, b) == 0.0
 
 
-def _basis_gram_1d(fields, order=96):
+def _basis_gram_1d(modes, axis=None, order=96):
     x, w = np.polynomial.legendre.leggauss(order)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
-    vals = np.array([f(x) for f in fields])
-    return vals @ (vals * w).T
+    vals = sp.mode_table(modes, (x,), axis)
+    return vals.T @ (vals * w[:, None])
 
 
-def _basis_gram_2d(fields, order=96):
+def _basis_gram_2d(modes, axis=None, order=96):
     x, w = np.polynomial.legendre.leggauss(order)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     xg, yg = np.meshgrid(x, x, indexing="ij")
     w2 = np.outer(w, w)
-    vals = np.array([f(xg, yg) for f in fields])
-    return np.einsum("aij,bij,ij->ab", vals, vals, w2)
+    vals = sp.mode_table(modes, (xg, yg), axis)
+    return np.einsum("ija,ijb,ij->ab", vals, vals, w2)
 
 
 def test_orthonormality_invariant_m25():
     for dom in (sp.SpatialDomain.interval(), sp.SpatialDomain.square()):
         modes = sp.eigenpairs(dom, 25)
-        fields = [sp.eigenfunction(m) for m in modes]
-        gram = _basis_gram_1d(fields) if dom.dimension == 1 else _basis_gram_2d(fields)
+        gram = _basis_gram_1d(modes) if dom.dimension == 1 else _basis_gram_2d(modes)
         assert np.max(np.abs(gram - np.eye(25))) < 1e-10
 
 
@@ -245,8 +243,7 @@ def test_gradient_eigen_relation():
         n = dom.dimension
         gram = np.zeros((12, 12))
         for d in range(n):
-            parts = [sp.eigenfunction_partial(m, d) for m in modes]
-            gram += _basis_gram_1d(parts) if n == 1 else _basis_gram_2d(parts)
+            gram += _basis_gram_1d(modes, d) if n == 1 else _basis_gram_2d(modes, d)
         want = np.diag([m.lam for m in modes])
         assert np.max(np.abs(gram - want)) < 1e-8
 
@@ -266,8 +263,8 @@ def test_grad_coupling_matches_brute_quadrature_m25():
     w = 0.5 * w
     # 1D: all 25x25 pairs
     modes1 = sp.eigenpairs(sp.SpatialDomain.interval(), 25)
-    dv = np.array([sp.eigenfunction_partial(m, 0)(x) for m in modes1])
-    pv = np.array([sp.eigenfunction(m)(x) for m in modes1])
+    dv = sp.mode_table(modes1, (x,), 0).T
+    pv = sp.mode_table(modes1, (x,)).T
     brute = dv @ (pv * w).T
     closed = np.array(
         [[sp.grad_coupling(q, 0, k) for k in modes1] for q in modes1]
@@ -277,10 +274,10 @@ def test_grad_coupling_matches_brute_quadrature_m25():
     modes2 = sp.eigenpairs(sp.SpatialDomain.square(), 25)
     xg, yg = np.meshgrid(x, x, indexing="ij")
     w2 = np.outer(w, w)
-    pv2 = np.array([sp.eigenfunction(m)(xg, yg) for m in modes2])
+    pv2 = sp.mode_table(modes2, (xg, yg))
     for d in range(2):
-        dv2 = np.array([sp.eigenfunction_partial(m, d)(xg, yg) for m in modes2])
-        brute2 = np.einsum("aij,bij,ij->ab", dv2, pv2, w2)
+        dv2 = sp.mode_table(modes2, (xg, yg), d)
+        brute2 = np.einsum("ija,ijb,ij->ab", dv2, pv2, w2)
         closed2 = np.array(
             [[sp.grad_coupling(q, d, k) for k in modes2] for q in modes2]
         )

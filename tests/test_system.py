@@ -1,4 +1,4 @@
-"""Tests for the forward model and the spectral adjoint."""
+"""Tests for the forward model."""
 
 import io
 import math
@@ -15,13 +15,23 @@ from scipy.special import erfcx
 from fracobs import fraccalc as fc
 from fracobs import spectral as sp
 from fracobs import system as fs
-from fracobs.errors import DomainError, InputError
+from fracobs.errors import InputError
 
 PI = math.pi
 
 
 def interval_model(alpha=0.5, horizon=1.0, M=4):
     return fs.FractionalDiffusion.create(alpha, sp.SpatialDomain.interval(), horizon, M)
+
+
+def mild(m, state, t):
+    """The state's coefficients at time t: c_k E_alpha(-lam_k t^alpha), from decay_table."""
+    return state.coefficients * fc.decay_table(m.alpha, m.eigenvalues, [t])[0]
+
+
+def reading(sensor, state, basis):
+    """One sensor reading of a modal state: its row of output_matrix times the state."""
+    return float(fs.output_matrix([sensor], basis)[0] @ state.coefficients)
 
 
 def test_model_validation():
@@ -52,7 +62,7 @@ def test_sensor_validation():
 
 def test_project_recovers_basis_function():
     m = interval_model(M=5)
-    state = fs.project_initial_state(m, sp.eigenfunction(m.basis[1]))
+    state = fs.project_initial_state(m, lambda x: math.sqrt(2.0) * np.sin(2.0 * PI * x))
     want = np.zeros(5)
     want[1] = 1.0
     assert np.max(np.abs(state.coefficients - want)) < 1e-12
@@ -80,16 +90,15 @@ def test_project_poly_squared_first_coefficient():
 def test_mild_solution_at_zero_is_identity():
     m = interval_model(alpha=0.77, M=4)
     state = fs.ModalState(np.array([1.0, -2.0, 0.25, 3.0]))
-    out = fs.mild_solution(m, state, 0.0)
-    assert np.array_equal(out.coefficients, state.coefficients)
+    assert np.array_equal(mild(m, state, 0.0), state.coefficients)
 
 
 def test_mild_solution_classical_limit():
     m = interval_model(alpha=1.0, M=2)
     state = fs.ModalState(np.array([1.0, 0.0]))
-    out = fs.mild_solution(m, state, 0.1)
-    assert out.coefficients[0] == pytest.approx(math.exp(-PI**2 * 0.1), rel=1e-10)
-    assert out.coefficients[0] == pytest.approx(0.37271, abs=5e-5)
+    out = mild(m, state, 0.1)
+    assert out[0] == pytest.approx(math.exp(-PI**2 * 0.1), rel=1e-10)
+    assert out[0] == pytest.approx(0.37271, abs=5e-5)
 
 
 def test_mild_solution_half_order_square_mode():
@@ -97,18 +106,9 @@ def test_mild_solution_half_order_square_mode():
     dom = sp.SpatialDomain.square()
     basis = (sp.EigenMode.from_index((1, 2)),)
     m = fs.FractionalDiffusion(0.5, dom, 2.0, basis)
-    out = fs.mild_solution(m, fs.ModalState(np.array([1.0])), 1.0)
-    assert out.coefficients[0] == pytest.approx(erfcx(5 * PI**2), rel=1e-10)
-    assert out.coefficients[0] == pytest.approx(0.011430525332089, rel=1e-9)
-
-
-def test_mild_solution_domain_errors():
-    m = interval_model()
-    state = fs.ModalState(np.ones(4))
-    with pytest.raises(DomainError):
-        fs.mild_solution(m, state, -0.01)
-    with pytest.raises(DomainError):
-        fs.mild_solution(m, state, 1.01)
+    out = mild(m, fs.ModalState(np.array([1.0])), 1.0)
+    assert out[0] == pytest.approx(erfcx(5 * PI**2), rel=1e-10)
+    assert out[0] == pytest.approx(0.011430525332089, rel=1e-9)
 
 
 def test_apply_output_pointwise():
@@ -116,11 +116,11 @@ def test_apply_output_pointwise():
     sensor = fs.Sensor.pointwise((0.2,))
     state = fs.ModalState(np.array([1.0, 0.0, 0.0]))
     want = math.sqrt(2.0) * math.sin(0.2 * PI)
-    got = fs.apply_output(sensor, state, m.basis)
+    got = reading(sensor, state, m.basis)
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(0.83125, abs=5e-6)
     zero = fs.ModalState(np.zeros(3))
-    assert fs.apply_output(sensor, zero, m.basis) == 0.0
+    assert reading(sensor, zero, m.basis) == 0.0
 
 
 def test_apply_output_zonal_unit_weight():
@@ -131,7 +131,7 @@ def test_apply_output_zonal_unit_weight():
     )
     state = fs.ModalState(np.array([1.0, 0.0]))
     want = math.sqrt(2.0) * (math.cos(0.9 * PI) - math.cos(PI)) / PI
-    got = fs.apply_output(sensor, state, m.basis)
+    got = reading(sensor, state, m.basis)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.022032308474521364, rel=1e-12)
 
@@ -151,7 +151,7 @@ def test_generate_measurements_single_mode_decay():
     grid = fc.TimeGrid.uniform(1.0, 33)
     b = 0.3
     rec = fs.generate_measurements(
-        m, sp.eigenfunction(m.basis[0]), [fs.Sensor.pointwise((b,))], grid
+        m, lambda x: math.sqrt(2.0) * np.sin(PI * x), [fs.Sensor.pointwise((b,))], grid
     )
     want = fc.mlf_values(0.84, -m.basis[0].lam * grid.nodes**0.84) * (
         math.sqrt(2.0) * math.sin(PI * b)
@@ -164,9 +164,12 @@ def test_generate_measurements_accepts_modal_state():
     grid = fc.TimeGrid.uniform(1.0, 9)
     state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
     rec = fs.generate_measurements(m, state, [fs.Sensor.pointwise((0.4,))], grid)
+    # sum_k c_k E_alpha(-lam_k t^alpha) sqrt(2) sin(k pi b), each E_alpha from mlf
     direct = [
-        fs.apply_output(
-            fs.Sensor.pointwise((0.4,)), fs.mild_solution(m, state, float(t)), m.basis
+        sum(
+            c * fc.mlf(m.alpha, -mode.lam * t**m.alpha).value
+            * math.sqrt(2.0) * math.sin(mode.index[0] * PI * 0.4)
+            for c, mode in zip(state.coefficients, m.basis)
         )
         for t in grid.nodes
     ]
@@ -531,63 +534,6 @@ def test_record_csv_bad_line_search_parses_blocks(
     assert len(calls) <= 1 + blocks + fs.CSV_ROWS
 
 
-def test_kalpha_adjoint_holds_no_decay_table(long_record, monkeypatch):
-    # the 65,536 x 200 table alone would take 105 MB; the memo stays empty
-    sysn, _, sensors, grid = long_record
-    samples = np.random.default_rng(4).standard_normal((grid.nodes.size, 3))
-    rec = fs.MeasurementRecord(grid, samples)
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
-    out, peak = _traced_peak(lambda: fs.kalpha_adjoint_modal(sysn, rec, sensors))
-    assert peak < 16 * MB
-    assert fc._DECAY_MEMO == {}
-    # the einsum over the exp table, taken in row blocks to bound the test
-    P = fs.output_matrix(sensors, sysn.basis)
-    wz = samples * grid.weights[:, None]
-    ref, scale = np.zeros(200), np.zeros(200)
-    for lo in range(0, grid.nodes.size, 4096):
-        decay = np.exp(-np.outer(grid.nodes[lo : lo + 4096], sysn.eigenvalues))
-        ref += np.einsum("ck,tk,tc->k", P, decay, wz[lo : lo + 4096])
-        scale += np.einsum("ck,tk,tc->k", np.abs(P), decay, np.abs(wz[lo : lo + 4096]))
-    assert np.all(np.abs(out.coefficients - ref) <= 1e-14 * scale)
-
-
-def test_kalpha_zero_record():
-    m = interval_model()
-    grid = fc.TimeGrid.uniform(1.0, 33)
-    rec = fs.MeasurementRecord(grid, np.zeros((33, 1)))
-    out = fs.kalpha_adjoint_modal(m, rec, [fs.Sensor.pointwise((0.3,))])
-    assert np.all(out.coefficients == 0.0)
-
-
-def test_kalpha_constant_record_alpha_one():
-    # closed form: coefficient k = phi_k(b) (1 - e^{-lam T}) / lam
-    m = interval_model(alpha=1.0, horizon=1.0, M=3)
-    grid = fc.TimeGrid.uniform(1.0, 8193)
-    rec = fs.MeasurementRecord(grid, np.ones((len(grid), 1)))
-    b = 0.3
-    out = fs.kalpha_adjoint_modal(m, rec, [fs.Sensor.pointwise((b,))])
-    for k, mode in enumerate(m.basis):
-        phib = math.sqrt(2.0) * math.sin(mode.index[0] * PI * b)
-        want = phib * (1.0 - math.exp(-mode.lam)) / mode.lam
-        assert out.coefficients[k] == pytest.approx(want, rel=1e-5)
-
-
-def test_kalpha_consistency_with_forward_square():
-    # z from u0 = phi_1: coefficient 1 = (C phi_1)^2 int_0^T E^2 dt
-    alpha, T, b = 0.84, 1.0, 0.3
-    m = interval_model(alpha=alpha, horizon=T, M=4)
-    grid = fc.TimeGrid.uniform(T, 1025)
-    sensors = [fs.Sensor.pointwise((b,))]
-    rec = fs.generate_measurements(m, sp.eigenfunction(m.basis[0]), sensors, grid)
-    out = fs.kalpha_adjoint_modal(m, rec, sensors)
-    # independent oracle on a graded Gauss mesh
-    tq, wq = fc.gauss_panels(fc.graded_panel_edges(T, 32), 8)
-    e2 = fc.mlf_values(alpha, -m.basis[0].lam * tq**alpha) ** 2
-    cphi = math.sqrt(2.0) * math.sin(PI * b)
-    want = cphi**2 * float(np.sum(wq * e2))
-    assert out.coefficients[0] == pytest.approx(want, abs=1e-5)
-
-
 def test_output_linearity():
     rng = np.random.default_rng(3)
     m = interval_model(M=5)
@@ -596,58 +542,18 @@ def test_output_linearity():
     )
     a = fs.ModalState(rng.normal(size=5))
     b = fs.ModalState(rng.normal(size=5))
-    lhs = fs.apply_output(sensor, fs.ModalState(2.0 * a.coefficients + b.coefficients), m.basis)
-    rhs = 2.0 * fs.apply_output(sensor, a, m.basis) + fs.apply_output(sensor, b, m.basis)
+    lhs = reading(sensor, fs.ModalState(2.0 * a.coefficients + b.coefficients), m.basis)
+    rhs = 2.0 * reading(sensor, a, m.basis) + reading(sensor, b, m.basis)
     assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_kalpha_linearity_in_record():
-    rng = np.random.default_rng(5)
-    m = interval_model(alpha=0.6, M=4)
-    grid = fc.TimeGrid.uniform(1.0, 65)
-    sensors = [fs.Sensor.pointwise((0.25,)), fs.Sensor.pointwise((0.55,))]
-    za = rng.normal(size=(65, 2))
-    zb = rng.normal(size=(65, 2))
-    out_a = fs.kalpha_adjoint_modal(m, fs.MeasurementRecord(grid, za), sensors)
-    out_b = fs.kalpha_adjoint_modal(m, fs.MeasurementRecord(grid, zb), sensors)
-    out_ab = fs.kalpha_adjoint_modal(
-        m, fs.MeasurementRecord(grid, 2.0 * za + zb), sensors
-    )
-    assert np.max(
-        np.abs(out_ab.coefficients - 2.0 * out_a.coefficients - out_b.coefficients)
-    ) < 1e-10
 
 
 def test_semigroup_limit_alpha_one():
     m = interval_model(alpha=1.0, M=6)
     state = fs.ModalState(np.ones(6))
     for t in np.linspace(0.0, 1.0, 11):
-        out = fs.mild_solution(m, state, float(t))
+        out = mild(m, state, float(t))
         want = np.exp(-m.eigenvalues * t)
-        assert np.max(np.abs(out.coefficients - want)) < 1e-8
-
-
-def test_adjoint_duality():
-    # <K* z, v> equals int_0^T z . (C S(t) v) dt on the same grid
-    rng = np.random.default_rng(11)
-    m = interval_model(alpha=0.7, M=5)
-    grid = fc.TimeGrid.uniform(1.0, 129)
-    sensors = [
-        fs.Sensor.pointwise((0.2,)),
-        fs.Sensor.zonal(sp.Region((0.5,), (0.75,)), lambda x: np.ones_like(x)),
-    ]
-    z = rng.normal(size=(129, 2))
-    rec = fs.MeasurementRecord(grid, z)
-    kz = fs.kalpha_adjoint_modal(m, rec, sensors)
-    for _ in range(3):
-        v = fs.ModalState(rng.normal(size=5))
-        lhs = float(kz.coefficients @ v.coefficients)
-        rhs = 0.0
-        for i, t in enumerate(grid.nodes):
-            vt = fs.mild_solution(m, v, float(t))
-            for ch, s in enumerate(sensors):
-                rhs += grid.weights[i] * z[i, ch] * fs.apply_output(s, vt, m.basis)
-        assert lhs == pytest.approx(rhs, abs=1e-8)
+        assert np.max(np.abs(out - want)) < 1e-8
 
 
 def test_admissibility_bound_is_finite():
