@@ -8,8 +8,8 @@ Subpackage map:
 - spectral: Dirichlet-Laplacian eigenpairs on the unit interval/square,
   the basis evaluator, region quadrature, gradient coupling coefficients.
 - system: the diffusion model, sensors and synthetic measurement records.
-- observability: gradient-strategic sensor tests, the observability Gram
-  diagnostic on a subregion, and a vanishing-output counterexample check.
+- observability: gradient-strategic sensor tests, the Gram spectrum
+  diagnostic, and a vanishing-output counterexample check.
 - hum: Gram/right-hand-side assembly, regularized solves, and the
   iterative gradient reconstruction driver.
 - cli: command line front end (simulate / reconstruct / check-strategic /

@@ -39,7 +39,7 @@ from .errors import (
     InputError,
     SolvabilityError,
 )
-from .fraccalc import TimeGrid, graded_panel_edges
+from .fraccalc import TimeGrid, graded_panel_edges, merge_nodes
 from .hum import MOMENT_ORDER, HumProblem, Regularization, reconstruct, sweep_channels
 from .observability import test_gradient_strategic as strategic_verdict
 from .spectral import Region, SpatialDomain, eigenpairs, mode_table
@@ -222,10 +222,12 @@ class RunConfig:
         if "horizon" not in fields:
             raise InputError("config field horizon is required")
         alpha = _parse_float(fields.pop("alpha"), "alpha")
+        _require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
         horizon = _parse_float(fields.pop("horizon"), "horizon")
         positive = "finite and positive"
         _require(math.isfinite(horizon) and horizon > 0.0, "horizon", positive, horizon)
         modes = _parse_int(fields.pop("modes", "8"), "modes")
+        _require(modes >= 1, "modes", ">= 1", modes)
         epsilon = _parse_float(fields.pop("epsilon", "1e-6"), "epsilon")
         _require(math.isfinite(epsilon) and epsilon > 0.0, "epsilon", positive, epsilon)
 
@@ -265,6 +267,7 @@ class RunConfig:
         if state_kind in ("poly_sq", "trig_sq") and dim != 1:
             raise InputError(f"config field state.kind: {state_kind} needs domain.dim = 1")
         state_depth = _parse_int(fields.pop("state.modes", "200"), "state.modes")
+        _require(state_depth >= 1, "state.modes", ">= 1", state_depth)
 
         samples = _parse_int(fields.pop("time.samples", "512"), "time.samples")
         _require(samples >= 2, "time.samples", ">= 2", samples)
@@ -292,7 +295,9 @@ class RunConfig:
         regularization = Regularization(solver_kind, solver_value)
 
         step = _parse_int(fields.pop("escalation.step", "4"), "escalation.step")
+        _require(step >= 0, "escalation.step", ">= 0", step)
         cap = _parse_int(fields.pop("escalation.max_iterations", "5"), "escalation.max_iterations")
+        _require(cap >= 1, "escalation.max_iterations", ">= 1", cap)
         out_dir = fields.pop("output.dir", ".")
 
         if fields:
@@ -343,13 +348,11 @@ class RunConfig:
             return TimeGrid.uniform(self.horizon, self.time_samples)
         # geometric refinement toward t=0 resolves fast modal transients the
         # uniform half cannot; the two sets share only 0 and the horizon, so
-        # the merge keeps time.samples rounded down to even, and the mask
-        # drops the zero gaps of the shared nodes
+        # the merge keeps time.samples rounded down to even
         half = self.time_samples // 2
         edges = graded_panel_edges(self.horizon, half, 1e-12)
-        nodes = np.sort(np.concatenate((edges, np.linspace(0.0, self.horizon, half + 1))))
-        keep = np.concatenate(([True], np.diff(nodes) > 1e-15 * self.horizon))
-        return TimeGrid.from_nodes(nodes[keep])
+        uniform = np.linspace(0.0, self.horizon, half + 1)
+        return TimeGrid.from_nodes(merge_nodes(edges, uniform, self.horizon))
 
     def system(self) -> FractionalDiffusion:
         if self.state_kind == "coefficients":
@@ -358,9 +361,7 @@ class RunConfig:
             depth = self.modes
         else:
             depth = self.state_depth
-        return FractionalDiffusion.create(
-            self.alpha, SpatialDomain(self.dimension), self.horizon, depth
-        )
+        return FractionalDiffusion.create(self.alpha, SpatialDomain(self.dimension), depth)
 
     def initial_state(self, sysn: FractionalDiffusion) -> ModalState:
         if self.state_kind == "zero":
@@ -511,7 +512,7 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
             batch = positions[lo : lo + chunk]
             moved = [_moved(sensor, b) for b in batch]
             samples = generate_measurements(sysn, state, moved, grid).samples + noise
-            record = MeasurementRecord(grid, samples, config.noise_sigma)
+            record = MeasurementRecord(grid, samples)
             rows = sweep_channels(config.problem(moved), record, truth)
             for position, (error, residual, lam_min) in zip(batch, rows):
                 fh.write(f"{position:.17g},{error:.17g},{residual:.17g},{lam_min:.17g}\n")

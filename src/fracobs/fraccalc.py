@@ -27,7 +27,6 @@ from .errors import AccuracyError, DomainError, InputError
 
 __all__ = [
     "TimeGrid",
-    "SampledFunction",
     "MlfEvalReport",
     "mlf",
     "mlf_values",
@@ -36,6 +35,7 @@ __all__ = [
     "caputo_values",
     "check_fractional_ibp",
     "graded_panel_edges",
+    "merge_nodes",
     "gauss_legendre",
     "gauss_panels",
     "ml_product_matrix",
@@ -50,7 +50,7 @@ def _check_alpha(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# grids and sampled data
+# time grids
 
 
 @dataclass(frozen=True)
@@ -110,24 +110,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return int(self.nodes.size)
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """Real samples attached to a TimeGrid.
-
-    One value per node, or for `caputo_values` one row of channel values
-    per node (shape nodes x channels).
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[0] != self.grid.nodes.size:
-            raise InputError("sample count does not match the grid")
-        object.__setattr__(self, "values", values)
 
 
 def _powv(x: np.ndarray, p: float) -> np.ndarray:
@@ -712,12 +694,13 @@ _CAPUTO_ROWS = 256  # evaluation times per causal block
 
 
 def caputo_values(
-    u: SampledFunction, alpha: float, times, first_cell_power: bool = False
+    grid: TimeGrid, samples, alpha: float, times, first_cell_power: bool = False
 ) -> np.ndarray:
-    """Caputo derivative of the samples at many times.
+    """Caputo derivative of the samples on the grid at many times.
 
-    Returns times.shape + the channel shape of u.values: samples of shape
-    (nodes, channels) give one column per channel from one L1 pass.
+    `samples` holds one value per node, or one row of channel values per
+    node (shape nodes x channels); the result has shape times.shape + the
+    channel shape, every channel from one L1 pass.
 
     L1-type product integration: the kernel (t-s)^(-alpha) is integrated
     exactly against the piecewise-linear interpolant, so the rule is
@@ -743,12 +726,15 @@ def caputo_values(
     buffer reused by every block.
     """
     alpha = _check_alpha(alpha)
+    samples = np.asarray(samples, dtype=float)
+    tg = grid.nodes
+    if samples.ndim not in (1, 2) or samples.shape[0] != tg.size:
+        raise InputError("sample count does not match the grid")
     times = np.asarray(times, dtype=float)
-    tg = u.grid.nodes
     if np.any(times <= 0.0) or np.any(times > tg[-1] * (1.0 + 1e-12)):
         raise DomainError("evaluation times must lie in (0, T]")
     p = 1.0 - alpha
-    vals = u.values.reshape(tg.size, -1)  # one column per channel
+    vals = samples.reshape(tg.size, -1)  # one column per channel
 
     if first_cell_power and alpha < 1.0:
         t1 = tg[1]
@@ -798,7 +784,7 @@ def caputo_values(
     out = np.empty_like(memory)
     out[order] = memory / math.gamma(2.0 - alpha)
     out = out.reshape(times.shape + du.shape[1:]) + start
-    return out.reshape(times.shape + u.values.shape[1:])
+    return out.reshape(times.shape + samples.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +901,17 @@ def graded_panel_edges(horizon: float, panels: int = 64, floor: float = 1e-16):
         raise InputError("need at least two panels")
     expo = 1.0 - np.arange(panels) / (panels - 1.0)
     return np.concatenate(([0.0], horizon * floor**expo))
+
+
+def merge_nodes(first, second, horizon: float) -> np.ndarray:
+    """The sorted union of two node sets on [0, horizon].
+
+    A node in both sets leaves a gap of at most 1e-15 * horizon, which is
+    dropped, so a shared node appears once.
+    """
+    nodes = np.sort(np.concatenate((first, second)))
+    keep = np.concatenate(([True], np.diff(nodes) > 1e-15 * horizon))
+    return nodes[keep]
 
 
 @functools.lru_cache(maxsize=16)

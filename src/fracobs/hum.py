@@ -56,12 +56,12 @@ from numpy.linalg import eigh
 
 from .errors import ConvergenceError, InputError, SolvabilityError
 from .fraccalc import (
-    SampledFunction,
     TimeGrid,
     caputo_values,
     decay_table,
     gauss_panels,
     graded_panel_edges,
+    merge_nodes,
     ml_product_matrix,
 )
 from .observability import GramDiagnostic
@@ -73,7 +73,6 @@ from .spectral import (
     eigenpairs,
     grad_coupling,
     mode_table,
-    restricted_coupling,
 )
 from .system import (
     FractionalDiffusion,
@@ -108,6 +107,8 @@ MOMENT_PANELS = 64
 MOMENT_ORDER = 8
 # Gauss-Legendre order per axis of the error metric over omega
 OMEGA_ORDER = 96
+# points per axis of field.csv's table over the full domain
+FIELD_SAMPLES = 201
 
 
 @dataclass(frozen=True)
@@ -139,22 +140,6 @@ class Regularization:
                 f"regularization value must be finite and positive, got {self.value}"
             )
 
-    @classmethod
-    def none(cls) -> "Regularization":
-        return cls("none")
-
-    @classmethod
-    def tikhonov(cls, mu: float | None = None) -> "Regularization":
-        return cls("tikhonov", mu)
-
-    @classmethod
-    def truncated_svd(cls, rcond: float) -> "Regularization":
-        return cls("truncated_svd", rcond)
-
-    @classmethod
-    def spectral_tikhonov(cls, mu: float) -> "Regularization":
-        return cls("spectral_tikhonov", mu)
-
 
 @dataclass(frozen=True)
 class HumProblem:
@@ -165,7 +150,7 @@ class HumProblem:
     sensors: tuple[Sensor, ...]
     alpha: float
     horizon: float
-    regularization: Regularization = Regularization.tikhonov()
+    regularization: Regularization = Regularization()
     epsilon: float = 1e-6
     escalation_step: int = 4
     max_iterations: int = 5
@@ -187,9 +172,8 @@ class HumProblem:
     def dimension(self) -> int:
         return self.omega.dimension
 
-    def basis(self, count: int | None = None) -> tuple[EigenMode, ...]:
-        m = self.mode_count if count is None else count
-        return tuple(eigenpairs(SpatialDomain(self.dimension), m))
+    def basis(self) -> tuple[EigenMode, ...]:
+        return tuple(eigenpairs(SpatialDomain(self.dimension), self.mode_count))
 
     @cached_property
     def modes(self) -> tuple[EigenMode, ...]:
@@ -279,15 +263,12 @@ class ReconstructionResult:
         return {key: getattr(self, key) for key in keys}
 
     def write_csv(
-        self,
-        path: str,
-        truth: Sequence[Callable[..., np.ndarray]] | None = None,
-        samples: int = 201,
+        self, path: str, truth: Sequence[Callable[..., np.ndarray]] | None = None
     ) -> None:
         """Reporting table over the full domain plus a summary footer."""
         n = self.field.dimension
         truth_fns = _truth_components(truth, n) if truth is not None else None
-        ax = np.linspace(0.0, 1.0, samples)
+        ax = np.linspace(0.0, 1.0, FIELD_SAMPLES)
         pts = tuple(g.ravel() for g in np.meshgrid(*[ax] * n, indexing="ij"))
         cols = list(pts)
         header = ["x", "y"][:n]
@@ -304,15 +285,13 @@ class ReconstructionResult:
             fh.write("# " + json.dumps(self.summary) + "\n")
 
 
-def assemble_gram(problem: HumProblem, restricted: bool = False) -> np.ndarray:
+def assemble_gram(problem: HumProblem) -> np.ndarray:
     """The Gram Lambda = B (T .* P'P) B', size nM x nM.
 
-    With restricted=True the couplings are integrated over omega instead
-    of the whole domain; the default follows the global assembly and
-    leaves omega to the error metric.
+    B holds the couplings over the whole domain; omega enters through the
+    error metric only.
     """
-    B = restricted_coupling(problem.omega, problem.modes) if restricted else problem.coupling
-    P = problem.outputs
+    B, P = problem.coupling, problem.outputs
     Tm = ml_product_matrix(problem.eigenvalues, problem.alpha, problem.horizon)
     return B @ (Tm * (P.T @ P)) @ B.T
 
@@ -325,10 +304,7 @@ def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.n
     inside a single data cell; the graded edges resolve the layer at 0.
     """
     graded = graded_panel_edges(problem.horizon, MOMENT_PANELS, 1e-16)
-    edges = np.sort(np.concatenate((graded, grid.nodes)))
-    # a node in both sets leaves a zero gap, which the mask drops
-    keep = np.concatenate([[True], np.diff(edges) > 1e-15 * problem.horizon])
-    return gauss_panels(edges[keep], MOMENT_ORDER)
+    return gauss_panels(merge_nodes(graded, grid.nodes, problem.horizon), MOMENT_ORDER)
 
 
 def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
@@ -372,8 +348,9 @@ def _moments_by_truncation(
 
         return slope_moments
     tq, wq = _moment_nodes(problem, record.grid)
-    sf = SampledFunction(record.grid, record.samples)
-    weighted = wq[:, None] * -caputo_values(sf, alpha, tq, first_cell_power=True)
+    weighted = wq[:, None] * -caputo_values(
+        record.grid, record.samples, alpha, tq, first_cell_power=True
+    )
     return lambda prob: decay_table(alpha, prob.eigenvalues, tq).T @ weighted
 
 
@@ -383,22 +360,16 @@ def _check_channels(problem: HumProblem, record: MeasurementRecord) -> None:
         raise InputError(f"record has {record.channel_count} channels for {p} sensors")
 
 
-def assemble_rhs(
-    problem: HumProblem, record: MeasurementRecord | np.ndarray
-) -> np.ndarray:
+def assemble_rhs(problem: HumProblem, moments: np.ndarray) -> np.ndarray:
     """Data-side vector pairing the record with each sensed basis evolution.
 
-    `record` is a sampled record or its `record_moments`, with one channel
-    per sensor of the problem; each sensor's functional weights the
-    moments of its own channel. A sensor sweep takes the moments of all
-    its positions in one pass and pairs each column with its position.
+    `moments` are the record's `record_moments`, one column per sensor of
+    the problem; each sensor's functional weights the moments of its own
+    channel. A sensor sweep takes the moments of all its positions in one
+    pass and pairs each column with its position.
     """
     p = len(problem.sensors)
-    if isinstance(record, MeasurementRecord):
-        _check_channels(problem, record)
-        moments = record_moments(problem, record)
-    else:
-        moments = np.asarray(record, dtype=float)
+    moments = np.asarray(moments, dtype=float)
     if moments.shape != (problem.mode_count, p):
         raise InputError(
             f"moments of shape {moments.shape} for {problem.mode_count} modes, {p} sensors"
@@ -406,31 +377,25 @@ def assemble_rhs(
     return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
 
-def assemble_rhs_from_state(
-    problem: HumProblem, state: ModalState, depth: int | None = None
-) -> np.ndarray:
+def assemble_rhs_from_state(problem: HumProblem, state: ModalState) -> np.ndarray:
     """Exact data-side vector for a known modal initial state.
 
     Bypasses sampling entirely: the record generated by `state` enters
     through closed modal algebra, with the cross decay-product integrals
-    computed on the quadrature panels. `depth` truncates the state
-    expansion (defaults to its full length).
+    computed on the quadrature panels.
     """
-    depth = len(state) if depth is None else depth
-    if depth < 1 or depth > len(state):
-        raise InputError(f"depth {depth} outside 1..{len(state)}")
-    return assemble_rhs(problem, _state_moments(problem, state, depth)(problem))
+    return assemble_rhs(problem, _state_moments(problem, state)(problem))
 
 
 def _state_moments(
-    problem: HumProblem, state: ModalState, depth: int
+    problem: HumProblem, state: ModalState
 ) -> Callable[[HumProblem], np.ndarray]:
     """The moments of the state's noiseless record for every truncation.
 
-    The state side (its first `depth` modes and their P) is built once.
+    The state side (its modes and their P) is built once.
     """
-    deep = replace(problem, mode_count=depth)
-    weighted = deep.eigenvalues * state.coefficients[:depth]
+    deep = replace(problem, mode_count=len(state))
+    weighted = deep.eigenvalues * state.coefficients
 
     def moments(prob: HumProblem) -> np.ndarray:
         Tm = ml_product_matrix(
@@ -461,13 +426,13 @@ def solve_reconstruction(
     reg = problem.regularization
     size = gram.shape[0]
     evals, vecs = eigh(gram)
-    spectrum = GramDiagnostic.from_eigenvalues(gram, evals)
+    spectrum = GramDiagnostic.from_eigenvalues(evals)
     ev_max = max(spectrum.largest_eigenvalue, 0.0)
     if reg.kind == "spectral_tikhonov":
         n = problem.dimension
-        if size % n:
-            raise InputError("gram size is not a multiple of the dimension")
-        lams = np.repeat([m.lam for m in problem.basis(size // n)], n)
+        if size != n * problem.mode_count:
+            raise InputError(f"gram size {size} does not match {problem.mode_count} modes")
+        lams = np.repeat(problem.eigenvalues, n)
         shift = reg.value * ev_max * (lams / lams[-1]) ** 2
         return np.linalg.solve(gram + np.diag(shift), rhs), spectrum
     if reg.kind == "none":
@@ -505,9 +470,7 @@ def residual_against(
 
 
 def _record_from_state(problem: HumProblem, state: ModalState) -> MeasurementRecord:
-    sysn = FractionalDiffusion.create(
-        problem.alpha, SpatialDomain(problem.dimension), problem.horizon, len(state)
-    )
+    sysn = FractionalDiffusion.create(problem.alpha, SpatialDomain(problem.dimension), len(state))
     grid = TimeGrid.uniform(problem.horizon, 513)
     return generate_measurements(sysn, state, problem.sensors, grid)
 
@@ -554,7 +517,7 @@ def reconstruct(
     """
     if isinstance(record, ModalState):
         # the state side of the exact route is fixed: build it once
-        moments = _state_moments(problem, record, len(record))
+        moments = _state_moments(problem, record)
         record = _record_from_state(problem, record)
     else:
         # the data side's L1 pass serves every truncation: make it once
@@ -566,7 +529,7 @@ def reconstruct(
         M_i = problem.mode_count + problem.escalation_step * (it - 1)
         reg_i = problem.regularization
         if it >= 3 and reg_i.kind == "none":
-            reg_i = Regularization.tikhonov()
+            reg_i = Regularization()
         prob_i = replace(problem, mode_count=M_i, regularization=reg_i)
         try:
             field, residual, err, spectrum = _solve_step(prob_i, moments(prob_i), record, truth)
@@ -616,7 +579,7 @@ def sweep_channels(
             coupling=problem.coupling,
             outputs=_read_only(problem.outputs[ch : ch + 1].copy()),
         )
-        channel = MeasurementRecord(record.grid, record.samples[:, ch], record.noise_sigma)
+        channel = MeasurementRecord(record.grid, record.samples[:, ch])
         try:
             _, residual, err, spectrum = _solve_step(single, moments[:, ch, None], channel, truth)
         except SolvabilityError as exc:  # a blind spot: the Gram is singular

@@ -4,7 +4,8 @@ Three questions are answered at a finite truncation M:
 
 * do the sensors see every eigenvalue group of the gradient (the
   strategic test, a rank condition per group of equal eigenvalues),
-* is the Gram of the restricted observation map positive definite,
+* is the Gram of the observation map positive definite, judged from the
+  eigenvalues of the one decomposition each solve makes,
 * and the worked two-dimensional example where a gradient is invisible
   from the whole domain yet visible from a subregion.
 
@@ -43,6 +44,8 @@ __all__ = [
     "counterexample_check",
 ]
 
+# the rank cut, relative to the largest singular value over all groups
+RANK_TOLERANCE = 1e-10
 GRAY_ZONE_FACTOR = 10.0
 # a Gram is positive definite when its smallest eigenvalue exceeds this
 # share of its largest
@@ -63,11 +66,9 @@ class StrategicReport:
     """
 
     verdict: str
-    group_lams: tuple[float, ...]
     group_sizes: tuple[int, ...]
     group_svals: tuple[float, ...]
     offending: tuple[int, ...]
-    tolerance: float
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -82,32 +83,18 @@ class GramDiagnostic:
     """Spectrum summary of a symmetric Gram: positive definite when ev_min >
     DEFINITE_CUT * ev_max > 0, condition ev_max / ev_min (inf if ev_min <= 0)."""
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
     smallest_eigenvalue: float
     largest_eigenvalue: float
     positive_definite: bool
     condition_number: float
 
     @classmethod
-    def from_eigenvalues(cls, matrix: np.ndarray, evals: np.ndarray) -> "GramDiagnostic":
+    def from_eigenvalues(cls, evals: np.ndarray) -> "GramDiagnostic":
         """Summary of a Gram from its eigenvalues in ascending order."""
         ev_min, ev_max = float(evals[0]), float(evals[-1])
         pd = ev_min > DEFINITE_CUT * ev_max and ev_max > 0.0
         cond = ev_max / ev_min if ev_min > 0.0 else math.inf
-        return cls(matrix, evals, ev_min, ev_max, pd, cond)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "GramDiagnostic":
-        """Summary of a Gram, e.g. assemble_gram(problem, restricted=True)."""
-        return cls.from_eigenvalues(matrix, np.linalg.eigvalsh(matrix))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "eigenvalue"])
-            for i, ev in enumerate(self.eigenvalues, 1):
-                writer.writerow([i, f"{ev:.17g}"])
+        return cls(ev_min, ev_max, pd, cond)
 
 
 def _sensor_dimension(sensors: Sequence[Sensor]) -> int:
@@ -136,12 +123,7 @@ def strategic_blocks(
     return [full[:, g] for g in eigenvalue_groups(modes)]
 
 
-def test_gradient_strategic(
-    sensors: Sequence[Sensor],
-    M: int,
-    tolerance: float = 1e-10,
-    modes: Sequence[EigenMode] | None = None,
-) -> StrategicReport:
+def test_gradient_strategic(sensors: Sequence[Sensor], M: int) -> StrategicReport:
     """Rank test of the stacked per-group blocks [B_j^1 ... B_j^n].
 
     The sensors see the gradient of every state at truncation M exactly
@@ -151,13 +133,10 @@ def test_gradient_strategic(
     """
     if not sensors:
         raise InputError("at least one sensor is required")
-    if tolerance <= 0.0:
-        raise InputError("tolerance must be positive")
+    if M < 1:
+        raise InputError(f"M must be >= 1, got {M}")
     n = _sensor_dimension(sensors)
-    if modes is None:
-        if M < 1:
-            raise InputError(f"M must be >= 1, got {M}")
-        modes = eigenpairs(SpatialDomain(n), M)
+    modes = eigenpairs(SpatialDomain(n), M)
     per_axis = [strategic_blocks(sensors, modes, d) for d in range(n)]
     groups = eigenvalue_groups(modes)
     p = len(sensors)
@@ -169,16 +148,14 @@ def test_gradient_strategic(
     ]
     spectra = [np.linalg.svd(s, compute_uv=False) for s in stacks]
     scale = max((float(s[0]) for s in spectra if s.size), default=0.0)
-    cut = tolerance * scale
+    cut = RANK_TOLERANCE * scale
 
-    lams: list[float] = []
     sizes: list[int] = []
     svals: list[float] = []
     failed: list[int] = []
     gray: list[int] = []
     for j, g in enumerate(groups, 1):
         nr = n * len(g)
-        lams.append(modes[g[0]].lam)
         sizes.append(len(g))
         if p < nr:
             svals.append(0.0)
@@ -197,9 +174,7 @@ def test_gradient_strategic(
         verdict, offending = "inconclusive", gray
     else:
         verdict, offending = "strategic", []
-    return StrategicReport(
-        verdict, tuple(lams), tuple(sizes), tuple(svals), tuple(offending), tolerance
-    )
+    return StrategicReport(verdict, tuple(sizes), tuple(svals), tuple(offending))
 
 
 def counterexample_check(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

@@ -30,12 +30,9 @@ __all__ = [
     "eigenvalue_groups",
     "mode_table",
     "grad_coupling",
-    "restricted_coupling",
 ]
 
 PI2 = math.pi * math.pi
-# Gauss-Legendre order per axis of restricted_coupling's integrals
-COUPLING_ORDER = 48
 
 
 @dataclass(frozen=True)
@@ -47,14 +44,6 @@ class SpatialDomain:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
             raise InputError(f"dimension must be 1 or 2, got {self.dimension}")
-
-    @classmethod
-    def interval(cls) -> "SpatialDomain":
-        return cls(1)
-
-    @classmethod
-    def square(cls) -> "SpatialDomain":
-        return cls(2)
 
 
 @dataclass(frozen=True)
@@ -80,13 +69,6 @@ class Region:
     @property
     def dimension(self) -> int:
         return len(self.lower)
-
-    @property
-    def volume(self) -> float:
-        out = 1.0
-        for a, b in zip(self.lower, self.upper):
-            out *= b - a
-        return out
 
     @classmethod
     def full(cls, domain: SpatialDomain) -> "Region":
@@ -191,8 +173,6 @@ class SpatialQuadrature:
     order passes roughly the mode frequency times the axis length.
     """
 
-    region: Region
-    order: int
     nodes: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
 
@@ -207,7 +187,7 @@ class SpatialQuadrature:
             half = 0.5 * (b - a)
             nodes.append(a + half * (ref_x + 1.0))
             weights.append(half * ref_w)
-        return cls(region, order, tuple(nodes), tuple(weights))
+        return cls(tuple(nodes), tuple(weights))
 
     def flat(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Tensor points as one flat coordinate array per axis, with product weights.
@@ -219,22 +199,6 @@ class SpatialQuadrature:
         for w in self.weights[1:]:
             weights = np.multiply.outer(weights, w)
         return tuple(g.ravel() for g in grids), weights.ravel()
-
-
-def restricted_coupling(region: Region, modes: Sequence[EigenMode]) -> np.ndarray:
-    """Couplings int_region phi_q * d_d phi_k for the flattened vector basis.
-
-    Row i encodes the pair (q, d) as i = n*(q-1) + d with d running over
-    axes first (0-based); columns run over modes k. Over the full domain
-    this reproduces the closed-form grad_coupling up to sign.
-    """
-    n = region.dimension
-    pts, w = SpatialQuadrature.for_region(region, COUPLING_ORDER).flat()
-    weighted = w[:, None] * mode_table(modes, pts)
-    out = np.empty((n * len(modes), len(modes)))
-    for d in range(n):
-        out[d::n, :] = weighted.T @ mode_table(modes, pts, d)
-    return out
 
 
 def _coupling_1d(q: int, k: int) -> float:

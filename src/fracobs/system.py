@@ -47,18 +47,18 @@ CSV_ROWS = 4096
 
 @dataclass(frozen=True)
 class FractionalDiffusion:
-    """Caputo-diffusion model data: order, domain, horizon, truncated basis."""
+    """Caputo-diffusion model data: order, domain, truncated basis.
+
+    Time enters only through the grid that generate_measurements samples.
+    """
 
     alpha: float
     domain: SpatialDomain
-    horizon: float
     basis: tuple[EigenMode, ...]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.horizon > 0.0:
-            raise InputError(f"horizon must be positive, got {self.horizon}")
         basis = tuple(self.basis)
         object.__setattr__(self, "basis", basis)
         if not basis:
@@ -70,10 +70,8 @@ class FractionalDiffusion:
             raise InputError("basis modes do not match the domain dimension")
 
     @classmethod
-    def create(
-        cls, alpha: float, domain: SpatialDomain, horizon: float, mode_count: int
-    ) -> "FractionalDiffusion":
-        return cls(alpha, domain, horizon, tuple(eigenpairs(domain, mode_count)))
+    def create(cls, alpha: float, domain: SpatialDomain, mode_count: int) -> "FractionalDiffusion":
+        return cls(alpha, domain, tuple(eigenpairs(domain, mode_count)))
 
     @property
     def mode_count(self) -> int:
@@ -132,20 +130,12 @@ class ModalState:
         return self.coefficients.size
 
 
-def _check_noise_sigma(noise_sigma: float) -> None:
-    # written so that nan fails too: a nan sigma would pass `sigma < 0`
-    # and `sigma > 0` alike and leave the record silently noiseless
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Sampled sensor outputs: one row per time node, one column per sensor."""
 
     grid: TimeGrid
     samples: np.ndarray
-    noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=float)
@@ -158,7 +148,6 @@ class MeasurementRecord:
             )
         if not np.all(np.isfinite(s)):
             raise InputError("samples must be finite (found nan or inf)")
-        _check_noise_sigma(self.noise_sigma)
 
     @property
     def channel_count(self) -> int:
@@ -177,7 +166,7 @@ class MeasurementRecord:
             write_rows(fh, (self.grid.nodes, self.samples), "\r\n")
 
     @classmethod
-    def from_csv(cls, path: str, noise_sigma: float = 0.0) -> "MeasurementRecord":
+    def from_csv(cls, path: str) -> "MeasurementRecord":
         """Read a record written by `to_csv`.
 
         CRLF, LF and CR line ends are accepted and blank lines are skipped.
@@ -205,7 +194,7 @@ class MeasurementRecord:
                 data = None
         if data is None or data.shape[1] != width:
             _raise_first_bad_row(path, width)
-        return cls(TimeGrid.from_nodes(data[:, 0]), data[:, 1:], noise_sigma)
+        return cls(TimeGrid.from_nodes(data[:, 0]), data[:, 1:])
 
 
 def write_rows(fh: IO[str], columns: Sequence[np.ndarray], end: str) -> None:
@@ -443,19 +432,17 @@ def output_matrix(sensors: Sequence[Sensor], basis: Sequence[EigenMode]) -> np.n
 
 def generate_measurements(
     sys: FractionalDiffusion,
-    true_u0: Callable[..., np.ndarray] | ModalState,
+    state: ModalState,
     sensors: Sequence[Sensor],
     grid: TimeGrid,
     noise_sigma: float = 0.0,
     seed: int = 0,
 ) -> MeasurementRecord:
     """Sample every sensor on the grid, optionally perturbed by Gaussian noise."""
-    _check_noise_sigma(noise_sigma)
-    state = (
-        true_u0
-        if isinstance(true_u0, ModalState)
-        else project_initial_state(sys, true_u0)
-    )
+    # written so that nan fails too: a nan sigma would pass `sigma < 0`
+    # and `sigma > 0` alike and leave the record silently noiseless
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if len(state) != sys.mode_count:
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, sys.basis)
@@ -466,5 +453,5 @@ def generate_measurements(
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-    return MeasurementRecord(grid, samples, noise_sigma)
+    return MeasurementRecord(grid, samples)
 

@@ -122,7 +122,7 @@ def test_point_sensor_profile_recovery():
         (Sensor.pointwise((0.2,)),),
         0.84,
         1.0,
-        regularization=Regularization.spectral_tikhonov(3.16e-7),
+        regularization=Regularization("spectral_tikhonov", 3.16e-7),
         epsilon=1e-2,
     )
     truth = (lambda y: 0.5 * math.pi * np.sin(4.0 * math.pi * y),)
@@ -263,7 +263,7 @@ def test_noiseless_in_span_recovery_single_pass():
         (Sensor.pointwise((0.3,)),),
         1.0,
         1.0,
-        regularization=Regularization.none(),
+        regularization=Regularization("none"),
     )
     modes = problem.basis()
     lams = np.array([mode.lam for mode in modes])

@@ -698,9 +698,9 @@ def test_usage_error_exit_codes(tmp_path, capsys):
 
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
     base = """
-        alpha = 1.0
+        alpha = {alpha}
         horizon = {horizon}
-        modes = 2
+        modes = {modes}
         sensor.kind = pointwise
         sensor.location = 0.3
         state.kind = coefficients
@@ -709,9 +709,11 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
         {extra}
     """
 
-    def text(horizon="1.0", coefficients="0.1, 0.05", samples="17", extra=""):
+    def text(alpha="1.0", horizon="1.0", modes="2", coefficients="0.1, 0.05", samples="17",
+             extra=""):
         return base.format(
-            horizon=horizon, coefficients=coefficients, samples=samples, extra=extra
+            alpha=alpha, horizon=horizon, modes=modes, coefficients=coefficients,
+            samples=samples, extra=extra,
         )
 
     good = write_config(tmp_path, text(), name="good.cfg")
@@ -739,6 +741,17 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):
         ("time.samples", "simulate", text(samples="1")),
         ("time.samples", "simulate", text(samples="2", extra="time.grading = graded")),
         ("time.samples", "simulate", text(samples="3", extra="time.grading = graded")),
+        # integers and alpha are checked when the config loads, whatever the command
+        ("alpha", "check-strategic", text(alpha="1.5")),
+        ("alpha", "check-strategic", text(alpha="nan")),
+        ("alpha", "simulate", text(alpha="0")),
+        ("modes", "check-strategic", text(modes="0")),
+        ("modes", "reconstruct", text(modes="0")),
+        ("state.modes", "simulate", text(extra="state.modes = 0")),
+        ("escalation.step", "check-strategic", text(extra="escalation.step = -1")),
+        ("escalation.step", "simulate", text(extra="escalation.step = -1")),
+        ("escalation.max_iterations", "simulate", text(extra="escalation.max_iterations = 0")),
+        ("escalation.max_iterations", "reconstruct", text(extra="escalation.max_iterations = 0")),
     ]
     for field, command, config in cases:
         bad = write_config(tmp_path, config, name="bad.cfg")

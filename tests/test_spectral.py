@@ -18,8 +18,8 @@ PI = math.pi
 
 
 def test_domain_validation():
-    assert sp.SpatialDomain.interval().dimension == 1
-    assert sp.SpatialDomain.square().dimension == 2
+    assert sp.SpatialDomain(1).dimension == 1
+    assert sp.SpatialDomain(2).dimension == 2
     with pytest.raises(InputError):
         sp.SpatialDomain(3)
 
@@ -27,38 +27,38 @@ def test_domain_validation():
 def test_region_validation():
     r = sp.Region((0.25,), (0.75,))
     assert r.dimension == 1
-    assert r.volume == pytest.approx(0.5)
+    assert (r.lower, r.upper) == ((0.25,), (0.75,))
     with pytest.raises(InputError):
         sp.Region((0.5,), (0.5,))
     with pytest.raises(InputError):
         sp.Region((-0.1,), (0.5,))
     with pytest.raises(InputError):
         sp.Region((0.0, 0.0), (1.0,))
-    full = sp.Region.full(sp.SpatialDomain.square())
-    assert full.volume == pytest.approx(1.0)
+    full = sp.Region.full(sp.SpatialDomain(2))
+    assert (full.lower, full.upper) == ((0.0, 0.0), (1.0, 1.0))
 
 
 def test_eigenpairs_interval():
-    modes = sp.eigenpairs(sp.SpatialDomain.interval(), 3)
+    modes = sp.eigenpairs(sp.SpatialDomain(1), 3)
     lams = [m.lam for m in modes]
     assert lams == pytest.approx([PI**2, 4 * PI**2, 9 * PI**2], rel=1e-15)
     assert [m.index for m in modes] == [(1,), (2,), (3,)]
 
 
 def test_eigenpairs_square_ordering():
-    modes = sp.eigenpairs(sp.SpatialDomain.square(), 4)
+    modes = sp.eigenpairs(sp.SpatialDomain(2), 4)
     assert [m.index for m in modes] == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert [m.lam for m in modes] == pytest.approx(
         [2 * PI**2, 5 * PI**2, 5 * PI**2, 8 * PI**2], rel=1e-15
     )
-    single = sp.eigenpairs(sp.SpatialDomain.square(), 1)
+    single = sp.eigenpairs(sp.SpatialDomain(2), 1)
     assert single[0].index == (1, 1)
     assert single[0].lam == pytest.approx(2 * PI**2, rel=1e-15)
     assert single[0].lam == pytest.approx(19.739, abs=5e-4)
 
 
 def test_eigenpairs_square_is_globally_sorted():
-    modes = sp.eigenpairs(sp.SpatialDomain.square(), 60)
+    modes = sp.eigenpairs(sp.SpatialDomain(2), 60)
     lams = np.array([m.lam for m in modes])
     assert np.all(np.diff(lams) >= -1e-12)
     # spot-check against an oversampled candidate pool
@@ -69,7 +69,7 @@ def test_eigenpairs_square_is_globally_sorted():
 
 
 def test_eigenvalue_groups_are_exact():
-    modes = sp.eigenpairs(sp.SpatialDomain.square(), 6)
+    modes = sp.eigenpairs(sp.SpatialDomain(2), 6)
     groups = sp.eigenvalue_groups(modes)
     # freq_sq keys: 2, 5, 5, 8, 10, 10 -> groups {0}, {1,2}, {3}, {4,5}
     assert groups == [[0], [1, 2], [3], [4, 5]]
@@ -133,8 +133,8 @@ def test_mode_table_matches_closed_form_and_shape_contract():
                     scale = 2.0 ** (n / 2) * (1.0 if axis is None else PI * m.index[axis])
                     assert abs(got - want) <= 1e-13 * scale
     # shapes: points.shape + (M,), for scalars, vectors, meshgrids and broadcasts
-    line = sp.eigenpairs(sp.SpatialDomain.interval(), 5)
-    square = sp.eigenpairs(sp.SpatialDomain.square(), 6)
+    line = sp.eigenpairs(sp.SpatialDomain(1), 5)
+    square = sp.eigenpairs(sp.SpatialDomain(2), 6)
     assert sp.mode_table(line, (0.3,)).shape == (5,)
     assert sp.mode_table(square, (0.3, 0.6), 1).shape == (6,)
     x, y = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 4)
@@ -163,7 +163,7 @@ def _mode(index, axis=None):
 
 
 def test_region_inner_product_orthonormality_pair():
-    dom = sp.SpatialDomain.interval()
+    dom = sp.SpatialDomain(1)
     full = sp.Region.full(dom)
     p1 = _mode((1,))
     p2 = _mode((2,))
@@ -176,7 +176,7 @@ def test_region_inner_product_gradient_pairing():
     y = np.linspace(0.0, 1.0, 200001)
     oracle = 2.0 * PI * trapezoid(np.cos(PI * y) * np.sin(2 * PI * y), y)
     assert oracle == pytest.approx(8.0 / 3.0, abs=1e-9)
-    dom = sp.SpatialDomain.interval()
+    dom = sp.SpatialDomain(1)
     full = sp.Region.full(dom)
     got = _region_pairing(_mode((1,), 0), _mode((2,)), full)
     assert got == pytest.approx(oracle, abs=1e-9)
@@ -230,7 +230,7 @@ def _basis_gram_2d(modes, axis=None, order=96):
 
 
 def test_orthonormality_invariant_m25():
-    for dom in (sp.SpatialDomain.interval(), sp.SpatialDomain.square()):
+    for dom in (sp.SpatialDomain(1), sp.SpatialDomain(2)):
         modes = sp.eigenpairs(dom, 25)
         gram = _basis_gram_1d(modes) if dom.dimension == 1 else _basis_gram_2d(modes)
         assert np.max(np.abs(gram - np.eye(25))) < 1e-10
@@ -238,7 +238,7 @@ def test_orthonormality_invariant_m25():
 
 def test_gradient_eigen_relation():
     # int grad(phi_q) . grad(phi_k) = lam_q delta_qk
-    for dom in (sp.SpatialDomain.interval(), sp.SpatialDomain.square()):
+    for dom in (sp.SpatialDomain(1), sp.SpatialDomain(2)):
         modes = sp.eigenpairs(dom, 12)
         n = dom.dimension
         gram = np.zeros((12, 12))
@@ -249,7 +249,7 @@ def test_gradient_eigen_relation():
 
 
 def test_grad_coupling_antisymmetry_closed_form():
-    modes = sp.eigenpairs(sp.SpatialDomain.square(), 10)
+    modes = sp.eigenpairs(sp.SpatialDomain(2), 10)
     for q in modes:
         for k in modes:
             for d in range(2):
@@ -262,7 +262,7 @@ def test_grad_coupling_matches_brute_quadrature_m25():
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     # 1D: all 25x25 pairs
-    modes1 = sp.eigenpairs(sp.SpatialDomain.interval(), 25)
+    modes1 = sp.eigenpairs(sp.SpatialDomain(1), 25)
     dv = sp.mode_table(modes1, (x,), 0).T
     pv = sp.mode_table(modes1, (x,)).T
     brute = dv @ (pv * w).T
@@ -271,7 +271,7 @@ def test_grad_coupling_matches_brute_quadrature_m25():
     )
     assert np.max(np.abs(brute - closed)) < 1e-10
     # 2D: all pairs among the first 25 square modes, both axes
-    modes2 = sp.eigenpairs(sp.SpatialDomain.square(), 25)
+    modes2 = sp.eigenpairs(sp.SpatialDomain(2), 25)
     xg, yg = np.meshgrid(x, x, indexing="ij")
     w2 = np.outer(w, w)
     pv2 = sp.mode_table(modes2, (xg, yg))
@@ -290,4 +290,4 @@ def test_mode_validation():
     with pytest.raises(InputError):
         sp.EigenMode((1,), -4.0)
     with pytest.raises(InputError):
-        sp.eigenpairs(sp.SpatialDomain.interval(), 0)
+        sp.eigenpairs(sp.SpatialDomain(1), 0)

@@ -5,9 +5,19 @@ module exports in __all__ must be read by package code outside its own
 definition, or by the acceptance tests; a name that only unit tests reach
 either gets a caller on a command's route or goes. Every name a module
 imports must be read in that module.
+
+The same rule holds one level down. Every public member of a package
+class (method, property, classmethod or dataclass field) must be read
+outside its own definition and its class's __post_init__, and every
+parameter with a default must be passed by some call, both by package
+code or by the acceptance tests. The checks match by name alone: a member
+whose name is also read elsewhere, as `.horizon` of one class may be read
+as `.horizon` of another, passes unflagged, and so does a parameter that
+a call to another function of the same name passes.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,6 +25,13 @@ PACKAGE = ROOT / "src" / "fracobs"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # E_alpha with its per-point report, which the regime tests read
 EXEMPT = {"mlf", "MlfEvalReport"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    """The package modules by name, and the acceptance tests under "acceptance"."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    trees["acceptance"] = ast.parse(ACCEPTANCE.read_text())
+    return trees
 
 
 def _reads(tree: ast.AST, attributes: bool = True) -> set[str]:
@@ -81,3 +98,129 @@ def test_public_names_have_callers_and_imports_are_used():
                     if (alias.asname or alias.name).split(".")[0] not in used
                 ]
     assert not unused, f"imported, but never read: {unused}"
+
+
+def _member_reads(tree: ast.AST) -> Counter:
+    """Attribute reads under the node, and strings such as the keys
+    `ReconstructionResult.summary` passes to getattr."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def _package_classes(trees: dict[str, ast.Module]):
+    for mod, tree in trees.items():
+        if mod != "acceptance":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name not in EXEMPT:
+                    yield mod, node
+
+
+def test_class_members_are_read():
+    trees = _trees()
+    reads = sum((_member_reads(tree) for tree in trees.values()), Counter())
+    unread = []
+    for mod, cls in _package_classes(trees):
+        post_init = [n for n in cls.body if getattr(n, "name", None) == "__post_init__"]
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            own = sum((_member_reads(n) for n in [node] + post_init), Counter())
+            if not name.startswith("_") and reads[name] <= own[name]:
+                unread.append(f"{mod}.{cls.name}.{name}")
+    assert not unread, f"class members read by no package code or acceptance test: {unread}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated @dataclass or @dataclass(...)."""
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list
+    )
+
+
+def _defaulted(trees: dict[str, ast.Module]):
+    """(callee name, position or None, parameter name) of every parameter with a default.
+
+    A method's position leaves out self or cls; a class's __init__, written
+    or made by @dataclass, goes by the class name.
+    """
+    for mod, tree in trees.items():
+        if mod == "acceptance":
+            continue
+        methods = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            if _is_dataclass(cls):
+                fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+                for pos, field in enumerate(fields):
+                    if field.value is not None:
+                        yield cls.name, pos, field.target.id
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    methods[node] = cls.name if node.name == "__init__" else node.name
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            if fn.name in EXEMPT:
+                continue
+            name = methods.get(fn, fn.name)
+            positional = fn.args.posonlyargs + fn.args.args
+            if fn in methods:
+                positional = positional[1:]
+            for pos in range(len(positional) - len(fn.args.defaults), len(positional)):
+                yield name, pos, positional[pos].arg
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, None, arg.arg
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional count, keyword names) of every call.
+
+    `import ... as` aliases are called by their original name, `cls(...)`
+    inside a class by the class name; a * or ** argument passes everything.
+    """
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+
+    def visit(node: ast.AST, cls: str | None):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = cls if name == "cls" else aliases.get(name, name)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield name, float("inf") if star else len(node.args), keywords
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, cls)
+
+    yield from visit(tree, None)
+
+
+def test_defaulted_parameters_are_passed():
+    trees = _trees()
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for tree in trees.values():
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    unpassed = [
+        f"{name}({param}=)"
+        for name, pos, param in _defaulted(trees)
+        if not any(
+            param in keywords or None in keywords or (pos is not None and pos < count)
+            for count, keywords in calls.get(name, ())
+        )
+    ]
+    assert not unpassed, f"parameters no package or acceptance call passes: {unpassed}"

@@ -20,8 +20,8 @@ from fracobs.errors import InputError
 PI = math.pi
 
 
-def interval_model(alpha=0.5, horizon=1.0, M=4):
-    return fs.FractionalDiffusion.create(alpha, sp.SpatialDomain.interval(), horizon, M)
+def interval_model(alpha=0.5, M=4):
+    return fs.FractionalDiffusion.create(alpha, sp.SpatialDomain(1), M)
 
 
 def mild(m, state, t):
@@ -36,14 +36,12 @@ def reading(sensor, state, basis):
 
 def test_model_validation():
     with pytest.raises(InputError):
-        fs.FractionalDiffusion.create(0.0, sp.SpatialDomain.interval(), 1.0, 3)
+        fs.FractionalDiffusion.create(0.0, sp.SpatialDomain(1), 3)
     with pytest.raises(InputError):
-        fs.FractionalDiffusion.create(1.2, sp.SpatialDomain.interval(), 1.0, 3)
-    with pytest.raises(InputError):
-        fs.FractionalDiffusion.create(0.5, sp.SpatialDomain.interval(), -1.0, 3)
+        fs.FractionalDiffusion.create(1.2, sp.SpatialDomain(1), 3)
     with pytest.raises(InputError):
         fs.FractionalDiffusion(
-            0.5, sp.SpatialDomain.square(), 1.0, tuple(sp.eigenpairs(sp.SpatialDomain.interval(), 2))
+            0.5, sp.SpatialDomain(2), tuple(sp.eigenpairs(sp.SpatialDomain(1), 2))
         )
 
 
@@ -103,9 +101,9 @@ def test_mild_solution_classical_limit():
 
 def test_mild_solution_half_order_square_mode():
     # E_{1/2}(-x) = erfcx(x); x = 5 pi^2 at t = 1
-    dom = sp.SpatialDomain.square()
+    dom = sp.SpatialDomain(2)
     basis = (sp.EigenMode.from_index((1, 2)),)
-    m = fs.FractionalDiffusion(0.5, dom, 2.0, basis)
+    m = fs.FractionalDiffusion(0.5, dom, basis)
     out = mild(m, fs.ModalState(np.array([1.0])), 1.0)
     assert out[0] == pytest.approx(erfcx(5 * PI**2), rel=1e-10)
     assert out[0] == pytest.approx(0.011430525332089, rel=1e-9)
@@ -140,7 +138,7 @@ def test_generate_measurements_zero_initial_state():
     m = interval_model()
     grid = fc.TimeGrid.uniform(1.0, 17)
     rec = fs.generate_measurements(
-        m, lambda x: np.zeros_like(x), [fs.Sensor.pointwise((0.3,))], grid
+        m, fs.ModalState(np.zeros(m.mode_count)), [fs.Sensor.pointwise((0.3,))], grid
     )
     assert np.all(rec.samples == 0.0)
     assert rec.channel_count == 1
@@ -150,9 +148,8 @@ def test_generate_measurements_single_mode_decay():
     m = interval_model(alpha=0.84, M=4)
     grid = fc.TimeGrid.uniform(1.0, 33)
     b = 0.3
-    rec = fs.generate_measurements(
-        m, lambda x: math.sqrt(2.0) * np.sin(PI * x), [fs.Sensor.pointwise((b,))], grid
-    )
+    state = fs.project_initial_state(m, lambda x: math.sqrt(2.0) * np.sin(PI * x))
+    rec = fs.generate_measurements(m, state, [fs.Sensor.pointwise((b,))], grid)
     want = fc.mlf_values(0.84, -m.basis[0].lam * grid.nodes**0.84) * (
         math.sqrt(2.0) * math.sin(PI * b)
     )
@@ -180,13 +177,12 @@ def test_measurement_noise_is_seeded():
     m = interval_model(M=3)
     grid = fc.TimeGrid.uniform(1.0, 65)
     sensors = [fs.Sensor.pointwise((0.3,))]
-    u0 = lambda x: x * (1 - x)
+    u0 = fs.project_initial_state(m, lambda x: x * (1 - x))
     a = fs.generate_measurements(m, u0, sensors, grid, noise_sigma=0.01, seed=7)
     b = fs.generate_measurements(m, u0, sensors, grid, noise_sigma=0.01, seed=7)
     c = fs.generate_measurements(m, u0, sensors, grid, noise_sigma=0.01, seed=8)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
-    assert a.noise_sigma == 0.01
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
@@ -196,15 +192,14 @@ def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
     state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
     with pytest.raises(InputError, match="noise_sigma"):
         fs.generate_measurements(m, state, [fs.Sensor.pointwise((0.3,))], grid, sigma)
-    with pytest.raises(InputError, match="noise_sigma"):
-        fs.MeasurementRecord(grid, np.zeros(9), sigma)
 
 
 def test_record_csv_roundtrip(tmp_path):
     m = interval_model(M=3)
     grid = fc.TimeGrid.uniform(2.0, 21)
     sensors = [fs.Sensor.pointwise((0.3,)), fs.Sensor.pointwise((0.7,))]
-    rec = fs.generate_measurements(m, lambda x: x * (1 - x), sensors, grid)
+    state = fs.project_initial_state(m, lambda x: x * (1 - x))
+    rec = fs.generate_measurements(m, state, sensors, grid)
     path = str(tmp_path / "record.csv")
     rec.to_csv(path)
     with open(path) as fh:
