@@ -7,7 +7,8 @@ Subpackage map:
   integration-by-parts residual.
 - spectral: Dirichlet-Laplacian eigenpairs on the unit interval/square,
   the basis evaluator, region quadrature, gradient coupling coefficients.
-- system: the diffusion model, sensors and synthetic measurement records.
+- system: sensors, modal states, the forward map to synthetic measurement
+  records, and the CSV form of records.
 - observability: gradient-strategic sensor tests, the Gram spectrum
   diagnostic, and a vanishing-output counterexample check.
 - hum: Gram/right-hand-side assembly, regularized solves, and the

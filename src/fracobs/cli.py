@@ -27,7 +27,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,9 +42,8 @@ from .errors import (
 from .fraccalc import TimeGrid, graded_panel_edges, merge_nodes
 from .hum import MOMENT_ORDER, HumProblem, Regularization, reconstruct, sweep_channels
 from .observability import test_gradient_strategic as strategic_verdict
-from .spectral import Region, SpatialDomain, eigenpairs, mode_table
+from .spectral import EigenMode, Region, SpatialDomain, eigenpairs, mode_table
 from .system import (
-    FractionalDiffusion,
     MeasurementRecord,
     ModalState,
     Sensor,
@@ -187,15 +186,14 @@ def _moved(sensor: Sensor, position: float) -> Sensor:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run description parsed from a flat key/value file."""
+    """A fully resolved run description parsed from a flat key/value file.
 
-    dimension: int
-    alpha: float
-    horizon: float
-    modes: int
-    epsilon: float
-    omega: Region
-    sensors: tuple[Sensor, ...]
+    `problem` holds the order, horizon, truncation, omega, sensors and solve
+    policy; the other fields describe the initial state, the time grid, the
+    noise and the output directory.
+    """
+
+    problem: HumProblem
     state_kind: str
     state_coefficients: tuple[float, ...]
     state_depth: int
@@ -203,9 +201,6 @@ class RunConfig:
     time_grading: str
     noise_sigma: float
     seed: int
-    regularization: Regularization
-    escalation_step: int
-    max_iterations: int
     out_dir: str
     raw: tuple[tuple[str, str], ...]
 
@@ -304,14 +299,19 @@ class RunConfig:
             unknown = ", ".join(sorted(fields))
             raise InputError(f"unknown config fields: {unknown}")
 
-        return cls(
-            dimension=dim,
-            alpha=alpha,
-            horizon=horizon,
-            modes=modes,
-            epsilon=epsilon,
+        problem = HumProblem(
+            mode_count=modes,
             omega=omega,
             sensors=sensors,
+            alpha=alpha,
+            horizon=horizon,
+            regularization=regularization,
+            epsilon=epsilon,
+            escalation_step=step,
+            max_iterations=cap,
+        )
+        return cls(
+            problem=problem,
             state_kind=state_kind,
             state_coefficients=coefficients,
             state_depth=state_depth,
@@ -319,24 +319,8 @@ class RunConfig:
             time_grading=grading,
             noise_sigma=noise_sigma,
             seed=seed,
-            regularization=regularization,
-            escalation_step=step,
-            max_iterations=cap,
             out_dir=out_dir,
             raw=tuple(items),
-        )
-
-    def problem(self, sensors: Sequence[Sensor] | None = None) -> HumProblem:
-        return HumProblem(
-            mode_count=self.modes,
-            omega=self.omega,
-            sensors=tuple(self.sensors if sensors is None else sensors),
-            alpha=self.alpha,
-            horizon=self.horizon,
-            regularization=self.regularization,
-            epsilon=self.epsilon,
-            escalation_step=self.escalation_step,
-            max_iterations=self.max_iterations,
         )
 
     def fingerprint(self) -> str:
@@ -344,34 +328,34 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def time_grid(self) -> TimeGrid:
+        horizon = self.problem.horizon
         if self.time_grading == "uniform":
-            return TimeGrid.uniform(self.horizon, self.time_samples)
+            return TimeGrid.uniform(horizon, self.time_samples)
         # geometric refinement toward t=0 resolves fast modal transients the
         # uniform half cannot; the two sets share only 0 and the horizon, so
         # the merge keeps time.samples rounded down to even
         half = self.time_samples // 2
-        edges = graded_panel_edges(self.horizon, half, 1e-12)
-        uniform = np.linspace(0.0, self.horizon, half + 1)
-        return TimeGrid.from_nodes(merge_nodes(edges, uniform, self.horizon))
+        edges = graded_panel_edges(horizon, half, 1e-12)
+        uniform = np.linspace(0.0, horizon, half + 1)
+        return TimeGrid(merge_nodes(edges, uniform, horizon))
 
-    def system(self) -> FractionalDiffusion:
+    def initial_state(self) -> tuple[list[EigenMode], ModalState]:
+        """The configured initial state with the modes it is expanded over."""
         if self.state_kind == "coefficients":
             depth = len(self.state_coefficients)
         elif self.state_kind == "zero":
-            depth = self.modes
+            depth = self.problem.mode_count
         else:
             depth = self.state_depth
-        return FractionalDiffusion.create(self.alpha, SpatialDomain(self.dimension), depth)
-
-    def initial_state(self, sysn: FractionalDiffusion) -> ModalState:
+        modes = eigenpairs(SpatialDomain(self.problem.dimension), depth)
         if self.state_kind == "zero":
-            return ModalState(np.zeros(sysn.mode_count))
+            return modes, ModalState(np.zeros(depth))
         if self.state_kind == "coefficients":
-            return ModalState(np.asarray(self.state_coefficients))
+            return modes, ModalState(np.asarray(self.state_coefficients))
         if self.state_kind == "poly_sq":
-            return project_initial_state(sysn, lambda x: (x * (1.0 - x)) ** 2)
-        return project_initial_state(
-            sysn, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
+            return modes, project_initial_state(modes, lambda x: (x * (1.0 - x)) ** 2)
+        return modes, project_initial_state(
+            modes, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
         )
 
     def truth_gradient(self) -> tuple[Callable[..., np.ndarray], ...]:
@@ -380,15 +364,16 @@ class RunConfig:
             return (lambda x: 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x),)
         if self.state_kind == "trig_sq":
             return (lambda x: 0.5 * np.pi * np.sin(4.0 * np.pi * x),)
+        n = self.problem.dimension
         if self.state_kind == "coefficients":
-            modes = eigenpairs(SpatialDomain(self.dimension), len(self.state_coefficients))
+            modes = eigenpairs(SpatialDomain(n), len(self.state_coefficients))
             coeffs = np.asarray(self.state_coefficients)
             return tuple(
                 (lambda *xs, _d=axis: mode_table(modes, xs, _d) @ coeffs)
-                for axis in range(self.dimension)
+                for axis in range(n)
             )
         zero = lambda *xs: np.zeros_like(np.asarray(xs[0], dtype=float))
-        return (zero,) * self.dimension
+        return (zero,) * n
 
 
 def _sha256_of(path: str) -> str:
@@ -398,19 +383,13 @@ def _sha256_of(path: str) -> str:
     return digest.hexdigest()
 
 
-def _echo_config(config: RunConfig, verbose: bool) -> None:
-    if verbose:
-        for key, value in sorted(config.raw):
-            print(f"# {key} = {value}", file=sys.stderr)
-
-
-def cmd_simulate(config: RunConfig, out_dir: str, verbose: bool = False) -> int:
-    _echo_config(config, verbose)
-    sysn = config.system()
+def cmd_simulate(config: RunConfig, out_dir: str) -> int:
+    modes, state = config.initial_state()
     record = generate_measurements(
-        sysn,
-        config.initial_state(sysn),
-        config.sensors,
+        config.problem.alpha,
+        modes,
+        state,
+        config.problem.sensors,
         config.time_grid(),
         noise_sigma=config.noise_sigma,
         seed=config.seed,
@@ -423,24 +402,20 @@ def cmd_simulate(config: RunConfig, out_dir: str, verbose: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(config: RunConfig, measurements: str, out_dir: str,
-                    verbose: bool = False) -> int:
-    _echo_config(config, verbose)
+def cmd_reconstruct(config: RunConfig, measurements: str, out_dir: str) -> int:
     if not os.path.isfile(measurements):
         raise InputError(f"measurements file {measurements!r} does not exist")
     record = MeasurementRecord.from_csv(measurements)
     truth = config.truth_gradient()
     path = os.path.join(out_dir, "field.csv")
     try:
-        result = reconstruct(config.problem(), record, truth=truth)
+        result = reconstruct(config.problem, record, truth=truth)
     except ConvergenceError as exc:
         history = ", ".join(f"{r:.3g}" for r in exc.residual_history)
         print(f"convergence cap hit; residual history: {history}", file=sys.stderr)
         exc.best.write_csv(path, truth=truth)
         print(f"wrote {path} (best iterate) sha256 {_sha256_of(path)}")
         return EXIT_CONVERGENCE
-    if verbose:
-        print(f"# iterations={result.iterations} modes={result.field.mode_count}", file=sys.stderr)
     result.write_csv(path, truth=truth)
     print(f"config sha256 {config.fingerprint()}")
     print("summary " + json.dumps(result.summary, sort_keys=True))
@@ -448,9 +423,8 @@ def cmd_reconstruct(config: RunConfig, measurements: str, out_dir: str,
     return EXIT_OK
 
 
-def cmd_check_strategic(config: RunConfig, out_dir: str, verbose: bool = False) -> int:
-    _echo_config(config, verbose)
-    report = strategic_verdict(config.sensors, config.modes)
+def cmd_check_strategic(config: RunConfig, out_dir: str) -> int:
+    report = strategic_verdict(config.problem.sensors, config.problem.mode_count)
     path = os.path.join(out_dir, "strategic.csv")
     report.to_csv(path)
     offending = ",".join(str(j) for j in report.offending) or "-"
@@ -479,22 +453,22 @@ def _parse_sweep_grid(spec: str) -> list[float]:
     return [lo + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
-def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
-                     verbose: bool = False) -> int:
-    _echo_config(config, verbose)
-    if config.dimension != 1:
+def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str) -> int:
+    problem = config.problem
+    if problem.dimension != 1:
         raise InputError("sensor sweeps need domain.dim = 1")
-    if len(config.sensors) != 1:
+    if len(problem.sensors) != 1:
         raise InputError("sensor sweeps need exactly one configured sensor")
-    (sensor,) = config.sensors
+    (sensor,) = problem.sensors
     positions = _parse_sweep_grid(grid_spec)
-    if sensor.kind == "zonal":
-        width = sensor.support.upper[0] - sensor.support.lower[0]
-        if positions[-1] + width > 1.0 + 1e-12:
-            raise InputError("sweep grid pushes the zonal support past the domain edge")
+    # every moved sensor is checked before sweep.csv is opened: a point on
+    # the domain's edge, or a support pushed past it, is a usage error
+    try:
+        sensors = tuple(_moved(sensor, b) for b in positions)
+    except InputError as exc:
+        raise InputError(f"sweep grid {grid_spec!r}: {exc}") from None
 
-    sysn = config.system()
-    state = config.initial_state(sysn)
+    modes, state = config.initial_state()
     grid = config.time_grid()
     truth = config.truth_gradient()
     # every position sees the draw a one-sensor record of this seed gets
@@ -510,16 +484,13 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str,
         for lo in range(0, len(positions), chunk):
             # one record for the chunk, a channel per position
             batch = positions[lo : lo + chunk]
-            moved = [_moved(sensor, b) for b in batch]
-            samples = generate_measurements(sysn, state, moved, grid).samples + noise
-            record = MeasurementRecord(grid, samples)
-            rows = sweep_channels(config.problem(moved), record, truth)
+            moved = sensors[lo : lo + chunk]
+            samples = generate_measurements(problem.alpha, modes, state, moved, grid).samples
+            record = MeasurementRecord(grid, samples + noise)
+            rows = sweep_channels(replace(problem, sensors=moved), record, truth)
             for position, (error, residual, lam_min) in zip(batch, rows):
                 fh.write(f"{position:.17g},{error:.17g},{residual:.17g},{lam_min:.17g}\n")
                 fh.flush()
-                if verbose:
-                    print(f"# b={position:g} error={error:.3g} lambda_min={lam_min:.3g}",
-                          file=sys.stderr)
     print(f"config sha256 {config.fingerprint()}")
     print(f"wrote {path} rows={len(positions)} sha256 {_sha256_of(path)}")
     return EXIT_OK
@@ -536,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a key=value run config")
         p.add_argument("--out", default=None, help="output directory (default: config output.dir or '.')")
-        p.add_argument("--verbose", action="store_true", help="echo config and progress to stderr")
 
     common(sub.add_parser("simulate", help="sample sensor outputs into measurements.csv"))
     p_rec = sub.add_parser("reconstruct", help="solve the gradient from a measurement record")
@@ -559,12 +529,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = args.out if args.out is not None else config.out_dir
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(config, out_dir, args.verbose)
+            return cmd_simulate(config, out_dir)
         if args.command == "reconstruct":
-            return cmd_reconstruct(config, args.measurements, out_dir, args.verbose)
+            return cmd_reconstruct(config, args.measurements, out_dir)
         if args.command == "check-strategic":
-            return cmd_check_strategic(config, out_dir, args.verbose)
-        return cmd_sweep_sensor(config, args.sweep_grid, out_dir, args.verbose)
+            return cmd_check_strategic(config, out_dir)
+        return cmd_sweep_sensor(config, args.sweep_grid, out_dir)
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

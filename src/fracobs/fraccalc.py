@@ -55,32 +55,23 @@ def _check_alpha(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sampling nodes on [0, T] with positive weights.
+    """Strictly increasing sampling nodes on [0, T].
 
-    nodes[0] is 0 and nodes[-1] is the horizon. The weights integrate a
-    sampled function over [0, T] (trapezoid weights for the built-in
-    constructors) and are used wherever a time integral of samples is
-    needed.
+    nodes[0] is 0 and nodes[-1] is the horizon. The trapezoid weights
+    integrate a sampled function over [0, T].
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise InputError("a time grid needs at least two nodes")
         if nodes[0] != 0.0:
             raise InputError("time grids start at t = 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise InputError("time grid nodes must increase strictly")
-        if weights.shape != nodes.shape:
-            raise InputError("weights and nodes differ in length")
-        if not np.all(weights > 0.0):
-            raise InputError("quadrature weights must be positive")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def uniform(cls, horizon: float, samples: int) -> "TimeGrid":
@@ -89,20 +80,15 @@ class TimeGrid:
             raise DomainError("horizon must be positive")
         if samples < 2:
             raise InputError("need at least two samples")
-        nodes = np.linspace(0.0, float(horizon), int(samples))
-        return cls.from_nodes(nodes)
+        return cls(np.linspace(0.0, float(horizon), int(samples)))
 
-    @classmethod
-    def from_nodes(cls, nodes) -> "TimeGrid":
-        """Grid on given nodes with trapezoid weights."""
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise InputError("a time grid needs at least two nodes")
-        h = np.diff(nodes)
-        weights = np.zeros_like(nodes)
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        h = np.diff(self.nodes)
+        weights = np.zeros_like(self.nodes)
         weights[:-1] += 0.5 * h
         weights[1:] += 0.5 * h
-        return cls(nodes, weights)
+        return weights
 
     @property
     def horizon(self) -> float:

@@ -75,7 +75,6 @@ from .spectral import (
     mode_table,
 )
 from .system import (
-    FractionalDiffusion,
     MeasurementRecord,
     ModalState,
     Sensor,
@@ -172,12 +171,9 @@ class HumProblem:
     def dimension(self) -> int:
         return self.omega.dimension
 
-    def basis(self) -> tuple[EigenMode, ...]:
-        return tuple(eigenpairs(SpatialDomain(self.dimension), self.mode_count))
-
     @cached_property
     def modes(self) -> tuple[EigenMode, ...]:
-        return self.basis()
+        return tuple(eigenpairs(SpatialDomain(self.dimension), self.mode_count))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -384,17 +380,18 @@ def assemble_rhs_from_state(problem: HumProblem, state: ModalState) -> np.ndarra
     through closed modal algebra, with the cross decay-product integrals
     computed on the quadrature panels.
     """
-    return assemble_rhs(problem, _state_moments(problem, state)(problem))
+    deep = replace(problem, mode_count=len(state))
+    return assemble_rhs(problem, _state_moments(deep, state)(problem))
 
 
 def _state_moments(
-    problem: HumProblem, state: ModalState
+    deep: HumProblem, state: ModalState
 ) -> Callable[[HumProblem], np.ndarray]:
     """The moments of the state's noiseless record for every truncation.
 
-    The state side (its modes and their P) is built once.
+    `deep` is the problem truncated at the state's depth, so the state
+    side (its modes and their P) is built once.
     """
-    deep = replace(problem, mode_count=len(state))
     weighted = deep.eigenvalues * state.coefficients
 
     def moments(prob: HumProblem) -> np.ndarray:
@@ -469,12 +466,6 @@ def residual_against(
     return math.sqrt(float(np.sum(record.grid.weights[:, None] * diff * diff)))
 
 
-def _record_from_state(problem: HumProblem, state: ModalState) -> MeasurementRecord:
-    sysn = FractionalDiffusion.create(problem.alpha, SpatialDomain(problem.dimension), len(state))
-    grid = TimeGrid.uniform(problem.horizon, 513)
-    return generate_measurements(sysn, state, problem.sensors, grid)
-
-
 def _solve_step(
     problem: HumProblem, moments: np.ndarray, record: MeasurementRecord,
     truth: Sequence[Callable[..., np.ndarray]] | GradientField | None,
@@ -517,8 +508,10 @@ def reconstruct(
     """
     if isinstance(record, ModalState):
         # the state side of the exact route is fixed: build it once
-        moments = _state_moments(problem, record)
-        record = _record_from_state(problem, record)
+        deep = replace(problem, mode_count=len(record))
+        moments = _state_moments(deep, record)
+        grid = TimeGrid.uniform(problem.horizon, 513)
+        record = generate_measurements(problem.alpha, deep.modes, record, problem.sensors, grid)
     else:
         # the data side's L1 pass serves every truncation: make it once
         _check_channels(problem, record)

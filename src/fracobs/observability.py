@@ -16,7 +16,6 @@ rather than silently rounded to a verdict.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +25,6 @@ import numpy as np
 from .errors import DomainError, InputError
 from .fraccalc import decay_table
 from .spectral import (
-    EigenMode,
     Region,
     SpatialDomain,
     SpatialQuadrature,
@@ -34,12 +32,11 @@ from .spectral import (
     eigenvalue_groups,
     mode_table,
 )
-from .system import Sensor, _sensor_functional
+from .system import Sensor, output_matrix, write_rows
 
 __all__ = [
     "StrategicReport",
     "GramDiagnostic",
-    "strategic_blocks",
     "test_gradient_strategic",
     "counterexample_check",
 ]
@@ -71,11 +68,15 @@ class StrategicReport:
     offending: tuple[int, ...]
 
     def to_csv(self, path: str) -> None:
+        """A header and one `%.17g` row per group, CRLF-terminated."""
+        columns = (
+            np.arange(1.0, len(self.group_sizes) + 1),
+            np.array(self.group_sizes, dtype=float),
+            np.array(self.group_svals, dtype=float),
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "r", "smallest_singular_value"])
-            for j, (r, s) in enumerate(zip(self.group_sizes, self.group_svals), 1):
-                writer.writerow([j, r, f"{s:.17g}"])
+            fh.write("group,r,smallest_singular_value\r\n")
+            write_rows(fh, columns, "\r\n")
 
 
 @dataclass(frozen=True)
@@ -106,23 +107,6 @@ def _sensor_dimension(sensors: Sequence[Sensor]) -> int:
     return dims.pop()
 
 
-def strategic_blocks(
-    sensors: Sequence[Sensor],
-    modes: Sequence[EigenMode],
-    axis: int,
-) -> list[np.ndarray]:
-    """Per-eigenvalue-group matrices of sensed gradient components.
-
-    Group j yields a (p, r_j) matrix whose (i, k) entry is the axis-th
-    partial of group member k seen by sensor i: the value at the sensor
-    location, or the weighted integral over its support.
-    """
-    if not sensors:
-        raise InputError("at least one sensor is required")
-    full = np.array([_sensor_functional(s, modes, axis) for s in sensors])
-    return [full[:, g] for g in eigenvalue_groups(modes)]
-
-
 def test_gradient_strategic(sensors: Sequence[Sensor], M: int) -> StrategicReport:
     """Rank test of the stacked per-group blocks [B_j^1 ... B_j^n].
 
@@ -137,15 +121,15 @@ def test_gradient_strategic(sensors: Sequence[Sensor], M: int) -> StrategicRepor
         raise InputError(f"M must be >= 1, got {M}")
     n = _sensor_dimension(sensors)
     modes = eigenpairs(SpatialDomain(n), M)
-    per_axis = [strategic_blocks(sensors, modes, d) for d in range(n)]
+    # the axis-th partial of each mode, as seen by each sensor: the value at
+    # its location, or the weighted integral over its support
+    per_axis = [output_matrix(sensors, modes, d) for d in range(n)]
     groups = eigenvalue_groups(modes)
     p = len(sensors)
 
     # the cut is relative to the largest singular value across all groups;
     # a per-group scale would make a singleton group always look full rank
-    stacks = [
-        np.hstack([per_axis[d][gi] for d in range(n)]) for gi in range(len(groups))
-    ]
+    stacks = [np.hstack([full[:, g] for full in per_axis]) for g in groups]
     spectra = [np.linalg.svd(s, compute_uv=False) for s in stacks]
     scale = max((float(s[0]) for s in spectra if s.size), default=0.0)
     cut = RANK_TOLERANCE * scale

@@ -117,12 +117,18 @@ def eigenpairs(domain: SpatialDomain, count: int) -> list[EigenMode]:
         raise InputError(f"count must be >= 1, got {count}")
     if domain.dimension == 1:
         return [EigenMode.from_index((i,)) for i in range(1, count + 1)]
-    # every one of the `count` smallest modes has indices <= count + 1,
-    # since the column (1,1)..(1,count) already supplies `count` modes
-    top = count + 1
-    idx = [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)]
-    idx.sort(key=lambda ij: (ij[0] * ij[0] + ij[1] * ij[1], ij))
-    return [EigenMode.from_index(ij) for ij in idx[:count]]
+    # a mode outside the box [1, top]^2 has key i^2 + j^2 > (top + 1)^2, so
+    # once the box's count-th key is at most that, no outside mode comes
+    # before it, and the box's sort is the global one
+    top = math.isqrt(count - 1) + 1  # the box holds at least count modes
+    while True:
+        i, j = np.indices((top, top)).reshape(2, -1) + 1
+        key = i * i + j * j
+        order = np.lexsort((j, i, key))[:count]
+        if key[order[-1]] <= (top + 1) ** 2:
+            pairs = zip(i[order].tolist(), j[order].tolist())
+            return [EigenMode.from_index(ij) for ij in pairs]
+        top *= 2
 
 
 def eigenvalue_groups(modes: Sequence[EigenMode]) -> list[list[int]]:

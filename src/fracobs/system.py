@@ -19,17 +19,9 @@ import numpy as np
 
 from .errors import InputError
 from .fraccalc import TimeGrid, decay_apply
-from .spectral import (
-    EigenMode,
-    Region,
-    SpatialDomain,
-    SpatialQuadrature,
-    eigenpairs,
-    mode_table,
-)
+from .spectral import EigenMode, Region, SpatialDomain, SpatialQuadrature, mode_table
 
 __all__ = [
-    "FractionalDiffusion",
     "Sensor",
     "ModalState",
     "MeasurementRecord",
@@ -43,43 +35,6 @@ SENSOR_ORDER = 32
 # table rows formatted per block of numpy passes when a CSV body is written,
 # and lines parsed per block when a rejected record is searched for its bad line
 CSV_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class FractionalDiffusion:
-    """Caputo-diffusion model data: order, domain, truncated basis.
-
-    Time enters only through the grid that generate_measurements samples.
-    """
-
-    alpha: float
-    domain: SpatialDomain
-    basis: tuple[EigenMode, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
-        if not basis:
-            raise InputError("basis must contain at least one mode")
-        lams = [m.lam for m in basis]
-        if any(b < a for a, b in zip(lams, lams[1:])):
-            raise InputError("basis eigenvalues must be ascending")
-        if any(m.dimension != self.domain.dimension for m in basis):
-            raise InputError("basis modes do not match the domain dimension")
-
-    @classmethod
-    def create(cls, alpha: float, domain: SpatialDomain, mode_count: int) -> "FractionalDiffusion":
-        return cls(alpha, domain, tuple(eigenpairs(domain, mode_count)))
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.basis)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([m.lam for m in self.basis])
 
 
 @dataclass(frozen=True)
@@ -116,7 +71,7 @@ class Sensor:
 
 @dataclass(frozen=True)
 class ModalState:
-    """Coefficients <u, phi_k> against the model basis."""
+    """Coefficients <u, phi_k> against a truncated eigenbasis."""
 
     coefficients: np.ndarray
 
@@ -194,7 +149,7 @@ class MeasurementRecord:
                 data = None
         if data is None or data.shape[1] != width:
             _raise_first_bad_row(path, width)
-        return cls(TimeGrid.from_nodes(data[:, 0]), data[:, 1:])
+        return cls(TimeGrid(data[:, 0]), data[:, 1:])
 
 
 def write_rows(fh: IO[str], columns: Sequence[np.ndarray], end: str) -> None:
@@ -401,19 +356,20 @@ def _raise_first_bad_row(path: str, width: int) -> NoReturn:
 
 
 def project_initial_state(
-    sys: FractionalDiffusion, u0: Callable[..., np.ndarray]
+    modes: Sequence[EigenMode], u0: Callable[..., np.ndarray]
 ) -> ModalState:
-    """Expand a spatial field over the model basis by full-domain quadrature."""
+    """Expand a spatial field over the modes by full-domain quadrature."""
     # resolve the fastest basis oscillation with margin
-    top = max(max(m.index) for m in sys.basis)
+    top = max(max(m.index) for m in modes)
     order = max(64, 2 * top + 16)
-    pts, w = SpatialQuadrature.for_region(Region.full(sys.domain), order).flat()
+    domain = SpatialDomain(modes[0].dimension)
+    pts, w = SpatialQuadrature.for_region(Region.full(domain), order).flat()
     wu = w * np.asarray(u0(*pts), dtype=float)
-    return ModalState(wu @ mode_table(sys.basis, pts))
+    return ModalState(wu @ mode_table(modes, pts))
 
 
 def _sensor_functional(
-    sensor: Sensor, basis: Sequence[EigenMode], axis: int | None = None
+    sensor: Sensor, basis: Sequence[EigenMode], axis: int | None
 ) -> np.ndarray:
     """The vector (C phi_k)_k for one sensor, or (C d_axis phi_k)_k."""
     if sensor.kind == "pointwise":
@@ -423,35 +379,43 @@ def _sensor_functional(
     return weighted @ mode_table(basis, pts, axis)
 
 
-def output_matrix(sensors: Sequence[Sensor], basis: Sequence[EigenMode]) -> np.ndarray:
-    """Stacked output functionals, shape (p, M): row ch is (C_ch phi_k)_k."""
+def output_matrix(
+    sensors: Sequence[Sensor], basis: Sequence[EigenMode], axis: int | None = None
+) -> np.ndarray:
+    """Stacked output functionals, shape (p, M): row ch is (C_ch phi_k)_k.
+
+    With an axis, row ch is (C_ch d_axis phi_k)_k: the sensed partials.
+    """
     if not sensors:
         raise InputError("at least one sensor is required")
-    return np.array([_sensor_functional(s, basis) for s in sensors])
+    return np.array([_sensor_functional(s, basis, axis) for s in sensors])
 
 
 def generate_measurements(
-    sys: FractionalDiffusion,
+    alpha: float,
+    modes: Sequence[EigenMode],
     state: ModalState,
     sensors: Sequence[Sensor],
     grid: TimeGrid,
     noise_sigma: float = 0.0,
     seed: int = 0,
 ) -> MeasurementRecord:
-    """Sample every sensor on the grid, optionally perturbed by Gaussian noise."""
+    """Sample every sensor on the grid, optionally perturbed by Gaussian noise.
+
+    Mode k of the state decays as E_alpha(-lam_k t^alpha); alpha outside
+    (0, 1] raises DomainError.
+    """
     # written so that nan fails too: a nan sigma would pass `sigma < 0`
     # and `sigma > 0` alike and leave the record silently noiseless
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if len(state) != sys.mode_count:
+    if len(state) != len(modes):
         raise InputError("state length does not match the basis")
-    P = output_matrix(sensors, sys.basis)
+    P = output_matrix(sensors, modes)
+    lams = np.array([m.lam for m in modes])
     # the decay table is applied block by block, never held whole
-    samples = decay_apply(
-        sys.alpha, sys.eigenvalues, grid.nodes, state.coefficients[:, None] * P.T
-    )
+    samples = decay_apply(alpha, lams, grid.nodes, state.coefficients[:, None] * P.T)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
     return MeasurementRecord(grid, samples)
-

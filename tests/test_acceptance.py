@@ -74,7 +74,7 @@ def sampled_gram(problem, nodes=200001):
     elementary forms (exp on the t axis, erfcx on the s = sqrt(t) axis),
     so mlf_values is never called here.
     """
-    modes = problem.basis()
+    modes = problem.modes
     B = coupling_matrix(modes)
     P = output_matrix(problem.sensors, modes)
     lams = np.array([mode.lam for mode in modes])
@@ -147,7 +147,7 @@ def test_zonal_sensor_profile_beats_point_sensor():
     mu = 3.16e-7 * np.trace(gram) / gram.shape[0]
     rhs = assemble_rhs_from_state(problem, ModalState(flat_bump_coefficients()))
     coeffs = np.linalg.solve(gram + mu * np.eye(gram.shape[0]), rhs)
-    field = GradientField(coeffs, problem.basis())
+    field = GradientField(coeffs, problem.modes)
     truth = (lambda y: 2.0 * y * (1.0 - y) * (1.0 - 2.0 * y),)
     error = omega_error(field, truth, problem.omega)
     assert error <= 1e-4
@@ -265,7 +265,7 @@ def test_noiseless_in_span_recovery_single_pass():
         1.0,
         regularization=Regularization("none"),
     )
-    modes = problem.basis()
+    modes = problem.modes
     lams = np.array([mode.lam for mode in modes])
     coeffs = 0.1 * np.random.default_rng(3).normal(size=len(modes))
     # initial state whose gradient has exactly these basis coefficients

@@ -58,14 +58,15 @@ def test_config_defaults_and_dotted_keys(tmp_path):
         sensor.kind = pointwise
         sensor.location = 0.2
     """))
-    assert cfg.dimension == 1
-    assert cfg.modes == 8
-    assert cfg.epsilon == 1e-6
-    assert cfg.omega.lower == (0.0,) and cfg.omega.upper == (1.0,)
+    problem = cfg.problem
+    assert problem.dimension == 1
+    assert problem.mode_count == 8
+    assert problem.epsilon == 1e-6
+    assert problem.omega.lower == (0.0,) and problem.omega.upper == (1.0,)
     assert cfg.state_kind == "zero"
     assert cfg.time_samples == 512 and cfg.time_grading == "uniform"
-    assert cfg.regularization.kind == "tikhonov" and cfg.regularization.value is None
-    assert (cfg.escalation_step, cfg.max_iterations) == (4, 5)
+    assert problem.regularization.kind == "tikhonov" and problem.regularization.value is None
+    assert (problem.escalation_step, problem.max_iterations) == (4, 5)
     assert cfg.noise_sigma == 0.0 and cfg.seed == 0
 
 
@@ -685,11 +686,12 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert cli.main(["sweep-sensor", "--config", config, "--out", str(tmp_path),
                      "--sweep-grid", "0.5:0.1:0.05"]) == 2
     capsys.readouterr()
-    # non-finite parts, bounds outside [0, 1] and too many positions are
-    # rejected before any work; 1e-300 would ask for about 1e299 positions
+    # non-finite parts, bounds outside [0, 1], too many positions and a
+    # point sensor moved onto the domain's edge are rejected before any
+    # work; 1e-300 would ask for about 1e299 positions
     for grid in ("0.1:nan:0.1", "nan:0.5:0.1", "0.1:0.5:inf", "0.1:0.5:nan",
                  "-inf:0.5:0.1", "-0.1:0.5:0.1", "0.1:1.5:0.1", "0.1:0.2:1e-300",
-                 "0.1:0.6:5e-324", "0:1:1e-5"):
+                 "0.1:0.6:5e-324", "0:1:1e-5", "0:1:0.25", "0.25:1:0.25"):
         assert cli.main(["sweep-sensor", "--config", config, "--out", str(tmp_path),
                          f"--sweep-grid={grid}"]) == 2, grid
         assert capsys.readouterr().err.startswith("usage error: sweep grid"), grid

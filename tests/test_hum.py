@@ -27,7 +27,6 @@ from fracobs.hum import (
 from fracobs.observability import GramDiagnostic
 from fracobs.spectral import Region, SpatialDomain, eigenpairs, grad_coupling
 from fracobs.system import (
-    FractionalDiffusion,
     MeasurementRecord,
     ModalState,
     Sensor,
@@ -51,7 +50,7 @@ def coupling_matrix(modes):
 
 def in_span_state(problem, coeffs):
     """Initial state whose gradient has exactly the given basis coefficients."""
-    modes = problem.basis()
+    modes = problem.modes
     lams = np.array([m.lam for m in modes])
     return ModalState((coupling_matrix(modes).T @ coeffs) / lams)
 
@@ -132,7 +131,7 @@ def test_vector_basis_field_components():
 
 
 def test_gradient_field_validation():
-    modes = HumProblem(2, FULL, (), 1.0, 1.0).basis()
+    modes = HumProblem(2, FULL, (), 1.0, 1.0).modes
     with pytest.raises(InputError):
         GradientField(np.zeros(3), modes)
     with pytest.raises(InputError):
@@ -150,7 +149,7 @@ def test_assemble_gram_degenerate_cases():
 def test_assemble_gram_matches_time_sampled_gram():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.2,)),), 1.0, 1.0)
     G = assemble_gram(problem)
-    modes = problem.basis()
+    modes = problem.modes
     lams = np.array([m.lam for m in modes])
     B = coupling_matrix(modes)
     P = output_matrix(problem.sensors, modes)
@@ -251,22 +250,24 @@ def test_gram_symmetric_psd_for_random_layouts(problem):
 
 def test_assemble_rhs_zero_record():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.3,)),), 0.5, 1.0)
-    sysn = FractionalDiffusion.create(0.5, SpatialDomain(1), 3)
+    modes = eigenpairs(SpatialDomain(1), 3)
     record = generate_measurements(
-        sysn, ModalState(np.zeros(3)), problem.sensors, TimeGrid.uniform(1.0, 33)
+        0.5, modes, ModalState(np.zeros(3)), problem.sensors, TimeGrid.uniform(1.0, 33)
     )
     assert np.all(record_rhs(problem, record) == 0.0)
 
 
 def test_assemble_rhs_validation():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.3,)),), 1.0, 1.0)
-    sysn = FractionalDiffusion.create(1.0, SpatialDomain(1), 3)
+    modes = eigenpairs(SpatialDomain(1), 3)
     two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
-    record = generate_measurements(sysn, ModalState(np.zeros(3)), two, TimeGrid.uniform(1.0, 17))
+    record = generate_measurements(
+        1.0, modes, ModalState(np.zeros(3)), two, TimeGrid.uniform(1.0, 17)
+    )
     with pytest.raises(InputError):
         record_rhs(problem, record)
     record = generate_measurements(
-        sysn, ModalState(np.zeros(3)), problem.sensors, TimeGrid.uniform(0.5, 17)
+        1.0, modes, ModalState(np.zeros(3)), problem.sensors, TimeGrid.uniform(0.5, 17)
     )
     with pytest.raises(InputError):
         record_rhs(problem, record)
@@ -277,9 +278,9 @@ def test_assemble_rhs_pairs_record_moments(alpha):
     # the right-hand side is the sensors' pairing of record_moments, which
     # a sweep computes once for all its positions, one column per channel
     two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
-    sysn = FractionalDiffusion.create(alpha, SpatialDomain(1), 12)
+    modes = eigenpairs(SpatialDomain(1), 12)
     state = ModalState(np.random.default_rng(1).standard_normal(12))
-    record = generate_measurements(sysn, state, two, TimeGrid.uniform(1.0, 65))
+    record = generate_measurements(alpha, modes, state, two, TimeGrid.uniform(1.0, 65))
     problem = HumProblem(4, FULL, two, alpha, 1.0)
     moments = hum.record_moments(problem, record)
     assert moments.shape == (4, 2)
@@ -301,8 +302,8 @@ def test_rhs_exactness_alpha_one():
     # closed modal route is exact to roundoff
     assert np.max(np.abs(assemble_rhs_from_state(problem, state) - want)) <= 1e-12 * scale
     # sampled route carries the interpolation error of the record
-    sysn = FractionalDiffusion.create(1.0, SpatialDomain(1), 4)
-    record = generate_measurements(sysn, state, problem.sensors, TimeGrid.uniform(1.0, 2001))
+    modes = eigenpairs(SpatialDomain(1), 4)
+    record = generate_measurements(1.0, modes, state, problem.sensors, TimeGrid.uniform(1.0, 2001))
     assert np.max(np.abs(record_rhs(problem, record) - want)) <= 5e-4 * scale
 
 
@@ -317,12 +318,12 @@ def test_rhs_exactness_fractional():
     # t ~ lam_k^{-2}, far inside the first uniform cell; only a record
     # graded toward 0 retains that transient. Measured: 2.8e-5 graded
     # against 5.1e-2 uniform at the same node count.
-    sysn = FractionalDiffusion.create(0.5, SpatialDomain(1), 4)
+    modes = eigenpairs(SpatialDomain(1), 4)
     nodes = np.union1d(graded_panel_edges(1.0, 384, 1e-12), np.linspace(0.0, 1.0, 129))
-    record = generate_measurements(sysn, state, problem.sensors, TimeGrid.from_nodes(nodes))
+    record = generate_measurements(0.5, modes, state, problem.sensors, TimeGrid(nodes))
     assert np.max(np.abs(record_rhs(problem, record) - want)) <= 2e-4 * scale
     uniform = generate_measurements(
-        sysn, state, problem.sensors, TimeGrid.uniform(1.0, nodes.size)
+        0.5, modes, state, problem.sensors, TimeGrid.uniform(1.0, nodes.size)
     )
     assert np.max(np.abs(record_rhs(problem, uniform) - want)) > 1e-2 * scale
 
@@ -335,15 +336,15 @@ def test_rhs_data_route_gap_graded_record():
     nodes = fc.merge_nodes(
         graded_panel_edges(1.0, half, 1e-12), np.linspace(0.0, 1.0, half + 1), 1.0
     )
-    grid = TimeGrid.from_nodes(nodes)
+    grid = TimeGrid(nodes)
     assert len(grid) == 2048
-    sysn = FractionalDiffusion.create(0.84, SpatialDomain(1), 200)
+    modes = eigenpairs(SpatialDomain(1), 200)
     state = project_initial_state(
-        sysn, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
+        modes, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
     )
     sensors = (Sensor.pointwise((0.55,)),)
     problem = HumProblem(8, Region((0.0,), (0.25,)), sensors, 0.84, 1.0)
-    record = generate_measurements(sysn, state, sensors, grid)
+    record = generate_measurements(0.84, modes, state, sensors, grid)
     exact = assemble_rhs_from_state(problem, state)
     gap = np.linalg.norm(record_rhs(problem, record) - exact) / np.linalg.norm(exact)
     assert gap <= 3e-5
@@ -353,10 +354,10 @@ def test_assemble_rhs_channels_match_stacked_single_channel():
     # one caputo_values pass for all channels gives the sum of the
     # single-sensor RHS vectors, each from its own channel
     sensors = tuple(Sensor.pointwise((b,)) for b in (0.2, 0.45, 0.7))
-    sysn = FractionalDiffusion.create(0.5, SpatialDomain(1), 40)
-    state = project_initial_state(sysn, lambda x: x * (1.0 - x) * np.exp(x))
+    modes = eigenpairs(SpatialDomain(1), 40)
+    state = project_initial_state(modes, lambda x: x * (1.0 - x) * np.exp(x))
     nodes = np.union1d(graded_panel_edges(1.0, 256, 1e-12), np.linspace(0.0, 1.0, 257))
-    record = generate_measurements(sysn, state, sensors, TimeGrid.from_nodes(nodes))
+    record = generate_measurements(0.5, modes, state, sensors, TimeGrid(nodes))
     problem = HumProblem(6, FULL, sensors, 0.5, 1.0)
     got = record_rhs(problem, record)
     stacked = sum(
@@ -372,7 +373,7 @@ def test_assemble_rhs_channels_match_stacked_single_channel():
 def test_rhs_single_mode_dense_oracle():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.2,)),), 1.0, 1.0)
     rhs = assemble_rhs_from_state(problem, ModalState([0.0, 1.0, 0.0]))
-    modes = problem.basis()
+    modes = problem.modes
     lams = np.array([m.lam for m in modes])
     B = coupling_matrix(modes)
     P = output_matrix(problem.sensors, modes)
@@ -439,7 +440,7 @@ def test_solve_spectral_tikhonov():
     mu = 1e-3
     shifted = HumProblem(4, FULL, sensors, 1.0, 1.0, Regularization("spectral_tikhonov", mu))
     got, _ = solve_reconstruction(shifted, gram, rhs)
-    lams = np.array([m.lam for m in pd.basis()])
+    lams = np.array([m.lam for m in pd.modes])
     shift = mu * eigh(gram, eigvals_only=True)[-1] * (lams / lams[-1]) ** 2
     assert np.max(np.abs(gram @ got + shift * got - rhs)) <= 1e-12
 
@@ -466,7 +467,7 @@ def test_k_norm_identity():
     problem = HumProblem(4, FULL, (Sensor.pointwise((0.3,)),), 1.0, 1.0)
     coeffs = np.random.default_rng(9).standard_normal(4)
     quad_form = float(coeffs @ assemble_gram(problem) @ coeffs)
-    modes = problem.basis()
+    modes = problem.modes
     lams = np.array([m.lam for m in modes])
     B = coupling_matrix(modes)
     P = output_matrix(problem.sensors, modes)
@@ -487,7 +488,7 @@ def test_reconstruct_noiseless_in_span_one_iteration():
         epsilon=1e-6,
     )
     coeffs = np.random.default_rng(7).standard_normal(6)
-    truth = GradientField(coeffs, problem.basis())
+    truth = GradientField(coeffs, problem.modes)
     result = reconstruct(problem, in_span_state(problem, coeffs), truth=truth)
     assert result.iterations == 1
     assert result.residual <= 1e-6
@@ -497,9 +498,9 @@ def test_reconstruct_noiseless_in_span_one_iteration():
 
 def test_reconstruct_zero_record():
     sensors = (Sensor.pointwise((0.3,)),)
-    sysn = FractionalDiffusion.create(1.0, SpatialDomain(1), 6)
+    modes = eigenpairs(SpatialDomain(1), 6)
     record = generate_measurements(
-        sysn, ModalState(np.zeros(6)), sensors, TimeGrid.uniform(1.0, 101)
+        1.0, modes, ModalState(np.zeros(6)), sensors, TimeGrid.uniform(1.0, 101)
     )
     result = reconstruct(HumProblem(6, FULL, sensors, 1.0, 1.0), record)
     assert result.iterations == 1
@@ -532,9 +533,9 @@ def test_reconstruct_convergence_error_carries_best():
     sensors = (Sensor.pointwise((0.3,)),)
     wide = HumProblem(6, FULL, sensors, 1.0, 1.0)
     coeffs = np.random.default_rng(7).standard_normal(6)
-    sysn = FractionalDiffusion.create(1.0, SpatialDomain(1), 6)
+    modes = eigenpairs(SpatialDomain(1), 6)
     record = generate_measurements(
-        sysn, in_span_state(wide, coeffs), sensors, TimeGrid.uniform(1.0, 65)
+        1.0, modes, in_span_state(wide, coeffs), sensors, TimeGrid.uniform(1.0, 65)
     )
     problem = HumProblem(
         2, FULL, sensors, 1.0, 1.0, epsilon=1e-13, escalation_step=0, max_iterations=2
@@ -553,8 +554,8 @@ def test_reconstruct_with_no_solvable_step_raises_solvability_error():
     sensors = (Sensor.pointwise((0.5,)),)
     problem = HumProblem(4, FULL, sensors, 0.7, 1.0, Regularization("none"), max_iterations=2)
     state = ModalState([0.1, -0.05, 0.02, 0.01])
-    sysn = FractionalDiffusion.create(0.7, SpatialDomain(1), len(state))
-    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    modes = eigenpairs(SpatialDomain(1), len(state))
+    record = generate_measurements(0.7, modes, state, sensors, TimeGrid.uniform(1.0, 65))
     last = replace(problem, mode_count=8)
     with pytest.raises(SolvabilityError) as want:
         solve_reconstruction(last, assemble_gram(last), np.zeros(8))
@@ -582,8 +583,8 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
     monkeypatch.setattr(fc, "mlf_values", counted)
     gauss = fc.PRODUCT_PANELS * fc.PRODUCT_ORDER
     for alpha in (0.7, 1.0):
-        sysn = FractionalDiffusion.create(alpha, SpatialDomain(1), 12)
-        record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+        modes = eigenpairs(SpatialDomain(1), 12)
+        record = generate_measurements(alpha, modes, state, sensors, TimeGrid.uniform(1.0, 65))
         problem = HumProblem(
             2, FULL, sensors, alpha, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
         )
@@ -602,8 +603,8 @@ def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
     # step's solve is bitwise the one its own record route gives
     sensors = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.65,)))
     state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
-    sysn = FractionalDiffusion.create(0.7, SpatialDomain(1), 12)
-    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    modes = eigenpairs(SpatialDomain(1), 12)
+    record = generate_measurements(0.7, modes, state, sensors, TimeGrid.uniform(1.0, 65))
     problem = HumProblem(
         2, FULL, sensors, 0.7, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
     )
@@ -637,10 +638,10 @@ def test_sweep_channels_builds_the_truncation_once(monkeypatch):
     # one B, and each row is bitwise the solve of a fresh one-sensor problem
     sensors = tuple(Sensor.pointwise((b,)) for b in (0.3, 0.45, 0.65))
     state = ModalState(1.0 / np.arange(1.0, 9.0) ** 2)
-    sysn = FractionalDiffusion.create(0.7, SpatialDomain(1), 8)
-    record = generate_measurements(sysn, state, sensors, TimeGrid.uniform(1.0, 65))
+    modes = eigenpairs(SpatialDomain(1), 8)
+    record = generate_measurements(0.7, modes, state, sensors, TimeGrid.uniform(1.0, 65))
     problem = HumProblem(4, FULL, sensors, 0.7, 1.0, regularization=Regularization("none"))
-    truth = GradientField(np.ones(4), problem.basis())  # any field on omega will do
+    truth = GradientField(np.ones(4), problem.modes)  # any field on omega will do
     moments = hum.record_moments(problem, record)
     want = []
     for ch, sensor in enumerate(sensors):
@@ -680,7 +681,7 @@ def test_alpha_one_rhs_matches_per_cell_quadrature():
     assert lams[0] * h.min() == pytest.approx(1e-12, rel=0.02)
     assert 40.0 < lams[-1] * h.max() < 60.0
     samples = np.random.default_rng(5).standard_normal((nodes.size, 2))
-    record = MeasurementRecord(TimeGrid.from_nodes(nodes), samples)
+    record = MeasurementRecord(TimeGrid(nodes), samples)
     # moments[k, ch] = -int z_ch'(t) exp(-lam_k t) dt, cell by cell
     cells = np.empty((lams.size, 2, h.size))
     slopes = np.diff(samples, axis=0) / h[:, None]
@@ -750,8 +751,8 @@ def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
         "grad_coupling": sum(m * m for m in sizes),
     }
     # the data route: one of each per step, singular steps included
-    sysn = FractionalDiffusion.create(1.0, SpatialDomain(1), len(state))
-    record = generate_measurements(sysn, state, blind.sensors, TimeGrid.uniform(1.0, 65))
+    modes = eigenpairs(SpatialDomain(1), len(state))
+    record = generate_measurements(1.0, modes, state, blind.sensors, TimeGrid.uniform(1.0, 65))
     builds.update(dict.fromkeys(builds, 0))
     with pytest.raises(ConvergenceError) as err:
         reconstruct(blind, record)
@@ -765,7 +766,7 @@ def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
     step = replace(blind, mode_count=3)
     for operator in (step.eigenvalues, step.coupling, step.outputs):
         assert not operator.flags.writeable
-    assert step.modes is step.modes and step.modes == step.basis()
+    assert step.modes is step.modes and step.modes == tuple(eigenpairs(SpatialDomain(1), 3))
 
 
 def test_reconstruct_data_route_residual():
@@ -774,9 +775,9 @@ def test_reconstruct_data_route_residual():
     sensors = (Sensor.pointwise((0.3,)),)
     problem = HumProblem(6, FULL, sensors, 1.0, 1.0, epsilon=1e-3, max_iterations=1)
     coeffs = np.random.default_rng(7).standard_normal(6)
-    sysn = FractionalDiffusion.create(1.0, SpatialDomain(1), 6)
+    modes = eigenpairs(SpatialDomain(1), 6)
     record = generate_measurements(
-        sysn, in_span_state(problem, coeffs), sensors, TimeGrid.uniform(1.0, 2049)
+        1.0, modes, in_span_state(problem, coeffs), sensors, TimeGrid.uniform(1.0, 2049)
     )
     result = reconstruct(problem, record)
     assert result.iterations == 1
@@ -786,7 +787,7 @@ def test_reconstruct_data_route_residual():
 
 def test_omega_error_zero_for_matching_truth():
     coeffs = np.random.default_rng(2).standard_normal(4)
-    field = GradientField(coeffs, HumProblem(4, FULL, (), 1.0, 1.0).basis())
+    field = GradientField(coeffs, HumProblem(4, FULL, (), 1.0, 1.0).modes)
     omega = Region((0.2,), (0.7,))
     assert omega_error(field, field, omega) <= 1e-14
     assert omega_error(field, field.component(0), omega) <= 1e-14
@@ -794,14 +795,14 @@ def test_omega_error_zero_for_matching_truth():
 
 def test_omega_error_zero_field_against_known_profile():
     # int_{0.35}^{0.65} (2y(1-y)(1-2y))^2 dy, adaptive quadrature
-    field = GradientField(np.zeros(4), HumProblem(4, FULL, (), 1.0, 1.0).basis())
+    field = GradientField(np.zeros(4), HumProblem(4, FULL, (), 1.0, 1.0).modes)
     g = lambda y: 2.0 * y * (1.0 - y) * (1.0 - 2.0 * y)
     got = omega_error(field, g, Region((0.35,), (0.65,)))
     assert got == pytest.approx(0.002014810714285715, rel=1e-10)
 
 
 def test_omega_error_validation():
-    field = GradientField(np.zeros(4), HumProblem(4, FULL, (), 1.0, 1.0).basis())
+    field = GradientField(np.zeros(4), HumProblem(4, FULL, (), 1.0, 1.0).modes)
     with pytest.raises(InputError):
         omega_error(field, field, Region((0.0, 0.0), (1.0, 1.0)))
     with pytest.raises(InputError):
@@ -810,7 +811,7 @@ def test_omega_error_validation():
 
 def test_write_csv_report(tmp_path):
     coeffs = np.random.default_rng(4).standard_normal(3)
-    modes = HumProblem(3, FULL, (), 1.0, 1.0).basis()
+    modes = HumProblem(3, FULL, (), 1.0, 1.0).modes
     field = GradientField(coeffs, modes)
     result_path = tmp_path / "field.csv"
     from fracobs.hum import ReconstructionResult
@@ -837,7 +838,7 @@ def test_write_csv_2d_golden_bytes(tmp_path):
     # time, here over 40,401 rows (ten blocks), with and without a truth
     from fracobs.hum import ReconstructionResult
 
-    modes = HumProblem(5, Region((0.0, 0.0), (1.0, 1.0)), (), 1.0, 1.0).basis()
+    modes = HumProblem(5, Region((0.0, 0.0), (1.0, 1.0)), (), 1.0, 1.0).modes
     field = GradientField(np.random.default_rng(6).standard_normal(10), modes)
     truth = GradientField(np.random.default_rng(7).standard_normal(10), modes)
     result = ReconstructionResult(field, 2.5e-6, 1.25e9, 1, 4.4e-5, (2.5e-6,))

@@ -28,24 +28,26 @@ def unit_weight(x):
 
 
 def test_strategic_blocks_pointwise_values():
+    # the sensed partials that test_gradient_strategic stacks per group;
+    # on the interval every group is one mode
     modes = sp.eigenpairs(sp.SpatialDomain(1), 3)
-    blocks_half = ob.strategic_blocks([fs.Sensor.pointwise((0.5,))], modes, 0)
-    assert blocks_half[0].shape == (1, 1)
-    assert abs(blocks_half[0][0, 0]) < 1e-14
-    blocks = ob.strategic_blocks([fs.Sensor.pointwise((0.2,))], modes, 0)
+    half = fs.output_matrix([fs.Sensor.pointwise((0.5,))], modes, 0)
+    assert half.shape == (1, 3)
+    assert abs(half[0, 0]) < 1e-14
+    partials = fs.output_matrix([fs.Sensor.pointwise((0.2,))], modes, 0)
     want = math.sqrt(2.0) * PI * math.cos(0.2 * PI)
-    assert blocks[0][0, 0] == pytest.approx(want, rel=1e-14)
-    assert blocks[0][0, 0] == pytest.approx(3.5944, abs=5e-4)
+    assert partials[0, 0] == pytest.approx(want, rel=1e-14)
+    assert partials[0, 0] == pytest.approx(3.5944, abs=5e-4)
 
 
 def test_strategic_blocks_zonal_against_closed_form():
     # entry for group j: sqrt(2) j pi int_0.9^1 cos(j pi y) dy = -sqrt(2) sin(0.9 j pi)
     modes = sp.eigenpairs(sp.SpatialDomain(1), 8)
     sensor = fs.Sensor.zonal(sp.Region((0.9,), (1.0,)), unit_weight)
-    blocks = ob.strategic_blocks([sensor], modes, 0)
+    partials = fs.output_matrix([sensor], modes, 0)
     for j in range(1, 9):
         want = -math.sqrt(2.0) * math.sin(0.9 * j * PI)
-        assert blocks[j - 1][0, 0] == pytest.approx(want, abs=1e-12)
+        assert partials[0, j - 1] == pytest.approx(want, abs=1e-12)
 
 
 def test_strategic_verdict_center_point():

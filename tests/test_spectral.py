@@ -6,6 +6,7 @@ way around.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,35 @@ def test_eigenpairs_square_is_globally_sorted():
         (i * i + j * j) * PI**2 for i in range(1, 30) for j in range(1, 30)
     )
     assert lams == pytest.approx(pool[:60], rel=1e-14)
+
+
+def _square_modes_by_full_sort(count):
+    """The earlier enumeration, as an oracle: sort every pair of [1, count + 1]^2."""
+    top = count + 1
+    idx = [(i, j) for i in range(1, top + 1) for j in range(1, top + 1)]
+    idx.sort(key=lambda ij: (ij[0] * ij[0] + ij[1] * ij[1], ij))
+    return [sp.EigenMode.from_index(ij) for ij in idx[:count]]
+
+
+def test_eigenpairs_square_matches_full_sort_oracle():
+    # the oracle returns the count smallest pairs by (key, index), so past
+    # count 60 its result is the prefix of its result at 400
+    reference = _square_modes_by_full_sort(400)
+    for count in range(1, 401):
+        want = _square_modes_by_full_sort(count) if count <= 60 else reference[:count]
+        assert sp.eigenpairs(sp.SpatialDomain(2), count) == want, count
+
+
+def test_eigenpairs_square_memory_is_bounded():
+    # sorting all (count + 1)^2 index pairs as tuples peaked at 63 MB here
+    tracemalloc.start()
+    try:
+        modes = sp.eigenpairs(sp.SpatialDomain(2), 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(modes) == 600
+    assert peak < 4 << 20
 
 
 def test_eigenvalue_groups_are_exact():

@@ -4,7 +4,8 @@ No linter runs on this code, so this test stands in for one. Every name a
 module exports in __all__ must be read by package code outside its own
 definition, or by the acceptance tests; a name that only unit tests reach
 either gets a caller on a command's route or goes. Every name a module
-imports must be read in that module.
+imports must be read in that module, and no module imports an underscore
+name from another package module.
 
 The same rule holds one level down. Every public member of a package
 class (method, property, classmethod or dataclass field) must be read
@@ -98,6 +99,20 @@ def test_public_names_have_callers_and_imports_are_used():
                     if (alias.asname or alias.name).split(".")[0] not in used
                 ]
     assert not unused, f"imported, but never read: {unused}"
+
+
+def test_modules_import_no_private_names():
+    private = [
+        f"{mod}: {alias.name}"
+        for mod, tree in _trees().items()
+        if mod != "acceptance"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fracobs")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"underscore names imported from another package module: {private}"
 
 
 def _member_reads(tree: ast.AST) -> Counter:

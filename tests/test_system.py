@@ -15,18 +15,22 @@ from scipy.special import erfcx
 from fracobs import fraccalc as fc
 from fracobs import spectral as sp
 from fracobs import system as fs
-from fracobs.errors import InputError
+from fracobs.errors import DomainError, InputError
 
 PI = math.pi
 
 
-def interval_model(alpha=0.5, M=4):
-    return fs.FractionalDiffusion.create(alpha, sp.SpatialDomain(1), M)
+def interval_modes(M):
+    return sp.eigenpairs(sp.SpatialDomain(1), M)
 
 
-def mild(m, state, t):
+def eigenvalues(modes):
+    return np.array([mode.lam for mode in modes])
+
+
+def mild(alpha, modes, state, t):
     """The state's coefficients at time t: c_k E_alpha(-lam_k t^alpha), from decay_table."""
-    return state.coefficients * fc.decay_table(m.alpha, m.eigenvalues, [t])[0]
+    return state.coefficients * fc.decay_table(alpha, eigenvalues(modes), [t])[0]
 
 
 def reading(sensor, state, basis):
@@ -35,14 +39,15 @@ def reading(sensor, state, basis):
 
 
 def test_model_validation():
-    with pytest.raises(InputError):
-        fs.FractionalDiffusion.create(0.0, sp.SpatialDomain(1), 3)
-    with pytest.raises(InputError):
-        fs.FractionalDiffusion.create(1.2, sp.SpatialDomain(1), 3)
-    with pytest.raises(InputError):
-        fs.FractionalDiffusion(
-            0.5, sp.SpatialDomain(2), tuple(sp.eigenpairs(sp.SpatialDomain(1), 2))
-        )
+    modes = interval_modes(3)
+    state = fs.ModalState(np.ones(3))
+    sensors = [fs.Sensor.pointwise((0.3,))]
+    grid = fc.TimeGrid.uniform(1.0, 5)
+    for alpha in (0.0, 1.2):
+        with pytest.raises(DomainError):
+            fs.generate_measurements(alpha, modes, state, sensors, grid)
+    with pytest.raises(InputError, match="state length"):
+        fs.generate_measurements(0.5, modes[:2], state, sensors, grid)
 
 
 def test_sensor_validation():
@@ -59,16 +64,16 @@ def test_sensor_validation():
 
 
 def test_project_recovers_basis_function():
-    m = interval_model(M=5)
-    state = fs.project_initial_state(m, lambda x: math.sqrt(2.0) * np.sin(2.0 * PI * x))
+    modes = interval_modes(5)
+    state = fs.project_initial_state(modes, lambda x: math.sqrt(2.0) * np.sin(2.0 * PI * x))
     want = np.zeros(5)
     want[1] = 1.0
     assert np.max(np.abs(state.coefficients - want)) < 1e-12
 
 
 def test_project_zero_field():
-    m = interval_model(M=3)
-    state = fs.project_initial_state(m, lambda x: np.zeros_like(x))
+    modes = interval_modes(3)
+    state = fs.project_initial_state(modes, lambda x: np.zeros_like(x))
     assert np.all(state.coefficients == 0.0)
 
 
@@ -79,94 +84,92 @@ def test_project_poly_squared_first_coefficient():
     oracle = trapezoid((y * (1 - y)) ** 2 * math.sqrt(2) * np.sin(PI * y), y)
     exact = 4.0 * math.sqrt(2.0) * (12.0 - PI**2) / PI**5
     assert oracle == pytest.approx(exact, rel=1e-10)
-    m = interval_model(M=3)
-    state = fs.project_initial_state(m, lambda y: (y * (1 - y)) ** 2)
+    modes = interval_modes(3)
+    state = fs.project_initial_state(modes, lambda y: (y * (1 - y)) ** 2)
     assert state.coefficients[0] == pytest.approx(exact, rel=1e-12)
     assert state.coefficients[0] == pytest.approx(0.039380922195424606, rel=1e-12)
 
 
 def test_mild_solution_at_zero_is_identity():
-    m = interval_model(alpha=0.77, M=4)
+    modes = interval_modes(4)
     state = fs.ModalState(np.array([1.0, -2.0, 0.25, 3.0]))
-    assert np.array_equal(mild(m, state, 0.0), state.coefficients)
+    assert np.array_equal(mild(0.77, modes, state, 0.0), state.coefficients)
 
 
 def test_mild_solution_classical_limit():
-    m = interval_model(alpha=1.0, M=2)
+    modes = interval_modes(2)
     state = fs.ModalState(np.array([1.0, 0.0]))
-    out = mild(m, state, 0.1)
+    out = mild(1.0, modes, state, 0.1)
     assert out[0] == pytest.approx(math.exp(-PI**2 * 0.1), rel=1e-10)
     assert out[0] == pytest.approx(0.37271, abs=5e-5)
 
 
 def test_mild_solution_half_order_square_mode():
     # E_{1/2}(-x) = erfcx(x); x = 5 pi^2 at t = 1
-    dom = sp.SpatialDomain(2)
-    basis = (sp.EigenMode.from_index((1, 2)),)
-    m = fs.FractionalDiffusion(0.5, dom, basis)
-    out = mild(m, fs.ModalState(np.array([1.0])), 1.0)
+    modes = (sp.EigenMode.from_index((1, 2)),)
+    out = mild(0.5, modes, fs.ModalState(np.array([1.0])), 1.0)
     assert out[0] == pytest.approx(erfcx(5 * PI**2), rel=1e-10)
     assert out[0] == pytest.approx(0.011430525332089, rel=1e-9)
 
 
 def test_apply_output_pointwise():
-    m = interval_model(M=3)
+    modes = interval_modes(3)
     sensor = fs.Sensor.pointwise((0.2,))
     state = fs.ModalState(np.array([1.0, 0.0, 0.0]))
     want = math.sqrt(2.0) * math.sin(0.2 * PI)
-    got = reading(sensor, state, m.basis)
+    got = reading(sensor, state, modes)
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(0.83125, abs=5e-6)
     zero = fs.ModalState(np.zeros(3))
-    assert reading(sensor, zero, m.basis) == 0.0
+    assert reading(sensor, zero, modes) == 0.0
 
 
 def test_apply_output_zonal_unit_weight():
     # closed form sqrt(2) * (cos(0.9 pi) - cos(pi)) / pi over D = [0.9, 1]
-    m = interval_model(M=2)
+    modes = interval_modes(2)
     sensor = fs.Sensor.zonal(
         sp.Region((0.9,), (1.0,)), lambda x: np.ones_like(np.asarray(x, dtype=float))
     )
     state = fs.ModalState(np.array([1.0, 0.0]))
     want = math.sqrt(2.0) * (math.cos(0.9 * PI) - math.cos(PI)) / PI
-    got = reading(sensor, state, m.basis)
+    got = reading(sensor, state, modes)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.022032308474521364, rel=1e-12)
 
 
 def test_generate_measurements_zero_initial_state():
-    m = interval_model()
+    modes = interval_modes(4)
     grid = fc.TimeGrid.uniform(1.0, 17)
     rec = fs.generate_measurements(
-        m, fs.ModalState(np.zeros(m.mode_count)), [fs.Sensor.pointwise((0.3,))], grid
+        0.5, modes, fs.ModalState(np.zeros(len(modes))), [fs.Sensor.pointwise((0.3,))], grid
     )
     assert np.all(rec.samples == 0.0)
     assert rec.channel_count == 1
 
 
 def test_generate_measurements_single_mode_decay():
-    m = interval_model(alpha=0.84, M=4)
+    modes = interval_modes(4)
     grid = fc.TimeGrid.uniform(1.0, 33)
     b = 0.3
-    state = fs.project_initial_state(m, lambda x: math.sqrt(2.0) * np.sin(PI * x))
-    rec = fs.generate_measurements(m, state, [fs.Sensor.pointwise((b,))], grid)
-    want = fc.mlf_values(0.84, -m.basis[0].lam * grid.nodes**0.84) * (
+    state = fs.project_initial_state(modes, lambda x: math.sqrt(2.0) * np.sin(PI * x))
+    rec = fs.generate_measurements(0.84, modes, state, [fs.Sensor.pointwise((b,))], grid)
+    want = fc.mlf_values(0.84, -modes[0].lam * grid.nodes**0.84) * (
         math.sqrt(2.0) * math.sin(PI * b)
     )
     assert np.max(np.abs(rec.samples[:, 0] - want)) < 1e-10
 
 
 def test_generate_measurements_accepts_modal_state():
-    m = interval_model(M=3)
+    alpha, modes = 0.5, interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 9)
     state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
-    rec = fs.generate_measurements(m, state, [fs.Sensor.pointwise((0.4,))], grid)
+    rec = fs.generate_measurements(alpha, modes, state, [fs.Sensor.pointwise((0.4,))], grid)
     # sum_k c_k E_alpha(-lam_k t^alpha) sqrt(2) sin(k pi b), each E_alpha from mlf
     direct = [
         sum(
-            c * fc.mlf(m.alpha, -mode.lam * t**m.alpha).value
+            c * fc.mlf(alpha, -mode.lam * t**alpha).value
             * math.sqrt(2.0) * math.sin(mode.index[0] * PI * 0.4)
-            for c, mode in zip(state.coefficients, m.basis)
+            for c, mode in zip(state.coefficients, modes)
         )
         for t in grid.nodes
     ]
@@ -174,32 +177,32 @@ def test_generate_measurements_accepts_modal_state():
 
 
 def test_measurement_noise_is_seeded():
-    m = interval_model(M=3)
+    modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 65)
     sensors = [fs.Sensor.pointwise((0.3,))]
-    u0 = fs.project_initial_state(m, lambda x: x * (1 - x))
-    a = fs.generate_measurements(m, u0, sensors, grid, noise_sigma=0.01, seed=7)
-    b = fs.generate_measurements(m, u0, sensors, grid, noise_sigma=0.01, seed=7)
-    c = fs.generate_measurements(m, u0, sensors, grid, noise_sigma=0.01, seed=8)
+    u0 = fs.project_initial_state(modes, lambda x: x * (1 - x))
+    a = fs.generate_measurements(0.5, modes, u0, sensors, grid, noise_sigma=0.01, seed=7)
+    b = fs.generate_measurements(0.5, modes, u0, sensors, grid, noise_sigma=0.01, seed=7)
+    c = fs.generate_measurements(0.5, modes, u0, sensors, grid, noise_sigma=0.01, seed=8)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
 def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
-    m = interval_model(M=3)
+    modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 9)
     state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
     with pytest.raises(InputError, match="noise_sigma"):
-        fs.generate_measurements(m, state, [fs.Sensor.pointwise((0.3,))], grid, sigma)
+        fs.generate_measurements(0.5, modes, state, [fs.Sensor.pointwise((0.3,))], grid, sigma)
 
 
 def test_record_csv_roundtrip(tmp_path):
-    m = interval_model(M=3)
+    modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(2.0, 21)
     sensors = [fs.Sensor.pointwise((0.3,)), fs.Sensor.pointwise((0.7,))]
-    state = fs.project_initial_state(m, lambda x: x * (1 - x))
-    rec = fs.generate_measurements(m, state, sensors, grid)
+    state = fs.project_initial_state(modes, lambda x: x * (1 - x))
+    rec = fs.generate_measurements(0.5, modes, state, sensors, grid)
     path = str(tmp_path / "record.csv")
     rec.to_csv(path)
     with open(path) as fh:
@@ -228,7 +231,7 @@ def test_record_csv_golden_bytes(tmp_path):
     nodes = np.array([0.0, 0.25, 1.0 / 3.0])
     samples = np.array([[1.0, -2.5e-7], [1.0 / 7.0, 0.0], [-3.0e5, 2.0 / 3.0]])
     path = tmp_path / "record.csv"
-    fs.MeasurementRecord(fc.TimeGrid.from_nodes(nodes), samples).to_csv(str(path))
+    fs.MeasurementRecord(fc.TimeGrid(nodes), samples).to_csv(str(path))
     want = "t,z1,z2\r\n" + "".join(
         ",".join(format(v, ".17g") for v in (t, *row)) + "\r\n"
         for t, row in zip(nodes, samples)
@@ -420,11 +423,11 @@ def _traced_peak(fn):
 @pytest.fixture(scope="module")
 def long_record():
     """A 65,536-node alpha = 1 record of 200 modes and three sensors."""
-    sysn = interval_model(alpha=1.0, M=200)
+    modes = interval_modes(200)
     state = fs.ModalState(np.random.default_rng(8).standard_normal(200) / np.arange(1, 201))
     sensors = [fs.Sensor.pointwise((b,)) for b in (0.2, 0.55, 0.81)]
     grid = fc.TimeGrid.uniform(1.0, 65536)
-    return sysn, state, sensors, grid
+    return modes, state, sensors, grid
 
 
 MB = 1 << 20
@@ -432,20 +435,20 @@ MB = 1 << 20
 
 def test_generate_measurements_holds_no_decay_table(long_record):
     # the 65,536 x 200 table alone would take 105 MB
-    sysn, state, sensors, grid = long_record
-    rec, peak = _traced_peak(lambda: fs.generate_measurements(sysn, state, sensors, grid))
+    modes, state, sensors, grid = long_record
+    rec, peak = _traced_peak(lambda: fs.generate_measurements(1.0, modes, state, sensors, grid))
     assert rec.samples.shape == (65536, 3)
     assert peak < 16 * MB
     # every 97th row against the table product
-    weights = state.coefficients[:, None] * fs.output_matrix(sensors, sysn.basis).T
-    decay = np.exp(-np.outer(grid.nodes[::97], sysn.eigenvalues))
+    weights = state.coefficients[:, None] * fs.output_matrix(sensors, modes).T
+    decay = np.exp(-np.outer(grid.nodes[::97], eigenvalues(modes)))
     gap = np.abs(rec.samples[::97] - decay @ weights)
     assert np.all(gap <= 1e-14 * (np.abs(decay) @ np.abs(weights)))
 
 
 def test_record_csv_io_memory_is_bounded(long_record, tmp_path):
-    sysn, state, sensors, grid = long_record
-    rec = fs.generate_measurements(sysn, state, sensors, grid)
+    modes, state, sensors, grid = long_record
+    rec = fs.generate_measurements(1.0, modes, state, sensors, grid)
     path = str(tmp_path / "record.csv")
     _, peak = _traced_peak(lambda: rec.to_csv(path))
     assert peak < 8 * MB
@@ -457,8 +460,8 @@ def test_record_csv_io_memory_is_bounded(long_record, tmp_path):
 
 def test_record_csv_long_body_matches_format(long_record, tmp_path):
     # 65,536 rows in 16 blocks: the whole file, one format() per field
-    sysn, state, sensors, grid = long_record
-    rec = fs.generate_measurements(sysn, state, sensors, grid)
+    modes, state, sensors, grid = long_record
+    rec = fs.generate_measurements(1.0, modes, state, sensors, grid)
     path = tmp_path / "record.csv"
     rec.to_csv(str(path))
     body = _format_rows((grid.nodes, *rec.samples.T), "\r\n")
@@ -468,7 +471,7 @@ def test_record_csv_long_body_matches_format(long_record, tmp_path):
 LOAD_GUARD = """
 import json, sys
 import fracobs.cli
-from fracobs.errors import InputError
+from fracobs.errors import DomainError, InputError
 from fracobs.system import MeasurementRecord
 before = set(sys.modules)
 MeasurementRecord.from_csv(sys.argv[1])
@@ -508,7 +511,7 @@ def test_record_csv_bad_line_search_parses_blocks(
 ):
     # a bad line in the first, a middle and the last block of a 65,537-line
     # file: one parse per block before it, then one per line of its block
-    sysn, state, sensors, grid = long_record
+    modes, state, sensors, grid = long_record
     path = tmp_path / "record.csv"
     fs.MeasurementRecord(grid, np.zeros((grid.nodes.size, 3))).to_csv(str(path))
     lines = path.read_text().splitlines()
@@ -531,30 +534,30 @@ def test_record_csv_bad_line_search_parses_blocks(
 
 def test_output_linearity():
     rng = np.random.default_rng(3)
-    m = interval_model(M=5)
+    modes = interval_modes(5)
     sensor = fs.Sensor.zonal(
         sp.Region((0.35,), (0.65,)), lambda x: np.cos(3.0 * np.asarray(x))
     )
     a = fs.ModalState(rng.normal(size=5))
     b = fs.ModalState(rng.normal(size=5))
-    lhs = reading(sensor, fs.ModalState(2.0 * a.coefficients + b.coefficients), m.basis)
-    rhs = 2.0 * reading(sensor, a, m.basis) + reading(sensor, b, m.basis)
+    lhs = reading(sensor, fs.ModalState(2.0 * a.coefficients + b.coefficients), modes)
+    rhs = 2.0 * reading(sensor, a, modes) + reading(sensor, b, modes)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_semigroup_limit_alpha_one():
-    m = interval_model(alpha=1.0, M=6)
+    modes = interval_modes(6)
     state = fs.ModalState(np.ones(6))
     for t in np.linspace(0.0, 1.0, 11):
-        out = mild(m, state, float(t))
-        want = np.exp(-m.eigenvalues * t)
+        out = mild(1.0, modes, state, float(t))
+        want = np.exp(-eigenvalues(modes) * t)
         assert np.max(np.abs(out - want)) < 1e-8
 
 
 def test_admissibility_bound_is_finite():
     # int |C S(t) v|^2 dt <= M_c ||v||^2 with one fitted constant per sensor kind
     rng = np.random.default_rng(13)
-    m = interval_model(alpha=0.5, M=6)
+    modes = interval_modes(6)
     grid = fc.TimeGrid.uniform(1.0, 129)
     for sensor in (
         fs.Sensor.pointwise((0.3,)),
@@ -563,13 +566,13 @@ def test_admissibility_bound_is_finite():
         ratios = []
         for _ in range(8):
             v = fs.ModalState(rng.normal(size=6))
-            rec = fs.generate_measurements(m, v, [sensor], grid)
+            rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
             energy = float(np.sum(grid.weights * rec.samples[:, 0] ** 2))
             ratios.append(energy / float(v.coefficients @ v.coefficients))
         fitted = max(ratios)
         assert np.isfinite(fitted)
         for _ in range(8):
             v = fs.ModalState(rng.normal(size=6))
-            rec = fs.generate_measurements(m, v, [sensor], grid)
+            rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
             energy = float(np.sum(grid.weights * rec.samples[:, 0] ** 2))
             assert energy <= 2.0 * fitted * float(v.coefficients @ v.coefficients)
