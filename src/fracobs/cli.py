@@ -259,10 +259,16 @@ class RunConfig:
             if coeff_raw is not None:
                 raise InputError("config field state.coefficients only applies to kind=coefficients")
             coefficients = ()
-        if state_kind in ("poly_sq", "trig_sq") and dim != 1:
-            raise InputError(f"config field state.kind: {state_kind} needs domain.dim = 1")
-        state_depth = _parse_int(fields.pop("state.modes", "200"), "state.modes")
-        _require(state_depth >= 1, "state.modes", ">= 1", state_depth)
+        if state_kind in ("poly_sq", "trig_sq"):
+            if dim != 1:
+                raise InputError(f"config field state.kind: {state_kind} needs domain.dim = 1")
+            state_depth = _parse_int(fields.pop("state.modes", "200"), "state.modes")
+            _require(state_depth >= 1, "state.modes", ">= 1", state_depth)
+        elif "state.modes" in fields:
+            raise InputError("config field state.modes only applies to kind=poly_sq or trig_sq")
+        else:
+            # a zero state is expanded over the solve's modes
+            state_depth = len(coefficients) if state_kind == "coefficients" else modes
 
         samples = _parse_int(fields.pop("time.samples", "512"), "time.samples")
         _require(samples >= 2, "time.samples", ">= 2", samples)
@@ -341,22 +347,12 @@ class RunConfig:
 
     def initial_state(self) -> tuple[list[EigenMode], ModalState]:
         """The configured initial state with the modes it is expanded over."""
-        if self.state_kind == "coefficients":
-            depth = len(self.state_coefficients)
-        elif self.state_kind == "zero":
-            depth = self.problem.mode_count
-        else:
-            depth = self.state_depth
-        modes = eigenpairs(SpatialDomain(self.problem.dimension), depth)
+        modes = eigenpairs(SpatialDomain(self.problem.dimension), self.state_depth)
         if self.state_kind == "zero":
-            return modes, ModalState(np.zeros(depth))
+            return modes, ModalState(np.zeros(self.state_depth))
         if self.state_kind == "coefficients":
             return modes, ModalState(np.asarray(self.state_coefficients))
-        if self.state_kind == "poly_sq":
-            return modes, project_initial_state(modes, lambda x: (x * (1.0 - x)) ** 2)
-        return modes, project_initial_state(
-            modes, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
-        )
+        return modes, project_initial_state(modes, self.state_kind)
 
     def truth_gradient(self) -> tuple[Callable[..., np.ndarray], ...]:
         """Closed-form (or modal) gradient of the configured initial state."""

@@ -11,6 +11,7 @@ always evaluated at the negated argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Callable, NoReturn, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .fraccalc import TimeGrid, decay_apply
-from .spectral import EigenMode, Region, SpatialDomain, SpatialQuadrature, mode_table
+from .spectral import EigenMode, Region, SpatialQuadrature, mode_table
 
 __all__ = [
     "Sensor",
@@ -355,17 +356,26 @@ def _raise_first_bad_row(path: str, width: int) -> NoReturn:
     raise InputError(f"{path}: not a table of {width} numeric columns")
 
 
-def project_initial_state(
-    modes: Sequence[EigenMode], u0: Callable[..., np.ndarray]
-) -> ModalState:
-    """Expand a spatial field over the modes by full-domain quadrature."""
-    # resolve the fastest basis oscillation with margin
-    top = max(max(m.index) for m in modes)
-    order = max(64, 2 * top + 16)
-    domain = SpatialDomain(modes[0].dimension)
-    pts, w = SpatialQuadrature.for_region(Region.full(domain), order).flat()
-    wu = w * np.asarray(u0(*pts), dtype=float)
-    return ModalState(wu @ mode_table(modes, pts))
+def project_initial_state(modes: Sequence[EigenMode], kind: str) -> ModalState:
+    """The exact coefficients of a catalog state of the interval over the modes.
+
+    `poly_sq` is (x (1 - x))^2 and `trig_sq` is (cos(pi x) sin(pi x))^2.
+    Both are symmetric about x = 1/2, so against sqrt(2) sin(k pi x) every
+    even k gives exactly 0; an odd k gives 4 sqrt(2) (12 - (k pi)^2) / (k pi)^5
+    for `poly_sq` and 4 sqrt(2) / (pi k (16 - k^2)) for `trig_sq`.
+    """
+    if kind not in ("poly_sq", "trig_sq") or any(m.dimension != 1 for m in modes):
+        raise InputError(f"no closed-form {kind!r} state over these modes")
+    k = np.array([m.index[0] for m in modes], dtype=float)
+    odd = k % 2.0 == 1.0
+    ko = k[odd]
+    coefficients = np.zeros(k.size)
+    if kind == "poly_sq":
+        kp = math.pi * ko
+        coefficients[odd] = 4.0 * math.sqrt(2.0) * (12.0 - kp * kp) / kp**5
+    else:
+        coefficients[odd] = 4.0 * math.sqrt(2.0) / (math.pi * ko * (16.0 - ko * ko))
+    return ModalState(coefficients)
 
 
 def _sensor_functional(

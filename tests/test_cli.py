@@ -696,6 +696,21 @@ def test_usage_error_exit_codes(tmp_path, capsys):
                          f"--sweep-grid={grid}"]) == 2, grid
         assert capsys.readouterr().err.startswith("usage error: sweep grid"), grid
     assert not (tmp_path / "sweep.csv").exists()
+    # state.modes sets the depth of the catalog states alone: the other
+    # kinds take their depth from the coefficients or from modes
+    for state in ("state.kind = coefficients\nstate.coefficients = 0.1, 0.05",
+                  "state.kind = zero"):
+        config = write_config(tmp_path, f"""
+            alpha = 0.5
+            horizon = 1.0
+            sensor.kind = pointwise
+            sensor.location = 0.3
+            {state}
+            state.modes = 50
+        """, name="depth.cfg")
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2, state
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("usage error: config field state.modes"), line
 
 
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):

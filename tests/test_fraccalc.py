@@ -420,6 +420,23 @@ def test_route_regimes_are_pinned():
         assert [int(np.flatnonzero(regime == r).sum()) for r in range(3)] == sums
 
 
+@PROPERTY
+@given(ALPHAS, st.integers(0, 2**32 - 1))
+def test_asymptotic_route_is_not_tried_below_its_floor(alpha, seed):
+    # below the floor the expansion cannot meet its acceptance test, so
+    # skipping it there changes no value, estimate, term count or regime
+    floor = fc._asym_floor(alpha)
+    x = np.random.default_rng(seed).uniform(0.0, floor, 400)
+    assert not fc._asym_neg(alpha, x[x >= fc._ASYM_SWITCH])[3].any()
+    x = np.concatenate([x, np.random.default_rng(seed).uniform(floor, 3.0 * floor, 100)])
+    skipped = fc._route_neg(alpha, x)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fc, "_asym_floor", lambda alpha: 0.0)
+        tried = fc._route_neg(alpha, x)
+    for a, b in zip(skipped, tried):
+        assert np.array_equal(a, b)
+
+
 def _jump(alpha, x):
     v = fc.mlf_values(alpha, -np.array([x * (1.0 - 1e-13), x * (1.0 + 1e-13)]))
     return abs(v[1] - v[0]) / v[0]
@@ -792,6 +809,27 @@ def test_decay_apply_matches_table_product(monkeypatch, alpha):
     assert np.all(np.abs(vector - E @ W[:, 1]) <= 1e-14 * (np.abs(E) @ np.abs(W[:, 1])))
     with pytest.raises(InputError):
         fc.decay_apply(alpha, lams, t, W[:-1])
+
+
+def test_decay_apply_skips_modes_with_zero_weight(monkeypatch):
+    # a 200-mode poly_sq state weights only its 100 odd modes: their columns
+    # alone are evaluated, and the product is the full one
+    points, _ = _counting_mlf(monkeypatch)
+    t = np.linspace(0.0, 1.0, 1024)
+    k = np.arange(1.0, 201.0)
+    lams = PI2 * k**2
+    kp = math.pi * k
+    state = np.where(k % 2 == 1, 4.0 * math.sqrt(2.0) * (12.0 - kp**2) / kp**5, 0.0)
+    P = math.sqrt(2.0) * np.sin(np.outer(kp, [0.3, 0.55]))
+    W = state[:, None] * P
+    got = fc.decay_apply(0.84, lams, t, W)
+    assert sum(points) == 1024 * 100
+    full = fc.decay_table(0.84, lams, t) @ W
+    assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+    # no weight at all: nothing is evaluated and the result is zero
+    points.clear()
+    assert np.array_equal(fc.decay_apply(0.84, lams, t, np.zeros(200)), np.zeros(1024))
+    assert sum(points) == 0
 
 
 def test_decay_table_memo_holds_four_grids_least_recent_out(monkeypatch):

@@ -25,7 +25,7 @@ from fracobs.hum import (
     solve_reconstruction,
 )
 from fracobs.observability import GramDiagnostic
-from fracobs.spectral import Region, SpatialDomain, eigenpairs, grad_coupling
+from fracobs.spectral import Region, SpatialDomain, eigenpairs, grad_coupling, mode_table
 from fracobs.system import (
     MeasurementRecord,
     ModalState,
@@ -339,9 +339,7 @@ def test_rhs_data_route_gap_graded_record():
     grid = TimeGrid(nodes)
     assert len(grid) == 2048
     modes = eigenpairs(SpatialDomain(1), 200)
-    state = project_initial_state(
-        modes, lambda x: (np.cos(np.pi * x) * np.sin(np.pi * x)) ** 2
-    )
+    state = project_initial_state(modes, "trig_sq")
     sensors = (Sensor.pointwise((0.55,)),)
     problem = HumProblem(8, Region((0.0,), (0.25,)), sensors, 0.84, 1.0)
     record = generate_measurements(0.84, modes, state, sensors, grid)
@@ -355,7 +353,10 @@ def test_assemble_rhs_channels_match_stacked_single_channel():
     # single-sensor RHS vectors, each from its own channel
     sensors = tuple(Sensor.pointwise((b,)) for b in (0.2, 0.45, 0.7))
     modes = eigenpairs(SpatialDomain(1), 40)
-    state = project_initial_state(modes, lambda x: x * (1.0 - x) * np.exp(x))
+    # x (1 - x) e^x by a 64-point Gauss-Legendre rule on [0, 1]
+    y, w = np.polynomial.legendre.leggauss(64)
+    y, w = 0.5 * (y + 1.0), 0.5 * w
+    state = ModalState((w * y * (1.0 - y) * np.exp(y)) @ mode_table(modes, (y,)))
     nodes = np.union1d(graded_panel_edges(1.0, 256, 1e-12), np.linspace(0.0, 1.0, 257))
     record = generate_measurements(0.5, modes, state, sensors, TimeGrid(nodes))
     problem = HumProblem(6, FULL, sensors, 0.5, 1.0)

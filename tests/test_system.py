@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 from scipy.special import erfcx
 
 from fracobs import fraccalc as fc
@@ -63,20 +63,6 @@ def test_sensor_validation():
         fs.Sensor("gaussian", location=(0.5,))
 
 
-def test_project_recovers_basis_function():
-    modes = interval_modes(5)
-    state = fs.project_initial_state(modes, lambda x: math.sqrt(2.0) * np.sin(2.0 * PI * x))
-    want = np.zeros(5)
-    want[1] = 1.0
-    assert np.max(np.abs(state.coefficients - want)) < 1e-12
-
-
-def test_project_zero_field():
-    modes = interval_modes(3)
-    state = fs.project_initial_state(modes, lambda x: np.zeros_like(x))
-    assert np.all(state.coefficients == 0.0)
-
-
 def test_project_poly_squared_first_coefficient():
     # oracle: dense trapezoid of int (y(1-y))^2 sqrt(2) sin(pi y) dy,
     # cross-checked against the closed form 4*sqrt(2)*(12 - pi^2)/pi^5
@@ -85,9 +71,31 @@ def test_project_poly_squared_first_coefficient():
     exact = 4.0 * math.sqrt(2.0) * (12.0 - PI**2) / PI**5
     assert oracle == pytest.approx(exact, rel=1e-10)
     modes = interval_modes(3)
-    state = fs.project_initial_state(modes, lambda y: (y * (1 - y)) ** 2)
+    state = fs.project_initial_state(modes, "poly_sq")
     assert state.coefficients[0] == pytest.approx(exact, rel=1e-12)
     assert state.coefficients[0] == pytest.approx(0.039380922195424606, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, u0",
+    [
+        ("poly_sq", lambda y: (y * (1.0 - y)) ** 2),
+        ("trig_sq", lambda y: (np.cos(PI * y) * np.sin(PI * y)) ** 2),
+    ],
+)
+def test_catalog_states_match_quadrature_oracle(kind, u0):
+    # oracle: scipy's QAWO rule for int u0(y) sqrt(2) sin(k pi y) dy, one
+    # mode at a time; the even modes vanish by the symmetry about 1/2
+    want = [
+        math.sqrt(2.0) * quad(u0, 0.0, 1.0, weight="sin", wvar=k * PI,
+                              epsabs=1e-16, epsrel=1e-12, limit=200)[0]
+        for k in range(1, 201)
+    ]
+    got = fs.project_initial_state(interval_modes(200), kind).coefficients
+    assert np.all(got[1::2] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    with pytest.raises(InputError):
+        fs.project_initial_state(interval_modes(3), "coefficients")
 
 
 def test_mild_solution_at_zero_is_identity():
@@ -151,7 +159,7 @@ def test_generate_measurements_single_mode_decay():
     modes = interval_modes(4)
     grid = fc.TimeGrid.uniform(1.0, 33)
     b = 0.3
-    state = fs.project_initial_state(modes, lambda x: math.sqrt(2.0) * np.sin(PI * x))
+    state = fs.ModalState(np.array([1.0, 0.0, 0.0, 0.0]))
     rec = fs.generate_measurements(0.84, modes, state, [fs.Sensor.pointwise((b,))], grid)
     want = fc.mlf_values(0.84, -modes[0].lam * grid.nodes**0.84) * (
         math.sqrt(2.0) * math.sin(PI * b)
@@ -180,7 +188,7 @@ def test_measurement_noise_is_seeded():
     modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 65)
     sensors = [fs.Sensor.pointwise((0.3,))]
-    u0 = fs.project_initial_state(modes, lambda x: x * (1 - x))
+    u0 = fs.project_initial_state(modes, "poly_sq")
     a = fs.generate_measurements(0.5, modes, u0, sensors, grid, noise_sigma=0.01, seed=7)
     b = fs.generate_measurements(0.5, modes, u0, sensors, grid, noise_sigma=0.01, seed=7)
     c = fs.generate_measurements(0.5, modes, u0, sensors, grid, noise_sigma=0.01, seed=8)
@@ -201,7 +209,7 @@ def test_record_csv_roundtrip(tmp_path):
     modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(2.0, 21)
     sensors = [fs.Sensor.pointwise((0.3,)), fs.Sensor.pointwise((0.7,))]
-    state = fs.project_initial_state(modes, lambda x: x * (1 - x))
+    state = fs.project_initial_state(modes, "poly_sq")
     rec = fs.generate_measurements(0.5, modes, state, sensors, grid)
     path = str(tmp_path / "record.csv")
     rec.to_csv(path)
