@@ -3,12 +3,12 @@
 Subpackage map:
 
 - fraccalc: Mittag-Leffler evaluation on the negative axis, decay tables,
-  the Caputo derivative of sampled records, and the fractional
-  integration-by-parts residual.
+  record grids, the Caputo derivative of sampled records, and the
+  fractional integration-by-parts residual.
 - spectral: Dirichlet-Laplacian eigenpairs on the unit interval/square,
   the basis evaluator, region quadrature, gradient coupling coefficients.
-- system: sensors, modal states, the forward map to synthetic measurement
-  records, and the CSV form of records.
+- system: sensors, the state and zonal-weight catalogs, the forward map
+  with its noise draw, and the CSV form of measurement records.
 - observability: gradient-strategic sensor tests, the Gram spectrum
   diagnostic, and a vanishing-output counterexample check.
 - hum: Gram/right-hand-side assembly, regularized solves, and the

@@ -8,10 +8,11 @@ reconstruction quality while a single sensor moves across the domain.
 
 Runs are described by a flat text config of ``key = value`` lines with dotted
 section keys (``sensor.kind``, ``omega.lo``, ...). Initial states and zonal
-weights come from a small named catalog instead of an expression parser, so
-every experiment file states its provenance explicitly. The full schema is
-listed in the README; unknown or malformed fields abort with a usage error
-naming the offender.
+weights come from the small named catalogs of ``system`` instead of an
+expression parser, so every experiment file states its provenance
+explicitly. The full schema is listed in the README; unknown or malformed
+fields abort with a usage error naming the offender. This module only
+parses the config, dispatches the command and writes its rows.
 
 Exit codes: 0 success (or a strategic verdict), 1 non-strategic verdict,
 2 usage or config error, 3 convergence cap hit, 4 singular normal equations,
@@ -28,9 +29,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import (
     AccuracyError,
@@ -39,16 +38,18 @@ from .errors import (
     InputError,
     SolvabilityError,
 )
-from .fraccalc import TimeGrid, graded_panel_edges, merge_nodes
-from .hum import MOMENT_ORDER, HumProblem, Regularization, reconstruct, sweep_channels
+from .fraccalc import TimeGrid
+from .hum import REG_KINDS, HumProblem, Regularization, reconstruct, sweep_channels, sweep_chunk
 from .observability import test_gradient_strategic as strategic_verdict
-from .spectral import EigenMode, Region, SpatialDomain, eigenpairs, mode_table
+from .spectral import Region
 from .system import (
+    STATE_KINDS,
+    ZONAL_WEIGHTS,
+    InitialState,
     MeasurementRecord,
-    ModalState,
     Sensor,
     generate_measurements,
-    project_initial_state,
+    measurement_noise,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -67,30 +68,28 @@ _VERDICT_EXITS = {
     "inconclusive": EXIT_INCONCLUSIVE,
 }
 
-_SENSOR_PREFIX = re.compile(r"^sensor(\d*)\.")
+_SENSOR_PREFIX = re.compile(r"^(sensor\d*)\.")
 # a sweep grid lists at most this many sensor positions
 _MAX_SWEEP_POSITIONS = 10_001
-# positions x moment nodes per sweep chunk: the chunk's Caputo values stay
-# within 8 MB, and its record within 1 MB
-_SWEEP_BLOCK = 1 << 20
 
 
-def _parse_float(raw: str, key: str) -> float:
+def _parse(raw: str, key: str, kind: type = float) -> float:
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise InputError(f"config field {key}: {raw!r} is not a number") from None
-
-
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"config field {key}: {raw!r} is not an integer") from None
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"config field {key}: {raw!r} is not {noun}") from None
 
 
 def _parse_floats(raw: str, key: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part.strip(), key) for part in raw.split(","))
+    return tuple(_parse(part.strip(), key) for part in raw.split(","))
+
+
+def _pop_required(fields: dict[str, str], key: str, why: str = "") -> str:
+    raw = fields.pop(key, None)
+    if raw is None:
+        raise InputError(f"config field {key} is required{why}")
+    return raw
 
 
 def _require(ok: bool, key: str, rule: str, value: object) -> None:
@@ -111,69 +110,54 @@ def _point(raw: str, key: str, dim: int) -> tuple[float, ...]:
     return values
 
 
-def _constant_weight(scale: float) -> Callable[..., np.ndarray]:
-    return lambda *xs: scale * np.ones_like(np.asarray(xs[0], dtype=float))
-
-
-def _trig_product_weight(scale: float) -> Callable[..., np.ndarray]:
-    # fixed incommensurate frequencies keep the weight nonzero on any box
-    return lambda x, y: (
-        scale
-        * np.cos(math.sqrt(3.0) * math.pi * np.asarray(x, dtype=float))
-        * np.sin(math.sqrt(2.0) * math.pi * np.asarray(y, dtype=float))
-    )
-
-
 def _read_items(path: str) -> list[tuple[str, str]]:
     if not os.path.isfile(path):
         raise InputError(f"config file {path!r} does not exist")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path!r} is not UTF-8 text ({exc.reason})") from None
     items: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise InputError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-            key, value = (part.strip() for part in body.split("=", 1))
-            if not key or not value:
-                raise InputError(f"{path}:{lineno}: empty key or value")
-            if key in seen:
-                raise InputError(f"{path}:{lineno}: duplicate config field {key}")
-            seen.add(key)
-            items.append((key, value))
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise InputError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
+        key, value = (part.strip() for part in body.split("=", 1))
+        if not key or not value:
+            raise InputError(f"{path}:{lineno}: empty key or value")
+        if key in seen:
+            raise InputError(f"{path}:{lineno}: duplicate config field {key}")
+        seen.add(key)
+        items.append((key, value))
     return items
 
 
 def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> Sensor:
-    kind = _parse_choice(
-        fields.pop(f"{prefix}.kind"), f"{prefix}.kind", ("pointwise", "zonal")
-    )
-    if kind == "pointwise":
-        raw = fields.pop(f"{prefix}.location", None)
-        if raw is None:
-            raise InputError(f"config field {prefix}.location is required for a pointwise sensor")
-        return Sensor.pointwise(_point(raw, f"{prefix}.location", dim))
+    key = f"{prefix}.kind"
+    raw = _pop_required(fields, key, f" (other {prefix}.* fields are set)")
+    if _parse_choice(raw, key, ("pointwise", "zonal")) == "pointwise":
+        key = f"{prefix}.location"
+        return Sensor.pointwise(_point(_pop_required(fields, key, " for a pointwise sensor"), key, dim))
     lo = fields.pop(f"{prefix}.support.lo", None)
     hi = fields.pop(f"{prefix}.support.hi", None)
     if lo is None or hi is None:
         raise InputError(f"config fields {prefix}.support.lo/.hi are required for a zonal sensor")
     weight_kind = _parse_choice(
-        fields.pop(f"{prefix}.weight.kind", "constant"),
-        f"{prefix}.weight.kind",
-        ("constant", "trig_product"),
+        fields.pop(f"{prefix}.weight.kind", "constant"), f"{prefix}.weight.kind", ZONAL_WEIGHTS
     )
     if weight_kind == "trig_product" and dim != 2:
         raise InputError(f"config field {prefix}.weight.kind: trig_product needs domain.dim = 2")
     scale_key = f"{prefix}.weight.scale"
-    scale = _parse_float(fields.pop(scale_key, "1.0"), scale_key)
+    scale = _parse(fields.pop(scale_key, "1.0"), scale_key)
     _require(math.isfinite(scale), scale_key, "finite", scale)
     support = Region(
         _point(lo, f"{prefix}.support.lo", dim), _point(hi, f"{prefix}.support.hi", dim)
     )
-    weight = (_constant_weight if weight_kind == "constant" else _trig_product_weight)(scale)
-    return Sensor.zonal(support, weight)
+    return Sensor.zonal(support, ZONAL_WEIGHTS[weight_kind](scale))
 
 
 def _moved(sensor: Sensor, position: float) -> Sensor:
@@ -194,9 +178,7 @@ class RunConfig:
     """
 
     problem: HumProblem
-    state_kind: str
-    state_coefficients: tuple[float, ...]
-    state_depth: int
+    state: InitialState
     time_samples: int
     time_grading: str
     noise_sigma: float
@@ -209,68 +191,54 @@ class RunConfig:
         items = _read_items(path)
         fields = dict(items)
 
-        dim = _parse_int(fields.pop("domain.dim", "1"), "domain.dim")
-        if dim not in (1, 2):
-            raise InputError(f"config field domain.dim: must be 1 or 2, got {dim}")
-        if "alpha" not in fields:
-            raise InputError("config field alpha is required")
-        if "horizon" not in fields:
-            raise InputError("config field horizon is required")
-        alpha = _parse_float(fields.pop("alpha"), "alpha")
+        dim = _parse(fields.pop("domain.dim", "1"), "domain.dim", int)
+        _require(dim in (1, 2), "domain.dim", "1 or 2", dim)
+        alpha_raw = _pop_required(fields, "alpha")
+        horizon_raw = _pop_required(fields, "horizon")
+        alpha = _parse(alpha_raw, "alpha")
         _require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
-        horizon = _parse_float(fields.pop("horizon"), "horizon")
+        horizon = _parse(horizon_raw, "horizon")
         positive = "finite and positive"
         _require(math.isfinite(horizon) and horizon > 0.0, "horizon", positive, horizon)
-        modes = _parse_int(fields.pop("modes", "8"), "modes")
+        modes = _parse(fields.pop("modes", "8"), "modes", int)
         _require(modes >= 1, "modes", ">= 1", modes)
-        epsilon = _parse_float(fields.pop("epsilon", "1e-6"), "epsilon")
+        epsilon = _parse(fields.pop("epsilon", "1e-6"), "epsilon")
         _require(math.isfinite(epsilon) and epsilon > 0.0, "epsilon", positive, epsilon)
 
         lo = fields.pop("omega.lo", ",".join(["0.0"] * dim))
         hi = fields.pop("omega.hi", ",".join(["1.0"] * dim))
         omega = Region(_point(lo, "omega.lo", dim), _point(hi, "omega.hi", dim))
 
-        prefixes: list[str] = []
-        for key, _ in items:
-            match = _SENSOR_PREFIX.match(key)
-            if match:
-                prefix = f"sensor{match.group(1)}"
-                if prefix not in prefixes:
-                    prefixes.append(prefix)
+        matches = (_SENSOR_PREFIX.match(key) for key, _ in items)
+        prefixes = list(dict.fromkeys(m.group(1) for m in matches if m))
         if not prefixes:
             raise InputError("config field sensor.kind is required (no sensor defined)")
         sensors = tuple(_pop_sensor(fields, prefix, dim) for prefix in prefixes)
 
-        state_kind = _parse_choice(
-            fields.pop("state.kind", "zero"),
-            "state.kind",
-            ("zero", "poly_sq", "trig_sq", "coefficients"),
-        )
-        coeff_raw = fields.pop("state.coefficients", None)
+        state_kind = _parse_choice(fields.pop("state.kind", "zero"), "state.kind", STATE_KINDS)
+        coefficients: tuple[float, ...] = ()
         if state_kind == "coefficients":
-            if coeff_raw is None:
-                raise InputError("config field state.coefficients is required for that state.kind")
+            coeff_raw = _pop_required(fields, "state.coefficients", " for that state.kind")
             coefficients = _parse_floats(coeff_raw, "state.coefficients")
             _require(
                 all(math.isfinite(c) for c in coefficients),
                 "state.coefficients", "finite", coeff_raw,
             )
-        else:
-            if coeff_raw is not None:
-                raise InputError("config field state.coefficients only applies to kind=coefficients")
-            coefficients = ()
-        if state_kind in ("poly_sq", "trig_sq"):
-            if dim != 1:
-                raise InputError(f"config field state.kind: {state_kind} needs domain.dim = 1")
-            state_depth = _parse_int(fields.pop("state.modes", "200"), "state.modes")
-            _require(state_depth >= 1, "state.modes", ">= 1", state_depth)
-        elif "state.modes" in fields:
-            raise InputError("config field state.modes only applies to kind=poly_sq or trig_sq")
-        else:
+            depth = len(coefficients)
+        elif "state.coefficients" in fields:
+            raise InputError("config field state.coefficients only applies to kind=coefficients")
+        elif state_kind == "zero":
             # a zero state is expanded over the solve's modes
-            state_depth = len(coefficients) if state_kind == "coefficients" else modes
+            depth = modes
+        elif dim != 1:
+            raise InputError(f"config field state.kind: {state_kind} needs domain.dim = 1")
+        else:
+            depth = _parse(fields.pop("state.modes", "200"), "state.modes", int)
+            _require(depth >= 1, "state.modes", ">= 1", depth)
+        if "state.modes" in fields:
+            raise InputError("config field state.modes only applies to kind=poly_sq or trig_sq")
 
-        samples = _parse_int(fields.pop("time.samples", "512"), "time.samples")
+        samples = _parse(fields.pop("time.samples", "512"), "time.samples", int)
         _require(samples >= 2, "time.samples", ">= 2", samples)
         grading = _parse_choice(
             fields.pop("time.grading", "uniform"), "time.grading", ("uniform", "graded")
@@ -278,26 +246,22 @@ class RunConfig:
         # the graded half of the grid needs at least two panels
         if grading == "graded":
             _require(samples >= 4, "time.samples", ">= 4 with time.grading = graded", samples)
-        noise_sigma = _parse_float(fields.pop("noise.sigma", "0.0"), "noise.sigma")
+        noise_sigma = _parse(fields.pop("noise.sigma", "0.0"), "noise.sigma")
         _require(
             math.isfinite(noise_sigma) and noise_sigma >= 0.0,
             "noise.sigma", "finite and >= 0", noise_sigma,
         )
-        seed = _parse_int(fields.pop("seed", "0"), "seed")
+        seed = _parse(fields.pop("seed", "0"), "seed", int)
         _require(seed >= 0, "seed", ">= 0", seed)
 
-        solver_kind = _parse_choice(
-            fields.pop("solver.kind", "tikhonov"),
-            "solver.kind",
-            ("none", "tikhonov", "truncated_svd", "spectral_tikhonov"),
-        )
+        solver_kind = _parse_choice(fields.pop("solver.kind", "tikhonov"), "solver.kind", REG_KINDS)
         value_raw = fields.pop("solver.value", None)
-        solver_value = None if value_raw is None else _parse_float(value_raw, "solver.value")
+        solver_value = None if value_raw is None else _parse(value_raw, "solver.value")
         regularization = Regularization(solver_kind, solver_value)
 
-        step = _parse_int(fields.pop("escalation.step", "4"), "escalation.step")
+        step = _parse(fields.pop("escalation.step", "4"), "escalation.step", int)
         _require(step >= 0, "escalation.step", ">= 0", step)
-        cap = _parse_int(fields.pop("escalation.max_iterations", "5"), "escalation.max_iterations")
+        cap = _parse(fields.pop("escalation.max_iterations", "5"), "escalation.max_iterations", int)
         _require(cap >= 1, "escalation.max_iterations", ">= 1", cap)
         out_dir = fields.pop("output.dir", ".")
 
@@ -318,9 +282,7 @@ class RunConfig:
         )
         return cls(
             problem=problem,
-            state_kind=state_kind,
-            state_coefficients=coefficients,
-            state_depth=state_depth,
+            state=InitialState(state_kind, dim, depth, coefficients),
             time_samples=samples,
             time_grading=grading,
             noise_sigma=noise_sigma,
@@ -334,53 +296,17 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def time_grid(self) -> TimeGrid:
-        horizon = self.problem.horizon
-        if self.time_grading == "uniform":
-            return TimeGrid.uniform(horizon, self.time_samples)
-        # geometric refinement toward t=0 resolves fast modal transients the
-        # uniform half cannot; the two sets share only 0 and the horizon, so
-        # the merge keeps time.samples rounded down to even
-        half = self.time_samples // 2
-        edges = graded_panel_edges(horizon, half, 1e-12)
-        uniform = np.linspace(0.0, horizon, half + 1)
-        return TimeGrid(merge_nodes(edges, uniform, horizon))
-
-    def initial_state(self) -> tuple[list[EigenMode], ModalState]:
-        """The configured initial state with the modes it is expanded over."""
-        modes = eigenpairs(SpatialDomain(self.problem.dimension), self.state_depth)
-        if self.state_kind == "zero":
-            return modes, ModalState(np.zeros(self.state_depth))
-        if self.state_kind == "coefficients":
-            return modes, ModalState(np.asarray(self.state_coefficients))
-        return modes, project_initial_state(modes, self.state_kind)
-
-    def truth_gradient(self) -> tuple[Callable[..., np.ndarray], ...]:
-        """Closed-form (or modal) gradient of the configured initial state."""
-        if self.state_kind == "poly_sq":
-            return (lambda x: 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x),)
-        if self.state_kind == "trig_sq":
-            return (lambda x: 0.5 * np.pi * np.sin(4.0 * np.pi * x),)
-        n = self.problem.dimension
-        if self.state_kind == "coefficients":
-            modes = eigenpairs(SpatialDomain(n), len(self.state_coefficients))
-            coeffs = np.asarray(self.state_coefficients)
-            return tuple(
-                (lambda *xs, _d=axis: mode_table(modes, xs, _d) @ coeffs)
-                for axis in range(n)
-            )
-        zero = lambda *xs: np.zeros_like(np.asarray(xs[0], dtype=float))
-        return (zero,) * n
+        grid = TimeGrid.uniform if self.time_grading == "uniform" else TimeGrid.graded
+        return grid(self.problem.horizon, self.time_samples)
 
 
 def _sha256_of(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def cmd_simulate(config: RunConfig, out_dir: str) -> int:
-    modes, state = config.initial_state()
+    modes, state = config.state.modal()
     record = generate_measurements(
         config.problem.alpha,
         modes,
@@ -402,7 +328,7 @@ def cmd_reconstruct(config: RunConfig, measurements: str, out_dir: str) -> int:
     if not os.path.isfile(measurements):
         raise InputError(f"measurements file {measurements!r} does not exist")
     record = MeasurementRecord.from_csv(measurements)
-    truth = config.truth_gradient()
+    truth = config.state.gradient()
     path = os.path.join(out_dir, "field.csv")
     try:
         result = reconstruct(config.problem, record, truth=truth)
@@ -433,9 +359,9 @@ def _parse_sweep_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise InputError(f"sweep grid {spec!r} must look like lo:hi:step")
-    lo = _parse_float(parts[0], "sweep grid lo")
-    hi = _parse_float(parts[1], "sweep grid hi")
-    step = _parse_float(parts[2], "sweep grid step")
+    lo = _parse(parts[0], "sweep grid lo")
+    hi = _parse(parts[1], "sweep grid hi")
+    step = _parse(parts[2], "sweep grid step")
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise InputError(f"sweep grid {spec!r} needs finite lo, hi and step")
     if step <= 0.0 or not 0.0 <= lo <= hi <= 1.0:
@@ -464,15 +390,12 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str) -> int:
     except InputError as exc:
         raise InputError(f"sweep grid {grid_spec!r}: {exc}") from None
 
-    modes, state = config.initial_state()
+    modes, state = config.state.modal()
     grid = config.time_grid()
-    truth = config.truth_gradient()
+    truth = config.state.gradient()
     # every position sees the draw a one-sensor record of this seed gets
-    noise = 0.0
-    if config.noise_sigma > 0.0:
-        rng = np.random.default_rng(config.seed)
-        noise = rng.normal(0.0, config.noise_sigma, (len(grid), 1))
-    chunk = max(1, _SWEEP_BLOCK // (len(grid) * MOMENT_ORDER))
+    noise = measurement_noise(config.noise_sigma, config.seed, (len(grid), 1))
+    chunk = sweep_chunk(len(grid))
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write("location,error,residual,lambda_min\n")

@@ -38,6 +38,7 @@ __all__ = [
     "merge_nodes",
     "gauss_legendre",
     "gauss_panels",
+    "product_rule",
     "ml_product_matrix",
 ]
 
@@ -81,6 +82,17 @@ class TimeGrid:
         if samples < 2:
             raise InputError("need at least two samples")
         return cls(np.linspace(0.0, float(horizon), int(samples)))
+
+    @classmethod
+    def graded(cls, horizon: float, samples: int) -> "TimeGrid":
+        """`samples` (>= 4) rounded down to even nodes on [0, horizon].
+
+        A geometric half, graded down to horizon * 1e-12, resolves the fast
+        modal transients a uniform half cannot; the halves share 0 and T.
+        """
+        half = samples // 2
+        edges = graded_panel_edges(horizon, half, 1e-12)
+        return cls(merge_nodes(edges, np.linspace(0.0, horizon, half + 1), horizon))
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -952,22 +964,22 @@ PRODUCT_ORDER = 16
 PRODUCT_FLOOR = 1e-18
 
 
-def ml_product_matrix(lams, alpha: float, horizon: float, lams_col=None):
-    """Matrix of int_0^T E_alpha(-l_i t^a) E_alpha(-m_j t^a) dt.
+def product_rule(horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram's Gauss nodes and weights on [0, horizon], graded toward 0."""
+    edges = graded_panel_edges(horizon, PRODUCT_PANELS, PRODUCT_FLOOR)
+    return gauss_panels(edges, PRODUCT_ORDER)
 
-    Rows run over `lams`, columns over `lams_col` (default: same set).
-    Evaluated on graded Gauss panels; the integrand pair decays fast and
-    is rough only near t = 0, and the decay tables on the Gauss nodes come
-    from decay_table(). Raises InputError when an eigenvalue is not
-    positive.
+
+def ml_product_matrix(lams, alpha: float, horizon: float):
+    """Matrix of int_0^T E_alpha(-l_i t^a) E_alpha(-l_j t^a) dt.
+
+    Evaluated by product_rule, with the decay table on its nodes from
+    decay_table(). Raises InputError when an eigenvalue is not positive.
     """
     alpha = _check_alpha(alpha)
     lams = np.asarray(lams, dtype=float)
-    cols = lams if lams_col is None else np.asarray(lams_col, dtype=float)
-    if not (np.all(lams > 0.0) and np.all(cols > 0.0)):
+    if not np.all(lams > 0.0):
         raise InputError("eigenvalues must be positive")
-    edges = graded_panel_edges(horizon, PRODUCT_PANELS, PRODUCT_FLOOR)
-    t, w = gauss_panels(edges, PRODUCT_ORDER)
-    ei = np.ascontiguousarray(decay_table(alpha, lams, t).T)
-    ej = ei if lams_col is None else np.ascontiguousarray(decay_table(alpha, cols, t).T)
-    return (ei * w) @ ej.T
+    t, w = product_rule(horizon)
+    e = np.ascontiguousarray(decay_table(alpha, lams, t).T)
+    return (e * w) @ e.T

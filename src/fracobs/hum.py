@@ -32,15 +32,11 @@ regularization) until the output residual passes the requested threshold.
 Every decay table E_alpha(-lam_k t^alpha) here (on the Gram's Gauss
 nodes, the moment nodes of the right-hand side for alpha < 1 and the
 record nodes of the residual, which the alpha = 1 right-hand side reads
-too) comes from fraccalc.decay_table. It memoises one table per
-(alpha, time grid), for at most four grids, least recently used first
-out. A request for a prefix of the stored eigenvalues reads a column
-view; a longer one evaluates and appends only the new columns. Since
-eigenpairs() is prefix-stable, an escalating reconstruction evaluates
-each (lam, t) pair once. The forward record's table is not memoised:
-generate_measurements applies it block by block (fraccalc.decay_apply),
-and a sensor sweep builds one record and one set of record_moments for
-a whole chunk of positions, one channel per position.
+too) comes from fraccalc.decay_table, whose memo lets an escalating
+reconstruction evaluate each (lam, t) pair once. A table applied once is
+not kept: the forward record and the exact route's state side go through
+fraccalc.decay_apply. A sensor sweep builds one record and one set of
+record_moments per chunk of positions (sweep_chunk), a channel each.
 """
 
 from __future__ import annotations
@@ -58,11 +54,13 @@ from .errors import ConvergenceError, InputError, SolvabilityError
 from .fraccalc import (
     TimeGrid,
     caputo_values,
+    decay_apply,
     decay_table,
     gauss_panels,
     graded_panel_edges,
     merge_nodes,
     ml_product_matrix,
+    product_rule,
 )
 from .observability import GramDiagnostic
 from .spectral import (
@@ -84,6 +82,7 @@ from .system import (
 )
 
 __all__ = [
+    "REG_KINDS",
     "Regularization",
     "HumProblem",
     "GradientField",
@@ -96,14 +95,18 @@ __all__ = [
     "residual_against",
     "reconstruct",
     "sweep_channels",
+    "sweep_chunk",
     "omega_error",
 ]
 
-_REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
+REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
 
 # Gauss rule in time for the moment nodes of the right-hand side, alpha < 1
 MOMENT_PANELS = 64
 MOMENT_ORDER = 8
+# positions x moment nodes per sweep chunk: the chunk's Caputo values stay
+# within 8 MB, and its record within 1 MB
+_SWEEP_BLOCK = 1 << 20
 # Gauss-Legendre order per axis of the error metric over omega
 OMEGA_ORDER = 96
 # points per axis of field.csv's table over the full domain
@@ -128,7 +131,7 @@ class Regularization:
     value: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _REG_KINDS:
+        if self.kind not in REG_KINDS:
             raise InputError(f"unknown regularization {self.kind!r}")
         if self.kind == "none" and self.value is not None:
             raise InputError("regularization 'none' takes no value")
@@ -374,33 +377,23 @@ def assemble_rhs(problem: HumProblem, moments: np.ndarray) -> np.ndarray:
 
 
 def assemble_rhs_from_state(problem: HumProblem, state: ModalState) -> np.ndarray:
-    """Exact data-side vector for a known modal initial state.
-
-    Bypasses sampling entirely: the record generated by `state` enters
-    through closed modal algebra, with the cross decay-product integrals
-    computed on the quadrature panels.
-    """
+    """Exact data-side vector for a known modal initial state, with no sampling."""
     deep = replace(problem, mode_count=len(state))
     return assemble_rhs(problem, _state_moments(deep, state)(problem))
 
 
-def _state_moments(
-    deep: HumProblem, state: ModalState
-) -> Callable[[HumProblem], np.ndarray]:
+def _state_moments(deep: HumProblem, state: ModalState) -> Callable[[HumProblem], np.ndarray]:
     """The moments of the state's noiseless record for every truncation.
 
-    `deep` is the problem truncated at the state's depth, so the state
-    side (its modes and their P) is built once.
+    `deep` is the problem truncated at the state's depth. The negated
+    derivative of channel c, sum_l P_cl lam_l a_l E_l(t), is evaluated once
+    on the Gram's Gauss rule, over the modes with a nonzero coefficient;
+    each truncation pairs it with its own memoised decay table.
     """
-    weighted = deep.eigenvalues * state.coefficients
-
-    def moments(prob: HumProblem) -> np.ndarray:
-        Tm = ml_product_matrix(
-            deep.eigenvalues, prob.alpha, prob.horizon, lams_col=prob.eigenvalues
-        )
-        return np.einsum("cl,l,lk->kc", deep.outputs, weighted, Tm)
-
-    return moments
+    t, w = product_rule(deep.horizon)
+    weights = (deep.eigenvalues * state.coefficients)[:, None] * deep.outputs.T
+    weighted = w[:, None] * decay_apply(deep.alpha, deep.eigenvalues, t, weights)
+    return lambda prob: decay_table(prob.alpha, prob.eigenvalues, t).T @ weighted
 
 
 def solve_reconstruction(
@@ -579,6 +572,11 @@ def sweep_channels(
             yield math.nan, math.nan, exc.smallest_eigenvalue
             continue
         yield err, residual, spectrum.smallest_eigenvalue
+
+
+def sweep_chunk(rows: int) -> int:
+    """Sensor positions per sweep chunk: one record of `rows` rows, a channel each."""
+    return max(1, _SWEEP_BLOCK // (rows * MOMENT_ORDER))
 
 
 def _truth_components(

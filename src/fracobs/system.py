@@ -1,4 +1,4 @@
-"""Forward model: time-fractional diffusion, sensors, and synthetic data.
+"""Forward model: time-fractional diffusion, sensors, catalogs, and synthetic data.
 
 The state is kept modal throughout. With u0 expanded in the Dirichlet
 eigenbasis, the mild solution scales coefficient k by E_alpha(-lam_k t^alpha),
@@ -20,14 +20,18 @@ import numpy as np
 
 from .errors import InputError
 from .fraccalc import TimeGrid, decay_apply
-from .spectral import EigenMode, Region, SpatialQuadrature, mode_table
+from .spectral import EigenMode, Region, SpatialDomain, SpatialQuadrature, eigenpairs, mode_table
 
 __all__ = [
+    "ZONAL_WEIGHTS",
     "Sensor",
+    "STATE_KINDS",
+    "InitialState",
     "ModalState",
     "MeasurementRecord",
     "project_initial_state",
     "output_matrix",
+    "measurement_noise",
     "generate_measurements",
 ]
 
@@ -36,6 +40,18 @@ SENSOR_ORDER = 32
 # table rows formatted per block of numpy passes when a CSV body is written,
 # and lines parsed per block when a rejected record is searched for its bad line
 CSV_ROWS = 4096
+
+
+# zonal weights by name, each a factory of a scale; the fixed incommensurate
+# frequencies of trig_product, a weight of the square, keep it nonzero on any box
+ZONAL_WEIGHTS: dict[str, Callable[[float], Callable[..., np.ndarray]]] = {
+    "constant": lambda scale: lambda *xs: scale * np.ones_like(np.asarray(xs[0], dtype=float)),
+    "trig_product": lambda scale: lambda x, y: (
+        scale
+        * np.cos(math.sqrt(3.0) * math.pi * np.asarray(x, dtype=float))
+        * np.sin(math.sqrt(2.0) * math.pi * np.asarray(y, dtype=float))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,51 @@ class ModalState:
         return self.coefficients.size
 
 
+# the catalog states of the interval, (x (1 - x))^2 and (cos(pi x) sin(pi x))^2:
+# kind -> (coefficient of an odd mode k, gradient), both in closed form
+_CATALOG = {
+    "poly_sq": (
+        lambda k: 4.0 * math.sqrt(2.0) * (12.0 - (math.pi * k) ** 2) / (math.pi * k) ** 5,
+        lambda x: 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x),
+    ),
+    "trig_sq": (
+        lambda k: 4.0 * math.sqrt(2.0) / (math.pi * k * (16.0 - k * k)),
+        lambda x: 0.5 * np.pi * np.sin(4.0 * np.pi * x),
+    ),
+}
+STATE_KINDS = ("zero", *_CATALOG, "coefficients")
+
+
+@dataclass(frozen=True)
+class InitialState:
+    """A state of STATE_KINDS over the first `depth` modes of the unit box: the
+    zero field, its own modal `coefficients`, or a closed-form catalog state."""
+
+    kind: str
+    dimension: int
+    depth: int
+    coefficients: tuple[float, ...] = ()
+
+    def modal(self) -> tuple[list[EigenMode], ModalState]:
+        """The state's coefficients with the modes they are taken over."""
+        modes = eigenpairs(SpatialDomain(self.dimension), self.depth)
+        if self.kind in _CATALOG:
+            return modes, project_initial_state(modes, self.kind)
+        return modes, ModalState(self.coefficients or np.zeros(self.depth))
+
+    def gradient(self) -> tuple[Callable[..., np.ndarray], ...]:
+        """The state's gradient, one function per axis."""
+        if self.kind in _CATALOG:
+            return (_CATALOG[self.kind][1],)
+        if self.kind == "zero":
+            return (lambda *xs: np.zeros_like(np.asarray(xs[0], dtype=float)),) * self.dimension
+        modes, state = self.modal()
+        return tuple(
+            (lambda *xs, _d=axis: mode_table(modes, xs, _d) @ state.coefficients)
+            for axis in range(self.dimension)
+        )
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """Sampled sensor outputs: one row per time node, one column per sensor."""
@@ -133,23 +194,27 @@ class MeasurementRecord:
         searched for its first bad line, in blocks and then line by line
         within the first block that fails.
         """
-        with open(path) as fh:  # universal newlines: every line end reads as \n
-            header = fh.readline().rstrip("\n").split(",")
-            if header[0] != "t":
-                raise InputError(f"{path}: expected a 't,z1,...' header")
-            width = len(header)
-            # loadtxt warns on a body with no rows: find the first row first
-            first = fh.readline()
-            while first == "\n":
+        try:
+            # universal newlines: every line end reads as \n
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                if header[0] != "t":
+                    raise InputError(f"{path}: expected a 't,z1,...' header")
+                width = len(header)
+                # loadtxt warns on a body with no rows: find the first row first
                 first = fh.readline()
-            if not first:
-                raise InputError(f"{path}: no sample rows")
-            try:
-                data = _read_rows(chain((first,), fh))
-            except ValueError:
-                data = None
-        if data is None or data.shape[1] != width:
-            _raise_first_bad_row(path, width)
+                while first == "\n":
+                    first = fh.readline()
+                if not first:
+                    raise InputError(f"{path}: no sample rows")
+                try:
+                    data = _read_rows(chain((first,), fh))
+                except ValueError:  # a decoding error too: the search meets it again
+                    data = None
+            if data is None or data.shape[1] != width:
+                _raise_first_bad_row(path, width)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
         return cls(TimeGrid(data[:, 0]), data[:, 1:])
 
 
@@ -333,7 +398,7 @@ def _raise_first_bad_row(path: str, width: int) -> NoReturn:
     line, each line parsed on its own by the same reader, so the walk
     rejects exactly the fields the bulk read rejects.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     for lo in range(1, len(lines), CSV_ROWS):
         block = lines[lo : lo + CSV_ROWS]
@@ -357,24 +422,19 @@ def _raise_first_bad_row(path: str, width: int) -> NoReturn:
 
 
 def project_initial_state(modes: Sequence[EigenMode], kind: str) -> ModalState:
-    """The exact coefficients of a catalog state of the interval over the modes.
+    """The exact coefficients of a catalog state over modes of the interval.
 
-    `poly_sq` is (x (1 - x))^2 and `trig_sq` is (cos(pi x) sin(pi x))^2.
-    Both are symmetric about x = 1/2, so against sqrt(2) sin(k pi x) every
-    even k gives exactly 0; an odd k gives 4 sqrt(2) (12 - (k pi)^2) / (k pi)^5
-    for `poly_sq` and 4 sqrt(2) / (pi k (16 - k^2)) for `trig_sq`.
+    Both catalog states are symmetric about x = 1/2, so against
+    sqrt(2) sin(k pi x) every even k gives exactly 0; an odd k gives
+    4 sqrt(2) (12 - (k pi)^2) / (k pi)^5 for `poly_sq` and
+    4 sqrt(2) / (pi k (16 - k^2)) for `trig_sq`.
     """
-    if kind not in ("poly_sq", "trig_sq") or any(m.dimension != 1 for m in modes):
-        raise InputError(f"no closed-form {kind!r} state over these modes")
+    if kind not in _CATALOG:
+        raise InputError(f"no closed-form {kind!r} state")
     k = np.array([m.index[0] for m in modes], dtype=float)
     odd = k % 2.0 == 1.0
-    ko = k[odd]
     coefficients = np.zeros(k.size)
-    if kind == "poly_sq":
-        kp = math.pi * ko
-        coefficients[odd] = 4.0 * math.sqrt(2.0) * (12.0 - kp * kp) / kp**5
-    else:
-        coefficients[odd] = 4.0 * math.sqrt(2.0) / (math.pi * ko * (16.0 - ko * ko))
+    coefficients[odd] = _CATALOG[kind][0](k[odd])
     return ModalState(coefficients)
 
 
@@ -425,7 +485,9 @@ def generate_measurements(
     lams = np.array([m.lam for m in modes])
     # the decay table is applied block by block, never held whole
     samples = decay_apply(alpha, lams, grid.nodes, state.coefficients[:, None] * P.T)
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        samples = samples + rng.normal(0.0, noise_sigma, samples.shape)
-    return MeasurementRecord(grid, samples)
+    return MeasurementRecord(grid, samples + measurement_noise(noise_sigma, seed, samples.shape))
+
+
+def measurement_noise(sigma: float, seed: int, shape: tuple[int, ...]) -> np.ndarray | float:
+    """The Gaussian draw a record of this shape and seed gets; 0.0 when sigma is 0."""
+    return np.random.default_rng(seed).normal(0.0, sigma, shape) if sigma > 0.0 else 0.0

@@ -63,7 +63,7 @@ def test_config_defaults_and_dotted_keys(tmp_path):
     assert problem.mode_count == 8
     assert problem.epsilon == 1e-6
     assert problem.omega.lower == (0.0,) and problem.omega.upper == (1.0,)
-    assert cfg.state_kind == "zero"
+    assert cfg.state.kind == "zero" and cfg.state.depth == 8
     assert cfg.time_samples == 512 and cfg.time_grading == "uniform"
     assert problem.regularization.kind == "tikhonov" and problem.regularization.value is None
     assert (problem.escalation_step, problem.max_iterations) == (4, 5)
@@ -406,14 +406,18 @@ def test_reconstruct_missing_measurements_is_usage_error(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
-def _corrupt_record_and_reconstruct(tmp_path, capsys, edit):
-    """Simulate POINT_CONFIG, apply `edit` to the fifth data row, reconstruct."""
+def _corrupt_record_and_reconstruct(tmp_path, capsys, edit, row=5):
+    """Simulate POINT_CONFIG, apply `edit` to line `row` (the fifth data row), reconstruct.
+
+    The record is written back as UTF-8, with a lone surrogate from
+    `edit` as the raw byte it escapes.
+    """
     config = write_config(tmp_path, POINT_CONFIG)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
     path = tmp_path / "measurements.csv"
     lines = path.read_text().splitlines()
-    lines[5] = edit(lines[5])
-    path.write_text("\n".join(lines) + "\n")
+    lines[row] = edit(lines[row])
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     out = tmp_path / "out"
     code = cli.main([
@@ -431,6 +435,27 @@ def test_reconstruct_non_finite_sample_is_usage_error(tmp_path, capsys, bad):
     assert code == 2
     assert "finite" in err
     assert not (out / "field.csv").exists()
+
+
+def test_non_utf8_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9\n" + textwrap.dedent(POINT_CONFIG).encode())
+    for command in ("simulate", "check-strategic"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("usage error: config file") and "latin1.cfg" in line, line
+
+
+def test_non_utf8_record_is_usage_error(tmp_path, capsys):
+    # the bad byte sits in the header and past the first 8 KB alike
+    for row in (0, 250):
+        code, err, out = _corrupt_record_and_reconstruct(
+            tmp_path, capsys, lambda line: line + "\udcff", row
+        )
+        assert code == 2, row
+        (line,) = err.splitlines()
+        assert line.startswith("usage error: ") and "measurements.csv" in line, line
+        assert not (out / "field.csv").exists()
 
 
 def test_reconstruct_ragged_row_is_usage_error(tmp_path, capsys):
@@ -711,6 +736,17 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2, state
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("usage error: config field state.modes"), line
+    # a sensor's fields without its kind: for check-strategic, exit 1 would
+    # read as a non-strategic verdict
+    for prefix, sensors in (
+        ("sensor", "sensor.location = 0.2"),
+        ("sensor2", "sensor.kind = pointwise\nsensor.location = 0.3\nsensor2.location = 0.6"),
+    ):
+        config = write_config(tmp_path, f"alpha = 0.5\nhorizon = 1.0\n{sensors}\n", name="kind.cfg")
+        for command in ("simulate", "check-strategic"):
+            assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 2, sensors
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"usage error: config field {prefix}.kind is required"), line
 
 
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):

@@ -852,14 +852,6 @@ def test_ml_product_matrix_alpha_one_closed_form():
     assert m[0, 0] == pytest.approx(want, rel=1e-12)
 
 
-def test_ml_product_matrix_alpha_one_closed_form_lams_col():
-    # int_0^1 exp(-2 pi^2 t) dt, with the column eigenvalues given apart
-    want = (1.0 - math.exp(-2.0 * PI2)) / (2.0 * PI2)
-    assert want == pytest.approx(0.05066059168563722, rel=1e-15)
-    got = fc.ml_product_matrix([PI2], 1.0, 1.0, lams_col=[PI2])[0, 0]
-    assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_ml_product_matrix_half_alpha_vs_trapezoid_oracle():
     # E_{1/2}(-x) = erfcx(x); substituting t = s^2 removes the sqrt(t)
     # kink at the origin, without which a trapezoid rule stalls near
@@ -867,7 +859,7 @@ def test_ml_product_matrix_half_alpha_vs_trapezoid_oracle():
     s = np.linspace(0.0, 1.0, 100001)
     oracle = trapezoid(erfcx(PI2 * s) * erfcx(4.0 * PI2 * s) * 2.0 * s, s)
     assert oracle == pytest.approx(0.004878557671845788, abs=5e-10)
-    got = fc.ml_product_matrix([PI2], 0.5, 1.0, lams_col=[4.0 * PI2])[0, 0]
+    got = fc.ml_product_matrix([PI2, 4.0 * PI2], 0.5, 1.0)[0, 1]
     assert got == pytest.approx(oracle, abs=1e-8)
 
 
@@ -875,4 +867,4 @@ def test_ml_product_matrix_positivity_and_validation():
     for alpha in (0.3, 0.5, 0.84, 1.0):
         assert fc.ml_product_matrix([4.0 * PI2], alpha, 2.0)[0, 0] > 0.0
     with pytest.raises(InputError):
-        fc.ml_product_matrix([0.0], 0.5, 1.0, lams_col=[PI2])
+        fc.ml_product_matrix([PI2, 0.0], 0.5, 1.0)

@@ -348,6 +348,35 @@ def test_rhs_data_route_gap_graded_record():
     assert gap <= 3e-5
 
 
+def test_exact_route_evaluates_only_modes_with_weight(monkeypatch):
+    # the derivative of the 96-mode poly_sq state's record is evaluated once
+    # on the Gram's 1536 Gauss nodes over its 48 nonzero modes, and paired
+    # with the 20-mode decay table there: 1536 x (48 + 20) E_alpha points,
+    # where a cross-product table over every state mode took 1536 x 96
+    points = []
+    real = fc.mlf_values
+
+    def counted(alpha, z):
+        points.append(np.size(z))
+        return real(alpha, z)
+
+    monkeypatch.setattr(fc, "mlf_values", counted)
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    deep = HumProblem(96, FULL, (Sensor.pointwise((0.3,)),), 0.5, 1.0)
+    state = project_initial_state(deep.modes, "poly_sq")
+    problem = replace(deep, mode_count=20)
+    rhs = assemble_rhs_from_state(problem, state)
+    assert sum(points) == 1536 * (48 + 20) == 104_448
+    # the cross-product route on the same rule, built here
+    t, w = fc.product_rule(1.0)
+    cross = (real(0.5, -np.outer(deep.eigenvalues, t**0.5)) * w) @ real(
+        0.5, -np.outer(t**0.5, problem.eigenvalues)
+    )
+    moments = np.einsum("cl,l,lk->kc", deep.outputs, deep.eigenvalues * state.coefficients, cross)
+    want = assemble_rhs(problem, moments)
+    assert np.max(np.abs(rhs - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_assemble_rhs_channels_match_stacked_single_channel():
     # one caputo_values pass for all channels gives the sum of the
     # single-sensor RHS vectors, each from its own channel

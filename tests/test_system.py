@@ -184,6 +184,37 @@ def test_generate_measurements_accepts_modal_state():
     assert np.max(np.abs(rec.samples[:, 0] - np.array(direct))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "kind, u0",
+    [
+        ("poly_sq", lambda y: (y * (1.0 - y)) ** 2),
+        ("trig_sq", lambda y: (np.cos(PI * y) * np.sin(PI * y)) ** 2),
+    ],
+)
+def test_catalog_gradients_are_derivatives_of_their_states(kind, u0):
+    # a centred difference of the closed-form state, step 1e-6: its
+    # truncation error is below 1e-10 for both states
+    x = np.linspace(0.0, 1.0, 1001)
+    (gradient,) = fs.InitialState(kind, 1, 200).gradient()
+    h = 1e-6
+    assert np.max(np.abs(gradient(x) - (u0(x + h) - u0(x - h)) / (2.0 * h))) <= 1e-8
+    # the derivative of the 200-mode expansion, sum_k a_k sqrt(2) k pi
+    # cos(k pi x), is off by at most the tail sum_{k > 200} |a_k| sqrt(2) k pi;
+    # the closed-form a_k of the odd modes give that tail to 1e6 modes, and
+    # the rest of it, at most 8 / (k^2 - 16) per mode, adds less than 8 / 1e6
+    k = np.arange(1, 1_000_001, 2, dtype=float)
+    kp = PI * k
+    if kind == "poly_sq":
+        a = 4.0 * math.sqrt(2.0) * (12.0 - kp * kp) / kp**5
+    else:
+        a = 4.0 * math.sqrt(2.0) / (PI * k * (16.0 - k * k))
+    tail = np.sum(np.abs(a[100:]) * math.sqrt(2.0) * kp[100:]) + 8.0 / 1e6
+    coefficients = fs.project_initial_state(interval_modes(200), kind).coefficients
+    assert np.array_equal(coefficients[::2], a[:100]) and np.all(coefficients[1::2] == 0.0)
+    series = (a[:100] * math.sqrt(2.0) * kp[:100]) @ np.cos(np.outer(kp[:100], x))
+    assert np.max(np.abs(series - gradient(x))) <= tail
+
+
 def test_measurement_noise_is_seeded():
     modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 65)
