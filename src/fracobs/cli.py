@@ -39,10 +39,19 @@ from .errors import (
     SolvabilityError,
 )
 from .fraccalc import TimeGrid
-from .hum import REG_KINDS, HumProblem, Regularization, reconstruct, sweep_channels, sweep_chunk
+from .hum import (
+    PROBLEM_RANGES,
+    REG_KINDS,
+    HumProblem,
+    Regularization,
+    reconstruct,
+    sweep_channels,
+    sweep_chunk,
+)
 from .observability import test_gradient_strategic as strategic_verdict
 from .spectral import Region
 from .system import (
+    SENSOR_KINDS,
     STATE_KINDS,
     ZONAL_WEIGHTS,
     InitialState,
@@ -51,6 +60,11 @@ from .system import (
     generate_measurements,
     measurement_noise,
 )
+
+# argparse's gettext imports locale when a process builds its first parser,
+# which is inside main(); loading it with this module puts that cost in the
+# start-up, with every other import, and leaves a command's run none
+__import__("locale")
 
 __all__ = ["RunConfig", "main"]
 
@@ -71,6 +85,8 @@ _VERDICT_EXITS = {
 _SENSOR_PREFIX = re.compile(r"^(sensor\d*)\.")
 # a sweep grid lists at most this many sensor positions
 _MAX_SWEEP_POSITIONS = 10_001
+# bytes read at a time when an output file is hashed
+_HASH_CHUNK = 1 << 16
 
 
 def _parse(raw: str, key: str, kind: type = float) -> float:
@@ -95,6 +111,12 @@ def _pop_required(fields: dict[str, str], key: str, why: str = "") -> str:
 def _require(ok: bool, key: str, rule: str, value: object) -> None:
     if not ok:
         raise InputError(f"config field {key}: must be {rule}, got {value}")
+
+
+def _in_range(field: str, key: str, value: float) -> None:
+    """Check a config value against the range of the HumProblem field it sets."""
+    rule, ok = PROBLEM_RANGES[field]
+    _require(ok(value), key, rule, value)
 
 
 def _parse_choice(raw: str, key: str, allowed: Sequence[str]) -> str:
@@ -139,7 +161,7 @@ def _read_items(path: str) -> list[tuple[str, str]]:
 def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> Sensor:
     key = f"{prefix}.kind"
     raw = _pop_required(fields, key, f" (other {prefix}.* fields are set)")
-    if _parse_choice(raw, key, ("pointwise", "zonal")) == "pointwise":
+    if _parse_choice(raw, key, SENSOR_KINDS) == "pointwise":
         key = f"{prefix}.location"
         return Sensor.pointwise(_point(_pop_required(fields, key, " for a pointwise sensor"), key, dim))
     lo = fields.pop(f"{prefix}.support.lo", None)
@@ -196,14 +218,13 @@ class RunConfig:
         alpha_raw = _pop_required(fields, "alpha")
         horizon_raw = _pop_required(fields, "horizon")
         alpha = _parse(alpha_raw, "alpha")
-        _require(0.0 < alpha <= 1.0, "alpha", "in (0, 1]", alpha)
+        _in_range("alpha", "alpha", alpha)
         horizon = _parse(horizon_raw, "horizon")
-        positive = "finite and positive"
-        _require(math.isfinite(horizon) and horizon > 0.0, "horizon", positive, horizon)
+        _in_range("horizon", "horizon", horizon)
         modes = _parse(fields.pop("modes", "8"), "modes", int)
-        _require(modes >= 1, "modes", ">= 1", modes)
+        _in_range("mode_count", "modes", modes)
         epsilon = _parse(fields.pop("epsilon", "1e-6"), "epsilon")
-        _require(math.isfinite(epsilon) and epsilon > 0.0, "epsilon", positive, epsilon)
+        _in_range("epsilon", "epsilon", epsilon)
 
         lo = fields.pop("omega.lo", ",".join(["0.0"] * dim))
         hi = fields.pop("omega.hi", ",".join(["1.0"] * dim))
@@ -260,9 +281,9 @@ class RunConfig:
         regularization = Regularization(solver_kind, solver_value)
 
         step = _parse(fields.pop("escalation.step", "4"), "escalation.step", int)
-        _require(step >= 0, "escalation.step", ">= 0", step)
+        _in_range("escalation_step", "escalation.step", step)
         cap = _parse(fields.pop("escalation.max_iterations", "5"), "escalation.max_iterations", int)
-        _require(cap >= 1, "escalation.max_iterations", ">= 1", cap)
+        _in_range("max_iterations", "escalation.max_iterations", cap)
         out_dir = fields.pop("output.dir", ".")
 
         if fields:
@@ -301,8 +322,12 @@ class RunConfig:
 
 
 def _sha256_of(path: str) -> str:
+    """The file's sha256, read in chunks of _HASH_CHUNK bytes, never whole."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def cmd_simulate(config: RunConfig, out_dir: str) -> int:

@@ -51,6 +51,19 @@ def _check_alpha(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# work memory
+#
+# The blocked kernels size their work arrays in float64 entries. An E_alpha
+# work matrix (the series' Horner rows, the spectral rule's nodes x points)
+# stays within _SCRATCH_DOUBLES, 1 MB, which a core's L2 cache holds; both
+# rules are pointwise, so the blocking moves no value. The L1 pass of
+# caputo_values holds one buffer of at most _CAPUTO_DOUBLES, 8 MB.
+
+_SCRATCH_DOUBLES = 1 << 17
+_CAPUTO_DOUBLES = 1 << 20
+
+
+# ---------------------------------------------------------------------------
 # time grids
 
 
@@ -232,7 +245,6 @@ _GAP_CHUNK = 1 << 16   # nodes built at a time
 _LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
 _VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000   # points per mlf_values chunk
-_BLOCK_DOUBLES = 1 << 21  # 16 MB of float64 per work matrix
 _REGIMES = ("series", "asymptotic", "spectral")
 
 
@@ -381,7 +393,7 @@ def _series_neg(alpha: float, x: np.ndarray):
     are; term class r is scaled by x^r and added into the even or the odd
     sum. Every point takes the same terms and the rule is pointwise, so a
     value does not depend on the other points, and the work is 2 * stride
-    rows of the batch's size, within _BLOCK_DOUBLES. The estimate is the
+    rows of the batch's size, within _SCRATCH_DOUBLES. The estimate is the
     rounding of the sum, eps * (even + odd) / |value|. Returns (values,
     relative estimates, terms used).
     """
@@ -393,7 +405,7 @@ def _series_neg(alpha: float, x: np.ndarray):
     rows = coef.reshape(-1, stride)[::-1, :, None]
     vals = np.empty_like(x)
     rel = np.empty_like(x)
-    step = max(1, _BLOCK_DOUBLES // (2 * stride))
+    step = max(1, _SCRATCH_DOUBLES // (2 * stride))
     for lo in range(0, x.size, step):
         xs = x[lo : lo + step]
         power = np.empty((stride, xs.size))  # x^1 .. x^stride
@@ -445,7 +457,7 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     nodes, so no term is ever masked out. The nodes are built once for all
     groups, in chunks aligned on multiples of _GAP_CHUNK; each group reads
     its slice of a chunk, and its points run in blocks, so one work matrix
-    stays within _BLOCK_DOUBLES. A point's
+    stays within _SCRATCH_DOUBLES. A point's
     terms are summed by _ordered_sum, the even and the odd nodes apart
     (the even ones alone give the 2h rule), so its value does not depend
     on the other points. Raises AccuracyError when a point would need more
@@ -493,7 +505,7 @@ def _spectral_neg(alpha: float, x: np.ndarray):
             if g_lo >= g_hi:
                 continue
             nodes = slice(g_lo - c_lo, g_hi - c_lo)
-            step = max(1, _BLOCK_DOUBLES // (g_hi - g_lo))
+            step = max(1, _SCRATCH_DOUBLES // (g_hi - g_lo))
             for lo in range(0, group.size, step):
                 pts = group[lo : lo + step]
                 decay = np.multiply.outer(rate[nodes], -s[pts])
@@ -506,19 +518,44 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     return rules[0], rel, used
 
 
+@functools.lru_cache(maxsize=16)
 def _asym_floor(alpha: float) -> float:
     """An x below which _asym_neg accepts no point at this alpha.
 
-    A point still in its loop has non-increasing envelopes, so after m
-    terms |total_m| <= m env_1, and acceptance needs env_(m+1) <=
-    _ASYM_ACCEPT m env_1. With env_k = Gamma(k alpha) x^-k / pi that is
-    x^m >= Gamma((m + 1) alpha) / (m Gamma(alpha) _ASYM_ACCEPT) for some
-    m <= _ASYM_TERMS. The floor is the smallest of these m-th roots, less
-    1% for rounding: 2.54 at alpha = 0.3, 4.93 at 0.5, 15.7 at 0.84.
+    The loop carries a point into step m only while its envelopes have not
+    grown, so after m terms its partial sum is at most
+    S_m = sum_(k<=m) |sin(pi k alpha)| env_k, and acceptance needs
+    env_(m+1) <= _ASYM_ACCEPT S_m for an m no later than the step where
+    the envelope first grows. Each ratio
+        S_m / env_(m+1) = sum_(k<=m) |sin(pi k alpha)| Gamma(k alpha)
+                          x^(m+1-k) / Gamma((m+1) alpha)
+    grows with x, and so does the range of m, so the x from which some m
+    passes is found by bisection; no alpha passes at x = 1, where no
+    envelope falls by 12 decades within _ASYM_TERMS terms. The floor is
+    that x less 1e-6 relative for rounding, which the loop's own rounding
+    (about 1e-12) cannot cross: 2.70 at alpha = 0.3, 5.35 at 0.5, 17.87 at
+    0.84, within 0.5% of the smallest x the loop accepts at each. It is
+    computed once per alpha, in about a millisecond.
     """
-    m = np.arange(1.0, _ASYM_TERMS + 1.0)
-    log_need = _lgamma((m + 1.0) * alpha) - np.log(m) - math.lgamma(alpha)
-    return 0.99 * math.exp(np.min((log_need - math.log(_ASYM_ACCEPT)) / m))
+    k = np.arange(1.0, _ASYM_TERMS + 2.0)
+    lenv = _lgamma(k * alpha)  # log(pi x^k env_k)
+    dl = np.diff(lenv)  # increasing in k: Gamma is log-convex
+    size = np.abs(np.sin(np.pi * k * alpha))
+
+    def passes(x: float) -> bool:
+        lx = math.log(x)
+        # steps a point at x can take: up to the first whose envelope grows
+        m = min(int(np.searchsorted(dl, lx, side="right")) + 1, _ASYM_TERMS)
+        env = np.exp(lenv[: m + 1] - lenv[0] - (k[: m + 1] - 1.0) * lx)  # env_k / env_1
+        return bool(np.any(env[1:] <= _ASYM_ACCEPT * np.cumsum(size[:m] * env[:m])))
+
+    lo, hi = 1.0, 2.0
+    while not passes(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-7 * lo:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return (1.0 - 1e-6) * lo
 
 
 def _route_neg(alpha: float, x: np.ndarray):
@@ -734,15 +771,17 @@ def caputo_values(
 
     The rule is causal: the times are sorted once and walked in blocks
     of _CAPUTO_ROWS rows, and a block reads only the cells that start
-    before its last time, never the cells after it. A cell [a, b] with
-    b < t contributes (t-a)^p - (t-b)^p, p = 1 - alpha, formed as
-    (t-b)^p expm1(p log1p((b-a)/(t-b))), which does not cancel however
-    small the cell is against t-b; the cell holding t contributes
+    before its last time, never the cells after it. Where _CAPUTO_ROWS
+    rows of the record's cells would not fit _CAPUTO_DOUBLES, a block
+    takes fewer rows; the partition moves values in their last bits only.
+    A cell [a, b] with b < t contributes (t-a)^p - (t-b)^p, p = 1 - alpha,
+    formed as (t-b)^p expm1(p log1p((b-a)/(t-b))), which does not cancel
+    however small the cell is against t-b; the cell holding t contributes
     (t-a)^p. A time on a node belongs to the cell that node ends, so
     alpha = 1 gives the left cell slope. The cells before a block's first
     time end before all of its times, so only the later cells are masked.
-    Work memory is two matrices of _CAPUTO_ROWS times the cell count, one
-    buffer reused by every block.
+    Work memory is two matrices of a block's rows times the cell count, one
+    buffer of at most _CAPUTO_DOUBLES reused by every block.
     """
     alpha = _check_alpha(alpha)
     samples = np.asarray(samples, dtype=float)
@@ -776,11 +815,12 @@ def caputo_values(
     memory = np.empty((ts.size, du.shape[1]))
     # every block's two work matrices are carved from one buffer: blocks
     # allocated and freed in turn would fault their pages in again and again
-    rows = min(_CAPUTO_ROWS, ts.size)
-    work = np.empty(2 * rows * (int(done[-1]) if rows else 0))
-    for lo in range(0, ts.size, _CAPUTO_ROWS):
-        tt = ts[lo : lo + _CAPUTO_ROWS]
-        k = done[lo : lo + _CAPUTO_ROWS]
+    cells = int(done[-1]) if ts.size else 0
+    rows = max(1, min(_CAPUTO_ROWS, _CAPUTO_DOUBLES // max(2 * cells, 1)))
+    work = np.empty(2 * min(rows, ts.size) * cells)
+    for lo in range(0, ts.size, rows):
+        tt = ts[lo : lo + rows]
+        k = done[lo : lo + rows]
         inner, cols = k[0], k[-1]  # cells before k[0] end before every time
         size = tt.size * cols
         gap = work[:size].reshape(tt.size, cols)
@@ -799,7 +839,7 @@ def caputo_values(
         inside = k < a.size  # false only for times past the last node
         j = k[inside]
         row[inside] += _powv(tt[inside] - a[j], p)[:, None] * du[j]
-        memory[lo : lo + _CAPUTO_ROWS] = row
+        memory[lo : lo + rows] = row
     out = np.empty_like(memory)
     out[order] = memory / math.gamma(2.0 - alpha)
     out = out.reshape(times.shape + du.shape[1:]) + start

@@ -83,6 +83,7 @@ from .system import (
 
 __all__ = [
     "REG_KINDS",
+    "PROBLEM_RANGES",
     "Regularization",
     "HumProblem",
     "GradientField",
@@ -100,6 +101,16 @@ __all__ = [
 ]
 
 REG_KINDS = ("none", "tikhonov", "truncated_svd", "spectral_tikhonov")
+# the valid range of each HumProblem field, as (rule, test): HumProblem checks
+# every field against it, and the CLI checks each config key as it parses it
+PROBLEM_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
+    "mode_count": (">= 1", lambda v: v >= 1),
+    "alpha": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "horizon": ("finite and positive", lambda v: math.isfinite(v) and v > 0.0),
+    "epsilon": ("finite and positive", lambda v: math.isfinite(v) and v > 0.0),
+    "escalation_step": (">= 0", lambda v: v >= 0),
+    "max_iterations": (">= 1", lambda v: v >= 1),
+}
 
 # Gauss rule in time for the moment nodes of the right-hand side, alpha < 1
 MOMENT_PANELS = 64
@@ -159,16 +170,10 @@ class HumProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
-        if self.mode_count < 1:
-            raise InputError(f"mode_count must be >= 1, got {self.mode_count}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise InputError(f"horizon must be finite and positive, got {self.horizon}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InputError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.max_iterations < 1 or self.escalation_step < 0:
-            raise InputError("bad escalation policy")
+        for name, (rule, ok) in PROBLEM_RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise InputError(f"{name} must be {rule}, got {value}")
 
     @property
     def dimension(self) -> int:
@@ -340,10 +345,16 @@ def _moments_by_truncation(
     if alpha == 1.0:
 
         def slope_moments(prob: HumProblem) -> np.ndarray:
-            nodes = record.grid.nodes
-            decay = decay_table(1.0, prob.eigenvalues, nodes)
-            x = np.outer(np.diff(nodes), prob.eigenvalues)
-            return (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(record.samples, axis=0)
+            nodes, lams = record.grid.nodes, prob.eigenvalues
+            decay = decay_table(1.0, lams, nodes)
+            h = np.diff(nodes)
+            # the weights E_j expm1(-lam h_j) / (lam h_j), formed in place: at
+            # most two cells x modes arrays are held beside the table
+            cell = np.outer(h, -lams)
+            np.expm1(cell, out=cell)
+            cell /= np.outer(h, lams)
+            cell *= decay[:-1]
+            return cell.T @ np.diff(record.samples, axis=0)
 
         return slope_moments
     tq, wq = _moment_nodes(problem, record.grid)

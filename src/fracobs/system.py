@@ -23,6 +23,7 @@ from .fraccalc import TimeGrid, decay_apply
 from .spectral import EigenMode, Region, SpatialDomain, SpatialQuadrature, eigenpairs, mode_table
 
 __all__ = [
+    "SENSOR_KINDS",
     "ZONAL_WEIGHTS",
     "Sensor",
     "STATE_KINDS",
@@ -41,6 +42,9 @@ SENSOR_ORDER = 32
 # and lines parsed per block when a rejected record is searched for its bad line
 CSV_ROWS = 4096
 
+
+# sensor kinds: a point reading at a location, or a weighted mean over a support
+SENSOR_KINDS = ("pointwise", "zonal")
 
 # zonal weights by name, each a factory of a scale; the fixed incommensurate
 # frequencies of trig_product, a weight of the square, keep it nonzero on any box
@@ -64,6 +68,8 @@ class Sensor:
     weight: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in SENSOR_KINDS:
+            raise InputError(f"unknown sensor kind {self.kind!r}")
         if self.kind == "pointwise":
             if self.location is None or self.support is not None:
                 raise InputError("pointwise sensor takes a location and nothing else")
@@ -71,11 +77,8 @@ class Sensor:
             object.__setattr__(self, "location", loc)
             if any(not 0.0 < x < 1.0 for x in loc):
                 raise InputError(f"pointwise location {loc} must be strictly interior")
-        elif self.kind == "zonal":
-            if self.support is None or self.weight is None or self.location is not None:
-                raise InputError("zonal sensor takes a support region and a weight")
-        else:
-            raise InputError(f"unknown sensor kind {self.kind!r}")
+        elif self.support is None or self.weight is None or self.location is not None:
+            raise InputError("zonal sensor takes a support region and a weight")
 
     @classmethod
     def pointwise(cls, location: Sequence[float]) -> "Sensor":

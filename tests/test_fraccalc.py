@@ -379,18 +379,42 @@ def test_series_at_alpha_one_matches_exp():
     assert np.all(rel <= 1e-13) and np.all(used == 57)
 
 
+MB = 1 << 20
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of traced allocations while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
 def test_series_work_is_a_few_batch_arrays(alpha):
     # Horner's rule holds two rows of work; a terms x points matrix of
     # 2^21 doubles was 100 batch arrays at these sizes
     x = np.linspace(0.0, 1.5, 40000)
-    tracemalloc.start()
-    try:
-        fc._series_neg(alpha, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _traced_peak(lambda: fc._series_neg(alpha, x))
     assert peak < 8 * x.nbytes
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.84])
+def test_spectral_work_matrix_is_cache_sized(alpha):
+    # 6,000 gap points take 350-900 nodes each: a nodes x points matrix of
+    # 16 MB when it held 2^21 doubles, at most 1 MB now, with every value
+    # that of the point evaluated alone
+    x = np.linspace(0.5, 40.0, 200000)
+    x = x[fc._route_neg(alpha, x)[3] == 2]
+    x = x[np.linspace(0, x.size - 1, 6000).astype(int)]
+    assert np.unique(x).size == 6000
+    (vals, rel, used), peak = _traced_peak(lambda: fc._spectral_neg(alpha, x))
+    assert peak < 4 * MB
+    assert np.all(rel <= 1e-12)
+    for i in range(0, x.size, 397):
+        assert fc._spectral_neg(alpha, x[i : i + 1])[0][0] == vals[i]
 
 
 def test_series_steps_stay_bounded_at_small_alpha():
@@ -418,6 +442,75 @@ def test_route_regimes_are_pinned():
         regime = fc._route_neg(alpha, x)[3]
         assert np.bincount(regime, minlength=3).tolist() == counts
         assert [int(np.flatnonzero(regime == r).sum()) for r in range(3)] == sums
+
+
+def _asym_neg_reference(alpha, x):
+    """The asymptotic loop as it stood when its floor was the m-th-root bound."""
+    k = np.arange(1.0, fc._ASYM_TERMS + 2.0)
+    ka = k * alpha
+    coef = np.sin(np.pi * ka) * (-1.0) ** (k + 1.0)
+    lenv = np.array([math.lgamma(v) for v in ka]) - math.log(math.pi)
+    dl = np.diff(lenv)
+    ratio = np.exp(dl)
+    vals = np.zeros_like(x)
+    rel = np.full_like(x, np.inf)
+    used = np.zeros(x.shape, dtype=int)
+    accepted = np.zeros(x.shape, dtype=bool)
+    act = np.arange(x.size)
+    lx = np.log(x)
+    env = np.exp(lenv[0] - lx)
+    total = np.zeros_like(x)
+    for j in range(fc._ASYM_TERMS):
+        total += coef[j] * env
+        env *= ratio[j]
+        env /= x
+        ok = env <= fc._ASYM_ACCEPT * np.abs(total)
+        done = act[ok]
+        vals[done] = total[ok]
+        rel[done] = env[ok] / np.abs(total[ok])
+        used[done] = j + 1
+        accepted[done] = True
+        keep = ~ok & (dl[j] <= lx)
+        if not keep.any():
+            break
+        if not keep.all():
+            act, x, lx, env, total = act[keep], x[keep], lx[keep], env[keep], total[keep]
+    return vals, rel, used, accepted
+
+
+def _asym_floor_reference(alpha):
+    """The floor from |total_m| <= m env_1: 2.54 at alpha = 0.3, 4.93 at 0.5."""
+    m = np.arange(1.0, fc._ASYM_TERMS + 1.0)
+    log_need = gammaln((m + 1.0) * alpha) - np.log(m) - gammaln(alpha)
+    return 0.99 * math.exp(np.min((log_need - math.log(fc._ASYM_ACCEPT)) / m))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.84, 0.95, 0.99])
+def test_tightened_floor_leaves_the_route_as_it_was(alpha):
+    # the points between the old floor and the new one ran the whole loop
+    # and were never accepted; skipping them moves no value, estimate, term
+    # count or regime, on seeded batches dense around both floors
+    old, new = _asym_floor_reference(alpha), fc._asym_floor(alpha)
+    assert new > old
+    rng = np.random.default_rng(int(1000 * alpha))
+    x = np.concatenate([
+        rng.uniform(0.5 * old, old, 500),
+        rng.uniform(old, new, 2000),
+        new * (1.0 + rng.uniform(-1e-3, 1e-3, 500)),
+        rng.uniform(new, 3.0 * new, 500),
+        10.0 ** rng.uniform(-2.0, 3.0, 500),
+    ])
+    assert np.any((x >= old) & (x < new)) and np.any(x >= new)
+    got = fc._route_neg(alpha, x)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fc, "_asym_floor", _asym_floor_reference)
+        m.setattr(fc, "_asym_neg", _asym_neg_reference)
+        want = fc._route_neg(alpha, x)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # the floor is within 1% of the smallest point the loop accepts
+    accepted = x[got[3] == 1]
+    assert new <= accepted.min() <= 1.01 * new
 
 
 @PROPERTY
@@ -642,6 +735,23 @@ def test_caputo_values_channels_match_one_channel_calls():
                 assert np.max(np.abs(got[..., ch] - one)) <= 1e-13 * np.max(np.abs(one))
     with pytest.raises(InputError):
         fc.caputo_values(g, np.zeros((g.nodes.size, 2, 2)), 0.5, taus)
+
+
+def test_caputo_values_work_buffer_is_capped():
+    # 256 rows of 16,384 cells would be a 67 MB buffer: past 2,048 cells a
+    # block takes fewer rows, so the buffer stays within 8 MB. The L1 rule
+    # is exact on linear data, and the other record matches a cell loop
+    g = fc.TimeGrid.uniform(1.0, 16385)
+    taus = np.linspace(0.5, 1.0, 600)
+    a = 0.6
+    lin, peak = _traced_peak(lambda: fc.caputo_values(g, 2.0 * g.nodes + 1.0, a, taus))
+    assert peak < 12 * MB
+    want = 2.0 * taus ** (1.0 - a) / gamma(2.0 - a)
+    assert np.max(np.abs(lin - want) / want) <= 1e-12
+    u = np.sin(5.0 * g.nodes) + g.nodes**2
+    got = fc.caputo_values(g, u, a, taus)
+    for i in range(0, taus.size, 97):
+        assert got[i] == pytest.approx(_l1_loop(g.nodes, u, a, taus[i]), rel=1e-12, abs=1e-12)
 
 
 def test_caputo_values_of_no_times_is_empty():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -726,6 +727,31 @@ def test_alpha_one_rhs_matches_per_cell_quadrature():
     gap = np.abs(record_rhs(problem, record) - oracle)
     assert np.all(gap <= 1e-12 * scale)
     assert np.max(gap) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_alpha_one_moments_form_cell_weights_in_place(monkeypatch):
+    # 65,536 record rows and 8 modes: the record-node decay table and each
+    # cells x modes array take 4 MB. The cell weights are formed in place,
+    # so the peak holds three such arrays, not four, and every moment
+    # keeps its bits
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    sensors = tuple(Sensor.pointwise((b,)) for b in (0.2, 0.55, 0.81))
+    problem = HumProblem(8, FULL, sensors, 1.0, 1.0)
+    grid = TimeGrid.uniform(1.0, 65536)
+    samples = np.random.default_rng(8).standard_normal((65536, 3)).cumsum(axis=0) / 256.0
+    record = MeasurementRecord(grid, samples)
+    tracemalloc.start()
+    try:
+        moments = hum.record_moments(problem, record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 65536 * 8 * 8
+    assert peak < 3.5 * table
+    decay = fc.decay_table(1.0, problem.eigenvalues, grid.nodes)
+    x = np.outer(np.diff(grid.nodes), problem.eigenvalues)
+    want = (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(samples, axis=0)
+    assert np.array_equal(moments, want)
 
 
 def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
