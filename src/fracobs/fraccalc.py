@@ -850,12 +850,9 @@ def caputo_values(
 # integration-by-parts residual
 
 
-def _cell_j01(s: float, a: np.ndarray, b: np.ndarray, p: float):
-    """Exact int over cell [a,b] of (t-s)_+^p and (t-s)_+^p (t-a)."""
-    lo = np.maximum(a, s)
-    j0 = (_powv(b - s, p + 1.0) - _powv(lo - s, p + 1.0)) / (p + 1.0)
-    j1 = (_powv(b - s, p + 2.0) - _powv(lo - s, p + 2.0)) / (p + 2.0) + (s - a) * j0
-    return j0, j1
+def _ahead(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """sum_m x[i + m] kernel[m] over m >= 0, for every i: a correlation."""
+    return np.correlate(x, kernel, "full")[kernel.size - 1 :]
 
 
 def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
@@ -884,28 +881,23 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
     dv = np.diff(v) / h
     p = 1.0 - alpha
 
-    # Both sums below pair nodes s with cells, _CAPUTO_ROWS nodes at a time.
-    # A cell that ends at or before s contributes exactly zero, so a block
-    # starting at node lo reads only the cells from lo on, and work memory
-    # stays within _CAPUTO_ROWS times the cell count.
+    # Both sums below pair nodes i with cells j. A cell that ends at or
+    # before the node contributes exactly zero, and on the uniform grid a
+    # later cell's weight depends on its offset m = j - i alone, so each
+    # sum is a correlation with a kernel over the offsets: O(n) memory.
+    e = np.arange(n) * h  # the offsets m*h of the cell starts
 
-    # left side: (1/G(2-a)) sum_j du_j int v^(t) [(t-a_j)_+^p - (t-b_j)_+^p] dt
-    lhs = 0.0
-    for lo in range(0, n - 1, _CAPUTO_ROWS):
-        s = tg[lo : lo + _CAPUTO_ROWS + 1, None]  # the block's nodes and the next one
-        j0, j1 = _cell_j01(s, a[lo:], b[lo:], p)
-        d0, d1 = j0[:-1] - j0[1:], j1[:-1] - j1[1:]
-        lhs += du[lo : lo + _CAPUTO_ROWS] @ np.sum(v[lo:-1] * d0 + dv[lo:] * d1, axis=1)
-    lhs /= math.gamma(2.0 - alpha)
+    # left side: (1/G(2-a)) sum_j du_j int v^(t) [(t-a_j)_+^p - (t-b_j)_+^p] dt,
+    # from the exact cell integrals of (t-s)_+^p and (t-s)_+^p (t-a) at
+    # s = node i (j0, j1) less those at node i + 1 (one offset later)
+    j0 = np.diff(_powv(e, p + 1.0)) / (p + 1.0)
+    j1 = np.diff(_powv(e, p + 2.0)) / (p + 2.0) - e[:-1] * j0
+    d0, d1 = np.diff(j0, prepend=0.0), np.diff(j1, prepend=0.0)
+    lhs = du @ (_ahead(v[:-1], d0) + _ahead(dv, d1)) / math.gamma(2.0 - alpha)
 
     # I_{T-}^{1-alpha}[v'] at the nodes, exact for the piecewise-constant v'
-    rdi = np.empty(n)
-    for lo in range(0, n, _CAPUTO_ROWS):
-        s = tg[lo : lo + _CAPUTO_ROWS, None]
-        aa = _powv(b[lo:] - s, p)
-        bb = _powv(np.maximum(a[lo:], s) - s, p)
-        rdi[lo : lo + _CAPUTO_ROWS] = np.sum(dv[lo:] * (aa - bb), axis=1)
-    rdi /= math.gamma(2.0 - alpha)
+    rdi = np.zeros(n)
+    rdi[:-1] = _ahead(dv, np.diff(_powv(e, p))) / math.gamma(2.0 - alpha)
     if alpha == 1.0:
         rdi[-1] = dv[-1]  # empty tail sum loses the left-limit slope
 

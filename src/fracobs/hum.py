@@ -200,9 +200,7 @@ class HumProblem:
 
     @cached_property
     def outputs(self) -> np.ndarray:
-        """P[ch, k] = C_ch phi_k, shape (p, M); (0, M) without sensors."""
-        if not self.sensors:
-            return _read_only(np.zeros((0, self.mode_count)))
+        """P[ch, k] = C_ch phi_k, shape (p, M)."""
         return _read_only(output_matrix(self.sensors, self.modes))
 
 
@@ -458,10 +456,8 @@ def residual_against(
     """L2(0,T) misfit of a solved field's forward output against the record.
 
     The candidate initial state is the potential of the solved gradient:
-    u_k = (B' c)_k / lam_k, on the field's own truncation.
+    u_k = (B' c)_k / lam_k, on the problem's truncation, the field's own.
     """
-    if field.mode_count != problem.mode_count:
-        problem = replace(problem, mode_count=field.mode_count)
     lams = problem.eigenvalues
     state = (problem.coupling.T @ field.coefficients) / lams
     decay = decay_table(problem.alpha, lams, record.grid.nodes)
@@ -591,15 +587,13 @@ def sweep_chunk(rows: int) -> int:
 
 
 def _truth_components(
-    truth: Sequence[Callable[..., np.ndarray]] | GradientField | Callable[..., np.ndarray],
+    truth: Sequence[Callable[..., np.ndarray]] | GradientField,
     n: int,
 ) -> tuple[Callable[..., np.ndarray], ...]:
     if isinstance(truth, GradientField):
         if truth.dimension != n:
             raise InputError("truth field has the wrong dimension")
         return tuple(truth.component(d) for d in range(n))
-    if callable(truth):
-        truth = (truth,)
     fns = tuple(truth)
     if len(fns) != n:
         raise InputError(f"expected {n} truth components, got {len(fns)}")
@@ -608,7 +602,7 @@ def _truth_components(
 
 def omega_error(
     field: GradientField,
-    truth: Sequence[Callable[..., np.ndarray]] | GradientField | Callable[..., np.ndarray],
+    truth: Sequence[Callable[..., np.ndarray]] | GradientField,
     omega: Region,
 ) -> float:
     """Squared L2(omega)^n distance between the field and the truth."""

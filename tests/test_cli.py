@@ -14,6 +14,8 @@ import pytest
 from fracobs import cli, hum
 from fracobs import fraccalc as fc
 from fracobs.errors import InputError
+from fracobs.spectral import SpatialDomain, eigenpairs
+from fracobs.system import project_initial_state
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -396,6 +398,141 @@ def test_reconstruct_with_no_solvable_step_exits_4(tmp_path, capsys):
     assert not (out / "field.csv").exists()
 
 
+GRADED_CONFIG = """
+    alpha = 0.7
+    horizon = 1.0
+    modes = 3
+    epsilon = 1e-2
+    sensor.kind = pointwise
+    sensor.location = 0.3
+    state.kind = coefficients
+    state.coefficients = 0.1, -0.05, 0.02
+    time.samples = 64
+    time.grading = graded
+    solver.kind = tikhonov
+    solver.value = 1e-10
+"""
+
+ALPHA1_CONFIG = """
+    alpha = 1.0
+    horizon = 1.0
+    modes = 4
+    epsilon = 1e-4
+    sensor.kind = pointwise
+    sensor.location = 0.3
+    state.kind = coefficients
+    state.coefficients = 0.1, -0.05, 0.02, 0.01
+    time.samples = 256
+    time.grading = graded
+    solver.kind = tikhonov
+    solver.value = 1e-10
+"""
+
+# alpha = 0.7 escalating from 2 to 4 modes: both steps pair the one L1 pass
+# of the record with their decay tables
+ESCALATE_CONFIG = ALPHA1_CONFIG.replace("alpha = 1.0", "alpha = 0.7").replace(
+    "modes = 4", "modes = 2") + "    escalation.step = 2\n"
+
+
+def simulate_and_reconstruct(tmp_path, capsys, text):
+    """Run simulate then reconstruct on the config text; the reconstruct summary."""
+    config = write_config(tmp_path, text)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    assert cli.main([
+        "reconstruct", "--config", config, "--out", str(tmp_path),
+        "--measurements", str(tmp_path / "measurements.csv"),
+    ]) == 0
+    summary, _ = summary_of(capsys)
+    return summary
+
+
+@pytest.mark.parametrize(
+    "text, iterations", [(ALPHA1_CONFIG, 1), (ESCALATE_CONFIG, 2)], ids=["alpha1", "escalate"]
+)
+def test_graded_record_is_17g_text_and_reconstructs(tmp_path, capsys, text, iterations):
+    # the record body is built by numpy, not by Python's formatter: it must
+    # equal Python's ".17g" rendering of its own fields, byte for byte, with
+    # CRLF line ends; reconstruct reads it back and converges in `iterations`
+    summary = simulate_and_reconstruct(tmp_path, capsys, text)
+    assert summary["iterations"] == iterations
+    assert summary["residual"] <= 1e-4
+    data = (tmp_path / "measurements.csv").read_bytes()
+    lines = data.decode("ascii").split("\r\n")
+    assert lines[-1] == "", "last line has no CRLF"
+    again = [lines[0]] + [
+        ",".join(format(float(f), ".17g") for f in line.split(",")) for line in lines[1:-1]
+    ]
+    assert "\r\n".join(again + [""]).encode() == data
+    assert len(lines) == 1 + 256 + 1
+
+
+def test_zonal_square_trig_product_end_to_end(tmp_path, capsys):
+    # a 2-d zonal sensor with the trig_product weight, through simulate and
+    # reconstruct (check-strategic is tested on the square above)
+    summary = simulate_and_reconstruct(tmp_path, capsys, """
+        domain.dim = 2
+        alpha = 0.6
+        horizon = 1.0
+        modes = 4
+        epsilon = 1e-2
+        sensor.kind = zonal
+        sensor.support.lo = 0.6, 0.1
+        sensor.support.hi = 0.9, 0.45
+        sensor.weight.kind = trig_product
+        state.kind = coefficients
+        state.coefficients = 0.1, -0.05, 0.02, 0.01
+        time.samples = 64
+        solver.kind = tikhonov
+        solver.value = 1e-10
+        escalation.max_iterations = 1
+    """)
+    assert summary["iterations"] == 1
+    assert summary["residual"] <= 1e-2
+    assert math.isfinite(summary["error_vs_truth"])
+    record = read_rows(tmp_path / "measurements.csv")
+    assert record[0] == ["t", "z1"]
+    assert any(float(row[1]) != 0.0 for row in record[1:])
+    assert read_rows(tmp_path / "field.csv")[0] == [
+        "x", "y", "d1_true", "d1_rec", "d2_true", "d2_rec",
+    ]
+
+
+def test_catalog_state_depth_end_to_end(tmp_path, capsys):
+    # state.modes sets a catalog state's depth: its record is the one of a
+    # coefficients state holding the closed-form coefficients, zeros and all
+    state = "state.kind = coefficients\n    state.coefficients = 0.1, -0.05, 0.02\n"
+    assert state in GRADED_CONFIG
+    catalog = GRADED_CONFIG.replace(state, "state.kind = poly_sq\n    state.modes = 9\n")
+    summary = simulate_and_reconstruct(tmp_path, capsys, catalog)
+    assert summary["iterations"] == 1
+    assert summary["error_vs_truth"] <= 1e-2
+    record = (tmp_path / "measurements.csv").read_bytes()
+    coefficients = project_initial_state(eigenpairs(SpatialDomain(1), 9), "poly_sq").coefficients
+    assert np.count_nonzero(coefficients) == 5
+    explicit = GRADED_CONFIG.replace(state, "state.kind = coefficients\n    state.coefficients = "
+                                     + ", ".join(format(c, ".17g") for c in coefficients) + "\n")
+    config = write_config(tmp_path, explicit, name="explicit.cfg")
+    out = tmp_path / "explicit"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+    assert (out / "measurements.csv").read_bytes() == record
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_record_is_usage_error(tmp_path, capsys):
+    # loadtxt warns on a body with no rows: the usage error comes first
+    config = write_config(tmp_path, GRADED_CONFIG)
+    path = tmp_path / "header-only.csv"
+    path.write_bytes(b"t,z1\r\n")
+    out = tmp_path / "out"
+    code = cli.main([
+        "reconstruct", "--config", config, "--out", str(out), "--measurements", str(path),
+    ])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("usage error: ") and "header-only.csv" in line, line
+    assert not (out / "field.csv").exists()
+
+
 def test_reconstruct_missing_measurements_is_usage_error(tmp_path, capsys):
     config = write_config(tmp_path, POINT_CONFIG)
     code = cli.main([
@@ -716,10 +853,11 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     # work; 1e-300 would ask for about 1e299 positions
     for grid in ("0.1:nan:0.1", "nan:0.5:0.1", "0.1:0.5:inf", "0.1:0.5:nan",
                  "-inf:0.5:0.1", "-0.1:0.5:0.1", "0.1:1.5:0.1", "0.1:0.2:1e-300",
-                 "0.1:0.6:5e-324", "0:1:1e-5", "0:1:0.25", "0.25:1:0.25"):
+                 "0.1:0.6:5e-324", "0:1:1e-5", "0:1:0.25", "0:1:0.5", "0.25:1:0.25"):
         assert cli.main(["sweep-sensor", "--config", config, "--out", str(tmp_path),
                          f"--sweep-grid={grid}"]) == 2, grid
-        assert capsys.readouterr().err.startswith("usage error: sweep grid"), grid
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("usage error: sweep grid"), grid
     assert not (tmp_path / "sweep.csv").exists()
     # state.modes sets the depth of the catalog states alone: the other
     # kinds take their depth from the coefficients or from modes
@@ -860,20 +998,7 @@ def test_cli_commands_import_no_scipy(tmp_path):
     # every run: scipy must not be among it, and no module may load during
     # the command itself (numpy.ma through np.unique and its set helpers,
     # locale through argparse's gettext), where it would count as work
-    config = write_config(tmp_path, """
-        alpha = 0.7
-        horizon = 1.0
-        modes = 3
-        epsilon = 1e-2
-        sensor.kind = pointwise
-        sensor.location = 0.3
-        state.kind = coefficients
-        state.coefficients = 0.1, -0.05, 0.02
-        time.samples = 64
-        time.grading = graded
-        solver.kind = tikhonov
-        solver.value = 1e-10
-    """)
+    config = write_config(tmp_path, GRADED_CONFIG)
     out = str(tmp_path)
     commands = [
         ["simulate", "--config", config, "--out", out],

@@ -809,6 +809,20 @@ def test_ibp_row_blocks_match_one_block(monkeypatch):
         assert np.max(np.abs(got - ref)) <= 1e-13, rows
 
 
+def test_ibp_memory_is_linear_in_the_samples():
+    # each node x cell sum is a correlation with a 1-d offset kernel, so
+    # memory grows as the samples do: about 1.3 MB at 8,193 samples
+    t = np.linspace(0.0, 1.0, 8193)
+    tracemalloc.start()
+    try:
+        resid = fc.check_fractional_ibp(np.sin(t), np.cos(t), 0.7, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert resid < 1e-6
+
+
 def test_ibp_input_validation():
     with pytest.raises(InputError):
         fc.check_fractional_ibp(np.zeros(5), np.zeros(4), 0.5, 1.0)

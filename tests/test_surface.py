@@ -15,15 +15,23 @@ code or by the acceptance tests. The checks match by name alone: a member
 whose name is also read elsewhere, as `.horizon` of one class may be read
 as `.horizon` of another, passes unflagged, and so does a parameter that
 a call to another function of the same name passes.
+
+Two more checks guard what runs outside this suite: every span the
+benchmark's tracer wraps resolves in the package, and the test modules
+that CI runs with scipy uninstalled import neither scipy nor hypothesis.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracobs"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
+# the test modules CI runs once scipy is uninstalled
+NO_SCIPY = ("test_cli.py", "test_surface.py")
 # E_alpha with its per-point report, which the regime tests read
 EXEMPT = {"mlf", "MlfEvalReport"}
 
@@ -239,3 +247,44 @@ def test_defaulted_parameters_are_passed():
         )
     ]
     assert not unpassed, f"parameters no package or acceptance call passes: {unpassed}"
+
+
+def test_traced_spans_resolve():
+    # Tracer.install reads each span as vars(owner)[attr] after getattr
+    # through its classes, and raises KeyError on a name that has gone
+    tracer = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("MODULES", "SPANS")
+    }
+    missing = []
+    for name, home, path, _ in tracer["SPANS"]:
+        assert home in tracer["MODULES"], name
+        owner = importlib.import_module(f"fracobs.{home}")
+        *classes, attr = path.split(".")
+        for part in classes:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(name)
+    assert not missing, f"traced spans with no package attribute: {missing}"
+
+
+def test_no_scipy_modules_import_neither_scipy_nor_hypothesis():
+    # imports at any depth count; code passed to a subprocess as a string does not
+    found = []
+    for name in NO_SCIPY:
+        for node in ast.walk(ast.parse((ROOT / "tests" / name).read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {root}"
+                for root in roots
+                if root.split(".")[0] in ("scipy", "hypothesis")
+            ]
+    assert not found, f"scipy or hypothesis imported where CI runs without scipy: {found}"
