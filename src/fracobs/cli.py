@@ -10,9 +10,9 @@ Runs are described by a flat text config of ``key = value`` lines with dotted
 section keys (``sensor.kind``, ``omega.lo``, ...). Initial states and zonal
 weights come from the small named catalogs of ``system`` instead of an
 expression parser, so every experiment file states its provenance
-explicitly. The full schema is listed in the README; unknown or malformed
-fields abort with a usage error naming the offender. This module only
-parses the config, dispatches the command and writes its rows.
+explicitly. The full schema is listed in the README; unknown, malformed
+or refused fields abort with a usage error naming the key. This module
+only parses the config, dispatches the command and writes its rows.
 
 Exit codes: 0 success (or a strategic verdict), 1 non-strategic verdict,
 2 usage or config error, 3 convergence cap hit, 4 singular normal equations,
@@ -29,7 +29,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AccuracyError,
@@ -119,6 +119,14 @@ def _in_range(field: str, key: str, value: float) -> None:
     _require(ok(value), key, rule, value)
 
 
+def _named(label: str, make: Callable):
+    """make(), its InputError prefixed with the label of what it was built from."""
+    try:
+        return make()
+    except InputError as exc:
+        raise InputError(f"{label}: {exc}") from None
+
+
 def _parse_choice(raw: str, key: str, allowed: Sequence[str]) -> str:
     if raw not in allowed:
         raise InputError(f"config field {key}: {raw!r} not one of {sorted(allowed)}")
@@ -163,31 +171,21 @@ def _pop_sensor(fields: dict[str, str], prefix: str, dim: int) -> Sensor:
     raw = _pop_required(fields, key, f" (other {prefix}.* fields are set)")
     if _parse_choice(raw, key, SENSOR_KINDS) == "pointwise":
         key = f"{prefix}.location"
-        return Sensor.pointwise(_point(_pop_required(fields, key, " for a pointwise sensor"), key, dim))
+        location = _point(_pop_required(fields, key, " for a pointwise sensor"), key, dim)
+        return _named(f"config field {key}", lambda: Sensor.pointwise(location))
     lo = fields.pop(f"{prefix}.support.lo", None)
     hi = fields.pop(f"{prefix}.support.hi", None)
     if lo is None or hi is None:
         raise InputError(f"config fields {prefix}.support.lo/.hi are required for a zonal sensor")
-    weight_kind = _parse_choice(
-        fields.pop(f"{prefix}.weight.kind", "constant"), f"{prefix}.weight.kind", ZONAL_WEIGHTS
-    )
-    if weight_kind == "trig_product" and dim != 2:
-        raise InputError(f"config field {prefix}.weight.kind: trig_product needs domain.dim = 2")
+    lower, upper = _point(lo, f"{prefix}.support.lo", dim), _point(hi, f"{prefix}.support.hi", dim)
+    support = _named(f"config field {prefix}.support.lo/.hi", lambda: Region(lower, upper))
+    key = f"{prefix}.weight.kind"
+    weight_kind = _parse_choice(fields.pop(key, "constant"), key, ZONAL_WEIGHTS)
     scale_key = f"{prefix}.weight.scale"
     scale = _parse(fields.pop(scale_key, "1.0"), scale_key)
     _require(math.isfinite(scale), scale_key, "finite", scale)
-    support = Region(
-        _point(lo, f"{prefix}.support.lo", dim), _point(hi, f"{prefix}.support.hi", dim)
-    )
-    return Sensor.zonal(support, ZONAL_WEIGHTS[weight_kind](scale))
-
-
-def _moved(sensor: Sensor, position: float) -> Sensor:
-    """A 1D sensor moved: the point itself, or the left edge keeping width and weight."""
-    if sensor.kind == "pointwise":
-        return Sensor.pointwise((position,))
-    width = sensor.support.upper[0] - sensor.support.lower[0]
-    return Sensor.zonal(Region((position,), (position + width,)), sensor.weight)
+    weight = _named(f"config field {key}", lambda: ZONAL_WEIGHTS[weight_kind](scale, support))
+    return Sensor.zonal(support, weight)
 
 
 @dataclass(frozen=True)
@@ -226,9 +224,9 @@ class RunConfig:
         epsilon = _parse(fields.pop("epsilon", "1e-6"), "epsilon")
         _in_range("epsilon", "epsilon", epsilon)
 
-        lo = fields.pop("omega.lo", ",".join(["0.0"] * dim))
-        hi = fields.pop("omega.hi", ",".join(["1.0"] * dim))
-        omega = Region(_point(lo, "omega.lo", dim), _point(hi, "omega.hi", dim))
+        lo = _point(fields.pop("omega.lo", ",".join(["0.0"] * dim)), "omega.lo", dim)
+        hi = _point(fields.pop("omega.hi", ",".join(["1.0"] * dim)), "omega.hi", dim)
+        omega = _named("config field omega.lo/.hi", lambda: Region(lo, hi))
 
         matches = (_SENSOR_PREFIX.match(key) for key, _ in items)
         prefixes = list(dict.fromkeys(m.group(1) for m in matches if m))
@@ -251,13 +249,14 @@ class RunConfig:
         elif state_kind == "zero":
             # a zero state is expanded over the solve's modes
             depth = modes
-        elif dim != 1:
-            raise InputError(f"config field state.kind: {state_kind} needs domain.dim = 1")
         else:
             depth = _parse(fields.pop("state.modes", "200"), "state.modes", int)
             _require(depth >= 1, "state.modes", ">= 1", depth)
         if "state.modes" in fields:
             raise InputError("config field state.modes only applies to kind=poly_sq or trig_sq")
+        state = _named(
+            "config field state.kind", lambda: InitialState(state_kind, dim, depth, coefficients)
+        )
 
         samples = _parse(fields.pop("time.samples", "512"), "time.samples", int)
         _require(samples >= 2, "time.samples", ">= 2", samples)
@@ -275,10 +274,10 @@ class RunConfig:
         seed = _parse(fields.pop("seed", "0"), "seed", int)
         _require(seed >= 0, "seed", ">= 0", seed)
 
-        solver_kind = _parse_choice(fields.pop("solver.kind", "tikhonov"), "solver.kind", REG_KINDS)
-        value_raw = fields.pop("solver.value", None)
-        solver_value = None if value_raw is None else _parse(value_raw, "solver.value")
-        regularization = Regularization(solver_kind, solver_value)
+        kind = _parse_choice(fields.pop("solver.kind", "tikhonov"), "solver.kind", REG_KINDS)
+        raw = fields.pop("solver.value", None)
+        value = None if raw is None else _parse(raw, "solver.value")
+        solver = _named("config field solver.value", lambda: Regularization(kind, value))
 
         step = _parse(fields.pop("escalation.step", "4"), "escalation.step", int)
         _in_range("escalation_step", "escalation.step", step)
@@ -296,14 +295,14 @@ class RunConfig:
             sensors=sensors,
             alpha=alpha,
             horizon=horizon,
-            regularization=regularization,
+            regularization=solver,
             epsilon=epsilon,
             escalation_step=step,
             max_iterations=cap,
         )
         return cls(
             problem=problem,
-            state=InitialState(state_kind, dim, depth, coefficients),
+            state=state,
             time_samples=samples,
             time_grading=grading,
             noise_sigma=noise_sigma,
@@ -410,10 +409,7 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str) -> int:
     positions = _parse_sweep_grid(grid_spec)
     # every moved sensor is checked before sweep.csv is opened: a point on
     # the domain's edge, or a support pushed past it, is a usage error
-    try:
-        sensors = tuple(_moved(sensor, b) for b in positions)
-    except InputError as exc:
-        raise InputError(f"sweep grid {grid_spec!r}: {exc}") from None
+    sensors = _named(f"sweep grid {grid_spec!r}", lambda: tuple(map(sensor.moved, positions)))
 
     modes, state = config.state.modal()
     grid = config.time_grid()

@@ -939,7 +939,7 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
 # graded Gauss panels and E-product integrals (shared time-quadrature kit)
 
 
-def graded_panel_edges(horizon: float, panels: int = 64, floor: float = 1e-16):
+def graded_panel_edges(horizon: float, panels: int, floor: float):
     """Panel edges geometrically graded toward t = 0.
 
     The memory kernels and E_alpha(-lambda t^alpha) all have their
@@ -978,7 +978,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panels(edges, order: int = 16):
+def gauss_panels(edges, order: int):
     """Composite Gauss-Legendre nodes and weights over the given edges."""
     edges = np.asarray(edges, dtype=float)
     x, w = gauss_legendre(int(order))

@@ -174,6 +174,8 @@ class HumProblem:
             value = getattr(self, name)
             if not ok(value):
                 raise InputError(f"{name} must be {rule}, got {value}")
+        if any(s.dimension != self.dimension for s in self.sensors):
+            raise InputError(f"every sensor must have omega's dimension {self.dimension}")
 
     @property
     def dimension(self) -> int:
@@ -236,10 +238,6 @@ class GradientField:
     @property
     def dimension(self) -> int:
         return self.modes[0].dimension
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.modes)
 
     def component(self, axis: int) -> Callable[..., np.ndarray]:
         n = self.dimension

@@ -98,15 +98,6 @@ class GramDiagnostic:
         return cls(ev_min, ev_max, pd, cond)
 
 
-def _sensor_dimension(sensors: Sequence[Sensor]) -> int:
-    dims = set()
-    for s in sensors:
-        dims.add(len(s.location) if s.kind == "pointwise" else s.support.dimension)
-    if len(dims) != 1:
-        raise InputError(f"sensors mix domain dimensions {sorted(dims)}")
-    return dims.pop()
-
-
 def test_gradient_strategic(sensors: Sequence[Sensor], M: int) -> StrategicReport:
     """Rank test of the stacked per-group blocks [B_j^1 ... B_j^n].
 
@@ -119,7 +110,10 @@ def test_gradient_strategic(sensors: Sequence[Sensor], M: int) -> StrategicRepor
         raise InputError("at least one sensor is required")
     if M < 1:
         raise InputError(f"M must be >= 1, got {M}")
-    n = _sensor_dimension(sensors)
+    dims = {s.dimension for s in sensors}
+    if len(dims) != 1:
+        raise InputError(f"sensors mix domain dimensions {sorted(dims)}")
+    (n,) = dims
     modes = eigenpairs(SpatialDomain(n), M)
     # the axis-th partial of each mode, as seen by each sensor: the value at
     # its location, or the weighted integral over its support

@@ -183,7 +183,7 @@ class SpatialQuadrature:
     weights: tuple[np.ndarray, ...]
 
     @classmethod
-    def for_region(cls, region: Region, order: int = 32) -> "SpatialQuadrature":
+    def for_region(cls, region: Region, order: int) -> "SpatialQuadrature":
         if order < 1:
             raise InputError(f"order must be >= 1, got {order}")
         ref_x, ref_w = gauss_legendre(order)

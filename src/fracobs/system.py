@@ -46,15 +46,22 @@ CSV_ROWS = 4096
 # sensor kinds: a point reading at a location, or a weighted mean over a support
 SENSOR_KINDS = ("pointwise", "zonal")
 
-# zonal weights by name, each a factory of a scale; the fixed incommensurate
-# frequencies of trig_product, a weight of the square, keep it nonzero on any box
-ZONAL_WEIGHTS: dict[str, Callable[[float], Callable[..., np.ndarray]]] = {
-    "constant": lambda scale: lambda *xs: scale * np.ones_like(np.asarray(xs[0], dtype=float)),
-    "trig_product": lambda scale: lambda x, y: (
+
+def _trig_product(scale: float, support: Region) -> Callable[..., np.ndarray]:
+    if support.dimension != 2:
+        raise InputError(f"trig_product weighs the square, got dimension {support.dimension}")
+    return lambda x, y: (
         scale
         * np.cos(math.sqrt(3.0) * math.pi * np.asarray(x, dtype=float))
         * np.sin(math.sqrt(2.0) * math.pi * np.asarray(y, dtype=float))
-    ),
+    )
+
+
+# zonal weights by name, each a factory of a scale and the support it weighs;
+# the fixed incommensurate frequencies of trig_product keep it nonzero on any box
+ZONAL_WEIGHTS: dict[str, Callable[[float, Region], Callable[..., np.ndarray]]] = {
+    "constant": lambda scale, _: lambda *xs: scale * np.ones_like(np.asarray(xs[0], dtype=float)),
+    "trig_product": _trig_product,
 }
 
 
@@ -87,6 +94,17 @@ class Sensor:
     @classmethod
     def zonal(cls, support: Region, weight: Callable[..., np.ndarray]) -> "Sensor":
         return cls("zonal", support=support, weight=weight)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.location) if self.kind == "pointwise" else self.support.dimension
+
+    def moved(self, position: float) -> "Sensor":
+        """This 1-d sensor moved: the point itself, or the left edge keeping width and weight."""
+        if self.kind == "pointwise":
+            return Sensor.pointwise((position,))
+        width = self.support.upper[0] - self.support.lower[0]
+        return Sensor.zonal(Region((position,), (position + width,)), self.weight)
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,10 @@ class InitialState:
     dimension: int
     depth: int
     coefficients: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.kind in _CATALOG and self.dimension != 1:
+            raise InputError(f"{self.kind} lives on the interval, got dimension {self.dimension}")
 
     def modal(self) -> tuple[list[EigenMode], ModalState]:
         """The state's coefficients with the modes they are taken over."""

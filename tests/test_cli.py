@@ -885,6 +885,25 @@ def test_usage_error_exit_codes(tmp_path, capsys):
             assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 2, sensors
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith(f"usage error: config field {prefix}.kind is required"), line
+    # a value the model refuses is reported under the key that set it
+    point = "sensor.kind = pointwise\nsensor.location = 0.3"
+    zonal = "sensor.kind = zonal\nsensor.support.lo = {}\nsensor.support.hi = {}"
+    for key, body in (
+        ("solver.value", f"{point}\nsolver.value = nan"),
+        ("solver.value", f"{point}\nsolver.kind = none\nsolver.value = 1e-3"),
+        ("solver.value", f"{point}\nsolver.kind = truncated_svd"),
+        ("omega.lo/.hi", f"{point}\nomega.lo = 0.5\nomega.hi = 0.5"),
+        ("sensor.support.lo/.hi", zonal.format(0.2, 0.1)),
+        ("sensor.location", "sensor.kind = pointwise\nsensor.location = 1.0"),
+        # the catalogs' domain rules: poly_sq off the interval, trig_product off the square
+        ("state.kind", "domain.dim = 2\nsensor.kind = pointwise\nsensor.location = 0.3, 0.4\n"
+                       "state.kind = poly_sq"),
+        ("sensor.weight.kind", zonal.format(0.2, 0.4) + "\nsensor.weight.kind = trig_product"),
+    ):
+        config = write_config(tmp_path, f"alpha = 0.5\nhorizon = 1.0\n{body}\n", name="field.cfg")
+        assert cli.main(["check-strategic", "--config", config, "--out", str(tmp_path)]) == 2, body
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"usage error: config field {key}: "), line
 
 
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys):

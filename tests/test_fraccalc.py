@@ -794,19 +794,54 @@ def test_ibp_refinement_decreases():
     assert r2 <= r1 / 2.0 + 1e-12
 
 
-def test_ibp_row_blocks_match_one_block(monkeypatch):
-    # one block spanning every node reads every cell: the full (node, cell)
-    # sums. Smaller blocks skip the cells that end before their first node,
-    # whose terms are exactly zero, so only the summation order changes.
+def _ibp_by_double_sums(u, v, alpha, horizon):
+    """check_fractional_ibp with its node x cell sums written out in full.
+
+    Every node s is paired with every cell [a, b] through the exact cell
+    integrals of (t-s)_+^p and (t-s)_+^p (t-a), p = 1 - alpha, held as
+    dense (node, cell) matrices; the terms without such a sum follow the
+    package's formulas.
+    """
+    def pw(x, q):  # x**q on x > 0, else 0 (0**0 too)
+        x = np.maximum(x, 0.0)
+        return np.where(x > 0.0, np.power(x, q), 0.0)
+
+    n = u.size
+    tg = np.linspace(0.0, horizon, n)
+    a, b, h = tg[:-1], tg[1:], tg[1] - tg[0]
+    du, dv = np.diff(u) / h, np.diff(v) / h
+    p = 1.0 - alpha
+    s = tg[:, None]
+    start = np.maximum(a, s) - s  # where each cell's support begins, seen from s
+    j0 = (pw(b - s, p + 1.0) - pw(start, p + 1.0)) / (p + 1.0)
+    j1 = (pw(b - s, p + 2.0) - pw(start, p + 2.0)) / (p + 2.0) + (s - a) * j0
+    d0, d1 = j0[:-1] - j0[1:], j1[:-1] - j1[1:]
+    lhs = du @ np.sum(v[:-1] * d0 + dv * d1, axis=1) / math.gamma(2.0 - alpha)
+    rdi = np.sum(dv * (pw(b - s, p) - pw(start, p)), axis=1) / math.gamma(2.0 - alpha)
+    if alpha == 1.0:
+        rdi[-1] = dv[-1]
+    q0, q1 = rdi[:-1], rdi[1:]
+    main = -np.sum(h / 6.0 * (2 * u[:-1] * q0 + u[:-1] * q1 + u[1:] * q0 + 2 * u[1:] * q1))
+    if alpha == 1.0:
+        return abs(lhs - (main + u[-1] * v[-1] - u[0] * v[0]))
+    i0 = (pw(horizon - a, p) - pw(horizon - b, p)) / p
+    i1 = (horizon - a) * i0 - (pw(horizon - a, p + 1.0) - pw(horizon - b, p + 1.0)) / (p + 1.0)
+    sing = v[-1] / math.gamma(p) * np.sum(u[:-1] * i0 + du * i1)
+    i0 = (pw(b, p) - pw(a, p)) / p
+    i1 = (pw(b, p + 1.0) - pw(a, p + 1.0)) / (p + 1.0) - a * i0
+    iv0 = np.sum(v[:-1] * i0 + dv * i1) / math.gamma(p)
+    return abs(lhs - (main + sing - u[0] * iv0))
+
+
+def test_ibp_matches_direct_double_sums():
+    # the package forms each node x cell sum as a correlation with an
+    # offset kernel; the same sums written out cell by cell must agree
     t = np.linspace(0.0, 1.0, 601)
     cases = [(np.sin(t), np.cos(t), 0.7), (t * t, 1.0 - t, 0.5), (t, t, 1.0),
              (np.exp(t), t**3, 0.3)]
-    monkeypatch.setattr(fc, "_CAPUTO_ROWS", t.size)
-    ref = np.array([fc.check_fractional_ibp(u, v, a, 1.0) for u, v, a in cases])
-    for rows in (256, 7, 1):
-        monkeypatch.setattr(fc, "_CAPUTO_ROWS", rows)
-        got = np.array([fc.check_fractional_ibp(u, v, a, 1.0) for u, v, a in cases])
-        assert np.max(np.abs(got - ref)) <= 1e-13, rows
+    for u, v, a in cases:
+        got = fc.check_fractional_ibp(u, v, a, 1.0)
+        assert abs(got - _ibp_by_double_sums(u, v, a, 1.0)) <= 1e-13, a
 
 
 def test_ibp_memory_is_linear_in_the_samples():
@@ -835,7 +870,7 @@ def test_ibp_input_validation():
 
 
 def test_graded_panels_cover_horizon():
-    edges = fc.graded_panel_edges(2.0, 64)
+    edges = fc.graded_panel_edges(2.0, 64, 1e-16)
     assert edges[0] == 0.0
     assert edges[-1] == pytest.approx(2.0)
     assert np.all(np.diff(edges) > 0)

@@ -96,6 +96,12 @@ def test_problem_validation():
             HumProblem(3, FULL, sensors, 0.5, 1.0, epsilon=eps)
     with pytest.raises(InputError):
         HumProblem(3, FULL, sensors, 0.5, 1.0, max_iterations=0)
+    # a sensor off omega's dimension is refused when the problem is built,
+    # not later by mode_table
+    for sensor in (Sensor.pointwise((0.3, 0.4)),
+                   Sensor.zonal(Region((0.1, 0.1), (0.4, 0.4)), lambda x, y: x + y)):
+        with pytest.raises(InputError, match="dimension"):
+            HumProblem(4, FULL, (sensor,), 0.5, 1.0)
 
 
 def unit_field(i, M, n):
@@ -553,7 +559,7 @@ def test_reconstruct_escalates_until_span_is_reached():
     coeffs = np.random.default_rng(7).standard_normal(6)
     result = reconstruct(problem, in_span_state(wide, coeffs))
     assert result.iterations == 3
-    assert result.field.mode_count == 6
+    assert len(result.field.modes) == 6
     assert result.residual <= 1e-6
     assert result.residual_history[0] > result.residual_history[-1]
 

@@ -181,8 +181,8 @@ def test_mode_table_matches_closed_form_and_shape_contract():
 
 
 def _region_pairing(f, g, region):
-    """int_region f g by the region's default tensor rule, SpatialQuadrature.flat()."""
-    pts, w = sp.SpatialQuadrature.for_region(region).flat()
+    """int_region f g by a tensor rule of order 32 per axis, SpatialQuadrature.flat()."""
+    pts, w = sp.SpatialQuadrature.for_region(region, 32).flat()
     return float(np.sum(w * f(*pts) * g(*pts)))
 
 

@@ -63,6 +63,27 @@ def test_sensor_validation():
         fs.Sensor("gaussian", location=(0.5,))
 
 
+def test_catalog_states_refuse_the_square():
+    # both catalog states live on the interval: on the square their
+    # coefficients would land on 2-d modes, with a one-component gradient
+    for kind in ("poly_sq", "trig_sq"):
+        with pytest.raises(InputError, match=kind):
+            fs.InitialState(kind, 2, 6)
+    assert len(fs.InitialState("zero", 2, 6).gradient()) == 2
+
+
+def test_trig_product_weight_refuses_an_interval_support():
+    # the catalog refuses the weight itself, before any functional is built
+    interval, square = sp.Region((0.1,), (0.4,)), sp.Region((0.1, 0.2), (0.4, 0.6))
+    with pytest.raises(InputError, match="trig_product"):
+        fs.ZONAL_WEIGHTS["trig_product"](1.0, interval)
+    weight = fs.ZONAL_WEIGHTS["trig_product"](2.0, square)
+    expected = 2.0 * math.cos(math.sqrt(3.0) * PI * 0.3) * math.sin(math.sqrt(2.0) * PI * 0.5)
+    assert weight(0.3, 0.5) == pytest.approx(expected, rel=1e-15)
+    for support in (interval, square):
+        assert fs.ZONAL_WEIGHTS["constant"](3.0, support)(*support.lower) == 3.0
+
+
 def test_project_poly_squared_first_coefficient():
     # oracle: dense trapezoid of int (y(1-y))^2 sqrt(2) sin(pi y) dy,
     # cross-checked against the closed form 4*sqrt(2)*(12 - pi^2)/pi^5
