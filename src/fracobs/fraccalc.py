@@ -1,7 +1,8 @@
 """Fractional calculus on sampled time grids.
 
-Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, the
-one evaluator of decay tables E_alpha(-lam t^alpha) with its memo and its
+Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, by
+one fixed Bromwich contour (a spectral rule near alpha = 1), the one
+evaluator of decay tables E_alpha(-lam t^alpha) with its memo and its
 table-free product with a weight matrix, Caputo derivatives of sampled
 data, and a residual check for the fractional integration-by-parts
 identity.
@@ -54,10 +55,11 @@ def _check_alpha(alpha: float) -> float:
 # work memory
 #
 # The blocked kernels size their work arrays in float64 entries. An E_alpha
-# work matrix (the series' Horner rows, the spectral rule's nodes x points)
-# stays within _SCRATCH_DOUBLES, 1 MB, which a core's L2 cache holds; both
-# rules are pointwise, so the blocking moves no value. The L1 pass of
-# caputo_values holds one buffer of at most _CAPUTO_DOUBLES, 8 MB.
+# work buffer (the contour's two nodes x points matrices, the spectral
+# rule's nodes x points) stays within _SCRATCH_DOUBLES, 1 MB, which a core's
+# L2 cache holds; both rules are pointwise, so the blocking moves no value.
+# The L1 pass of caputo_values holds one buffer of at most _CAPUTO_DOUBLES,
+# 8 MB.
 
 _SCRATCH_DOUBLES = 1 << 17
 _CAPUTO_DOUBLES = 1 << 20
@@ -139,16 +141,11 @@ def _powv(x: np.ndarray, p: float) -> np.ndarray:
 # special functions
 #
 # Gamma values are scalars (math.gamma; every Gamma(1 - alpha) is taken
-# with alpha < 1, away from its pole). Beyond them the package needs log
-# Gamma over arrays and one regularized incomplete beta, both below.
+# with alpha < 1, away from its pole). Beyond them the package needs one
+# regularized incomplete beta, below.
 
 _BETA_TERMS = 100    # continued-fraction steps before a point counts as failed
 _BETA_TOL = 1e-15    # a point leaves once a step changes its value by less
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    """log|Gamma(x)| over a 1-d array, one math.lgamma call per entry."""
-    return np.array([math.lgamma(v) for v in x.tolist()])
 
 
 def _beta_fraction(a: float, y: np.ndarray) -> np.ndarray:
@@ -216,27 +213,21 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Mittag-Leffler evaluation
 #
-# Each value of E_alpha(-x), x >= 0, comes from exactly one regime:
-#   asymptotic  x >= _ASYM_SWITCH, x at or past the floor below which the
-#               route cannot succeed (_asym_floor), and the expansion meets
-#               _ASYM_ACCEPT before its terms start to grow (the loop drops
-#               a point as soon as they do); each term's envelope is the
-#               last one times a per-term ratio over x;
-#   series      the float power series, where it loses at most
-#               _SERIES_DIGITS decimal digits to cancellation; its even and
-#               odd terms are two polynomials in x^2 (more, in a higher power
-#               of x, below alpha = 0.014), summed by Horner's rule;
-#   spectral    the cancellation gap between them: a trapezoid rule on the
-#               positive spectral integral, where nothing cancels.
-# Transcendentals are taken once per coefficient or node and once per point,
-# never once per term of a point.
+# E_alpha(-x), x >= 0, is the Bromwich integral
+#     E_alpha(-x) = (1 / 2 pi i) int e^s s^(alpha-1) / (s^alpha + x) ds,
+# the inverse Laplace transform of s^(alpha-1) / (s^alpha + x) at t = 1. For
+# alpha < 1 its integrand has no pole on the principal sheet, only the cut
+# s <= 0, so every point takes one fixed contour around the cut (_contour).
+# A point whose estimate fails _CONTOUR_ACCEPT takes the spectral rule
+# instead, which cancels nothing; that happens only close to alpha = 1,
+# where E_alpha(-x) falls like exp(-x) and the contour's terms, which fall
+# like 1 / x, cancel. The contour takes its transcendentals once per node
+# and order, none per point.
 
-_ASYM_SWITCH = 2.0     # x below which the asymptotic route is never tried
-_ASYM_ACCEPT = 5e-13   # relative truncation estimate the route must beat
-_ASYM_TERMS = 180
-_SERIES_DIGITS = 3.6   # worst-case cancellation the float series tolerates
-_SERIES_SPAN = 56.0    # alpha*k past which the series' terms are negligible
-_GAMMA_MIN = 0.8856    # Gamma on [1, inf) stays above this
+_CONTOUR_NODES = 32      # midpoint nodes on the parabola, in conjugate pairs
+_CONTOUR_ROUNDING = 8.0  # the estimate is this many eps of the terms' sum
+_CONTOUR_ACCEPT = 1e-11  # relative estimate the contour must beat
+_X_FAR = 1e150           # x past which E_alpha(-x) is E_alpha(-X) X / x, X this
 _GAP_STEPS = 10.0      # trapezoid steps per half-width of the analytic strip
 _GAP_TAIL = 1e-17      # relative mass the truncated u-range may leave out
 _GAP_CUT = 60.0        # nodes end where x^(1/alpha) e^u exceeds this
@@ -244,92 +235,35 @@ _GAP_NODES = 1 << 22   # node cap; reached only for alpha below about 6e-5
 _GAP_CHUNK = 1 << 16   # nodes built at a time
 _LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
 _VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
-_BATCH_BLOCK = 40000   # points per mlf_values chunk
-_REGIMES = ("series", "asymptotic", "spectral")
+_BATCH_BLOCK = 40000   # points per row block of a decay table
+_REGIMES = ("contour", "spectral")
 
 
 @dataclass(frozen=True)
 class MlfEvalReport:
     """Outcome of one E_alpha evaluation.
 
-    regime is one of three routes:
-      "series"      the power series in float arithmetic, used where it
-                    loses at most _SERIES_DIGITS decimal digits to
-                    cancellation; its even and odd terms are summed by
-                    Horner's rule in z^2; terms_used counts its terms;
-      "asymptotic"  the large-argument expansion, tried from
-                    |z| = max(2, _asym_floor(alpha)) on and summed term
-                    by term, each envelope carried from the last by
-                    recurrence, until the envelope of the first omitted
-                    term is within 5e-13 of the sum; terms_used counts its
-                    terms;
-      "spectral"    the cancellation gap between the two: a trapezoid rule
-                    on the positive spectral integral
-                    E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr,
-                    in a variable that flattens the kernel's peak at r = 1
-                    (see _spectral_neg); terms_used counts its nodes.
+    regime is one of two routes:
+      "contour"   the midpoint rule on a fixed parabolic contour of the
+                  Bromwich integral (see _contour); terms_used counts its
+                  conjugate-pair terms, 16;
+      "spectral"  a trapezoid rule on the positive spectral integral
+                  E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr,
+                  in a variable that flattens the kernel's peak at r = 1
+                  (see _spectral_neg), for the points near alpha = 1 whose
+                  contour estimate fails; terms_used counts its nodes.
+    At alpha = 1 the value is exp(z), reported as "contour" with one term.
     est_error is a relative truncation/rounding estimate, not a guaranteed
-    bound. For "spectral" it is the relative gap between the rules of step
-    h and 2h (every other node), which is the 2h rule's error and so
-    overstates that of the h rule returned.
+    bound. For "contour" it is _CONTOUR_ROUNDING eps times the sum of the
+    terms' magnitudes over the value. For "spectral" it is the relative gap
+    between the rules of step h and 2h (every other node), which is the 2h
+    rule's error and so overstates that of the h rule returned.
     """
 
     value: float
     regime: str
     terms_used: int
     est_error: float
-
-
-def _asym_neg(alpha: float, x: np.ndarray):
-    """Asymptotic series of E_alpha(-x) for x >= 2, summed term by term.
-
-    E_alpha(-x) ~ sum_{k>=1} (-1)^{k+1} x^{-k} / Gamma(1 - k*alpha); the
-    reciprocal Gamma is evaluated through the reflection formula
-    sin(pi k alpha) Gamma(k alpha) / pi, which has no poles. So term k is
-    (-1)^(k+1) sin(pi k alpha) env_k, with the envelope
-    env_k = Gamma(k alpha) x^-k / pi carried by recurrence: env_(k+1) is
-    env_k times the per-term ratio Gamma((k+1) alpha) / Gamma(k alpha),
-    over x. The estimate after k terms is env_(k+1), the envelope of the
-    first omitted term: near alpha = 1 the factor sin(pi k alpha) makes a
-    run of terms small without shrinking the exponentially small
-    remainder, so the terms themselves would understate it. A point is
-    accepted, and leaves the loop, once the estimate is within
-    _ASYM_ACCEPT of its partial sum. The series diverges and the envelope
-    is log-convex in k, so a point whose envelope grows before that is
-    rejected; the points that stay have non-increasing envelopes, so the
-    recurrence cannot overflow. Returns (values, relative estimates, terms
-    used, accepted).
-    """
-    k = np.arange(1.0, _ASYM_TERMS + 2.0)
-    ka = k * alpha
-    coef = np.sin(np.pi * ka) * (-1.0) ** (k + 1.0)
-    lenv = _lgamma(ka) - math.log(math.pi)
-    dl = np.diff(lenv)  # log(env_(k+1) x / env_k)
-    ratio = np.exp(dl)
-    vals = np.zeros_like(x)
-    rel = np.full_like(x, np.inf)
-    used = np.zeros(x.shape, dtype=int)
-    accepted = np.zeros(x.shape, dtype=bool)
-    act = np.arange(x.size)
-    lx = np.log(x)
-    env = np.exp(lenv[0] - lx)
-    total = np.zeros_like(x)
-    for j in range(_ASYM_TERMS):
-        total += coef[j] * env
-        env *= ratio[j]
-        env /= x
-        ok = env <= _ASYM_ACCEPT * np.abs(total)
-        done = act[ok]
-        vals[done] = total[ok]
-        rel[done] = env[ok] / np.abs(total[ok])
-        used[done] = j + 1
-        accepted[done] = True
-        keep = ~ok & (dl[j] <= lx)
-        if not keep.any():
-            break
-        if not keep.all():
-            act, x, lx, env, total = act[keep], x[keep], lx[keep], env[keep], total[keep]
-    return vals, rel, used, accepted
 
 
 def _log_lower(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -346,25 +280,6 @@ def _log_lower(alpha: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _series_digits(alpha: float, x: np.ndarray) -> np.ndarray:
-    """Decimal digits the power series of E_alpha(-x) loses to cancellation.
-
-    Its terms add up in magnitude to E_alpha(x), which is at most
-    exp(x^(1/alpha)) / alpha and, for x < 1, at most 1 / (_GAMMA_MIN (1 - x));
-    _log_lower bounds E_alpha(-x) from below. So rounding costs at most the
-    log10 of their ratio.
-    """
-    x = np.asarray(x, dtype=float)
-    # at very small alpha x^(1/alpha) overflows to inf: no series then
-    with np.errstate(over="ignore"):
-        s = x ** (1.0 / alpha)
-    labs = np.minimum(
-        s - math.log(alpha),
-        -np.log(_GAMMA_MIN * np.maximum(1.0 - x, 1e-300)),
-    )
-    return (labs - _log_lower(alpha, x)) / math.log(10.0)
-
-
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
     """Column sums of a 2-d array, added row after row.
 
@@ -378,53 +293,71 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
     return a[-1]
 
 
-def _series_neg(alpha: float, x: np.ndarray):
-    """Float power series sum_k (-x)^k / Gamma(1 + k alpha), by Horner's rule.
+@functools.lru_cache(maxsize=16)
+def _contour(alpha: float) -> tuple[np.ndarray, ...]:
+    """The contour rule's coefficients at this alpha, one row per node pair.
 
-    Used only where _series_digits stays small, so x^(1/alpha) <= 8.3 and
-    the terms past alpha*k = _SERIES_SPAN are below 1e-22. With
-    c_k = 1 / Gamma(1 + k alpha), taken once per call, the even and the
-    odd terms are two polynomials in y = x^2 with positive coefficients,
-        even = sum_m c_2m y^m,    odd = x sum_m c_(2m+1) y^m,
-    evaluated side by side by Horner's rule; the value is even - odd.
-    Below alpha = 0.014 (from 4096 terms on) the terms are split into more
-    interleaved polynomials, `stride` of them in x^stride, so that the
-    Horner steps stay below about 16 sqrt(K) however many terms K there
-    are; term class r is scaled by x^r and added into the even or the odd
-    sum. Every point takes the same terms and the rule is pointwise, so a
-    value does not depend on the other points, and the work is 2 * stride
-    rows of the batch's size, within _SCRATCH_DOUBLES. The estimate is the
-    rounding of the sum, eps * (even + odd) / |value|. Returns (values,
-    relative estimates, terms used).
+    The parabola s(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta),
+    N = _CONTOUR_NODES, with the midpoint rule in theta on (-pi, pi), is
+    the one Weideman & Trefethen (Math. Comp. 76 (2007) 1341) balance for
+    t = 1; its discretization error falls like exp(-pi N / 3), and the
+    contour does not depend on x. The integrand at conj(s) is the
+    conjugate of that at s, so the nodes pair up and
+        E_alpha(-x) = sum_j Re c_j / (d_j + x)
+    over the pairs, theta_j > 0 increasing, with
+        c_j = e^(s_j) s_j^(alpha-1) s'(theta_j) 2 / (i N),   d_j = s_j^alpha.
+    Since Re c / (d + x) = (Re c (Re d + x) + Im c Im d) / ((Re d + x)^2
+    + (Im d)^2), the columns returned are Re d, (Im d)^2, Re c and
+    Im c Im d, each read-only of shape (pairs, 1). Computed once per alpha.
     """
-    k = np.arange(0.0, math.ceil(_SERIES_SPAN / alpha) + 1.0)
-    stride = 2 * max(1, math.isqrt(k.size) // 32)
-    # c_(stride m + r), r along a row, from the highest m down; zeros pad
-    coef = np.zeros(-(-k.size // stride) * stride)
-    coef[: k.size] = np.exp(-_lgamma(1.0 + alpha * k))
-    rows = coef.reshape(-1, stride)[::-1, :, None]
-    vals = np.empty_like(x)
-    rel = np.empty_like(x)
-    step = max(1, _SCRATCH_DOUBLES // (2 * stride))
-    for lo in range(0, x.size, step):
-        xs = x[lo : lo + step]
-        power = np.empty((stride, xs.size))  # x^1 .. x^stride
-        power[...] = xs
-        np.multiply.accumulate(power, axis=0, out=power)
-        acc = np.empty((stride, xs.size))
-        acc[...] = rows[0]
-        for c in rows[1:]:
-            acc *= power[-1]
-            acc += c
-        acc[1:] *= power[:-1]
-        even, odd = acc[0], acc[1]
-        for r in range(2, stride):
-            acc[r % 2] += acc[r]
-        np.subtract(even, odd, out=vals[lo : lo + step])
-        even += odd
-        np.divide(even, np.abs(vals[lo : lo + step], out=odd), out=rel[lo : lo + step])
-    rel *= np.finfo(float).eps
-    return vals, rel, np.full(x.shape, k.size)
+    n = _CONTOUR_NODES
+    theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
+    s = n * (0.1309 - 0.1194 * theta**2 + 0.25j * theta)
+    ds = n * (-0.2388 * theta + 0.25j)
+    c = np.exp(s) * s ** (alpha - 1.0) * ds * (2.0 / (1j * n))
+    d = s**alpha
+    columns = np.stack((d.real, d.imag**2, c.real, c.imag * d.imag))[:, :, None]
+    columns.flags.writeable = False
+    return tuple(columns)
+
+
+def _contour_blocks(alpha: float, z: np.ndarray):
+    """Yield (rows, values, relative estimates) of E_alpha(z), z <= 0, by the contour.
+
+    The rule of _contour, in blocks of points whose two pairs x points work
+    matrices are carved from one buffer of _SCRATCH_DOUBLES, allocated once
+    per call; a block's arrays are valid until the next is asked for. Every
+    point takes the same terms, formed in real arithmetic and added in node
+    order by _ordered_sum, so its value depends on its own point alone. The
+    estimate is _CONTOUR_ROUNDING eps times the sum of the terms' magnitudes
+    over the value's: small where nothing cancels, large as alpha nears 1
+    and -z grows. Past -z = _X_FAR = X, where (Re d - z)^2 would
+    soon overflow, the value is E_alpha(-X) X / -z with X's estimate: the
+    expansion of E_alpha(-x) in powers of 1 / x makes that exact within
+    1 / X relative. z = 0 gives exactly 1.
+    """
+    dr, di2, cr, cidi = _contour(alpha)
+    step = _SCRATCH_DOUBLES // (2 * dr.size)
+    work = np.empty((2, dr.size, min(step, z.size)))
+    for lo in range(0, z.size, step):
+        zs = z[lo : lo + step]
+        beyond = zs < -_X_FAR
+        terms, size = work[:, :, : zs.size]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(dr, np.maximum(zs, -_X_FAR), out=terms)
+            np.multiply(terms, terms, out=size)
+            size += di2
+            terms *= cr
+            terms += cidi
+            terms /= size
+            np.abs(terms, out=size)
+            rel = _ordered_sum(size)
+            vals = _ordered_sum(terms)
+            rel /= np.abs(vals)
+        rel *= _CONTOUR_ROUNDING * np.finfo(float).eps
+        vals[zs == 0.0] = 1.0
+        vals[beyond] *= _X_FAR / -zs[beyond]
+        yield slice(lo, lo + step), vals, rel
 
 
 def _spectral_neg(alpha: float, x: np.ndarray):
@@ -461,8 +394,8 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     terms are summed by _ordered_sum, the even and the odd nodes apart
     (the even ones alone give the 2h rule), so its value does not depend
     on the other points. Raises AccuracyError when a point would need more
-    than _GAP_NODES nodes or s overflows, which happens only for alpha
-    below about 5e-4.
+    than _GAP_NODES nodes or s passes exp(_LOG_S_MAX), which the router's
+    points, all near alpha = 1 and at most _X_FAR, never do.
     Returns (values, relative estimates, nodes used).
     """
     theta = (1.0 - alpha) * math.pi
@@ -518,73 +451,24 @@ def _spectral_neg(alpha: float, x: np.ndarray):
     return rules[0], rel, used
 
 
-@functools.lru_cache(maxsize=16)
-def _asym_floor(alpha: float) -> float:
-    """An x below which _asym_neg accepts no point at this alpha.
-
-    The loop carries a point into step m only while its envelopes have not
-    grown, so after m terms its partial sum is at most
-    S_m = sum_(k<=m) |sin(pi k alpha)| env_k, and acceptance needs
-    env_(m+1) <= _ASYM_ACCEPT S_m for an m no later than the step where
-    the envelope first grows. Each ratio
-        S_m / env_(m+1) = sum_(k<=m) |sin(pi k alpha)| Gamma(k alpha)
-                          x^(m+1-k) / Gamma((m+1) alpha)
-    grows with x, and so does the range of m, so the x from which some m
-    passes is found by bisection; no alpha passes at x = 1, where no
-    envelope falls by 12 decades within _ASYM_TERMS terms. The floor is
-    that x less 1e-6 relative for rounding, which the loop's own rounding
-    (about 1e-12) cannot cross: 2.70 at alpha = 0.3, 5.35 at 0.5, 17.87 at
-    0.84, within 0.5% of the smallest x the loop accepts at each. It is
-    computed once per alpha, in about a millisecond.
-    """
-    k = np.arange(1.0, _ASYM_TERMS + 2.0)
-    lenv = _lgamma(k * alpha)  # log(pi x^k env_k)
-    dl = np.diff(lenv)  # increasing in k: Gamma is log-convex
-    size = np.abs(np.sin(np.pi * k * alpha))
-
-    def passes(x: float) -> bool:
-        lx = math.log(x)
-        # steps a point at x can take: up to the first whose envelope grows
-        m = min(int(np.searchsorted(dl, lx, side="right")) + 1, _ASYM_TERMS)
-        env = np.exp(lenv[: m + 1] - lenv[0] - (k[: m + 1] - 1.0) * lx)  # env_k / env_1
-        return bool(np.any(env[1:] <= _ASYM_ACCEPT * np.cumsum(size[:m] * env[:m])))
-
-    lo, hi = 1.0, 2.0
-    while not passes(hi):
-        lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-7 * lo:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    return (1.0 - 1e-6) * lo
-
-
 def _route_neg(alpha: float, x: np.ndarray):
-    """E_alpha(-x) for x >= 0, each point evaluated by one regime.
+    """E_alpha(-x) for x >= 0: the contour rule, and the spectral rule where it fails.
 
     Returns (values, relative estimates, terms used, regime indices into
     _REGIMES).
     """
     vals = np.empty_like(x)
     rel = np.empty_like(x)
-    used = np.empty(x.shape, dtype=int)
+    for rows, v, r in _contour_blocks(alpha, -x):
+        vals[rows], rel[rows] = v, r
+    used = np.full(x.shape, _CONTOUR_NODES // 2)
     regime = np.zeros(x.shape, dtype=int)
-    rest = np.ones(x.shape, dtype=bool)
-    big = np.flatnonzero(x >= max(_ASYM_SWITCH, _asym_floor(alpha)))
-    if big.size:
-        v, e, t, ok = _asym_neg(alpha, x[big])
-        won = big[ok]
-        vals[won], rel[won], used[won] = v[ok], e[ok], t[ok]
-        regime[won] = 1
-        rest[won] = False
-    rest = np.flatnonzero(rest)
-    ser = _series_digits(alpha, x[rest]) <= _SERIES_DIGITS
-    for idx, route, code in (
-        (rest[ser], _series_neg, 0),
-        (rest[~ser], _spectral_neg, 2),
-    ):
-        if idx.size:
-            vals[idx], rel[idx], used[idx] = route(alpha, x[idx])
-            regime[idx] = code
+    far = np.flatnonzero(~(rel <= _CONTOUR_ACCEPT))
+    if far.size:
+        near = np.minimum(x[far], _X_FAR)  # as the contour takes them
+        vals[far], rel[far], used[far] = _spectral_neg(alpha, near)
+        vals[far] *= near / x[far]
+        regime[far] = 1
     return vals, rel, used, regime
 
 
@@ -628,11 +512,16 @@ def mlf_values(alpha: float, z) -> np.ndarray:
     """E_alpha(z) over an array of arguments z <= 0 (no per-point reports).
 
     Fast path for the forward maps: one exp pass at alpha = 1, otherwise
-    the same router as mlf(). Each value depends on its own argument alone,
-    not on the other points of the call, which decay_table() relies on.
-    Work is chunked to bound peak memory. Raises DomainError as mlf() does,
-    and AccuracyError like mlf(), with the first failing point's report, if
-    an estimate exceeds 1e-9.
+    the router of mlf(), taken in two passes. The contour runs over every
+    point block by block, straight into the result, and sets aside the
+    points whose estimate fails _CONTOUR_ACCEPT; those alone then take the
+    whole router. So work memory is the contour's one buffer, whatever the
+    call's size, and nothing the call's size is allocated beside the
+    result. Each value depends on its own argument alone, not on the other
+    points of the call, which decay_table() relies on. Raises DomainError
+    as mlf() does, and AccuracyError like mlf(), with the first failing
+    point's report, if an estimate exceeds 1e-9; an accepted contour
+    estimate is within _CONTOUR_ACCEPT, below that.
     """
     alpha = _check_alpha(alpha)
     z = _check_arguments(z)
@@ -640,9 +529,14 @@ def mlf_values(alpha: float, z) -> np.ndarray:
     out = np.empty_like(flat)
     if alpha == 1.0:
         np.exp(flat, out=out)
-    else:
-        for lo in range(0, flat.size, _BATCH_BLOCK):
-            out[lo : lo + _BATCH_BLOCK] = _accepted(alpha, flat[lo : lo + _BATCH_BLOCK], _VALUES_TOL)[0]
+        return out.reshape(z.shape)
+    far = [np.empty(0, dtype=int)]
+    for rows, vals, rel in _contour_blocks(alpha, flat):
+        out[rows] = vals
+        far.append(np.flatnonzero(~(rel <= _CONTOUR_ACCEPT)) + rows.start)
+    far = np.concatenate(far)
+    if far.size:
+        out[far] = _accepted(alpha, flat[far], _VALUES_TOL)[0]
     return out.reshape(z.shape)
 
 

@@ -149,8 +149,14 @@ class InitialState:
     coefficients: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.kind not in STATE_KINDS:
+            raise InputError(f"unknown state kind {self.kind!r}")
         if self.kind in _CATALOG and self.dimension != 1:
             raise InputError(f"{self.kind} lives on the interval, got dimension {self.dimension}")
+        if self.kind != "coefficients" and self.coefficients:
+            raise InputError(f"a {self.kind} state takes no coefficients")
+        if self.kind == "coefficients" and len(self.coefficients) != self.depth:
+            raise InputError(f"{len(self.coefficients)} coefficients for depth {self.depth}")
 
     def modal(self) -> tuple[list[EigenMode], ModalState]:
         """The state's coefficients with the modes they are taken over."""

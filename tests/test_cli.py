@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import resource
 import shutil
 import subprocess
 import sys
@@ -220,6 +221,42 @@ def test_simulate_multi_sensor_channels(tmp_path):
     rows = read_rows(tmp_path / "measurements.csv")
     assert rows[0] == ["t", "z1", "z2"]
     assert any(float(row[2]) != 0.0 for row in rows[1:])
+
+
+def _capped_address_space():
+    cap = 3 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_simulate_at_a_tiny_order(tmp_path):
+    # the run is capped at 3 GB of address space, so that a rule whose work
+    # grows like 1 / alpha fails fast instead of exhausting memory. For
+    # t > 0, t^alpha is 1 within 4e-6 on this grid and E_alpha(-lam) is
+    # 1 / (1 + lam) within about 1e-6 relative (Simon's bounds), so the
+    # record is flat in t
+    config = write_config(tmp_path, """
+        alpha = 1e-6
+        horizon = 1.0
+        modes = 4
+        sensor.kind = pointwise
+        sensor.location = 0.3
+        state.kind = coefficients
+        state.coefficients = 0.1, 0.05, -0.02, 0.01
+        time.samples = 33
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracobs.cli", "simulate",
+         "--config", config, "--out", str(tmp_path)],
+        capture_output=True, text=True, preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = np.array(read_rows(tmp_path / "measurements.csv")[1:], dtype=float)
+    k = np.arange(1.0, 5.0)
+    phi = math.sqrt(2.0) * np.sin(k * math.pi * 0.3)
+    coefficients = np.array([0.1, 0.05, -0.02, 0.01])
+    assert rows[0, 1] == pytest.approx(phi @ coefficients, rel=1e-14)
+    flat = phi @ (coefficients / (1.0 + (k * math.pi) ** 2))
+    assert np.max(np.abs(rows[1:, 1] - flat)) <= 1e-5 * abs(flat)
 
 
 def test_simulate_noisy_reruns_are_byte_identical(tmp_path):

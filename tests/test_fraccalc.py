@@ -6,6 +6,7 @@ asserted against a number that was not derived here or in a pinned
 identity.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -16,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
-from scipy.optimize import brentq
-from scipy.special import betainc, erfcx, gamma, gammaln
+from scipy.special import betainc, erfcx, gamma
 
 from fracobs import fraccalc as fc
 from fracobs.errors import AccuracyError, DomainError, InputError
@@ -99,16 +99,6 @@ def test_incomplete_beta_unconverged_point_raises(monkeypatch):
         fc._beta_reflected(0.5, np.array([0.0, 0.3]))
 
 
-def test_lgamma_matches_scipy():
-    # the arguments of the E_alpha coefficient tables: k alpha and 1 + k alpha
-    k = np.arange(0.0, 2001.0)
-    x = np.concatenate([k[1:] * a for a in BETA_ALPHAS] + [1.0 + k * a for a in BETA_ALPHAS])
-    ref = gammaln(x)
-    # relative to max(|lgamma|, 1): lgamma crosses zero at 1 and 2, and the
-    # tables exponentiate it, so its absolute error is what they feel there
-    assert np.max(np.abs(fc._lgamma(x) - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-14
-
-
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 
@@ -131,7 +121,7 @@ def test_mlf_half_at_minus_one():
     rep = fc.mlf(0.5, -1.0)
     assert rep.value == pytest.approx(erfcx(1.0), rel=1e-12)
     assert rep.value == pytest.approx(0.42758357615580700, rel=1e-9)
-    assert rep.regime == "series"
+    assert rep.regime == "contour"
     assert rep.terms_used > 1
     assert rep.est_error <= 1e-12
 
@@ -143,7 +133,7 @@ def test_mlf_alpha_one_matches_exp():
 
 
 def test_mlf_half_matches_erfcx_identity():
-    # E_{1/2}(-x) = e^{x^2} erfc(x), over both the series and asym regimes
+    # E_{1/2}(-x) = e^{x^2} erfc(x), from x = 0 to 1e4
     x = np.concatenate([np.linspace(0.0, 5.0, 101), np.logspace(0.8, 4, 80)])
     vals = fc.mlf_values(0.5, -x)
     assert np.max(np.abs(vals - erfcx(x)) / erfcx(x)) < 1e-10
@@ -222,13 +212,6 @@ def test_mlf_est_error_inside_switch_radius():
     assert worst <= 1e-12
 
 
-def test_mlf_asymptotic_regime_label():
-    rep = fc.mlf(0.84, -100.0)
-    assert rep.regime == "asymptotic"
-    rep = fc.mlf(0.84, -0.5)
-    assert rep.regime == "series"
-
-
 def test_mlf_complete_monotonicity_and_bound():
     # alpha = 1 is excluded: exp(-x) underflows to 0 before x = 1e4
     xs = np.concatenate([[0.0], np.logspace(-3, 4, 400)])
@@ -294,26 +277,45 @@ def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
             fc.mlf(alpha, -x, tolerance=1e-30)
         assert exc.value.report is not None
         assert exc.value.report.value == pytest.approx(w, rel=1e-9)
-    # the tangent bound exp(-x / Gamma(1 + alpha)) keeps x = 2 on the series
-    assert fc.mlf(alpha, -2.0).regime == "series"
-    assert [fc.mlf(alpha, -x).regime for x in (9.0, 15.0, 30.0)] == ["spectral"] * 3
+    # the contour takes x up to 6; past 9 its terms cancel from alpha = 0.999 on
+    assert {fc.mlf(alpha, -x).regime for x in (0.5, 2.0, 6.0)} == {"contour"}
+    far = "contour" if alpha == 0.99 else "spectral"
+    assert [fc.mlf(alpha, -x).regime for x in (9.0, 15.0, 30.0)] == [far] * 3
 
 
 def test_mlf_tiny_alpha_within_simon_bounds_or_refused():
-    # 1/(1 + Gamma(1-a) x) <= E_a(-x) <= 1/(1 + x/Gamma(1+a)), a tight bracket
-    # at a = 1e-4; where the spectral rule would need too many nodes, or
-    # x^(1/a) overflows, the evaluation is refused rather than guessed
-    a = 1e-4
-    for x in (0.0, 0.5, 0.999, 0.99999, 2.5, 40.0):
-        v = fc.mlf(a, -x).value
-        assert 1.0 / (1.0 + gamma(1.0 - a) * x) <= v * (1.0 + 1e-12)
-        assert v <= 1.0 / (1.0 + x / gamma(1.0 + a)) * (1.0 + 1e-12)
-    for bad in (5e-5, 1e-5):
+    # 1/(1 + Gamma(1-a) x) <= E_a(-x) <= 1/(1 + x/Gamma(1+a)), a bracket of
+    # width about 0.58 a relative: the contour evaluates inside it at every
+    # order; the spectral rule alone would need too many nodes there, or
+    # x^(1/a) would overflow, and refuses rather than guess
+    x = np.array([0.0, 0.5, 0.999, 0.99999, 1.5, 2.5, 40.0, 1e3])
+    for a in (1e-4, 4e-4, 1e-5, 1e-7):
+        v = fc.mlf_values(a, -x)
+        assert np.all(1.0 / (1.0 + gamma(1.0 - a) * x) <= v * (1.0 + 1e-12))
+        assert np.all(v <= 1.0 / (1.0 + x / gamma(1.0 + a)) * (1.0 + 1e-12))
+        assert all(fc.mlf(a, -t).regime == "contour" for t in x)
+    for a in (5e-5, 1e-5):
         with pytest.raises(AccuracyError) as exc:
-            fc.mlf_values(bad, np.array([-0.5, -0.99999]))
+            fc._spectral_neg(a, np.array([0.5, 0.99999]))
         assert exc.value.report.regime == "spectral"
     with pytest.raises(AccuracyError):
-        fc.mlf(4e-4, -1.5)
+        fc._spectral_neg(4e-4, np.array([1.5]))
+
+
+def test_mlf_far_arguments_scale_from_the_clamp():
+    # past x = 1e150 both rules return E_a(-X) X / x, X = 1e150, and x E_a(-x)
+    # tends to 1 / Gamma(1 - a) with a next term of order 1 / x; no
+    # finite argument overflows or is refused, on the contour or, at
+    # a = 0.999, on the spectral rule
+    x = np.array([1e100, 1e150, 1e200, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (1e-7, 0.3, 0.5, 0.9, 0.999):
+            v = fc.mlf_values(a, -x)
+            assert np.max(np.abs(v[:4] * x[:4] * gamma(1.0 - a) - 1.0)) <= 1e-11
+            assert v[4] > 0.0
+            assert v.tolist() == [fc.mlf(a, -t).value for t in x]
+            assert fc.mlf(a, -1e300).regime == ("spectral" if a == 0.999 else "contour")
 
 
 # property tests over random orders alpha in [0.05, 0.999], drawn away from
@@ -349,34 +351,51 @@ def test_spectral_values_do_not_depend_on_the_batch():
     rng = np.random.default_rng(3)
     for alpha in (0.1, 0.3, 0.5, 0.7, 0.84, 0.95, 0.99):
         x = np.concatenate([rng.uniform(0.5, 60.0, 300), 10.0 ** rng.uniform(-1.0, 2.5, 300)])
-        x = x[fc._route_neg(alpha, x)[3] == 2]
-        alone = [fc.mlf_values(alpha, -x[i : i + 1])[0] for i in range(x.size)]
-        assert np.array_equal(fc.mlf_values(alpha, -x), alone)
+        alone = [fc._spectral_neg(alpha, x[i : i + 1])[0][0] for i in range(x.size)]
+        assert np.array_equal(fc._spectral_neg(alpha, x)[0], alone)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.84, 0.95])
-def test_series_and_asymptotic_values_match_oracles(alpha):
-    # the Horner series and the recurrence-carried asymptotic expansion,
-    # each on the points its regime serves, against scipy quad of the
-    # spectral integral, and against erfcx at alpha = 1/2
-    x = np.geomspace(0.01, 1000.0, 41)
-    regime = fc._route_neg(alpha, x)[3]
-    for code, route in ((0, fc._series_neg), (1, fc._asym_neg)):
-        pts = x[regime == code]
-        assert pts.size >= 10
-        got = route(alpha, pts)[0]
-        want = np.array([_spectral_quad(alpha, v) for v in pts])
-        assert np.max(np.abs(got - want) / want) <= 1e-12
-        if alpha == 0.5:
-            assert np.max(np.abs(got - erfcx(pts)) / erfcx(pts)) <= 1e-12
+ORACLE_ALPHAS = (0.3, 0.5, 0.84, 0.95)
+ORACLE_X = np.geomspace(0.01, 1000.0, 41)
 
 
-def test_series_at_alpha_one_matches_exp():
-    # mlf_values takes exp at alpha = 1; the series itself must agree
-    x = np.linspace(0.0, 2.0, 41)
-    vals, rel, used = fc._series_neg(1.0, x)
-    assert np.max(np.abs(vals - np.exp(-x)) / np.exp(-x)) <= 1e-12
-    assert np.all(rel <= 1e-13) and np.all(used == 57)
+@functools.lru_cache(maxsize=None)
+def _oracle(alpha):
+    return np.array([_spectral_quad(alpha, v) for v in ORACLE_X])
+
+
+@pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+def test_contour_values_match_oracles(alpha):
+    # the contour rule on every point of the grid against scipy quad of the
+    # spectral integral, and against erfcx at alpha = 1/2; no point of the
+    # grid falls back to the spectral rule
+    got, _, _, regime = fc._route_neg(alpha, ORACLE_X)
+    assert not regime.any()
+    assert np.max(np.abs(got - _oracle(alpha)) / _oracle(alpha)) <= 1e-12
+    if alpha == 0.5:
+        x = np.concatenate([[0.0], ORACLE_X, np.geomspace(1e3, 1e6, 40)])
+        want = erfcx(x)
+        got, _, _, regime = fc._route_neg(alpha, x)
+        assert not regime.any()
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def _excess(rounding):
+    """Largest contour error on the oracle grids over max(estimate, 1e-13)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fc, "_CONTOUR_ROUNDING", rounding)
+        return max(
+            np.max(np.abs(got - _oracle(a)) / _oracle(a) / np.maximum(rel, 1e-13))
+            for a in ORACLE_ALPHAS
+            for got, rel, _, _ in [fc._route_neg(a, ORACLE_X)]
+        )
+
+
+def test_contour_estimate_is_honest():
+    # each point's error is within its own estimate, or 1e-13; an estimate
+    # forced to zero leaves points above that floor, so the check bites
+    assert _excess(fc._CONTOUR_ROUNDING) <= 1.0
+    assert _excess(0.0) > 1.0
 
 
 MB = 1 << 20
@@ -393,21 +412,21 @@ def _traced_peak(fn):
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
-def test_series_work_is_a_few_batch_arrays(alpha):
-    # Horner's rule holds two rows of work; a terms x points matrix of
-    # 2^21 doubles was 100 batch arrays at these sizes
-    x = np.linspace(0.0, 1.5, 40000)
-    _, peak = _traced_peak(lambda: fc._series_neg(alpha, x))
-    assert peak < 8 * x.nbytes
+def test_contour_work_is_a_few_batch_arrays(alpha):
+    # the result and the contour's one work buffer of 1 MB, 0.66 batch
+    # arrays: a complex pairs x points matrix would be 32 of them, and an
+    # estimate or a term count per point of the call one more
+    z = -np.linspace(0.0, 1.5, 200000)
+    _, peak = _traced_peak(lambda: fc.mlf_values(alpha, z))
+    assert peak < 2.5 * z.nbytes
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.84])
 def test_spectral_work_matrix_is_cache_sized(alpha):
-    # 6,000 gap points take 350-900 nodes each: a nodes x points matrix of
+    # 6,000 points take 350-900 nodes each: a nodes x points matrix of
     # 16 MB when it held 2^21 doubles, at most 1 MB now, with every value
     # that of the point evaluated alone
     x = np.linspace(0.5, 40.0, 200000)
-    x = x[fc._route_neg(alpha, x)[3] == 2]
     x = x[np.linspace(0, x.size - 1, 6000).astype(int)]
     assert np.unique(x).size == 6000
     (vals, rel, used), peak = _traced_peak(lambda: fc._spectral_neg(alpha, x))
@@ -417,151 +436,40 @@ def test_spectral_work_matrix_is_cache_sized(alpha):
         assert fc._spectral_neg(alpha, x[i : i + 1])[0][0] == vals[i]
 
 
-def test_series_steps_stay_bounded_at_small_alpha():
-    # from 4096 terms on, the terms are split over more polynomials in a
-    # higher power of x; the values stay those of the exact series
-    x = np.array([0.3, 0.9])
-    k = np.arange(0.0, 3000.0)
-    for alpha in (0.01, 1e-3):
-        want = [math.fsum((-v) ** k / gamma(1.0 + alpha * k)) for v in x]
-        assert fc._series_neg(alpha, x)[0] == pytest.approx(want, rel=1e-13)
-
-
 def test_route_regimes_are_pinned():
-    # counts and index sums per regime on a seeded sample, recorded from
-    # the router whose series and asymptotic terms were each one exp
+    # fallback counts and index sums on a seeded sample: no point leaves the
+    # contour up to alpha = 0.99; from 0.995 on the points past x of about
+    # 7-10 take the spectral rule
     rng = np.random.default_rng(13)
     pinned = {
-        0.3: ([2555, 7061, 384], [17781999, 30266823, 1946178]),
-        0.5: ([2819, 6348, 833], [19074852, 27191007, 3729141]),
-        0.84: ([3175, 3839, 2986], [20529697, 18651740, 10813563]),
-        0.95: ([3278, 2019, 4703], [21208041, 12938794, 15848165]),
+        0.3: (0, 0), 0.5: (0, 0), 0.84: (0, 0), 0.95: (0, 0), 0.99: (0, 0),
+        0.995: (5277, 22780298), 0.999: (5905, 25423231),
     }
-    for alpha, (counts, sums) in pinned.items():
+    for alpha, (count, total) in pinned.items():
         x = np.concatenate([rng.uniform(0.0, 30.0, 5000), 10.0 ** rng.uniform(-2.0, 3.0, 5000)])
-        regime = fc._route_neg(alpha, x)[3]
-        assert np.bincount(regime, minlength=3).tolist() == counts
-        assert [int(np.flatnonzero(regime == r).sum()) for r in range(3)] == sums
-
-
-def _asym_neg_reference(alpha, x):
-    """The asymptotic loop as it stood when its floor was the m-th-root bound."""
-    k = np.arange(1.0, fc._ASYM_TERMS + 2.0)
-    ka = k * alpha
-    coef = np.sin(np.pi * ka) * (-1.0) ** (k + 1.0)
-    lenv = np.array([math.lgamma(v) for v in ka]) - math.log(math.pi)
-    dl = np.diff(lenv)
-    ratio = np.exp(dl)
-    vals = np.zeros_like(x)
-    rel = np.full_like(x, np.inf)
-    used = np.zeros(x.shape, dtype=int)
-    accepted = np.zeros(x.shape, dtype=bool)
-    act = np.arange(x.size)
-    lx = np.log(x)
-    env = np.exp(lenv[0] - lx)
-    total = np.zeros_like(x)
-    for j in range(fc._ASYM_TERMS):
-        total += coef[j] * env
-        env *= ratio[j]
-        env /= x
-        ok = env <= fc._ASYM_ACCEPT * np.abs(total)
-        done = act[ok]
-        vals[done] = total[ok]
-        rel[done] = env[ok] / np.abs(total[ok])
-        used[done] = j + 1
-        accepted[done] = True
-        keep = ~ok & (dl[j] <= lx)
-        if not keep.any():
-            break
-        if not keep.all():
-            act, x, lx, env, total = act[keep], x[keep], lx[keep], env[keep], total[keep]
-    return vals, rel, used, accepted
-
-
-def _asym_floor_reference(alpha):
-    """The floor from |total_m| <= m env_1: 2.54 at alpha = 0.3, 4.93 at 0.5."""
-    m = np.arange(1.0, fc._ASYM_TERMS + 1.0)
-    log_need = gammaln((m + 1.0) * alpha) - np.log(m) - gammaln(alpha)
-    return 0.99 * math.exp(np.min((log_need - math.log(fc._ASYM_ACCEPT)) / m))
-
-
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.84, 0.95, 0.99])
-def test_tightened_floor_leaves_the_route_as_it_was(alpha):
-    # the points between the old floor and the new one ran the whole loop
-    # and were never accepted; skipping them moves no value, estimate, term
-    # count or regime, on seeded batches dense around both floors
-    old, new = _asym_floor_reference(alpha), fc._asym_floor(alpha)
-    assert new > old
-    rng = np.random.default_rng(int(1000 * alpha))
-    x = np.concatenate([
-        rng.uniform(0.5 * old, old, 500),
-        rng.uniform(old, new, 2000),
-        new * (1.0 + rng.uniform(-1e-3, 1e-3, 500)),
-        rng.uniform(new, 3.0 * new, 500),
-        10.0 ** rng.uniform(-2.0, 3.0, 500),
-    ])
-    assert np.any((x >= old) & (x < new)) and np.any(x >= new)
-    got = fc._route_neg(alpha, x)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fc, "_asym_floor", _asym_floor_reference)
-        m.setattr(fc, "_asym_neg", _asym_neg_reference)
-        want = fc._route_neg(alpha, x)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-    # the floor is within 1% of the smallest point the loop accepts
-    accepted = x[got[3] == 1]
-    assert new <= accepted.min() <= 1.01 * new
+        far = np.flatnonzero(fc._route_neg(alpha, x)[3] == 1)
+        assert (far.size, int(far.sum())) == (count, total)
 
 
 @PROPERTY
-@given(ALPHAS, st.integers(0, 2**32 - 1))
-def test_asymptotic_route_is_not_tried_below_its_floor(alpha, seed):
-    # below the floor the expansion cannot meet its acceptance test, so
-    # skipping it there changes no value, estimate, term count or regime
-    floor = fc._asym_floor(alpha)
-    x = np.random.default_rng(seed).uniform(0.0, floor, 400)
-    assert not fc._asym_neg(alpha, x[x >= fc._ASYM_SWITCH])[3].any()
-    x = np.concatenate([x, np.random.default_rng(seed).uniform(floor, 3.0 * floor, 100)])
-    skipped = fc._route_neg(alpha, x)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fc, "_asym_floor", lambda alpha: 0.0)
-        tried = fc._route_neg(alpha, x)
-    for a, b in zip(skipped, tried):
-        assert np.array_equal(a, b)
-
-
-def _jump(alpha, x):
-    v = fc.mlf_values(alpha, -np.array([x * (1.0 - 1e-13), x * (1.0 + 1e-13)]))
-    return abs(v[1] - v[0]) / v[0]
-
-
-def _asym_accepts(alpha, x):
-    return bool(fc._asym_neg(alpha, np.array([x]))[3][0])
-
-
-@PROPERTY
-@given(ALPHAS)
+@given(st.floats(0.99, 0.999))
 def test_mlf_continuous_across_regime_seams(alpha):
-    # the asymptotic switch
-    assert _jump(alpha, fc._ASYM_SWITCH) <= 1e-11
-    # the series/spectral boundary
-    xb = brentq(
-        lambda x: fc._series_digits(alpha, x) - fc._SERIES_DIGITS,
-        0.0, 1e3, xtol=1e-15, rtol=1e-15,
-    )
-    assert _jump(alpha, xb) <= 1e-11
-    # the asymptotic acceptance boundary, by bisection on the route's verdict
-    if not _asym_accepts(alpha, fc._ASYM_SWITCH):
-        lo, hi = fc._ASYM_SWITCH, 2.0 * fc._ASYM_SWITCH
-        while not _asym_accepts(alpha, hi):
-            lo, hi = hi, 2.0 * hi
-        for _ in range(50):
-            mid = math.sqrt(lo * hi)
-            lo, hi = (lo, mid) if _asym_accepts(alpha, mid) else (mid, hi)
-        assert fc.mlf(alpha, -lo).regime != "asymptotic"
-        assert fc.mlf(alpha, -hi).regime == "asymptotic"
-        v_lo, v_hi = fc.mlf_values(alpha, -np.array([lo, hi]))
-        assert abs(v_hi - v_lo) / v_lo <= 1e-11
+    # every switch between the contour and the spectral rule on x in
+    # [1, 1e4], located by bisection on the router's choice: the values on
+    # its two sides, a few ulps apart, differ by at most 1e-11
+    x = np.geomspace(1.0, 1e4, 400)
+    regime = fc._route_neg(alpha, x)[3]
+    flips = np.flatnonzero(np.diff(regime))
+    assert flips.size or alpha < 0.995
+    lo, hi = x[flips], x[flips + 1]
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        same = fc._route_neg(alpha, mid)[3] == regime[flips]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    sides = fc._route_neg(alpha, np.concatenate([lo, hi]))
+    assert np.array_equal(sides[3], np.concatenate([regime[flips], regime[flips + 1]]))
+    v = sides[0].reshape(2, -1)
+    assert np.all(np.abs(v[1] - v[0]) <= 1e-11 * v[0])
 
 
 @PROPERTY

@@ -16,6 +16,10 @@ whose name is also read elsewhere, as `.horizon` of one class may be read
 as `.horizon` of another, passes unflagged, and so does a parameter that
 a call to another function of the same name passes.
 
+Every private module-level function, class or constant must be read by
+its module's code outside its own definition, so that nothing a deletion
+leaves behind survives it.
+
 Two more checks guard what runs outside this suite: every span the
 benchmark's tracer wraps resolves in the package, and the test modules
 that CI runs with scipy uninstalled import neither scipy nor hypothesis.
@@ -107,6 +111,33 @@ def test_public_names_have_callers_and_imports_are_used():
                     if (alias.asname or alias.name).split(".")[0] not in used
                 ]
     assert not unused, f"imported, but never read: {unused}"
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_private_names_are_read():
+    # a helper or constant that deleted code leaves behind reads as live
+    # code; no module imports another's private names, so a private name is
+    # read in its own module or not at all
+    unread = []
+    for mod, tree in _trees().items():
+        if mod == "acceptance":
+            continue
+        for node in tree.body:
+            for name in _defined(node):
+                if name.startswith("_") and not name.startswith("__") and not any(
+                    name in _reads(other, attributes=False)
+                    for other in tree.body
+                    if other is not node
+                ):
+                    unread.append(f"{mod}.{name}")
+    assert not unread, f"private names read by no other code of their module: {unread}"
 
 
 def test_modules_import_no_private_names():

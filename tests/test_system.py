@@ -72,6 +72,26 @@ def test_catalog_states_refuse_the_square():
     assert len(fs.InitialState("zero", 2, 6).gradient()) == 2
 
 
+def test_initial_state_refuses_an_unknown_kind():
+    # an unknown kind is refused, not built as the zero state
+    with pytest.raises(InputError, match="unknown state kind 'bogus'"):
+        fs.InitialState("bogus", 1, 4)
+
+
+def test_initial_state_ties_coefficients_to_its_kind_and_depth():
+    # coefficients belong to the coefficients kind alone, one per mode of
+    # the depth, so a state never pairs 3 modes with 1 coefficient
+    with pytest.raises(InputError, match="takes no coefficients"):
+        fs.InitialState("zero", 1, 3, (0.1,))
+    with pytest.raises(InputError, match="takes no coefficients"):
+        fs.InitialState("poly_sq", 1, 3, (0.1, 0.2, 0.3))
+    for coefficients in ((), (0.1,), (0.1, 0.2, 0.3, 0.4)):
+        with pytest.raises(InputError, match="coefficients for depth 3"):
+            fs.InitialState("coefficients", 1, 3, coefficients)
+    modes, state = fs.InitialState("coefficients", 1, 3, (0.1, 0.2, 0.3)).modal()
+    assert len(modes) == state.coefficients.size == 3
+
+
 def test_trig_product_weight_refuses_an_interval_support():
     # the catalog refuses the weight itself, before any functional is built
     interval, square = sp.Region((0.1,), (0.4,)), sp.Region((0.1, 0.2), (0.4, 0.6))
