@@ -2,10 +2,10 @@
 
 Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, by
 one fixed Bromwich contour (a spectral rule near alpha = 1), the one
-evaluator of decay tables E_alpha(-lam t^alpha) with its memo and its
-table-free product with a weight matrix, Caputo derivatives of sampled
-data, and a residual check for the fractional integration-by-parts
-identity.
+row-block evaluator of decay tables E_alpha(-lam t^alpha) with its memo
+and its table-free product with a weight matrix, Caputo derivatives of
+sampled data, and a residual check for the fractional
+integration-by-parts identity.
 
 Every grid operator is a product-integration rule: the kernel factor is
 integrated in closed form against the piecewise-linear interpolant of
@@ -31,6 +31,7 @@ __all__ = [
     "MlfEvalReport",
     "mlf",
     "mlf_values",
+    "decay_blocks",
     "decay_table",
     "decay_apply",
     "caputo_values",
@@ -236,14 +237,14 @@ _GAP_CHUNK = 1 << 16   # nodes built at a time
 _LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
 _VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000   # points per row block of a decay table
-_REGIMES = ("contour", "spectral")
+_REGIMES = ("contour", "spectral", "exp")
 
 
 @dataclass(frozen=True)
 class MlfEvalReport:
     """Outcome of one E_alpha evaluation.
 
-    regime is one of two routes:
+    regime is one of three routes:
       "contour"   the midpoint rule on a fixed parabolic contour of the
                   Bromwich integral (see _contour); terms_used counts its
                   conjugate-pair terms, 16;
@@ -251,8 +252,9 @@ class MlfEvalReport:
                   E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr,
                   in a variable that flattens the kernel's peak at r = 1
                   (see _spectral_neg), for the points near alpha = 1 whose
-                  contour estimate fails; terms_used counts its nodes.
-    At alpha = 1 the value is exp(z), reported as "contour" with one term.
+                  contour estimate fails; terms_used counts its nodes;
+      "exp"       alpha = 1, where the value is exp(z), one term with an
+                  estimate of eps.
     est_error is a relative truncation/rounding estimate, not a guaranteed
     bound. For "contour" it is _CONTOUR_ROUNDING eps times the sum of the
     terms' magnitudes over the value. For "spectral" it is the relative gap
@@ -481,7 +483,7 @@ def _accepted(alpha: float, z: np.ndarray, tolerance: float):
     """
     if alpha == 1.0:
         used = np.ones(z.shape, dtype=int)
-        vals, rel, regime = np.exp(z), np.full_like(z, np.finfo(float).eps), np.zeros_like(used)
+        vals, rel, regime = np.exp(z), np.full_like(z, np.finfo(float).eps), np.full_like(used, 2)
     else:
         vals, rel, used, regime = _route_neg(alpha, -z)
     bad = np.flatnonzero(~(rel <= tolerance))
@@ -558,17 +560,21 @@ _DECAY_GRIDS = 4  # time grids the decay-table memo holds at once
 _DECAY_MEMO: dict[tuple[float, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray):
+def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | None = None):
     """Yield (row slice, E_alpha(-lam t^alpha) on those rows) over times x lams.
 
-    The one evaluator of decay tables. A block holds about _BATCH_BLOCK
-    points, so no table-sized argument or value array is ever built; each
-    value depends on its own argument alone, so the blocking leaves every
-    entry bitwise unchanged.
+    The one evaluator of decay tables; lams and times are 1-d float arrays.
+    A block holds `rows` rows (the last may hold fewer), or about _BATCH_BLOCK
+    points when `rows` is None, so no table-sized argument or value array
+    is ever built; each value depends on its own argument alone, so the
+    blocking leaves every entry bitwise unchanged. A caller that sums over
+    the rows block by block passes a fixed `rows`, so its partition of the
+    rows does not depend on the eigenvalues it asks for.
     """
     neg = -lams
     powers = times**alpha
-    rows = max(1, _BATCH_BLOCK // max(neg.size, 1))
+    if rows is None:
+        rows = max(1, _BATCH_BLOCK // max(neg.size, 1))
     for lo in range(0, times.size, rows):
         yield slice(lo, lo + rows), mlf_values(alpha, np.outer(powers[lo : lo + rows], neg))
 
@@ -576,17 +582,19 @@ def _decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray):
 def decay_table(alpha: float, lams, times) -> np.ndarray:
     """E_alpha(-lam t^alpha) over times x lams, as a read-only array.
 
-    Every decay table the package keeps is built here. Tables are memoised
-    per (alpha, times), least recently used first out, for at most
-    _DECAY_GRIDS time grids. A request whose eigenvalues are a prefix of
-    the stored ones gets a column view of the stored table; one that
-    extends them evaluates only the new columns and appends them; any
-    other request builds a fresh table in place of the stored one.
-    eigenpairs() is prefix-stable, so an escalating reconstruction
-    evaluates each (lam, t) pair once.
+    Every decay table the package keeps is built here: the Gram's product
+    rule (ml_product_matrix) and the L1 moment nodes of fracobs.hum read
+    it, while hum's record-node pairings stream decay_blocks and keep no
+    table. Tables are memoised per (alpha, times), least recently used
+    first out, for at most _DECAY_GRIDS time grids. A request whose
+    eigenvalues are a prefix of the stored ones gets a column view of the
+    stored table; one that extends them evaluates only the new columns and
+    appends them; any other request builds a fresh table in place of the
+    stored one. eigenpairs() is prefix-stable, so an escalating
+    reconstruction evaluates each (lam, t) pair of those grids once.
 
     New columns are filled into one preallocated table in the row blocks
-    of _decay_blocks, so nothing table-sized is held beside it.
+    of decay_blocks, so nothing table-sized is held beside it.
     """
     alpha = _check_alpha(alpha)
     lams = np.asarray(lams, dtype=float).ravel()
@@ -600,7 +608,7 @@ def decay_table(alpha: float, lams, times) -> np.ndarray:
     if lams.size > have.size:
         grown = np.empty((times.size, lams.size))
         grown[:, : have.size] = table
-        for rows, block in _decay_blocks(alpha, lams[have.size :], times):
+        for rows, block in decay_blocks(alpha, lams[have.size :], times):
             grown[rows, have.size :] = block
         have, table = lams.copy(), grown
     table.flags.writeable = False
@@ -613,7 +621,7 @@ def decay_table(alpha: float, lams, times) -> np.ndarray:
 def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:
     """decay_table(alpha, lams, times) @ weights, without holding the table.
 
-    Each row block of _decay_blocks is multiplied into the result and
+    Each row block of decay_blocks is multiplied into the result and
     dropped, so work memory is one block plus the result. The memo is
     neither read nor written: a table applied once is not worth keeping.
     weights has one row per eigenvalue; the result has one row per time.
@@ -631,7 +639,7 @@ def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:
     live = np.flatnonzero(weights.reshape(lams.size, -1).any(axis=1))
     lams, weights = lams[live], weights[live]
     out = np.empty((times.size,) + weights.shape[1:])
-    for rows, block in _decay_blocks(alpha, lams, times):
+    for rows, block in decay_blocks(alpha, lams, times):
         out[rows] = block @ weights
     return out
 

@@ -16,7 +16,9 @@ samples on Gauss moment nodes, once per reconstruction: the nodes do not
 depend on the truncation, so every escalation step pairs the same
 weighted derivative with its own decay table. At alpha = 1 the
 derivative of the piecewise linear record is its slope per cell, and its
-pairing with exp(-lam t) is done in closed form on each cell.
+pairing with exp(-lam t) is done in closed form on each cell. Either way
+a mode's moments depend on that mode alone, so an escalation step pairs
+only the modes it adds.
 
 A HumProblem owns the operators of its truncation: the modes, their
 eigenvalues, B and P are cached properties, each built once on first use
@@ -29,14 +31,17 @@ number and the smallest eigenvalue all come from that one eigh. The
 top-level driver escalates the truncation (and, late in the loop, the
 regularization) until the output residual passes the requested threshold.
 
-Every decay table E_alpha(-lam_k t^alpha) here (on the Gram's Gauss
-nodes, the moment nodes of the right-hand side for alpha < 1 and the
-record nodes of the residual, which the alpha = 1 right-hand side reads
-too) comes from fraccalc.decay_table, whose memo lets an escalating
-reconstruction evaluate each (lam, t) pair once. A table applied once is
-not kept: the forward record and the exact route's state side go through
-fraccalc.decay_apply. A sensor sweep builds one record and one set of
-record_moments per chunk of positions (sweep_chunk), a channel each.
+Only two decay tables E_alpha(-lam_k t^alpha) are kept, on the Gram's
+Gauss nodes and on the moment nodes of the right-hand side for
+alpha < 1; both come from fraccalc.decay_table, whose memo lets an
+escalating reconstruction evaluate each of their (lam, t) pairs once.
+Nothing of record length times modes is held: the two pairings on the
+record nodes, the alpha = 1 moments and the residual, stream
+fraccalc.decay_blocks in blocks of _RECORD_ROWS rows. A table applied
+once is not kept either: the forward record and the exact route's state
+side go through fraccalc.decay_apply. A sensor sweep builds one record
+and one set of record_moments per chunk of positions (sweep_chunk), a
+channel each.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .fraccalc import (
     TimeGrid,
     caputo_values,
     decay_apply,
+    decay_blocks,
     decay_table,
     gauss_panels,
     graded_panel_edges,
@@ -115,6 +121,9 @@ PROBLEM_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
 # Gauss rule in time for the moment nodes of the right-hand side, alpha < 1
 MOMENT_PANELS = 64
 MOMENT_ORDER = 8
+# rows per block of a record pairing, whatever the number of modes: at 8
+# modes each of a block's arrays takes 256 KB
+_RECORD_ROWS = 4096
 # positions x moment nodes per sweep chunk: the chunk's Caputo values stay
 # within 8 MB, and its record within 1 MB
 _SWEEP_BLOCK = 1 << 20
@@ -313,15 +322,59 @@ def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray
     The record is pushed through the time-fractional derivative (sign
     flipped), then integrated against each mode's decay profile; every
     channel comes from the same pass. For alpha < 1 the L1 Caputo rule is
-    applied on Gauss moment nodes aligned with the record cells. At
+    applied on Gauss moment nodes aligned with the record cells, and each
+    mode's column of their memoised decay table is paired with it. At
     alpha = 1 the derivative of the piecewise linear interpolant is its
     slope, constant on each cell, so the pairing is exact per cell:
-    int_cell slope_j e^(-lam t) dt = dz_j E_j (1 - e^(-lam h_j)) / (lam h_j),
-    with E the record-node decay table that the residual reads too, and
-    expm1 keeping the cell weight accurate for any lam h. The moments
-    depend on the truncation and the time rule only, not on the sensors.
+    int_cell slope_j e^(-lam t) dt = dz_j E_j expm1(-lam h_j) / (-lam h_j),
+    with E_j = e^(-lam t_j) at the cell's start, expm1 keeping the cell
+    weight accurate for any lam h. Those weights are formed and summed in
+    blocks of _RECORD_ROWS cells, straight from fraccalc.decay_blocks, so
+    no record-length table is held. Every sum is taken by _row_sums, so
+    the moments of M modes are, bit for bit, the first M rows of a larger
+    truncation's. They depend on the truncation and the time rule only,
+    not on the sensors.
     """
     return _moments_by_truncation(problem, record)(problem)
+
+
+def _row_sums(pairs: Iterator[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """sum_t block[t, k] data[t, c] over (block, data) row blocks, as (modes, channels).
+
+    A block's products for one channel are laid out one mode per row and
+    each row is summed on its own, so every sum reads its own mode's
+    column alone: given the same row blocks, the sums of a set of modes
+    are bitwise the same rows of a larger set's. A BLAS product would not
+    promise that. The blocks' sums are added in order.
+    """
+    total = 0.0
+    for block, data in pairs:
+        prod = np.empty(block.T.shape)
+        sums = np.empty((block.shape[1], data.shape[1]))
+        for c in range(data.shape[1]):
+            np.multiply(block.T, data[:, c], out=prod)
+            np.add.reduce(prod, axis=1, out=sums[:, c])
+        total = total + sums
+    return total
+
+
+def _row_blocks(count: int) -> Iterator[slice]:
+    """Slices of _RECORD_ROWS rows over range(count), as decay_blocks yields them."""
+    return (slice(lo, lo + _RECORD_ROWS) for lo in range(0, count, _RECORD_ROWS))
+
+
+def _slope_cells(
+    record: MeasurementRecord, lams: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the alpha = 1 cell weights and the record's steps dz, block by block."""
+    nodes, samples = record.grid.nodes, record.samples
+    for rows, decay in decay_blocks(1.0, lams, nodes[:-1], _RECORD_ROWS):
+        cells = slice(rows.start, rows.stop + 1)
+        x = np.outer(np.diff(nodes[cells]), lams)
+        weight = np.expm1(-x)
+        weight /= x
+        weight *= decay
+        yield weight, np.diff(samples[cells], axis=0)
 
 
 def _moments_by_truncation(
@@ -331,7 +384,10 @@ def _moments_by_truncation(
 
     The weighted derivative on the moment nodes depends on the record,
     alpha and the horizon, not on the modes, so the L1 pass is made here
-    once; each truncation pairs it with its own memoised decay table.
+    once. The moments made so far are kept, and a truncation pairs only
+    the modes it adds (eigenpairs() is prefix-stable); since each mode's
+    moments depend on that mode alone, they are bitwise those of a fresh
+    record_moments at the truncation.
     """
     if abs(record.grid.horizon - problem.horizon) > 1e-9 * problem.horizon:
         raise InputError(
@@ -340,24 +396,30 @@ def _moments_by_truncation(
     alpha = problem.alpha
     if alpha == 1.0:
 
-        def slope_moments(prob: HumProblem) -> np.ndarray:
-            nodes, lams = record.grid.nodes, prob.eigenvalues
-            decay = decay_table(1.0, lams, nodes)
-            h = np.diff(nodes)
-            # the weights E_j expm1(-lam h_j) / (lam h_j), formed in place: at
-            # most two cells x modes arrays are held beside the table
-            cell = np.outer(h, -lams)
-            np.expm1(cell, out=cell)
-            cell /= np.outer(h, lams)
-            cell *= decay[:-1]
-            return cell.T @ np.diff(record.samples, axis=0)
+        def pair(lams: np.ndarray, first: int) -> np.ndarray:
+            return _row_sums(_slope_cells(record, lams[first:]))
 
-        return slope_moments
-    tq, wq = _moment_nodes(problem, record.grid)
-    weighted = wq[:, None] * -caputo_values(
-        record.grid, record.samples, alpha, tq, first_cell_power=True
-    )
-    return lambda prob: decay_table(alpha, prob.eigenvalues, tq).T @ weighted
+    else:
+        tq, wq = _moment_nodes(problem, record.grid)
+        weighted = wq[:, None] * -caputo_values(
+            record.grid, record.samples, alpha, tq, first_cell_power=True
+        )
+
+        def pair(lams: np.ndarray, first: int) -> np.ndarray:
+            table = decay_table(alpha, lams, tq)
+            blocks = _row_blocks(tq.size)
+            return _row_sums((table[rows, first:], weighted[rows]) for rows in blocks)
+
+    done = np.empty((0, record.channel_count))
+
+    def moments(prob: HumProblem) -> np.ndarray:
+        nonlocal done
+        lams = prob.eigenvalues
+        if lams.size > len(done):
+            done = np.concatenate((done, pair(lams, len(done))))
+        return done[: lams.size]
+
+    return moments
 
 
 def _check_channels(problem: HumProblem, record: MeasurementRecord) -> None:
@@ -455,13 +517,21 @@ def residual_against(
 
     The candidate initial state is the potential of the solved gradient:
     u_k = (B' c)_k / lam_k, on the problem's truncation, the field's own.
+    The trapezoid-weighted squared misfit is summed in blocks of
+    _RECORD_ROWS record rows, each predicted from its block of
+    fraccalc.decay_blocks, so no predicted record, difference or decay
+    table of record length is held; each call evaluates its own modes on
+    the record nodes.
     """
     lams = problem.eigenvalues
     state = (problem.coupling.T @ field.coefficients) / lams
-    decay = decay_table(problem.alpha, lams, record.grid.nodes)
-    predicted = (decay * state) @ problem.outputs.T
-    diff = record.samples - predicted
-    return math.sqrt(float(np.sum(record.grid.weights[:, None] * diff * diff)))
+    weights = state[:, None] * problem.outputs.T
+    w = record.grid.weights
+    total = 0.0
+    for rows, decay in decay_blocks(problem.alpha, lams, record.grid.nodes, _RECORD_ROWS):
+        diff = record.samples[rows] - decay @ weights
+        total += float(np.sum(w[rows, None] * diff * diff))
+    return math.sqrt(total)
 
 
 def _solve_step(

@@ -132,6 +132,14 @@ def test_mlf_alpha_one_matches_exp():
     assert np.max(np.abs(vals - np.exp(z)) / np.exp(z)) < 1e-10
 
 
+def test_mlf_reports_the_exp_pass_at_alpha_one():
+    # alpha = 1 runs np.exp alone and says so; other orders keep their route
+    rep = fc.mlf(1.0, -2.0)
+    assert rep.regime == "exp"
+    assert rep.value == math.exp(-2.0) and rep.terms_used == 1
+    assert fc.mlf(0.5, -1.0).regime == "contour"
+
+
 def test_mlf_half_matches_erfcx_identity():
     # E_{1/2}(-x) = e^{x^2} erfc(x), from x = 0 to 1e4
     x = np.concatenate([np.linspace(0.0, 5.0, 101), np.logspace(0.8, 4, 80)])
@@ -854,6 +862,20 @@ def test_decay_table_row_blocks_match_one_shot(monkeypatch, alpha):
     assert points == [rows * 40] * (t.size // rows) + [t.size % rows * 40]
     assert np.array_equal(full, mlf_values(alpha, -np.outer(t**alpha, lams)))
     assert not full.flags.writeable
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_decay_blocks_with_fixed_rows(alpha):
+    # a fixed row count partitions the times alike for any eigenvalues, and
+    # the blocks hold the table's values bit for bit
+    t = np.linspace(0.0, 2.0, 2001)
+    lams = PI2 * np.arange(1.0, 71.0) ** 2
+    table = fc.decay_table(alpha, lams, t)
+    for count in (1, 30, 70):
+        blocks = list(fc.decay_blocks(alpha, lams[:count], t, 500))
+        assert [rows.start for rows, _ in blocks] == [0, 500, 1000, 1500, 2000]
+        assert [block.shape for _, block in blocks] == [(500, count)] * 4 + [(1, count)]
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), table[:, :count])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])

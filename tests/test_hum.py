@@ -601,11 +601,12 @@ def test_reconstruct_with_no_solvable_step_raises_solvability_error():
         assert str(err.value) == str(want.value)
 
 
-def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
-    # the tables on the Gauss, moment and record nodes grow by appended
-    # columns, so three steps to 6 modes cost 6 columns per grid; at
-    # alpha = 1 the right-hand side reads the residual's record-node
-    # table, so there are no moment nodes
+def test_escalating_reconstruct_decay_point_count(monkeypatch):
+    # the tables on the Gauss and moment nodes grow by appended columns, so
+    # three steps to 6 modes cost 6 columns per grid. The residual streams
+    # the 65 record nodes and keeps nothing: 2 + 4 + 6 columns. At
+    # alpha = 1 there are no moment nodes; the moments stream the 64 cell
+    # starts, and each step evaluates only the modes it adds: 6 columns
     sensors = (Sensor.pointwise((0.3,)),)
     state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
     points = []
@@ -628,8 +629,11 @@ def test_escalating_reconstruct_evaluates_each_decay_pair_once(monkeypatch):
         with pytest.raises(ConvergenceError) as err:
             reconstruct(problem, record)
         assert len(err.value.residual_history) == 3
-        moments = hum._moment_nodes(problem, record.grid)[0].size if alpha < 1.0 else 0
-        assert sum(points) == (gauss + moments + len(record.grid)) * 6, alpha
+        if alpha < 1.0:
+            moments = hum._moment_nodes(problem, record.grid)[0].size
+        else:
+            moments = len(record.grid) - 1
+        assert sum(points) == (gauss + moments) * 6 + len(record.grid) * (2 + 4 + 6), alpha
 
 
 def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
@@ -733,29 +737,110 @@ def test_alpha_one_rhs_matches_per_cell_quadrature():
     assert np.max(gap) <= 1e-12 * np.max(np.abs(oracle))
 
 
-def test_alpha_one_moments_form_cell_weights_in_place(monkeypatch):
-    # 65,536 record rows and 8 modes: the record-node decay table and each
-    # cells x modes array take 4 MB. The cell weights are formed in place,
-    # so the peak holds three such arrays, not four, and every moment
-    # keeps its bits
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+def _long_record(alpha):
+    """Three channels of 65,536 rows: a record-node table of 8 modes takes 4.2 MB."""
     sensors = tuple(Sensor.pointwise((b,)) for b in (0.2, 0.55, 0.81))
-    problem = HumProblem(8, FULL, sensors, 1.0, 1.0)
+    problem = HumProblem(8, FULL, sensors, alpha, 1.0)
     grid = TimeGrid.uniform(1.0, 65536)
     samples = np.random.default_rng(8).standard_normal((65536, 3)).cumsum(axis=0) / 256.0
-    record = MeasurementRecord(grid, samples)
+    problem.outputs  # the operators are built before memory is traced
+    return problem, MeasurementRecord(grid, samples), 65536 * 8 * 8
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        moments = hum.record_moments(problem, record)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = 65536 * 8 * 8
-    assert peak < 3.5 * table
-    decay = fc.decay_table(1.0, problem.eigenvalues, grid.nodes)
-    x = np.outer(np.diff(grid.nodes), problem.eigenvalues)
-    want = (decay[:-1] * (np.expm1(-x) / x)).T @ np.diff(samples, axis=0)
-    assert np.array_equal(moments, want)
+
+
+def test_alpha_one_moments_stream_in_row_blocks(monkeypatch):
+    # the cell weights are formed and summed in fixed row blocks: the traced
+    # peak stays within one record-node table, none is kept, and every
+    # moment is the whole-table expression's to rounding
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    problem, record, table = _long_record(1.0)
+    moments, peak = _traced_peak(hum.record_moments, problem, record)
+    assert peak <= table
+    assert fc._DECAY_MEMO == {}
+    nodes = record.grid.nodes
+    decay = fc.decay_table(1.0, problem.eigenvalues, nodes)
+    x = np.outer(np.diff(nodes), problem.eigenvalues)
+    cells = decay[:-1] * (np.expm1(-x) / x)
+    dz = np.diff(record.samples, axis=0)
+    # error scale: the same sums taken over magnitudes
+    scale = np.abs(cells).T @ np.abs(dz)
+    assert np.all(np.abs(moments - cells.T @ dz) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_residual_streams_in_row_blocks(monkeypatch, alpha):
+    # the squared misfit is summed in fixed row blocks: the traced peak stays
+    # within one record-node table, none is kept, and the residual is the
+    # whole-table expression's to rounding
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    problem, record, table = _long_record(alpha)
+    field = GradientField(np.random.default_rng(9).standard_normal(8), problem.modes)
+    residual, peak = _traced_peak(hum.residual_against, problem, record, field)
+    assert peak <= table
+    assert fc._DECAY_MEMO == {}
+    decay = fc.decay_table(alpha, problem.eigenvalues, record.grid.nodes)
+    weights = ((problem.coupling.T @ field.coefficients) / problem.eigenvalues)[:, None]
+    weights = weights * problem.outputs.T
+    w = record.grid.weights[:, None]
+    want = np.sum(w * (record.samples - decay @ weights) ** 2)
+    # error scale: the same sum taken over magnitudes
+    scale = np.sum(w * (np.abs(record.samples) + np.abs(decay) @ np.abs(weights)) ** 2)
+    assert abs(residual**2 - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("alpha, samples", [(0.7, 1000), (1.0, 10000)])
+def test_moments_of_a_truncation_prefix_a_larger_one(monkeypatch, alpha, samples):
+    # each mode's moments are summed on their own, in row blocks that do not
+    # depend on the modes: over several blocks, M = 4 (and every M below 8)
+    # gives bit for bit the first M rows of M = 8, for one channel and for
+    # three. A BLAS product of the blocks fails this at some M.
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    grid = TimeGrid.uniform(1.0, samples)
+    rng = np.random.default_rng(10)
+    for channels in (1, 3):
+        sensors = tuple(Sensor.pointwise((b,)) for b in (0.2, 0.55, 0.81)[:channels])
+        record = MeasurementRecord(grid, rng.standard_normal((samples, channels)).cumsum(axis=0))
+        large = hum.record_moments(HumProblem(8, FULL, sensors, alpha, 1.0), record)
+        for modes in (4, 1, 2, 3, 5, 6, 7):
+            small = hum.record_moments(HumProblem(modes, FULL, sensors, alpha, 1.0), record)
+            assert small.shape == (modes, channels)
+            assert np.array_equal(small, large[:modes]), (modes, channels)
+
+
+@pytest.mark.parametrize("alpha, samples", [(0.7, 1000), (1.0, 10000)])
+def test_escalation_steps_pair_only_the_modes_they_add(monkeypatch, alpha, samples):
+    # each step's moments are bitwise those of a fresh record_moments at its
+    # truncation, though a step pairs only the modes it adds; the record
+    # spans several row blocks
+    sensors = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.65,)))
+    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    modes = eigenpairs(SpatialDomain(1), 12)
+    record = generate_measurements(alpha, modes, state, sensors, TimeGrid.uniform(1.0, samples))
+    problem = HumProblem(
+        2, FULL, sensors, alpha, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
+    )
+    seen = []
+    real = hum.assemble_rhs
+
+    def spied(prob, moments):
+        seen.append(moments)
+        return real(prob, moments)
+
+    monkeypatch.setattr(hum, "assemble_rhs", spied)
+    with pytest.raises(ConvergenceError):
+        reconstruct(problem, record)
+    assert [m.shape for m in seen] == [(2, 2), (4, 2), (6, 2)]
+    for moments in seen:
+        fresh = hum.record_moments(replace(problem, mode_count=len(moments)), record)
+        assert np.array_equal(moments, fresh)
 
 
 def test_escalating_reconstruct_decomposes_each_gram_once(monkeypatch):
