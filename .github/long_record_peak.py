@@ -6,7 +6,7 @@ record length times modes. Each case runs `fracobs simulate` then
 command's own peak RSS from its finished process, and fails when the
 long pair's peak is more than the case's bound above the short pair's:
 
-- alpha = 0.84, graded, 64 then 8,192 samples (about 5 s): 20 MB;
+- alpha = 0.84, graded, 64 then 8,192 samples (about 1 s): 20 MB;
 - alpha = 1, three sensors escalating to 8 modes, 64 then 65,536
   samples: 12 MB.
 

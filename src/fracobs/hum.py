@@ -14,7 +14,9 @@ what makes noiseless in-span data reproduce Lambda times the true
 coefficients exactly. For alpha < 1 the L1 Caputo rule is applied to the
 samples on Gauss moment nodes, once per reconstruction: the nodes do not
 depend on the truncation, so every escalation step pairs the same
-weighted derivative with its own decay table. At alpha = 1 the
+weighted derivative with its own decay table. fraccalc.caputo_values
+sums each node's near cells exactly and its far cells through a sum of
+exponentials, so that pass is linear in the record length. At alpha = 1 the
 derivative of the piecewise linear record is its slope per cell, and its
 pairing with exp(-lam t) is done in closed form on each cell. Either way
 a mode's moments depend on that mode alone, so an escalation step pairs
@@ -39,9 +41,9 @@ Nothing of record length times modes is held: the two pairings on the
 record nodes, the alpha = 1 moments and the residual, stream
 fraccalc.decay_blocks in blocks of _RECORD_ROWS rows. A table applied
 once is not kept either: the forward record and the exact route's state
-side go through fraccalc.decay_apply. A sensor sweep builds one record
-and one set of record_moments per chunk of positions (sweep_chunk), a
-channel each.
+side go through fraccalc.decay_apply. A sensor sweep builds one record,
+one set of record_moments and one residual pass per chunk of positions
+(sweep_chunk), a channel each.
 """
 
 from __future__ import annotations
@@ -457,12 +459,19 @@ def _state_moments(deep: HumProblem, state: ModalState) -> Callable[[HumProblem]
     `deep` is the problem truncated at the state's depth. The negated
     derivative of channel c, sum_l P_cl lam_l a_l E_l(t), is evaluated once
     on the Gram's Gauss rule, over the modes with a nonzero coefficient;
-    each truncation pairs it with its own memoised decay table.
+    each truncation pairs it with its own memoised decay table through
+    _row_sums, so the moments of M modes are bitwise the first M rows of a
+    larger truncation's, as on the data route.
     """
     t, w = product_rule(deep.horizon)
     weights = (deep.eigenvalues * state.coefficients)[:, None] * deep.outputs.T
     weighted = w[:, None] * decay_apply(deep.alpha, deep.eigenvalues, t, weights)
-    return lambda prob: decay_table(prob.alpha, prob.eigenvalues, t).T @ weighted
+
+    def moments(prob: HumProblem) -> np.ndarray:
+        table = decay_table(prob.alpha, prob.eigenvalues, t)
+        return _row_sums((table[rows], weighted[rows]) for rows in _row_blocks(t.size))
+
+    return moments
 
 
 def solve_reconstruction(
@@ -511,46 +520,60 @@ def solve_reconstruction(
 
 
 def residual_against(
-    problem: HumProblem, record: MeasurementRecord, field: GradientField
-) -> float:
-    """L2(0,T) misfit of a solved field's forward output against the record.
+    problem: HumProblem, record: MeasurementRecord, fields: Sequence[GradientField | None]
+) -> list[float]:
+    """L2(0,T) misfits of solved fields' forward outputs against the record.
 
-    The candidate initial state is the potential of the solved gradient:
+    A field's candidate initial state is the potential of its gradient:
     u_k = (B' c)_k / lam_k, on the problem's truncation, the field's own.
-    The trapezoid-weighted squared misfit is summed in blocks of
+    One field was solved on every sensor of the problem, and its misfit is
+    taken over every channel. One field per channel is a sensor sweep's:
+    field ch was solved on sensor ch alone and is held against channel ch,
+    and a channel whose field is None (a blind spot) gets nan. The
+    trapezoid-weighted squared misfits are summed in blocks of
     _RECORD_ROWS record rows, each predicted from its block of
     fraccalc.decay_blocks, so no predicted record, difference or decay
-    table of record length is held; each call evaluates its own modes on
-    the record nodes.
+    table of record length is held, and every field reads the same blocks:
+    one pass serves them all. A misfit is formed from its own field and
+    channels alone, so it is bitwise the same whatever else the call holds.
     """
-    lams = problem.eigenvalues
-    state = (problem.coupling.T @ field.coefficients) / lams
-    weights = state[:, None] * problem.outputs.T
+    lams, outputs, samples = problem.eigenvalues, problem.outputs, record.samples
+    if len(fields) == 1:
+        channels = [slice(None)]
+    elif len(fields) == len(outputs) == record.channel_count:
+        channels = [slice(ch, ch + 1) for ch in range(len(fields))]
+    else:
+        raise InputError(f"{len(fields)} fields for {len(outputs)} sensors")
+    fits = [
+        (ch, ((problem.coupling.T @ field.coefficients) / lams)[:, None] * outputs[ch].T)
+        for ch, field in zip(channels, fields)
+        if field is not None
+    ]
     w = record.grid.weights
-    total = 0.0
+    totals = [0.0] * len(fits)
     for rows, decay in decay_blocks(problem.alpha, lams, record.grid.nodes, _RECORD_ROWS):
-        diff = record.samples[rows] - decay @ weights
-        total += float(np.sum(w[rows, None] * diff * diff))
-    return math.sqrt(total)
+        for i, (ch, weights) in enumerate(fits):
+            diff = samples[rows, ch] - decay @ weights
+            totals[i] += float(np.sum(w[rows, None] * diff * diff))
+    misfits = iter(totals)
+    return [math.nan if field is None else math.sqrt(next(misfits)) for field in fields]
 
 
 def _solve_step(
-    problem: HumProblem, moments: np.ndarray, record: MeasurementRecord,
+    problem: HumProblem, moments: np.ndarray,
     truth: Sequence[Callable[..., np.ndarray]] | GradientField | None,
-) -> tuple[GradientField, float, float | None, GramDiagnostic]:
+) -> tuple[GradientField, float | None, GramDiagnostic]:
     """One HUM solve on the problem's truncation, from the record's moments.
 
-    Gram, right-hand side, solve, then the residual against the record and
-    the omega error (None without a truth). Raises SolvabilityError when an
-    unregularized Gram is singular.
+    Gram, right-hand side, solve, then the omega error (None without a
+    truth). Raises SolvabilityError when an unregularized Gram is singular.
     """
     gram = assemble_gram(problem)
     rhs = assemble_rhs(problem, moments)
     coeffs, spectrum = solve_reconstruction(problem, gram, rhs)
     field = GradientField(coeffs, problem.modes)
-    residual = residual_against(problem, record, field)
     err = omega_error(field, truth, problem.omega) if truth is not None else None
-    return field, residual, err, spectrum
+    return field, err, spectrum
 
 
 def reconstruct(
@@ -593,11 +616,12 @@ def reconstruct(
             reg_i = Regularization()
         prob_i = replace(problem, mode_count=M_i, regularization=reg_i)
         try:
-            field, residual, err, spectrum = _solve_step(prob_i, moments(prob_i), record, truth)
+            field, err, spectrum = _solve_step(prob_i, moments(prob_i), truth)
         except SolvabilityError as exc:
             singular = exc
             history.append(float("inf"))
             continue
+        (residual,) = residual_against(prob_i, record, [field])
         history.append(residual)
         cond = spectrum.condition_number
         candidate = ReconstructionResult(field, residual, cond, it, err, tuple(history))
@@ -619,17 +643,20 @@ def sweep_channels(
     problem: HumProblem,
     record: MeasurementRecord,
     truth: Sequence[Callable[..., np.ndarray]] | GradientField,
-) -> Iterator[tuple[float, float, float]]:
+) -> list[tuple[float, float, float]]:
     """Solve each channel of the record as its own one-sensor problem.
 
     Channel ch was sensed by problem.sensors[ch]; one record_moments pass
     serves every channel, and there is no escalation. Every channel's
     problem shares the parent's modes, eigenvalues and B, and takes row ch
-    of its P: only P depends on the sensor. Yields (omega error, residual,
-    smallest Gram eigenvalue), or nan, nan where it is singular.
+    of its P: only P depends on the sensor. The channels are solved first,
+    then one residual_against pass over the record takes every solved
+    channel's residual. Returns (omega error, residual, smallest Gram
+    eigenvalue) per channel, with nan, nan where the Gram is singular.
     """
     _check_channels(problem, record)
     moments = record_moments(problem, record)
+    fields, rows = [], []
     for ch, sensor in enumerate(problem.sensors):
         single = replace(problem, sensors=(sensor,))
         # prime the cached properties, which live in the instance dict; the
@@ -640,13 +667,16 @@ def sweep_channels(
             coupling=problem.coupling,
             outputs=_read_only(problem.outputs[ch : ch + 1].copy()),
         )
-        channel = MeasurementRecord(record.grid, record.samples[:, ch])
         try:
-            _, residual, err, spectrum = _solve_step(single, moments[:, ch, None], channel, truth)
+            field, err, spectrum = _solve_step(single, moments[:, ch, None], truth)
         except SolvabilityError as exc:  # a blind spot: the Gram is singular
-            yield math.nan, math.nan, exc.smallest_eigenvalue
+            fields.append(None)
+            rows.append((math.nan, exc.smallest_eigenvalue))
             continue
-        yield err, residual, spectrum.smallest_eigenvalue
+        fields.append(field)
+        rows.append((err, spectrum.smallest_eigenvalue))
+    residuals = residual_against(problem, record, fields)
+    return [(err, res, lam_min) for (err, lam_min), res in zip(rows, residuals)]
 
 
 def sweep_chunk(rows: int) -> int:

@@ -682,6 +682,44 @@ def test_caputo_values_of_no_times_is_empty():
                     assert got.shape == np.shape(times) + samples.shape[1:]
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.3, 0.5, 0.84, 0.99, 0.999])
+@pytest.mark.parametrize("ratio", [1.0, 1e-8, 1e-16])
+def test_exponential_sum_matches_the_power_kernel(alpha, ratio):
+    # the far cells' kernel: sum_j w_j exp(-sigma_j x) is x^(-alpha) within
+    # 1e-14 relative over [delta, T], with increasing exponents
+    horizon = 2.0
+    sigma, weights = fc._exponential_sum(alpha, ratio * horizon, horizon)
+    assert np.all(np.diff(sigma) > 0.0) and np.all(weights > 0.0)
+    x = np.geomspace(ratio * horizon, horizon, 3001)
+    approx = np.exp(-np.outer(x, sigma)) @ weights
+    assert np.max(np.abs(approx * x**alpha - 1.0)) <= 1e-14
+
+
+def test_caputo_values_far_cells_match_a_cell_loop():
+    # 2,048 graded cells: most times take their far cells through the
+    # exponential sum, in many history steps; shuffled times on and off the
+    # nodes, three channels, both first-cell models. The channels are smooth:
+    # on a rough one the loop's own differences of (t-a)^p and (t-b)^p over
+    # the 1e-12 cells would cancel past this tolerance
+    nodes = fc.merge_nodes(fc.graded_panel_edges(2.0, 1024, 1e-12), np.linspace(0.0, 2.0, 1026), 2.0)
+    g = fc.TimeGrid(nodes)
+    assert len(g) == 2049
+    cols = np.stack([np.cos(3.0 * nodes) + nodes, np.sin(2.0 * nodes) + 1.0, np.exp(-nodes)], axis=1)
+    rng = np.random.default_rng(8)
+    taus = rng.permutation(np.concatenate((
+        rng.choice(nodes[1:], 30), nodes[-1:], rng.uniform(1e-9, 2.0, 30), np.geomspace(1e-11, 2.0, 20)
+    )))
+    for a in (0.3, 0.84):
+        for fcp in (False, True):
+            got = fc.caputo_values(g, cols, a, taus, first_cell_power=fcp)
+            for ch in range(3):
+                want = [_l1_loop(nodes, cols[:, ch], a, t, first_cell_power=fcp) for t in taus]
+                assert got[:, ch] == pytest.approx(want, rel=1e-12, abs=1e-12), (a, fcp, ch)
+    # alpha = 1 at a node is still the slope of the cell that node ends
+    slopes = np.diff(cols, axis=0) / np.diff(nodes)[:, None]
+    assert fc.caputo_values(g, cols, 1.0, nodes[1:]) == pytest.approx(slopes, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # integration-by-parts residual
 

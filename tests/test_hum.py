@@ -654,7 +654,7 @@ def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
             prob_i, assemble_gram(prob_i), record_rhs(prob_i, record)
         )
         field = GradientField(coeffs, prob_i.modes)
-        steps.append((coeffs, hum.residual_against(prob_i, record, field)))
+        steps.append((coeffs, hum.residual_against(prob_i, record, [field])[0]))
     calls = []
     real = hum.caputo_values
 
@@ -686,7 +686,8 @@ def test_sweep_channels_builds_the_truncation_once(monkeypatch):
     for ch, sensor in enumerate(sensors):
         channel = MeasurementRecord(record.grid, record.samples[:, ch])
         single = replace(problem, sensors=(sensor,))
-        _, residual, err, spectrum = hum._solve_step(single, moments[:, ch, None], channel, truth)
+        field, err, spectrum = hum._solve_step(single, moments[:, ch, None], truth)
+        (residual,) = hum.residual_against(single, channel, [field])
         want.append((err, residual, spectrum.smallest_eigenvalue))
     calls = {"eigenpairs": 0, "grad_coupling": 0}
 
@@ -783,7 +784,7 @@ def test_residual_streams_in_row_blocks(monkeypatch, alpha):
     monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     problem, record, table = _long_record(alpha)
     field = GradientField(np.random.default_rng(9).standard_normal(8), problem.modes)
-    residual, peak = _traced_peak(hum.residual_against, problem, record, field)
+    (residual,), peak = _traced_peak(hum.residual_against, problem, record, [field])
     assert peak <= table
     assert fc._DECAY_MEMO == {}
     decay = fc.decay_table(alpha, problem.eigenvalues, record.grid.nodes)
@@ -813,6 +814,54 @@ def test_moments_of_a_truncation_prefix_a_larger_one(monkeypatch, alpha, samples
             small = hum.record_moments(HumProblem(modes, FULL, sensors, alpha, 1.0), record)
             assert small.shape == (modes, channels)
             assert np.array_equal(small, large[:modes]), (modes, channels)
+
+
+def test_exact_route_moments_of_a_truncation_prefix_a_larger_one():
+    # the exact route pairs through _row_sums too: with one sensor, alpha
+    # 0.7 and a 12-mode state, M = 1..7 give bit for bit the first M rows of
+    # M = 8, where a BLAS product of the decay table did so at M = 4 alone
+    sensors = (Sensor.pointwise((0.3,)),)
+    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    deep = HumProblem(len(state), FULL, sensors, 0.7, 1.0)
+    moments = hum._state_moments(deep, state)
+    large = moments(replace(deep, mode_count=8))
+    for modes in range(1, 8):
+        small = moments(replace(deep, mode_count=modes))
+        assert small.shape == (modes, 1)
+        assert np.array_equal(small, large[:modes]), modes
+
+
+def test_sweep_residuals_take_one_record_pass(monkeypatch):
+    # the acceptance sweep's one chunk: 19 positions on 512 record rows at
+    # M = 8, 7 of them blind. E_alpha is evaluated on the Gram's Gauss nodes
+    # and on the moment nodes once per chunk (the memo serves every
+    # channel), and on the record nodes once for every channel's residual:
+    # R x M = 4,096 points, where a pass per solvable channel took 12 x 4,096
+    positions = [0.05 * i for i in range(1, 20)]
+    sensors = tuple(Sensor.pointwise((b,)) for b in positions)
+    modes = eigenpairs(SpatialDomain(1), 200)
+    state = project_initial_state(modes, "trig_sq")
+    grid = TimeGrid.uniform(1.0, 512)
+    record = generate_measurements(0.84, modes, state, sensors, grid)
+    problem = HumProblem(8, Region((0.0,), (0.25,)), sensors, 0.84, 1.0, Regularization("none"))
+    truth = GradientField(np.ones(8), problem.modes)  # any field on omega will do
+    points = []
+    real = fc.mlf_values
+
+    def counted(alpha, z):
+        points.append(np.size(z))
+        return real(alpha, z)
+
+    monkeypatch.setattr(fc, "mlf_values", counted)
+    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    rows = hum.sweep_channels(problem, record, truth)
+    assert sum(math.isnan(err) for err, _, _ in rows) == 7
+    gauss = fc.PRODUCT_PANELS * fc.PRODUCT_ORDER
+    moment_nodes = hum._moment_nodes(problem, grid)[0].size
+    assert sum(points) == (gauss + moment_nodes + len(grid)) * 8
+    # one field for every channel, or one per channel: nothing in between
+    with pytest.raises(InputError):
+        hum.residual_against(problem, record, [None, None])
 
 
 @pytest.mark.parametrize("alpha, samples", [(0.7, 1000), (1.0, 10000)])
