@@ -2,8 +2,8 @@
 
 Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, by
 one fixed Bromwich contour (a spectral rule near alpha = 1), the one
-row-block evaluator of decay tables E_alpha(-lam t^alpha) with its memo
-and its table-free product with a weight matrix, Caputo derivatives of
+row-block evaluator of decay tables E_alpha(-lam t^alpha) and its
+table-free product with a weight matrix, Caputo derivatives of
 sampled data, and a residual check for the fractional
 integration-by-parts identity.
 
@@ -33,7 +33,6 @@ __all__ = [
     "mlf",
     "mlf_values",
     "decay_blocks",
-    "decay_table",
     "decay_apply",
     "caputo_values",
     "check_fractional_ibp",
@@ -519,7 +518,7 @@ def mlf_values(alpha: float, z) -> np.ndarray:
     whole router. So work memory is the contour's one buffer, whatever the
     call's size, and nothing the call's size is allocated beside the
     result. Each value depends on its own argument alone, not on the other
-    points of the call, which decay_table() relies on. Raises DomainError
+    points of the call, which decay_blocks() relies on. Raises DomainError
     as mlf() does, and AccuracyError like mlf(), with the first failing
     point's report, if an estimate exceeds 1e-9; an accepted contour
     estimate is within _CONTOUR_ACCEPT, below that.
@@ -554,15 +553,11 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     return MlfEvalReport(float(vals[0]), _REGIMES[regime[0]], int(used[0]), float(rel[0]))
 
 
-_DECAY_GRIDS = 4  # time grids the decay-table memo holds at once
-# (alpha, time grid bytes) -> (eigenvalues, read-only table), oldest first
-_DECAY_MEMO: dict[tuple[float, bytes], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | None = None):
     """Yield (row slice, E_alpha(-lam t^alpha) on those rows) over times x lams.
 
-    The one evaluator of decay tables; lams and times are 1-d float arrays.
+    The one evaluator of decay tables, which keeps none of them between
+    calls; lams and times are 1-d float arrays.
     A block holds `rows` rows (the last may hold fewer), or about _BATCH_BLOCK
     points when `rows` is None, so no table-sized argument or value array
     is ever built; each value depends on its own argument alone, so the
@@ -578,51 +573,11 @@ def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | 
         yield slice(lo, lo + rows), mlf_values(alpha, np.outer(powers[lo : lo + rows], neg))
 
 
-def decay_table(alpha: float, lams, times) -> np.ndarray:
-    """E_alpha(-lam t^alpha) over times x lams, as a read-only array.
-
-    Every decay table the package keeps is built here: the Gram's product
-    rule (ml_product_matrix) and the L1 moment nodes of fracobs.hum read
-    it, while hum's record-node pairings stream decay_blocks and keep no
-    table. Tables are memoised per (alpha, times), least recently used
-    first out, for at most _DECAY_GRIDS time grids. A request whose
-    eigenvalues are a prefix of the stored ones gets a column view of the
-    stored table; one that extends them evaluates only the new columns and
-    appends them; any other request builds a fresh table in place of the
-    stored one. eigenpairs() is prefix-stable, so an escalating
-    reconstruction evaluates each (lam, t) pair of those grids once.
-
-    New columns are filled into one preallocated table in the row blocks
-    of decay_blocks, so nothing table-sized is held beside it.
-    """
-    alpha = _check_alpha(alpha)
-    lams = np.asarray(lams, dtype=float).ravel()
-    times = np.asarray(times, dtype=float).ravel()
-    key = (alpha, times.tobytes())
-    empty = (lams[:0], np.empty((times.size, 0)))
-    have, table = _DECAY_MEMO.pop(key, empty)
-    shared = min(have.size, lams.size)
-    if not np.array_equal(have[:shared], lams[:shared]):
-        have, table = empty
-    if lams.size > have.size:
-        grown = np.empty((times.size, lams.size))
-        grown[:, : have.size] = table
-        for rows, block in decay_blocks(alpha, lams[have.size :], times):
-            grown[rows, have.size :] = block
-        have, table = lams.copy(), grown
-    table.flags.writeable = False
-    _DECAY_MEMO[key] = (have, table)
-    while len(_DECAY_MEMO) > _DECAY_GRIDS:
-        del _DECAY_MEMO[next(iter(_DECAY_MEMO))]
-    return table[:, : lams.size]
-
-
 def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:
-    """decay_table(alpha, lams, times) @ weights, without holding the table.
+    """E_alpha(-lam t^alpha) over times x lams, times weights, without the table.
 
     Each row block of decay_blocks is multiplied into the result and
-    dropped, so work memory is one block plus the result. The memo is
-    neither read nor written: a table applied once is not worth keeping.
+    dropped, so work memory is one block plus the result.
     weights has one row per eigenvalue; the result has one row per time.
     Eigenvalues whose weight row is all zero are dropped first, so only
     the columns that carry weight are evaluated.
@@ -986,13 +941,16 @@ def product_rule(horizon: float) -> tuple[np.ndarray, np.ndarray]:
 def ml_product_matrix(lams, alpha: float, horizon: float):
     """Matrix of int_0^T E_alpha(-l_i t^a) E_alpha(-l_j t^a) dt.
 
-    Evaluated by product_rule, with the decay table on its nodes from
-    decay_table(). Raises InputError when an eigenvalue is not positive.
+    Evaluated by product_rule: its (modes x nodes) decay table is filled
+    from the row blocks of decay_blocks and dropped once the matrix is
+    formed. Raises InputError when an eigenvalue is not positive.
     """
     alpha = _check_alpha(alpha)
-    lams = np.asarray(lams, dtype=float)
+    lams = np.asarray(lams, dtype=float).ravel()
     if not np.all(lams > 0.0):
         raise InputError("eigenvalues must be positive")
     t, w = product_rule(horizon)
-    e = np.ascontiguousarray(decay_table(alpha, lams, t).T)
+    e = np.empty((lams.size, t.size))
+    for rows, block in decay_blocks(alpha, lams, t):
+        e[:, rows] = block.T
     return (e * w) @ e.T

@@ -14,7 +14,7 @@ what makes noiseless in-span data reproduce Lambda times the true
 coefficients exactly. For alpha < 1 the L1 Caputo rule is applied to the
 samples on Gauss moment nodes, once per reconstruction: the nodes do not
 depend on the truncation, so every escalation step pairs the same
-weighted derivative with its own decay table. fraccalc.caputo_values
+weighted derivative with the decay profiles of its modes. fraccalc.caputo_values
 sums each node's near cells exactly and its far cells through a sum of
 exponentials, so that pass is linear in the record length. At alpha = 1 the
 derivative of the piecewise linear record is its slope per cell, and its
@@ -23,26 +23,25 @@ a mode's moments depend on that mode alone, so an escalation step pairs
 only the modes it adds.
 
 A HumProblem owns the operators of its truncation: the modes, their
-eigenvalues, B and P are cached properties, each built once on first use
-and read-only. The Gram, both right-hand sides and the residual read them
-from the problem; replace() gives a new truncation an empty cache, and a
-sensor sweep primes each position's cache with the parent's operators.
+eigenvalues, B, P and T are cached properties, each built once on first
+use and read-only. The Gram, both right-hand sides and the residual read
+them from the problem; replace() gives a new truncation an empty cache,
+and a sensor sweep primes each position's cache with the parent's
+operators.
 
 Each solve decomposes the Gram once; the coefficients, the condition
 number and the smallest eigenvalue all come from that one eigh. The
 top-level driver escalates the truncation (and, late in the loop, the
 regularization) until the output residual passes the requested threshold.
 
-Only two decay tables E_alpha(-lam_k t^alpha) are kept, on the Gram's
-Gauss nodes and on the moment nodes of the right-hand side for
-alpha < 1; both come from fraccalc.decay_table, whose memo lets an
-escalating reconstruction evaluate each of their (lam, t) pairs once.
-Nothing of record length times modes is held: the two pairings on the
-record nodes, the alpha = 1 moments and the residual, stream
-fraccalc.decay_blocks in blocks of _RECORD_ROWS rows. A table applied
-once is not kept either: the forward record and the exact route's state
-side go through fraccalc.decay_apply. A sensor sweep builds one record,
-one set of record_moments and one residual pass per chunk of positions
+No decay table E_alpha(-lam_k t^alpha) outlives the call that builds
+it. T fills its table on the Gram's Gauss nodes and drops it once the
+matrix is formed. Every pairing of a decay profile with data, the
+moments on either route and the residual, streams fraccalc.decay_blocks
+in blocks of _RECORD_ROWS rows, so nothing of record length times modes
+is held. The forward record and the exact route's state side go through
+fraccalc.decay_apply. A sensor sweep builds one record, one set of
+record_moments and one residual pass per chunk of positions
 (sweep_chunk), a channel each.
 """
 
@@ -52,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import eigh
@@ -63,7 +62,6 @@ from .fraccalc import (
     caputo_values,
     decay_apply,
     decay_blocks,
-    decay_table,
     gauss_panels,
     graded_panel_edges,
     merge_nodes,
@@ -216,6 +214,11 @@ class HumProblem:
         """P[ch, k] = C_ch phi_k, shape (p, M)."""
         return _read_only(output_matrix(self.sensors, self.modes))
 
+    @cached_property
+    def products(self) -> np.ndarray:
+        """T[k, l] = int_0^T E_alpha(-lam_k t^alpha) E_alpha(-lam_l t^alpha) dt."""
+        return _read_only(ml_product_matrix(self.eigenvalues, self.alpha, self.horizon))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -303,8 +306,7 @@ def assemble_gram(problem: HumProblem) -> np.ndarray:
     error metric only.
     """
     B, P = problem.coupling, problem.outputs
-    Tm = ml_product_matrix(problem.eigenvalues, problem.alpha, problem.horizon)
-    return B @ (Tm * (P.T @ P)) @ B.T
+    return B @ (problem.products * (P.T @ P)) @ B.T
 
 
 def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -325,58 +327,78 @@ def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray
     flipped), then integrated against each mode's decay profile; every
     channel comes from the same pass. For alpha < 1 the L1 Caputo rule is
     applied on Gauss moment nodes aligned with the record cells, and each
-    mode's column of their memoised decay table is paired with it. At
-    alpha = 1 the derivative of the piecewise linear interpolant is its
-    slope, constant on each cell, so the pairing is exact per cell:
+    mode's decay profile on those nodes is paired with it. At alpha = 1
+    the derivative of the piecewise linear interpolant is its slope,
+    constant on each cell, so the pairing is exact per cell:
     int_cell slope_j e^(-lam t) dt = dz_j E_j expm1(-lam h_j) / (-lam h_j),
     with E_j = e^(-lam t_j) at the cell's start, expm1 keeping the cell
-    weight accurate for any lam h. Those weights are formed and summed in
-    blocks of _RECORD_ROWS cells, straight from fraccalc.decay_blocks, so
-    no record-length table is held. Every sum is taken by _row_sums, so
-    the moments of M modes are, bit for bit, the first M rows of a larger
-    truncation's. They depend on the truncation and the time rule only,
-    not on the sensors.
+    weight accurate for any lam h. Every sum is taken by _pair_decay, so
+    no record-length table is held and the moments of M modes are, bit
+    for bit, the first M rows of a larger truncation's. They depend on the
+    truncation and the time rule only, not on the sensors.
     """
     return _moments_by_truncation(problem, record)(problem)
 
 
-def _row_sums(pairs: Iterator[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """sum_t block[t, k] data[t, c] over (block, data) row blocks, as (modes, channels).
+def _pair_decay(
+    alpha: float, lams: np.ndarray, times: np.ndarray, data: np.ndarray, cells: bool
+) -> np.ndarray:
+    """sum_t E_alpha(-lam t^alpha) data[t, c] over the times, as (modes, channels).
 
-    A block's products for one channel are laid out one mode per row and
-    each row is summed on its own, so every sum reads its own mode's
-    column alone: given the same row blocks, the sums of a set of modes
-    are bitwise the same rows of a larger set's. A BLAS product would not
+    The sums run over fixed blocks of _RECORD_ROWS rows, each straight from
+    fraccalc.decay_blocks and dropped once summed. A block's products for
+    one channel are laid out one mode per row and each row is summed on
+    its own, so every sum reads its own mode's column alone, and the row
+    blocks do not depend on the modes: the sums of a set of modes are
+    bitwise the same rows of a larger set's. A BLAS product would not
     promise that. The blocks' sums are added in order.
+
+    With `cells` (alpha = 1), times and data are a record's nodes and
+    samples, and row j is its cell j: the decay at the cell's start takes
+    the cell factor expm1(-lam h_j) / (lam h_j) and pairs with the step
+    dz_j, both formed per block, so no record-length difference is held.
     """
     total = 0.0
-    for block, data in pairs:
+    for rows, block in decay_blocks(alpha, lams, times[:-1] if cells else times, _RECORD_ROWS):
+        if cells:
+            span = slice(rows.start, rows.stop + 1)
+            x = np.outer(np.diff(times[span]), lams)
+            weight = np.expm1(-x)
+            weight /= x
+            block *= weight
+            part = np.diff(data[span], axis=0)
+        else:
+            part = data[rows]
         prod = np.empty(block.T.shape)
-        sums = np.empty((block.shape[1], data.shape[1]))
-        for c in range(data.shape[1]):
-            np.multiply(block.T, data[:, c], out=prod)
+        sums = np.empty((block.shape[1], part.shape[1]))
+        for c in range(part.shape[1]):
+            np.multiply(block.T, part[:, c], out=prod)
             np.add.reduce(prod, axis=1, out=sums[:, c])
         total = total + sums
     return total
 
 
-def _row_blocks(count: int) -> Iterator[slice]:
-    """Slices of _RECORD_ROWS rows over range(count), as decay_blocks yields them."""
-    return (slice(lo, lo + _RECORD_ROWS) for lo in range(0, count, _RECORD_ROWS))
+def _prefix_pairings(
+    alpha: float, times: np.ndarray, data: np.ndarray, cells: bool
+) -> Callable[[HumProblem], np.ndarray]:
+    """The _pair_decay moments of the data for every truncation.
 
+    The moments made so far are kept, and a truncation pairs only the
+    modes it adds (eigenpairs() is prefix-stable); since each mode's
+    moments depend on that mode alone, they are bitwise those of pairing
+    the whole truncation at once.
+    """
+    done = np.empty((0, data.shape[1]))
 
-def _slope_cells(
-    record: MeasurementRecord, lams: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the alpha = 1 cell weights and the record's steps dz, block by block."""
-    nodes, samples = record.grid.nodes, record.samples
-    for rows, decay in decay_blocks(1.0, lams, nodes[:-1], _RECORD_ROWS):
-        cells = slice(rows.start, rows.stop + 1)
-        x = np.outer(np.diff(nodes[cells]), lams)
-        weight = np.expm1(-x)
-        weight /= x
-        weight *= decay
-        yield weight, np.diff(samples[cells], axis=0)
+    def moments(prob: HumProblem) -> np.ndarray:
+        nonlocal done
+        lams = prob.eigenvalues
+        if lams.size > len(done):
+            added = _pair_decay(alpha, lams[len(done) :], times, data, cells)
+            done = np.concatenate((done, added))
+        return done[: lams.size]
+
+    return moments
 
 
 def _moments_by_truncation(
@@ -386,10 +408,7 @@ def _moments_by_truncation(
 
     The weighted derivative on the moment nodes depends on the record,
     alpha and the horizon, not on the modes, so the L1 pass is made here
-    once. The moments made so far are kept, and a truncation pairs only
-    the modes it adds (eigenpairs() is prefix-stable); since each mode's
-    moments depend on that mode alone, they are bitwise those of a fresh
-    record_moments at the truncation.
+    once, and every truncation pairs it through _prefix_pairings.
     """
     if abs(record.grid.horizon - problem.horizon) > 1e-9 * problem.horizon:
         raise InputError(
@@ -397,31 +416,12 @@ def _moments_by_truncation(
         )
     alpha = problem.alpha
     if alpha == 1.0:
-
-        def pair(lams: np.ndarray, first: int) -> np.ndarray:
-            return _row_sums(_slope_cells(record, lams[first:]))
-
-    else:
-        tq, wq = _moment_nodes(problem, record.grid)
-        weighted = wq[:, None] * -caputo_values(
-            record.grid, record.samples, alpha, tq, first_cell_power=True
-        )
-
-        def pair(lams: np.ndarray, first: int) -> np.ndarray:
-            table = decay_table(alpha, lams, tq)
-            blocks = _row_blocks(tq.size)
-            return _row_sums((table[rows, first:], weighted[rows]) for rows in blocks)
-
-    done = np.empty((0, record.channel_count))
-
-    def moments(prob: HumProblem) -> np.ndarray:
-        nonlocal done
-        lams = prob.eigenvalues
-        if lams.size > len(done):
-            done = np.concatenate((done, pair(lams, len(done))))
-        return done[: lams.size]
-
-    return moments
+        return _prefix_pairings(1.0, record.grid.nodes, record.samples, True)
+    tq, wq = _moment_nodes(problem, record.grid)
+    weighted = wq[:, None] * -caputo_values(
+        record.grid, record.samples, alpha, tq, first_cell_power=True
+    )
+    return _prefix_pairings(alpha, tq, weighted, False)
 
 
 def _check_channels(problem: HumProblem, record: MeasurementRecord) -> None:
@@ -459,19 +459,14 @@ def _state_moments(deep: HumProblem, state: ModalState) -> Callable[[HumProblem]
     `deep` is the problem truncated at the state's depth. The negated
     derivative of channel c, sum_l P_cl lam_l a_l E_l(t), is evaluated once
     on the Gram's Gauss rule, over the modes with a nonzero coefficient;
-    each truncation pairs it with its own memoised decay table through
-    _row_sums, so the moments of M modes are bitwise the first M rows of a
-    larger truncation's, as on the data route.
+    it is paired through _prefix_pairings as on the data route, so a
+    truncation pairs only the modes it adds, and the moments of M modes
+    are bitwise the first M rows of a larger truncation's.
     """
     t, w = product_rule(deep.horizon)
     weights = (deep.eigenvalues * state.coefficients)[:, None] * deep.outputs.T
     weighted = w[:, None] * decay_apply(deep.alpha, deep.eigenvalues, t, weights)
-
-    def moments(prob: HumProblem) -> np.ndarray:
-        table = decay_table(prob.alpha, prob.eigenvalues, t)
-        return _row_sums((table[rows], weighted[rows]) for rows in _row_blocks(t.size))
-
-    return moments
+    return _prefix_pairings(deep.alpha, t, weighted, False)
 
 
 def solve_reconstruction(
@@ -648,8 +643,8 @@ def sweep_channels(
 
     Channel ch was sensed by problem.sensors[ch]; one record_moments pass
     serves every channel, and there is no escalation. Every channel's
-    problem shares the parent's modes, eigenvalues and B, and takes row ch
-    of its P: only P depends on the sensor. The channels are solved first,
+    problem shares the parent's modes, eigenvalues, B and T, and takes row
+    ch of its P: only P depends on the sensor. The channels are solved first,
     then one residual_against pass over the record takes every solved
     channel's residual. Returns (omega error, residual, smallest Gram
     eigenvalue) per channel, with nan, nan where the Gram is singular.
@@ -665,6 +660,7 @@ def sweep_channels(
             modes=problem.modes,
             eigenvalues=problem.eigenvalues,
             coupling=problem.coupling,
+            products=problem.products,
             outputs=_read_only(problem.outputs[ch : ch + 1].copy()),
         )
         try:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
-from .fraccalc import decay_table
+from .fraccalc import decay_apply
 from .spectral import (
     Region,
     SpatialDomain,
@@ -197,5 +197,5 @@ def counterexample_check(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarr
     j = np.arange(1, COUNTEREXAMPLE_DEPTH + 1)
     ii, jj = np.meshgrid(j, j, indexing="ij")
     lams = ((ii * ii + jj * jj) * math.pi**2).ravel()
-    decay = decay_table(0.5, lams, t)
-    return decay @ coef_global.ravel(), decay @ coef_window.ravel()
+    outputs = decay_apply(0.5, lams, t, np.stack((coef_global.ravel(), coef_window.ravel()), 1))
+    return outputs[:, 0], outputs[:, 1]

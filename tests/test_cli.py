@@ -8,12 +8,12 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracobs import cli, hum
-from fracobs import fraccalc as fc
 from fracobs.errors import InputError
 from fracobs.spectral import SpatialDomain, eigenpairs
 from fracobs.system import project_initial_state
@@ -1098,8 +1098,9 @@ RERUN_CONFIG = """
 
 @pytest.mark.parametrize("seed", [3, 17, 2024])
 def test_reruns_in_one_process_match_a_fresh_process(tmp_path, capsys, seed):
-    # the decay-table memo is warm on the second in-process run (and from
-    # earlier tests); no memo state may reach the printed outputs
+    # the E_alpha contour and Gauss-rule caches are warm on the second
+    # in-process run (and from earlier tests); no cached state may reach
+    # the printed outputs
     config = write_config(tmp_path, RERUN_CONFIG.format(seed=seed))
     out = str(tmp_path)
     commands = [
@@ -1124,18 +1125,29 @@ def test_reruns_in_one_process_match_a_fresh_process(tmp_path, capsys, seed):
 
 
 def test_decay_memo_stays_bounded_over_a_sweep_and_a_reconstruct(tmp_path, capsys):
+    # no state a command leaves behind grows with its runs: a second
+    # simulate, sweep and reconstruct in the same process retains within
+    # 256 KB of what the first left (the bounded caches of the E_alpha
+    # contour and the Gauss rules fill on the first)
     config = write_config(tmp_path, RERUN_CONFIG.format(seed=5))
     out = str(tmp_path)
-    assert cli.main(["simulate", "--config", config, "--out", out]) == 0
-    assert cli.main([
-        "sweep-sensor", "--config", config, "--out", out, "--sweep-grid", "0.05:0.95:0.05",
-    ]) == 0
-    assert len(read_rows(tmp_path / "sweep.csv")) == 20
-    assert len(fc._DECAY_MEMO) <= 4
-    assert cli.main([
-        "reconstruct", "--config", config, "--out", out,
-        "--measurements", str(tmp_path / "measurements.csv"),
-    ]) == cli.EXIT_CONVERGENCE
-    history = capsys.readouterr().err.split("residual history:")[1]
-    assert len(history.split(",")) == 3
-    assert len(fc._DECAY_MEMO) <= 4
+    retained = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            assert cli.main(["simulate", "--config", config, "--out", out]) == 0
+            assert cli.main([
+                "sweep-sensor", "--config", config, "--out", out,
+                "--sweep-grid", "0.05:0.95:0.05",
+            ]) == 0
+            assert len(read_rows(tmp_path / "sweep.csv")) == 20
+            assert cli.main([
+                "reconstruct", "--config", config, "--out", out,
+                "--measurements", str(tmp_path / "measurements.csv"),
+            ]) == cli.EXIT_CONVERGENCE
+            history = capsys.readouterr().err.split("residual history:")[1]
+            assert len(history.split(",")) == 3
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert retained[1] - retained[0] <= 256 * 1024, retained

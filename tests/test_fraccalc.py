@@ -344,8 +344,8 @@ def test_mlf_negative_axis_in_unit_interval_and_nonincreasing(alpha, xs):
 @PROPERTY
 @given(ALPHAS, st.lists(st.floats(0.0, 1e3), min_size=2, max_size=30))
 def test_mlf_values_do_not_depend_on_the_batch(alpha, xs):
-    # decay_table appends columns to memoised tables and serves column
-    # views of them, so a value must not depend on the points beside it
+    # decay_blocks evaluates a table in row blocks whose partition depends
+    # on the call, so a value must not depend on the points beside it
     x = -np.array(xs)
     batch = fc.mlf_values(alpha, x)
     alone = [fc.mlf(alpha, float(z)).value for z in x]
@@ -847,8 +847,7 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
 
 
 def _counting_mlf(monkeypatch):
-    """Empty the decay-table memo and count the points mlf_values receives."""
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
+    """Count the points mlf_values receives."""
     points = []
     real = fc.mlf_values
 
@@ -860,55 +859,13 @@ def _counting_mlf(monkeypatch):
     return points, real
 
 
-def test_decay_table_prefix_views_and_appends(monkeypatch):
-    points, mlf_values = _counting_mlf(monkeypatch)
-    t = np.linspace(0.0, 1.0, 33)
-    lams = PI2 * np.arange(1.0, 9.0) ** 2
-    small = fc.decay_table(0.7, lams[:3], t)
-    assert not small.flags.writeable
-    with pytest.raises(ValueError):
-        small[0, 0] = 2.0
-    full = fc.decay_table(0.7, lams, t)
-    assert points == [33 * 3, 33 * 5]
-    assert np.array_equal(full, mlf_values(0.7, -np.outer(t**0.7, lams)))
-    assert np.array_equal(full[:, :3], small)
-    view = fc.decay_table(0.7, lams[:4], t)
-    assert np.array_equal(view, full[:, :4]) and not view.flags.writeable
-    assert points == [33 * 3, 33 * 5]
-    # eigenvalues that do not extend the stored ones replace the table
-    other = fc.decay_table(0.7, lams[1:], t)
-    assert points[-1] == 33 * 7
-    assert np.array_equal(other, full[:, 1:])
-    assert fc.decay_table(1.0, lams, t) == pytest.approx(np.exp(-np.outer(t, lams)), rel=1e-15)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_decay_table_row_blocks_match_one_shot(monkeypatch, alpha):
-    # the table is filled in row blocks of about _BATCH_BLOCK points; each
-    # value depends on its own argument, so blocks change no bit
-    points, mlf_values = _counting_mlf(monkeypatch)
-    t = np.linspace(0.0, 2.0, 2001)
-    lams = PI2 * np.arange(1.0, 71.0) ** 2
-    first = fc.decay_table(alpha, lams[:30], t)
-    rows = fc._BATCH_BLOCK // 30
-    assert points == [rows * 30, (t.size - rows) * 30]
-    assert np.array_equal(first, mlf_values(alpha, -np.outer(t**alpha, lams[:30])))
-    # the appended columns come in blocks of their own width
-    points.clear()
-    full = fc.decay_table(alpha, lams, t)
-    rows = fc._BATCH_BLOCK // 40
-    assert points == [rows * 40] * (t.size // rows) + [t.size % rows * 40]
-    assert np.array_equal(full, mlf_values(alpha, -np.outer(t**alpha, lams)))
-    assert not full.flags.writeable
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_decay_blocks_with_fixed_rows(alpha):
     # a fixed row count partitions the times alike for any eigenvalues, and
-    # the blocks hold the table's values bit for bit
+    # the blocks hold the one-shot table's values bit for bit
     t = np.linspace(0.0, 2.0, 2001)
     lams = PI2 * np.arange(1.0, 71.0) ** 2
-    table = fc.decay_table(alpha, lams, t)
+    table = fc.mlf_values(alpha, -np.outer(t**alpha, lams))
     for count in (1, 30, 70):
         blocks = list(fc.decay_blocks(alpha, lams[:count], t, 500))
         assert [rows.start for rows, _ in blocks] == [0, 500, 1000, 1500, 2000]
@@ -917,9 +874,29 @@ def test_decay_blocks_with_fixed_rows(alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_decay_table_row_blocks_match_one_shot(monkeypatch, alpha):
+    # without a row count the table is evaluated in row blocks of about
+    # _BATCH_BLOCK points; each value depends on its own argument, so the
+    # blocks change no bit of the one-shot table
+    points, mlf_values = _counting_mlf(monkeypatch)
+    t = np.linspace(0.0, 2.0, 2001)
+    lams = PI2 * np.arange(1.0, 71.0) ** 2
+    table = mlf_values(alpha, -np.outer(t**alpha, lams))
+    for count in (30, 40):
+        points.clear()
+        height = fc._BATCH_BLOCK // count
+        blocks = list(fc.decay_blocks(alpha, lams[:count], t))
+        assert points == [height * count] * (t.size // height) + [t.size % height * count]
+        assert [rows.start for rows, _ in blocks] == list(range(0, t.size, height))
+        want = [(height, count)] * (t.size // height) + [(t.size % height, count)]
+        assert [block.shape for _, block in blocks] == want
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), table[:, :count])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_decay_apply_matches_table_product(monkeypatch, alpha):
-    # the row blocks of decay_table, each multiplied into the result and
-    # dropped: the memo is neither read nor written
+    # the row blocks of decay_blocks, each multiplied into the result and
+    # dropped
     points, _ = _counting_mlf(monkeypatch)
     t = np.linspace(0.0, 2.0, 2001)
     lams = PI2 * np.arange(1.0, 71.0) ** 2
@@ -927,8 +904,7 @@ def test_decay_apply_matches_table_product(monkeypatch, alpha):
     got = fc.decay_apply(alpha, lams, t, W)
     rows = fc._BATCH_BLOCK // 70
     assert points == [rows * 70] * (t.size // rows) + [t.size % rows * 70]
-    assert fc._DECAY_MEMO == {}
-    E = fc.decay_table(alpha, lams, t)
+    E = fc.mlf_values(alpha, -np.outer(t**alpha, lams))
     assert got.shape == (t.size, 3)
     assert np.all(np.abs(got - E @ W) <= 1e-14 * (np.abs(E) @ np.abs(W)))
     vector = fc.decay_apply(alpha, lams, t, W[:, 1])
@@ -951,26 +927,12 @@ def test_decay_apply_skips_modes_with_zero_weight(monkeypatch):
     W = state[:, None] * P
     got = fc.decay_apply(0.84, lams, t, W)
     assert sum(points) == 1024 * 100
-    full = fc.decay_table(0.84, lams, t) @ W
+    full = fc.mlf_values(0.84, -np.outer(t**0.84, lams)) @ W
     assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
     # no weight at all: nothing is evaluated and the result is zero
     points.clear()
     assert np.array_equal(fc.decay_apply(0.84, lams, t, np.zeros(200)), np.zeros(1024))
     assert sum(points) == 0
-
-
-def test_decay_table_memo_holds_four_grids_least_recent_out(monkeypatch):
-    points, _ = _counting_mlf(monkeypatch)
-    grids = [np.linspace(0.0, 1.0, 9 + g) for g in range(6)]
-    for t in grids[:4]:
-        fc.decay_table(0.5, [PI2], t)
-    fc.decay_table(0.5, [PI2], grids[0])
-    assert len(points) == 4
-    for t in grids[4:]:
-        fc.decay_table(0.5, [PI2], t)
-    assert len(fc._DECAY_MEMO) == 4
-    kept = [(0.5, t.tobytes()) in fc._DECAY_MEMO for t in grids]
-    assert kept == [True, False, False, True, True, True]
 
 
 def test_ml_product_matrix_alpha_one_closed_form():

@@ -356,7 +356,7 @@ def test_rhs_data_route_gap_graded_record():
 def test_exact_route_evaluates_only_modes_with_weight(monkeypatch):
     # the derivative of the 96-mode poly_sq state's record is evaluated once
     # on the Gram's 1536 Gauss nodes over its 48 nonzero modes, and paired
-    # with the 20-mode decay table there: 1536 x (48 + 20) E_alpha points,
+    # with the 20 modes' decay profiles there: 1536 x (48 + 20) E_alpha points,
     # where a cross-product table over every state mode took 1536 x 96
     points = []
     real = fc.mlf_values
@@ -366,7 +366,6 @@ def test_exact_route_evaluates_only_modes_with_weight(monkeypatch):
         return real(alpha, z)
 
     monkeypatch.setattr(fc, "mlf_values", counted)
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     deep = HumProblem(96, FULL, (Sensor.pointwise((0.3,)),), 0.5, 1.0)
     state = project_initial_state(deep.modes, "poly_sq")
     problem = replace(deep, mode_count=20)
@@ -602,11 +601,11 @@ def test_reconstruct_with_no_solvable_step_raises_solvability_error():
 
 
 def test_escalating_reconstruct_decay_point_count(monkeypatch):
-    # the tables on the Gauss and moment nodes grow by appended columns, so
-    # three steps to 6 modes cost 6 columns per grid. The residual streams
-    # the 65 record nodes and keeps nothing: 2 + 4 + 6 columns. At
-    # alpha = 1 there are no moment nodes; the moments stream the 64 cell
-    # starts, and each step evaluates only the modes it adds: 6 columns
+    # each step builds its Gram's table on the Gauss nodes and drops it:
+    # 2 + 4 + 6 columns. The moments pair only the modes a step adds, on
+    # the moment nodes (alpha = 0.7) or the 64 cell starts (alpha = 1): 6
+    # columns. The residual streams the 65 record nodes and keeps nothing:
+    # 2 + 4 + 6 columns
     sensors = (Sensor.pointwise((0.3,)),)
     state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
     points = []
@@ -624,7 +623,6 @@ def test_escalating_reconstruct_decay_point_count(monkeypatch):
         problem = HumProblem(
             2, FULL, sensors, alpha, 1.0, epsilon=1e-14, escalation_step=2, max_iterations=3
         )
-        monkeypatch.setattr(fc, "_DECAY_MEMO", {})
         points.clear()
         with pytest.raises(ConvergenceError) as err:
             reconstruct(problem, record)
@@ -633,7 +631,8 @@ def test_escalating_reconstruct_decay_point_count(monkeypatch):
             moments = hum._moment_nodes(problem, record.grid)[0].size
         else:
             moments = len(record.grid) - 1
-        assert sum(points) == (gauss + moments) * 6 + len(record.grid) * (2 + 4 + 6), alpha
+        want = gauss * (2 + 4 + 6) + moments * 6 + len(record.grid) * (2 + 4 + 6)
+        assert sum(points) == want, alpha
 
 
 def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
@@ -757,17 +756,15 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_alpha_one_moments_stream_in_row_blocks(monkeypatch):
+def test_alpha_one_moments_stream_in_row_blocks():
     # the cell weights are formed and summed in fixed row blocks: the traced
     # peak stays within one record-node table, none is kept, and every
     # moment is the whole-table expression's to rounding
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     problem, record, table = _long_record(1.0)
     moments, peak = _traced_peak(hum.record_moments, problem, record)
     assert peak <= table
-    assert fc._DECAY_MEMO == {}
     nodes = record.grid.nodes
-    decay = fc.decay_table(1.0, problem.eigenvalues, nodes)
+    decay = fc.mlf_values(1.0, -np.outer(nodes**1.0, problem.eigenvalues))
     x = np.outer(np.diff(nodes), problem.eigenvalues)
     cells = decay[:-1] * (np.expm1(-x) / x)
     dz = np.diff(record.samples, axis=0)
@@ -777,17 +774,30 @@ def test_alpha_one_moments_stream_in_row_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.0])
-def test_residual_streams_in_row_blocks(monkeypatch, alpha):
+def test_record_moments_retain_nothing_of_the_record(alpha):
+    # no decay table or derivative of record length outlives the call: what
+    # stays traced once it returns, besides the moments, is under 64 KB,
+    # where a record-node table of 8 modes takes 4.2 MB
+    problem, record, _ = _long_record(alpha)
+    tracemalloc.start()
+    try:
+        moments = hum.record_moments(problem, record)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - moments.nbytes < 64 * 1024
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_residual_streams_in_row_blocks(alpha):
     # the squared misfit is summed in fixed row blocks: the traced peak stays
     # within one record-node table, none is kept, and the residual is the
     # whole-table expression's to rounding
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     problem, record, table = _long_record(alpha)
     field = GradientField(np.random.default_rng(9).standard_normal(8), problem.modes)
     (residual,), peak = _traced_peak(hum.residual_against, problem, record, [field])
     assert peak <= table
-    assert fc._DECAY_MEMO == {}
-    decay = fc.decay_table(alpha, problem.eigenvalues, record.grid.nodes)
+    decay = fc.mlf_values(alpha, -np.outer(record.grid.nodes**alpha, problem.eigenvalues))
     weights = ((problem.coupling.T @ field.coefficients) / problem.eigenvalues)[:, None]
     weights = weights * problem.outputs.T
     w = record.grid.weights[:, None]
@@ -798,12 +808,11 @@ def test_residual_streams_in_row_blocks(monkeypatch, alpha):
 
 
 @pytest.mark.parametrize("alpha, samples", [(0.7, 1000), (1.0, 10000)])
-def test_moments_of_a_truncation_prefix_a_larger_one(monkeypatch, alpha, samples):
+def test_moments_of_a_truncation_prefix_a_larger_one(alpha, samples):
     # each mode's moments are summed on their own, in row blocks that do not
     # depend on the modes: over several blocks, M = 4 (and every M below 8)
     # gives bit for bit the first M rows of M = 8, for one channel and for
     # three. A BLAS product of the blocks fails this at some M.
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     grid = TimeGrid.uniform(1.0, samples)
     rng = np.random.default_rng(10)
     for channels in (1, 3):
@@ -817,7 +826,7 @@ def test_moments_of_a_truncation_prefix_a_larger_one(monkeypatch, alpha, samples
 
 
 def test_exact_route_moments_of_a_truncation_prefix_a_larger_one():
-    # the exact route pairs through _row_sums too: with one sensor, alpha
+    # the exact route pairs through _pair_decay too: with one sensor, alpha
     # 0.7 and a 12-mode state, M = 1..7 give bit for bit the first M rows of
     # M = 8, where a BLAS product of the decay table did so at M = 4 alone
     sensors = (Sensor.pointwise((0.3,)),)
@@ -834,8 +843,9 @@ def test_exact_route_moments_of_a_truncation_prefix_a_larger_one():
 def test_sweep_residuals_take_one_record_pass(monkeypatch):
     # the acceptance sweep's one chunk: 19 positions on 512 record rows at
     # M = 8, 7 of them blind. E_alpha is evaluated on the Gram's Gauss nodes
-    # and on the moment nodes once per chunk (the memo serves every
-    # channel), and on the record nodes once for every channel's residual:
+    # and on the moment nodes once per chunk (every channel reads the
+    # parent's T and moments), and on the record nodes once for every
+    # channel's residual:
     # R x M = 4,096 points, where a pass per solvable channel took 12 x 4,096
     positions = [0.05 * i for i in range(1, 20)]
     sensors = tuple(Sensor.pointwise((b,)) for b in positions)
@@ -853,7 +863,6 @@ def test_sweep_residuals_take_one_record_pass(monkeypatch):
         return real(alpha, z)
 
     monkeypatch.setattr(fc, "mlf_values", counted)
-    monkeypatch.setattr(fc, "_DECAY_MEMO", {})
     rows = hum.sweep_channels(problem, record, truth)
     assert sum(math.isnan(err) for err, _, _ in rows) == 7
     gauss = fc.PRODUCT_PANELS * fc.PRODUCT_ORDER

@@ -20,6 +20,11 @@ Every private module-level function, class or constant must be read by
 its module's code outside its own definition, so that nothing a deletion
 leaves behind survives it.
 
+No package function writes module-level state: it has no `global`
+statement, assigns or deletes no item of a module-level name, and calls
+none of pop, update, clear, append or setdefault on one. The bounded
+functools.lru_cache wrappers are the only state kept across calls.
+
 Two more checks guard what runs outside this suite: every span the
 benchmark's tracer wraps resolves in the package, and the test modules
 that CI runs with scipy uninstalled import neither scipy nor hypothesis.
@@ -138,6 +143,47 @@ def test_private_names_are_read():
                 ):
                     unread.append(f"{mod}.{name}")
     assert not unread, f"private names read by no other code of their module: {unread}"
+
+
+# the methods that change a dict or a list in place
+MUTATORS = {"pop", "update", "clear", "append", "setdefault"}
+
+
+def test_functions_write_no_module_state():
+    # state a call leaves in a module outlives the call and reaches the
+    # next; a name a function binds for itself (a parameter or a local,
+    # at any depth of its body) is not the module's
+    writes = []
+    for mod, tree in _trees().items():
+        if mod == "acceptance":
+            continue
+        module_names = {name for node in tree.body for name in _defined(node)}
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            local = {
+                node.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            } | {node.arg for node in ast.walk(fn) if isinstance(node, ast.arg)}
+            shared = module_names - local
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    writes.append(f"{mod}:{node.lineno} global {', '.join(node.names)}")
+                    continue
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS
+                ):
+                    target = node.func.value
+                else:
+                    continue
+                if isinstance(target, ast.Name) and target.id in shared:
+                    writes.append(f"{mod}:{node.lineno} {target.id}")
+    assert not writes, f"package functions that write module-level state: {writes}"
 
 
 def test_modules_import_no_private_names():

@@ -29,8 +29,9 @@ def eigenvalues(modes):
 
 
 def mild(alpha, modes, state, t):
-    """The state's coefficients at time t: c_k E_alpha(-lam_k t^alpha), from decay_table."""
-    return state.coefficients * fc.decay_table(alpha, eigenvalues(modes), [t])[0]
+    """The state's coefficients at time t: c_k E_alpha(-lam_k t^alpha)."""
+    t = np.asarray([t], dtype=float)
+    return state.coefficients * fc.mlf_values(alpha, -np.outer(t**alpha, eigenvalues(modes)))[0]
 
 
 def reading(sensor, state, basis):
