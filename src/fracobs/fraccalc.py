@@ -52,6 +52,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_horizon(horizon: float) -> float:
+    horizon = float(horizon)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise DomainError(f"horizon must be finite and positive, got {horizon}")
+    return horizon
+
+
 # ---------------------------------------------------------------------------
 # work memory
 #
@@ -82,6 +89,8 @@ class TimeGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise InputError("a time grid needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise InputError("time grid nodes must be finite")
         if nodes[0] != 0.0:
             raise InputError("time grids start at t = 0")
         if not np.all(np.diff(nodes) > 0.0):
@@ -91,11 +100,10 @@ class TimeGrid:
     @classmethod
     def uniform(cls, horizon: float, samples: int) -> "TimeGrid":
         """Uniform grid with `samples` nodes (including t = 0) on [0, horizon]."""
-        if horizon <= 0.0:
-            raise DomainError("horizon must be positive")
+        horizon = _check_horizon(horizon)
         if samples < 2:
             raise InputError("need at least two samples")
-        return cls(np.linspace(0.0, float(horizon), int(samples)))
+        return cls(np.linspace(0.0, horizon, int(samples)))
 
     @classmethod
     def graded(cls, horizon: float, samples: int) -> "TimeGrid":
@@ -694,7 +702,7 @@ def caputo_values(
     if samples.ndim not in (1, 2) or samples.shape[0] != tg.size:
         raise InputError("sample count does not match the grid")
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0.0) or np.any(times > tg[-1] * (1.0 + 1e-12)):
+    if not np.all((times > 0.0) & (times <= tg[-1] * (1.0 + 1e-12))):
         raise DomainError("evaluation times must lie in (0, T]")
     p = 1.0 - alpha
     vals = samples.reshape(tg.size, -1)  # one column per channel
@@ -806,10 +814,9 @@ def check_fractional_ibp(u, v, alpha: float, horizon: float) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1 or u.size < 3:
         raise InputError("u and v must be equal-length 1-d sample arrays (>= 3)")
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    horizon = _check_horizon(horizon)
     n = u.size
-    tg = np.linspace(0.0, float(horizon), n)
+    tg = np.linspace(0.0, horizon, n)
     a = tg[:-1]
     b = tg[1:]
     h = tg[1] - tg[0]
@@ -882,8 +889,7 @@ def graded_panel_edges(horizon: float, panels: int, floor: float):
     roughness at the origin; geometric grading down to horizon*floor
     resolves it with a fixed panel budget.
     """
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    horizon = _check_horizon(horizon)
     if panels < 2:
         raise InputError("need at least two panels")
     expo = 1.0 - np.arange(panels) / (panels - 1.0)

@@ -20,7 +20,8 @@ exponentials, so that pass is linear in the record length. At alpha = 1 the
 derivative of the piecewise linear record is its slope per cell, and its
 pairing with exp(-lam t) is done in closed form on each cell. Either way
 a mode's moments depend on that mode alone, so an escalation step pairs
-only the modes it adds.
+only the modes it adds: reconstruct keeps the moments as one array and
+extends it at each step with the rows of the step's new modes.
 
 A HumProblem owns the operators of its truncation: the modes, their
 eigenvalues, B, P and T are cached properties, each built once on first
@@ -124,8 +125,10 @@ MOMENT_ORDER = 8
 # rows per block of a record pairing, whatever the number of modes: at 8
 # modes each of a block's arrays takes 256 KB
 _RECORD_ROWS = 4096
-# positions x moment nodes per sweep chunk: the chunk's Caputo values stay
-# within 8 MB, and its record within 1 MB
+# positions x moment nodes per sweep chunk: the result of the chunk's L1
+# pass stays within 8 MB and its record within 1 MB; the pass's own work
+# arrays grow with the moment nodes alone (62.4 MB on 524,736 nodes, for
+# one channel as for two) and are not bounded by it
 _SWEEP_BLOCK = 1 << 20
 # Gauss-Legendre order per axis of the error metric over omega
 OMEGA_ORDER = 96
@@ -335,9 +338,37 @@ def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray
     weight accurate for any lam h. Every sum is taken by _pair_decay, so
     no record-length table is held and the moments of M modes are, bit
     for bit, the first M rows of a larger truncation's. They depend on the
-    truncation and the time rule only, not on the sensors.
+    truncation and the time rule only, not on the sensors; the record
+    must still hold one channel per sensor and span the problem's horizon.
     """
-    return _moments_by_truncation(problem, record)(problem)
+    return _pair_decay(problem.alpha, problem.eigenvalues, *_record_pairing(problem, record))
+
+
+def _record_pairing(
+    problem: HumProblem, record: MeasurementRecord
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The (times, data, cells) whose _pair_decay sums are the record's moments.
+
+    The record must hold one channel per sensor, then span the problem's
+    horizon. The weighted derivative on the moment nodes depends on the
+    record, alpha and the horizon, not on the modes, so its L1 pass is
+    made here once and the pairing serves every truncation.
+    """
+    p = len(problem.sensors)
+    if record.channel_count != p:
+        raise InputError(f"record has {record.channel_count} channels for {p} sensors")
+    if abs(record.grid.horizon - problem.horizon) > 1e-9 * problem.horizon:
+        raise InputError(
+            f"record horizon {record.grid.horizon} != problem horizon {problem.horizon}"
+        )
+    alpha = problem.alpha
+    if alpha == 1.0:
+        return record.grid.nodes, record.samples, True
+    tq, wq = _moment_nodes(problem, record.grid)
+    weighted = wq[:, None] * -caputo_values(
+        record.grid, record.samples, alpha, tq, first_cell_power=True
+    )
+    return tq, weighted, False
 
 
 def _pair_decay(
@@ -378,58 +409,6 @@ def _pair_decay(
     return total
 
 
-def _prefix_pairings(
-    alpha: float, times: np.ndarray, data: np.ndarray, cells: bool
-) -> Callable[[HumProblem], np.ndarray]:
-    """The _pair_decay moments of the data for every truncation.
-
-    The moments made so far are kept, and a truncation pairs only the
-    modes it adds (eigenpairs() is prefix-stable); since each mode's
-    moments depend on that mode alone, they are bitwise those of pairing
-    the whole truncation at once.
-    """
-    done = np.empty((0, data.shape[1]))
-
-    def moments(prob: HumProblem) -> np.ndarray:
-        nonlocal done
-        lams = prob.eigenvalues
-        if lams.size > len(done):
-            added = _pair_decay(alpha, lams[len(done) :], times, data, cells)
-            done = np.concatenate((done, added))
-        return done[: lams.size]
-
-    return moments
-
-
-def _moments_by_truncation(
-    problem: HumProblem, record: MeasurementRecord
-) -> Callable[[HumProblem], np.ndarray]:
-    """record_moments of the record for every truncation of the problem.
-
-    The weighted derivative on the moment nodes depends on the record,
-    alpha and the horizon, not on the modes, so the L1 pass is made here
-    once, and every truncation pairs it through _prefix_pairings.
-    """
-    if abs(record.grid.horizon - problem.horizon) > 1e-9 * problem.horizon:
-        raise InputError(
-            f"record horizon {record.grid.horizon} != problem horizon {problem.horizon}"
-        )
-    alpha = problem.alpha
-    if alpha == 1.0:
-        return _prefix_pairings(1.0, record.grid.nodes, record.samples, True)
-    tq, wq = _moment_nodes(problem, record.grid)
-    weighted = wq[:, None] * -caputo_values(
-        record.grid, record.samples, alpha, tq, first_cell_power=True
-    )
-    return _prefix_pairings(alpha, tq, weighted, False)
-
-
-def _check_channels(problem: HumProblem, record: MeasurementRecord) -> None:
-    p = len(problem.sensors)
-    if record.channel_count != p:
-        raise InputError(f"record has {record.channel_count} channels for {p} sensors")
-
-
 def assemble_rhs(problem: HumProblem, moments: np.ndarray) -> np.ndarray:
     """Data-side vector pairing the record with each sensed basis evolution.
 
@@ -449,24 +428,23 @@ def assemble_rhs(problem: HumProblem, moments: np.ndarray) -> np.ndarray:
 
 def assemble_rhs_from_state(problem: HumProblem, state: ModalState) -> np.ndarray:
     """Exact data-side vector for a known modal initial state, with no sampling."""
-    deep = replace(problem, mode_count=len(state))
-    return assemble_rhs(problem, _state_moments(deep, state)(problem))
+    pairing = _state_pairing(replace(problem, mode_count=len(state)), state)
+    return assemble_rhs(problem, _pair_decay(problem.alpha, problem.eigenvalues, *pairing))
 
 
-def _state_moments(deep: HumProblem, state: ModalState) -> Callable[[HumProblem], np.ndarray]:
-    """The moments of the state's noiseless record for every truncation.
+def _state_pairing(deep: HumProblem, state: ModalState) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The (times, data, cells) whose _pair_decay sums are the state's moments.
 
     `deep` is the problem truncated at the state's depth. The negated
     derivative of channel c, sum_l P_cl lam_l a_l E_l(t), is evaluated once
     on the Gram's Gauss rule, over the modes with a nonzero coefficient;
-    it is paired through _prefix_pairings as on the data route, so a
-    truncation pairs only the modes it adds, and the moments of M modes
-    are bitwise the first M rows of a larger truncation's.
+    it is paired through _pair_decay as on the data route, so the moments
+    of M modes are bitwise the first M rows of a larger truncation's.
     """
     t, w = product_rule(deep.horizon)
     weights = (deep.eigenvalues * state.coefficients)[:, None] * deep.outputs.T
     weighted = w[:, None] * decay_apply(deep.alpha, deep.eigenvalues, t, weights)
-    return _prefix_pairings(deep.alpha, t, weighted, False)
+    return t, weighted, False
 
 
 def solve_reconstruction(
@@ -584,6 +562,11 @@ def reconstruct(
     in closed modal algebra, and the residual is taken against the
     state's own sampled output).
 
+    The route's pairing (times, data, cells) is built once. The moments
+    are one array, and a step appends the _pair_decay rows of only the
+    modes it adds; each mode's rows depend on that mode alone, so they are
+    bitwise those of pairing the step's whole truncation.
+
     Iteration i uses mode_count + escalation_step*(i-1) modes; from the
     third iteration a regularization of 'none' is relaxed to the default
     shift, and a singular unregularized solve counts as an infinite
@@ -595,13 +578,14 @@ def reconstruct(
     if isinstance(record, ModalState):
         # the state side of the exact route is fixed: build it once
         deep = replace(problem, mode_count=len(record))
-        moments = _state_moments(deep, record)
+        pairing = _state_pairing(deep, record)
         grid = TimeGrid.uniform(problem.horizon, 513)
         record = generate_measurements(problem.alpha, deep.modes, record, problem.sensors, grid)
     else:
         # the data side's L1 pass serves every truncation: make it once
-        _check_channels(problem, record)
-        moments = _moments_by_truncation(problem, record)
+        pairing = _record_pairing(problem, record)
+    # the moments of the modes paired so far; a step pairs only those it adds
+    moments = np.empty((0, len(problem.sensors)))
     history: list[float] = []
     best: ReconstructionResult | None = None
     for it in range(1, problem.max_iterations + 1):
@@ -610,8 +594,11 @@ def reconstruct(
         if it >= 3 and reg_i.kind == "none":
             reg_i = Regularization()
         prob_i = replace(problem, mode_count=M_i, regularization=reg_i)
+        added = prob_i.eigenvalues[len(moments) :]
+        if added.size:
+            moments = np.concatenate((moments, _pair_decay(problem.alpha, added, *pairing)))
         try:
-            field, err, spectrum = _solve_step(prob_i, moments(prob_i), truth)
+            field, err, spectrum = _solve_step(prob_i, moments, truth)
         except SolvabilityError as exc:
             singular = exc
             history.append(float("inf"))
@@ -649,7 +636,6 @@ def sweep_channels(
     channel's residual. Returns (omega error, residual, smallest Gram
     eigenvalue) per channel, with nan, nan where the Gram is singular.
     """
-    _check_channels(problem, record)
     moments = record_moments(problem, record)
     fields, rows = [], []
     for ch, sensor in enumerate(problem.sensors):
@@ -676,7 +662,13 @@ def sweep_channels(
 
 
 def sweep_chunk(rows: int) -> int:
-    """Sensor positions per sweep chunk: one record of `rows` rows, a channel each."""
+    """Sensor positions per sweep chunk: one record of `rows` rows, a channel each.
+
+    _SWEEP_BLOCK bounds the chunk's arrays of results, not its work: its
+    Caputo values on the moment nodes take at most 8 MB and its record
+    1 MB, while the work of its one caputo_values call grows with the
+    moment nodes, whatever the chunk's width.
+    """
     return max(1, _SWEEP_BLOCK // (rows * MOMENT_ORDER))
 
 

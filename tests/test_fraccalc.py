@@ -50,6 +50,17 @@ def test_grid_validation():
         fc.TimeGrid.uniform(-1.0, 5)
 
 
+def test_grid_refuses_non_finite_nodes():
+    # strictly increasing, from 0, yet no horizon
+    with pytest.raises(InputError, match="finite"):
+        fc.TimeGrid(np.array([0.0, 1.0, np.inf]))
+
+
+def test_uniform_grid_refuses_an_infinite_horizon():
+    with pytest.raises(DomainError, match="horizon must be finite and positive"):
+        fc.TimeGrid.uniform(np.inf, 4)
+
+
 def test_sampled_function_shape_mismatch():
     g = fc.TimeGrid.uniform(1.0, 5)
     with pytest.raises(InputError):
@@ -533,6 +544,12 @@ def test_caputo_domain_errors():
         fc.caputo_values(g, u, 0.5, [1.5])
 
 
+def test_caputo_refuses_a_nan_time():
+    g = fc.TimeGrid.uniform(1.0, 33)
+    with pytest.raises(DomainError, match=r"\(0, T\]"):
+        fc.caputo_values(g, g.nodes, 0.5, [0.3, np.nan])
+
+
 def _l1_decimal(nodes, values, alpha, t, digits=40):
     """The L1 rule at time t in `digits`-digit decimal arithmetic.
 
@@ -819,6 +836,14 @@ def test_ibp_input_validation():
         fc.check_fractional_ibp(np.zeros(5), np.zeros(5), 1.5, 1.0)
 
 
+@pytest.mark.parametrize("horizon", [np.nan, np.inf])
+def test_ibp_refuses_a_non_finite_horizon(horizon):
+    # refused before any arithmetic, so no RuntimeWarning either
+    u = np.linspace(0.0, 1.0, 9) ** 2
+    with pytest.raises(DomainError, match="horizon must be finite and positive"):
+        fc.check_fractional_ibp(u, u, 0.5, horizon)
+
+
 # ---------------------------------------------------------------------------
 # shared quadrature kit
 
@@ -831,6 +856,11 @@ def test_graded_panels_cover_horizon():
     t, w = fc.gauss_panels(edges, 8)
     # integrates a polynomial exactly
     assert np.sum(w * t**3) == pytest.approx(2.0**4 / 4.0, rel=1e-12)
+
+
+def test_graded_panels_refuse_a_nan_horizon():
+    with pytest.raises(DomainError, match="horizon must be finite and positive"):
+        fc.graded_panel_edges(np.nan, 4, 1e-3)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():

@@ -298,6 +298,21 @@ def test_assemble_rhs_pairs_record_moments(alpha):
             assemble_rhs(one, bad)
 
 
+def test_record_moments_refuse_a_record_of_another_channel_count():
+    # one channel per sensor, checked before the horizon, as reconstruct
+    # and sweep_channels check it
+    two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
+    modes = eigenpairs(SpatialDomain(1), 3)
+    grid = TimeGrid.uniform(0.5, 17)
+    record = generate_measurements(0.6, modes, ModalState(np.ones(3)), two, grid)
+    for alpha in (0.6, 1.0):
+        one = HumProblem(3, FULL, two[:1], alpha, 1.0)
+        with pytest.raises(InputError, match="record has 2 channels for 1 sensors"):
+            hum.record_moments(one, record)
+        with pytest.raises(InputError, match="record horizon"):
+            hum.record_moments(replace(one, sensors=two), record)
+
+
 def test_rhs_exactness_alpha_one():
     problem = HumProblem(4, FULL, (Sensor.pointwise((0.3,)),), 1.0, 1.0)
     coeffs = np.random.default_rng(7).standard_normal(4)
@@ -635,6 +650,41 @@ def test_escalating_reconstruct_decay_point_count(monkeypatch):
         assert sum(points) == want, alpha
 
 
+def test_reconstruct_without_escalation_pairs_its_moments_once(monkeypatch):
+    # escalation_step = 0 repeats one truncation: each of the three steps
+    # builds its Gram's table on the Gauss nodes and streams the residual
+    # over the record nodes, but the moments, on the moment nodes (alpha =
+    # 0.7) or the 64 cell starts (alpha = 1), are paired at the first step
+    # alone
+    sensors = (Sensor.pointwise((0.3,)),)
+    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    points = []
+    real = fc.mlf_values
+
+    def counted(alpha, z):
+        points.append(np.size(z))
+        return real(alpha, z)
+
+    monkeypatch.setattr(fc, "mlf_values", counted)
+    gauss = fc.PRODUCT_PANELS * fc.PRODUCT_ORDER
+    for alpha in (0.7, 1.0):
+        modes = eigenpairs(SpatialDomain(1), 12)
+        record = generate_measurements(alpha, modes, state, sensors, TimeGrid.uniform(1.0, 65))
+        problem = HumProblem(
+            3, FULL, sensors, alpha, 1.0, epsilon=1e-14, escalation_step=0, max_iterations=3
+        )
+        points.clear()
+        with pytest.raises(ConvergenceError) as err:
+            reconstruct(problem, record)
+        assert len(err.value.residual_history) == 3
+        if alpha < 1.0:
+            moments = hum._moment_nodes(problem, record.grid)[0].size
+        else:
+            moments = len(record.grid) - 1
+        want = gauss * 3 * 3 + moments * 3 + len(record.grid) * 3 * 3
+        assert sum(points) == want, alpha
+
+
 def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
     # the moment nodes and the record's weighted derivative do not depend
     # on the truncation: three steps share one caputo_values call, and each
@@ -832,7 +882,11 @@ def test_exact_route_moments_of_a_truncation_prefix_a_larger_one():
     sensors = (Sensor.pointwise((0.3,)),)
     state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
     deep = HumProblem(len(state), FULL, sensors, 0.7, 1.0)
-    moments = hum._state_moments(deep, state)
+    pairing = hum._state_pairing(deep, state)
+
+    def moments(prob):
+        return hum._pair_decay(prob.alpha, prob.eigenvalues, *pairing)
+
     large = moments(replace(deep, mode_count=8))
     for modes in range(1, 8):
         small = moments(replace(deep, mode_count=modes))
