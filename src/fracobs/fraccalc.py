@@ -118,11 +118,27 @@ class TimeGrid:
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        h = np.diff(self.nodes)
-        weights = np.zeros_like(self.nodes)
-        weights[:-1] += 0.5 * h
-        weights[1:] += 0.5 * h
-        return weights
+        """The trapezoid weights of every node, cached: `weights_on` over all rows."""
+        return self.weights_on(slice(None))
+
+    def weights_on(self, rows: slice) -> np.ndarray:
+        """The trapezoid weights of the nodes in `rows`, a slice of step 1.
+
+        Node i weighs half of each cell it bounds, (h[i-1] + h[i]) / 2, with
+        no cell before node 0 or after the horizon. Only the cells next to
+        the rows are formed, so a caller that walks the grid in row blocks
+        holds no array of grid length, and the weights of a block are
+        bitwise those of `weights` on the same rows.
+        """
+        n = self.nodes.size
+        lo, hi, _ = rows.indices(n)
+        # half-steps of cells lo - 1 .. hi - 1; the cells past either end are empty
+        half = np.concatenate((
+            [0.0] if lo == 0 else [],
+            0.5 * np.diff(self.nodes[max(lo - 1, 0) : hi + 1]),
+            [0.0] if hi == n else [],
+        ))
+        return half[:-1] + half[1:]
 
     @property
     def horizon(self) -> float:
@@ -567,18 +583,19 @@ def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | 
     The one evaluator of decay tables, which keeps none of them between
     calls; lams and times are 1-d float arrays.
     A block holds `rows` rows (the last may hold fewer), or about _BATCH_BLOCK
-    points when `rows` is None, so no table-sized argument or value array
-    is ever built; each value depends on its own argument alone, so the
-    blocking leaves every entry bitwise unchanged. A caller that sums over
-    the rows block by block passes a fixed `rows`, so its partition of the
-    rows does not depend on the eigenvalues it asks for.
+    points when `rows` is None. Each block raises its own times to alpha,
+    so no array of the times' length or of the table's size is ever
+    built; each value depends on its own argument alone, so the blocking
+    leaves every entry bitwise unchanged. A caller that sums over the rows
+    block by block passes a fixed `rows`, so its partition of the rows
+    does not depend on the eigenvalues it asks for.
     """
     neg = -lams
-    powers = times**alpha
     if rows is None:
         rows = max(1, _BATCH_BLOCK // max(neg.size, 1))
     for lo in range(0, times.size, rows):
-        yield slice(lo, lo + rows), mlf_values(alpha, np.outer(powers[lo : lo + rows], neg))
+        powers = times[lo : lo + rows] ** alpha
+        yield slice(lo, lo + rows), mlf_values(alpha, np.outer(powers, neg))
 
 
 def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:

@@ -505,10 +505,12 @@ def residual_against(
     and a channel whose field is None (a blind spot) gets nan. The
     trapezoid-weighted squared misfits are summed in blocks of
     _RECORD_ROWS record rows, each predicted from its block of
-    fraccalc.decay_blocks, so no predicted record, difference or decay
-    table of record length is held, and every field reads the same blocks:
-    one pass serves them all. A misfit is formed from its own field and
-    channels alone, so it is bitwise the same whatever else the call holds.
+    fraccalc.decay_blocks and weighted by the block's own trapezoid
+    weights (TimeGrid.weights_on), so no predicted record, difference,
+    weight vector or decay table of record length is held, and every
+    field reads the same blocks: one pass serves them all. A misfit is
+    formed from its own field and channels alone, so it is bitwise the
+    same whatever else the call holds.
     """
     lams, outputs, samples = problem.eigenvalues, problem.outputs, record.samples
     if len(fields) == 1:
@@ -522,12 +524,12 @@ def residual_against(
         for ch, field in zip(channels, fields)
         if field is not None
     ]
-    w = record.grid.weights
     totals = [0.0] * len(fits)
     for rows, decay in decay_blocks(problem.alpha, lams, record.grid.nodes, _RECORD_ROWS):
+        w = record.grid.weights_on(rows)[:, None]
         for i, (ch, weights) in enumerate(fits):
             diff = samples[rows, ch] - decay @ weights
-            totals[i] += float(np.sum(w[rows, None] * diff * diff))
+            totals[i] += float(np.sum(w * diff * diff))
     misfits = iter(totals)
     return [math.nan if field is None else math.sqrt(next(misfits)) for field in fields]
 

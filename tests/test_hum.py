@@ -857,6 +857,32 @@ def test_residual_streams_in_row_blocks(alpha):
     assert abs(residual**2 - want) <= 1e-14 * scale
 
 
+def test_residual_weights_each_row_block_on_its_own():
+    # the record of the interval-alpha1 benchmark config (65,334 graded rows,
+    # three sensors, alpha = 1, M = 4) on a grid with no cached weights: each
+    # row block takes its own trapezoid weights, so the traced peak stays
+    # within 1 MB of the entry, where the whole record's weights take 0.5 MB
+    # and its blocks' products about 1 MB more
+    modes = eigenpairs(SpatialDomain(1), 200)
+    sensors = (Sensor.pointwise((0.2,)), Sensor.pointwise((0.55,)),
+               Sensor.zonal(Region((0.9,), (1.0,)), lambda x: np.ones_like(x)))
+    grid = TimeGrid.graded(1.0, 65536)
+    state = project_initial_state(modes, "poly_sq")
+    record = generate_measurements(1.0, modes, state, sensors, grid)
+    problem = HumProblem(4, Region((0.0,), (0.25,)), sensors, 1.0, 1.0)
+    field = GradientField(np.random.default_rng(9).standard_normal(4), problem.modes)
+    problem.outputs, problem.coupling  # the operators are built before memory is traced
+    assert "weights" not in vars(grid)
+    (residual,), peak = _traced_peak(hum.residual_against, problem, record, [field])
+    assert peak <= 1 << 20, peak / (1 << 20)
+    assert "weights" not in vars(grid)
+    weights = ((problem.coupling.T @ field.coefficients) / problem.eigenvalues)[:, None]
+    decay = np.exp(-np.outer(grid.nodes, problem.eigenvalues))
+    misfit = record.samples - decay @ (weights * problem.outputs.T)
+    want = np.sum(grid.weights[:, None] * misfit**2)
+    assert abs(residual**2 - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("alpha, samples", [(0.7, 1000), (1.0, 10000)])
 def test_moments_of_a_truncation_prefix_a_larger_one(alpha, samples):
     # each mode's moments are summed on their own, in row blocks that do not

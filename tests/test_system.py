@@ -390,7 +390,13 @@ def test_write_rows_matches_format(end, width):
     assert got == _format_rows(columns, end)
 
 
-@pytest.mark.parametrize("rows", [1, fs.CSV_ROWS - 1, fs.CSV_ROWS, fs.CSV_ROWS + 1, 2 * fs.CSV_ROWS + 3])
+# edges of the first block and of a later one, and a short last block
+@pytest.mark.parametrize(
+    "rows",
+    [1]
+    + [k * fs.CSV_ROWS + d for k in (1, 4) for d in (-1, 0, 1)]
+    + [2 * fs.CSV_ROWS + 3, 8 * fs.CSV_ROWS + 3],
+)
 def test_write_rows_block_edges(rows):
     rng = np.random.default_rng(rows)
     columns = [np.sort(rng.uniform(0.0, 1.0, rows)), rng.standard_normal(rows) * 1e-3]
@@ -540,7 +546,7 @@ def test_record_csv_io_memory_is_bounded(long_record, tmp_path):
 
 
 def test_record_csv_long_body_matches_format(long_record, tmp_path):
-    # 65,536 rows in 16 blocks: the whole file, one format() per field
+    # 65,536 rows in 64 blocks: the whole file, one format() per field
     modes, state, sensors, grid = long_record
     rec = fs.generate_measurements(1.0, modes, state, sensors, grid)
     path = tmp_path / "record.csv"
@@ -657,3 +663,34 @@ def test_admissibility_bound_is_finite():
             rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
             energy = float(np.sum(grid.weights * rec.samples[:, 0] ** 2))
             assert energy <= 2.0 * fitted * float(v.coefficients @ v.coefficients)
+
+
+def test_generate_measurements_holds_the_record_once():
+    # the forward map of the interval-alpha1 benchmark config: a poly_sq
+    # state of 200 modes, three sensors, alpha = 1, 65,334 graded rows. The
+    # noise is added into the decay sum in place and each row block raises
+    # its own times to alpha, so the traced peak stays within 1.2 MB of the
+    # 1.50 MB record, where a second copy of the record adds 1.50 MB
+    modes = interval_modes(200)
+    state = fs.project_initial_state(modes, "poly_sq")
+    constant = fs.ZONAL_WEIGHTS["constant"](1.0, sp.Region((0.9,), (1.0,)))
+    sensors = [fs.Sensor.pointwise((0.2,)), fs.Sensor.pointwise((0.55,)),
+               fs.Sensor.zonal(sp.Region((0.9,), (1.0,)), constant)]
+    # the zonal sensor's Gauss rule is cached before memory is traced
+    fs.generate_measurements(1.0, modes, state, sensors, fc.TimeGrid.graded(1.0, 64))
+    grid = fc.TimeGrid.graded(1.0, 65536)
+    rec, peak = _traced_peak(lambda: fs.generate_measurements(1.0, modes, state, sensors, grid))
+    assert rec.samples.shape == (65334, 3)
+    assert peak - rec.samples.nbytes <= 1.2 * MB, peak / MB
+
+
+def test_noiseless_record_turns_negative_zero_into_zero(monkeypatch):
+    # a BLAS may sum a decayed mode's products to -0.0; the noiseless record
+    # still adds its 0.0 of noise, which turns that into the 0 text prints
+    monkeypatch.setattr(fs, "decay_apply", lambda *args: np.array([[-0.0], [1.0]]))
+    modes = interval_modes(2)
+    grid = fc.TimeGrid.uniform(1.0, 2)
+    record = fs.generate_measurements(
+        1.0, modes, fs.ModalState(np.ones(2)), [fs.Sensor.pointwise((0.3,))], grid
+    )
+    assert record.samples.tobytes() == np.array([[0.0], [1.0]]).tobytes()
