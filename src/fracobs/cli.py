@@ -315,6 +315,15 @@ class RunConfig:
         canon = "\n".join(f"{key} = {value}" for key, value in sorted(self.raw))
         return hashlib.sha256(canon.encode()).hexdigest()
 
+    def truth(self) -> tuple[Callable, ...] | None:
+        """The state's gradient, or None when the config sets no state.kind.
+
+        A record alone carries no truth: without a configured state there
+        is nothing to hold a reconstruction against, and `state`, which
+        simulate takes, is only the zero default.
+        """
+        return self.state.gradient() if "state.kind" in dict(self.raw) else None
+
     def time_grid(self) -> TimeGrid:
         grid = TimeGrid.uniform if self.time_grading == "uniform" else TimeGrid.graded
         return grid(self.problem.horizon, self.time_samples)
@@ -352,7 +361,7 @@ def cmd_reconstruct(config: RunConfig, measurements: str, out_dir: str) -> int:
     if not os.path.isfile(measurements):
         raise InputError(f"measurements file {measurements!r} does not exist")
     record = MeasurementRecord.from_csv(measurements)
-    truth = config.state.gradient()
+    truth = config.truth()
     path = os.path.join(out_dir, "field.csv")
     try:
         result = reconstruct(config.problem, record, truth=truth)
@@ -406,6 +415,12 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str) -> int:
     if len(problem.sensors) != 1:
         raise InputError("sensor sweeps need exactly one configured sensor")
     (sensor,) = problem.sensors
+    truth = config.truth()
+    if truth is None:
+        raise InputError(
+            "config field state.kind is required: sweep-sensor ranks positions by the error"
+            " against the state"
+        )
     positions = _parse_sweep_grid(grid_spec)
     # every moved sensor is checked before sweep.csv is opened: a point on
     # the domain's edge, or a support pushed past it, is a usage error
@@ -413,7 +428,6 @@ def cmd_sweep_sensor(config: RunConfig, grid_spec: str, out_dir: str) -> int:
 
     modes, state = config.state.modal()
     grid = config.time_grid()
-    truth = config.state.gradient()
     # every position sees the draw a one-sensor record of this seed gets
     noise = measurement_noise(config.noise_sigma, config.seed, (len(grid), 1))
     chunk = sweep_chunk(len(grid))

@@ -1,7 +1,7 @@
 """Fractional calculus on sampled time grids.
 
 Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, by
-one fixed Bromwich contour (a spectral rule near alpha = 1), the one
+one fixed Bromwich contour (its exponential split off near alpha = 1), the one
 row-block evaluator of decay tables E_alpha(-lam t^alpha) and its
 table-free product with a weight matrix, Caputo derivatives of
 sampled data, and a residual check for the fractional
@@ -63,9 +63,9 @@ def _check_horizon(horizon: float) -> float:
 # work memory
 #
 # The blocked kernels size their work arrays in float64 entries. An E_alpha
-# work buffer (the contour's two nodes x points matrices, the spectral
-# rule's nodes x points) stays within _SCRATCH_DOUBLES, 1 MB, which a core's
-# L2 cache holds; both rules are pointwise, so the blocking moves no value.
+# work buffer (two node pairs x points matrices, for the contour and the
+# split alike) stays within _SCRATCH_DOUBLES, 1 MB, which a core's L2 cache
+# holds; both rules are pointwise, so the blocking moves no value.
 # The L1 pass of caputo_values holds one buffer of about that size too.
 
 _SCRATCH_DOUBLES = 1 << 17
@@ -241,25 +241,20 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
 # the inverse Laplace transform of s^(alpha-1) / (s^alpha + x) at t = 1. For
 # alpha < 1 its integrand has no pole on the principal sheet, only the cut
 # s <= 0, so every point takes one fixed contour around the cut (_contour).
-# A point whose estimate fails _CONTOUR_ACCEPT takes the spectral rule
-# instead, which cancels nothing; that happens only close to alpha = 1,
-# where E_alpha(-x) falls like exp(-x) and the contour's terms, which fall
-# like 1 / x, cancel. The contour takes its transcendentals once per node
-# and order, none per point.
+# Close to alpha = 1, E_alpha(-x) falls like exp(-x) while the contour's
+# terms fall like 1 / x, and they cancel; a point whose estimate fails
+# _CONTOUR_ACCEPT takes the split instead, the same nodes with the alpha = 1
+# integrand subtracted and its exact value exp(-x) added back, whose terms
+# shrink with 1 - alpha. Both take their transcendentals once per node and
+# order, none per point.
 
 _CONTOUR_NODES = 32      # midpoint nodes on the parabola, in conjugate pairs
 _CONTOUR_ROUNDING = 8.0  # the estimate is this many eps of the terms' sum
 _CONTOUR_ACCEPT = 1e-11  # relative estimate the contour must beat
 _X_FAR = 1e150           # x past which E_alpha(-x) is E_alpha(-X) X / x, X this
-_GAP_STEPS = 10.0      # trapezoid steps per half-width of the analytic strip
-_GAP_TAIL = 1e-17      # relative mass the truncated u-range may leave out
-_GAP_CUT = 60.0        # nodes end where x^(1/alpha) e^u exceeds this
-_GAP_NODES = 1 << 22   # node cap; reached only for alpha below about 6e-5
-_GAP_CHUNK = 1 << 16   # nodes built at a time
-_LOG_S_MAX = 700.0     # log of the largest x^(1/alpha) the rule takes
-_VALUES_TOL = 1e-9     # mlf_values raises when an estimate exceeds this
-_BATCH_BLOCK = 40000   # points per row block of a decay table
-_REGIMES = ("contour", "spectral", "exp")
+_VALUES_TOL = 1e-9       # mlf_values raises when an estimate exceeds this
+_BATCH_BLOCK = 40000     # points per row block of a decay table
+_REGIMES = ("contour", "split", "exp")
 
 
 @dataclass(frozen=True)
@@ -268,40 +263,21 @@ class MlfEvalReport:
 
     regime is one of three routes:
       "contour"   the midpoint rule on a fixed parabolic contour of the
-                  Bromwich integral (see _contour); terms_used counts its
-                  conjugate-pair terms, 16;
-      "spectral"  a trapezoid rule on the positive spectral integral
-                  E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr,
-                  in a variable that flattens the kernel's peak at r = 1
-                  (see _spectral_neg), for the points near alpha = 1 whose
-                  contour estimate fails; terms_used counts its nodes;
-      "exp"       alpha = 1, where the value is exp(z), one term with an
-                  estimate of eps.
-    est_error is a relative truncation/rounding estimate, not a guaranteed
-    bound. For "contour" it is _CONTOUR_ROUNDING eps times the sum of the
-    terms' magnitudes over the value. For "spectral" it is the relative gap
-    between the rules of step h and 2h (every other node), which is the 2h
-    rule's error and so overstates that of the h rule returned.
+                  Bromwich integral (see _contour);
+      "split"     the same nodes with the alpha = 1 integrand split off,
+                  E_alpha(-x) = exp(-x) + a sum that shrinks with 1 - alpha,
+                  for the points near alpha = 1 whose contour estimate fails;
+      "exp"       alpha = 1, where the value is exp(z).
+    terms_used counts the conjugate-pair terms, 16, or 1 for "exp".
+    est_error is a relative rounding estimate, not a guaranteed bound:
+    _CONTOUR_ROUNDING eps times the sum of the terms' magnitudes over the
+    value, and eps for "exp".
     """
 
     value: float
     regime: str
     terms_used: int
     est_error: float
-
-
-def _log_lower(alpha: float, x: np.ndarray) -> np.ndarray:
-    """Lower bound on log E_alpha(-x), x >= 0.
-
-    The larger of Simon's bound 1 / (1 + Gamma(1 - alpha) x) and the tangent
-    bound exp(-x / Gamma(1 + alpha)): E_alpha(-x) is completely monotone,
-    hence log-convex, so its logarithm lies above its tangent at x = 0.
-    Near alpha = 1, where Gamma(1 - alpha) grows like 1 / (1 - alpha), the
-    tangent bound is the tight one.
-    """
-    return -np.minimum(
-        np.log1p(math.gamma(1.0 - alpha) * x), x / math.gamma(1.0 + alpha)
-    )
 
 
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
@@ -319,7 +295,7 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _contour(alpha: float) -> tuple[np.ndarray, ...]:
-    """The contour rule's coefficients at this alpha, one row per node pair.
+    """The coefficients of the contour and the split at this alpha, a row per node pair.
 
     The parabola s(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta),
     N = _CONTOUR_NODES, with the midpoint rule in theta on (-pi, pi), is
@@ -331,8 +307,18 @@ def _contour(alpha: float) -> tuple[np.ndarray, ...]:
     over the pairs, theta_j > 0 increasing, with
         c_j = e^(s_j) s_j^(alpha-1) s'(theta_j) 2 / (i N),   d_j = s_j^alpha.
     Since Re c / (d + x) = (Re c (Re d + x) + Im c Im d) / ((Re d + x)^2
-    + (Im d)^2), the columns returned are Re d, (Im d)^2, Re c and
-    Im c Im d, each read-only of shape (pairs, 1). Computed once per alpha.
+    + (Im d)^2), the first columns returned are Re d, (Im d)^2, Re c and
+    Im c Im d.
+
+    The split subtracts the same rule at alpha = 1, whose coefficients are
+    c1_j = e^(s_j) s'(theta_j) 2 / (i N) and whose sum is exp(-x). A pair's
+    two terms differ by exactly x a_j / ((d_j + x)(s_j + x)), with
+    a_j = c1_j expm1((alpha - 1) log s_j), which does not cancel, so
+        E_alpha(-x) = exp(-x) + x sum_j Re a_j / ((d_j + x)(s_j + x)).
+    Re[a conj((d + x)(s + x))] is k2 x^2 + k1 x + k0, with k2 = Re a,
+    k1 = Re[a conj(d + s)] and k0 = Re[a conj(d s)], so the last columns
+    are Re s, (Im s)^2, k2, k1 and k0. Each column is read-only of shape
+    (pairs, 1). Computed once per alpha.
     """
     n = _CONTOUR_NODES
     theta = (np.arange(n // 2) + 0.5) * (2.0 * math.pi / n)
@@ -340,43 +326,68 @@ def _contour(alpha: float) -> tuple[np.ndarray, ...]:
     ds = n * (-0.2388 * theta + 0.25j)
     c = np.exp(s) * s ** (alpha - 1.0) * ds * (2.0 / (1j * n))
     d = s**alpha
-    columns = np.stack((d.real, d.imag**2, c.real, c.imag * d.imag))[:, :, None]
+    a = np.exp(s) * ds * (2.0 / (1j * n)) * np.expm1((alpha - 1.0) * np.log(s))
+    columns = np.stack((
+        d.real, d.imag**2, c.real, c.imag * d.imag,
+        s.real, s.imag**2, a.real, (a * np.conj(d + s)).real, (a * np.conj(d * s)).real,
+    ))[:, :, None]
     columns.flags.writeable = False
     return tuple(columns)
 
 
-def _contour_blocks(alpha: float, z: np.ndarray):
-    """Yield (rows, values, relative estimates) of E_alpha(z), z <= 0, by the contour.
+def _contour_blocks(alpha: float, z: np.ndarray, split: bool):
+    """Yield (rows, values, relative estimates) of E_alpha(z), z <= 0, by one rule.
 
-    The rule of _contour, in blocks of points whose two pairs x points work
-    matrices are carved from one buffer of _SCRATCH_DOUBLES, allocated once
-    per call; a block's arrays are valid until the next is asked for. Every
-    point takes the same terms, formed in real arithmetic and added in node
-    order by _ordered_sum, so its value depends on its own point alone. The
-    estimate is _CONTOUR_ROUNDING eps times the sum of the terms' magnitudes
-    over the value's: small where nothing cancels, large as alpha nears 1
-    and -z grows. Past -z = _X_FAR = X, where (Re d - z)^2 would
-    soon overflow, the value is E_alpha(-X) X / -z with X's estimate: the
-    expansion of E_alpha(-x) in powers of 1 / x makes that exact within
-    1 / X relative. z = 0 gives exactly 1.
+    The contour rule of _contour, or with `split` the split, in blocks of
+    points whose two pairs x points work matrices are carved from one
+    buffer of _SCRATCH_DOUBLES, allocated once per call; a block's arrays
+    are valid until the next is asked for.
+    Every point takes the same terms, formed in real arithmetic and added
+    in node order by _ordered_sum, so its value depends on its own point
+    alone. The estimate is _CONTOUR_ROUNDING eps times the sum of the
+    terms' magnitudes (exp(-x) among the split's) over the value's. The
+    contour's is small where nothing cancels and large as alpha nears 1 and
+    -z grows; the split's terms shrink with 1 - alpha, so its estimate stays
+    small there. Past -z = _X_FAR = X, where (Re d - z)^2 would soon
+    overflow, and the split's numerator with it, the value is
+    E_alpha(-X) X / -z with X's estimate: the expansion of E_alpha(-x) in
+    powers of 1 / x makes that exact within 1 / X relative. z = 0 gives
+    exactly 1.
     """
-    dr, di2, cr, cidi = _contour(alpha)
+    dr, di2, cr, cidi, sr, si2, k2, k1, k0 = _contour(alpha)
     step = _SCRATCH_DOUBLES // (2 * dr.size)
     work = np.empty((2, dr.size, min(step, z.size)))
     for lo in range(0, z.size, step):
         zs = z[lo : lo + step]
         beyond = zs < -_X_FAR
+        x = -np.maximum(zs, -_X_FAR)
         terms, size = work[:, :, : zs.size]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(dr, np.maximum(zs, -_X_FAR), out=terms)
-            np.multiply(terms, terms, out=size)
-            size += di2
-            terms *= cr
-            terms += cidi
-            terms /= size
+            if split:
+                np.multiply(k2, x, out=terms)
+                terms += k1
+                terms *= x
+                terms += k0
+                for re, im2 in ((sr, si2), (dr, di2)):
+                    np.add(re, x, out=size)
+                    np.multiply(size, size, out=size)
+                    size += im2
+                    terms /= size
+                terms *= x
+            else:
+                np.add(dr, x, out=terms)
+                np.multiply(terms, terms, out=size)
+                size += di2
+                terms *= cr
+                terms += cidi
+                terms /= size
             np.abs(terms, out=size)
             rel = _ordered_sum(size)
             vals = _ordered_sum(terms)
+            if split:
+                head = np.exp(-x)
+                rel += head
+                vals += head
             rel /= np.abs(vals)
         rel *= _CONTOUR_ROUNDING * np.finfo(float).eps
         vals[zs == 0.0] = 1.0
@@ -384,116 +395,27 @@ def _contour_blocks(alpha: float, z: np.ndarray):
         yield slice(lo, lo + step), vals, rel
 
 
-def _spectral_neg(alpha: float, x: np.ndarray):
-    """E_alpha(-x) by the trapezoid rule on its positive spectral integral.
-
-    With s = x^(1/alpha), theta = (1 - alpha) pi and u = log r,
-        E_alpha(-x) = (sin theta / pi) int exp(-s e^u) du
-                      / (4 (sinh^2(alpha u / 2) + sin^2(theta / 2))).
-    The kernel is a peak of width ~ theta at u = 0, so a uniform step in u
-    would have to shrink with 1 - alpha. The substitution
-    sinh(alpha u / 2) = sin(theta / 2) sinh(v) flattens the peak:
-        E_alpha(-x) = (cos(theta / 2) / (alpha pi)) int exp(-s e^u) dv
-                      / (cosh v sqrt(1 + sin^2(theta / 2) sinh^2 v)),
-    which cancels nothing for any alpha. In v the integrand is positive and
-    analytic in the strip |Im v| < alpha pi / 4 (where |Im u| < pi / 2 keeps
-    the exponential bounded; the kernel's poles sit at Im v = pi / 2), so the
-    rule with step h = (alpha pi / 4) / _GAP_STEPS converges like
-    exp(-2 pi _GAP_STEPS). Nodes lie on the lattice h*Z, from where the
-    kernel's tail, at most 2 (sin theta / pi) e^(alpha u) in u, integrates
-    to _GAP_TAIL of the lower bound on the value, to where s e^u reaches
-    _GAP_CUT. The node count is about (20 / pi) times the u-range plus
-    (80 / (alpha pi)) log(1 / sin(theta / 2)): it grows only logarithmically
-    as alpha tends to 1, and like 1 / alpha as alpha tends to 0.
-
-    Each point takes a node range that depends on its own s alone: the
-    range it needs, widened outward to multiples of `grain` nodes, so
-    nearby points share one range. The nodes a widening adds carry less
-    than _GAP_TAIL of the value below and next to nothing past the cut.
-    Points with equal ranges are one group and take exactly the same
-    nodes, so no term is ever masked out. The nodes are built once for all
-    groups, in chunks aligned on multiples of _GAP_CHUNK; each group reads
-    its slice of a chunk, and its points run in blocks, so one work matrix
-    stays within _SCRATCH_DOUBLES. A point's
-    terms are summed by _ordered_sum, the even and the odd nodes apart
-    (the even ones alone give the 2h rule), so its value does not depend
-    on the other points. Raises AccuracyError when a point would need more
-    than _GAP_NODES nodes or s passes exp(_LOG_S_MAX), which the router's
-    points, all near alpha = 1 and at most _X_FAR, never do.
-    Returns (values, relative estimates, nodes used).
-    """
-    theta = (1.0 - alpha) * math.pi
-    sig = math.sin(0.5 * theta)
-    amp = math.cos(0.5 * theta) / (alpha * math.pi)
-    h = 0.25 * alpha * math.pi / _GAP_STEPS
-    c = math.sin(theta) / math.pi
-    log_s = np.log(x) / alpha
-    grain = 32  # a point's range needs 350-900 nodes at alpha in [0.3, 0.99]
-
-    def lattice(u):  # position of u = log r on the lattice in v, in steps
-        return np.arcsinh(np.sinh(0.5 * alpha * u) / sig) / h
-
-    tail = math.log(_GAP_TAIL * alpha / (2.0 * c)) + _log_lower(alpha, x)
-    first = np.floor(lattice(tail / alpha) / grain) * grain
-    stop = np.ceil((lattice(math.log(_GAP_CUT) - log_s) + 1.0) / grain) * grain
-    used = stop - first
-    if log_s.max() > _LOG_S_MAX or used.max() > _GAP_NODES:
-        raise AccuracyError(
-            f"E_alpha({alpha}, {-float(x.max())}): the spectral rule needs "
-            f"{used.max():.0f} nodes and x^(1/alpha) = exp({log_s.max():.4g}); "
-            f"the limits are {_GAP_NODES} and exp({_LOG_S_MAX})",
-            MlfEvalReport(math.nan, "spectral", int(used.max()), math.inf),
-        )
-    first, stop, used = first.astype(int), stop.astype(int), used.astype(int)
-    s = x ** (1.0 / alpha)
-    rules = np.zeros((2, x.size))
-    order = np.lexsort((stop, first))
-    change = (np.diff(first[order]) != 0) | (np.diff(stop[order]) != 0)
-    groups = np.split(order, np.flatnonzero(change) + 1)
-    j_lo, j_hi = int(first.min()), int(stop.max())
-    for base in range(j_lo - j_lo % _GAP_CHUNK, j_hi, _GAP_CHUNK):
-        c_lo, c_hi = max(base, j_lo), min(base + _GAP_CHUNK, j_hi)
-        v = h * np.arange(c_lo, c_hi)
-        sv = sig * np.sinh(v)
-        w = h * amp / np.cosh(v) / np.hypot(1.0, sv)
-        rate = np.exp((2.0 / alpha) * np.arcsinh(sv))
-        for group in groups:
-            g_lo, g_hi = max(int(first[group[0]]), c_lo), min(int(stop[group[0]]), c_hi)
-            if g_lo >= g_hi:
-                continue
-            nodes = slice(g_lo - c_lo, g_hi - c_lo)
-            step = max(1, _SCRATCH_DOUBLES // (g_hi - g_lo))
-            for lo in range(0, group.size, step):
-                pts = group[lo : lo + step]
-                decay = np.multiply.outer(rate[nodes], -s[pts])
-                np.exp(decay, out=decay)
-                decay *= w[nodes, None]
-                even, odd = (_ordered_sum(decay[p::2]) for p in (g_lo % 2, 1 - g_lo % 2))
-                rules[0, pts] += even + odd
-                rules[1, pts] += 2.0 * even
-    rel = np.abs(rules[0] - rules[1]) / rules[0] + np.finfo(float).eps
-    return rules[0], rel, used
-
-
 def _route_neg(alpha: float, x: np.ndarray):
-    """E_alpha(-x) for x >= 0: the contour rule, and the spectral rule where it fails.
+    """E_alpha(-x) for x >= 0: the contour rule, and the split where it fails.
 
-    Returns (values, relative estimates, terms used, regime indices into
-    _REGIMES).
+    Returns (values, relative estimates, regime indices into _REGIMES).
     """
     vals = np.empty_like(x)
     rel = np.empty_like(x)
-    for rows, v, r in _contour_blocks(alpha, -x):
+    for rows, v, r in _contour_blocks(alpha, -x, False):
         vals[rows], rel[rows] = v, r
-    used = np.full(x.shape, _CONTOUR_NODES // 2)
     regime = np.zeros(x.shape, dtype=int)
     far = np.flatnonzero(~(rel <= _CONTOUR_ACCEPT))
-    if far.size:
-        near = np.minimum(x[far], _X_FAR)  # as the contour takes them
-        vals[far], rel[far], used[far] = _spectral_neg(alpha, near)
-        vals[far] *= near / x[far]
-        regime[far] = 1
-    return vals, rel, used, regime
+    for rows, v, r in _contour_blocks(alpha, -x[far], True):
+        vals[far[rows]], rel[far[rows]] = v, r
+    regime[far] = 1
+    return vals, rel, regime
+
+
+def _report(vals: np.ndarray, rel: np.ndarray, regime: np.ndarray, i: int) -> MlfEvalReport:
+    """The report of point i of an evaluation."""
+    used = 1 if _REGIMES[regime[i]] == "exp" else _CONTOUR_NODES // 2
+    return MlfEvalReport(float(vals[i]), _REGIMES[regime[i]], used, float(rel[i]))
 
 
 def _accepted(alpha: float, z: np.ndarray, tolerance: float):
@@ -504,19 +426,19 @@ def _accepted(alpha: float, z: np.ndarray, tolerance: float):
     `tolerance`. Returns as _route_neg does.
     """
     if alpha == 1.0:
-        used = np.ones(z.shape, dtype=int)
-        vals, rel, regime = np.exp(z), np.full_like(z, np.finfo(float).eps), np.full_like(used, 2)
+        vals, rel = np.exp(z), np.full_like(z, np.finfo(float).eps)
+        regime = np.full(z.shape, _REGIMES.index("exp"))
     else:
-        vals, rel, used, regime = _route_neg(alpha, -z)
+        vals, rel, regime = _route_neg(alpha, -z)
     bad = np.flatnonzero(~(rel <= tolerance))
     if bad.size:
         i = bad[0]
         raise AccuracyError(
             f"E_alpha({alpha}, {z[i]}) estimate {rel[i]:.2e} exceeds "
             f"tolerance {tolerance:.2e}",
-            MlfEvalReport(float(vals[i]), _REGIMES[regime[i]], int(used[i]), float(rel[i])),
+            _report(vals, rel, regime, i),
         )
-    return vals, rel, used, regime
+    return vals, rel, regime
 
 
 def _check_arguments(z) -> np.ndarray:
@@ -539,10 +461,11 @@ def mlf_values(alpha: float, z) -> np.ndarray:
     the router of mlf(), taken in two passes. The contour runs over every
     point block by block, straight into the result, and sets aside the
     points whose estimate fails _CONTOUR_ACCEPT; those alone then take the
-    whole router. So work memory is the contour's one buffer, whatever the
-    call's size, and nothing the call's size is allocated beside the
-    result. Each value depends on its own argument alone, not on the other
-    points of the call, which decay_blocks() relies on. Raises DomainError
+    whole router, contour and split. So work memory is one buffer of
+    _SCRATCH_DOUBLES at a time, whatever the call's size, and beside the
+    result nothing larger than the set-aside points is allocated. Each
+    value depends on its own argument alone, not on the other points of
+    the call, which decay_blocks() relies on. Raises DomainError
     as mlf() does, and AccuracyError like mlf(), with the first failing
     point's report, if an estimate exceeds 1e-9; an accepted contour
     estimate is within _CONTOUR_ACCEPT, below that.
@@ -555,7 +478,7 @@ def mlf_values(alpha: float, z) -> np.ndarray:
         np.exp(flat, out=out)
         return out.reshape(z.shape)
     far = [np.empty(0, dtype=int)]
-    for rows, vals, rel in _contour_blocks(alpha, flat):
+    for rows, vals, rel in _contour_blocks(alpha, flat, False):
         out[rows] = vals
         far.append(np.flatnonzero(~(rel <= _CONTOUR_ACCEPT)) + rows.start)
     far = np.concatenate(far)
@@ -573,8 +496,7 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     `tolerance`.
     """
     alpha = _check_alpha(alpha)
-    vals, rel, used, regime = _accepted(alpha, _check_arguments([float(z)]), tolerance)
-    return MlfEvalReport(float(vals[0]), _REGIMES[regime[0]], int(used[0]), float(rel[0]))
+    return _report(*_accepted(alpha, _check_arguments([float(z)]), tolerance), 0)
 
 
 def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | None = None):

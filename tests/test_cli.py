@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracobs import cli, hum
+from fracobs import cli, fraccalc, hum
 from fracobs.errors import InputError
 from fracobs.spectral import SpatialDomain, eigenpairs
 from fracobs.system import project_initial_state
@@ -385,12 +385,14 @@ def test_reconstruct_point_sensor_end_to_end(tmp_path, capsys):
 
 
 def test_reconstruct_zero_measurements_gives_zero_field(tmp_path, capsys):
+    # the zero state is set explicitly: without it there is no truth
     config = write_config(tmp_path, """
         alpha = 1.0
         horizon = 1.0
         modes = 4
         sensor.kind = pointwise
         sensor.location = 0.3
+        state.kind = zero
         time.samples = 33
     """)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
@@ -408,6 +410,96 @@ def test_reconstruct_zero_measurements_gives_zero_field(tmp_path, capsys):
     first = (tmp_path / "field.csv").read_bytes()
     assert cli.main(args) == 0
     assert (tmp_path / "field.csv").read_bytes() == first
+
+
+def test_reconstruct_without_a_state_reports_no_truth(tmp_path, capsys):
+    # a record alone has no truth: with no state.* lines the error is null
+    # in the summary and the footer and the truth columns are nan, where an
+    # explicit zero state holds the field against a zero gradient; a sweep,
+    # which ranks by that error, is refused before sweep.csv is opened
+    config = write_config(tmp_path, POINT_CONFIG)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    state = (
+        "    state.kind = coefficients\n"
+        "    state.coefficients = 0.05, -0.02, 0.01, 0.0, 0.004, -0.001\n"
+    )
+    assert state in POINT_CONFIG
+    for name, lines in (("none", ""), ("zero", "    state.kind = zero\n")):
+        out = tmp_path / name
+        out.mkdir()
+        bare = write_config(out, POINT_CONFIG.replace(state, lines))
+        assert cli.main([
+            "reconstruct", "--config", bare, "--out", str(out),
+            "--measurements", str(tmp_path / "measurements.csv"),
+        ]) == 0
+        summary, _ = summary_of(capsys)
+        text = (out / "field.csv").read_text()
+        footer = json.loads(text.splitlines()[-1][2:])
+        assert footer == summary
+        truth = [float(row[1]) for row in read_rows(out / "field.csv")[1:]]
+        if name == "none":
+            assert summary["error_vs_truth"] is None
+            assert '"error_vs_truth": null' in text
+            assert all(math.isnan(v) for v in truth)
+        else:
+            assert summary["error_vs_truth"] > 0.0
+            assert truth == [0.0] * len(truth)
+    bare = write_config(tmp_path, POINT_CONFIG.replace(state, ""), name="bare.cfg")
+    assert cli.main([
+        "sweep-sensor", "--config", bare, "--out", str(tmp_path), "--sweep-grid", "0.3:0.5:0.1",
+    ]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("usage error: config field state.kind is required"), line
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+# the benchmark's interval-alpha1 config at 2,048 samples, order left open
+NEAR_ONE_CONFIG = """
+    alpha = {alpha}
+    horizon = 1
+    modes = 4
+    epsilon = 3e-5
+    omega.lo = 0
+    omega.hi = 0.25
+    sensor1.kind = pointwise
+    sensor1.location = 0.2
+    sensor2.kind = pointwise
+    sensor2.location = 0.55
+    sensor3.kind = zonal
+    sensor3.support.lo = 0.9
+    sensor3.support.hi = 1.0
+    state.kind = poly_sq
+    time.samples = 2048
+    time.grading = graded
+    solver.kind = tikhonov
+    solver.value = 1e-7
+    escalation.step = 2
+"""
+
+
+def test_near_order_one_takes_the_split_end_to_end(tmp_path, capsys, monkeypatch):
+    # no benchmark workload reaches the split; at alpha = 0.999 simulate and
+    # reconstruct send it the points whose contour estimate fails, and the
+    # error stays within 1% of the same run at alpha = 1, all by exp
+    split = []
+
+    def counted(alpha, z, use_split):
+        if use_split:
+            split.append(z.size)
+        return contour_blocks(alpha, z, use_split)
+
+    contour_blocks = fraccalc._contour_blocks
+    monkeypatch.setattr(fraccalc, "_contour_blocks", counted)
+    errors = {}
+    for alpha in ("0.999", "1"):
+        out = tmp_path / alpha
+        out.mkdir()
+        summary = simulate_and_reconstruct(out, capsys, NEAR_ONE_CONFIG.format(alpha=alpha))
+        assert summary["iterations"] == 3
+        errors[alpha] = summary["error_vs_truth"]
+        if alpha == "0.999":
+            assert sum(split) > 0
+    assert abs(errors["0.999"] - errors["1"]) <= 1e-2 * errors["1"], errors
 
 
 def test_reconstruct_horizon_mismatch_is_usage_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, trapezoid
 from scipy.special import betainc, erfcx, gamma
@@ -299,8 +299,8 @@ def _spectral_quad(alpha, x):
 
 @pytest.mark.parametrize("alpha", [0.99, 0.999, 0.9999, 0.99999])
 def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
-    # the kernel's peak narrows like 1 - alpha; the spectral rule must stay
-    # accurate and its node count must not grow with 1 / (1 - alpha)
+    # the kernel's peak narrows like 1 - alpha; the split must stay
+    # accurate on the contour's 16 node pairs however close alpha is to 1
     xs = [0.5, 2.0, 6.0, 9.0, 15.0, 30.0, 100.0]
     want = np.array([_spectral_quad(alpha, x) for x in xs])
     batch = fc.mlf_values(alpha, -np.array(xs))
@@ -308,42 +308,53 @@ def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
     for x, w in zip(xs, want):
         rep = fc.mlf(alpha, -x)
         assert rep.value == pytest.approx(w, rel=1e-9)
-        if rep.regime == "spectral":
-            assert rep.terms_used <= 1000
+        assert rep.terms_used == 16
         with pytest.raises(AccuracyError) as exc:
             fc.mlf(alpha, -x, tolerance=1e-30)
         assert exc.value.report is not None
         assert exc.value.report.value == pytest.approx(w, rel=1e-9)
     # the contour takes x up to 6; past 9 its terms cancel from alpha = 0.999 on
     assert {fc.mlf(alpha, -x).regime for x in (0.5, 2.0, 6.0)} == {"contour"}
-    far = "contour" if alpha == 0.99 else "spectral"
+    far = "contour" if alpha == 0.99 else "split"
     assert [fc.mlf(alpha, -x).regime for x in (9.0, 15.0, 30.0)] == [far] * 3
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999, 1.0 - 1e-9])
+def test_mlf_near_classical_limit_matches_laplace_transform(alpha):
+    # an oracle that shares nothing with the contour: int_0^inf e^(-pt)
+    # E_a(-lam t^a) dt = p^(a-1) / (p^a + lam), by scipy quad over panels
+    # that break at the scales 1 / lam and 1 / p, up to where e^(-pt) is
+    # e^(-80); from a = 0.995 on, the points past lam t^a of about 7-10 take
+    # the split
+    for lam in (1.0, 10.0, 100.0):
+        for p in (0.5, 2.0, 10.0):
+            f = lambda t: math.exp(-p * t) * float(fc.mlf_values(alpha, -lam * t**alpha))
+            edges = sorted({0.0, 1.0 / lam, 10.0 / lam, 1.0 / p, 10.0 / p, 80.0 / p})
+            got = sum(
+                quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for lo, hi in zip(edges[:-1], edges[1:])
+            )
+            want = p ** (alpha - 1.0) / (p**alpha + lam)
+            assert abs(got - want) <= 1e-11 * want, (lam, p)
 
 
 def test_mlf_tiny_alpha_within_simon_bounds_or_refused():
     # 1/(1 + Gamma(1-a) x) <= E_a(-x) <= 1/(1 + x/Gamma(1+a)), a bracket of
     # width about 0.58 a relative: the contour evaluates inside it at every
-    # order; the spectral rule alone would need too many nodes there, or
-    # x^(1/a) would overflow, and refuses rather than guess
+    # order
     x = np.array([0.0, 0.5, 0.999, 0.99999, 1.5, 2.5, 40.0, 1e3])
     for a in (1e-4, 4e-4, 1e-5, 1e-7):
         v = fc.mlf_values(a, -x)
         assert np.all(1.0 / (1.0 + gamma(1.0 - a) * x) <= v * (1.0 + 1e-12))
         assert np.all(v <= 1.0 / (1.0 + x / gamma(1.0 + a)) * (1.0 + 1e-12))
         assert all(fc.mlf(a, -t).regime == "contour" for t in x)
-    for a in (5e-5, 1e-5):
-        with pytest.raises(AccuracyError) as exc:
-            fc._spectral_neg(a, np.array([0.5, 0.99999]))
-        assert exc.value.report.regime == "spectral"
-    with pytest.raises(AccuracyError):
-        fc._spectral_neg(4e-4, np.array([1.5]))
 
 
 def test_mlf_far_arguments_scale_from_the_clamp():
     # past x = 1e150 both rules return E_a(-X) X / x, X = 1e150, and x E_a(-x)
     # tends to 1 / Gamma(1 - a) with a next term of order 1 / x; no
     # finite argument overflows or is refused, on the contour or, at
-    # a = 0.999, on the spectral rule
+    # a = 0.999, on the split
     x = np.array([1e100, 1e150, 1e200, 1e300, 1.7e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -352,7 +363,7 @@ def test_mlf_far_arguments_scale_from_the_clamp():
             assert np.max(np.abs(v[:4] * x[:4] * gamma(1.0 - a) - 1.0)) <= 1e-11
             assert v[4] > 0.0
             assert v.tolist() == [fc.mlf(a, -t).value for t in x]
-            assert fc.mlf(a, -1e300).regime == ("spectral" if a == 0.999 else "contour")
+            assert fc.mlf(a, -1e300).regime == ("split" if a == 0.999 else "contour")
 
 
 # property tests over random orders alpha in [0.05, 0.999], drawn away from
@@ -382,14 +393,18 @@ def test_mlf_values_do_not_depend_on_the_batch(alpha, xs):
     assert np.array_equal(batch[::-1], fc.mlf_values(alpha, x[::-1]))
 
 
-def test_spectral_values_do_not_depend_on_the_batch():
-    # the spectral rule gives every point its own nodes; nodes that only a
-    # neighbour needs would move the last bits of a few values
+def test_split_values_do_not_depend_on_the_batch():
+    # the split's points are the ones the contour sets aside, in blocks of
+    # their own: a value must be its point's alone, whichever points are
+    # set aside beside it and wherever the blocks fall
     rng = np.random.default_rng(3)
-    for alpha in (0.1, 0.3, 0.5, 0.7, 0.84, 0.95, 0.99):
-        x = np.concatenate([rng.uniform(0.5, 60.0, 300), 10.0 ** rng.uniform(-1.0, 2.5, 300)])
-        alone = [fc._spectral_neg(alpha, x[i : i + 1])[0][0] for i in range(x.size)]
-        assert np.array_equal(fc._spectral_neg(alpha, x)[0], alone)
+    for alpha in (0.995, 0.999, 1.0 - 1e-9):
+        x = np.concatenate([rng.uniform(0.5, 60.0, 4000), 10.0 ** rng.uniform(-1.0, 2.5, 4000)])
+        vals, _, regime = fc._route_neg(alpha, x)
+        assert np.count_nonzero(regime == 1) > 4096  # more than one block
+        assert np.array_equal(fc._route_neg(alpha, x[::-1])[0], vals[::-1])
+        for i in range(0, x.size, 97):
+            assert fc.mlf(alpha, -x[i]).value == vals[i]
 
 
 ORACLE_ALPHAS = (0.3, 0.5, 0.84, 0.95)
@@ -405,14 +420,14 @@ def _oracle(alpha):
 def test_contour_values_match_oracles(alpha):
     # the contour rule on every point of the grid against scipy quad of the
     # spectral integral, and against erfcx at alpha = 1/2; no point of the
-    # grid falls back to the spectral rule
-    got, _, _, regime = fc._route_neg(alpha, ORACLE_X)
+    # grid falls back to the split
+    got, _, regime = fc._route_neg(alpha, ORACLE_X)
     assert not regime.any()
     assert np.max(np.abs(got - _oracle(alpha)) / _oracle(alpha)) <= 1e-12
     if alpha == 0.5:
         x = np.concatenate([[0.0], ORACLE_X, np.geomspace(1e3, 1e6, 40)])
         want = erfcx(x)
-        got, _, _, regime = fc._route_neg(alpha, x)
+        got, _, regime = fc._route_neg(alpha, x)
         assert not regime.any()
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
@@ -424,7 +439,7 @@ def _excess(rounding):
         return max(
             np.max(np.abs(got - _oracle(a)) / _oracle(a) / np.maximum(rel, 1e-13))
             for a in ORACLE_ALPHAS
-            for got, rel, _, _ in [fc._route_neg(a, ORACLE_X)]
+            for got, rel, _ in [fc._route_neg(a, ORACLE_X)]
         )
 
 
@@ -458,25 +473,26 @@ def test_contour_work_is_a_few_batch_arrays(alpha):
     assert peak < 2.5 * z.nbytes
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.84])
-def test_spectral_work_matrix_is_cache_sized(alpha):
-    # 6,000 points take 350-900 nodes each: a nodes x points matrix of
-    # 16 MB when it held 2^21 doubles, at most 1 MB now, with every value
-    # that of the point evaluated alone
-    x = np.linspace(0.5, 40.0, 200000)
-    x = x[np.linspace(0, x.size - 1, 6000).astype(int)]
-    assert np.unique(x).size == 6000
-    (vals, rel, used), peak = _traced_peak(lambda: fc._spectral_neg(alpha, x))
-    assert peak < 4 * MB
+@pytest.mark.parametrize("alpha", [0.999, 1.0 - 1e-9])
+def test_split_work_is_cache_sized(alpha):
+    # 200,000 points on the split alone: its work is the contour's one
+    # buffer of 1 MB and a few block-sized arrays, where a pairs x points
+    # matrix would be 26 MB and one array of the call 1.6 MB; every
+    # estimate stays far inside the contour's acceptance
+    z = -np.linspace(10.0, 300.0, 200000)
+    split = lambda: [(v.copy(), r.copy()) for _, v, r in fc._contour_blocks(alpha, z, True)]
+    blocks, peak = _traced_peak(split)
+    assert peak - sum(v.nbytes + r.nbytes for v, r in blocks) < 1.25 * MB
+    vals, rel = (np.concatenate(b) for b in zip(*blocks))
     assert np.all(rel <= 1e-12)
-    for i in range(0, x.size, 397):
-        assert fc._spectral_neg(alpha, x[i : i + 1])[0][0] == vals[i]
+    for i in range(0, z.size, 3971):
+        assert fc.mlf(alpha, z[i]).value == vals[i]
 
 
 def test_route_regimes_are_pinned():
     # fallback counts and index sums on a seeded sample: no point leaves the
     # contour up to alpha = 0.99; from 0.995 on the points past x of about
-    # 7-10 take the spectral rule
+    # 7-10 take the split
     rng = np.random.default_rng(13)
     pinned = {
         0.3: (0, 0), 0.5: (0, 0), 0.84: (0, 0), 0.95: (0, 0), 0.99: (0, 0),
@@ -484,27 +500,29 @@ def test_route_regimes_are_pinned():
     }
     for alpha, (count, total) in pinned.items():
         x = np.concatenate([rng.uniform(0.0, 30.0, 5000), 10.0 ** rng.uniform(-2.0, 3.0, 5000)])
-        far = np.flatnonzero(fc._route_neg(alpha, x)[3] == 1)
+        far = np.flatnonzero(fc._route_neg(alpha, x)[2] == 1)
         assert (far.size, int(far.sum())) == (count, total)
 
 
 @PROPERTY
 @given(st.floats(0.99, 0.999))
+@example(0.9999)
+@example(1.0 - 1e-9)
 def test_mlf_continuous_across_regime_seams(alpha):
-    # every switch between the contour and the spectral rule on x in
-    # [1, 1e4], located by bisection on the router's choice: the values on
-    # its two sides, a few ulps apart, differ by at most 1e-11
+    # every switch between the contour and the split on x in [1, 1e4],
+    # located by bisection on the router's choice: the values on its two
+    # sides, a few ulps apart, differ by at most 1e-11
     x = np.geomspace(1.0, 1e4, 400)
-    regime = fc._route_neg(alpha, x)[3]
+    regime = fc._route_neg(alpha, x)[2]
     flips = np.flatnonzero(np.diff(regime))
     assert flips.size or alpha < 0.995
     lo, hi = x[flips], x[flips + 1]
     for _ in range(60):
         mid = np.sqrt(lo * hi)
-        same = fc._route_neg(alpha, mid)[3] == regime[flips]
+        same = fc._route_neg(alpha, mid)[2] == regime[flips]
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     sides = fc._route_neg(alpha, np.concatenate([lo, hi]))
-    assert np.array_equal(sides[3], np.concatenate([regime[flips], regime[flips + 1]]))
+    assert np.array_equal(sides[2], np.concatenate([regime[flips], regime[flips + 1]]))
     v = sides[0].reshape(2, -1)
     assert np.all(np.abs(v[1] - v[0]) <= 1e-11 * v[0])
 
