@@ -246,7 +246,9 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
 # _CONTOUR_ACCEPT takes the split instead, the same nodes with the alpha = 1
 # integrand subtracted and its exact value exp(-x) added back, whose terms
 # shrink with 1 - alpha. Both take their transcendentals once per node and
-# order, none per point.
+# order, none per point. One router (_route) serves mlf and mlf_values: each
+# point takes the contour once, and the points it sets aside the split
+# once; at alpha = 1 it makes the one exp pass.
 
 _CONTOUR_NODES = 32      # midpoint nodes on the parabola, in conjugate pairs
 _CONTOUR_ROUNDING = 8.0  # the estimate is this many eps of the terms' sum
@@ -254,7 +256,7 @@ _CONTOUR_ACCEPT = 1e-11  # relative estimate the contour must beat
 _X_FAR = 1e150           # x past which E_alpha(-x) is E_alpha(-X) X / x, X this
 _VALUES_TOL = 1e-9       # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000     # points per row block of a decay table
-_REGIMES = ("contour", "split", "exp")
+_EXP_ZERO = -746.0       # exp(z) is +0.0 below this: exp underflows past -745.1332
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,8 @@ class MlfEvalReport:
       "split"     the same nodes with the alpha = 1 integrand split off,
                   E_alpha(-x) = exp(-x) + a sum that shrinks with 1 - alpha,
                   for the points near alpha = 1 whose contour estimate fails;
-      "exp"       alpha = 1, where the value is exp(z).
+      "exp"       alpha = 1, where the value is exp(z): +0.0, with no exp
+                  taken, below _EXP_ZERO.
     terms_used counts the conjugate-pair terms, 16, or 1 for "exp".
     est_error is a relative rounding estimate, not a guaranteed bound:
     _CONTOUR_ROUNDING eps times the sum of the terms' magnitudes over the
@@ -395,108 +398,100 @@ def _contour_blocks(alpha: float, z: np.ndarray, split: bool):
         yield slice(lo, lo + step), vals, rel
 
 
-def _route_neg(alpha: float, x: np.ndarray):
-    """E_alpha(-x) for x >= 0: the contour rule, and the split where it fails.
+def _note(noted: dict, points, vals, rel, over, regime: str) -> None:
+    """Record in noted, by point, the reports of point 0 and of the first point in over.
 
-    Returns (values, relative estimates, regime indices into _REGIMES).
+    A block's position j is the call's point points[j], increasing; over
+    holds positions. Point 0 is noted only by the block that holds it.
     """
-    vals = np.empty_like(x)
-    rel = np.empty_like(x)
-    for rows, v, r in _contour_blocks(alpha, -x, False):
-        vals[rows], rel[rows] = v, r
-    regime = np.zeros(x.shape, dtype=int)
-    far = np.flatnonzero(~(rel <= _CONTOUR_ACCEPT))
-    for rows, v, r in _contour_blocks(alpha, -x[far], True):
-        vals[far[rows]], rel[far[rows]] = v, r
-    regime[far] = 1
-    return vals, rel, regime
+    for j in ([0] if points[0] == 0 else []) + over[:1].tolist():
+        report = MlfEvalReport(float(vals[j]), regime, _CONTOUR_NODES // 2, float(rel[j]))
+        noted[int(points[j])] = report
 
 
-def _report(vals: np.ndarray, rel: np.ndarray, regime: np.ndarray, i: int) -> MlfEvalReport:
-    """The report of point i of an evaluation."""
-    used = 1 if _REGIMES[regime[i]] == "exp" else _CONTOUR_NODES // 2
-    return MlfEvalReport(float(vals[i]), _REGIMES[regime[i]], used, float(rel[i]))
+def _route(alpha: float, z, tolerance: float):
+    """E_alpha(z), each point by one regime: (values, split points, point 0's report).
 
-
-def _accepted(alpha: float, z: np.ndarray, tolerance: float):
-    """E_alpha(z) for z <= 0, each point by one regime, every estimate checked.
-
-    exp(z) at alpha = 1, else the router. Raises AccuracyError with the
-    first failing point's report unless every estimate is within
-    `tolerance`. Returns as _route_neg does.
+    The router of mlf() and mlf_values(). Raises DomainError unless alpha
+    lies in (0, 1] and every z is finite and <= 0, the arguments
+    -lam t^alpha the package evaluates; a max and a min reduction decide
+    it with no temporary array, and nan fails both comparisons.
+    At alpha = 1 the value is exp(z), the package's one exp pass. exp takes
+    about 15 times as long on an argument that underflows, so when some z
+    lies below _EXP_ZERO, those points take no exp and are +0.0.
+    Otherwise the contour runs over every point once, block by block,
+    straight into the result, and only the points whose estimate fails
+    _CONTOUR_ACCEPT take the split. So work memory is one buffer of
+    _SCRATCH_DOUBLES at a time and the set-aside points: no estimate or
+    regime is kept per point. Raises AccuracyError with the report of the
+    first point, in argument order, whose estimate exceeds `tolerance`.
+    Returns the values in z's shape, the points that took the split
+    (increasing indices into z.ravel()) and point 0's report, None when
+    there is no point.
     """
-    if alpha == 1.0:
-        vals, rel = np.exp(z), np.full_like(z, np.finfo(float).eps)
-        regime = np.full(z.shape, _REGIMES.index("exp"))
-    else:
-        vals, rel, regime = _route_neg(alpha, -z)
-    bad = np.flatnonzero(~(rel <= tolerance))
-    if bad.size:
-        i = bad[0]
-        raise AccuracyError(
-            f"E_alpha({alpha}, {z[i]}) estimate {rel[i]:.2e} exceeds "
-            f"tolerance {tolerance:.2e}",
-            _report(vals, rel, regime, i),
-        )
-    return vals, rel, regime
-
-
-def _check_arguments(z) -> np.ndarray:
-    """z as a float array; DomainError unless every entry is finite and <= 0.
-
-    The package evaluates E_alpha only at -lam t^alpha with lam > 0 and
-    t >= 0. A max and a min reduction decide it with no temporary array:
-    nan fails both comparisons.
-    """
+    alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
-    if not (z.max(initial=0.0) <= 0.0 and z.min(initial=0.0) > -math.inf):
+    low = z.min(initial=0.0)
+    if not (z.max(initial=0.0) <= 0.0 and low > -math.inf):
         raise DomainError("E_alpha arguments must be finite and <= 0")
-    return z
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    split = np.empty(0, dtype=int)
+    noted = {}  # reports by point: point 0's and each block's first over tolerance
+    if alpha == 1.0:
+        if low < _EXP_ZERO:
+            out.fill(0.0)
+            np.exp(flat, out=out, where=flat >= _EXP_ZERO)
+        else:
+            np.exp(flat, out=out)
+        if flat.size:
+            noted[0] = MlfEvalReport(float(out[0]), "exp", 1, float(np.finfo(float).eps))
+    else:
+        far = [split]
+        for rows, vals, rel in _contour_blocks(alpha, flat, False):
+            out[rows] = vals
+            kept = rel <= _CONTOUR_ACCEPT
+            far.append(np.flatnonzero(~kept) + rows.start)
+            over = np.flatnonzero(kept & (rel > tolerance))
+            _note(noted, range(rows.start, rows.stop), vals, rel, over, "contour")
+        split = np.concatenate(far)
+        for rows, vals, rel in _contour_blocks(alpha, flat[split], True):
+            out[split[rows]] = vals
+            _note(noted, split[rows], vals, rel, np.flatnonzero(~(rel <= tolerance)), "split")
+    bad = [i for i, report in noted.items() if not report.est_error <= tolerance]
+    if bad:
+        i = min(bad)
+        raise AccuracyError(
+            f"E_alpha({alpha}, {flat[i]}) estimate {noted[i].est_error:.2e} exceeds "
+            f"tolerance {tolerance:.2e}",
+            noted[i],
+        )
+    return out.reshape(z.shape), split, noted.get(0)
 
 
 def mlf_values(alpha: float, z) -> np.ndarray:
     """E_alpha(z) over an array of arguments z <= 0 (no per-point reports).
 
-    Fast path for the forward maps: one exp pass at alpha = 1, otherwise
-    the router of mlf(), taken in two passes. The contour runs over every
-    point block by block, straight into the result, and sets aside the
-    points whose estimate fails _CONTOUR_ACCEPT; those alone then take the
-    whole router, contour and split. So work memory is one buffer of
-    _SCRATCH_DOUBLES at a time, whatever the call's size, and beside the
-    result nothing larger than the set-aside points is allocated. Each
-    value depends on its own argument alone, not on the other points of
-    the call, which decay_blocks() relies on. Raises DomainError
-    as mlf() does, and AccuracyError like mlf(), with the first failing
-    point's report, if an estimate exceeds 1e-9; an accepted contour
-    estimate is within _CONTOUR_ACCEPT, below that.
+    The fast path of the forward maps, through the router of mlf(): beside
+    the result, work memory is one buffer of _SCRATCH_DOUBLES at a time,
+    whatever the call's size, and the set-aside points, and each value
+    depends on its own argument alone, which decay_blocks() relies on.
+    Raises DomainError as mlf() does, and AccuracyError with the first
+    failing point's report if an estimate exceeds 1e-9; an accepted
+    contour estimate is within _CONTOUR_ACCEPT, below that.
     """
-    alpha = _check_alpha(alpha)
-    z = _check_arguments(z)
-    flat = z.ravel()
-    out = np.empty_like(flat)
-    if alpha == 1.0:
-        np.exp(flat, out=out)
-        return out.reshape(z.shape)
-    far = [np.empty(0, dtype=int)]
-    for rows, vals, rel in _contour_blocks(alpha, flat, False):
-        out[rows] = vals
-        far.append(np.flatnonzero(~(rel <= _CONTOUR_ACCEPT)) + rows.start)
-    far = np.concatenate(far)
-    if far.size:
-        out[far] = _accepted(alpha, flat[far], _VALUES_TOL)[0]
-    return out.reshape(z.shape)
+    return _route(alpha, z, _VALUES_TOL)[0]
 
 
 def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     """Evaluate E_alpha(z) and report how the value was obtained.
 
-    A one-point call of the router behind mlf_values(). Raises DomainError
-    for alpha outside (0, 1] or z not finite and <= 0, and AccuracyError
-    (with the report attached) if the relative error estimate exceeds
-    `tolerance`.
+    A one-point call of the router behind mlf_values(), so the value is
+    bitwise that of mlf_values() at z. Raises DomainError for alpha outside
+    (0, 1] or z not finite and <= 0, and AccuracyError (with the report
+    attached) if the relative error estimate exceeds `tolerance`.
     """
-    alpha = _check_alpha(alpha)
-    return _report(*_accepted(alpha, _check_arguments([float(z)]), tolerance), 0)
+    return _route(alpha, [float(z)], tolerance)[2]
 
 
 def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | None = None):

@@ -169,6 +169,31 @@ def test_mlf_reports_the_exp_pass_at_alpha_one():
     assert fc.mlf(0.5, -1.0).regime == "contour"
 
 
+def test_mlf_values_at_one_is_exp_bit_for_bit():
+    # the points below _EXP_ZERO take no exp and are +0.0, as exp gives
+    # past its underflow edge, -745.1332; above it, through exp's subnormal
+    # band, every value is exp's own, with no warning, on a sorted grid and
+    # on a shuffled one whose skipped points are scattered
+    assert fc._EXP_ZERO <= -746.0 and np.exp(fc._EXP_ZERO) == 0.0
+    edge = -745.1332
+    z = np.concatenate([
+        np.linspace(-800.0, 0.0, 200001),
+        np.linspace(edge - 1e-3, edge + 1e-3, 2001),
+        np.nextafter(fc._EXP_ZERO, [-np.inf, 0.0]),
+        [fc._EXP_ZERO, -745.13321910194122, -745.1332191019411, -708.3964185322641],
+    ])
+    shuffled = np.random.default_rng(5).permutation(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid in (z, shuffled, shuffled.reshape(-1, 8)):
+            got = fc.mlf_values(1.0, grid)
+            assert got.shape == grid.shape
+            assert got.tobytes() == np.exp(grid).tobytes()
+    subnormal = (got > 0.0) & (got < np.finfo(float).tiny)
+    assert np.count_nonzero(subnormal) > 5000
+    assert np.count_nonzero(got == 0.0) > 10000
+
+
 def test_mlf_half_matches_erfcx_identity():
     # E_{1/2}(-x) = e^{x^2} erfc(x), from x = 0 to 1e4
     x = np.concatenate([np.linspace(0.0, 5.0, 101), np.logspace(0.8, 4, 80)])
@@ -393,6 +418,14 @@ def test_mlf_values_do_not_depend_on_the_batch(alpha, xs):
     assert np.array_equal(batch[::-1], fc.mlf_values(alpha, x[::-1]))
 
 
+def _routed(alpha, x):
+    """The router's values of E_alpha(-x), x >= 0, and each point's regime: 1 for the split."""
+    vals, split, _ = fc._route(alpha, -x, math.inf)
+    regime = np.zeros(x.shape, dtype=int)
+    regime[split] = 1
+    return vals, regime
+
+
 def test_split_values_do_not_depend_on_the_batch():
     # the split's points are the ones the contour sets aside, in blocks of
     # their own: a value must be its point's alone, whichever points are
@@ -400,11 +433,41 @@ def test_split_values_do_not_depend_on_the_batch():
     rng = np.random.default_rng(3)
     for alpha in (0.995, 0.999, 1.0 - 1e-9):
         x = np.concatenate([rng.uniform(0.5, 60.0, 4000), 10.0 ** rng.uniform(-1.0, 2.5, 4000)])
-        vals, _, regime = fc._route_neg(alpha, x)
+        vals, regime = _routed(alpha, x)
         assert np.count_nonzero(regime == 1) > 4096  # more than one block
-        assert np.array_equal(fc._route_neg(alpha, x[::-1])[0], vals[::-1])
+        assert np.array_equal(_routed(alpha, x[::-1])[0], vals[::-1])
         for i in range(0, x.size, 97):
             assert fc.mlf(alpha, -x[i]).value == vals[i]
+
+
+@pytest.mark.parametrize("alpha", [0.995, 0.999, 1.0 - 1e-9])
+def test_each_point_takes_the_contour_once(alpha, monkeypatch):
+    # the router runs the contour over every point of a call once, and the
+    # split once over the points whose contour estimate fails the switch,
+    # in mlf_values and in mlf alike; the values agree point by point
+    rules = fc._contour_blocks
+    taken = {False: [], True: []}
+
+    def counted(a, z, split):
+        taken[split].append(z.copy())
+        return rules(a, z, split)
+
+    z = -np.linspace(10.0, 300.0, 10000)
+    rel = np.concatenate([r.copy() for _, _, r in rules(alpha, z, False)])
+    aside = ~(rel <= fc._CONTOUR_ACCEPT)
+    assert aside.any()
+    monkeypatch.setattr(fc, "_contour_blocks", counted)
+    vals = fc.mlf_values(alpha, z)
+    assert np.array_equal(np.concatenate(taken[False]), z)
+    assert np.array_equal(np.concatenate(taken[True]), z[aside])
+    for i in range(0, z.size, 97):
+        taken[False].clear()
+        taken[True].clear()
+        rep = fc.mlf(alpha, z[i])
+        assert rep.value == vals[i]
+        assert rep.regime == ("split" if aside[i] else "contour")
+        assert [v.tolist() for v in taken[False]] == [[z[i]]]
+        assert sum(v.size for v in taken[True]) == aside[i]
 
 
 ORACLE_ALPHAS = (0.3, 0.5, 0.84, 0.95)
@@ -421,15 +484,21 @@ def test_contour_values_match_oracles(alpha):
     # the contour rule on every point of the grid against scipy quad of the
     # spectral integral, and against erfcx at alpha = 1/2; no point of the
     # grid falls back to the split
-    got, _, regime = fc._route_neg(alpha, ORACLE_X)
+    got, regime = _routed(alpha, ORACLE_X)
     assert not regime.any()
     assert np.max(np.abs(got - _oracle(alpha)) / _oracle(alpha)) <= 1e-12
     if alpha == 0.5:
         x = np.concatenate([[0.0], ORACLE_X, np.geomspace(1e3, 1e6, 40)])
         want = erfcx(x)
-        got, _, regime = fc._route_neg(alpha, x)
+        got, regime = _routed(alpha, x)
         assert not regime.any()
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def _routed_estimates(alpha, x):
+    """The router's values of E_alpha(-x) and their estimates, a point at a time through mlf."""
+    reports = [fc.mlf(alpha, -v) for v in x]
+    return np.array([r.value for r in reports]), np.array([r.est_error for r in reports])
 
 
 def _excess(rounding):
@@ -439,7 +508,7 @@ def _excess(rounding):
         return max(
             np.max(np.abs(got - _oracle(a)) / _oracle(a) / np.maximum(rel, 1e-13))
             for a in ORACLE_ALPHAS
-            for got, rel, _ in [fc._route_neg(a, ORACLE_X)]
+            for got, rel in [_routed_estimates(a, ORACLE_X)]
         )
 
 
@@ -500,7 +569,7 @@ def test_route_regimes_are_pinned():
     }
     for alpha, (count, total) in pinned.items():
         x = np.concatenate([rng.uniform(0.0, 30.0, 5000), 10.0 ** rng.uniform(-2.0, 3.0, 5000)])
-        far = np.flatnonzero(fc._route_neg(alpha, x)[2] == 1)
+        far = np.flatnonzero(_routed(alpha, x)[1] == 1)
         assert (far.size, int(far.sum())) == (count, total)
 
 
@@ -513,16 +582,16 @@ def test_mlf_continuous_across_regime_seams(alpha):
     # located by bisection on the router's choice: the values on its two
     # sides, a few ulps apart, differ by at most 1e-11
     x = np.geomspace(1.0, 1e4, 400)
-    regime = fc._route_neg(alpha, x)[2]
+    regime = _routed(alpha, x)[1]
     flips = np.flatnonzero(np.diff(regime))
     assert flips.size or alpha < 0.995
     lo, hi = x[flips], x[flips + 1]
     for _ in range(60):
         mid = np.sqrt(lo * hi)
-        same = fc._route_neg(alpha, mid)[2] == regime[flips]
+        same = _routed(alpha, mid)[1] == regime[flips]
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    sides = fc._route_neg(alpha, np.concatenate([lo, hi]))
-    assert np.array_equal(sides[2], np.concatenate([regime[flips], regime[flips + 1]]))
+    sides = _routed(alpha, np.concatenate([lo, hi]))
+    assert np.array_equal(sides[1], np.concatenate([regime[flips], regime[flips + 1]]))
     v = sides[0].reshape(2, -1)
     assert np.all(np.abs(v[1] - v[0]) <= 1e-11 * v[0])
 
