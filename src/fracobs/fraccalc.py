@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, InputError
 
@@ -845,10 +845,39 @@ def merge_nodes(first, second, horizon: float) -> np.ndarray:
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per order.
 
-    leggauss solves an eigenproblem on every call; the time panels, the
-    moment nodes and the spatial rules reuse a handful of orders.
+    Nodes ascend, the negative half mirrors the positive half exactly, and
+    an odd order has the node 0.0. The roots x = cos(theta) come from the
+    cosine series P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), with
+    a_k = binom(2k, k) / 4^k (Szego, Orthogonal Polynomials, 4.9), whose
+    coefficients are rounded once from exact integers. Three Newton steps
+    in theta (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652) start
+    from theta_i = phi_i + cot(phi_i) / (8 n^2), phi_i = pi (4i - 1) /
+    (4n + 2); each takes one cos and one sin table over the positive half.
+    The weights are 2 / (dP_n/dtheta)^2. Against a 40-digit oracle the
+    nodes are within 3e-16 and the weights within 1e-13 relative up to
+    order 128 (tests/test_fraccalc.py). Raises InputError unless the order
+    is an integer >= 1.
     """
-    x, w = leggauss(order)
+    if not isinstance(order, numbers.Integral) or order < 1:
+        raise InputError(f"Gauss-Legendre order must be an integer >= 1, got {order!r}")
+    n = int(order)
+    half = n // 2
+    # the series folded onto frequencies n, n - 2, ... >= 0
+    freq = np.arange(n, -1, -2, dtype=float)
+    coef = np.array([
+        (2 if 2 * k < n else 1) * math.comb(2 * k, k) * math.comb(2 * (n - k), n - k) / 4**n
+        for k in range(half + 1)
+    ])
+    slope = freq * coef
+    phi = np.pi * np.arange(3, 4 * (n - half), 4) / (4 * n + 2)
+    theta = phi + 1.0 / (8.0 * n * n * np.tan(phi))
+    for _ in range(3):
+        arg = np.multiply.outer(theta, freq)
+        theta += (np.cos(arg) @ coef) / (np.sin(arg) @ slope)
+    w = 2.0 / (np.sin(np.multiply.outer(theta, freq)) @ slope) ** 2
+    x = np.cos(theta[:half])
+    x = np.concatenate((-x, [0.0] * (n % 2), x[::-1]))
+    w = np.concatenate((w, w[:half][::-1]))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -857,7 +886,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_panels(edges, order: int):
     """Composite Gauss-Legendre nodes and weights over the given edges."""
     edges = np.asarray(edges, dtype=float)
-    x, w = gauss_legendre(int(order))
+    x, w = gauss_legendre(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -1150,6 +1150,8 @@ def test_module_entry_point_runs(tmp_path):
 
 IMPORT_GUARD = """
 import json, sys
+import numpy
+with_numpy = set(sys.modules)
 import fracobs.cli as cli
 before = set(sys.modules)
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
@@ -1157,6 +1159,9 @@ print(json.dumps({
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "loaded_in_main": sorted(set(sys.modules) - before),
+    "polynomial": sorted(
+        m for m in set(sys.modules) - with_numpy if m.split(".")[:2] == ["numpy", "polynomial"]
+    ),
 }))
 """
 
@@ -1165,7 +1170,9 @@ def test_cli_commands_import_no_scipy(tmp_path):
     # every command runs in a fresh process, so what it imports is paid on
     # every run: scipy must not be among it, and no module may load during
     # the command itself (numpy.ma through np.unique and its set helpers,
-    # locale through argparse's gettext), where it would count as work
+    # locale through argparse's gettext), where it would count as work;
+    # nor may the package load numpy.polynomial, which numpy < 2 imports
+    # with itself
     config = write_config(tmp_path, GRADED_CONFIG)
     out = str(tmp_path)
     commands = [
@@ -1184,6 +1191,37 @@ def test_cli_commands_import_no_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0, 0]
     assert report["scipy"] == []
     assert report["loaded_in_main"] == []
+    assert report["polynomial"] == []
+
+
+def test_simulate_solves_no_eigenproblem(tmp_path, monkeypatch):
+    # interval-alpha1's sensor layout on a short record: its zonal sensor
+    # takes the order-32 Gauss rule, which must come without an eigen-solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate solved an eigenproblem")
+
+    for module, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (fraccalc, "eigh")]:
+        monkeypatch.setattr(module, name, refuse)
+    fraccalc.gauss_legendre.cache_clear()
+    config = write_config(tmp_path, """
+        alpha = 1
+        horizon = 1
+        modes = 4
+        omega.lo = 0
+        omega.hi = 0.25
+        sensor1.kind = pointwise
+        sensor1.location = 0.2
+        sensor2.kind = pointwise
+        sensor2.location = 0.55
+        sensor3.kind = zonal
+        sensor3.support.lo = 0.9
+        sensor3.support.hi = 1.0
+        state.kind = poly_sq
+        time.samples = 256
+        time.grading = graded
+    """)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    assert len(read_rows(tmp_path / "measurements.csv")) == 257
 
 
 RERUN_CONFIG = """

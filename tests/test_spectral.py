@@ -39,6 +39,13 @@ def test_region_validation():
     assert (full.lower, full.upper) == ((0.0, 0.0), (1.0, 1.0))
 
 
+def test_quadrature_order_is_checked_by_gauss_legendre():
+    region = sp.Region((0.25,), (0.75,))
+    for order in (0, 2.5):
+        with pytest.raises(InputError, match=f"Gauss-Legendre order must be an integer >= 1, got {order}"):
+            sp.SpatialQuadrature.for_region(region, order)
+
+
 def test_eigenpairs_interval():
     modes = sp.eigenpairs(sp.SpatialDomain(1), 3)
     lams = [m.lam for m in modes]

@@ -4,8 +4,8 @@ No linter runs on this code, so this test stands in for one. Every name a
 module exports in __all__ must be read by package code outside its own
 definition, or by the acceptance tests; a name that only unit tests reach
 either gets a caller on a command's route or goes. Every name a module
-imports must be read in that module, and no module imports an underscore
-name from another package module.
+imports must be read in that module, no module imports an underscore
+name from another package module, and none reaches numpy.polynomial.
 
 The same rule holds one level down. Every public member of a package
 class (method, property, classmethod or dataclass field) must be read
@@ -202,6 +202,31 @@ def test_modules_import_no_private_names():
         if alias.name.startswith("_")
     ]
     assert not private, f"underscore names imported from another package module: {private}"
+
+
+def test_modules_import_nothing_from_numpy_polynomial():
+    # every command runs in a fresh process, so a module the package loads
+    # is paid on every run; fraccalc.gauss_legendre owns the Gauss rules
+    found = []
+    for mod, tree in _trees().items():
+        if mod == "acceptance":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                root = "numpy" if node.value.id == "np" else node.value.id
+                names = [f"{root}.{node.attr}"]
+            else:
+                continue
+            found += [
+                f"{mod}:{node.lineno} {name}"
+                for name in names
+                if name == "numpy.polynomial" or name.startswith("numpy.polynomial.")
+            ]
+    assert not found, f"package modules that reach numpy.polynomial: {found}"
 
 
 def _member_reads(tree: ast.AST) -> Counter:
