@@ -2,9 +2,10 @@
 
 Peak memory is set by the data, not by kernel scratch, by tables of
 record length times modes or by second copies of the record. Each case
-runs `fracobs simulate` then `fracobs reconstruct` on a short record and
-on longer ones, takes each command's own peak RSS from its finished
-process and prints it, so the command that sets a long pair's peak shows.
+runs `simulate` then `reconstruct` on a short record and on longer ones,
+each as `python -m fracobs.cli` under the running interpreter, takes
+each command's own peak RSS from its finished process and prints it, so
+the command that sets a long pair's peak shows.
 It fails when a long pair's peak is more than its bound above the short
 pair's:
 
@@ -13,6 +14,8 @@ pair's:
   samples: 12 MB, and 262,144 samples: 14 MB.
 
     python .github/long_record_peak.py
+
+It runs the same installed or from a source checkout with PYTHONPATH=src.
 
 Work files go to a temporary directory under $RUNNER_TEMP, if it is set.
 """
@@ -61,7 +64,8 @@ CASES = (
 
 
 def peak_mb(args: list[str]) -> float:
-    """Run one command to its end; its own peak RSS in MB."""
+    """Run one fracobs command to its end; its own peak RSS in MB."""
+    args = [sys.executable, "-m", "fracobs.cli", *args]
     proc = subprocess.Popen(args)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -76,8 +80,8 @@ def pair_peaks(work: str, name: str, config: str, samples: int) -> tuple[float, 
     with open(cfg, "w") as fh:
         fh.write(f"{config}time.samples = {samples}\n")
     peaks = (
-        peak_mb(["fracobs", "simulate", "--config", cfg, "--out", run]),
-        peak_mb(["fracobs", "reconstruct", "--config", cfg, "--out", run,
+        peak_mb(["simulate", "--config", cfg, "--out", run]),
+        peak_mb(["reconstruct", "--config", cfg, "--out", run,
                  "--measurements", os.path.join(run, "measurements.csv")]),
     )
     print(f"{name}: {samples} samples peak {max(peaks):.1f} MB "

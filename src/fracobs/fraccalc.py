@@ -1,7 +1,8 @@
 """Fractional calculus on sampled time grids.
 
 Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, by
-one fixed Bromwich contour (its exponential split off near alpha = 1), the one
+one rule per order: one fixed Bromwich contour, its exponential split off
+from alpha = 0.99, and exp at alpha = 1; the one
 row-block evaluator of decay tables E_alpha(-lam t^alpha) and its
 table-free product with a weight matrix, Caputo derivatives of
 sampled data, and a residual check for the fractional
@@ -112,6 +113,8 @@ class TimeGrid:
         A geometric half, graded down to horizon * 1e-12, resolves the fast
         modal transients a uniform half cannot; the halves share 0 and T.
         """
+        if samples < 4:
+            raise InputError(f"a graded grid needs at least 4 samples, got {samples}")
         half = samples // 2
         edges = graded_panel_edges(horizon, half, 1e-12)
         return cls(merge_nodes(edges, np.linspace(0.0, horizon, half + 1), horizon))
@@ -242,17 +245,17 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
 # alpha < 1 its integrand has no pole on the principal sheet, only the cut
 # s <= 0, so every point takes one fixed contour around the cut (_contour).
 # Close to alpha = 1, E_alpha(-x) falls like exp(-x) while the contour's
-# terms fall like 1 / x, and they cancel; a point whose estimate fails
-# _CONTOUR_ACCEPT takes the split instead, the same nodes with the alpha = 1
-# integrand subtracted and its exact value exp(-x) added back, whose terms
-# shrink with 1 - alpha. Both take their transcendentals once per node and
-# order, none per point. One router (_route) serves mlf and mlf_values: each
-# point takes the contour once, and the points it sets aside the split
-# once; at alpha = 1 it makes the one exp pass.
+# terms fall like 1 / x, and they cancel, so orders from _SPLIT_FROM on take
+# the split: the same nodes with the alpha = 1 integrand subtracted and its
+# exact value exp(-x) added back, whose terms shrink with 1 - alpha. The
+# contour's estimate passes 1e-11 only from 0.991 on, and the split costs
+# twice the contour per point. Both take their transcendentals once per node
+# and order, none per point. One router (_route) serves mlf and mlf_values:
+# the order picks the rule, and each point takes it once.
 
 _CONTOUR_NODES = 32      # midpoint nodes on the parabola, in conjugate pairs
 _CONTOUR_ROUNDING = 8.0  # the estimate is this many eps of the terms' sum
-_CONTOUR_ACCEPT = 1e-11  # relative estimate the contour must beat
+_SPLIT_FROM = 0.99       # orders from this up to 1 take the split, the contour below
 _X_FAR = 1e150           # x past which E_alpha(-x) is E_alpha(-X) X / x, X this
 _VALUES_TOL = 1e-9       # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000     # points per row block of a decay table
@@ -268,7 +271,7 @@ class MlfEvalReport:
                   Bromwich integral (see _contour);
       "split"     the same nodes with the alpha = 1 integrand split off,
                   E_alpha(-x) = exp(-x) + a sum that shrinks with 1 - alpha,
-                  for the points near alpha = 1 whose contour estimate fails;
+                  for every point at orders from _SPLIT_FROM up to 1;
       "exp"       alpha = 1, where the value is exp(z): +0.0, with no exp
                   taken, below _EXP_ZERO.
     terms_used counts the conjugate-pair terms, 16, or 1 for "exp".
@@ -338,13 +341,13 @@ def _contour(alpha: float) -> tuple[np.ndarray, ...]:
     return tuple(columns)
 
 
-def _contour_blocks(alpha: float, z: np.ndarray, split: bool):
-    """Yield (rows, values, relative estimates) of E_alpha(z), z <= 0, by one rule.
+def _contour_blocks(alpha: float, z: np.ndarray):
+    """Yield (rows, values, relative estimates) of E_alpha(z), z <= 0, by alpha's rule.
 
-    The contour rule of _contour, or with `split` the split, in blocks of
-    points whose two pairs x points work matrices are carved from one
-    buffer of _SCRATCH_DOUBLES, allocated once per call; a block's arrays
-    are valid until the next is asked for.
+    The contour rule of _contour below _SPLIT_FROM and the split from
+    there on, in blocks of points whose two pairs x points work matrices
+    are carved from one buffer of _SCRATCH_DOUBLES, allocated once per
+    call; a block's arrays are valid until the next is asked for.
     Every point takes the same terms, formed in real arithmetic and added
     in node order by _ordered_sum, so its value depends on its own point
     alone. The estimate is _CONTOUR_ROUNDING eps times the sum of the
@@ -358,6 +361,7 @@ def _contour_blocks(alpha: float, z: np.ndarray, split: bool):
     exactly 1.
     """
     dr, di2, cr, cidi, sr, si2, k2, k1, k0 = _contour(alpha)
+    split = alpha >= _SPLIT_FROM
     step = _SCRATCH_DOUBLES // (2 * dr.size)
     work = np.empty((2, dr.size, min(step, z.size)))
     for lo in range(0, z.size, step):
@@ -398,36 +402,23 @@ def _contour_blocks(alpha: float, z: np.ndarray, split: bool):
         yield slice(lo, lo + step), vals, rel
 
 
-def _note(noted: dict, points, vals, rel, over, regime: str) -> None:
-    """Record in noted, by point, the reports of point 0 and of the first point in over.
-
-    A block's position j is the call's point points[j], increasing; over
-    holds positions. Point 0 is noted only by the block that holds it.
-    """
-    for j in ([0] if points[0] == 0 else []) + over[:1].tolist():
-        report = MlfEvalReport(float(vals[j]), regime, _CONTOUR_NODES // 2, float(rel[j]))
-        noted[int(points[j])] = report
-
-
 def _route(alpha: float, z, tolerance: float):
-    """E_alpha(z), each point by one regime: (values, split points, point 0's report).
+    """E_alpha(z) by the rule of this order: (values, point 0's report).
 
     The router of mlf() and mlf_values(). Raises DomainError unless alpha
     lies in (0, 1] and every z is finite and <= 0, the arguments
     -lam t^alpha the package evaluates; a max and a min reduction decide
     it with no temporary array, and nan fails both comparisons.
-    At alpha = 1 the value is exp(z), the package's one exp pass. exp takes
-    about 15 times as long on an argument that underflows, so when some z
-    lies below _EXP_ZERO, those points take no exp and are +0.0.
-    Otherwise the contour runs over every point once, block by block,
-    straight into the result, and only the points whose estimate fails
-    _CONTOUR_ACCEPT take the split. So work memory is one buffer of
-    _SCRATCH_DOUBLES at a time and the set-aside points: no estimate or
-    regime is kept per point. Raises AccuracyError with the report of the
-    first point, in argument order, whose estimate exceeds `tolerance`.
-    Returns the values in z's shape, the points that took the split
-    (increasing indices into z.ravel()) and point 0's report, None when
-    there is no point.
+    The order alone picks the rule. At alpha = 1 the value is exp(z), the
+    package's one exp pass. exp takes about 15 times as long on an argument
+    that underflows, so when some z lies below _EXP_ZERO, those points take
+    no exp and are +0.0. Below alpha = 1 every point takes _contour_blocks
+    once, in argument order, straight into the result, so work memory is
+    one buffer of _SCRATCH_DOUBLES and nothing is kept per point. Raises
+    AccuracyError with the report of the first point, in argument order,
+    whose estimate exceeds `tolerance`; at alpha = 1 every estimate is eps,
+    so point 0 stands for all. Returns the values in z's shape and point
+    0's report, None when there is no point.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -436,37 +427,32 @@ def _route(alpha: float, z, tolerance: float):
         raise DomainError("E_alpha arguments must be finite and <= 0")
     flat = z.ravel()
     out = np.empty_like(flat)
-    split = np.empty(0, dtype=int)
-    noted = {}  # reports by point: point 0's and each block's first over tolerance
     if alpha == 1.0:
         if low < _EXP_ZERO:
             out.fill(0.0)
             np.exp(flat, out=out, where=flat >= _EXP_ZERO)
         else:
             np.exp(flat, out=out)
-        if flat.size:
-            noted[0] = MlfEvalReport(float(out[0]), "exp", 1, float(np.finfo(float).eps))
+        regime, terms = "exp", 1
+        blocks = [(slice(0, 1), out[:1], np.full(out[:1].shape, np.finfo(float).eps))]
     else:
-        far = [split]
-        for rows, vals, rel in _contour_blocks(alpha, flat, False):
-            out[rows] = vals
-            kept = rel <= _CONTOUR_ACCEPT
-            far.append(np.flatnonzero(~kept) + rows.start)
-            over = np.flatnonzero(kept & (rel > tolerance))
-            _note(noted, range(rows.start, rows.stop), vals, rel, over, "contour")
-        split = np.concatenate(far)
-        for rows, vals, rel in _contour_blocks(alpha, flat[split], True):
-            out[split[rows]] = vals
-            _note(noted, split[rows], vals, rel, np.flatnonzero(~(rel <= tolerance)), "split")
-    bad = [i for i, report in noted.items() if not report.est_error <= tolerance]
-    if bad:
-        i = min(bad)
-        raise AccuracyError(
-            f"E_alpha({alpha}, {flat[i]}) estimate {noted[i].est_error:.2e} exceeds "
-            f"tolerance {tolerance:.2e}",
-            noted[i],
-        )
-    return out.reshape(z.shape), split, noted.get(0)
+        regime = "split" if alpha >= _SPLIT_FROM else "contour"
+        terms, blocks = _CONTOUR_NODES // 2, _contour_blocks(alpha, flat)
+    first = None
+    for rows, vals, rel in blocks:
+        out[rows] = vals
+        if rows.start == 0 and vals.size:
+            first = MlfEvalReport(float(vals[0]), regime, terms, float(rel[0]))
+        over = np.flatnonzero(~(rel <= tolerance))
+        if over.size:
+            j = over[0]
+            report = MlfEvalReport(float(vals[j]), regime, terms, float(rel[j]))
+            raise AccuracyError(
+                f"E_alpha({alpha}, {flat[rows.start + j]}) estimate {report.est_error:.2e} "
+                f"exceeds tolerance {tolerance:.2e}",
+                report,
+            )
+    return out.reshape(z.shape), first
 
 
 def mlf_values(alpha: float, z) -> np.ndarray:
@@ -474,11 +460,11 @@ def mlf_values(alpha: float, z) -> np.ndarray:
 
     The fast path of the forward maps, through the router of mlf(): beside
     the result, work memory is one buffer of _SCRATCH_DOUBLES at a time,
-    whatever the call's size, and the set-aside points, and each value
-    depends on its own argument alone, which decay_blocks() relies on.
-    Raises DomainError as mlf() does, and AccuracyError with the first
-    failing point's report if an estimate exceeds 1e-9; an accepted
-    contour estimate is within _CONTOUR_ACCEPT, below that.
+    whatever the call's size, and each value depends on its own argument
+    alone, which decay_blocks() relies on. Raises DomainError as mlf()
+    does, and AccuracyError with the first failing point's report if an
+    estimate exceeds 1e-9; the contour's stay below 1e-11 and the split's
+    below 1.51e-13.
     """
     return _route(alpha, z, _VALUES_TOL)[0]
 
@@ -487,11 +473,15 @@ def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
     """Evaluate E_alpha(z) and report how the value was obtained.
 
     A one-point call of the router behind mlf_values(), so the value is
-    bitwise that of mlf_values() at z. Raises DomainError for alpha outside
-    (0, 1] or z not finite and <= 0, and AccuracyError (with the report
-    attached) if the relative error estimate exceeds `tolerance`.
+    bitwise that of mlf_values() at z, and the regime is its order's.
+    Raises InputError for a tolerance that is nan or <= 0 (inf accepts
+    every estimate), DomainError for alpha outside (0, 1] or z not finite
+    and <= 0, and AccuracyError (with the report attached) if the relative
+    error estimate exceeds `tolerance`.
     """
-    return _route(alpha, [float(z)], tolerance)[2]
+    if not tolerance > 0.0:
+        raise InputError(f"E_alpha tolerance must be > 0, got {tolerance}")
+    return _route(alpha, [float(z)], tolerance)[1]
 
 
 def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | None = None):

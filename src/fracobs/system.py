@@ -506,16 +506,12 @@ def generate_measurements(
     """Sample every sensor on the grid, optionally perturbed by Gaussian noise.
 
     Mode k of the state decays as E_alpha(-lam_k t^alpha); alpha outside
-    (0, 1] raises DomainError. The samples are the only array of the
-    grid's length held besides a noise draw: fraccalc.decay_apply sums the
-    decay table block by block, and the draw is added into that sum in
-    place. A noiseless record adds 0.0 too, which turns a -0.0 sample
-    into the 0 that `to_csv` writes.
+    (0, 1] raises DomainError, and measurement_noise checks noise_sigma.
+    The samples are the only array of the grid's length held besides a
+    noise draw: fraccalc.decay_apply sums the decay table block by block,
+    and the draw is added into that sum in place. A noiseless record adds
+    0.0 too, which turns a -0.0 sample into the 0 that `to_csv` writes.
     """
-    # written so that nan fails too: a nan sigma would pass `sigma < 0`
-    # and `sigma > 0` alike and leave the record silently noiseless
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise InputError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if len(state) != len(modes):
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, modes)
@@ -527,4 +523,8 @@ def generate_measurements(
 
 def measurement_noise(sigma: float, seed: int, shape: tuple[int, ...]) -> np.ndarray | float:
     """The Gaussian draw a record of this shape and seed gets; 0.0 when sigma is 0."""
+    # written so that nan fails too: a nan sigma would pass `sigma < 0`
+    # and `sigma > 0` alike and leave the record silently noiseless
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise InputError(f"noise_sigma must be finite and >= 0, got {sigma}")
     return np.random.default_rng(seed).normal(0.0, sigma, shape) if sigma > 0.0 else 0.0

@@ -479,14 +479,14 @@ NEAR_ONE_CONFIG = """
 
 def test_near_order_one_takes_the_split_end_to_end(tmp_path, capsys, monkeypatch):
     # no benchmark workload reaches the split; at alpha = 0.999 simulate and
-    # reconstruct send it the points whose contour estimate fails, and the
-    # error stays within 1% of the same run at alpha = 1, all by exp
+    # reconstruct send it every E_alpha point, and the error stays within 1%
+    # of the same run at alpha = 1, all by exp
     split = []
 
-    def counted(alpha, z, use_split):
-        if use_split:
+    def counted(alpha, z):
+        if alpha >= fraccalc._SPLIT_FROM:
             split.append(z.size)
-        return contour_blocks(alpha, z, use_split)
+        return contour_blocks(alpha, z)
 
     contour_blocks = fraccalc._contour_blocks
     monkeypatch.setattr(fraccalc, "_contour_blocks", counted)

@@ -74,6 +74,14 @@ def test_grid_refuses_non_finite_nodes():
         fc.TimeGrid(np.array([0.0, 1.0, np.inf]))
 
 
+@pytest.mark.parametrize("samples", [3, 2, 0, -5])
+def test_graded_grid_names_too_few_samples(samples):
+    # the refusal names the samples, not the panels they make
+    with pytest.raises(InputError, match=f"at least 4 samples, got {samples}$"):
+        fc.TimeGrid.graded(1.0, samples)
+    assert len(fc.TimeGrid.graded(1.0, 4)) == 4
+
+
 def test_uniform_grid_refuses_an_infinite_horizon():
     with pytest.raises(DomainError, match="horizon must be finite and positive"):
         fc.TimeGrid.uniform(np.inf, 4)
@@ -293,6 +301,15 @@ def test_mlf_accuracy_error_carries_report():
     assert exc.value.report.value == pytest.approx(erfcx(1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, -math.inf])
+def test_mlf_refuses_a_tolerance_that_is_not_positive(tolerance):
+    # a nan or non-positive tolerance would fail every estimate, so it is
+    # refused before any is taken; inf accepts every estimate
+    with pytest.raises(InputError, match=f"tolerance must be > 0, got {tolerance}$"):
+        fc.mlf(0.5, -1.0, tolerance=tolerance)
+    assert fc.mlf(0.5, -1.0, tolerance=math.inf).value == pytest.approx(erfcx(1.0), rel=1e-12)
+
+
 def _spectral_quad(alpha, x):
     """E_alpha(-x) = int_0^inf exp(-r x^(1/alpha)) K_alpha(r) dr by scipy quad.
 
@@ -338,10 +355,8 @@ def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
             fc.mlf(alpha, -x, tolerance=1e-30)
         assert exc.value.report is not None
         assert exc.value.report.value == pytest.approx(w, rel=1e-9)
-    # the contour takes x up to 6; past 9 its terms cancel from alpha = 0.999 on
-    assert {fc.mlf(alpha, -x).regime for x in (0.5, 2.0, 6.0)} == {"contour"}
-    far = "contour" if alpha == 0.99 else "split"
-    assert [fc.mlf(alpha, -x).regime for x in (9.0, 15.0, 30.0)] == [far] * 3
+    # every point takes the split from alpha = _SPLIT_FROM = 0.99 on
+    assert {fc.mlf(alpha, -x).regime for x in xs} == {"split"}
 
 
 @pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999, 1.0 - 1e-9])
@@ -349,8 +364,7 @@ def test_mlf_near_classical_limit_matches_laplace_transform(alpha):
     # an oracle that shares nothing with the contour: int_0^inf e^(-pt)
     # E_a(-lam t^a) dt = p^(a-1) / (p^a + lam), by scipy quad over panels
     # that break at the scales 1 / lam and 1 / p, up to where e^(-pt) is
-    # e^(-80); from a = 0.995 on, the points past lam t^a of about 7-10 take
-    # the split
+    # e^(-80); at every one of these orders each point takes the split
     for lam in (1.0, 10.0, 100.0):
         for p in (0.5, 2.0, 10.0):
             f = lambda t: math.exp(-p * t) * float(fc.mlf_values(alpha, -lam * t**alpha))
@@ -419,55 +433,47 @@ def test_mlf_values_do_not_depend_on_the_batch(alpha, xs):
 
 
 def _routed(alpha, x):
-    """The router's values of E_alpha(-x), x >= 0, and each point's regime: 1 for the split."""
-    vals, split, _ = fc._route(alpha, -x, math.inf)
-    regime = np.zeros(x.shape, dtype=int)
-    regime[split] = 1
-    return vals, regime
+    """The router's values of E_alpha(-x), x >= 0, and the regime of its point 0."""
+    vals, first = fc._route(alpha, -x, math.inf)
+    return vals, first.regime
 
 
 def test_split_values_do_not_depend_on_the_batch():
-    # the split's points are the ones the contour sets aside, in blocks of
-    # their own: a value must be its point's alone, whichever points are
-    # set aside beside it and wherever the blocks fall
+    # the split runs in blocks of 4096 points: a value must be its point's
+    # alone, wherever the blocks fall
     rng = np.random.default_rng(3)
     for alpha in (0.995, 0.999, 1.0 - 1e-9):
         x = np.concatenate([rng.uniform(0.5, 60.0, 4000), 10.0 ** rng.uniform(-1.0, 2.5, 4000)])
         vals, regime = _routed(alpha, x)
-        assert np.count_nonzero(regime == 1) > 4096  # more than one block
+        assert regime == "split" and x.size > 4096  # more than one block
         assert np.array_equal(_routed(alpha, x[::-1])[0], vals[::-1])
         for i in range(0, x.size, 97):
             assert fc.mlf(alpha, -x[i]).value == vals[i]
 
 
-@pytest.mark.parametrize("alpha", [0.995, 0.999, 1.0 - 1e-9])
-def test_each_point_takes_the_contour_once(alpha, monkeypatch):
-    # the router runs the contour over every point of a call once, and the
-    # split once over the points whose contour estimate fails the switch,
-    # in mlf_values and in mlf alike; the values agree point by point
+@pytest.mark.parametrize("alpha", [0.5, 0.995, 0.999, 1.0 - 1e-9])
+def test_each_point_takes_its_orders_rule_once(alpha, monkeypatch):
+    # the router hands every point of a call to its order's rule once, in
+    # argument order, in mlf_values and in mlf alike; the values agree
+    # point by point
     rules = fc._contour_blocks
-    taken = {False: [], True: []}
+    taken = []
 
-    def counted(a, z, split):
-        taken[split].append(z.copy())
-        return rules(a, z, split)
+    def counted(a, z):
+        taken.append((a, z.copy()))
+        return rules(a, z)
 
     z = -np.linspace(10.0, 300.0, 10000)
-    rel = np.concatenate([r.copy() for _, _, r in rules(alpha, z, False)])
-    aside = ~(rel <= fc._CONTOUR_ACCEPT)
-    assert aside.any()
     monkeypatch.setattr(fc, "_contour_blocks", counted)
     vals = fc.mlf_values(alpha, z)
-    assert np.array_equal(np.concatenate(taken[False]), z)
-    assert np.array_equal(np.concatenate(taken[True]), z[aside])
+    assert [a for a, _ in taken] == [alpha]
+    assert np.array_equal(taken[0][1], z)
     for i in range(0, z.size, 97):
-        taken[False].clear()
-        taken[True].clear()
+        taken.clear()
         rep = fc.mlf(alpha, z[i])
         assert rep.value == vals[i]
-        assert rep.regime == ("split" if aside[i] else "contour")
-        assert [v.tolist() for v in taken[False]] == [[z[i]]]
-        assert sum(v.size for v in taken[True]) == aside[i]
+        assert rep.regime == ("contour" if alpha < fc._SPLIT_FROM else "split")
+        assert [(a, v.tolist()) for a, v in taken] == [(alpha, [z[i]])]
 
 
 ORACLE_ALPHAS = (0.3, 0.5, 0.84, 0.95)
@@ -482,16 +488,15 @@ def _oracle(alpha):
 @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
 def test_contour_values_match_oracles(alpha):
     # the contour rule on every point of the grid against scipy quad of the
-    # spectral integral, and against erfcx at alpha = 1/2; no point of the
-    # grid falls back to the split
+    # spectral integral, and against erfcx at alpha = 1/2
     got, regime = _routed(alpha, ORACLE_X)
-    assert not regime.any()
+    assert regime == "contour"
     assert np.max(np.abs(got - _oracle(alpha)) / _oracle(alpha)) <= 1e-12
     if alpha == 0.5:
         x = np.concatenate([[0.0], ORACLE_X, np.geomspace(1e3, 1e6, 40)])
         want = erfcx(x)
         got, regime = _routed(alpha, x)
-        assert not regime.any()
+        assert regime == "contour"
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
@@ -549,7 +554,7 @@ def test_split_work_is_cache_sized(alpha):
     # matrix would be 26 MB and one array of the call 1.6 MB; every
     # estimate stays far inside the contour's acceptance
     z = -np.linspace(10.0, 300.0, 200000)
-    split = lambda: [(v.copy(), r.copy()) for _, v, r in fc._contour_blocks(alpha, z, True)]
+    split = lambda: [(v.copy(), r.copy()) for _, v, r in fc._contour_blocks(alpha, z)]
     blocks, peak = _traced_peak(split)
     assert peak - sum(v.nbytes + r.nbytes for v, r in blocks) < 1.25 * MB
     vals, rel = (np.concatenate(b) for b in zip(*blocks))
@@ -559,41 +564,57 @@ def test_split_work_is_cache_sized(alpha):
 
 
 def test_route_regimes_are_pinned():
-    # fallback counts and index sums on a seeded sample: no point leaves the
-    # contour up to alpha = 0.99; from 0.995 on the points past x of about
-    # 7-10 take the split
+    # the order alone picks the regime: the contour below _SPLIT_FROM = 0.99,
+    # the split from there up to 1, exp at 1; every point of a seeded
+    # sample takes its order's
     rng = np.random.default_rng(13)
+    below = float(np.nextafter(fc._SPLIT_FROM, 0.0))
     pinned = {
-        0.3: (0, 0), 0.5: (0, 0), 0.84: (0, 0), 0.95: (0, 0), 0.99: (0, 0),
-        0.995: (5277, 22780298), 0.999: (5905, 25423231),
+        0.3: "contour", 0.5: "contour", 0.84: "contour", 0.95: "contour", 0.98: "contour",
+        below: "contour", 0.99: "split", 0.995: "split", 0.999: "split",
+        1.0 - 1e-9: "split", 1.0: "exp",
     }
-    for alpha, (count, total) in pinned.items():
-        x = np.concatenate([rng.uniform(0.0, 30.0, 5000), 10.0 ** rng.uniform(-2.0, 3.0, 5000)])
-        far = np.flatnonzero(_routed(alpha, x)[1] == 1)
-        assert (far.size, int(far.sum())) == (count, total)
+    assert fc._SPLIT_FROM == 0.99
+    x = np.concatenate([rng.uniform(0.0, 30.0, 50), 10.0 ** rng.uniform(-2.0, 3.0, 50)])
+    for alpha, regime in pinned.items():
+        assert {fc.mlf(alpha, -v).regime for v in x} == {regime}, alpha
+        assert _routed(alpha, x)[1] == regime
+
+
+SCAN_X = np.concatenate([[0.0], np.logspace(-10.0, 160.0, 1701)])
+
+
+def _rule_estimates(alpha, x):
+    """The largest relative estimate of alpha's rule over the points -x."""
+    return max(float(r.max()) for _, _, r in fc._contour_blocks(alpha, -x))
+
+
+def test_split_from_is_the_contours_limit():
+    # the contour's estimate stays inside 1e-11 on the scan just below the
+    # switch, and the split's inside 1.51e-13 (1.503e-13 at most) from the
+    # switch up to 1; the contour's passes 1e-11 at 0.991, so a switch
+    # raised to 0.995 fails here
+    below = float(np.nextafter(fc._SPLIT_FROM, 0.0))
+    assert fc.mlf(below, -1.0).regime == "contour"
+    assert _rule_estimates(below, SCAN_X) <= 1e-11
+    orders = np.concatenate([np.linspace(fc._SPLIT_FROM, 0.999, 10), 1.0 - np.logspace(-4, -12, 9)])
+    for alpha in orders:
+        assert fc.mlf(alpha, -1.0).regime == "split"
+        assert _rule_estimates(alpha, SCAN_X) <= 1.51e-13, alpha
 
 
 @PROPERTY
-@given(st.floats(0.99, 0.999))
-@example(0.9999)
-@example(1.0 - 1e-9)
-def test_mlf_continuous_across_regime_seams(alpha):
-    # every switch between the contour and the split on x in [1, 1e4],
-    # located by bisection on the router's choice: the values on its two
-    # sides, a few ulps apart, differ by at most 1e-11
-    x = np.geomspace(1.0, 1e4, 400)
-    regime = _routed(alpha, x)[1]
-    flips = np.flatnonzero(np.diff(regime))
-    assert flips.size or alpha < 0.995
-    lo, hi = x[flips], x[flips + 1]
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        same = _routed(alpha, mid)[1] == regime[flips]
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    sides = _routed(alpha, np.concatenate([lo, hi]))
-    assert np.array_equal(sides[1], np.concatenate([regime[flips], regime[flips + 1]]))
-    v = sides[0].reshape(2, -1)
-    assert np.all(np.abs(v[1] - v[0]) <= 1e-11 * v[0])
+@given(st.lists(st.floats(0.0, 1e160), min_size=1, max_size=40))
+@example([0.0, 1e-10, 1.0, 9.0, 30.0, 1e4, 1e150, 1e160])
+def test_mlf_continuous_across_regime_seams(xs):
+    # the one seam below alpha = 1 is the switch of order from the contour
+    # to the split: the values on its two sides, an ulp of alpha apart,
+    # differ by at most 1e-11
+    x = -np.array(xs)
+    below, contour = fc._route(np.nextafter(fc._SPLIT_FROM, 0.0), x, math.inf)
+    above, split = fc._route(fc._SPLIT_FROM, x, math.inf)
+    assert (contour.regime, split.regime) == ("contour", "split")
+    assert np.all(np.abs(above - below) <= 1e-11 * below)
 
 
 @PROPERTY

@@ -278,6 +278,15 @@ def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
         fs.generate_measurements(0.5, modes, state, [fs.Sensor.pointwise((0.3,))], grid, sigma)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, -1.0])
+def test_measurement_noise_refuses_a_bad_sigma(sigma):
+    # the one noise draw, which sweep-sensor calls directly: a nan or
+    # negative sigma must not leave the record silently noiseless
+    with pytest.raises(InputError, match=f"noise_sigma must be finite and >= 0, got {sigma}$"):
+        fs.measurement_noise(sigma, 0, (9, 1))
+    assert fs.measurement_noise(0.0, 0, (9, 1)) == 0.0
+
+
 def test_record_csv_roundtrip(tmp_path):
     modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(2.0, 21)
