@@ -5,8 +5,9 @@ Subpackage map:
 - fraccalc: Mittag-Leffler evaluation on the negative axis, decay tables,
   record grids, the Caputo derivative of sampled records, and the
   fractional integration-by-parts residual.
-- spectral: Dirichlet-Laplacian eigenpairs on the unit interval/square,
-  the basis evaluator, region quadrature, gradient coupling coefficients.
+- spectral: Dirichlet-Laplacian modes on the unit interval/square as
+  integer index rows with their eigenvalues, the basis evaluator, region
+  quadrature rules, gradient coupling coefficients.
 - system: sensors, the state and zonal-weight catalogs, the forward map
   with its noise draw, and the CSV form of measurement records.
 - observability: gradient-strategic sensor tests, the Gram spectrum

@@ -119,11 +119,6 @@ class TimeGrid:
         edges = graded_panel_edges(horizon, half, 1e-12)
         return cls(merge_nodes(edges, np.linspace(0.0, horizon, half + 1), horizon))
 
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """The trapezoid weights of every node, cached: `weights_on` over all rows."""
-        return self.weights_on(slice(None))
-
     def weights_on(self, rows: slice) -> np.ndarray:
         """The trapezoid weights of the nodes in `rows`, a slice of step 1.
 
@@ -131,7 +126,7 @@ class TimeGrid:
         no cell before node 0 or after the horizon. Only the cells next to
         the rows are formed, so a caller that walks the grid in row blocks
         holds no array of grid length, and the weights of a block are
-        bitwise those of `weights` on the same rows.
+        bitwise those of `weights_on(slice(None))` on the same rows.
         """
         n = self.nodes.size
         lo, hi, _ = rows.indices(n)

@@ -70,15 +70,7 @@ from .fraccalc import (
     product_rule,
 )
 from .observability import GramDiagnostic
-from .spectral import (
-    EigenMode,
-    Region,
-    SpatialDomain,
-    SpatialQuadrature,
-    eigenpairs,
-    grad_coupling,
-    mode_table,
-)
+from .spectral import Region, eigenpairs, eigenvalues, grad_coupling, mode_table, region_rule
 from .system import (
     MeasurementRecord,
     ModalState,
@@ -194,17 +186,18 @@ class HumProblem:
         return self.omega.dimension
 
     @cached_property
-    def modes(self) -> tuple[EigenMode, ...]:
-        return tuple(eigenpairs(SpatialDomain(self.dimension), self.mode_count))
+    def modes(self) -> np.ndarray:
+        """The truncation's read-only index rows, shape (mode_count, dimension)."""
+        return eigenpairs(self.dimension, self.mode_count)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return _read_only(np.array([m.lam for m in self.modes]))
+        return _read_only(eigenvalues(self.modes))
 
     @cached_property
     def coupling(self) -> np.ndarray:
         """B[i, k] = <div* basis_i, phi_k> = -grad_coupling(q_i, d_i, k)."""
-        n, modes = self.dimension, self.modes
+        n, modes = self.dimension, self.modes.tolist()
         B = np.empty((n * len(modes), len(modes)))
         for qi, q in enumerate(modes):
             for d in range(n):
@@ -232,29 +225,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class GradientField:
     """Vector field spanned by eigenfunction components.
 
-    Component d (0-based) is sum_q coefficients[n*(q-1)+d] * phi_q; the
-    1-based pair (q, d) maps to flat index n*(q-1)+d as in the assembly.
+    `modes` holds one index row per mode, as `spectral.eigenpairs` gives
+    them. Component d (0-based) is sum_q coefficients[n*(q-1)+d] * phi_q;
+    the 1-based pair (q, d) maps to flat index n*(q-1)+d as in the assembly.
     """
 
     coefficients: np.ndarray
-    modes: tuple[EigenMode, ...]
+    modes: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        modes = tuple(self.modes)
+        modes = np.asarray(self.modes)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "modes", modes)
-        if not modes:
-            raise InputError("at least one mode is required")
-        n = modes[0].dimension
-        if c.shape != (n * len(modes),):
-            raise InputError(
-                f"expected {n * len(modes)} coefficients, got {c.shape}"
-            )
+        if modes.ndim != 2 or len(modes) == 0:
+            raise InputError(f"modes must be a nonempty array of index rows, got {modes.shape}")
+        if c.shape != (modes.size,):
+            raise InputError(f"expected {modes.size} coefficients, got {c.shape}")
 
     @property
     def dimension(self) -> int:
-        return self.modes[0].dimension
+        return self.modes.shape[1]
 
     def component(self, axis: int) -> Callable[..., np.ndarray]:
         n = self.dimension
@@ -698,7 +689,7 @@ def omega_error(
     if omega.dimension != n:
         raise InputError("omega dimension does not match the field")
     fns = _truth_components(truth, n)
-    pts, w = SpatialQuadrature.for_region(omega, OMEGA_ORDER).flat()
+    pts, w = region_rule(omega, OMEGA_ORDER)
     total = 0.0
     for d in range(n):
         diff = field.component(d)(*pts) - np.asarray(fns[d](*pts), dtype=float)

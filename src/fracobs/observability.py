@@ -24,14 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .fraccalc import decay_apply
-from .spectral import (
-    Region,
-    SpatialDomain,
-    SpatialQuadrature,
-    eigenpairs,
-    eigenvalue_groups,
-    mode_table,
-)
+from .spectral import Region, eigenpairs, eigenvalue_groups, eigenvalues, mode_table, region_rule
 from .system import Sensor, output_matrix, write_rows
 
 __all__ = [
@@ -114,7 +107,7 @@ def test_gradient_strategic(sensors: Sequence[Sensor], M: int) -> StrategicRepor
     if len(dims) != 1:
         raise InputError(f"sensors mix domain dimensions {sorted(dims)}")
     (n,) = dims
-    modes = eigenpairs(SpatialDomain(n), M)
+    modes = eigenpairs(n, M)
     # the axis-th partial of each mode, as seen by each sensor: the value at
     # its location, or the weighted integral over its support
     per_axis = [output_matrix(sensors, modes, d) for d in range(n)]
@@ -172,13 +165,13 @@ def counterexample_check(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarr
         raise InputError("at least one time sample is required")
     if np.any(t < 0.0) or np.any(t > 2.0):
         raise DomainError("time samples must lie in [0, 2]")
-    modes = eigenpairs(SpatialDomain(1), COUNTEREXAMPLE_DEPTH)
+    modes = eigenpairs(1, COUNTEREXAMPLE_DEPTH)
 
     def sines(y) -> np.ndarray:  # sin(j pi y), j = 1..COUNTEREXAMPLE_DEPTH
         return mode_table(modes, (y,)) / math.sqrt(2.0)
 
     def pairings(weight_freq: int, a: float, b: float) -> np.ndarray:
-        (y,), w = SpatialQuadrature.for_region(Region((a,), (b,)), 96).flat()
+        (y,), w = region_rule(Region((a,), (b,)), 96)
         table = sines(y)
         return (w * table[:, weight_freq - 1]) @ table
 
@@ -194,8 +187,7 @@ def counterexample_check(samples: Sequence[float]) -> tuple[np.ndarray, np.ndarr
     coef_global = np.outer(row, col_global)
     coef_window = np.outer(row, col_window)
 
-    j = np.arange(1, COUNTEREXAMPLE_DEPTH + 1)
-    ii, jj = np.meshgrid(j, j, indexing="ij")
-    lams = ((ii * ii + jj * jj) * math.pi**2).ravel()
+    # every mode (i, j) of [1, COUNTEREXAMPLE_DEPTH]^2, i slowest
+    lams = eigenvalues(np.indices((COUNTEREXAMPLE_DEPTH,) * 2).reshape(2, -1).T + 1)
     outputs = decay_apply(0.5, lams, t, np.stack((coef_global.ravel(), coef_window.ravel()), 1))
     return outputs[:, 0], outputs[:, 1]

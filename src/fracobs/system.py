@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .fraccalc import TimeGrid, decay_apply
-from .spectral import EigenMode, Region, SpatialDomain, SpatialQuadrature, eigenpairs, mode_table
+from .spectral import Region, eigenpairs, eigenvalues, mode_table, region_rule
 
 __all__ = [
     "SENSOR_KINDS",
@@ -160,9 +160,9 @@ class InitialState:
         if self.kind == "coefficients" and len(self.coefficients) != self.depth:
             raise InputError(f"{len(self.coefficients)} coefficients for depth {self.depth}")
 
-    def modal(self) -> tuple[list[EigenMode], ModalState]:
+    def modal(self) -> tuple[np.ndarray, ModalState]:
         """The state's coefficients with the modes they are taken over."""
-        modes = eigenpairs(SpatialDomain(self.dimension), self.depth)
+        modes = eigenpairs(self.dimension, self.depth)
         if self.kind in _CATALOG:
             return modes, project_initial_state(modes, self.kind)
         return modes, ModalState(self.coefficients or np.zeros(self.depth))
@@ -454,17 +454,21 @@ def _raise_first_bad_row(path: str, width: int) -> NoReturn:
     raise InputError(f"{path}: not a table of {width} numeric columns")
 
 
-def project_initial_state(modes: Sequence[EigenMode], kind: str) -> ModalState:
+def project_initial_state(modes: np.ndarray, kind: str) -> ModalState:
     """The exact coefficients of a catalog state over modes of the interval.
 
-    Both catalog states are symmetric about x = 1/2, so against
+    `modes` holds one index row per mode, of dimension 1: a catalog state
+    lives on the interval, and modes of the square raise InputError. Both
+    catalog states are symmetric about x = 1/2, so against
     sqrt(2) sin(k pi x) every even k gives exactly 0; an odd k gives
     4 sqrt(2) (12 - (k pi)^2) / (k pi)^5 for `poly_sq` and
     4 sqrt(2) / (pi k (16 - k^2)) for `trig_sq`.
     """
     if kind not in _CATALOG:
         raise InputError(f"no closed-form {kind!r} state")
-    k = np.array([m.index[0] for m in modes], dtype=float)
+    if modes.shape[1] != 1:
+        raise InputError(f"{kind} lives on the interval, got modes of dimension {modes.shape[1]}")
+    k = modes[:, 0].astype(float)
     odd = k % 2.0 == 1.0
     coefficients = np.zeros(k.size)
     coefficients[odd] = _CATALOG[kind][0](k[odd])
@@ -472,18 +476,18 @@ def project_initial_state(modes: Sequence[EigenMode], kind: str) -> ModalState:
 
 
 def _sensor_functional(
-    sensor: Sensor, basis: Sequence[EigenMode], axis: int | None
+    sensor: Sensor, basis: np.ndarray, axis: int | None
 ) -> np.ndarray:
     """The vector (C phi_k)_k for one sensor, or (C d_axis phi_k)_k."""
     if sensor.kind == "pointwise":
         return mode_table(basis, sensor.location, axis)
-    pts, w = SpatialQuadrature.for_region(sensor.support, SENSOR_ORDER).flat()
+    pts, w = region_rule(sensor.support, SENSOR_ORDER)
     weighted = w * np.asarray(sensor.weight(*pts), dtype=float)
     return weighted @ mode_table(basis, pts, axis)
 
 
 def output_matrix(
-    sensors: Sequence[Sensor], basis: Sequence[EigenMode], axis: int | None = None
+    sensors: Sequence[Sensor], basis: np.ndarray, axis: int | None = None
 ) -> np.ndarray:
     """Stacked output functionals, shape (p, M): row ch is (C_ch phi_k)_k.
 
@@ -496,7 +500,7 @@ def output_matrix(
 
 def generate_measurements(
     alpha: float,
-    modes: Sequence[EigenMode],
+    modes: np.ndarray,
     state: ModalState,
     sensors: Sequence[Sensor],
     grid: TimeGrid,
@@ -515,8 +519,7 @@ def generate_measurements(
     if len(state) != len(modes):
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, modes)
-    lams = np.array([m.lam for m in modes])
-    samples = decay_apply(alpha, lams, grid.nodes, state.coefficients[:, None] * P.T)
+    samples = decay_apply(alpha, eigenvalues(modes), grid.nodes, state.coefficients[:, None] * P.T)
     samples += measurement_noise(noise_sigma, seed, samples.shape)
     return MeasurementRecord(grid, samples)
 

@@ -36,14 +36,14 @@ from fracobs.hum import (
 )
 from fracobs.observability import counterexample_check
 from fracobs.observability import test_gradient_strategic as strategic_verdict
-from fracobs.spectral import Region, SpatialDomain, grad_coupling
+from fracobs.spectral import Region, eigenvalues, grad_coupling
 from fracobs.system import ModalState, Sensor, output_matrix
 
 RECOVERY_ERRORS: dict[str, float] = {}
 
 
 def coupling_matrix(modes):
-    n = modes[0].dimension
+    n = modes.shape[1]
     B = np.empty((n * len(modes), len(modes)))
     for qi, q in enumerate(modes):
         for d in range(n):
@@ -77,7 +77,7 @@ def sampled_gram(problem, nodes=200001):
     modes = problem.modes
     B = coupling_matrix(modes)
     P = output_matrix(problem.sensors, modes)
-    lams = np.array([mode.lam for mode in modes])
+    lams = eigenvalues(modes)
     if problem.alpha == 1.0:
         t = np.linspace(0.0, problem.horizon, nodes)
         decay = np.exp(-np.outer(t, lams))
@@ -218,7 +218,7 @@ def test_randomized_gram_structure():
                 hi = lo + rng.uniform(0.1, 0.35, size=n)
                 scale = float(rng.uniform(0.5, 2.0))
                 sensors.append(Sensor.zonal(Region(tuple(lo), tuple(hi)), constant_weight(scale)))
-        problem = HumProblem(count, Region.full(SpatialDomain(n)), tuple(sensors), alpha, horizon)
+        problem = HumProblem(count, Region.full(n), tuple(sensors), alpha, horizon)
 
         gram = assemble_gram(problem)
         scale = float(np.max(np.abs(gram)))
@@ -266,7 +266,7 @@ def test_noiseless_in_span_recovery_single_pass():
         regularization=Regularization("none"),
     )
     modes = problem.modes
-    lams = np.array([mode.lam for mode in modes])
+    lams = eigenvalues(modes)
     coeffs = 0.1 * np.random.default_rng(3).normal(size=len(modes))
     # initial state whose gradient has exactly these basis coefficients
     state = ModalState((coupling_matrix(modes).T @ coeffs) / lams)

@@ -30,7 +30,7 @@ def unit_weight(x):
 def test_strategic_blocks_pointwise_values():
     # the sensed partials that test_gradient_strategic stacks per group;
     # on the interval every group is one mode
-    modes = sp.eigenpairs(sp.SpatialDomain(1), 3)
+    modes = sp.eigenpairs(1, 3)
     half = fs.output_matrix([fs.Sensor.pointwise((0.5,))], modes, 0)
     assert half.shape == (1, 3)
     assert abs(half[0, 0]) < 1e-14
@@ -42,7 +42,7 @@ def test_strategic_blocks_pointwise_values():
 
 def test_strategic_blocks_zonal_against_closed_form():
     # entry for group j: sqrt(2) j pi int_0.9^1 cos(j pi y) dy = -sqrt(2) sin(0.9 j pi)
-    modes = sp.eigenpairs(sp.SpatialDomain(1), 8)
+    modes = sp.eigenpairs(1, 8)
     sensor = fs.Sensor.zonal(sp.Region((0.9,), (1.0,)), unit_weight)
     partials = fs.output_matrix([sensor], modes, 0)
     for j in range(1, 9):

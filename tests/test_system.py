@@ -21,11 +21,11 @@ PI = math.pi
 
 
 def interval_modes(M):
-    return sp.eigenpairs(sp.SpatialDomain(1), M)
+    return sp.eigenpairs(1, M)
 
 
 def eigenvalues(modes):
-    return np.array([mode.lam for mode in modes])
+    return sp.eigenvalues(modes)
 
 
 def mild(alpha, modes, state, t):
@@ -140,6 +140,14 @@ def test_catalog_states_match_quadrature_oracle(kind, u0):
         fs.project_initial_state(interval_modes(3), "coefficients")
 
 
+@pytest.mark.parametrize("kind", ["poly_sq", "trig_sq"])
+def test_catalog_states_refuse_modes_of_the_square(kind):
+    # reading only the first index of each square mode gave a vector with
+    # no error; the catalog states live on the interval
+    with pytest.raises(InputError, match=f"{kind} lives on the interval, got modes of dimension 2"):
+        fs.project_initial_state(sp.eigenpairs(2, 4), kind)
+
+
 def test_mild_solution_at_zero_is_identity():
     modes = interval_modes(4)
     state = fs.ModalState(np.array([1.0, -2.0, 0.25, 3.0]))
@@ -156,7 +164,7 @@ def test_mild_solution_classical_limit():
 
 def test_mild_solution_half_order_square_mode():
     # E_{1/2}(-x) = erfcx(x); x = 5 pi^2 at t = 1
-    modes = (sp.EigenMode.from_index((1, 2)),)
+    modes = np.array([(1, 2)])
     out = mild(0.5, modes, fs.ModalState(np.array([1.0])), 1.0)
     assert out[0] == pytest.approx(erfcx(5 * PI**2), rel=1e-10)
     assert out[0] == pytest.approx(0.011430525332089, rel=1e-9)
@@ -203,7 +211,7 @@ def test_generate_measurements_single_mode_decay():
     b = 0.3
     state = fs.ModalState(np.array([1.0, 0.0, 0.0, 0.0]))
     rec = fs.generate_measurements(0.84, modes, state, [fs.Sensor.pointwise((b,))], grid)
-    want = fc.mlf_values(0.84, -modes[0].lam * grid.nodes**0.84) * (
+    want = fc.mlf_values(0.84, -eigenvalues(modes)[0] * grid.nodes**0.84) * (
         math.sqrt(2.0) * math.sin(PI * b)
     )
     assert np.max(np.abs(rec.samples[:, 0] - want)) < 1e-10
@@ -217,9 +225,9 @@ def test_generate_measurements_accepts_modal_state():
     # sum_k c_k E_alpha(-lam_k t^alpha) sqrt(2) sin(k pi b), each E_alpha from mlf
     direct = [
         sum(
-            c * fc.mlf(alpha, -mode.lam * t**alpha).value
-            * math.sqrt(2.0) * math.sin(mode.index[0] * PI * 0.4)
-            for c, mode in zip(state.coefficients, modes)
+            c * fc.mlf(alpha, -lam * t**alpha).value
+            * math.sqrt(2.0) * math.sin(k * PI * 0.4)
+            for c, lam, (k,) in zip(state.coefficients, eigenvalues(modes), modes.tolist())
         )
         for t in grid.nodes
     ]
@@ -663,14 +671,14 @@ def test_admissibility_bound_is_finite():
         for _ in range(8):
             v = fs.ModalState(rng.normal(size=6))
             rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
-            energy = float(np.sum(grid.weights * rec.samples[:, 0] ** 2))
+            energy = float(np.sum(grid.weights_on(slice(None)) * rec.samples[:, 0] ** 2))
             ratios.append(energy / float(v.coefficients @ v.coefficients))
         fitted = max(ratios)
         assert np.isfinite(fitted)
         for _ in range(8):
             v = fs.ModalState(rng.normal(size=6))
             rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
-            energy = float(np.sum(grid.weights * rec.samples[:, 0] ** 2))
+            energy = float(np.sum(grid.weights_on(slice(None)) * rec.samples[:, 0] ** 2))
             assert energy <= 2.0 * fitted * float(v.coefficients @ v.coefficients)
 
 
