@@ -2,8 +2,8 @@
 
 Validation failures split into DomainError (a mathematical argument is
 outside the operator's domain) and InputError (malformed or inconsistent
-data structures). Numerical failures carry their diagnostics: an
-AccuracyError keeps the evaluation report that triggered it, a
+data structures). An AccuracyError names the failing point in its
+message alone; the other numerical failures carry their diagnostics: a
 SolvabilityError names the offending eigenvalue, and a ConvergenceError
 keeps the best iterate seen together with the residual history.
 """
@@ -25,10 +25,6 @@ class InputError(FracobsError, ValueError):
 
 class AccuracyError(FracobsError, RuntimeError):
     """A numerical routine could not certify the requested accuracy."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class SolvabilityError(FracobsError, RuntimeError):

@@ -1,12 +1,12 @@
 """Fractional calculus on sampled time grids.
 
-Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0, by
-one rule per order: one fixed Bromwich contour, its exponential split off
-from alpha = 0.99, and exp at alpha = 1; the one
-row-block evaluator of decay tables E_alpha(-lam t^alpha) and its
-table-free product with a weight matrix, Caputo derivatives of
-sampled data, and a residual check for the fractional
-integration-by-parts identity.
+Mittag-Leffler evaluation E_alpha(z) for alpha in (0, 1] and z <= 0
+through one entry point, mlf_values, by one rule per order: one fixed
+Bromwich contour, its exponential split off from alpha = 0.99, and exp at
+alpha = 1; the one row-block evaluator of decay tables
+E_alpha(-lam t^alpha) and its table-free product with a weight matrix,
+Caputo derivatives of sampled data, and a residual check for the
+fractional integration-by-parts identity.
 
 Every grid operator is a product-integration rule: the kernel factor is
 integrated in closed form against the piecewise-linear interpolant of
@@ -30,8 +30,6 @@ from .errors import AccuracyError, DomainError, InputError
 
 __all__ = [
     "TimeGrid",
-    "MlfEvalReport",
-    "mlf",
     "mlf_values",
     "decay_blocks",
     "decay_apply",
@@ -245,8 +243,8 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
 # exact value exp(-x) added back, whose terms shrink with 1 - alpha. The
 # contour's estimate passes 1e-11 only from 0.991 on, and the split costs
 # twice the contour per point. Both take their transcendentals once per node
-# and order, none per point. One router (_route) serves mlf and mlf_values:
-# the order picks the rule, and each point takes it once.
+# and order, none per point. mlf_values is the one entry point: the order
+# picks the rule, and each point takes it once.
 
 _CONTOUR_NODES = 32      # midpoint nodes on the parabola, in conjugate pairs
 _CONTOUR_ROUNDING = 8.0  # the estimate is this many eps of the terms' sum
@@ -255,30 +253,6 @@ _X_FAR = 1e150           # x past which E_alpha(-x) is E_alpha(-X) X / x, X this
 _VALUES_TOL = 1e-9       # mlf_values raises when an estimate exceeds this
 _BATCH_BLOCK = 40000     # points per row block of a decay table
 _EXP_ZERO = -746.0       # exp(z) is +0.0 below this: exp underflows past -745.1332
-
-
-@dataclass(frozen=True)
-class MlfEvalReport:
-    """Outcome of one E_alpha evaluation.
-
-    regime is one of three routes:
-      "contour"   the midpoint rule on a fixed parabolic contour of the
-                  Bromwich integral (see _contour);
-      "split"     the same nodes with the alpha = 1 integrand split off,
-                  E_alpha(-x) = exp(-x) + a sum that shrinks with 1 - alpha,
-                  for every point at orders from _SPLIT_FROM up to 1;
-      "exp"       alpha = 1, where the value is exp(z): +0.0, with no exp
-                  taken, below _EXP_ZERO.
-    terms_used counts the conjugate-pair terms, 16, or 1 for "exp".
-    est_error is a relative rounding estimate, not a guaranteed bound:
-    _CONTOUR_ROUNDING eps times the sum of the terms' magnitudes over the
-    value, and eps for "exp".
-    """
-
-    value: float
-    regime: str
-    terms_used: int
-    est_error: float
 
 
 def _ordered_sum(a: np.ndarray) -> np.ndarray:
@@ -397,10 +371,10 @@ def _contour_blocks(alpha: float, z: np.ndarray):
         yield slice(lo, lo + step), vals, rel
 
 
-def _route(alpha: float, z, tolerance: float):
-    """E_alpha(z) by the rule of this order: (values, point 0's report).
+def mlf_values(alpha: float, z) -> np.ndarray:
+    """E_alpha(z) over an array of arguments z <= 0, by the rule of this order.
 
-    The router of mlf() and mlf_values(). Raises DomainError unless alpha
+    The package's one evaluator of E_alpha. Raises DomainError unless alpha
     lies in (0, 1] and every z is finite and <= 0, the arguments
     -lam t^alpha the package evaluates; a max and a min reduction decide
     it with no temporary array, and nan fails both comparisons.
@@ -409,11 +383,12 @@ def _route(alpha: float, z, tolerance: float):
     that underflows, so when some z lies below _EXP_ZERO, those points take
     no exp and are +0.0. Below alpha = 1 every point takes _contour_blocks
     once, in argument order, straight into the result, so work memory is
-    one buffer of _SCRATCH_DOUBLES and nothing is kept per point. Raises
-    AccuracyError with the report of the first point, in argument order,
-    whose estimate exceeds `tolerance`; at alpha = 1 every estimate is eps,
-    so point 0 stands for all. Returns the values in z's shape and point
-    0's report, None when there is no point.
+    one buffer of _SCRATCH_DOUBLES whatever the call's size, and nothing
+    is kept per point. Each value depends on its own argument alone, which
+    decay_blocks() relies on. Raises AccuracyError at the first point, in
+    argument order, whose estimate exceeds _VALUES_TOL; the contour's stay
+    below 1e-11 and the split's below 1.51e-13. Returns the values in z's
+    shape.
     """
     alpha = _check_alpha(alpha)
     z = np.asarray(z, dtype=float)
@@ -428,55 +403,17 @@ def _route(alpha: float, z, tolerance: float):
             np.exp(flat, out=out, where=flat >= _EXP_ZERO)
         else:
             np.exp(flat, out=out)
-        regime, terms = "exp", 1
-        blocks = [(slice(0, 1), out[:1], np.full(out[:1].shape, np.finfo(float).eps))]
-    else:
-        regime = "split" if alpha >= _SPLIT_FROM else "contour"
-        terms, blocks = _CONTOUR_NODES // 2, _contour_blocks(alpha, flat)
-    first = None
-    for rows, vals, rel in blocks:
+        return out.reshape(z.shape)
+    for rows, vals, rel in _contour_blocks(alpha, flat):
         out[rows] = vals
-        if rows.start == 0 and vals.size:
-            first = MlfEvalReport(float(vals[0]), regime, terms, float(rel[0]))
-        over = np.flatnonzero(~(rel <= tolerance))
+        over = np.flatnonzero(~(rel <= _VALUES_TOL))
         if over.size:
             j = over[0]
-            report = MlfEvalReport(float(vals[j]), regime, terms, float(rel[j]))
             raise AccuracyError(
-                f"E_alpha({alpha}, {flat[rows.start + j]}) estimate {report.est_error:.2e} "
-                f"exceeds tolerance {tolerance:.2e}",
-                report,
+                f"E_alpha({alpha}, {flat[rows.start + j]}) estimate {rel[j]:.2e} "
+                f"exceeds tolerance {_VALUES_TOL:.2e}"
             )
-    return out.reshape(z.shape), first
-
-
-def mlf_values(alpha: float, z) -> np.ndarray:
-    """E_alpha(z) over an array of arguments z <= 0 (no per-point reports).
-
-    The fast path of the forward maps, through the router of mlf(): beside
-    the result, work memory is one buffer of _SCRATCH_DOUBLES at a time,
-    whatever the call's size, and each value depends on its own argument
-    alone, which decay_blocks() relies on. Raises DomainError as mlf()
-    does, and AccuracyError with the first failing point's report if an
-    estimate exceeds 1e-9; the contour's stay below 1e-11 and the split's
-    below 1.51e-13.
-    """
-    return _route(alpha, z, _VALUES_TOL)[0]
-
-
-def mlf(alpha: float, z: float, tolerance: float = 1e-9) -> MlfEvalReport:
-    """Evaluate E_alpha(z) and report how the value was obtained.
-
-    A one-point call of the router behind mlf_values(), so the value is
-    bitwise that of mlf_values() at z, and the regime is its order's.
-    Raises InputError for a tolerance that is nan or <= 0 (inf accepts
-    every estimate), DomainError for alpha outside (0, 1] or z not finite
-    and <= 0, and AccuracyError (with the report attached) if the relative
-    error estimate exceeds `tolerance`.
-    """
-    if not tolerance > 0.0:
-        raise InputError(f"E_alpha tolerance must be > 0, got {tolerance}")
-    return _route(alpha, [float(z)], tolerance)[1]
+    return out.reshape(z.shape)
 
 
 def decay_blocks(alpha: float, lams: np.ndarray, times: np.ndarray, rows: int | None = None):

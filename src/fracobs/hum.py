@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -174,6 +175,8 @@ class HumProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
+        if not isinstance(self.mode_count, numbers.Integral):
+            raise InputError(f"mode_count must be an integer >= 1, got {self.mode_count!r}")
         for name, (rule, ok) in PROBLEM_RANGES.items():
             value = getattr(self, name)
             if not ok(value):

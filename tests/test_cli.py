@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracobs import cli, fraccalc, hum
+from fracobs import cli, fraccalc, hum, observability
 from fracobs.errors import InputError
 from fracobs.spectral import eigenpairs
 from fracobs.system import project_initial_state
@@ -319,25 +319,29 @@ def test_simulate_noisy_reruns_are_byte_identical(tmp_path):
     assert bytes_a != (tmp_path / "measurements.csv").read_bytes()
 
 
+# the README's config
+README_CONFIG = """
+    alpha = 0.5
+    horizon = 2.0
+    modes = 8
+    epsilon = 1e-4
+    omega.lo = 0.35
+    omega.hi = 0.65
+    sensor.kind = zonal
+    sensor.support.lo = 0.9
+    sensor.support.hi = 1.0
+    state.kind = poly_sq
+    time.samples = 1024
+    time.grading = graded
+    solver.kind = tikhonov
+    solver.value = 1e-7
+"""
+
+
 def test_reconstruct_zonal_profile_end_to_end(tmp_path, capsys):
     # zonal edge sensor, graded record; the solved field should sit within
     # 1e-4 of the closed-form gradient in squared omega-norm
-    config = write_config(tmp_path, """
-        alpha = 0.5
-        horizon = 2.0
-        modes = 8
-        epsilon = 1e-4
-        omega.lo = 0.35
-        omega.hi = 0.65
-        sensor.kind = zonal
-        sensor.support.lo = 0.9
-        sensor.support.hi = 1.0
-        state.kind = poly_sq
-        time.samples = 1024
-        time.grading = graded
-        solver.kind = tikhonov
-        solver.value = 1e-7
-    """)
+    config = write_config(tmp_path, README_CONFIG)
     assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
     code = cli.main([
         "reconstruct", "--config", config, "--out", str(tmp_path),
@@ -500,6 +504,30 @@ def test_near_order_one_takes_the_split_end_to_end(tmp_path, capsys, monkeypatch
         if alpha == "0.999":
             assert sum(split) > 0
     assert abs(errors["0.999"] - errors["1"]) <= 1e-2 * errors["1"], errors
+
+
+def test_simulate_with_an_unmet_accuracy_exits_5(tmp_path, capsys, monkeypatch):
+    # an E_alpha estimate over the tolerance reaches the user as exit 5,
+    # naming the point, before any record is written
+    monkeypatch.setattr(fraccalc, "_VALUES_TOL", 1e-30)
+    config = write_config(tmp_path, README_CONFIG)
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path)]) == cli.EXIT_ACCURACY
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("accuracy error: E_alpha(0.5, "), line
+    assert line.endswith("exceeds tolerance 1.00e-30"), line
+    assert not (tmp_path / "measurements.csv").exists()
+
+
+def test_check_strategic_in_the_gray_zone_exits_6(tmp_path, capsys, monkeypatch):
+    # the benchmark's interval-alpha1 layout is strategic; a gray zone that
+    # takes in every group's decision value leaves the verdict open
+    config = write_config(tmp_path, NEAR_ONE_CONFIG.format(alpha="1"))
+    assert cli.main(["check-strategic", "--config", config, "--out", str(tmp_path)]) == 0
+    assert "verdict strategic" in capsys.readouterr().out
+    monkeypatch.setattr(observability, "GRAY_ZONE_FACTOR", 1e12)
+    code = cli.main(["check-strategic", "--config", config, "--out", str(tmp_path)])
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert "verdict inconclusive" in capsys.readouterr().out
 
 
 def test_reconstruct_horizon_mismatch_is_usage_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ identity.
 
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -140,27 +141,55 @@ def test_incomplete_beta_unconverged_point_raises(monkeypatch):
 # Mittag-Leffler
 
 
+def _rule(alpha, x, split=None):
+    """Values and relative estimates of E_alpha(-x), x >= 0, from _contour_blocks.
+
+    split None takes alpha's own rule; True or False forces the split or the
+    contour at any order below 1. No tolerance is applied.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        if split is not None:
+            m.setattr(fc, "_SPLIT_FROM", 0.0 if split else 2.0)
+        z = -np.asarray(x, dtype=float)
+        blocks = [(v.copy(), r.copy()) for _, v, r in fc._contour_blocks(alpha, z)]
+    vals, rel = (np.concatenate(b) for b in zip(*blocks))
+    return vals, rel
+
+
+def _counting_rules(monkeypatch):
+    """The (alpha, arguments) of every call mlf_values makes to _contour_blocks."""
+    rules = fc._contour_blocks
+    taken = []
+
+    def counted(a, z):
+        taken.append((a, z.copy()))
+        return rules(a, z)
+
+    monkeypatch.setattr(fc, "_contour_blocks", counted)
+    return taken
+
+
 def test_mlf_domain_errors():
     for bad in (0.0, -0.3, 1.2):
         with pytest.raises(DomainError):
-            fc.mlf(bad, -1.0)
+            fc.mlf_values(bad, -1.0)
     with pytest.raises(DomainError):
-        fc.mlf(0.5, float("nan"))
+        fc.mlf_values(0.5, float("nan"))
 
 
 def test_mlf_at_zero_is_one():
     for a in (0.3, 0.5, 0.84, 1.0):
-        assert fc.mlf(a, 0.0).value == pytest.approx(1.0, abs=1e-14)
+        assert float(fc.mlf_values(a, 0.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mlf_half_at_minus_one():
-    # E_{1/2}(-1) = e * erfc(1) = erfcx(1)
-    rep = fc.mlf(0.5, -1.0)
-    assert rep.value == pytest.approx(erfcx(1.0), rel=1e-12)
-    assert rep.value == pytest.approx(0.42758357615580700, rel=1e-9)
-    assert rep.regime == "contour"
-    assert rep.terms_used > 1
-    assert rep.est_error <= 1e-12
+    # E_{1/2}(-1) = e * erfc(1) = erfcx(1), on the contour, with a small estimate
+    value = float(fc.mlf_values(0.5, -1.0))
+    assert value == pytest.approx(erfcx(1.0), rel=1e-12)
+    assert value == pytest.approx(0.42758357615580700, rel=1e-9)
+    vals, rel = _rule(0.5, [1.0])
+    assert vals.tolist() == [value] == _rule(0.5, [1.0], split=False)[0].tolist()
+    assert rel[0] <= 1e-12
 
 
 def test_mlf_alpha_one_matches_exp():
@@ -169,12 +198,14 @@ def test_mlf_alpha_one_matches_exp():
     assert np.max(np.abs(vals - np.exp(z)) / np.exp(z)) < 1e-10
 
 
-def test_mlf_reports_the_exp_pass_at_alpha_one():
-    # alpha = 1 runs np.exp alone and says so; other orders keep their route
-    rep = fc.mlf(1.0, -2.0)
-    assert rep.regime == "exp"
-    assert rep.value == math.exp(-2.0) and rep.terms_used == 1
-    assert fc.mlf(0.5, -1.0).regime == "contour"
+def test_mlf_reports_the_exp_pass_at_alpha_one(monkeypatch):
+    # alpha = 1 runs np.exp alone and takes no contour rule; other orders
+    # take theirs once
+    taken = _counting_rules(monkeypatch)
+    assert float(fc.mlf_values(1.0, -2.0)) == math.exp(-2.0)
+    assert taken == []
+    assert float(fc.mlf_values(0.5, -1.0)) == pytest.approx(erfcx(1.0), rel=1e-12)
+    assert [a for a, _ in taken] == [0.5]
 
 
 def test_mlf_values_at_one_is_exp_bit_for_bit():
@@ -214,30 +245,30 @@ NOT_NONPOSITIVE = (1e-300, 0.5, 2.0, 5.0, 20.0, 1000.0, math.inf, -math.inf, mat
 
 
 def test_mlf_positive_arguments():
-    # every argument the package evaluates is -lam t^alpha <= 0; mlf
-    # refuses anything else (positive, infinite or nan) at every alpha
+    # every argument the package evaluates is -lam t^alpha <= 0; a one-point
+    # call refuses anything else (positive, infinite or nan) at every alpha
     # including 1, with one message and no numpy warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in (0.3, 0.5, 1.0):
             for z in NOT_NONPOSITIVE:
                 with pytest.raises(DomainError) as one:
-                    fc.mlf(a, z)
+                    fc.mlf_values(a, z)
                 assert str(one.value) == MLF_REFUSED
             # the edge of the domain is still evaluated
             for zero in (0.0, -0.0):
-                assert fc.mlf(a, zero).value == 1.0
+                assert fc.mlf_values(a, zero).tolist() == 1.0
 
 
 def test_mlf_values_checks_positive_estimates():
-    # mlf_values refuses a batch with any point outside z <= 0 exactly as
-    # mlf refuses that point, mixed-sign batches included
+    # a batch with any point outside z <= 0 is refused exactly as that
+    # point alone is, mixed-sign batches included
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in (0.3, 0.5, 1.0):
             for z in NOT_NONPOSITIVE:
                 with pytest.raises(DomainError) as one:
-                    fc.mlf(a, z)
+                    fc.mlf_values(a, z)
                 with pytest.raises(DomainError) as many:
                     fc.mlf_values(a, [-1.0, z])
                 assert str(many.value) == str(one.value) == MLF_REFUSED
@@ -250,11 +281,11 @@ def test_mlf_values_checks_positive_estimates():
 
 def test_mlf_values_alpha_one_overflow_raises_like_mlf():
     # at alpha = 1 an argument whose exp would overflow is refused before
-    # any exp runs: mlf_values raises mlf's message, with no numpy
-    # overflow warning on the way
+    # any exp runs: a batch raises the message of that point alone, with no
+    # numpy overflow warning on the way
     for z in ([1000.0], [-2.0, 0.0, 710.0, 1000.0], [math.inf]):
         with pytest.raises(DomainError) as one:
-            fc.mlf(1.0, [v for v in z if v > 709.0][0])
+            fc.mlf_values(1.0, [v for v in z if v > 709.0][0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError) as many:
@@ -268,17 +299,18 @@ def test_mlf_values_alpha_one_overflow_raises_like_mlf():
 def test_mlf_values_mixed_signs_keep_each_value():
     # a call with a positive point is refused (see
     # test_mlf_values_checks_positive_estimates); on z <= 0 every point of
-    # a batch is bitwise its own mlf value, in every regime
+    # a batch is bitwise its own one-point value, in every regime
     z = np.concatenate([-np.logspace(-3, 3, 200), [0.0]])
-    for a in (0.3, 0.5, 0.84):
-        assert np.array_equal(fc.mlf_values(a, z), [fc.mlf(a, float(x)).value for x in z])
+    for a in (0.3, 0.5, 0.84, 0.999):
+        assert np.array_equal(fc.mlf_values(a, z), [fc.mlf_values(a, x) for x in z])
 
 
 def test_mlf_est_error_inside_switch_radius():
-    worst = 0.0
-    for a in (0.3, 0.5, 0.77, 0.9, 1.0):
-        for z in np.linspace(-2.0, 0.0, 21):
-            worst = max(worst, fc.mlf(a, float(z)).est_error)
+    # alpha = 1 is exp and takes no estimate; 0.999 takes the split
+    worst = max(
+        float(_rule(a, np.linspace(0.0, 2.0, 21))[1].max())
+        for a in (0.3, 0.5, 0.77, 0.9, 0.999)
+    )
     assert worst <= 1e-12
 
 
@@ -294,20 +326,24 @@ def test_mlf_complete_monotonicity_and_bound():
             assert np.max(v * (1.0 + xs)) <= 10.0
 
 
-def test_mlf_accuracy_error_carries_report():
+def test_mlf_values_accuracy_error_names_the_first_failing_point(monkeypatch):
+    # the first point, in argument order, whose estimate exceeds _VALUES_TOL
+    # is named with its estimate, not the worst one; the error carries
+    # nothing beyond its message
+    x = np.array([0.5, 5.0, 20.0])
+    _, rel = _rule(0.5, x)
+    assert rel[0] < rel[1] < rel[2]
+    monkeypatch.setattr(fc, "_VALUES_TOL", rel[0])
     with pytest.raises(AccuracyError) as exc:
-        fc.mlf(0.5, -1.0, tolerance=1e-30)
-    assert exc.value.report is not None
-    assert exc.value.report.value == pytest.approx(erfcx(1.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, -math.inf])
-def test_mlf_refuses_a_tolerance_that_is_not_positive(tolerance):
-    # a nan or non-positive tolerance would fail every estimate, so it is
-    # refused before any is taken; inf accepts every estimate
-    with pytest.raises(InputError, match=f"tolerance must be > 0, got {tolerance}$"):
-        fc.mlf(0.5, -1.0, tolerance=tolerance)
-    assert fc.mlf(0.5, -1.0, tolerance=math.inf).value == pytest.approx(erfcx(1.0), rel=1e-12)
+        fc.mlf_values(0.5, -x)
+    assert str(exc.value) == (
+        f"E_alpha(0.5, -5.0) estimate {rel[1]:.2e} exceeds tolerance {rel[0]:.2e}"
+    )
+    assert vars(exc.value) == {}
+    assert fc.mlf_values(0.5, -x[:1]).tolist() == _rule(0.5, x[:1])[0].tolist()
+    # alpha = 1 is exp, which no tolerance refuses
+    monkeypatch.setattr(fc, "_VALUES_TOL", 1e-300)
+    assert fc.mlf_values(1.0, -x).tolist() == np.exp(-x).tolist()
 
 
 def _spectral_quad(alpha, x):
@@ -340,7 +376,7 @@ def _spectral_quad(alpha, x):
 
 
 @pytest.mark.parametrize("alpha", [0.99, 0.999, 0.9999, 0.99999])
-def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
+def test_mlf_near_classical_limit_matches_spectral_quad(alpha, monkeypatch):
     # the kernel's peak narrows like 1 - alpha; the split must stay
     # accurate on the contour's 16 node pairs however close alpha is to 1
     xs = [0.5, 2.0, 6.0, 9.0, 15.0, 30.0, 100.0]
@@ -348,15 +384,14 @@ def test_mlf_near_classical_limit_matches_spectral_quad(alpha):
     batch = fc.mlf_values(alpha, -np.array(xs))
     assert np.max(np.abs(batch - want) / want) < 1e-9
     for x, w in zip(xs, want):
-        rep = fc.mlf(alpha, -x)
-        assert rep.value == pytest.approx(w, rel=1e-9)
-        assert rep.terms_used == 16
-        with pytest.raises(AccuracyError) as exc:
-            fc.mlf(alpha, -x, tolerance=1e-30)
-        assert exc.value.report is not None
-        assert exc.value.report.value == pytest.approx(w, rel=1e-9)
+        assert float(fc.mlf_values(alpha, -x)) == pytest.approx(w, rel=1e-9)
     # every point takes the split from alpha = _SPLIT_FROM = 0.99 on
-    assert {fc.mlf(alpha, -x).regime for x in xs} == {"split"}
+    assert np.array_equal(batch, _rule(alpha, xs, split=True)[0])
+    # and a tolerance below its estimate refuses each point by name
+    monkeypatch.setattr(fc, "_VALUES_TOL", 1e-30)
+    for x in xs:
+        with pytest.raises(AccuracyError, match=f"^{re.escape(f'E_alpha({alpha}, {-x}) estimate ')}"):
+            fc.mlf_values(alpha, -x)
 
 
 @pytest.mark.parametrize("alpha", [0.99, 0.995, 0.999, 1.0 - 1e-9])
@@ -386,7 +421,7 @@ def test_mlf_tiny_alpha_within_simon_bounds_or_refused():
         v = fc.mlf_values(a, -x)
         assert np.all(1.0 / (1.0 + gamma(1.0 - a) * x) <= v * (1.0 + 1e-12))
         assert np.all(v <= 1.0 / (1.0 + x / gamma(1.0 + a)) * (1.0 + 1e-12))
-        assert all(fc.mlf(a, -t).regime == "contour" for t in x)
+        assert np.array_equal(v, _rule(a, x, split=False)[0])
 
 
 def test_mlf_far_arguments_scale_from_the_clamp():
@@ -401,8 +436,8 @@ def test_mlf_far_arguments_scale_from_the_clamp():
             v = fc.mlf_values(a, -x)
             assert np.max(np.abs(v[:4] * x[:4] * gamma(1.0 - a) - 1.0)) <= 1e-11
             assert v[4] > 0.0
-            assert v.tolist() == [fc.mlf(a, -t).value for t in x]
-            assert fc.mlf(a, -1e300).regime == ("split" if a == 0.999 else "contour")
+            assert v.tolist() == [float(fc.mlf_values(a, -t)) for t in x]
+            assert np.array_equal(v, _rule(a, x, split=a == 0.999)[0])
 
 
 # property tests over random orders alpha in [0.05, 0.999], drawn away from
@@ -427,15 +462,9 @@ def test_mlf_values_do_not_depend_on_the_batch(alpha, xs):
     # on the call, so a value must not depend on the points beside it
     x = -np.array(xs)
     batch = fc.mlf_values(alpha, x)
-    alone = [fc.mlf(alpha, float(z)).value for z in x]
+    alone = [fc.mlf_values(alpha, z) for z in x]
     assert np.array_equal(batch, alone)
     assert np.array_equal(batch[::-1], fc.mlf_values(alpha, x[::-1]))
-
-
-def _routed(alpha, x):
-    """The router's values of E_alpha(-x), x >= 0, and the regime of its point 0."""
-    vals, first = fc._route(alpha, -x, math.inf)
-    return vals, first.regime
 
 
 def test_split_values_do_not_depend_on_the_batch():
@@ -444,35 +473,27 @@ def test_split_values_do_not_depend_on_the_batch():
     rng = np.random.default_rng(3)
     for alpha in (0.995, 0.999, 1.0 - 1e-9):
         x = np.concatenate([rng.uniform(0.5, 60.0, 4000), 10.0 ** rng.uniform(-1.0, 2.5, 4000)])
-        vals, regime = _routed(alpha, x)
-        assert regime == "split" and x.size > 4096  # more than one block
-        assert np.array_equal(_routed(alpha, x[::-1])[0], vals[::-1])
+        vals = _rule(alpha, x)[0]
+        assert np.array_equal(vals, _rule(alpha, x, split=True)[0])
+        assert x.size > 4096  # more than one block
+        assert np.array_equal(_rule(alpha, x[::-1])[0], vals[::-1])
         for i in range(0, x.size, 97):
-            assert fc.mlf(alpha, -x[i]).value == vals[i]
+            assert fc.mlf_values(alpha, -x[i]) == vals[i]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.995, 0.999, 1.0 - 1e-9])
 def test_each_point_takes_its_orders_rule_once(alpha, monkeypatch):
-    # the router hands every point of a call to its order's rule once, in
-    # argument order, in mlf_values and in mlf alike; the values agree
-    # point by point
-    rules = fc._contour_blocks
-    taken = []
-
-    def counted(a, z):
-        taken.append((a, z.copy()))
-        return rules(a, z)
-
+    # mlf_values hands every point of a call to its order's rule once, in
+    # argument order, in a batch and in a one-point call alike; the values
+    # agree point by point
+    taken = _counting_rules(monkeypatch)
     z = -np.linspace(10.0, 300.0, 10000)
-    monkeypatch.setattr(fc, "_contour_blocks", counted)
     vals = fc.mlf_values(alpha, z)
     assert [a for a, _ in taken] == [alpha]
     assert np.array_equal(taken[0][1], z)
     for i in range(0, z.size, 97):
         taken.clear()
-        rep = fc.mlf(alpha, z[i])
-        assert rep.value == vals[i]
-        assert rep.regime == ("contour" if alpha < fc._SPLIT_FROM else "split")
+        assert fc.mlf_values(alpha, z[i]) == vals[i]
         assert [(a, v.tolist()) for a, v in taken] == [(alpha, [z[i]])]
 
 
@@ -489,21 +510,15 @@ def _oracle(alpha):
 def test_contour_values_match_oracles(alpha):
     # the contour rule on every point of the grid against scipy quad of the
     # spectral integral, and against erfcx at alpha = 1/2
-    got, regime = _routed(alpha, ORACLE_X)
-    assert regime == "contour"
+    got = _rule(alpha, ORACLE_X, split=False)[0]
+    assert np.array_equal(got, fc.mlf_values(alpha, -ORACLE_X))
     assert np.max(np.abs(got - _oracle(alpha)) / _oracle(alpha)) <= 1e-12
     if alpha == 0.5:
         x = np.concatenate([[0.0], ORACLE_X, np.geomspace(1e3, 1e6, 40)])
         want = erfcx(x)
-        got, regime = _routed(alpha, x)
-        assert regime == "contour"
+        got = _rule(alpha, x, split=False)[0]
+        assert np.array_equal(got, fc.mlf_values(alpha, -x))
         assert np.max(np.abs(got - want) / want) <= 1e-13
-
-
-def _routed_estimates(alpha, x):
-    """The router's values of E_alpha(-x) and their estimates, a point at a time through mlf."""
-    reports = [fc.mlf(alpha, -v) for v in x]
-    return np.array([r.value for r in reports]), np.array([r.est_error for r in reports])
 
 
 def _excess(rounding):
@@ -513,7 +528,7 @@ def _excess(rounding):
         return max(
             np.max(np.abs(got - _oracle(a)) / _oracle(a) / np.maximum(rel, 1e-13))
             for a in ORACLE_ALPHAS
-            for got, rel in [_routed_estimates(a, ORACLE_X)]
+            for got, rel in [_rule(a, ORACLE_X)]
         )
 
 
@@ -560,13 +575,13 @@ def test_split_work_is_cache_sized(alpha):
     vals, rel = (np.concatenate(b) for b in zip(*blocks))
     assert np.all(rel <= 1e-12)
     for i in range(0, z.size, 3971):
-        assert fc.mlf(alpha, z[i]).value == vals[i]
+        assert fc.mlf_values(alpha, z[i]) == vals[i]
 
 
-def test_route_regimes_are_pinned():
+def test_route_regimes_are_pinned(monkeypatch):
     # the order alone picks the regime: the contour below _SPLIT_FROM = 0.99,
     # the split from there up to 1, exp at 1; every point of a seeded
-    # sample takes its order's
+    # sample takes its order's bit for bit, and the other rule differs
     rng = np.random.default_rng(13)
     below = float(np.nextafter(fc._SPLIT_FROM, 0.0))
     pinned = {
@@ -576,17 +591,20 @@ def test_route_regimes_are_pinned():
     }
     assert fc._SPLIT_FROM == 0.99
     x = np.concatenate([rng.uniform(0.0, 30.0, 50), 10.0 ** rng.uniform(-2.0, 3.0, 50)])
+    taken = _counting_rules(monkeypatch)
     for alpha, regime in pinned.items():
-        assert {fc.mlf(alpha, -v).regime for v in x} == {regime}, alpha
-        assert _routed(alpha, x)[1] == regime
+        taken.clear()
+        got = fc.mlf_values(alpha, -x)
+        if regime == "exp":
+            assert got.tobytes() == np.exp(-x).tobytes() and taken == []
+            continue
+        ours = _rule(alpha, x, split=regime == "split")[0]
+        other = _rule(alpha, x, split=regime == "contour")[0]
+        assert np.array_equal(got, ours), alpha
+        assert np.count_nonzero(got != other) > x.size // 2, alpha
 
 
 SCAN_X = np.concatenate([[0.0], np.logspace(-10.0, 160.0, 1701)])
-
-
-def _rule_estimates(alpha, x):
-    """The largest relative estimate of alpha's rule over the points -x."""
-    return max(float(r.max()) for _, _, r in fc._contour_blocks(alpha, -x))
 
 
 def test_split_from_is_the_contours_limit():
@@ -595,12 +613,14 @@ def test_split_from_is_the_contours_limit():
     # switch up to 1; the contour's passes 1e-11 at 0.991, so a switch
     # raised to 0.995 fails here
     below = float(np.nextafter(fc._SPLIT_FROM, 0.0))
-    assert fc.mlf(below, -1.0).regime == "contour"
-    assert _rule_estimates(below, SCAN_X) <= 1e-11
+    vals, rel = _rule(below, SCAN_X)
+    assert np.array_equal(vals, _rule(below, SCAN_X, split=False)[0])
+    assert rel.max() <= 1e-11
     orders = np.concatenate([np.linspace(fc._SPLIT_FROM, 0.999, 10), 1.0 - np.logspace(-4, -12, 9)])
     for alpha in orders:
-        assert fc.mlf(alpha, -1.0).regime == "split"
-        assert _rule_estimates(alpha, SCAN_X) <= 1.51e-13, alpha
+        vals, rel = _rule(alpha, SCAN_X)
+        assert np.array_equal(vals, _rule(alpha, SCAN_X, split=True)[0]), alpha
+        assert rel.max() <= 1.51e-13, alpha
 
 
 @PROPERTY
@@ -610,10 +630,10 @@ def test_mlf_continuous_across_regime_seams(xs):
     # the one seam below alpha = 1 is the switch of order from the contour
     # to the split: the values on its two sides, an ulp of alpha apart,
     # differ by at most 1e-11
-    x = -np.array(xs)
-    below, contour = fc._route(np.nextafter(fc._SPLIT_FROM, 0.0), x, math.inf)
-    above, split = fc._route(fc._SPLIT_FROM, x, math.inf)
-    assert (contour.regime, split.regime) == ("contour", "split")
+    below = _rule(np.nextafter(fc._SPLIT_FROM, 0.0), xs)[0]
+    above = _rule(fc._SPLIT_FROM, xs)[0]
+    assert np.array_equal(below, _rule(np.nextafter(fc._SPLIT_FROM, 0.0), xs, split=False)[0])
+    assert np.array_equal(above, _rule(fc._SPLIT_FROM, xs, split=True)[0])
     assert np.all(np.abs(above - below) <= 1e-11 * below)
 
 

@@ -104,6 +104,16 @@ def test_problem_validation():
             HumProblem(4, FULL, (sensor,), 0.5, 1.0)
 
 
+def test_problem_refuses_a_mode_count_that_is_not_an_integer():
+    # refused where the problem is built, by its field's name, not later by
+    # eigenpairs as a `count`; a numpy integer is an integer
+    sensors = (Sensor.pointwise((0.3,)),)
+    for count in (2.5, 8.0, math.nan, "3", None):
+        with pytest.raises(InputError, match=f"^mode_count must be an integer >= 1, got {count!r}$"):
+            HumProblem(count, FULL, sensors, 1.0, 1.0)
+    assert HumProblem(np.int64(3), FULL, sensors, 1.0, 1.0).modes.shape == (3, 1)
+
+
 def unit_field(i, M, n):
     """The field with coefficient 1 at flat slot i (1-based), i = n(q-1) + d."""
     coeffs = np.zeros(n * M)

@@ -44,8 +44,6 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
 # the test modules CI runs once scipy is uninstalled
 NO_SCIPY = ("test_cli.py", "test_surface.py")
-# E_alpha with its per-point report, which the regime tests read
-EXEMPT = {"mlf", "MlfEvalReport"}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -102,8 +100,7 @@ def test_public_names_have_callers_and_imports_are_used():
         f"{mod}.{name}"
         for mod, tree in modules.items()
         for name in _exports(tree)
-        if name not in EXEMPT
-        and name not in acceptance
+        if name not in acceptance
         and not any(name in names for where, names in reads.items() if where != (mod, name))
     ]
     assert not uncalled, f"exported, but read by no package code or acceptance test: {uncalled}"
@@ -245,7 +242,7 @@ def _package_classes(trees: dict[str, ast.Module]):
     for mod, tree in trees.items():
         if mod != "acceptance":
             for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef) and node.name not in EXEMPT:
+                if isinstance(node, ast.ClassDef):
                     yield mod, node
 
 
@@ -295,8 +292,6 @@ def _defaulted(trees: dict[str, ast.Module]):
                 if isinstance(node, ast.FunctionDef):
                     methods[node] = cls.name if node.name == "__init__" else node.name
         for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
-            if fn.name in EXEMPT:
-                continue
             name = methods.get(fn, fn.name)
             positional = fn.args.posonlyargs + fn.args.args
             if fn in methods:

@@ -93,6 +93,16 @@ def test_initial_state_ties_coefficients_to_its_kind_and_depth():
     assert len(modes) == state.coefficients.size == 3
 
 
+def test_initial_state_refuses_a_depth_that_is_not_an_integer_at_least_one():
+    # refused where the state is built, by its field's name, not later by
+    # modal() as a `count`; a numpy integer is an integer
+    for kind, depth in (("poly_sq", 2.5), ("trig_sq", 3.0), ("zero", 0), ("zero", -2), ("coefficients", 0)):
+        with pytest.raises(InputError, match=f"^depth must be an integer >= 1, got {depth!r}$"):
+            fs.InitialState(kind, 1, depth)
+    modes, state = fs.InitialState("poly_sq", 1, np.int64(2)).modal()
+    assert len(modes) == state.coefficients.size == 2
+
+
 def test_trig_product_weight_refuses_an_interval_support():
     # the catalog refuses the weight itself, before any functional is built
     interval, square = sp.Region((0.1,), (0.4,)), sp.Region((0.1, 0.2), (0.4, 0.6))
@@ -222,10 +232,10 @@ def test_generate_measurements_accepts_modal_state():
     grid = fc.TimeGrid.uniform(1.0, 9)
     state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
     rec = fs.generate_measurements(alpha, modes, state, [fs.Sensor.pointwise((0.4,))], grid)
-    # sum_k c_k E_alpha(-lam_k t^alpha) sqrt(2) sin(k pi b), each E_alpha from mlf
+    # sum_k c_k E_alpha(-lam_k t^alpha) sqrt(2) sin(k pi b), each E_alpha a one-point call
     direct = [
         sum(
-            c * fc.mlf(alpha, -lam * t**alpha).value
+            c * float(fc.mlf_values(alpha, -lam * t**alpha))
             * math.sqrt(2.0) * math.sin(k * PI * 0.4)
             for c, lam, (k,) in zip(state.coefficients, eigenvalues(modes), modes.tolist())
         )
