@@ -40,10 +40,10 @@ it. T fills its table on the Gram's Gauss nodes and drops it once the
 matrix is formed. Every pairing of a decay profile with data, the
 moments on either route and the residual, streams fraccalc.decay_blocks
 in blocks of _RECORD_ROWS rows, so nothing of record length times modes
-is held. The forward record and the exact route's state side go through
-fraccalc.decay_apply. A sensor sweep builds one record, one set of
-record_moments and one residual pass per chunk of positions
-(sweep_chunk), a channel each.
+is held. The forward record and the exact route's state side, an array
+of modal coefficients, go through fraccalc.decay_apply. A sensor sweep
+builds one record, one set of record_moments and one residual pass per
+chunk of positions (sweep_chunk), a channel each.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .observability import GramDiagnostic
 from .spectral import Region, eigenpairs, eigenvalues, grad_coupling, mode_table, region_rule
 from .system import (
     MeasurementRecord,
-    ModalState,
     Sensor,
     generate_measurements,
     output_matrix,
@@ -175,10 +174,11 @@ class HumProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
-        if not isinstance(self.mode_count, numbers.Integral):
-            raise InputError(f"mode_count must be an integer >= 1, got {self.mode_count!r}")
         for name, (rule, ok) in PROBLEM_RANGES.items():
             value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if name in ("mode_count", "escalation_step", "max_iterations") and not integral:
+                raise InputError(f"{name} must be an integer {rule}, got {value!r}")
             if not ok(value):
                 raise InputError(f"{name} must be {rule}, got {value}")
         if any(s.dimension != self.dimension for s in self.sensors):
@@ -420,13 +420,25 @@ def assemble_rhs(problem: HumProblem, moments: np.ndarray) -> np.ndarray:
     return problem.coupling @ np.einsum("ck,kc->k", problem.outputs, moments)
 
 
-def assemble_rhs_from_state(problem: HumProblem, state: ModalState) -> np.ndarray:
-    """Exact data-side vector for a known modal initial state, with no sampling."""
-    pairing = _state_pairing(replace(problem, mode_count=len(state)), state)
+def assemble_rhs_from_state(problem: HumProblem, state: np.ndarray) -> np.ndarray:
+    """Exact data-side vector for a state's modal coefficients, with no sampling."""
+    state = _state_vector(state)
+    pairing = _state_pairing(replace(problem, mode_count=state.size), state)
     return assemble_rhs(problem, _pair_decay(problem.alpha, problem.eigenvalues, *pairing))
 
 
-def _state_pairing(deep: HumProblem, state: ModalState) -> tuple[np.ndarray, np.ndarray, bool]:
+def _state_vector(state: np.ndarray) -> np.ndarray:
+    """A state's coefficients as floats; InputError unless a nonempty vector."""
+    try:
+        state = np.asarray(state, dtype=float)
+        if state.ndim == 1 and state.size:
+            return state
+    except (TypeError, ValueError):  # a string, a ragged list, any other object
+        pass
+    raise InputError("coefficients must be a nonempty vector")
+
+
+def _state_pairing(deep: HumProblem, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """The (times, data, cells) whose _pair_decay sums are the state's moments.
 
     `deep` is the problem truncated at the state's depth. The negated
@@ -436,7 +448,7 @@ def _state_pairing(deep: HumProblem, state: ModalState) -> tuple[np.ndarray, np.
     of M modes are bitwise the first M rows of a larger truncation's.
     """
     t, w = product_rule(deep.horizon)
-    weights = (deep.eigenvalues * state.coefficients)[:, None] * deep.outputs.T
+    weights = (deep.eigenvalues * state)[:, None] * deep.outputs.T
     weighted = w[:, None] * decay_apply(deep.alpha, deep.eigenvalues, t, weights)
     return t, weighted, False
 
@@ -547,16 +559,16 @@ def _solve_step(
 
 def reconstruct(
     problem: HumProblem,
-    record: MeasurementRecord | ModalState,
+    record: MeasurementRecord | np.ndarray,
     truth: Sequence[Callable[..., np.ndarray]] | GradientField | None = None,
 ) -> ReconstructionResult:
     """Escalating solve loop: grow the truncation until the residual passes.
 
-    The source is either a sampled record (data route: the fractional
-    derivative is applied to the samples) or a modal initial state
-    standing for its noiseless record (exact route: the pairing is done
-    in closed modal algebra, and the residual is taken against the
-    state's own sampled output).
+    The source is a MeasurementRecord (data route: the fractional derivative
+    is applied to the samples) or else a state's modal coefficients standing
+    for its noiseless record (exact route: closed modal algebra pairs them,
+    and the residual is taken against the state's own sampled output); they
+    must be a nonempty vector, else InputError.
 
     The route's pairing (times, data, cells) is built once. The moments
     are one array, and a step appends the _pair_decay rows of only the
@@ -571,15 +583,16 @@ def reconstruct(
     the residual still above epsilon, and the last step's SolvabilityError
     when no step was solvable.
     """
-    if isinstance(record, ModalState):
-        # the state side of the exact route is fixed: build it once
-        deep = replace(problem, mode_count=len(record))
-        pairing = _state_pairing(deep, record)
-        grid = TimeGrid.uniform(problem.horizon, 513)
-        record = generate_measurements(problem.alpha, deep.modes, record, problem.sensors, grid)
-    else:
+    if isinstance(record, MeasurementRecord):
         # the data side's L1 pass serves every truncation: make it once
         pairing = _record_pairing(problem, record)
+    else:
+        # the state side of the exact route is fixed: build it once
+        state = _state_vector(record)
+        deep = replace(problem, mode_count=state.size)
+        pairing = _state_pairing(deep, state)
+        grid = TimeGrid.uniform(problem.horizon, 513)
+        record = generate_measurements(problem.alpha, deep.modes, state, problem.sensors, grid)
     # the moments of the modes paired so far; a step pairs only those it adds
     moments = np.empty((0, len(problem.sensors)))
     history: list[float] = []

@@ -1,9 +1,9 @@
 """Forward model: time-fractional diffusion, sensors, catalogs, and synthetic data.
 
-The state is kept modal throughout. With u0 expanded in the Dirichlet
-eigenbasis, the mild solution scales coefficient k by E_alpha(-lam_k t^alpha),
-so no time stepping is ever performed; sensor outputs are evaluated
-spectrally on top of that.
+The state is kept modal throughout: a state is its float vector of
+coefficients <u0, phi_k>, and the mild solution scales coefficient k by
+E_alpha(-lam_k t^alpha), so no time stepping is ever performed; sensor
+outputs are evaluated spectrally on top of that.
 
 Eigenvalues are stored positive (eigenvalues of -A) and the decay factor is
 always evaluated at the negated argument.
@@ -29,7 +29,6 @@ __all__ = [
     "Sensor",
     "STATE_KINDS",
     "InitialState",
-    "ModalState",
     "MeasurementRecord",
     "project_initial_state",
     "output_matrix",
@@ -110,22 +109,6 @@ class Sensor:
         return Sensor.zonal(Region((position,), (position + width,)), self.weight)
 
 
-@dataclass(frozen=True)
-class ModalState:
-    """Coefficients <u, phi_k> against a truncated eigenbasis."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise InputError("coefficients must be a nonempty vector")
-        object.__setattr__(self, "coefficients", c)
-
-    def __len__(self) -> int:
-        return self.coefficients.size
-
-
 # the catalog states of the interval, (x (1 - x))^2 and (cos(pi x) sin(pi x))^2:
 # kind -> (coefficient of an odd mode k, gradient), both in closed form
 _CATALOG = {
@@ -163,12 +146,12 @@ class InitialState:
         if self.kind == "coefficients" and len(self.coefficients) != self.depth:
             raise InputError(f"{len(self.coefficients)} coefficients for depth {self.depth}")
 
-    def modal(self) -> tuple[np.ndarray, ModalState]:
-        """The state's coefficients with the modes they are taken over."""
+    def modal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The modes and the state's coefficients <u, phi_k> over them, a float vector."""
         modes = eigenpairs(self.dimension, self.depth)
         if self.kind in _CATALOG:
             return modes, project_initial_state(modes, self.kind)
-        return modes, ModalState(self.coefficients or np.zeros(self.depth))
+        return modes, np.asarray(self.coefficients or np.zeros(self.depth), dtype=float)
 
     def gradient(self) -> tuple[Callable[..., np.ndarray], ...]:
         """The state's gradient, one function per axis."""
@@ -176,9 +159,9 @@ class InitialState:
             return (_CATALOG[self.kind][1],)
         if self.kind == "zero":
             return (lambda *xs: np.zeros_like(np.asarray(xs[0], dtype=float)),) * self.dimension
-        modes, state = self.modal()
+        modes, coefficients = self.modal()
         return tuple(
-            (lambda *xs, _d=axis: mode_table(modes, xs, _d) @ state.coefficients)
+            (lambda *xs, _d=axis: mode_table(modes, xs, _d) @ coefficients)
             for axis in range(self.dimension)
         )
 
@@ -457,7 +440,7 @@ def _raise_first_bad_row(path: str, width: int) -> NoReturn:
     raise InputError(f"{path}: not a table of {width} numeric columns")
 
 
-def project_initial_state(modes: np.ndarray, kind: str) -> ModalState:
+def project_initial_state(modes: np.ndarray, kind: str) -> np.ndarray:
     """The exact coefficients of a catalog state over modes of the interval.
 
     `modes` holds one index row per mode, of dimension 1: a catalog state
@@ -475,7 +458,7 @@ def project_initial_state(modes: np.ndarray, kind: str) -> ModalState:
     odd = k % 2.0 == 1.0
     coefficients = np.zeros(k.size)
     coefficients[odd] = _CATALOG[kind][0](k[odd])
-    return ModalState(coefficients)
+    return coefficients
 
 
 def _sensor_functional(
@@ -504,7 +487,7 @@ def output_matrix(
 def generate_measurements(
     alpha: float,
     modes: np.ndarray,
-    state: ModalState,
+    coefficients: np.ndarray,
     sensors: Sequence[Sensor],
     grid: TimeGrid,
     noise_sigma: float = 0.0,
@@ -512,17 +495,18 @@ def generate_measurements(
 ) -> MeasurementRecord:
     """Sample every sensor on the grid, optionally perturbed by Gaussian noise.
 
-    Mode k of the state decays as E_alpha(-lam_k t^alpha); alpha outside
-    (0, 1] raises DomainError, and measurement_noise checks noise_sigma.
+    Mode k of the state's `coefficients` decays as E_alpha(-lam_k t^alpha);
+    alpha outside (0, 1] raises DomainError; measurement_noise checks noise_sigma.
     The samples are the only array of the grid's length held besides a
     noise draw: fraccalc.decay_apply sums the decay table block by block,
     and the draw is added into that sum in place. A noiseless record adds
     0.0 too, which turns a -0.0 sample into the 0 that `to_csv` writes.
     """
-    if len(state) != len(modes):
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.shape != (len(modes),):
         raise InputError("state length does not match the basis")
     P = output_matrix(sensors, modes)
-    samples = decay_apply(alpha, eigenvalues(modes), grid.nodes, state.coefficients[:, None] * P.T)
+    samples = decay_apply(alpha, eigenvalues(modes), grid.nodes, coefficients[:, None] * P.T)
     samples += measurement_noise(noise_sigma, seed, samples.shape)
     return MeasurementRecord(grid, samples)
 

@@ -37,7 +37,7 @@ from fracobs.hum import (
 from fracobs.observability import counterexample_check
 from fracobs.observability import test_gradient_strategic as strategic_verdict
 from fracobs.spectral import Region, eigenvalues, grad_coupling
-from fracobs.system import ModalState, Sensor, output_matrix
+from fracobs.system import Sensor, output_matrix
 
 RECOVERY_ERRORS: dict[str, float] = {}
 
@@ -127,7 +127,7 @@ def test_point_sensor_profile_recovery():
     )
     truth = (lambda y: 0.5 * math.pi * np.sin(4.0 * math.pi * y),)
     start = time.perf_counter()
-    result = reconstruct(problem, ModalState(two_hump_coefficients()), truth)
+    result = reconstruct(problem, two_hump_coefficients(), truth)
     elapsed = time.perf_counter() - start
     assert result.iterations == 1
     assert result.error_vs_truth <= 5e-3
@@ -145,7 +145,7 @@ def test_zonal_sensor_profile_beats_point_sensor():
     )
     gram = assemble_gram(problem)
     mu = 3.16e-7 * np.trace(gram) / gram.shape[0]
-    rhs = assemble_rhs_from_state(problem, ModalState(flat_bump_coefficients()))
+    rhs = assemble_rhs_from_state(problem, flat_bump_coefficients())
     coeffs = np.linalg.solve(gram + mu * np.eye(gram.shape[0]), rhs)
     field = GradientField(coeffs, problem.modes)
     truth = (lambda y: 2.0 * y * (1.0 - y) * (1.0 - 2.0 * y),)
@@ -269,7 +269,7 @@ def test_noiseless_in_span_recovery_single_pass():
     lams = eigenvalues(modes)
     coeffs = 0.1 * np.random.default_rng(3).normal(size=len(modes))
     # initial state whose gradient has exactly these basis coefficients
-    state = ModalState((coupling_matrix(modes).T @ coeffs) / lams)
+    state = (coupling_matrix(modes).T @ coeffs) / lams
 
     result = reconstruct(problem, state, GradientField(coeffs, modes))
     assert result.iterations == 1

@@ -684,7 +684,7 @@ def test_catalog_state_depth_end_to_end(tmp_path, capsys):
     assert summary["iterations"] == 1
     assert summary["error_vs_truth"] <= 1e-2
     record = (tmp_path / "measurements.csv").read_bytes()
-    coefficients = project_initial_state(eigenpairs(1, 9), "poly_sq").coefficients
+    coefficients = project_initial_state(eigenpairs(1, 9), "poly_sq")
     assert np.count_nonzero(coefficients) == 5
     explicit = GRADED_CONFIG.replace(state, "state.kind = coefficients\n    state.coefficients = "
                                      + ", ".join(format(c, ".17g") for c in coefficients) + "\n")

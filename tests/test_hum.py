@@ -28,8 +28,8 @@ from fracobs.hum import (
 from fracobs.observability import GramDiagnostic
 from fracobs.spectral import Region, eigenpairs, eigenvalues, grad_coupling, mode_table
 from fracobs.system import (
+    InitialState,
     MeasurementRecord,
-    ModalState,
     Sensor,
     generate_measurements,
     output_matrix,
@@ -53,7 +53,7 @@ def in_span_state(problem, coeffs):
     """Initial state whose gradient has exactly the given basis coefficients."""
     modes = problem.modes
     lams = eigenvalues(modes)
-    return ModalState((coupling_matrix(modes).T @ coeffs) / lams)
+    return (coupling_matrix(modes).T @ coeffs) / lams
 
 
 def record_rhs(problem, record):
@@ -112,6 +112,29 @@ def test_problem_refuses_a_mode_count_that_is_not_an_integer():
         with pytest.raises(InputError, match=f"^mode_count must be an integer >= 1, got {count!r}$"):
             HumProblem(count, FULL, sensors, 1.0, 1.0)
     assert HumProblem(np.int64(3), FULL, sensors, 1.0, 1.0).modes.shape == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "field, rule, value",
+    [
+        ("max_iterations", ">= 1", 2.5),
+        ("max_iterations", ">= 1", True),
+        ("max_iterations", ">= 1", 3.0),
+        ("escalation_step", ">= 0", 1.5),
+        ("escalation_step", ">= 0", False),
+        ("mode_count", ">= 1", True),
+    ],
+)
+def test_problem_refuses_an_escalation_field_that_is_not_an_integer(field, rule, value):
+    # refused where the problem is built, by its own name: reconstruct met
+    # max_iterations=2.5 as a bare TypeError from range, escalation_step=1.5
+    # as a float mode_count, and max_iterations=True as "after True iterations"
+    problem = HumProblem(3, FULL, (Sensor.pointwise((0.3,)),), 1.0, 1.0)
+    with pytest.raises(InputError, match=f"^{field} must be an integer {rule}, got {value!r}$"):
+        replace(problem, **{field: value})
+    # a numpy integer is an integer
+    problem = replace(problem, escalation_step=np.int64(1), max_iterations=np.int64(2))
+    assert (problem.escalation_step, problem.max_iterations) == (1, 2)
 
 
 def unit_field(i, M, n):
@@ -280,7 +303,7 @@ def test_assemble_rhs_zero_record():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.3,)),), 0.5, 1.0)
     modes = eigenpairs(1, 3)
     record = generate_measurements(
-        0.5, modes, ModalState(np.zeros(3)), problem.sensors, TimeGrid.uniform(1.0, 33)
+        0.5, modes, np.zeros(3), problem.sensors, TimeGrid.uniform(1.0, 33)
     )
     assert np.all(record_rhs(problem, record) == 0.0)
 
@@ -290,12 +313,12 @@ def test_assemble_rhs_validation():
     modes = eigenpairs(1, 3)
     two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
     record = generate_measurements(
-        1.0, modes, ModalState(np.zeros(3)), two, TimeGrid.uniform(1.0, 17)
+        1.0, modes, np.zeros(3), two, TimeGrid.uniform(1.0, 17)
     )
     with pytest.raises(InputError):
         record_rhs(problem, record)
     record = generate_measurements(
-        1.0, modes, ModalState(np.zeros(3)), problem.sensors, TimeGrid.uniform(0.5, 17)
+        1.0, modes, np.zeros(3), problem.sensors, TimeGrid.uniform(0.5, 17)
     )
     with pytest.raises(InputError):
         record_rhs(problem, record)
@@ -307,7 +330,7 @@ def test_assemble_rhs_pairs_record_moments(alpha):
     # a sweep computes once for all its positions, one column per channel
     two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
     modes = eigenpairs(1, 12)
-    state = ModalState(np.random.default_rng(1).standard_normal(12))
+    state = np.random.default_rng(1).standard_normal(12)
     record = generate_measurements(alpha, modes, state, two, TimeGrid.uniform(1.0, 65))
     problem = HumProblem(4, FULL, two, alpha, 1.0)
     moments = hum.record_moments(problem, record)
@@ -327,7 +350,7 @@ def test_record_moments_refuse_a_record_of_another_channel_count():
     two = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.7,)))
     modes = eigenpairs(1, 3)
     grid = TimeGrid.uniform(0.5, 17)
-    record = generate_measurements(0.6, modes, ModalState(np.ones(3)), two, grid)
+    record = generate_measurements(0.6, modes, np.ones(3), two, grid)
     for alpha in (0.6, 1.0):
         one = HumProblem(3, FULL, two[:1], alpha, 1.0)
         with pytest.raises(InputError, match="record has 2 channels for 1 sensors"):
@@ -414,7 +437,7 @@ def test_exact_route_evaluates_only_modes_with_weight(monkeypatch):
     cross = (real(0.5, -np.outer(deep.eigenvalues, t**0.5)) * w) @ real(
         0.5, -np.outer(t**0.5, problem.eigenvalues)
     )
-    moments = np.einsum("cl,l,lk->kc", deep.outputs, deep.eigenvalues * state.coefficients, cross)
+    moments = np.einsum("cl,l,lk->kc", deep.outputs, deep.eigenvalues * state, cross)
     want = assemble_rhs(problem, moments)
     assert np.max(np.abs(rhs - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -427,7 +450,7 @@ def test_assemble_rhs_channels_match_stacked_single_channel():
     # x (1 - x) e^x by a 64-point Gauss-Legendre rule on [0, 1]
     y, w = np.polynomial.legendre.leggauss(64)
     y, w = 0.5 * (y + 1.0), 0.5 * w
-    state = ModalState((w * y * (1.0 - y) * np.exp(y)) @ mode_table(modes, (y,)))
+    state = (w * y * (1.0 - y) * np.exp(y)) @ mode_table(modes, (y,))
     nodes = np.union1d(graded_panel_edges(1.0, 256, 1e-12), np.linspace(0.0, 1.0, 257))
     record = generate_measurements(0.5, modes, state, sensors, TimeGrid(nodes))
     problem = HumProblem(6, FULL, sensors, 0.5, 1.0)
@@ -444,7 +467,7 @@ def test_assemble_rhs_channels_match_stacked_single_channel():
 
 def test_rhs_single_mode_dense_oracle():
     problem = HumProblem(3, FULL, (Sensor.pointwise((0.2,)),), 1.0, 1.0)
-    rhs = assemble_rhs_from_state(problem, ModalState([0.0, 1.0, 0.0]))
+    rhs = assemble_rhs_from_state(problem, np.array([0.0, 1.0, 0.0]))
     modes = problem.modes
     lams = eigenvalues(modes)
     B = coupling_matrix(modes)
@@ -568,11 +591,30 @@ def test_reconstruct_noiseless_in_span_one_iteration():
     assert np.max(np.abs(result.field.coefficients - coeffs)) <= 1e-7
 
 
+def test_reconstruct_takes_any_coefficient_vector_on_the_exact_route():
+    # anything but a MeasurementRecord is a state's coefficients: a list is
+    # the same state as its array, and what is not a nonempty vector is
+    # refused before a mode is built, not met later as a missing attribute
+    # or a mismatch of internal shapes
+    sensors = (Sensor.pointwise((0.3,)),)
+    problem = HumProblem(3, FULL, sensors, 0.7, 1.0, epsilon=1.0, max_iterations=1)
+    want = reconstruct(problem, np.array([1.0, 0.5, 0.25]))
+    got = reconstruct(problem, [1.0, 0.5, 0.25])
+    assert got.field.coefficients.tobytes() == want.field.coefficients.tobytes()
+    assert got.residual == want.residual
+    # a scalar is refused too: it is not a one-mode state
+    not_numeric = ("measurements.csv", [[1.0], [1.0, 2.0]], InitialState("poly_sq", 1, 3))
+    for bad in (np.zeros((2, 2)), np.zeros((3, 1)), np.array([]), [], 1.0, *not_numeric):
+        for route in (reconstruct, assemble_rhs_from_state):
+            with pytest.raises(InputError, match="^coefficients must be a nonempty vector$"):
+                route(problem, bad)
+
+
 def test_reconstruct_zero_record():
     sensors = (Sensor.pointwise((0.3,)),)
     modes = eigenpairs(1, 6)
     record = generate_measurements(
-        1.0, modes, ModalState(np.zeros(6)), sensors, TimeGrid.uniform(1.0, 101)
+        1.0, modes, np.zeros(6), sensors, TimeGrid.uniform(1.0, 101)
     )
     result = reconstruct(HumProblem(6, FULL, sensors, 1.0, 1.0), record)
     assert result.iterations == 1
@@ -625,7 +667,7 @@ def test_reconstruct_with_no_solvable_step_raises_solvability_error():
     # raised on both routes, not a ConvergenceError without a best iterate
     sensors = (Sensor.pointwise((0.5,)),)
     problem = HumProblem(4, FULL, sensors, 0.7, 1.0, Regularization("none"), max_iterations=2)
-    state = ModalState([0.1, -0.05, 0.02, 0.01])
+    state = np.array([0.1, -0.05, 0.02, 0.01])
     modes = eigenpairs(1, len(state))
     record = generate_measurements(0.7, modes, state, sensors, TimeGrid.uniform(1.0, 65))
     last = replace(problem, mode_count=8)
@@ -645,7 +687,7 @@ def test_escalating_reconstruct_decay_point_count(monkeypatch):
     # columns. The residual streams the 65 record nodes and keeps nothing:
     # 2 + 4 + 6 columns
     sensors = (Sensor.pointwise((0.3,)),)
-    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    state = 1.0 / np.arange(1.0, 13.0) ** 2
     points = []
     real = fc.mlf_values
 
@@ -680,7 +722,7 @@ def test_reconstruct_without_escalation_pairs_its_moments_once(monkeypatch):
     # 0.7) or the 64 cell starts (alpha = 1), are paired at the first step
     # alone
     sensors = (Sensor.pointwise((0.3,)),)
-    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    state = 1.0 / np.arange(1.0, 13.0) ** 2
     points = []
     real = fc.mlf_values
 
@@ -713,7 +755,7 @@ def test_escalating_reconstruct_makes_one_l1_pass(monkeypatch):
     # on the truncation: three steps share one caputo_values call, and each
     # step's solve is bitwise the one its own record route gives
     sensors = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.65,)))
-    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    state = 1.0 / np.arange(1.0, 13.0) ** 2
     modes = eigenpairs(1, 12)
     record = generate_measurements(0.7, modes, state, sensors, TimeGrid.uniform(1.0, 65))
     problem = HumProblem(
@@ -748,7 +790,7 @@ def test_sweep_channels_builds_the_truncation_once(monkeypatch):
     # only P depends on the sensor: the channels share one set of modes and
     # one B, and each row is bitwise the solve of a fresh one-sensor problem
     sensors = tuple(Sensor.pointwise((b,)) for b in (0.3, 0.45, 0.65))
-    state = ModalState(1.0 / np.arange(1.0, 9.0) ** 2)
+    state = 1.0 / np.arange(1.0, 9.0) ** 2
     modes = eigenpairs(1, 8)
     record = generate_measurements(0.7, modes, state, sensors, TimeGrid.uniform(1.0, 65))
     problem = HumProblem(4, FULL, sensors, 0.7, 1.0, regularization=Regularization("none"))
@@ -927,7 +969,7 @@ def test_exact_route_moments_of_a_truncation_prefix_a_larger_one():
     # 0.7 and a 12-mode state, M = 1..7 give bit for bit the first M rows of
     # M = 8, where a BLAS product of the decay table did so at M = 4 alone
     sensors = (Sensor.pointwise((0.3,)),)
-    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    state = 1.0 / np.arange(1.0, 13.0) ** 2
     deep = HumProblem(len(state), FULL, sensors, 0.7, 1.0)
     pairing = hum._state_pairing(deep, state)
 
@@ -980,7 +1022,7 @@ def test_escalation_steps_pair_only_the_modes_they_add(monkeypatch, alpha, sampl
     # truncation, though a step pairs only the modes it adds; the record
     # spans several row blocks
     sensors = (Sensor.pointwise((0.3,)), Sensor.pointwise((0.65,)))
-    state = ModalState(1.0 / np.arange(1.0, 13.0) ** 2)
+    state = 1.0 / np.arange(1.0, 13.0) ** 2
     modes = eigenpairs(1, 12)
     record = generate_measurements(alpha, modes, state, sensors, TimeGrid.uniform(1.0, samples))
     problem = HumProblem(

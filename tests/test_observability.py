@@ -120,7 +120,8 @@ def test_report_csv(tmp_path):
     report = ob.test_gradient_strategic([fs.Sensor.pointwise((0.5,))], 4)
     path = str(tmp_path / "groups.csv")
     report.to_csv(path)
-    lines = open(path).read().strip().splitlines()
+    with open(path) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "group,r,smallest_singular_value"
     assert len(lines) == 5
 

@@ -31,17 +31,17 @@ def eigenvalues(modes):
 def mild(alpha, modes, state, t):
     """The state's coefficients at time t: c_k E_alpha(-lam_k t^alpha)."""
     t = np.asarray([t], dtype=float)
-    return state.coefficients * fc.mlf_values(alpha, -np.outer(t**alpha, eigenvalues(modes)))[0]
+    return state * fc.mlf_values(alpha, -np.outer(t**alpha, eigenvalues(modes)))[0]
 
 
 def reading(sensor, state, basis):
     """One sensor reading of a modal state: its row of output_matrix times the state."""
-    return float(fs.output_matrix([sensor], basis)[0] @ state.coefficients)
+    return float(fs.output_matrix([sensor], basis)[0] @ state)
 
 
 def test_model_validation():
     modes = interval_modes(3)
-    state = fs.ModalState(np.ones(3))
+    state = np.ones(3)
     sensors = [fs.Sensor.pointwise((0.3,))]
     grid = fc.TimeGrid.uniform(1.0, 5)
     for alpha in (0.0, 1.2):
@@ -49,6 +49,9 @@ def test_model_validation():
             fs.generate_measurements(alpha, modes, state, sensors, grid)
     with pytest.raises(InputError, match="state length"):
         fs.generate_measurements(0.5, modes[:2], state, sensors, grid)
+    # one coefficient per mode: a column of them is refused, not broadcast
+    with pytest.raises(InputError, match="^state length does not match the basis$"):
+        fs.generate_measurements(0.5, modes, state[:, None], sensors, grid)
 
 
 def test_sensor_validation():
@@ -90,7 +93,7 @@ def test_initial_state_ties_coefficients_to_its_kind_and_depth():
         with pytest.raises(InputError, match="coefficients for depth 3"):
             fs.InitialState("coefficients", 1, 3, coefficients)
     modes, state = fs.InitialState("coefficients", 1, 3, (0.1, 0.2, 0.3)).modal()
-    assert len(modes) == state.coefficients.size == 3
+    assert len(modes) == state.size == 3
 
 
 def test_initial_state_refuses_a_depth_that_is_not_an_integer_at_least_one():
@@ -100,7 +103,7 @@ def test_initial_state_refuses_a_depth_that_is_not_an_integer_at_least_one():
         with pytest.raises(InputError, match=f"^depth must be an integer >= 1, got {depth!r}$"):
             fs.InitialState(kind, 1, depth)
     modes, state = fs.InitialState("poly_sq", 1, np.int64(2)).modal()
-    assert len(modes) == state.coefficients.size == 2
+    assert len(modes) == state.size == 2
 
 
 def test_trig_product_weight_refuses_an_interval_support():
@@ -124,8 +127,8 @@ def test_project_poly_squared_first_coefficient():
     assert oracle == pytest.approx(exact, rel=1e-10)
     modes = interval_modes(3)
     state = fs.project_initial_state(modes, "poly_sq")
-    assert state.coefficients[0] == pytest.approx(exact, rel=1e-12)
-    assert state.coefficients[0] == pytest.approx(0.039380922195424606, rel=1e-12)
+    assert state[0] == pytest.approx(exact, rel=1e-12)
+    assert state[0] == pytest.approx(0.039380922195424606, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -143,7 +146,7 @@ def test_catalog_states_match_quadrature_oracle(kind, u0):
                               epsabs=1e-16, epsrel=1e-12, limit=200)[0]
         for k in range(1, 201)
     ]
-    got = fs.project_initial_state(interval_modes(200), kind).coefficients
+    got = fs.project_initial_state(interval_modes(200), kind)
     assert np.all(got[1::2] == 0.0)
     assert np.max(np.abs(got - want)) <= 1e-15
     with pytest.raises(InputError):
@@ -160,13 +163,13 @@ def test_catalog_states_refuse_modes_of_the_square(kind):
 
 def test_mild_solution_at_zero_is_identity():
     modes = interval_modes(4)
-    state = fs.ModalState(np.array([1.0, -2.0, 0.25, 3.0]))
-    assert np.array_equal(mild(0.77, modes, state, 0.0), state.coefficients)
+    state = np.array([1.0, -2.0, 0.25, 3.0])
+    assert np.array_equal(mild(0.77, modes, state, 0.0), state)
 
 
 def test_mild_solution_classical_limit():
     modes = interval_modes(2)
-    state = fs.ModalState(np.array([1.0, 0.0]))
+    state = np.array([1.0, 0.0])
     out = mild(1.0, modes, state, 0.1)
     assert out[0] == pytest.approx(math.exp(-PI**2 * 0.1), rel=1e-10)
     assert out[0] == pytest.approx(0.37271, abs=5e-5)
@@ -175,7 +178,7 @@ def test_mild_solution_classical_limit():
 def test_mild_solution_half_order_square_mode():
     # E_{1/2}(-x) = erfcx(x); x = 5 pi^2 at t = 1
     modes = np.array([(1, 2)])
-    out = mild(0.5, modes, fs.ModalState(np.array([1.0])), 1.0)
+    out = mild(0.5, modes, np.array([1.0]), 1.0)
     assert out[0] == pytest.approx(erfcx(5 * PI**2), rel=1e-10)
     assert out[0] == pytest.approx(0.011430525332089, rel=1e-9)
 
@@ -183,12 +186,12 @@ def test_mild_solution_half_order_square_mode():
 def test_apply_output_pointwise():
     modes = interval_modes(3)
     sensor = fs.Sensor.pointwise((0.2,))
-    state = fs.ModalState(np.array([1.0, 0.0, 0.0]))
+    state = np.array([1.0, 0.0, 0.0])
     want = math.sqrt(2.0) * math.sin(0.2 * PI)
     got = reading(sensor, state, modes)
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(0.83125, abs=5e-6)
-    zero = fs.ModalState(np.zeros(3))
+    zero = np.zeros(3)
     assert reading(sensor, zero, modes) == 0.0
 
 
@@ -198,7 +201,7 @@ def test_apply_output_zonal_unit_weight():
     sensor = fs.Sensor.zonal(
         sp.Region((0.9,), (1.0,)), lambda x: np.ones_like(np.asarray(x, dtype=float))
     )
-    state = fs.ModalState(np.array([1.0, 0.0]))
+    state = np.array([1.0, 0.0])
     want = math.sqrt(2.0) * (math.cos(0.9 * PI) - math.cos(PI)) / PI
     got = reading(sensor, state, modes)
     assert got == pytest.approx(want, rel=1e-12)
@@ -209,7 +212,7 @@ def test_generate_measurements_zero_initial_state():
     modes = interval_modes(4)
     grid = fc.TimeGrid.uniform(1.0, 17)
     rec = fs.generate_measurements(
-        0.5, modes, fs.ModalState(np.zeros(len(modes))), [fs.Sensor.pointwise((0.3,))], grid
+        0.5, modes, np.zeros(len(modes)), [fs.Sensor.pointwise((0.3,))], grid
     )
     assert np.all(rec.samples == 0.0)
     assert rec.channel_count == 1
@@ -219,7 +222,7 @@ def test_generate_measurements_single_mode_decay():
     modes = interval_modes(4)
     grid = fc.TimeGrid.uniform(1.0, 33)
     b = 0.3
-    state = fs.ModalState(np.array([1.0, 0.0, 0.0, 0.0]))
+    state = np.array([1.0, 0.0, 0.0, 0.0])
     rec = fs.generate_measurements(0.84, modes, state, [fs.Sensor.pointwise((b,))], grid)
     want = fc.mlf_values(0.84, -eigenvalues(modes)[0] * grid.nodes**0.84) * (
         math.sqrt(2.0) * math.sin(PI * b)
@@ -230,14 +233,14 @@ def test_generate_measurements_single_mode_decay():
 def test_generate_measurements_accepts_modal_state():
     alpha, modes = 0.5, interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 9)
-    state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
+    state = np.array([0.5, -1.0, 2.0])
     rec = fs.generate_measurements(alpha, modes, state, [fs.Sensor.pointwise((0.4,))], grid)
     # sum_k c_k E_alpha(-lam_k t^alpha) sqrt(2) sin(k pi b), each E_alpha a one-point call
     direct = [
         sum(
             c * float(fc.mlf_values(alpha, -lam * t**alpha))
             * math.sqrt(2.0) * math.sin(k * PI * 0.4)
-            for c, lam, (k,) in zip(state.coefficients, eigenvalues(modes), modes.tolist())
+            for c, lam, (k,) in zip(state, eigenvalues(modes), modes.tolist())
         )
         for t in grid.nodes
     ]
@@ -269,7 +272,7 @@ def test_catalog_gradients_are_derivatives_of_their_states(kind, u0):
     else:
         a = 4.0 * math.sqrt(2.0) / (PI * k * (16.0 - k * k))
     tail = np.sum(np.abs(a[100:]) * math.sqrt(2.0) * kp[100:]) + 8.0 / 1e6
-    coefficients = fs.project_initial_state(interval_modes(200), kind).coefficients
+    coefficients = fs.project_initial_state(interval_modes(200), kind)
     assert np.array_equal(coefficients[::2], a[:100]) and np.all(coefficients[1::2] == 0.0)
     series = (a[:100] * math.sqrt(2.0) * kp[:100]) @ np.cos(np.outer(kp[:100], x))
     assert np.max(np.abs(series - gradient(x))) <= tail
@@ -291,7 +294,7 @@ def test_measurement_noise_is_seeded():
 def test_noise_sigma_must_be_finite_and_nonnegative(sigma):
     modes = interval_modes(3)
     grid = fc.TimeGrid.uniform(1.0, 9)
-    state = fs.ModalState(np.array([0.5, -1.0, 2.0]))
+    state = np.array([0.5, -1.0, 2.0])
     with pytest.raises(InputError, match="noise_sigma"):
         fs.generate_measurements(0.5, modes, state, [fs.Sensor.pointwise((0.3,))], grid, sigma)
 
@@ -538,7 +541,7 @@ def _traced_peak(fn):
 def long_record():
     """A 65,536-node alpha = 1 record of 200 modes and three sensors."""
     modes = interval_modes(200)
-    state = fs.ModalState(np.random.default_rng(8).standard_normal(200) / np.arange(1, 201))
+    state = np.random.default_rng(8).standard_normal(200) / np.arange(1, 201)
     sensors = [fs.Sensor.pointwise((b,)) for b in (0.2, 0.55, 0.81)]
     grid = fc.TimeGrid.uniform(1.0, 65536)
     return modes, state, sensors, grid
@@ -554,7 +557,7 @@ def test_generate_measurements_holds_no_decay_table(long_record):
     assert rec.samples.shape == (65536, 3)
     assert peak < 16 * MB
     # every 97th row against the table product
-    weights = state.coefficients[:, None] * fs.output_matrix(sensors, modes).T
+    weights = state[:, None] * fs.output_matrix(sensors, modes).T
     decay = np.exp(-np.outer(grid.nodes[::97], eigenvalues(modes)))
     gap = np.abs(rec.samples[::97] - decay @ weights)
     assert np.all(gap <= 1e-14 * (np.abs(decay) @ np.abs(weights)))
@@ -652,16 +655,16 @@ def test_output_linearity():
     sensor = fs.Sensor.zonal(
         sp.Region((0.35,), (0.65,)), lambda x: np.cos(3.0 * np.asarray(x))
     )
-    a = fs.ModalState(rng.normal(size=5))
-    b = fs.ModalState(rng.normal(size=5))
-    lhs = reading(sensor, fs.ModalState(2.0 * a.coefficients + b.coefficients), modes)
+    a = rng.normal(size=5)
+    b = rng.normal(size=5)
+    lhs = reading(sensor, 2.0 * a + b, modes)
     rhs = 2.0 * reading(sensor, a, modes) + reading(sensor, b, modes)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_semigroup_limit_alpha_one():
     modes = interval_modes(6)
-    state = fs.ModalState(np.ones(6))
+    state = np.ones(6)
     for t in np.linspace(0.0, 1.0, 11):
         out = mild(1.0, modes, state, float(t))
         want = np.exp(-eigenvalues(modes) * t)
@@ -679,17 +682,17 @@ def test_admissibility_bound_is_finite():
     ):
         ratios = []
         for _ in range(8):
-            v = fs.ModalState(rng.normal(size=6))
+            v = rng.normal(size=6)
             rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
             energy = float(np.sum(grid.weights_on(slice(None)) * rec.samples[:, 0] ** 2))
-            ratios.append(energy / float(v.coefficients @ v.coefficients))
+            ratios.append(energy / float(v @ v))
         fitted = max(ratios)
         assert np.isfinite(fitted)
         for _ in range(8):
-            v = fs.ModalState(rng.normal(size=6))
+            v = rng.normal(size=6)
             rec = fs.generate_measurements(0.5, modes, v, [sensor], grid)
             energy = float(np.sum(grid.weights_on(slice(None)) * rec.samples[:, 0] ** 2))
-            assert energy <= 2.0 * fitted * float(v.coefficients @ v.coefficients)
+            assert energy <= 2.0 * fitted * float(v @ v)
 
 
 def test_generate_measurements_holds_the_record_once():
@@ -718,6 +721,6 @@ def test_noiseless_record_turns_negative_zero_into_zero(monkeypatch):
     modes = interval_modes(2)
     grid = fc.TimeGrid.uniform(1.0, 2)
     record = fs.generate_measurements(
-        1.0, modes, fs.ModalState(np.ones(2)), [fs.Sensor.pointwise((0.3,))], grid
+        1.0, modes, np.ones(2), [fs.Sensor.pointwise((0.3,))], grid
     )
     assert record.samples.tobytes() == np.array([[0.0], [1.0]]).tobytes()
