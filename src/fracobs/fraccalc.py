@@ -5,15 +5,15 @@ through one entry point, mlf_values, by one rule per order: one fixed
 Bromwich contour, its exponential split off from alpha = 0.99, and exp at
 alpha = 1; the one row-block evaluator of decay tables
 E_alpha(-lam t^alpha) and its table-free product with a weight matrix,
-Caputo derivatives of sampled data, and a residual check for the
-fractional integration-by-parts identity.
+the Caputo derivative of a sampled record (alpha < 1), and a residual
+check for the fractional integration-by-parts identity.
 
-Every grid operator is a product-integration rule: the kernel factor is
-integrated in closed form against the piecewise-linear interpolant of
-the samples, so results are exact whenever the sampled function is
-itself piecewise linear. alpha = 1 reduces to the classical operators
-everywhere, with the convention 1/Gamma(0) = 0 for the vanishing
-singular terms.
+Both grid operators are product-integration rules: the kernel factor is
+integrated in closed form against a model of the samples, so results are
+exact whenever the sampled function is that model. The residual check
+takes the piecewise-linear interpolant, and at alpha = 1 the classical
+identity, with the convention 1/Gamma(0) = 0 for the vanishing singular
+terms.
 """
 
 from __future__ import annotations
@@ -100,8 +100,10 @@ class TimeGrid:
     def uniform(cls, horizon: float, samples: int) -> "TimeGrid":
         """Uniform grid with `samples` nodes (including t = 0) on [0, horizon]."""
         horizon = _check_horizon(horizon)
-        if samples < 2:
-            raise InputError("need at least two samples")
+        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 2:
+            raise InputError(
+                f"a uniform grid needs an integer of at least 2 samples, got {samples!r}"
+            )
         return cls(np.linspace(0.0, horizon, int(samples)))
 
     @classmethod
@@ -111,8 +113,10 @@ class TimeGrid:
         A geometric half, graded down to horizon * 1e-12, resolves the fast
         modal transients a uniform half cannot; the halves share 0 and T.
         """
-        if samples < 4:
-            raise InputError(f"a graded grid needs at least 4 samples, got {samples}")
+        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 4:
+            raise InputError(
+                f"a graded grid needs an integer of at least 4 samples, got {samples!r}"
+            )
         half = samples // 2
         edges = graded_panel_edges(horizon, half, 1e-12)
         return cls(merge_nodes(edges, np.linspace(0.0, horizon, half + 1), horizon))
@@ -154,79 +158,6 @@ def _powv(x: np.ndarray, p: float) -> np.ndarray:
     x = np.maximum(np.asarray(x, dtype=float), 0.0)
     r = np.power(x, p)
     return np.where(x > 0.0, r, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# special functions
-#
-# Gamma values are scalars (math.gamma; every Gamma(1 - alpha) is taken
-# with alpha < 1, away from its pole). Beyond them the package needs one
-# regularized incomplete beta, below.
-
-_BETA_TERMS = 100    # continued-fraction steps before a point counts as failed
-_BETA_TOL = 1e-15    # a point leaves once a step changes its value by less
-
-
-def _beta_fraction(a: float, y: np.ndarray) -> np.ndarray:
-    """Continued fraction of I_y(a, 1 - a), for y <= (a + 1) / 3.
-
-    I_y(a, b) = y^a (1-y)^b / (a B(a, b)) * 1 / (1 + d_1 / (1 + d_2 / ...)),
-    evaluated by Lentz's method. With b = 1 - a every d_m is negative, and
-    below the swap point d_1 is at most 1/3 in size and the others at most
-    2/9, so Lentz's factors stay within [1/2, 2] and need no guard against
-    zero. A point leaves the loop once a step changes it by less than
-    _BETA_TOL; raises AccuracyError if one is left after _BETA_TERMS steps.
-    """
-    out = np.empty_like(y)
-    act = np.arange(y.size)
-    c = np.ones_like(y)
-    d = 1.0 / (1.0 - y / (a + 1.0))
-    h = d.copy()
-    m = 0
-    while y.size:
-        m += 1
-        if m > _BETA_TERMS:
-            raise AccuracyError(
-                f"incomplete beta I_y({a}, {1.0 - a}) did not converge in "
-                f"{_BETA_TERMS} steps at y = {float(y[0])}"
-            )
-        for coef in (
-            m * (1.0 - a - m) / ((a + 2 * m - 1.0) * (a + 2 * m)),
-            -(a + m) * (1.0 + m) / ((a + 2 * m) * (a + 2 * m + 1.0)),
-        ):
-            dm = coef * y
-            d = 1.0 / (1.0 + dm * d)
-            c = 1.0 + dm / c
-            step = d * c
-            h *= step
-        done = np.abs(step - 1.0) <= _BETA_TOL
-        if done.any():
-            out[act[done]] = h[done]
-            keep = ~done
-            act, y, c, d, h = act[keep], y[keep], c[keep], d[keep], h[keep]
-    return out
-
-
-def _beta_reflected(alpha: float, x) -> np.ndarray:
-    """Regularized incomplete beta I_x(alpha, 1 - alpha) for x in [0, 1].
-
-    B(alpha, 1 - alpha) = pi / sin(pi alpha). Below x = (alpha + 1) / 3
-    the continued fraction converges fast; at and above it the symmetry
-    I_x(a, b) = 1 - I_(1-x)(b, a) brings the point below it.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    with np.errstate(divide="ignore"):
-        front = np.exp(alpha * np.log(flat) + (1.0 - alpha) * np.log1p(-flat))
-    front *= math.sin(math.pi * alpha) / math.pi
-    out = np.empty_like(flat)
-    swap = flat >= (alpha + 1.0) / 3.0
-    low = ~swap
-    out[low] = front[low] * _beta_fraction(alpha, flat[low]) / alpha
-    out[swap] = 1.0 - front[swap] * _beta_fraction(
-        1.0 - alpha, 1.0 - flat[swap]
-    ) / (1.0 - alpha)
-    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +396,21 @@ def decay_apply(alpha: float, lams, times, weights) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Caputo derivative of sampled data
 #
-# The L1 memory term of a time t is a sum over the cells before t of
+# A record is modeled as u(0) + c t^alpha on its first cell, the layer a
+# measured output of the evolution starts with, and linear on every later
+# cell. The first cell's memory term is c Gamma(1 + alpha) I_x(alpha,
+# 1 - alpha), x = min(t1 / t, 1), a regularized incomplete beta. The later
+# cells' L1 memory term is a sum over the cells before t of
 # du_cell p int_cell (t - s)^(-alpha) ds, p = 1 - alpha. Its far cells go
 # through a sum of exponentials, (t - s)^(-alpha) ~ sum_j w_j e^(-sigma_j (t - s))
 # (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys. 21 (2017) 650; Baffet
 # & Hesthaven, SIAM J. Numer. Anal. 55 (2017) 496), so the far cells of every
 # time share one history value per exponential, advanced a step of
-# _CAPUTO_CELLS cells at a time.
+# _CAPUTO_CELLS cells at a time. The sum and the beta take their Gauss-Jacobi
+# nodes from one rule, _jacobi_rule.
 
 _CAPUTO_CELLS = 32   # cells per history step
-_SOE_JACOBI = 12     # Gauss-Jacobi nodes of the sum on [0, 1 / T]
+_SOE_JACOBI = 12     # Gauss-Jacobi nodes of the sum on [0, 1 / T], and of the beta
 _SOE_PANEL = 3.0     # width of its Gauss-Legendre panels in log sigma
 _SOE_ORDER = 20      # nodes per panel
 _SOE_CUT = 40.0      # sigma x past which a term is dropped: e^(-40) < 5e-18
@@ -513,81 +449,98 @@ def _exponential_sum(alpha: float, delta: float, horizon: float):
     return sigma, weights / math.gamma(alpha)
 
 
-def caputo_values(
-    grid: TimeGrid, samples, alpha: float, times, first_cell_power: bool = False
-) -> np.ndarray:
-    """Caputo derivative of the samples on the grid at many times.
+def _beta_reflected(alpha: float, x) -> np.ndarray:
+    """Regularized incomplete beta I_x(alpha, 1 - alpha) for x in [0, 1], in x's shape.
 
-    `samples` holds one value per node, or one row of channel values per
-    node (shape nodes x channels); the result has shape times.shape + the
-    channel shape, every channel from one L1 pass.
+    With B(a, 1 - a) = pi / sin(pi a) and the substitution t = y u,
+        I_y(a, 1 - a) = (sin(pi a) / pi) y^a int_0^1 u^(a-1) (1 - y u)^(-a) du,
+    taken by the _SOE_JACOBI-node Gauss-Jacobi rule of the weight u^(a-1).
+    For y <= 1/2 the integrand is analytic on a disc of radius 1 / y >= 2
+    about 0, so the rule is exact to rounding. x <= 1/2 takes y = x; above
+    it, I_x(a, 1 - a) = 1 - I_(1-x)(1 - a, a) brings the point to y = 1 - x.
+    Work memory is a few arrays of x's size.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    swap = x > 0.5
+    for a, side, reflect in ((alpha, ~swap, False), (1.0 - alpha, swap, True)):
+        y = 1.0 - x[side] if reflect else x[side]
+        total = np.zeros_like(y)
+        term = np.empty_like(y)
+        for u, w in zip(*_jacobi_rule(_SOE_JACOBI, a - 1.0)):
+            np.multiply(y, -u, out=term)
+            np.log1p(term, out=term)
+            term *= -a
+            np.exp(term, out=term)
+            term *= w
+            total += term
+        total *= np.power(y, a, out=y)
+        total *= math.sin(math.pi * a) / math.pi
+        out[side] = 1.0 - total if reflect else total
+    return out
 
-    L1-type product integration: the kernel (t-s)^(-alpha) is integrated
-    exactly against the piecewise-linear interpolant, so the rule is
-    exact for piecewise-linear u. At alpha = 1 it returns the interpolant
-    slope at t (left cell slope when t is a node).
 
-    With first_cell_power=True the first cell is modeled as
-    u(0) + c*t^alpha (c fixed by the first sample step) instead of a
-    chord; its memory contribution is exact through the regularized
-    incomplete beta function. That is the right model for measured
-    outputs of the evolution, which start with a t^alpha layer.
+def caputo_values(grid: TimeGrid, samples, alpha: float, times) -> np.ndarray:
+    """Caputo derivative of a record at nondecreasing times, shape (times, channels).
 
-    The cells are taken in steps of _CAPUTO_CELLS. A time's near cells,
-    from the start of the step before the one that holds it, are summed
-    exactly: a cell [a, b] with b < t contributes (t-a)^p - (t-b)^p,
+    `samples` holds one row of channel values per grid node, every channel
+    from one pass; `times` is 1-d, nondecreasing and in (0, T]. alpha = 1
+    raises DomainError. The rule is exact for data that is u(0) + c t^alpha
+    on the first cell (c from the first sample step; its term is the
+    incomplete beta) and linear after (L1 product integration).
+
+    The later cells are taken in steps of _CAPUTO_CELLS. A time's near
+    cells, from the start of the step before the one that holds it, are
+    summed exactly: a cell [a, b] with b < t contributes (t-a)^p - (t-b)^p,
     p = 1 - alpha, formed as (t-b)^p expm1(p log1p((b-a)/(t-b))), which
     does not cancel however small the cell is against t-b; the cell
-    holding t contributes (t-a)^p. A time on a node belongs to the cell
-    that node ends, so alpha = 1 gives the left cell slope. The far cells
-    before the near ones are at least delta, a whole step, away from t:
-    for alpha < 1 they go through _exponential_sum on [delta, T], whose
-    relative error of 1e-14 bounds their part's error by 1e-14 times the
-    sum of its terms' magnitudes. One history value per exponential holds
-    the far cells of every time in a step, and is advanced a step at a
-    time, so the work is O((times + cells) x exponentials + times x cells
-    per step), not O(times x cells). A time drops the exponentials that
-    have decayed past e^(-_SOE_CUT) over its gap. Work memory is the
-    history and one buffer of about _SCRATCH_DOUBLES, allocated once per
-    call, that holds a block of times against their near cells and their
-    exponentials.
+    holding t contributes (t-a)^p, and a time on a node belongs to the cell
+    that node ends. The far cells are at least delta, a whole step, away
+    from t and go through _exponential_sum on [delta, T], whose relative
+    error of 1e-14 bounds their part's. One history value per exponential
+    holds the far cells of every time in a step and is advanced a step at
+    a time, so the work is O((times + cells) x exponentials + times x
+    cells per step); a time drops the exponentials that have decayed past
+    e^(-_SOE_CUT) over its gap. Work memory is the history, one buffer of
+    about _SCRATCH_DOUBLES for a block of times against their near cells
+    and exponentials, and the beta's few arrays of the times' length.
     """
     alpha = _check_alpha(alpha)
+    if alpha == 1.0:
+        raise DomainError("the Caputo derivative of a record takes alpha < 1, got 1.0")
     samples = np.asarray(samples, dtype=float)
     tg = grid.nodes
-    if samples.ndim not in (1, 2) or samples.shape[0] != tg.size:
-        raise InputError("sample count does not match the grid")
+    if samples.ndim != 2 or samples.shape[0] != tg.size:
+        raise InputError(
+            f"samples of shape {samples.shape} are not one row of channels per grid node"
+        )
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise InputError(f"evaluation times must be 1-d, got shape {times.shape}")
     if not np.all((times > 0.0) & (times <= tg[-1] * (1.0 + 1e-12))):
         raise DomainError("evaluation times must lie in (0, T]")
+    if not np.all(times[1:] >= times[:-1]):
+        raise InputError("evaluation times must be nondecreasing")
     p = 1.0 - alpha
-    vals = samples.reshape(tg.size, -1)  # one column per channel
 
-    if first_cell_power and alpha < 1.0:
-        t1 = tg[1]
-        c = (vals[1] - vals[0]) / t1**alpha
-        start = c * math.gamma(1.0 + alpha) * _beta_reflected(
-            alpha, np.minimum(t1 / times, 1.0)
-        )[..., None]
-        edges, vals = tg[1:], vals[1:]
-    else:
-        start = 0.0
-        edges = tg
+    t1 = tg[1]
+    beta = _beta_reflected(alpha, np.minimum(t1 / times, 1.0))
+    c = (samples[1] - samples[0]) / t1**alpha
+    edges, vals = tg[1:], samples[1:]
     a, b = edges[:-1], edges[1:]
     h = np.diff(edges)
     du = np.diff(vals, axis=0) / h[:, None]
 
-    flat = times.ravel()
-    order = np.argsort(flat, kind="stable")
-    ts = flat[order]
-    done = np.searchsorted(b, ts, side="left")  # cells with b < t
+    # A time's near cells start at m * step, the m-th group, once (m + 1)
+    # steps of cells end before it (m >= 1); group 0 holds the rest.
     step = _CAPUTO_CELLS
-    near = np.maximum(done // step - 1, 0) * step  # a time's first near cell
+    bounds = np.r_[0, np.searchsorted(times, b[2 * step - 1 :: step], side="right"), times.size]
+    groups = np.flatnonzero(np.diff(bounds))  # the nonempty ones
+    far = groups[groups > 0]
     sigma = np.empty(0)
-    far = near > 0
-    if alpha < 1.0 and far.any():
-        delta = np.min(ts[far] - edges[near[far]])
-        sigma, weights = _exponential_sum(alpha, delta, ts[-1] - edges[0])
+    if far.size:
+        delta = np.min(times[bounds[far]] - edges[far * step])
+        sigma, weights = _exponential_sum(alpha, delta, times[-1] - edges[0])
         # the history holds p w_j int_cell e^(-sigma_j (edge - s)) ds du_cell
         # summed over the far cells, about the edge where they end
         coef = -p * weights / sigma
@@ -595,11 +548,10 @@ def caputo_values(
     history = np.zeros((sigma.size, du.shape[1]))
     held = 0  # cells in the history
     rows = max(1, _SCRATCH_DOUBLES // (4 * step + sigma.size))
-    work = np.empty(min(rows, ts.size) * (4 * step + sigma.size))
-    memory = np.empty((ts.size, du.shape[1]))
-    groups = np.flatnonzero(np.diff(near, prepend=-1))  # the first time of each
-    for g_lo, g_hi in zip(groups, np.r_[groups[1:], ts.size]):
-        first = int(near[g_lo])
+    work = np.empty(min(rows, times.size) * (4 * step + sigma.size))
+    memory = np.empty((times.size, du.shape[1]))
+    for group in groups:
+        first = int(group) * step
         while sigma.size and held < first:
             cells, end = slice(held, held + step), edges[held + step]
             lost, decay = grow
@@ -612,9 +564,10 @@ def caputo_values(
             history *= np.exp(sigma * (edges[held] - end))[:, None]
             history += lost @ du[cells]
             held += step
-        for lo in range(g_lo, g_hi, rows):
-            tt = ts[lo : min(lo + rows, g_hi)]
-            k = done[lo : lo + tt.size]
+        g_hi = bounds[group + 1]
+        for lo in range(bounds[group], g_hi, rows):
+            tt = times[lo : min(lo + rows, g_hi)]
+            k = np.searchsorted(b, tt, side="left")  # cells with b < t
             inner, cols = k[0] - first, k[-1]  # cells before k[0] end before every time
             size = tt.size * (cols - first)
             gap = work[:size].reshape(tt.size, cols - first)
@@ -640,10 +593,9 @@ def caputo_values(
                 np.exp(decay, out=decay)
                 row += decay @ history[:live]
             memory[lo : lo + tt.size] = row
-    out = np.empty_like(memory)
-    out[order] = memory / math.gamma(2.0 - alpha)
-    out = out.reshape(times.shape + du.shape[1:]) + start
-    return out.reshape(times.shape + samples.shape[1:])
+    memory /= math.gamma(2.0 - alpha)
+    memory += np.multiply.outer(beta, c * math.gamma(1.0 + alpha))
+    return memory
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,10 @@ MOMENT_ORDER = 8
 # modes each of a block's arrays takes 256 KB
 _RECORD_ROWS = 4096
 # positions x moment nodes per sweep chunk: the result of the chunk's L1
-# pass stays within 8 MB and its record within 1 MB; the pass's own work
-# arrays grow with the moment nodes alone (62.4 MB on 524,736 nodes, for
-# one channel as for two) and are not bounded by it
+# pass stays within 8 MB and its record within 1 MB; the pass's own work,
+# the first cell's incomplete beta at about 40 bytes a moment node (22.0 MB
+# traced on 524,736 nodes for one channel, 23.9 MB for two), is not bounded
+# by it
 _SWEEP_BLOCK = 1 << 20
 # Gauss-Legendre order per axis of the error metric over omega
 OMEGA_ORDER = 96
@@ -152,10 +153,11 @@ class Regularization:
             raise InputError("regularization 'none' takes no value")
         if self.kind in ("truncated_svd", "spectral_tikhonov") and self.value is None:
             raise InputError(f"regularization {self.kind!r} requires a value")
-        if self.value is not None and not (math.isfinite(self.value) and self.value > 0.0):
-            raise InputError(
-                f"regularization value must be finite and positive, got {self.value}"
-            )
+        value = self.value
+        if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise InputError(f"regularization value must be a number, got {value!r}")
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise InputError(f"regularization value must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,12 @@ class HumProblem:
         object.__setattr__(self, "sensors", tuple(self.sensors))
         for name, (rule, ok) in PROBLEM_RANGES.items():
             value = getattr(self, name)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if name in ("mode_count", "escalation_step", "max_iterations") and not integral:
-                raise InputError(f"{name} must be an integer {rule}, got {value!r}")
+            integer = name in ("mode_count", "escalation_step", "max_iterations")
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real
+            ):
+                kind = "an integer" if integer else "a number"
+                raise InputError(f"{name} must be {kind} {rule}, got {value!r}")
             if not ok(value):
                 raise InputError(f"{name} must be {rule}, got {value}")
         if any(s.dimension != self.dimension for s in self.sensors):
@@ -344,9 +349,11 @@ def _record_pairing(
     """The (times, data, cells) whose _pair_decay sums are the record's moments.
 
     The record must hold one channel per sensor, then span the problem's
-    horizon. The weighted derivative on the moment nodes depends on the
-    record, alpha and the horizon, not on the modes, so its L1 pass is
-    made here once and the pairing serves every truncation.
+    horizon. At alpha = 1 the pairing is the record's own cells. Below it,
+    the weighted derivative on the ascending moment nodes depends on the
+    record, alpha and the horizon, not on the modes, so its one
+    caputo_values pass is made here and the pairing serves every
+    truncation.
     """
     p = len(problem.sensors)
     if record.channel_count != p:
@@ -359,9 +366,7 @@ def _record_pairing(
     if alpha == 1.0:
         return record.grid.nodes, record.samples, True
     tq, wq = _moment_nodes(problem, record.grid)
-    weighted = wq[:, None] * -caputo_values(
-        record.grid, record.samples, alpha, tq, first_cell_power=True
-    )
+    weighted = wq[:, None] * -caputo_values(record.grid, record.samples, alpha, tq)
     return tq, weighted, False
 
 
@@ -675,8 +680,9 @@ def sweep_chunk(rows: int) -> int:
 
     _SWEEP_BLOCK bounds the chunk's arrays of results, not its work: its
     Caputo values on the moment nodes take at most 8 MB and its record
-    1 MB, while the work of its one caputo_values call grows with the
-    moment nodes, whatever the chunk's width.
+    1 MB, while its one caputo_values call also holds the first cell's
+    incomplete beta, about 40 bytes a moment node, whatever the chunk's
+    width.
     """
     return max(1, _SWEEP_BLOCK // (rows * MOMENT_ORDER))
 

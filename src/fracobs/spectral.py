@@ -77,7 +77,7 @@ def eigenpairs(dimension: int, count: int) -> np.ndarray:
     """
     if dimension not in (1, 2):
         raise InputError(f"dimension must be 1 or 2, got {dimension}")
-    if not isinstance(count, numbers.Integral) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
         raise InputError(f"count must be an integer >= 1, got {count!r}")
     if dimension == 1:
         modes = np.arange(1, count + 1)[:, None]

@@ -137,8 +137,9 @@ class InitialState:
     def __post_init__(self) -> None:
         if self.kind not in STATE_KINDS:
             raise InputError(f"unknown state kind {self.kind!r}")
-        if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
-            raise InputError(f"depth must be an integer >= 1, got {self.depth!r}")
+        depth = self.depth
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 1:
+            raise InputError(f"depth must be an integer >= 1, got {depth!r}")
         if self.kind in _CATALOG and self.dimension != 1:
             raise InputError(f"{self.kind} lives on the interval, got dimension {self.dimension}")
         if self.kind != "coefficients" and self.coefficients:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -135,6 +136,22 @@ def test_problem_refuses_an_escalation_field_that_is_not_an_integer(field, rule,
     # a numpy integer is an integer
     problem = replace(problem, escalation_step=np.int64(1), max_iterations=np.int64(2))
     assert (problem.escalation_step, problem.max_iterations) == (1, 2)
+
+
+def test_problem_and_regularization_refuse_a_bool_or_a_string():
+    # a True alpha built an alpha-1 problem and a True horizon or epsilon
+    # was 1.0; "0.5" met the range check as a bare TypeError. Each is
+    # refused where it is built, by its field's name
+    problem = HumProblem(3, FULL, (Sensor.pointwise((0.3,)),), 0.5, 1.0)
+    for field, value in (("alpha", True), ("alpha", "0.5"), ("horizon", True), ("epsilon", True),
+                         ("epsilon", "1e-6")):
+        rule = re.escape(hum.PROBLEM_RANGES[field][0])
+        with pytest.raises(InputError, match=f"^{field} must be a number {rule}, got {value!r}$"):
+            replace(problem, **{field: value})
+    assert replace(problem, alpha=np.float64(0.25), horizon=2).alpha == 0.25
+    for value in (True, "1e-3"):
+        with pytest.raises(InputError, match=f"^regularization value must be a number, got {value!r}$"):
+            Regularization("tikhonov", value)
 
 
 def unit_field(i, M, n):

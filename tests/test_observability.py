@@ -76,6 +76,9 @@ def test_strategic_verdict_zonal_edge():
 def test_strategic_requires_sensors():
     with pytest.raises(InputError):
         ob.test_gradient_strategic([], 4)
+    # eigenpairs(1, True) was one mode, so a True M returned a verdict
+    with pytest.raises(InputError, match="count must be an integer >= 1, got True$"):
+        ob.test_gradient_strategic([fs.Sensor.pointwise((0.3,))], True)
 
 
 def test_strategic_synthetic_multiplicity_needs_more_sensors():

@@ -321,7 +321,7 @@ def test_grad_coupling_matches_brute_quadrature_m25():
 
 
 def test_mode_validation():
-    for count in (0, 2.5, -1, "3"):
+    for count in (0, 2.5, -1, "3", True):
         with pytest.raises(InputError, match=f"count must be an integer >= 1, got {count!r}"):
             sp.eigenpairs(1, count)
     with pytest.raises(InputError, match="dimension must be 1 or 2, got 3"):

@@ -98,8 +98,9 @@ def test_initial_state_ties_coefficients_to_its_kind_and_depth():
 
 def test_initial_state_refuses_a_depth_that_is_not_an_integer_at_least_one():
     # refused where the state is built, by its field's name, not later by
-    # modal() as a `count`; a numpy integer is an integer
-    for kind, depth in (("poly_sq", 2.5), ("trig_sq", 3.0), ("zero", 0), ("zero", -2), ("coefficients", 0)):
+    # modal() as a `count`; a numpy integer is an integer, a bool is not
+    for kind, depth in (("poly_sq", 2.5), ("trig_sq", 3.0), ("zero", 0), ("zero", -2), ("coefficients", 0),
+                        ("zero", True)):
         with pytest.raises(InputError, match=f"^depth must be an integer >= 1, got {depth!r}$"):
             fs.InitialState(kind, 1, depth)
     modes, state = fs.InitialState("poly_sq", 1, np.int64(2)).modal()
