@@ -9,7 +9,8 @@ the command that sets a long pair's peak shows.
 It fails when a long pair's peak is more than its bound above the short
 pair's:
 
-- alpha = 0.84, graded, 64 then 8,192 samples (about 1 s): 6 MB;
+- alpha = 0.84, graded, 64 then 8,192 samples (about 0.5 s): 6 MB, and
+  32,768 samples (about 1 s): 11 MB;
 - alpha = 1, three sensors escalating to 8 modes, 64 then 65,536
   samples: 12 MB, and 262,144 samples: 14 MB.
 
@@ -58,7 +59,7 @@ escalation.step = 4
 
 # (name, config without time.samples, short sample count, (long sample count, bound in MB)...)
 CASES = (
-    ("graded", GRADED, 64, ((8192, 6.0),)),
+    ("graded", GRADED, 64, ((8192, 6.0), (32768, 11.0))),
     ("alpha1", ALPHA_ONE, 64, ((65536, 12.0), (262144, 14.0))),
 )
 

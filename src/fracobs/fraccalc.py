@@ -65,7 +65,8 @@ def _check_horizon(horizon: float) -> float:
 # work buffer (two node pairs x points matrices, for the contour and the
 # split alike) stays within _SCRATCH_DOUBLES, 1 MB, which a core's L2 cache
 # holds; both rules are pointwise, so the blocking moves no value.
-# The L1 pass of caputo_values holds one buffer of about that size too.
+# The L1 pass of caputo_values holds one buffer of about that size too, and
+# so does a block of its incomplete beta.
 
 _SCRATCH_DOUBLES = 1 << 17
 
@@ -414,6 +415,7 @@ _SOE_JACOBI = 12     # Gauss-Jacobi nodes of the sum on [0, 1 / T], and of the b
 _SOE_PANEL = 3.0     # width of its Gauss-Legendre panels in log sigma
 _SOE_ORDER = 20      # nodes per panel
 _SOE_CUT = 40.0      # sigma x past which a term is dropped: e^(-40) < 5e-18
+_BETA_BLOCK = _SCRATCH_DOUBLES // 4  # points per block of the incomplete beta
 
 
 def _jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -458,25 +460,36 @@ def _beta_reflected(alpha: float, x) -> np.ndarray:
     For y <= 1/2 the integrand is analytic on a disc of radius 1 / y >= 2
     about 0, so the rule is exact to rounding. x <= 1/2 takes y = x; above
     it, I_x(a, 1 - a) = 1 - I_(1-x)(1 - a, a) brings the point to y = 1 - x.
-    Work memory is a few arrays of x's size.
+    Both rules are built once per call, and the points are taken in blocks
+    of _BETA_BLOCK, whose three float arrays (the reflected points, the sum
+    and one term) stay within _SCRATCH_DOUBLES; work memory past the result
+    is one such block whatever x's size. Every value depends on its own
+    point alone, so the blocking moves none.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    swap = x > 0.5
-    for a, side, reflect in ((alpha, ~swap, False), (1.0 - alpha, swap, True)):
-        y = 1.0 - x[side] if reflect else x[side]
-        total = np.zeros_like(y)
-        term = np.empty_like(y)
-        for u, w in zip(*_jacobi_rule(_SOE_JACOBI, a - 1.0)):
-            np.multiply(y, -u, out=term)
-            np.log1p(term, out=term)
-            term *= -a
-            np.exp(term, out=term)
-            term *= w
-            total += term
-        total *= np.power(y, a, out=y)
-        total *= math.sin(math.pi * a) / math.pi
-        out[side] = 1.0 - total if reflect else total
+    rules = [(a, *_jacobi_rule(_SOE_JACOBI, a - 1.0)) for a in (alpha, 1.0 - alpha)]
+    flat, into = x.ravel(), out.ravel()
+    for lo in range(0, flat.size, _BETA_BLOCK):
+        xs = flat[lo : lo + _BETA_BLOCK]
+        swap = xs > 0.5
+        for (a, nodes, weights), reflect in zip(rules, (False, True)):
+            side = swap if reflect else ~swap
+            y = 1.0 - xs[side] if reflect else xs[side]
+            total = np.zeros_like(y)
+            term = np.empty_like(y)
+            for u, w in zip(nodes, weights):
+                np.multiply(y, -u, out=term)
+                np.log1p(term, out=term)
+                term *= -a
+                np.exp(term, out=term)
+                term *= w
+                total += term
+            total *= np.power(y, a, out=y)
+            total *= math.sin(math.pi * a) / math.pi
+            if reflect:
+                np.subtract(1.0, total, out=total)
+            into[lo : lo + xs.size][side] = total
     return out
 
 
@@ -503,7 +516,9 @@ def caputo_values(grid: TimeGrid, samples, alpha: float, times) -> np.ndarray:
     cells per step); a time drops the exponentials that have decayed past
     e^(-_SOE_CUT) over its gap. Work memory is the history, one buffer of
     about _SCRATCH_DOUBLES for a block of times against their near cells
-    and exponentials, and the beta's few arrays of the times' length.
+    and exponentials, and the first cell's beta, one array of the times'
+    length; each block of times is scaled and takes its beta term as it is
+    written to the result.
     """
     alpha = _check_alpha(alpha)
     if alpha == 1.0:
@@ -525,7 +540,8 @@ def caputo_values(grid: TimeGrid, samples, alpha: float, times) -> np.ndarray:
 
     t1 = tg[1]
     beta = _beta_reflected(alpha, np.minimum(t1 / times, 1.0))
-    c = (samples[1] - samples[0]) / t1**alpha
+    start = (samples[1] - samples[0]) / t1**alpha * math.gamma(1.0 + alpha)
+    scale = math.gamma(2.0 - alpha)
     edges, vals = tg[1:], samples[1:]
     a, b = edges[:-1], edges[1:]
     h = np.diff(edges)
@@ -592,9 +608,9 @@ def caputo_values(grid: TimeGrid, samples, alpha: float, times) -> np.ndarray:
                 np.multiply.outer(edges[first] - tt, sigma[:live], out=decay)
                 np.exp(decay, out=decay)
                 row += decay @ history[:live]
+            row /= scale
+            row += np.multiply.outer(beta[lo : lo + tt.size], start)
             memory[lo : lo + tt.size] = row
-    memory /= math.gamma(2.0 - alpha)
-    memory += np.multiply.outer(beta, c * math.gamma(1.0 + alpha))
     return memory
 
 
@@ -715,7 +731,7 @@ def merge_nodes(first, second, horizon: float) -> np.ndarray:
     return nodes[keep]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per order.
 
@@ -730,9 +746,10 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     The weights are 2 / (dP_n/dtheta)^2. Against a 40-digit oracle the
     nodes are within 3e-16 and the weights within 1e-13 relative up to
     order 128 (tests/test_fraccalc.py). Raises InputError unless the order
-    is an integer >= 1.
+    is an integer >= 1 and not a bool; the cache keys each order with its
+    type, so True or 8.0 never meets the rule cached for 1 or 8.
     """
-    if not isinstance(order, numbers.Integral) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
         raise InputError(f"Gauss-Legendre order must be an integer >= 1, got {order!r}")
     n = int(order)
     half = n // 2

@@ -12,7 +12,9 @@ sensor functionals. The right-hand side pairs the same evolutions against
 the data after applying the time-fractional derivative to it, which is
 what makes noiseless in-span data reproduce Lambda times the true
 coefficients exactly. For alpha < 1 the L1 Caputo rule is applied to the
-samples on Gauss moment nodes, once per reconstruction: the nodes do not
+samples on Gauss moment nodes, once per reconstruction: 8 per record cell,
+or 4 in a cell much finer than its start time once every mode has
+settled into its algebraic tail (_moment_nodes). The nodes do not
 depend on the truncation, so every escalation step pairs the same
 weighted derivative with the decay profiles of its modes. fraccalc.caputo_values
 sums each node's near cells exactly and its far cells through a sum of
@@ -64,7 +66,7 @@ from .fraccalc import (
     caputo_values,
     decay_apply,
     decay_blocks,
-    gauss_panels,
+    gauss_legendre,
     graded_panel_edges,
     merge_nodes,
     ml_product_matrix,
@@ -114,14 +116,19 @@ PROBLEM_RANGES: dict[str, tuple[str, Callable[[float], bool]]] = {
 # Gauss rule in time for the moment nodes of the right-hand side, alpha < 1
 MOMENT_PANELS = 64
 MOMENT_ORDER = 8
+# a cell [a, b] takes the MOMENT_FINE_ORDER rule in place of MOMENT_ORDER's when
+# b - a <= MOMENT_FINE_WIDTH a and a >= MOMENT_SETTLED lam_1^(-1/alpha)
+MOMENT_FINE_ORDER = 4
+MOMENT_FINE_WIDTH = 0.01
+MOMENT_SETTLED = 4.0
 # rows per block of a record pairing, whatever the number of modes: at 8
 # modes each of a block's arrays takes 256 KB
 _RECORD_ROWS = 4096
 # positions x moment nodes per sweep chunk: the result of the chunk's L1
 # pass stays within 8 MB and its record within 1 MB; the pass's own work,
-# the first cell's incomplete beta at about 40 bytes a moment node (22.0 MB
-# traced on 524,736 nodes for one channel, 23.9 MB for two), is not bounded
-# by it
+# the first cell's incomplete beta at 8 bytes a moment node past about 2 MB
+# of buffers (10.3 MB traced with the result on 524,736 nodes for one
+# channel, 14.8 MB for two), is not bounded by it
 _SWEEP_BLOCK = 1 << 20
 # Gauss-Legendre order per axis of the error metric over omega
 OMEGA_ORDER = 96
@@ -317,9 +324,31 @@ def _moment_nodes(problem: HumProblem, grid: TimeGrid) -> tuple[np.ndarray, np.n
     The data enters through piecewise operations between its samples, so
     aligning panel edges with the sample nodes keeps each Gauss point
     inside a single data cell; the graded edges resolve the layer at 0.
+    A cell [a, b] takes MOMENT_ORDER points, or MOMENT_FINE_ORDER when it
+    is fine, b - a <= MOMENT_FINE_WIDTH a, and settled, a >= MOMENT_SETTLED
+    tau_1, with tau_1 = lam_1^(-1/alpha) the slowest mode's decay time:
+    past a few tau_1 every mode's E_alpha(-lam t^alpha) is in its algebraic
+    tail, smooth at the scale of t. lam_1 is the same for every truncation,
+    and so are the points. Each cell's points are written at the cell's
+    own offset, so they ascend with no sort, and those of a MOMENT_ORDER
+    cell are bitwise the cell's gauss_panels points.
     """
-    graded = graded_panel_edges(problem.horizon, MOMENT_PANELS, 1e-16)
-    return gauss_panels(merge_nodes(graded, grid.nodes, problem.horizon), MOMENT_ORDER)
+    edges = merge_nodes(
+        graded_panel_edges(problem.horizon, MOMENT_PANELS, 1e-16), grid.nodes, problem.horizon
+    )
+    a, b = edges[:-1], edges[1:]
+    settled = MOMENT_SETTLED * np.min(problem.eigenvalues) ** (-1.0 / problem.alpha)
+    fine = (b - a <= MOMENT_FINE_WIDTH * a) & (a >= settled)
+    counts = np.where(fine, MOMENT_FINE_ORDER, MOMENT_ORDER)
+    ends = np.cumsum(counts)
+    nodes, weights = np.empty(ends[-1]), np.empty(ends[-1])
+    mid, half = 0.5 * (b + a), 0.5 * (b - a)
+    for cells, order in ((~fine, MOMENT_ORDER), (fine, MOMENT_FINE_ORDER)):
+        x, w = gauss_legendre(order)
+        at = (ends[cells] - order)[:, None] + np.arange(order)
+        nodes[at] = mid[cells, None] + half[cells, None] * x
+        weights[at] = half[cells, None] * w
+    return nodes, weights
 
 
 def record_moments(problem: HumProblem, record: MeasurementRecord) -> np.ndarray:
@@ -681,8 +710,10 @@ def sweep_chunk(rows: int) -> int:
     _SWEEP_BLOCK bounds the chunk's arrays of results, not its work: its
     Caputo values on the moment nodes take at most 8 MB and its record
     1 MB, while its one caputo_values call also holds the first cell's
-    incomplete beta, about 40 bytes a moment node, whatever the chunk's
-    width.
+    incomplete beta, 8 bytes a moment node, whatever the chunk's width.
+    The chunk counts MOMENT_ORDER nodes a cell, the most a cell takes, so
+    the record's fine, settled cells of MOMENT_FINE_ORDER nodes leave its
+    arrays below the bound.
     """
     return max(1, _SWEEP_BLOCK // (rows * MOMENT_ORDER))
 

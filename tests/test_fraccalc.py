@@ -145,6 +145,25 @@ def test_incomplete_beta_half_matches_arcsine_law():
     assert fc._beta_reflected(0.5, np.array([])).shape == (0,)
 
 
+def test_incomplete_beta_blocks_move_no_value(monkeypatch):
+    # two and a half blocks of points on both sides of the swap, in a 2-d
+    # shape: each value is bitwise that of a call on its point alone, and the
+    # rules are built once per call, two Jacobi eigen-solves
+    x = np.random.default_rng(4).uniform(0.0, 1.0, (5, fc._BETA_BLOCK // 2))
+    solves = []
+    real = fc.eigh
+
+    def counted(m):
+        solves.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(fc, "eigh", counted)
+    got = fc._beta_reflected(0.84, x)
+    assert got.shape == x.shape and len(solves) == 2
+    for i in (0, 1, fc._BETA_BLOCK - 1, fc._BETA_BLOCK, x.size - 1):
+        assert got.flat[i] == fc._beta_reflected(0.84, x.flat[i : i + 1])[0]
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 
@@ -854,11 +873,13 @@ def test_caputo_values_work_buffer_is_capped():
     assert peak < 12 * MB
     assert np.max(np.abs(got[:, 0] - kept(taus)) / kept(taus)) <= 1e-12
     # 131,072 times from inside the first cell on: past the 8 bytes of its
-    # result, a time's work is the first cell's beta, a few arrays of the
-    # times' length. Per-node arrays of every later step would set the peak
+    # result, a time holds the 8 of the first cell's beta, and the rest is
+    # the L1 pass's 1 MB buffer and one block of the beta's work; measured
+    # 27.8 bytes a time. Per-node arrays of every later step, or the beta's
+    # work over every time, would set the peak
     many = np.linspace(t1 / 2.0, 1.0, 1 << 17)
     got, peak = _traced_peak(lambda: fc.caputo_values(g, lin[:, None], a, many))
-    assert peak < 64 * many.size
+    assert peak < 28 * many.size
     assert np.max(np.abs(got[:, 0] - kept(many)) / kept(many)) <= 1e-12
     u = np.sin(5.0 * g.nodes) + g.nodes**2
     got = fc.caputo_values(g, u[:, None], a, taus)[:, 0]
@@ -1100,6 +1121,21 @@ def test_gauss_legendre_matches_a_40_digit_oracle():
 def test_gauss_legendre_refuses_an_order_that_is_not_a_positive_integer(order):
     with pytest.raises(InputError, match=f"order must be an integer >= 1, got {order!r}"):
         fc.gauss_legendre(order)
+
+
+@pytest.mark.parametrize(
+    "order, twins", [(True, (1, np.int64(1))), (False, ()), (8.0, (8, np.int64(8)))]
+)
+def test_gauss_legendre_refuses_a_bool_or_float_order_after_its_twin_is_cached(order, twins):
+    # the cache keys each order with its type: True is not the order-1 rule,
+    # nor 8.0 the order-8 rule, even once an equal integer's rule is cached
+    # (np.int64(1) and True make equal keys of an untyped cache)
+    for twin in twins:
+        fc.gauss_legendre(twin)
+    with pytest.raises(InputError, match=f"got {order!r}"):
+        fc.gauss_legendre(order)
+    with pytest.raises(InputError, match=f"got {order!r}"):
+        fc.gauss_panels([0.0, 0.5, 1.0], order)
 
 
 def test_gauss_panels_refuse_a_fractional_order():

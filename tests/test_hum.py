@@ -431,6 +431,97 @@ def test_rhs_data_route_gap_graded_record():
     assert gap <= 3e-5
 
 
+def _eight_node_rule(problem, grid):
+    """The moment nodes of 8 Gauss points in every cell: the reference rule."""
+    edges = fc.merge_nodes(
+        graded_panel_edges(problem.horizon, hum.MOMENT_PANELS, 1e-16), grid.nodes, problem.horizon
+    )
+    return fc.gauss_panels(edges, 8)
+
+
+SWEEP_SENSOR = (Sensor.pointwise((0.55,)),)
+LONG_RECORD_STATE = np.array([1.0, 0.5, 0.25])
+PLANE_SENSORS = (Sensor.pointwise((0.31, 0.47)), Sensor.pointwise((0.73, 0.19)))
+PLANE_STATE = np.array([1.0, -0.6, 0.4, 0.3, -0.2, 0.1])
+
+
+@pytest.mark.parametrize(
+    "case, alpha, grading, samples, sigma",
+    [
+        ("sweep", a, g, 2048, s)
+        for a in (0.3, 0.84)
+        for g in ("graded", "uniform")
+        for s in (0.0, 1e-4)
+    ]
+    + [("long_record", 0.84, "graded", 8192, 0.0), ("plane", 0.7, "graded", 2048, 0.0)],
+)
+def test_moment_rule_change_is_within_the_route_budget(
+    monkeypatch, case, alpha, grading, samples, sigma
+):
+    # the per-cell rule (4 Gauss nodes in fine, settled cells) moves the
+    # record's right-hand side by at most 1/20 of the 8-node rule's own gap
+    # to the exact route. The sweep point's records (seed 3), the state and
+    # sensor of .github/long_record.cfg at M = 4 and 8,192 samples, and two
+    # 2-d point sensors on a 6-mode state; the smallest measured margin is
+    # 79, on the long record (50 at its 32,768 samples)
+    if case == "sweep":
+        modes = eigenpairs(1, 200)
+        state = project_initial_state(modes, "trig_sq")
+        problem = HumProblem(8, Region((0.0,), (0.25,)), SWEEP_SENSOR, alpha, 1.0)
+    elif case == "long_record":
+        modes, state = eigenpairs(1, 3), LONG_RECORD_STATE
+        problem = HumProblem(4, Region((0.35,), (0.65,)), SWEEP_SENSOR, alpha, 1.0)
+    else:
+        modes, state = eigenpairs(2, 6), PLANE_STATE
+        problem = HumProblem(8, Region((0.1, 0.2), (0.6, 0.7)), PLANE_SENSORS, alpha, 1.0)
+    grid = getattr(TimeGrid, grading)(1.0, samples)
+    record = generate_measurements(alpha, modes, state, problem.sensors, grid, sigma, 3)
+    exact = assemble_rhs_from_state(problem, state)
+    rhs = record_rhs(problem, record)
+    monkeypatch.setattr(hum, "_moment_nodes", _eight_node_rule)
+    reference = record_rhs(problem, record)
+    gap = np.linalg.norm(reference - exact)
+    assert np.linalg.norm(rhs - reference) <= gap / 20
+
+
+@pytest.mark.parametrize(
+    "dimension, alpha, horizon, grid, nodes",
+    [
+        (1, 0.84, 1.0, TimeGrid.uniform(1.0, 512), 3028),  # sweep-sensor's record
+        (1, 0.5, 2.0, TimeGrid.graded(2.0, 1024), 6696),  # README's record
+        (2, 0.7, 1.0, TimeGrid.graded(1.0, 2048), None),
+    ],
+)
+def test_moment_nodes_take_four_points_in_fine_settled_cells(
+    dimension, alpha, horizon, grid, nodes
+):
+    # nodes ascend with no sort, each cell's weights sum to its width, and a
+    # cell [a, b] takes 4 points exactly when b - a <= a / 100 and a >= 4
+    # tau_1, tau_1 = lam_1^(-1/alpha) with lam_1 = dimension pi^2; 8 points,
+    # bitwise the 8-point panel's, elsewhere. No truncation moves them
+    omega = Region((0.0,) * dimension, (0.5,) * dimension)
+    sensors = (Sensor.pointwise((0.3,) * dimension),)
+    problem = HumProblem(8, omega, sensors, alpha, horizon)
+    t, w = hum._moment_nodes(problem, grid)
+    assert np.all(np.diff(t) > 0.0)
+    edges = fc.merge_nodes(graded_panel_edges(horizon, 64, 1e-16), grid.nodes, horizon)
+    a, b = edges[:-1], edges[1:]
+    cell = np.searchsorted(edges, t) - 1
+    assert np.allclose(np.bincount(cell, weights=w), b - a, rtol=1e-14, atol=0.0)
+    fine = (b - a <= 0.01 * a) & (a >= 4.0 * (dimension * np.pi**2) ** (-1.0 / alpha))
+    assert fine.any() and not fine.all()
+    assert np.array_equal(np.bincount(cell), np.where(fine, 4, 8))
+    t8, w8 = _eight_node_rule(problem, grid)
+    eight = np.repeat(~fine, np.where(fine, 4, 8))
+    coarse = np.repeat(~fine, 8)
+    assert np.array_equal(t[eight], t8[coarse]) and np.array_equal(w[eight], w8[coarse])
+    if nodes is not None:
+        assert t.size == nodes
+    for M in (1, 20):
+        again = hum._moment_nodes(replace(problem, mode_count=M), grid)
+        assert np.array_equal(again[0], t) and np.array_equal(again[1], w)
+
+
 def test_exact_route_evaluates_only_modes_with_weight(monkeypatch):
     # the derivative of the 96-mode poly_sq state's record is evaluated once
     # on the Gram's 1536 Gauss nodes over its 48 nonzero modes, and paired
